@@ -7,14 +7,11 @@
 //! cargo run --release -p shc-bench --bin experiments            # paper clock (minutes)
 //! cargo run --release -p shc-bench --bin experiments -- --fast  # compressed clock (seconds)
 //! cargo run --release -p shc-bench --bin experiments -- --fast --surface-n 20
-//! cargo run --release -p shc-bench --bin experiments -- --fast --threads 0  # 0 = all CPUs
 //! cargo run --release -p shc-bench --bin experiments -- --fast \
 //!     --journal experiments.jsonl --metrics experiments-metrics.json
 //! ```
 //!
-//! `--threads N` sets the fan-out for the parallel-scaling section
-//! (`0` = all CPUs, `1` = serial, the default); the section also writes
-//! `BENCH_parallel.json` to the repository root.
+//! `--surface-n N` sets the surface grid edge (default 40, at least 2).
 //!
 //! `--batch auto|scalar|batched` picks the batched-engine policy for every
 //! characterization problem (default `auto`: serial sweeps of supported
@@ -41,9 +38,12 @@ use shc_bench::{Cell, Timing};
 use shc_core::independent::{binary_search, newton, IndependentOptions, SkewAxis};
 use shc_core::report::{CellReport, ContourTable, OverlayReport, SpeedupRow};
 use shc_core::{
-    surface, BatchPolicy, CharacterizationProblem, Parallelism, SeedOptions, SurfaceOptions,
-    TracerOptions,
+    surface, BatchPolicy, CharacterizationProblem, SeedOptions, SurfaceOptions, TracerOptions,
 };
+
+const USAGE: &str = "usage: experiments [--fast] [--surface-n N] [--batch auto|scalar|batched]
+                   [--journal <path>] [--metrics <path>]
+                   [--profile <path>] [--profile-detail step|iter]";
 
 /// This binary exists to measure wall-clock (the paper's speedup table),
 /// so it gets its own sanctioned timer beside shc-obs spans (clippy.toml).
@@ -59,31 +59,28 @@ fn main() -> ExitCode {
     } else {
         Timing::Paper
     };
-    let surface_n: usize = args
-        .iter()
-        .position(|a| a == "--surface-n")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let threads_arg: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let parallelism = Parallelism::from_thread_arg(threads_arg);
     let flag_value = |flag: &str| {
         args.iter()
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
+    let surface_n: usize = match flag_value("--surface-n") {
+        None => 40,
+        Some(v) => match v.parse() {
+            Ok(n) if n >= 2 => n,
+            _ => {
+                eprintln!("--surface-n must be an integer of at least 2, got '{v}'\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let batch: BatchPolicy = match flag_value("--batch").as_deref() {
         None => BatchPolicy::default(),
         Some(v) => match v.parse() {
             Ok(policy) => policy,
             Err(e) => {
-                eprintln!("--batch: {e}");
+                eprintln!("--batch: {e}\n{USAGE}");
                 return ExitCode::FAILURE;
             }
         },
@@ -95,7 +92,7 @@ fn main() -> ExitCode {
         None | Some("step") => shc_prof::Detail::Step,
         Some("iter") => shc_prof::Detail::Iter,
         Some(other) => {
-            eprintln!("--profile-detail must be step or iter, got '{other}'");
+            eprintln!("--profile-detail must be step or iter, got '{other}'\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -125,7 +122,6 @@ fn main() -> ExitCode {
         run_experiments(
             timing,
             surface_n,
-            parallelism,
             batch,
             &collector,
             journal_path.as_deref(),
@@ -170,11 +166,9 @@ fn main() -> ExitCode {
 
 /// The evaluation pipeline proper. Telemetry/profiling guards are
 /// installed by `main`, which also owns the end-of-run accounting line.
-#[allow(clippy::too_many_arguments)]
 fn run_experiments(
     timing: Timing,
     surface_n: usize,
-    parallelism: Parallelism,
     batch: BatchPolicy,
     collector: &Collector,
     journal_path: Option<&str>,
@@ -311,63 +305,6 @@ fn run_experiments(
             );
         }
     }
-
-    // ---------------------------------------------------------------- //
-    // BENCH-PARALLEL: serial vs fanned-out surface generation.
-    // ---------------------------------------------------------------- //
-    let worker_threads = parallelism.thread_count();
-    println!(
-        "\n--- Parallel scaling: TSPC surface, serial vs {} worker thread(s) ---",
-        worker_threads
-    );
-    let parallel_n = 20usize;
-    let (_, tspc) = problems
-        .iter()
-        .find(|(cell, _)| cell.name() == "tspc")
-        .expect("tspc fixture exists");
-    let contour = tspc.trace_contour(8)?;
-    let grid = SurfaceOptions::around_contour(&contour, parallel_n);
-
-    let t0 = now();
-    let serial_surface = surface::generate(tspc, &grid)?;
-    let serial_seconds = t0.elapsed().as_secs_f64();
-
-    let t0 = now();
-    let fanned_surface = surface::generate(tspc, &grid.with_parallelism(parallelism))?;
-    let parallel_seconds = t0.elapsed().as_secs_f64();
-
-    let bitwise_identical = serial_surface.values() == fanned_surface.values();
-    let speedup = serial_seconds / parallel_seconds;
-    println!(
-        "n = {parallel_n} ({sims} sims): serial {serial_seconds:.3} s, \
-         {worker_threads} thread(s) {parallel_seconds:.3} s, speedup {speedup:.2}x, \
-         bitwise identical: {bitwise_identical}",
-        sims = serial_surface.simulations(),
-    );
-
-    // Per-simulation costs make batched gains attributable: the serial
-    // figure reflects the batched engine whenever the policy engages it,
-    // so wall/sims is the honest per-transient price on one core.
-    let json = format!(
-        "{{\n  \"bench\": \"parallel_surface_generation\",\n  \"cell\": \"tspc\",\n  \
-         \"clock\": \"{timing:?}\",\n  \"batch_policy\": \"{batch}\",\n  \
-         \"surface_n\": {parallel_n},\n  \
-         \"grid_simulations\": {sims},\n  \"host_cpus\": {cpus},\n  \
-         \"worker_threads\": {worker_threads},\n  \
-         \"serial_seconds\": {serial_seconds:.6},\n  \
-         \"parallel_seconds\": {parallel_seconds:.6},\n  \
-         \"serial_seconds_per_sim\": {serial_per_sim:.9},\n  \
-         \"parallel_seconds_per_sim\": {parallel_per_sim:.9},\n  \
-         \"speedup\": {speedup:.3},\n  \
-         \"bitwise_identical\": {bitwise_identical}\n}}\n",
-        sims = serial_surface.simulations(),
-        cpus = Parallelism::Auto.thread_count(),
-        serial_per_sim = serial_seconds / serial_surface.simulations() as f64,
-        parallel_per_sim = parallel_seconds / serial_surface.simulations() as f64,
-    );
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    std::fs::write(json_path, json)?;
-    println!("wrote {json_path}");
 
     collector.flush()?;
     if metrics_path.is_some() || journal_path.is_some() {

@@ -22,6 +22,9 @@ use shc_core::ContourPoint;
 use shc_obs::json;
 use shc_spice::SolverChoice;
 
+const USAGE: &str =
+    "usage: verify_golden [--generate] [--rtol R] [--goldens-dir <dir>] [--diff <path>]";
+
 /// Contour resolution the goldens pin.
 const GOLDEN_POINTS: usize = 12;
 /// Default per-coordinate relative tolerance.
@@ -48,9 +51,16 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             .cloned()
     };
     let generate = args.iter().any(|a| a == "--generate");
-    let rtol: f64 = flag_value("--rtol")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_RTOL);
+    let rtol: f64 = match flag_value("--rtol") {
+        None => DEFAULT_RTOL,
+        Some(v) => match v.parse::<f64>() {
+            Ok(r) if r.is_finite() && r >= 0.0 => r,
+            _ => {
+                eprintln!("--rtol must be a finite non-negative number, got '{v}'\n{USAGE}");
+                return Ok(ExitCode::FAILURE);
+            }
+        },
+    };
     let goldens_dir =
         PathBuf::from(flag_value("--goldens-dir").unwrap_or_else(default_goldens_dir));
     let diff_path =

@@ -1,29 +1,30 @@
 //! # shc-bench
 //!
-//! Benchmark harness regenerating every table and figure of the DAC 2007
-//! paper's evaluation section, plus ablations of this implementation's
-//! design choices.
+//! The paper-experiment driver and the correctness gates that run the
+//! cells end to end, over shared cell fixtures ([`Cell`], [`Timing`]):
 //!
-//! Two entry points:
+//! - `experiments` regenerates every table and figure of the paper's
+//!   evaluation section (the exact 10 ns clock, or `--fast` for the
+//!   compressed one) and prints the paper-vs-measured rows that
+//!   EXPERIMENTS.md records;
+//! - `verify_golden` compares the TSPC and C²MOS contours with
+//!   `goldens/`;
+//! - `fault_matrix` runs every fault site × kind plan;
+//! - `profile_smoke` holds `Detail::Step` profiling to its overhead
+//!   budget;
+//! - the Criterion benches under `benches/` ablate this implementation's
+//!   design choices (integrator, time step, tracer step, sensitivities)
+//!   and time independent characterization.
 //!
-//! - the Criterion benches under `benches/` (one per figure/table, run with
-//!   `cargo bench`), which use the compressed test clock so a full run
-//!   stays in the minutes range;
-//! - the `experiments` binary (`cargo run --release -p shc-bench --bin
-//!   experiments`), which runs the full paper-scale experiments (the exact
-//!   10 ns clock) and prints the paper-vs-measured rows that EXPERIMENTS.md
-//!   records. Pass `--fast` to use the compressed clock.
+//! Performance is measured by the benchmark of record in `benchmark/`
+//! (`cargo run --release --manifest-path benchmark/Cargo.toml -- run`),
+//! not here.
 
-pub mod history;
-
-pub use shc_cells::REGISTER_BANK_DEFAULT_BITS;
 use shc_cells::{
-    c2mos_register_with, d_latch_with, register_bank_with, tg_register_with, tspc_register_with,
-    ClockSpec, Register, Technology, C2MOS_CLKB_SKEW,
+    c2mos_register_with, tg_register_with, tspc_register_with, ClockSpec, Register, Technology,
+    C2MOS_CLKB_SKEW,
 };
 use shc_core::{BatchPolicy, CharError, CharacterizationProblem};
-use shc_spice::transient::{TransientAnalysis, TransientOptions, TransientResult};
-use shc_spice::waveform::Params;
 use shc_spice::SolverChoice;
 
 /// Which clock timing a fixture uses.
@@ -92,7 +93,7 @@ impl Cell {
     }
 
     /// [`Cell::problem`] with an explicit linear-solver backend — used by
-    /// the sparse-vs-dense gates, which trace the same cell on both paths.
+    /// `verify_golden`, which traces TSPC on the sparse path too.
     ///
     /// # Errors
     ///
@@ -109,8 +110,7 @@ impl Cell {
     }
 
     /// [`Cell::problem`] with an explicit batched-engine policy — used by
-    /// the batched benchmark gate and the CLIs' `--batch` flag, which
-    /// compare the scalar and lockstep paths on the same cell.
+    /// the `experiments` binary's `--batch` flag.
     ///
     /// # Errors
     ///
@@ -125,47 +125,6 @@ impl Cell {
             .batch(batch)
             .build()
     }
-}
-
-/// Builds the N-bit register-bank transient workload: the cell-zoo netlist
-/// whose unknown count (>100 at the default width) puts it on the
-/// sparse-direct side of the auto dispatch.
-pub fn bank_register(timing: Timing, n_bits: usize) -> Register {
-    register_bank_with(&Technology::default_250nm(), timing.clock(), n_bits)
-}
-
-/// Runs the register-bank capture transient with the given solver backend:
-/// generous setup so the data ripples through the whole chain, simulated
-/// past the closing edge. Returns the full result so callers can compare
-/// final states and work counters across backends.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn run_bank_transient(
-    bank: &Register,
-    solver: SolverChoice,
-) -> shc_spice::Result<TransientResult> {
-    // The bank's reference-setup hint scales with its width: lead the
-    // closing edge by 1.5x that so the data edge has time to ripple.
-    let tau_s = 1.5 * bank.reference_setup_hint().unwrap_or(0.5e-9);
-    let opts = TransientOptions::builder(bank.active_edge_time() + 0.5e-9)
-        .dt(4e-12)
-        .solver(solver)
-        .build();
-    TransientAnalysis::new(bank.circuit(), opts).run(&Params::new(tau_s, 0.5e-9))
-}
-
-/// The extra seed cells (beyond [`Cell::ALL`]) the sparse benchmark runs
-/// auto-vs-dense contours on.
-pub fn d_latch_problem(
-    timing: Timing,
-    solver: SolverChoice,
-) -> Result<CharacterizationProblem, CharError> {
-    CharacterizationProblem::builder(d_latch_with(&Technology::default_250nm(), timing.clock()))
-        .degradation(0.10)
-        .solver(solver)
-        .build()
 }
 
 #[cfg(test)]

@@ -378,6 +378,48 @@ mod tests {
     }
 
     #[test]
+    fn batched_surface_is_bitwise_identical_to_scalar() {
+        use crate::BatchPolicy;
+        use shc_cells::{tspc_register_with, ClockSpec, Technology};
+
+        let tech = Technology::default_250nm();
+        let problem = |batch| {
+            CharacterizationProblem::builder(tspc_register_with(&tech, ClockSpec::fast()))
+                .batch(batch)
+                .build()
+                .unwrap()
+        };
+        let scalar = problem(BatchPolicy::Scalar);
+        let batched = problem(BatchPolicy::Batched);
+        // 6×6 around a short contour: 36 lanes fill two full lane groups
+        // and a partial one.
+        let grid = SurfaceOptions::around_contour(&scalar.trace_contour(4).unwrap(), 6);
+        let s = generate(&scalar, &grid).unwrap();
+        let profiler = shc_prof::Profiler::new();
+        let b = {
+            let _prof = shc_prof::install_scoped(&profiler);
+            generate(&batched, &grid).unwrap()
+        };
+        // Three lockstep batches, each with one trunk DC solve in place of
+        // one per lane: the batched engine and its trunk really ran.
+        let frames = profiler.report("batched");
+        for phase in ["transient", "dc_op"] {
+            assert_eq!(frames.phase(phase).map(|p| p.count), Some(3), "{phase}");
+        }
+        assert_eq!(s.simulations(), 36);
+        assert_eq!(b.simulations(), 36);
+        for (i, (row_s, row_b)) in s.values().iter().zip(b.values()).enumerate() {
+            for (j, (vs, vb)) in row_s.iter().zip(row_b).enumerate() {
+                assert_eq!(
+                    vs.to_bits(),
+                    vb.to_bits(),
+                    "grid ({i}, {j}): scalar {vs:e} vs batched {vb:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn hold_at_setup_snaps_endpoint_queries_within_tolerance() {
         let contour = synthetic_surface().contour_at(1.0);
         let s_last = contour.points().last().unwrap().0;

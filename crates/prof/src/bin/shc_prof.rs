@@ -1,23 +1,17 @@
-//! Profile report tool: differential comparison and the share ratchet.
+//! Profile report tool: differential comparison.
 //!
 //! ```text
 //! shc-prof diff a.json b.json
-//! shc-prof check current.json --baseline PROFILE_baseline.json \
-//!     [--section <label>] [--tol-pp <pp>]
 //! ```
 //!
 //! `diff` prints a phase-by-phase table of self-time-share and work-unit
-//! movement between two profiles. `check` enforces the phase-share
-//! ratchet against a committed baseline (either a single report or a
-//! multi-section `PROFILE_baseline.json`); it exits non-zero when any
-//! ratcheted phase drifts beyond the tolerance, which is how the CI
-//! `profile-smoke` job catches silent hot-path regressions.
+//! movement between two profiles.
 
 use std::process::ExitCode;
 
-use shc_prof::{parse_baseline, render_diff, ProfileReport, DEFAULT_TOLERANCE_PP};
+use shc_prof::{render_diff, ProfileReport};
 
-const USAGE: &str = "usage:\n  shc-prof diff <a.json> <b.json>\n  shc-prof check <current.json> --baseline <baseline.json> [--section <label>] [--tol-pp <pp>]";
+const USAGE: &str = "usage:\n  shc-prof diff <a.json> <b.json>";
 
 fn main() -> ExitCode {
     match run() {
@@ -41,44 +35,6 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
             print!("{}", render_diff(&a, &b));
             Ok(ExitCode::SUCCESS)
         }
-        Some("check") => {
-            let current_path = args.get(1).filter(|a| !a.starts_with("--")).ok_or(USAGE)?;
-            let flag_value = |flag: &str| {
-                args.iter()
-                    .position(|a| a == flag)
-                    .and_then(|i| args.get(i + 1))
-                    .cloned()
-            };
-            let baseline_path = flag_value("--baseline").ok_or(USAGE)?;
-            let tolerance_pp: f64 = match flag_value("--tol-pp") {
-                Some(v) => v.parse().map_err(|_| "invalid --tol-pp")?,
-                None => DEFAULT_TOLERANCE_PP,
-            };
-            let current = load_report(current_path)?;
-            let baseline = load_baseline_section(
-                &baseline_path,
-                flag_value("--section").as_deref().unwrap_or(&current.label),
-            )?;
-            match shc_prof::check(&current, &baseline, tolerance_pp) {
-                Ok(lines) => {
-                    for line in lines {
-                        println!("{line}");
-                    }
-                    println!("phase-share ratchet passed ({})", current.label);
-                    Ok(ExitCode::SUCCESS)
-                }
-                Err(violations) => {
-                    for line in violations {
-                        eprintln!("RATCHET VIOLATION {line}");
-                    }
-                    eprintln!(
-                        "phase-share ratchet failed; if the shift is intentional, \
-                         regenerate and commit the baseline (profile_smoke --write-baseline)"
-                    );
-                    Ok(ExitCode::FAILURE)
-                }
-            }
-        }
         _ => Err(USAGE.into()),
     }
 }
@@ -86,21 +42,4 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
 fn load_report(path: &str) -> Result<ProfileReport, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     ProfileReport::from_json(&text).map_err(|e| format!("{path}: {e}").into())
-}
-
-/// Loads `label`'s section from a baseline file, accepting a plain
-/// single-report file too.
-fn load_baseline_section(
-    path: &str,
-    label: &str,
-) -> Result<ProfileReport, Box<dyn std::error::Error>> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if let Ok(report) = ProfileReport::from_json(&text) {
-        return Ok(report);
-    }
-    let sections = parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?;
-    sections
-        .into_iter()
-        .find(|s| s.label == label)
-        .ok_or_else(|| format!("{path}: no section labeled '{label}'").into())
 }

@@ -33,9 +33,7 @@
 //!
 //! Reports serialize to hand-rolled JSON ([`ProfileReport::to_json`]),
 //! collapsed-stack flamegraph input ([`ProfileReport::to_folded`]), and
-//! text tables; [`diff`] compares two profiles phase-by-phase and
-//! [`check`] ratchets phase shares against a committed baseline (the CI
-//! `profile-smoke` gate).
+//! text tables; [`diff`] compares two profiles phase-by-phase.
 
 #![warn(missing_docs)]
 
@@ -50,7 +48,4 @@ pub use profiler::{
     add_work, current, enabled, enter, install_scoped, iter_detail, open_frames, phase_totals,
     record, Detail, FrameGuard, InstallGuard, Laps, Profiler, Sample, MAX_LAP_SLOTS,
 };
-pub use report::{
-    check, diff, parse_baseline, render_baseline, render_diff, PhaseAgg, PhaseDelta, ProfileReport,
-    ReportNode, BASELINE_SCHEMA, DEFAULT_TOLERANCE_PP, RATCHET_MIN_SHARE, SCHEMA,
-};
+pub use report::{diff, render_diff, PhaseAgg, PhaseDelta, ProfileReport, ReportNode, SCHEMA};

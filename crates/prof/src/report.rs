@@ -1,6 +1,5 @@
 //! Profile reports: JSON serialization, collapsed-stack flamegraph
-//! export, text tables, differential comparison, and the phase-share
-//! ratchet used by the CI `profile-smoke` gate.
+//! export, text tables, and differential comparison.
 //!
 //! All JSON is hand-rolled through `shc_obs::json` (the vendored serde is
 //! a stub); parsing targets exactly the shapes this module emits.
@@ -13,8 +12,6 @@ use crate::phase::Phase;
 
 /// Schema tag stamped into every report this crate writes.
 pub const SCHEMA: &str = "shc-prof-v1";
-/// Schema tag of the committed multi-section baseline file.
-pub const BASELINE_SCHEMA: &str = "shc-prof-baseline-v1";
 
 /// Aggregated totals for one phase across the whole tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,15 +83,8 @@ impl ProfileReport {
         let mut out = String::from("{");
         let mut first = true;
         json::push_str_field(&mut out, &mut first, "schema", SCHEMA);
-        self.push_body(&mut out, &mut first);
-        out.push_str("}\n");
-        out
-    }
-
-    /// Renders the report as one element of a baseline `sections` array.
-    fn push_body(&self, out: &mut String, first: &mut bool) {
-        json::push_str_field(out, first, "label", &self.label);
-        json::push_u64_field(out, first, "wall_ns", self.wall_ns);
+        json::push_str_field(&mut out, &mut first, "label", &self.label);
+        json::push_u64_field(&mut out, &mut first, "wall_ns", self.wall_ns);
         let mut phases = String::from("[");
         for (i, p) in self.phases.iter().enumerate() {
             if i > 0 {
@@ -116,7 +106,7 @@ impl ProfileReport {
             phases.push('}');
         }
         phases.push(']');
-        json::push_raw_field(out, first, "phases", &phases);
+        json::push_raw_field(&mut out, &mut first, "phases", &phases);
         let mut nodes = String::from("[");
         for (i, n) in self.nodes.iter().enumerate() {
             if i > 0 {
@@ -132,7 +122,9 @@ impl ProfileReport {
             nodes.push('}');
         }
         nodes.push(']');
-        json::push_raw_field(out, first, "nodes", &nodes);
+        json::push_raw_field(&mut out, &mut first, "nodes", &nodes);
+        out.push_str("}\n");
+        out
     }
 
     /// Parses a report written by [`to_json`].
@@ -145,12 +137,6 @@ impl ProfileReport {
         if schema != SCHEMA {
             return Err(format!("unsupported schema '{schema}' (want {SCHEMA})"));
         }
-        Self::from_section(text)
-    }
-
-    /// Parses one report object (without checking the schema tag), as
-    /// found inside a baseline's `sections` array.
-    fn from_section(text: &str) -> Result<ProfileReport, String> {
         let label = scan_string(text, "label").ok_or("missing 'label'")?;
         let wall_ns = json::scan_u64(text, "wall_ns").ok_or("missing 'wall_ns'")?;
         let mut phases = Vec::new();
@@ -237,47 +223,6 @@ impl ProfileReport {
         }
         out
     }
-}
-
-/// Renders a multi-section baseline file (`PROFILE_baseline.json`).
-#[must_use]
-pub fn render_baseline(sections: &[ProfileReport]) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
-    json::push_str_field(&mut out, &mut first, "schema", BASELINE_SCHEMA);
-    let mut arr = String::from("[");
-    for (i, section) in sections.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        arr.push('{');
-        let mut sf = true;
-        section.push_body(&mut arr, &mut sf);
-        arr.push('}');
-    }
-    arr.push(']');
-    json::push_raw_field(&mut out, &mut first, "sections", &arr);
-    out.push_str("}\n");
-    out
-}
-
-/// Parses a baseline file written by [`render_baseline`].
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed field.
-pub fn parse_baseline(text: &str) -> Result<Vec<ProfileReport>, String> {
-    let schema = scan_string(text, "schema").ok_or("missing 'schema'")?;
-    if schema != BASELINE_SCHEMA {
-        return Err(format!(
-            "unsupported schema '{schema}' (want {BASELINE_SCHEMA})"
-        ));
-    }
-    let mut sections = Vec::new();
-    for obj in array_objects(text, "sections").ok_or("missing 'sections'")? {
-        sections.push(ProfileReport::from_section(obj)?);
-    }
-    Ok(sections)
 }
 
 /// One phase's before/after comparison from [`diff`].
@@ -377,53 +322,6 @@ pub fn render_diff(a: &ProfileReport, b: &ProfileReport) -> String {
     out
 }
 
-/// Default share-ratchet tolerance, percentage points.
-pub const DEFAULT_TOLERANCE_PP: f64 = 5.0;
-/// Phases below this baseline share are exempt from the ratchet: their
-/// shares are noise-dominated.
-pub const RATCHET_MIN_SHARE: f64 = 0.02;
-
-/// Checks `current` against `baseline` with the phase-share ratchet.
-///
-/// Every phase whose baseline self-time share is at least
-/// [`RATCHET_MIN_SHARE`] must stay within `tolerance_pp` percentage
-/// points of its baseline share, and no phase absent from the baseline
-/// may appear above the tolerance. Returns the per-phase verdict lines;
-/// `Err` lines are violations.
-#[allow(clippy::result_large_err)]
-pub fn check(
-    current: &ProfileReport,
-    baseline: &ProfileReport,
-    tolerance_pp: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut ok_lines = Vec::new();
-    let mut violations = Vec::new();
-    for d in diff(baseline, current) {
-        let ratcheted = d.share_a >= RATCHET_MIN_SHARE || d.share_b >= RATCHET_MIN_SHARE;
-        if !ratcheted {
-            continue;
-        }
-        let line = format!(
-            "{}: {:.1}% (baseline {:.1}%, Δ{:+.1}pp, tol ±{:.1}pp)",
-            d.phase,
-            100.0 * d.share_b,
-            100.0 * d.share_a,
-            d.share_delta_pp(),
-            tolerance_pp
-        );
-        if d.share_delta_pp().abs() <= tolerance_pp {
-            ok_lines.push(format!("{line} OK"));
-        } else {
-            violations.push(line);
-        }
-    }
-    if violations.is_empty() {
-        Ok(ok_lines)
-    } else {
-        Err(violations)
-    }
-}
-
 /// Scans a JSON string value (no escape handling beyond the writer's:
 /// the strings this crate emits are labels and phase names).
 fn scan_string(text: &str, key: &str) -> Option<String> {
@@ -520,15 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_round_trips_sections() {
-        let a = sample("tspc_contour", 700, 300);
-        let b = sample("surface_sweep", 900, 100);
-        let text = render_baseline(&[a.clone(), b.clone()]);
-        let parsed = parse_baseline(&text).expect("parses");
-        assert_eq!(parsed, vec![a, b]);
-    }
-
-    #[test]
     fn folded_lines_carry_full_stacks() {
         let folded = sample("x", 700, 300).to_folded();
         assert!(folded.contains("transient;device_eval 700"));
@@ -543,27 +432,6 @@ mod tests {
         assert_eq!(deltas[0].share_delta_pp().abs(), 40.0);
         let rendered = render_diff(&a, &b);
         assert!(rendered.contains("device_eval"));
-    }
-
-    #[test]
-    fn check_passes_within_tolerance_and_fails_outside() {
-        let base = sample("base", 700, 300);
-        let same = sample("cur", 690, 310);
-        assert!(check(&same, &base, 5.0).is_ok());
-        let shifted = sample("cur", 300, 700);
-        let violations = check(&shifted, &base, 5.0).expect_err("must fail");
-        assert!(violations.iter().any(|v| v.contains("device_eval")));
-    }
-
-    #[test]
-    fn check_ignores_noise_phases() {
-        let mut base = sample("base", 980, 0);
-        base.phases[1].self_ns = 10; // 1% share: exempt
-        base.wall_ns = 990;
-        let mut cur = sample("cur", 980, 0);
-        cur.phases[1].self_ns = 19;
-        cur.wall_ns = 999;
-        assert!(check(&cur, &base, 5.0).is_ok());
     }
 
     #[test]

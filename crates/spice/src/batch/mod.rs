@@ -3,8 +3,8 @@
 //! Characterization sweeps (surface grids, Monte-Carlo samples, PVT
 //! corners, `trace_batch` levels) run thousands of transients over the
 //! *same topology* with different parameters. On a one-core host the
-//! thread pool cannot help (see `BENCH_parallel.json`), so this module
-//! attacks per-simulation cost instead:
+//! thread pool cannot help, so this module attacks per-simulation cost
+//! instead:
 //!
 //! - **Compilation** ([`compile::CompiledCircuit`]): the `dyn Device` list
 //!   is lowered once per sweep into a flat array of value-level device

@@ -9,6 +9,7 @@ use shc::cells::{
 };
 use shc::core::CharacterizationProblem;
 use shc::linalg::{CsrMatrix, LinalgError, SparseLu, Vector};
+use shc::obs::{Collector, Metric};
 use shc::spice::waveform::Params;
 use shc::spice::{Circuit, SolverChoice};
 
@@ -142,4 +143,59 @@ fn forced_sparse_contour_matches_dense_contour() {
             s.tau_h
         );
     }
+}
+
+/// Sparse-LU work (symbolic analyses, factors, refactors, solves) one
+/// `evaluate_with_jacobian` of `register` records on a fresh collector.
+fn sparse_work(register: Register, solver: SolverChoice) -> [u64; 4] {
+    let problem = CharacterizationProblem::builder(register)
+        .degradation(0.10)
+        .solver(solver)
+        .build()
+        .expect("problem builds");
+    let collector = Collector::new();
+    {
+        let _telemetry = shc::obs::install_scoped(&collector);
+        problem
+            .evaluate_with_jacobian(&problem.reference_params())
+            .expect("evaluation succeeds");
+    }
+    assert!(
+        collector.counter(Metric::TransientRuns) > 0,
+        "collector saw the run"
+    );
+    [
+        Metric::SparseAnalyses,
+        Metric::SparseFactors,
+        Metric::SparseRefactors,
+        Metric::SparseSolves,
+    ]
+    .map(|m| collector.counter(m))
+}
+
+#[test]
+fn auto_dispatch_keeps_seed_cells_off_the_sparse_path() {
+    let tech = Technology::default_250nm();
+    let clock = ClockSpec::fast();
+    let seed_cells = [
+        tspc_register(&tech).with_clock(clock),
+        shc::cells::c2mos_register(&tech).with_clock(clock),
+        tg_register(&tech).with_clock(clock),
+        d_latch(&tech).with_clock(clock),
+    ];
+    for register in seed_cells {
+        let name = register.name().to_string();
+        assert_eq!(
+            sparse_work(register, SolverChoice::Auto),
+            [0; 4],
+            "{name}: auto dispatch did sparse work (analyses, factors, refactors, solves)"
+        );
+    }
+    // The same counters do move when the sparse path runs, so the zeros
+    // above are not vacuous.
+    let forced = sparse_work(d_latch(&tech).with_clock(clock), SolverChoice::Sparse);
+    assert!(
+        forced[3] > 0,
+        "forced sparse path recorded no solves: {forced:?}"
+    );
 }
