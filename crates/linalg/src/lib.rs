@@ -11,9 +11,6 @@
 //! - [`LuFactor`]: LU factorization with partial pivoting, solves, the
 //!   determinant, and a cheap condition-number estimate — this backs the
 //!   small-circuit Newton-Raphson linear solves in the simulator;
-//! - [`BatchLu`]: many same-dimension dense LU factorizations packed into
-//!   one contiguous allocation, factored one lane per call — used where
-//!   batched work arrives lane-at-a-time (the sensitivity recursion);
 //! - [`SoaLu`]: the structure-of-arrays variant — element-major factors
 //!   processed for *all* lanes per call so the elimination vectorizes
 //!   across lanes (see [`multiversioned!`]) — the linear-solve substrate
@@ -43,7 +40,6 @@
 //! # }
 //! ```
 
-mod batch_lu;
 mod error;
 mod lu;
 mod matrix;
@@ -55,7 +51,6 @@ mod sparse;
 mod sparse_lu;
 mod vector;
 
-pub use batch_lu::BatchLu;
 pub use error::LinalgError;
 pub use lu::LuFactor;
 pub use matrix::{matrix_allocations, Matrix};

@@ -238,11 +238,11 @@ fn solve_impl(out: &mut [f64], lu: &[f64], perm: &[usize], rhs: &[f64], n: usize
 /// vectorize across lanes.
 ///
 /// This is the linear-solve substrate of the lockstep batched transient
-/// engine. Unlike [`crate::BatchLu`] (lane-major, one lane per call), the
-/// SoA variant runs every lane through each numeric stage unconditionally
-/// — retired lanes stream garbage that costs a vector slot but is never
-/// read — while telemetry counts and fault draws follow only the caller's
-/// active mask, preserving the scalar path's per-lane draw cadence.
+/// engine, for its Newton steps and its sensitivity recursion alike. It
+/// runs every lane through each numeric stage unconditionally — retired
+/// lanes stream garbage that costs a vector slot but is never read —
+/// while telemetry counts and fault draws follow only the caller's active
+/// mask, preserving the scalar path's per-lane draw cadence.
 ///
 /// Per lane, the arithmetic replicates [`crate::LuFactor`] operation for
 /// operation (same pivot selection, singularity threshold, exact-zero
@@ -426,7 +426,7 @@ mod tests {
     use super::*;
     use crate::{LuFactor, Matrix, Vector};
 
-    /// Interleaves lane-major matrices (rows of `n·n`) into one
+    /// Interleaves per-lane row-major matrices (rows of `n·n`) into one
     /// element-major block.
     fn interleave(mats: &[Vec<f64>]) -> Vec<f64> {
         let b = mats.len();

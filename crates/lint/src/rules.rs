@@ -1635,8 +1635,6 @@ fn unsafe_macro_audit(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) {
 enum SoaLayout {
     /// `buf[element * lanes + lane]` — the canonical lockstep layout.
     ElementMajor,
-    /// `buf[lane * elements + element]` — per-lane contiguous rows.
-    LaneMajor,
     /// One entry per lane (`buf[lane]`).
     PerLane,
 }
@@ -1667,7 +1665,6 @@ fn parse_soa_annotation(text: &str) -> Option<SoaInfo> {
     };
     let layout = match layout_txt {
         "element-major" => SoaLayout::ElementMajor,
-        "lane-major" => SoaLayout::LaneMajor,
         "per-lane" => SoaLayout::PerLane,
         _ => return None,
     };
@@ -1879,7 +1876,7 @@ fn soa_rules(ws: &Workspace, analyses: &[FileAnalysis<'_>], out: &mut Vec<Findin
                         "lint-annotation",
                         fd.line,
                         format!(
-                            "unrecognized `/// soa:` annotation `{ann}` (expected `element-major`, `lane-major`, or `per-lane`, optionally `, state`/`, scratch`/`, descriptor`)"
+                            "unrecognized `/// soa:` annotation `{ann}` (expected `element-major` or `per-lane`, optionally `, state`/`, scratch`/`, descriptor`)"
                         ),
                     ),
                 }
@@ -3390,21 +3387,15 @@ macro_rules! mv {
     }
 
     /// Preamble opting a file into the SoA rules with one element-major
-    /// state buffer and one lane-major buffer.
-    const SOA_HEADER: &str = "// lint: soa-module\nstruct B {\n    /// soa: element-major, state\n    x: Vec<f64>,\n    /// soa: lane-major, scratch\n    m: Vec<f64>,\n}\n";
+    /// state buffer.
+    const SOA_HEADER: &str =
+        "// lint: soa-module\nstruct B {\n    /// soa: element-major, state\n    x: Vec<f64>,\n}\n";
 
     #[test]
     fn canonical_strides_and_accessors_pass_index_discipline() {
         let src = format!(
             "{SOA_HEADER}fn read(x: &[f64], i: usize, l: usize, b: usize) -> f64 {{\n    x[i * b + l] + x[soa_idx(i, l, b)] + x[l]\n}}\nfn soa_idx(i: usize, l: usize, b: usize) -> usize {{ i * b + l }}\n"
         );
-        assert!(run_one("crates/spice/src/batch/a.rs", &src).is_empty());
-    }
-
-    #[test]
-    fn lane_major_buffers_skip_element_major_index_rule() {
-        // `m[l * n + i]` is the *correct* stride for a lane-major row.
-        let src = format!("{SOA_HEADER}fn read(m: &[f64], l: usize, n: usize, i: usize) -> f64 {{\n    m[l * n + i]\n}}\n");
         assert!(run_one("crates/spice/src/batch/a.rs", &src).is_empty());
     }
 

@@ -15,7 +15,8 @@ pub enum Metric {
     TransientSteps,
     /// Inner Newton iterations across all transient steps.
     NewtonIterations,
-    /// Steps rejected by the local-truncation-error controller.
+    /// Transient steps rejected by the Newton step-cut policy
+    /// (`TransientStats::rejected_steps`).
     LteRejections,
     /// Fresh LU factorizations (allocating).
     LuFactorizations,

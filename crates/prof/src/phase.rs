@@ -51,15 +51,13 @@ pub enum Phase {
     SparseRefactor,
     /// Sparse-LU forward/back substitution.
     SparseSolve,
-    /// Local-truncation-error estimate and step-size control.
-    LteControl,
     /// Parameter-sensitivity right-hand sides and solves.
     SensSolve,
 }
 
 impl Phase {
     /// Number of phase variants; sizes aggregation arrays.
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 18;
 
     /// All variants, in `repr` order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -80,7 +78,6 @@ impl Phase {
         Phase::SparseFactor,
         Phase::SparseRefactor,
         Phase::SparseSolve,
-        Phase::LteControl,
         Phase::SensSolve,
     ];
 
@@ -105,7 +102,6 @@ impl Phase {
             Phase::SparseFactor => "sparse_factor",
             Phase::SparseRefactor => "sparse_refactor",
             Phase::SparseSolve => "sparse_solve",
-            Phase::LteControl => "lte_control",
             Phase::SensSolve => "sens_solve",
         }
     }

@@ -871,7 +871,7 @@ mod tests {
                 },
             );
             // Zero samples and empty paths must not create nodes.
-            record(&[Phase::LteControl], Sample::default());
+            record(&[Phase::SensSolve], Sample::default());
             record(
                 &[],
                 Sample {
@@ -888,7 +888,7 @@ mod tests {
         assert_eq!(eval.work, 70);
         assert_eq!(newton.count, 3);
         assert!(newton.total_ns >= eval.total_ns + newton.self_ns);
-        assert!(report.phase("lte_control").is_none());
+        assert!(report.phase("sens_solve").is_none());
         assert!(report
             .nodes
             .iter()

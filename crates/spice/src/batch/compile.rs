@@ -408,8 +408,6 @@ enum SoaDevice {
         rn: usize,
         /// Branch-equation row offset (always a real unknown).
         rbr: usize,
-        /// Raw branch unknown index (for the lane-scalar `∂f/∂p` path).
-        br: usize,
         gpb: usize,
         gnb: usize,
         gbp: usize,
@@ -520,7 +518,6 @@ fn assemble_impl(
                     rp,
                     rn,
                     rbr,
-                    br: _,
                     gpb,
                     gnb,
                     gbp,
@@ -742,7 +739,6 @@ impl SoaCircuit {
                         rp: vrow(*p),
                         rn: vrow(*neg),
                         rbr: *br * b,
-                        br: *br,
                         gpb: cell(*p, br_eq),
                         gnb: cell(*neg, br_eq),
                         gbp: cell(br_eq, *p),
@@ -937,28 +933,21 @@ impl SoaCircuit {
         assemble_kernel(&self.devices, x, t, params, q, f, c, g, b);
     }
 
-    /// Assembles one lane's `∂f/∂p` at `t` into `dfdp` (length `n`),
-    /// replicating [`CompiledCircuit::assemble_dfdp`]: only
+    /// Assembles `∂f/∂p` for every lane into the element-major `dfdp`
+    /// (`n·b`) at the per-lane times `t` and skews `params`, replicating
+    /// [`CompiledCircuit::assemble_dfdp`] lane by lane: only
     /// voltage-source branch equations depend on the skew parameters.
-    ///
-    /// Lane-scalar on purpose — the sensitivity recursion consumes this
-    /// one accepted lane at a time.
     // lint: hot-fn
     // effects: pure
-    pub fn assemble_dfdp(
-        &self,
-        lane: usize,
-        t: f64,
-        params: &Params,
-        param: Param,
-        dfdp: &mut [f64],
-    ) {
+    pub fn assemble_dfdp(&self, t: &[f64], params: &[Params], param: Param, dfdp: &mut [f64]) {
         dfdp.fill(0.0);
         for device in &self.devices {
-            if let SoaDevice::VoltageSource { br, waveforms, .. } = device {
-                let dv = waveforms[lane].derivative(t, params, param);
-                if dv != 0.0 {
-                    dfdp[*br] -= dv;
+            if let SoaDevice::VoltageSource { rbr, waveforms, .. } = device {
+                for (l, waveform) in waveforms.iter().enumerate() {
+                    let dv = waveform.derivative(t[l], &params[l], param);
+                    if dv != 0.0 {
+                        dfdp[rbr + l] -= dv;
+                    }
                 }
             }
         }
@@ -1215,19 +1204,22 @@ mod tests {
             .map(|c| CompiledCircuit::compile(c).expect("compilable"))
             .collect();
         let soa = SoaCircuit::merge(&compiled).expect("mergeable");
-        let n = soa.dim();
-        let params = Params::new(1e-10, -2e-10);
-        let mut dfdp = vec![0.0; n];
-        for (l, circuit) in circuits.iter().enumerate() {
-            for param in Param::ALL {
-                for &t in &[0.0, 4.7e-9, 5.6e-9] {
-                    let scalar = circuit.assemble_dfdp(t, &params, param);
-                    soa.assemble_dfdp(l, t, &params, param, &mut dfdp);
+        let (n, b) = (soa.dim(), circuits.len());
+        // Per-lane times and skews, so a lane mix-up cannot cancel out.
+        let params = [Params::new(1e-10, -2e-10), Params::new(-3e-10, 1e-10)];
+        let mut dfdp = vec![0.0; n * b];
+        for param in Param::ALL {
+            for &t0 in &[0.0, 4.7e-9, 5.6e-9] {
+                let t = [t0, t0 + 0.1e-9];
+                soa.assemble_dfdp(&t, &params, param, &mut dfdp);
+                for (l, circuit) in circuits.iter().enumerate() {
+                    let scalar = circuit.assemble_dfdp(t[l], &params[l], param);
                     for i in 0..n {
                         assert_eq!(
-                            dfdp[i].to_bits(),
+                            dfdp[i * b + l].to_bits(),
                             scalar[i].to_bits(),
-                            "lane {l} dfdp[{i}] at t={t} for {param:?}"
+                            "lane {l} dfdp[{i}] at t={} for {param:?}",
+                            t[l]
                         );
                     }
                 }

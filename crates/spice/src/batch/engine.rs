@@ -29,15 +29,15 @@
 //! layout, so per-lane results are unchanged.
 
 // lint: soa-module
-use shc_linalg::{lane_dispatch, multiversioned, BatchLu, SoaLu, Vector};
+use shc_linalg::{lane_dispatch, multiversioned, SoaLu, Vector};
 
 use crate::batch::compile::{CompiledCircuit, SoaCircuit};
 use crate::circuit::Circuit;
 use crate::dcop;
 use crate::newton::{self, NewtonOptions};
 use crate::transient::{
-    with_lu_fault_retries, TransientOptions, TransientResult, TransientStats, DT_FLOOR_SLACK,
-    NEWTON_FAULT_RETRIES, NEWTON_FLOOR_RETRIES, TSTOP_ENDPOINT_SLACK,
+    TransientOptions, TransientResult, TransientStats, DT_FLOOR_SLACK, NEWTON_FAULT_RETRIES,
+    NEWTON_FLOOR_RETRIES, TSTOP_ENDPOINT_SLACK,
 };
 use crate::waveform::Params;
 use crate::{Result, SpiceError};
@@ -45,9 +45,8 @@ use crate::{Result, SpiceError};
 /// Per-step lap slots, mirroring the scalar transient's private chain so
 /// the profile tree shows identical phase structure for batched runs.
 const LAP_NEWTON: usize = 0;
-const LAP_LTE: usize = 1;
-const LAP_SENS: usize = 2;
-const LAP_STEP_SELF: usize = 3;
+const LAP_SENS: usize = 1;
+const LAP_STEP_SELF: usize = 2;
 
 /// Flushes the batch's lap accumulators into the open
 /// `shc_prof::Phase::Transient` frame on every exit path — the batched
@@ -82,7 +81,6 @@ impl Drop for BatchProfFlush<'_> {
                 ..newton
             },
         );
-        record(&[Phase::LteControl], self.step.sample(LAP_LTE));
         record(&[Phase::SensSolve], self.step.sample(LAP_SENS));
     }
 }
@@ -103,25 +101,24 @@ pub struct BatchLane<'a> {
     pub tstop: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum LaneStatus {
     Active,
     Done,
-    Failed,
+    /// Retired with the typed error its scalar run would have returned.
+    Failed(SpiceError),
 }
 
 /// Per-lane bookkeeping: integration clock, statistics, and the transient
 /// per-round / per-Newton-solve scratch state.
 #[derive(Debug)]
 struct LaneState {
-    params: Params,
     tstop: f64,
     t_prev: f64,
     dt: f64,
     status: LaneStatus,
     stats: TransientStats,
     times: Vec<f64>,
-    err: Option<SpiceError>,
     /// This round's step attempt.
     stepping: bool,
     t_new: f64,
@@ -347,65 +344,80 @@ fn update_impl(x: &mut [f64], delta: &[f64], active: &[bool], n: usize, b: usize
 // SAFETY: expands to `#[target_feature]` clones; each wide clone is
 // called only after its `is_x86_feature_detected!` check passes.
 multiversioned! {
-    /// Masked end-of-step history rotation: `q_prev ← q`, `x_prev ← x`
-    /// for lanes that accepted a step (selects — non-stepping lanes keep
-    /// their history bits).
-    fn rotate_kernel(
-        q_prev: &mut [f64],
-        x_prev: &mut [f64],
-        q: &[f64],
-        x: &[f64],
-        stepped: &[bool],
-        n: usize,
-        b: usize,
-    ) {
-        lane_dispatch!(b, rotate_impl(q_prev, x_prev, q, x, stepped, n));
+    /// Masked commit `dst ← src` over element-major rows: history
+    /// rotation (`q_prev`, `x_prev`, `c_prev`) and the sensitivity update
+    /// of `m`, for the lanes set in `mask`. Selects, so other lanes keep
+    /// their bits.
+    fn select_kernel(dst: &mut [f64], src: &[f64], mask: &[bool], b: usize) {
+        lane_dispatch!(b, select_impl(dst, src, mask));
     }
 }
 
 // lint: soa-kernel
-/// [`rotate_kernel`]'s body, called with a literal lane count for the
+/// [`select_kernel`]'s body, called with a literal lane count for the
 /// common widths (see [`lane_dispatch!`]) under each feature level.
 #[inline(always)]
-fn rotate_impl(
-    q_prev: &mut [f64],
-    x_prev: &mut [f64],
-    q: &[f64],
-    x: &[f64],
-    stepped: &[bool],
-    n: usize,
-    b: usize,
-) {
-    debug_assert_eq!(q_prev.len(), n * b);
-    for (((qpw, xpw), qw), xw) in q_prev
-        .chunks_exact_mut(b)
-        .zip(x_prev.chunks_exact_mut(b))
-        .zip(q.chunks_exact(b))
-        .zip(x.chunks_exact(b))
-    {
-        for ((((qp, xp), qv), xv), s) in qpw
-            .iter_mut()
-            .zip(xpw.iter_mut())
-            .zip(qw.iter())
-            .zip(xw.iter())
-            .zip(stepped.iter())
-        {
-            *qp = if *s { *qv } else { *qp };
-            *xp = if *s { *xv } else { *xp };
+fn select_impl(dst: &mut [f64], src: &[f64], mask: &[bool], b: usize) {
+    debug_assert_eq!(dst.len(), src.len());
+    for (dw, sw) in dst.chunks_exact_mut(b).zip(src.chunks_exact(b)) {
+        for ((d, s), m) in dw.iter_mut().zip(sw.iter()).zip(mask.iter()) {
+            *d = if *m { *s } else { *d };
         }
     }
 }
 
-/// Row-major `out = a·b` — the exact `Matrix::mul_vec_into` loop.
-#[inline]
-fn mul_vec(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
-    for i in 0..n {
-        let mut acc = 0.0;
-        let row = &a[i * n..(i + 1) * n];
-        for (aij, bj) in row.iter().zip(b.iter()) {
-            acc += aij * bj;
+// SAFETY: expands to `#[target_feature]` clones; each wide clone is
+// called only after its `is_x86_feature_detected!` check passes.
+multiversioned! {
+    /// Sensitivity right-hand sides for all lanes, element-major:
+    /// `rhs = C_prev·m − dt·∂f/∂p`. Each row sums its products from `0.0`
+    /// in column order — `Matrix::mul_vec_into`'s order — and then adds
+    /// `(−dt)·∂f/∂p` as `Vector::axpy` does, so every lane rounds exactly
+    /// as the scalar recursion.
+    fn sens_rhs_kernel(
+        rhs: &mut [f64],
+        c_prev: &[f64],
+        m: &[f64],
+        dfdp: &[f64],
+        dt: &[f64],
+        n: usize,
+        b: usize,
+    ) {
+        lane_dispatch!(b, sens_rhs_impl(rhs, c_prev, m, dfdp, dt, n));
+    }
+}
+
+// lint: soa-kernel
+/// [`sens_rhs_kernel`]'s body, called with a literal lane count for the
+/// common widths (see [`lane_dispatch!`]) under each feature level.
+#[inline(always)]
+fn sens_rhs_impl(
+    rhs: &mut [f64],
+    c_prev: &[f64],
+    m: &[f64],
+    dfdp: &[f64],
+    dt: &[f64],
+    n: usize,
+    b: usize,
+) {
+    debug_assert_eq!(c_prev.len(), n * n * b);
+    debug_assert_eq!(m.len(), n * b);
+    for ((rw, crow), dw) in rhs
+        .chunks_exact_mut(b)
+        .zip(c_prev.chunks_exact(n * b))
+        .zip(dfdp.chunks_exact(b))
+    {
+        for r in rw.iter_mut() {
+            *r = 0.0;
         }
-        out[i] = acc;
+        for (cw, mw) in crow.chunks_exact(b).zip(m.chunks_exact(b)) {
+            for ((r, cv), mv) in rw.iter_mut().zip(cw.iter()).zip(mw.iter()) {
+                *r += *cv * *mv;
+            }
+        }
+        for ((r, dv), d) in rw.iter_mut().zip(dw.iter()).zip(dt.iter()) {
+            *r += -*d * *dv;
+        }
     }
 }
 
@@ -462,6 +474,7 @@ pub fn run_lockstep(
         return Ok(Vec::new());
     }
     let n = lanes[0].circuit.unknown_count();
+    let mut compiled = Vec::with_capacity(lanes.len());
     for (l, lane) in lanes.iter().enumerate() {
         if lane.circuit.unknown_count() != n {
             return Err(SpiceError::BadCircuit {
@@ -476,21 +489,19 @@ pub fn run_lockstep(
                 reason: format!("lane {l} has non-positive stop time {}", lane.tstop),
             });
         }
-        if !crate::batch::supported(lane.circuit, opts) {
+        let lowered = crate::batch::options_supported(lane.circuit, opts)
+            .then(|| CompiledCircuit::compile(lane.circuit))
+            .flatten();
+        let Some(lowered) = lowered else {
             return Err(SpiceError::BadCircuit {
                 reason: format!(
-                    "lane {l} is outside the batched envelope (needs Backward Euler, fixed \
-                     steps, final-only recording, DC start, dense solves, and batchable devices)"
+                    "lane {l} is outside the batched envelope (needs Backward Euler, \
+                     final-only recording, DC start, dense solves, and batchable devices)"
                 ),
             });
-        }
+        };
+        compiled.push(lowered);
     }
-    let compiled: Vec<CompiledCircuit> = lanes
-        .iter()
-        .map(|lane| {
-            CompiledCircuit::compile(lane.circuit).expect("supported() verified compilability")
-        })
-        .collect();
     let Some(soa) = SoaCircuit::merge(&compiled) else {
         // Structurally mismatched lanes (same dimension, different
         // topology): split into per-lane singleton batches. A single lane
@@ -541,9 +552,12 @@ pub fn run_lockstep(
     };
 
     let mut engine = Engine::new(lanes, soa, opts);
-    if horizon > 0.0 {
-        let trunk_soa =
-            SoaCircuit::merge(&compiled[..1]).expect("a single lane always merges with itself");
+    // A single lane always merges with itself; were it not to, the batch
+    // would simply run without a trunk.
+    let trunk_soa = (horizon > 0.0)
+        .then(|| SoaCircuit::merge(&compiled[..1]))
+        .flatten();
+    if let Some(trunk_soa) = trunk_soa {
         let mut trunk = Engine::new(&lanes[..1], trunk_soa, opts);
         trunk.t_limit = horizon;
         trunk.init(&lanes[..1]);
@@ -567,8 +581,9 @@ pub fn run_lockstep(
 /// [`SoaCircuit::assemble_all`] carry one extra *spill* row/cell
 /// absorbing ground stamps — `x`, `q`, `f` are `(n+1)·b` and `c`, `g`
 /// are `(n²+1)·b`. `x`'s spill row is the ground potential and must stay
-/// all `+0.0`; no kernel writes it. The sensitivity history `c_prev` is
-/// *lane-major* (the recursion consumes one lane at a time).
+/// all `+0.0`; no kernel writes it. The sensitivity blocks `c_prev`
+/// (`n²·b`), `m` (`n_sens·n·b`) and `dfdp` (`n·b`) are empty without
+/// sensitivities.
 struct Engine<'e> {
     n: usize,
     n_sens: usize,
@@ -604,32 +619,35 @@ struct Engine<'e> {
     c: Vec<f64>,
     /// soa: element-major, scratch
     g: Vec<f64>,
-    /// Previous accepted step's `C` per lane, lane-major (sensitivity
-    /// recursion only; de-interleaved from `c` on step acceptance).
-    /// soa: lane-major, state
+    /// Previous accepted step's `C` (sensitivity recursion only).
+    /// soa: element-major, state
     c_prev: Vec<f64>,
+    /// Shared-pattern factorizations: the Newton step Jacobian, then —
+    /// once a step is accepted and those factors are dead — the
+    /// sensitivity matrix `C + dt·G`.
     lu: SoaLu,
-    sens_lu: BatchLu,
-    /// Sensitivity states, `lanes·n_sens` stacked n-vectors, lane-major.
-    /// soa: lane-major, state
+    /// Sensitivity states, one `n·b` block per parameter.
+    /// soa: element-major, state
     m: Vec<f64>,
+    /// One parameter's `∂f/∂p`.
+    /// soa: element-major, scratch
+    dfdp: Vec<f64>,
     // Per-lane scratch (length b): assembly times, effective steps, the
-    // compute-all commit mask, solver error slots, finiteness probes, and
-    // weighted norms.
+    // compute-all commit mask and its fault-retry narrowing, solver error
+    // slots, finiteness probes, and weighted norms.
     params_v: Vec<Params>,
     t_v: Vec<f64>,
     dt_v: Vec<f64>,
     active: Vec<bool>,
+    pending: Vec<bool>,
     errs: Vec<Option<shc_linalg::LinalgError>>,
     bad: Vec<f64>,
     norms: Vec<f64>,
-    // Single-lane scratch (retry starts and sensitivity temporaries are
-    // consumed within one lane's turn, so one buffer serves all lanes).
+    // Single-lane scratch for Newton retries (consumed within one lane's
+    // turn, so one pair serves all lanes): the gathered previous state and
+    // its jittered copy.
+    lane_prev: Vec<f64>,
     start: Vec<f64>,
-    dfdp: Vec<f64>,
-    sens_rhs: Vec<f64>,
-    sens_tmp: Vec<f64>,
-    jac_s: Vec<f64>,
 }
 
 impl<'e> Engine<'e> {
@@ -643,14 +661,12 @@ impl<'e> Engine<'e> {
                 let dt = opts.dt.min(lane.tstop);
                 let cap = (lane.tstop / dt).ceil() as usize + 2;
                 LaneState {
-                    params: lane.params,
                     tstop: lane.tstop,
                     t_prev: 0.0,
                     dt,
                     status: LaneStatus::Active,
                     stats: TransientStats::default(),
                     times: Vec::with_capacity(cap),
-                    err: None,
                     stepping: false,
                     t_new: 0.0,
                     dt_eff: 0.0,
@@ -678,29 +694,26 @@ impl<'e> Engine<'e> {
             f: vec![0.0; (n + 1) * b],
             c: vec![0.0; (n * n + 1) * b],
             g: vec![0.0; (n * n + 1) * b],
-            c_prev: vec![0.0; if n_sens > 0 { b * n * n } else { 0 }],
+            c_prev: vec![0.0; if n_sens > 0 { n * n * b } else { 0 }],
             lu: SoaLu::new(b, n),
-            sens_lu: BatchLu::new(if n_sens > 0 { b } else { 0 }, n),
-            m: vec![0.0; b * n_sens * n],
+            m: vec![0.0; n_sens * n * b],
+            dfdp: vec![0.0; if n_sens > 0 { n * b } else { 0 }],
             params_v: lanes.iter().map(|lane| lane.params).collect(),
             t_v: vec![0.0; b],
             dt_v: vec![0.0; b],
             active: vec![false; b],
+            pending: vec![false; b],
             errs: vec![None; b],
             bad: vec![0.0; b],
             norms: vec![0.0; b],
+            lane_prev: vec![0.0; n],
             start: vec![0.0; n],
-            dfdp: vec![0.0; n],
-            sens_rhs: vec![0.0; n],
-            sens_tmp: vec![0.0; n],
-            jac_s: vec![0.0; n * n],
         }
     }
 
     fn fail(&mut self, l: usize, e: SpiceError) {
         let lane = &mut self.lanes[l];
-        lane.status = LaneStatus::Failed;
-        lane.err = Some(e);
+        lane.status = LaneStatus::Failed(e);
         lane.stepping = false;
     }
 
@@ -717,7 +730,7 @@ impl<'e> Engine<'e> {
                 self.fail(l, e);
                 continue;
             }
-            let x0 = match dcop::solve_dc(lane_in.circuit, &self.lanes[l].params, &self.opts.dc) {
+            let x0 = match dcop::solve_dc(lane_in.circuit, &lane_in.params, &self.opts.dc) {
                 Ok(dc) => dc.x,
                 Err(e) => {
                     self.fail(l, e);
@@ -746,17 +759,12 @@ impl<'e> Engine<'e> {
             soa.assemble_all(x, t_v, params_v, q, f, c, g);
         }
         self.q_prev.copy_from_slice(&self.q[..n * b]);
-        for l in 0..self.lanes.len() {
-            if self.lanes[l].status != LaneStatus::Active {
-                continue;
+        let nn_b = self.c_prev.len();
+        self.c_prev.copy_from_slice(&self.c[..nn_b]);
+        for lane in self.lanes.iter_mut() {
+            if matches!(lane.status, LaneStatus::Active) {
+                lane.times.push(0.0);
             }
-            if self.n_sens > 0 {
-                let m0 = l * n * n;
-                for idx in 0..n * n {
-                    self.c_prev[m0 + idx] = self.c[idx * b + l];
-                }
-            }
-            self.lanes[l].times.push(0.0);
         }
     }
 
@@ -775,29 +783,26 @@ impl<'e> Engine<'e> {
     fn adopt_trunk(&mut self, trunk: Engine<'_>) {
         debug_assert_eq!(trunk.b, 1);
         debug_assert_eq!(trunk.n, self.n);
-        let (n, b) = (self.n, self.b);
-        for i in 0..n {
-            let (xv, qv) = (trunk.x_prev[i], trunk.q_prev[i]);
-            for l in 0..b {
-                self.x_prev[soa_idx(i, l, b)] = xv;
-                self.q_prev[soa_idx(i, l, b)] = qv;
-            }
-        }
-        if self.n_sens > 0 {
-            let (sn, nn) = (self.n_sens * n, n * n);
-            for l in 0..b {
-                self.m[l * sn..(l + 1) * sn].copy_from_slice(&trunk.m);
-                self.c_prev[l * nn..(l + 1) * nn].copy_from_slice(&trunk.c_prev);
+        // A one-lane element-major block is the plain vector, so each
+        // trunk element fills one `b`-wide row.
+        let b = self.b;
+        for (dst, src) in [
+            (&mut self.x_prev, &trunk.x_prev),
+            (&mut self.q_prev, &trunk.q_prev),
+            (&mut self.c_prev, &trunk.c_prev),
+            (&mut self.m, &trunk.m),
+        ] {
+            for (row, v) in dst.chunks_exact_mut(b).zip(src.iter()) {
+                row.fill(*v);
             }
         }
         let src = &trunk.lanes[0];
         for lane in self.lanes.iter_mut() {
             lane.t_prev = src.t_prev;
             lane.dt = src.dt;
-            lane.status = src.status;
+            lane.status = src.status.clone();
             lane.stats = src.stats;
             lane.times = src.times.clone();
-            lane.err = src.err.clone();
         }
     }
 
@@ -1066,14 +1071,14 @@ impl<'e> Engine<'e> {
                 // `retry_in_place` would use on the scalar path.
                 let Engine {
                     start,
-                    sens_tmp,
+                    lane_prev,
                     x_prev,
                     ..
                 } = self;
-                for (i, v) in sens_tmp.iter_mut().enumerate() {
+                for (i, v) in lane_prev.iter_mut().enumerate() {
                     *v = x_prev[soa_idx(i, l, b)];
                 }
-                newton::jitter_slice(start, sens_tmp, attempt);
+                newton::jitter_slice(start, lane_prev, attempt);
             }
             self.newton_start(l, true);
             if self.lanes[l].nw_active {
@@ -1154,7 +1159,6 @@ impl<'e> Engine<'e> {
         // `C_i`/`G_i`/`q_i` for the history and sensitivity recursion).
         // Retired lanes' blocks are clobbered with garbage, which is fine:
         // the history rotation is masked and they never read them.
-        let mut accepted = 0u64;
         if self.lanes.iter().any(|lane| lane.stepping) {
             let Engine {
                 lanes,
@@ -1172,81 +1176,125 @@ impl<'e> Engine<'e> {
                 t_v[l] = lane.t_new;
             }
             soa.assemble_all(x, t_v, params_v, q, f, c, g);
-            for l in 0..self.lanes.len() {
-                if !self.lanes[l].stepping {
-                    continue;
-                }
-                if self.n_sens > 0 {
-                    if let Err(e) = self.lane_sens(l) {
-                        self.fail(l, e);
-                        continue;
-                    }
-                }
-                accepted += 1;
+            if self.n_sens > 0 {
+                self.sens_stage();
             }
         }
+        let accepted = self.lanes.iter().filter(|lane| lane.stepping).count() as u64;
         lap_step.end_region(LAP_SENS);
         lap_step.bump(LAP_SENS, accepted, accepted * self.n_sens as u64);
     }
 
-    /// The Backward-Euler sensitivity recursion for one accepted lane:
-    /// `(C_i + dt·G_i)·m_i = C_{i−1}·m_{i−1} − dt·∂f/∂p`, factored once
-    /// per step and back-substituted per parameter — the scalar path's
-    /// arithmetic on lane blocks.
-    fn lane_sens(&mut self, l: usize) -> Result<()> {
-        let n = self.n;
-        let b = self.b;
-        let n_sens = self.n_sens;
-        let dt_eff = self.lanes[l].dt_eff;
-        let t_new = self.lanes[l].t_new;
-        let (m0, m1) = (l * n * n, (l + 1) * n * n);
-        {
-            // Gather the lane's step Jacobian from the element-major
-            // blocks into dense row-major scratch (the scalar `C + dt·G`
-            // arithmetic on this lane's values, bit for bit).
-            let Engine { jac_s, c, g, .. } = self;
-            for (idx, j) in jac_s.iter_mut().enumerate() {
-                *j = c[idx * b + l] + dt_eff * g[idx * b + l];
-            }
+    /// The Backward-Euler sensitivity recursion for every accepted lane
+    /// at once: `(C_i + dt·G_i)·m_i = C_{i−1}·m_{i−1} − dt·∂f/∂p`, factored
+    /// once per step and back-substituted per parameter — the scalar
+    /// path's arithmetic, element-major. The Newton buffers are dead once
+    /// a step is accepted, so `lu` takes the step matrix, `residual` the
+    /// right-hand side and `delta` the solution. A lane whose
+    /// factorization or solve still fails after its fault retries
+    /// retires.
+    fn sens_stage(&mut self) {
+        let (n, b) = (self.n, self.b);
+        for (l, lane) in self.lanes.iter().enumerate() {
+            self.active[l] = lane.stepping;
         }
-        {
-            let Engine { sens_lu, jac_s, .. } = self;
-            with_lu_fault_retries(|| sens_lu.factor_lane(l, jac_s))?;
-        }
-        for k in 0..n_sens {
-            let param = self.opts.sensitivities[k];
-            let s0 = (l * n_sens + k) * n;
+        self.lu_stage_with_retries(|e| {
+            // Only the `C + dt·G` half of the fused kernel is wanted; the
+            // residual it also writes is overwritten below.
+            let Engine {
+                residual,
+                lu,
+                q,
+                f,
+                c,
+                g,
+                q_prev,
+                dt_v,
+                pending,
+                errs,
+                ..
+            } = e;
+            fuse_kernel(
+                residual,
+                lu.matrix_mut(),
+                &q[..n * b],
+                &f[..n * b],
+                &c[..n * n * b],
+                &g[..n * n * b],
+                q_prev,
+                dt_v,
+                n,
+                b,
+            );
+            lu.factor_all_in_place(pending, errs);
+        });
+        let opts = self.opts;
+        for (k, &param) in opts.sensitivities.iter().enumerate() {
+            let block = k * n * b..(k + 1) * n * b;
             {
                 let Engine {
-                    soa, lanes, dfdp, ..
-                } = self;
-                soa.assemble_dfdp(l, t_new, &lanes[l].params, param, dfdp);
-            }
-            {
-                let Engine {
+                    soa,
+                    t_v,
+                    params_v,
+                    dfdp,
+                    residual,
                     c_prev,
                     m,
-                    sens_rhs,
-                    dfdp,
+                    dt_v,
                     ..
                 } = self;
-                mul_vec(&c_prev[m0..m1], &m[s0..s0 + n], n, sens_rhs);
-                for (r, d) in sens_rhs.iter_mut().zip(dfdp.iter()) {
-                    *r += -dt_eff * d;
-                }
+                soa.assemble_dfdp(t_v, params_v, param, dfdp);
+                sens_rhs_kernel(residual, c_prev, &m[block.clone()], dfdp, dt_v, n, b);
             }
-            {
+            self.lu_stage_with_retries(|e| {
                 let Engine {
-                    sens_lu,
-                    sens_rhs,
-                    sens_tmp,
+                    lu,
+                    residual,
+                    delta,
+                    pending,
+                    errs,
                     ..
-                } = self;
-                with_lu_fault_retries(|| sens_lu.solve_lane(l, sens_rhs, sens_tmp))?;
-            }
-            self.m[s0..s0 + n].copy_from_slice(&self.sens_tmp);
+                } = e;
+                lu.solve_all(residual, delta, pending, errs);
+            });
+            let Engine {
+                m, delta, active, ..
+            } = self;
+            select_kernel(&mut m[block], delta, active, b);
         }
-        Ok(())
+    }
+
+    /// `with_lu_fault_retries` (the scalar sensitivity path's LU retry
+    /// rung) over the lane mask `active`. `stage` runs the masked lanes
+    /// given in `pending` and reports into `errs`; while a fault injector
+    /// is installed it re-runs up to [`NEWTON_FAULT_RETRIES`] more times,
+    /// narrowed to the lanes that drew an error. A re-run recomputes the
+    /// healthy lanes from unchanged inputs, so their values stay
+    /// bit-identical. Lanes still failing afterwards retire and leave
+    /// `active`.
+    fn lu_stage_with_retries(&mut self, mut stage: impl FnMut(&mut Self)) {
+        self.pending.copy_from_slice(&self.active);
+        for _ in 0..=NEWTON_FAULT_RETRIES {
+            self.errs.fill(None);
+            stage(self);
+            let mut again = false;
+            for (p, e) in self.pending.iter_mut().zip(&self.errs) {
+                *p = *p && e.is_some();
+                again |= *p;
+            }
+            if !(again && shc_fault::enabled()) {
+                break;
+            }
+        }
+        for l in 0..self.b {
+            if !self.pending[l] {
+                continue;
+            }
+            if let Some(e) = self.errs[l].take() {
+                self.active[l] = false;
+                self.fail(l, SpiceError::from(e));
+            }
+        }
     }
 
     /// End-of-round bookkeeping for accepted lanes: statistics, time
@@ -1255,7 +1303,6 @@ impl<'e> Engine<'e> {
         let n = self.n;
         let b = self.b;
         let opts_dt = self.opts.dt;
-        let has_sens = self.n_sens > 0;
         {
             let Engine {
                 lanes,
@@ -1263,18 +1310,20 @@ impl<'e> Engine<'e> {
                 x_prev,
                 q,
                 q_prev,
+                c,
+                c_prev,
                 active,
                 ..
             } = self;
             for (l, lane) in lanes.iter().enumerate() {
                 active[l] = lane.stepping;
             }
-            rotate_kernel(q_prev, x_prev, &q[..n * b], &x[..n * b], active, n, b);
+            select_kernel(q_prev, &q[..n * b], active, b);
+            select_kernel(x_prev, &x[..n * b], active, b);
+            let nn_b = c_prev.len();
+            select_kernel(c_prev, &c[..nn_b], active, b);
         }
-        let Engine {
-            lanes, c, c_prev, ..
-        } = self;
-        for (l, lane) in lanes.iter_mut().enumerate() {
+        for lane in self.lanes.iter_mut() {
             if !lane.stepping {
                 continue;
             }
@@ -1282,14 +1331,6 @@ impl<'e> Engine<'e> {
             lane.stats.steps += 1;
             // lint: allow(hot-loop-alloc, reason = "amortized: one push per accepted step into a capacity-reserved Vec")
             lane.times.push(lane.t_new);
-            if has_sens {
-                // De-interleave this lane's accepted-step `C` into the
-                // lane-major sensitivity history.
-                let m0 = l * n * n;
-                for idx in 0..n * n {
-                    c_prev[m0 + idx] = c[idx * b + l];
-                }
-            }
             lane.t_prev = lane.t_new;
             // Fixed-step recovery after a Newton-failure cut.
             if lane.dt < opts_dt {
@@ -1308,7 +1349,7 @@ impl<'e> Engine<'e> {
             let mut any = false;
             for lane in self.lanes.iter_mut() {
                 lane.stepping = false;
-                if lane.status != LaneStatus::Active {
+                if !matches!(lane.status, LaneStatus::Active) {
                     continue;
                 }
                 if lane.t_prev < lane.tstop - TSTOP_ENDPOINT_SLACK * lane.tstop.max(1.0) {
@@ -1378,13 +1419,13 @@ impl<'e> Engine<'e> {
             .into_iter()
             .enumerate()
             .map(|(l, lane)| match lane.status {
-                LaneStatus::Failed => Err(lane.err.expect("failed lane carries its error")),
+                LaneStatus::Failed(e) => Err(e),
                 LaneStatus::Done | LaneStatus::Active => {
                     let final_state = Vector::from_iter((0..n).map(|i| x_prev[soa_idx(i, l, b)]));
                     let sens = (0..n_sens)
                         .map(|k| {
-                            let s0 = (l * n_sens + k) * n;
-                            (opts.sensitivities[k], Vector::from_slice(&m[s0..s0 + n]))
+                            let mk = (0..n).map(|i| m[soa_idx(k * n + i, l, b)]);
+                            (opts.sensitivities[k], Vector::from_iter(mk))
                         })
                         .collect();
                     Ok(TransientResult::from_parts(
@@ -1466,45 +1507,92 @@ mod tests {
     }
 
     #[test]
-    fn rotate_kernel_every_width_matches_scalar_select_bitwise() {
+    fn select_kernel_every_width_matches_scalar_select_bitwise() {
         let n = 2;
         for b in 1..=16usize {
-            let mut q_prev = vec![0.0; n * b];
-            let mut x_prev = vec![0.0; n * b];
-            let mut q = vec![0.0; n * b];
-            let mut x = vec![0.0; n * b];
-            let mut stepped = vec![false; b];
+            let mut dst = vec![0.0; n * b];
+            let mut src = vec![0.0; n * b];
+            let mut mask = vec![false; b];
             for l in 0..b {
-                stepped[l] = l % 2 == 0;
+                mask[l] = l % 2 == 0;
                 for i in 0..n {
-                    q_prev[soa_idx(i, l, b)] = -0.0;
-                    x_prev[soa_idx(i, l, b)] = 10.0 + i as f64 + 100.0 * l as f64;
-                    q[soa_idx(i, l, b)] = 0.5 * (i as f64) - l as f64;
-                    x[soa_idx(i, l, b)] = -3.0 * (i as f64 + 1.0) + 0.25 * l as f64;
+                    dst[soa_idx(i, l, b)] = if i == 0 {
+                        -0.0
+                    } else {
+                        10.0 + 100.0 * l as f64
+                    };
+                    src[soa_idx(i, l, b)] = 0.5 * (i as f64) - l as f64;
                 }
             }
-            let (eq, ex): (Vec<f64>, Vec<f64>) = (0..n * b)
-                .map(|idx| {
-                    let l = idx % b;
-                    if stepped[l] {
-                        (q[idx], x[idx])
-                    } else {
-                        (q_prev[idx], x_prev[idx])
+            let expect: Vec<f64> = (0..n * b)
+                .map(|idx| if mask[idx % b] { src[idx] } else { dst[idx] })
+                .collect();
+            select_kernel(&mut dst, &src, &mask, b);
+            for (idx, (got, want)) in dst.iter().zip(expect.iter()).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "width {b} dst[{idx}]");
+            }
+        }
+    }
+
+    /// Width-parity sweep for the sensitivity right-hand side: every
+    /// [`lane_dispatch!`] width 1..=16 must reproduce, per lane,
+    /// `Matrix::mul_vec_into` followed by `Vector::axpy(−dt, ∂f/∂p)` bit
+    /// for bit. Entries of mixed sign and magnitude make any change of
+    /// summation order show up as a rounding difference.
+    #[test]
+    fn sens_rhs_kernel_every_width_matches_mul_vec_into_bitwise() {
+        use shc_linalg::Matrix;
+        let n = 4;
+        for b in 1..=16usize {
+            let lane_f = |l: usize| 1.0 + 0.37 * l as f64;
+            let cm: Vec<Matrix> = (0..b)
+                .map(|l| {
+                    let mut c = Matrix::zeros(n, n);
+                    for i in 0..n {
+                        for j in 0..n {
+                            let sign = if (i + j) % 2 == 0 { 1.0 } else { -1.0 };
+                            c[(i, j)] = sign * lane_f(l) * 10f64.powi((i * n + j) as i32 % 7 - 15)
+                                / (1.0 + j as f64);
+                        }
                     }
+                    c
                 })
-                .unzip();
-            rotate_kernel(&mut q_prev, &mut x_prev, &q, &x, &stepped, n, b);
-            for idx in 0..n * b {
-                assert_eq!(
-                    q_prev[idx].to_bits(),
-                    eq[idx].to_bits(),
-                    "width {b} q_prev[{idx}]"
-                );
-                assert_eq!(
-                    x_prev[idx].to_bits(),
-                    ex[idx].to_bits(),
-                    "width {b} x_prev[{idx}]"
-                );
+                .collect();
+            let mv: Vec<Vector> = (0..b)
+                .map(|l| Vector::from_iter((0..n).map(|i| (i as f64 - 1.3) * 1e9 / lane_f(l))))
+                .collect();
+            let dv: Vec<Vector> = (0..b)
+                .map(|l| {
+                    Vector::from_iter((0..n).map(|i| if i == 1 { 0.0 } else { 3.1e8 * lane_f(l) }))
+                })
+                .collect();
+            let dt: Vec<f64> = (0..b).map(|l| 1e-11 * lane_f(l)).collect();
+
+            let mut c_prev = vec![0.0; n * n * b];
+            let mut m = vec![0.0; n * b];
+            let mut dfdp = vec![0.0; n * b];
+            for l in 0..b {
+                for i in 0..n {
+                    for j in 0..n {
+                        c_prev[soa_idx(i * n + j, l, b)] = cm[l][(i, j)];
+                    }
+                    m[soa_idx(i, l, b)] = mv[l][i];
+                    dfdp[soa_idx(i, l, b)] = dv[l][i];
+                }
+            }
+            let mut rhs = vec![f64::NAN; n * b];
+            sens_rhs_kernel(&mut rhs, &c_prev, &m, &dfdp, &dt, n, b);
+            for l in 0..b {
+                let mut want = Vector::zeros(n);
+                cm[l].mul_vec_into(&mv[l], &mut want);
+                want.axpy(-dt[l], &dv[l]);
+                for i in 0..n {
+                    assert_eq!(
+                        rhs[soa_idx(i, l, b)].to_bits(),
+                        want[i].to_bits(),
+                        "width {b} lane {l} rhs[{i}]"
+                    );
+                }
             }
         }
     }
@@ -1535,6 +1623,12 @@ mod tests {
     /// A CMOS inverter loaded with a capacitor — nonlinear devices, a DC
     /// rail, and ground-connected MOS terminals.
     fn inverter_circuit() -> Circuit {
+        inverter_circuit_loaded(10e-15)
+    }
+
+    /// [`inverter_circuit`] with load capacitance `cl`: one topology,
+    /// per-lane device values.
+    fn inverter_circuit_loaded(cl: f64) -> Circuit {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let din = c.node("din");
@@ -1564,7 +1658,7 @@ mod tests {
             1e-6,
             0.25e-6,
         ));
-        c.add(Capacitor::new("Cl", out, Circuit::GROUND, 10e-15));
+        c.add(Capacitor::new("Cl", out, Circuit::GROUND, cl));
         c
     }
 
@@ -1646,27 +1740,42 @@ mod tests {
         }
     }
 
+    /// One shared inverter, then per-lane load capacitances. With
+    /// distinct device values every lane carries its own `C` history, so
+    /// a lane-stride slip in `c_prev` or `m` changes some lane's bits.
     #[test]
     fn inverter_lanes_are_bitwise_identical_to_scalar() {
-        let circuit = inverter_circuit();
         let base = opts(12e-9, true);
         let skews = [
             Params::new(0.0, 0.0),
             Params::new(0.6e-9, -0.4e-9),
             Params::new(-0.5e-9, 0.3e-9),
+            Params::new(0.2e-9, 0.7e-9),
         ];
-        let lanes: Vec<BatchLane<'_>> = skews
-            .iter()
-            .map(|&params| BatchLane {
-                circuit: &circuit,
-                params,
-                tstop: base.tstop,
-            })
-            .collect();
-        let results = run_lockstep(&lanes, &base).expect("structurally valid batch");
-        for (lane, result) in lanes.iter().zip(results.iter()) {
-            let r = result.as_ref().expect("lane converges");
-            assert_lane_matches_scalar(r, lane.circuit, &lane.params, base.clone());
+        for loads in [[10e-15; 4], [6e-15, 10e-15, 15e-15, 22e-15]] {
+            let circuits: Vec<Circuit> = loads.map(inverter_circuit_loaded).into();
+            let compiled: Vec<CompiledCircuit> = circuits
+                .iter()
+                .map(|c| CompiledCircuit::compile(c).expect("compilable"))
+                .collect();
+            assert!(
+                SoaCircuit::merge(&compiled).is_some(),
+                "the lanes must share one SoA batch, not split into singletons"
+            );
+            let lanes: Vec<BatchLane<'_>> = circuits
+                .iter()
+                .zip(skews)
+                .map(|(circuit, params)| BatchLane {
+                    circuit,
+                    params,
+                    tstop: base.tstop,
+                })
+                .collect();
+            let results = run_lockstep(&lanes, &base).expect("structurally valid batch");
+            for (lane, result) in lanes.iter().zip(results.iter()) {
+                let r = result.as_ref().expect("lane converges");
+                assert_lane_matches_scalar(r, lane.circuit, &lane.params, base.clone());
+            }
         }
     }
 
@@ -1813,30 +1922,43 @@ mod tests {
         }
     }
 
+    /// Low-rate Newton-site faults, then LU-solve faults with
+    /// sensitivities on (they also land in the sensitivity stage's
+    /// solves): per-lane retries must absorb both.
     #[test]
-    fn newton_site_faults_are_absorbed_by_lane_retries() {
+    fn newton_and_lu_solve_faults_are_absorbed_by_lane_retries() {
+        use shc_fault::{FaultKind, Site};
         let circuit = rc_circuit();
-        let base = opts(10e-9, false);
-        let lanes: Vec<BatchLane<'_>> = (0..3)
-            .map(|i| BatchLane {
-                circuit: &circuit,
-                params: Params::new(0.1e-9 * i as f64, 0.0),
-                tstop: base.tstop,
-            })
-            .collect();
-        let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
-            probability: 0.05,
-            site: Some(shc_fault::Site::Newton),
-            kind: shc_fault::FaultKind::NonConvergence,
-            seed: 7,
-        });
-        let guard = shc_fault::install_scoped(&injector);
-        let results = run_lockstep(&lanes, &base).expect("structurally valid");
-        drop(guard);
-        assert!(injector.injected() > 0, "plan should fire at this rate");
-        for result in &results {
-            let r = result.as_ref().expect("retries absorb sparse faults");
-            assert_eq!(r.times().len(), r.stats().steps + 1);
+        for (site, kind, sens) in [
+            (Site::Newton, FaultKind::NonConvergence, false),
+            (Site::LuSolve, FaultKind::SingularMatrix, true),
+        ] {
+            let base = opts(10e-9, sens);
+            let lanes: Vec<BatchLane<'_>> = (0..3)
+                .map(|i| BatchLane {
+                    circuit: &circuit,
+                    params: Params::new(0.1e-9 * i as f64, 0.0),
+                    tstop: base.tstop,
+                })
+                .collect();
+            let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
+                probability: 0.05,
+                site: Some(site),
+                kind,
+                seed: 7,
+            });
+            let guard = shc_fault::install_scoped(&injector);
+            let results = run_lockstep(&lanes, &base).expect("structurally valid");
+            drop(guard);
+            assert!(injector.injected() > 0, "{site:?} plan should fire");
+            for result in &results {
+                let r = result.as_ref().expect("retries absorb sparse faults");
+                assert_eq!(r.times().len(), r.stats().steps + 1);
+                for p in &base.sensitivities {
+                    let m = r.final_sensitivity(*p).expect("sensitivity present");
+                    assert!(m.is_finite(), "{site:?}: {p:?} sensitivity");
+                }
+            }
         }
     }
 

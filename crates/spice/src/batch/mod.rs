@@ -13,8 +13,9 @@
 //!   dispatch, no `Option` re-resolution, no bounds re-derivation.
 //! - **SoA lanes** ([`engine::run_lockstep`]): `B` simulations advance in
 //!   lockstep through shared structure-of-arrays state blocks
-//!   (`lanes·n` vectors, `lanes·n²` Jacobians, one [`shc_linalg::BatchLu`]
-//!   per role), allocated once per batch instead of once per run.
+//!   (`lanes·n` vectors, `lanes·n²` Jacobians, one [`shc_linalg::SoaLu`]
+//!   for the Newton and sensitivity solves), allocated once per batch
+//!   instead of once per run.
 //! - **Per-lane masks**: Newton convergence, step rejection, retries, and
 //!   failures are tracked per lane; a diverging lane retires (with the
 //!   same typed error the scalar path would produce) without stalling the
@@ -22,8 +23,8 @@
 //!
 //! The batched path is **bitwise identical** to the scalar
 //! [`crate::transient::TransientAnalysis`] on its supported envelope
-//! (Backward Euler, fixed step, final-only recording, dense solves, DC
-//! initial condition): every floating-point operation per lane replicates
+//! (Backward Euler, final-only recording, dense solves, DC initial
+//! condition): every floating-point operation per lane replicates
 //! the scalar sequence exactly. Anything outside the envelope reports
 //! unsupported via [`supported`] and the caller falls back to the scalar
 //! path.
@@ -119,16 +120,20 @@ impl std::fmt::Display for BatchPolicy {
 }
 
 /// Whether `(circuit, opts)` falls inside the batched engine's envelope:
-/// Backward Euler, fixed steps, final-only recording, DC initial
-/// condition, dense solves, and a circuit made entirely of devices with a
-/// [`DeviceSpec`] lowering.
+/// Backward Euler, final-only recording, DC initial condition, dense
+/// solves, and a circuit made entirely of devices with a [`DeviceSpec`]
+/// lowering.
 pub fn supported(circuit: &Circuit, opts: &TransientOptions) -> bool {
+    options_supported(circuit, opts) && CompiledCircuit::compile(circuit).is_some()
+}
+
+/// [`supported`] without the device-lowering check, for callers that
+/// compile the circuit themselves.
+pub(crate) fn options_supported(circuit: &Circuit, opts: &TransientOptions) -> bool {
     matches!(opts.integrator, Integrator::BackwardEuler)
-        && !opts.adaptive
         && matches!(opts.record, RecordMode::FinalOnly)
         && matches!(opts.initial, InitialCondition::DcOperatingPoint)
         && !opts.solver.wants_sparse(circuit.unknown_count())
-        && CompiledCircuit::compile(circuit).is_some()
 }
 
 #[cfg(test)]
@@ -169,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn envelope_gates_integrator_record_and_adaptivity() {
+    fn envelope_gates_integrator_and_record() {
         let c = rc_circuit();
         assert!(supported(&c, &fixed_be_opts(1e-6)));
 
@@ -182,13 +187,6 @@ mod tests {
 
         let full = TransientOptions::builder(1e-6).dt(1e-8).build();
         assert!(!supported(&c, &full), "Full recording is out of envelope");
-
-        let adaptive = TransientOptions::builder(1e-6)
-            .dt(1e-8)
-            .adaptive(1e-12, 1e-7)
-            .record(RecordMode::FinalOnly)
-            .build();
-        assert!(!supported(&c, &adaptive));
     }
 
     #[test]

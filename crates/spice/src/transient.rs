@@ -1,7 +1,7 @@
 //! Transient analysis with forward sensitivity propagation.
 //!
-//! Integrates the circuit DAE `d/dt q(x) + f(x, t) = 0` with Backward Euler
-//! or the Trapezoidal rule, fixed or LTE-adaptive steps. Alongside the state,
+//! Integrates the circuit DAE `d/dt q(x) + f(x, t) = 0` with fixed steps of
+//! Backward Euler, the Trapezoidal rule or Gear-2. Alongside the state,
 //! it can propagate the forward sensitivities `m_p(t) = ∂x/∂p` for the skew
 //! parameters, using the recursions of the paper's eqs. (11) and (13):
 //!
@@ -82,24 +82,17 @@ pub(crate) const DT_FLOOR_SLACK: f64 = 1.0 + 1e-9;
 /// against a final ulp-sized step that Newton would reject.
 pub(crate) const TSTOP_ENDPOINT_SLACK: f64 = 1e-18;
 
-/// A step is accepted when the weighted LTE norm is at or below this
-/// value — the norm is already scaled by `lte_reltol`/`lte_abstol`, so
-/// 1.0 means "error exactly at tolerance".
-const LTE_ACCEPT_NORM: f64 = 1.0;
-
 /// Per-step lap slots (see `shc_prof::Laps`): the stepping loop is a
-/// contiguous chain NEWTON → LTE → SENS → STEP_SELF, one clock read per
-/// boundary, so the default profiling detail costs ~4 reads per step.
+/// contiguous chain NEWTON → SENS → STEP_SELF, one clock read per
+/// boundary, so the default profiling detail costs ~3 reads per step.
 const LAP_NEWTON: usize = 0;
-/// LTE estimate and step-size control (adaptive mode).
-const LAP_LTE: usize = 1;
 /// Accepted-point re-stamp plus the sensitivity factor/solves — the
 /// re-stamp exists to furnish exact `C_i`, `G_i` for this recursion, so
 /// it is charged here.
-const LAP_SENS: usize = 2;
+const LAP_SENS: usize = 1;
 /// History rotation and result recording; never flushed — it remains the
 /// `Transient` frame's own self-time.
-const LAP_STEP_SELF: usize = 3;
+const LAP_STEP_SELF: usize = 2;
 
 /// Flushes the per-run lap accumulators into the profile tree, exactly
 /// once, when the run exits — on success, on error returns, and on
@@ -151,15 +144,9 @@ impl Drop for ProfFlush<'_> {
                 ..newton
             },
         );
-        record(&[Phase::LteControl], self.step.sample(LAP_LTE));
         record(&[Phase::SensSolve], self.step.sample(LAP_SENS));
     }
 }
-
-/// Below this weighted LTE norm the step size is allowed to grow: the
-/// error is far enough under tolerance that a larger step will likely
-/// still be accepted, and re-stamping cost dominates.
-const LTE_GROW_NORM: f64 = 0.2;
 
 /// Time-integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -202,14 +189,11 @@ pub enum InitialCondition {
 pub struct TransientOptions {
     /// Stop time in seconds.
     pub tstop: f64,
-    /// (Initial) time step in seconds.
+    /// Time step in seconds.
     pub dt: f64,
-    /// Minimum step before aborting (adaptive mode).
+    /// Floor of the Newton step-cut policy: a step that diverges at this
+    /// size gets damped retries instead of a further cut.
     pub dt_min: f64,
-    /// Maximum step (adaptive mode).
-    pub dt_max: f64,
-    /// Use LTE-based adaptive stepping.
-    pub adaptive: bool,
     /// Integration method.
     pub integrator: Integrator,
     /// Newton settings per time step.
@@ -222,10 +206,6 @@ pub struct TransientOptions {
     pub record: RecordMode,
     /// Initial condition.
     pub initial: InitialCondition,
-    /// LTE relative tolerance (adaptive mode).
-    pub lte_reltol: f64,
-    /// LTE absolute tolerance in volts (adaptive mode).
-    pub lte_abstol: f64,
     /// Linear-solver backend for the per-step Newton solves (and, via
     /// [`DcOptions::solver`], the DC operating point).
     pub solver: SolverChoice,
@@ -239,16 +219,12 @@ impl TransientOptions {
                 tstop,
                 dt: tstop / 1000.0,
                 dt_min: tstop * 1e-9,
-                dt_max: tstop / 100.0,
-                adaptive: false,
                 integrator: Integrator::default(),
                 newton: NewtonOptions::default(),
                 dc: DcOptions::default(),
                 sensitivities: Vec::new(),
                 record: RecordMode::default(),
                 initial: InitialCondition::default(),
-                lte_reltol: 1e-3,
-                lte_abstol: 1e-4,
                 solver: SolverChoice::Auto,
             },
         }
@@ -262,17 +238,9 @@ pub struct TransientOptionsBuilder {
 }
 
 impl TransientOptionsBuilder {
-    /// Sets the (initial) time step.
+    /// Sets the time step.
     pub fn dt(mut self, dt: f64) -> Self {
         self.opts.dt = dt;
-        self
-    }
-
-    /// Enables LTE-adaptive stepping with the given bounds.
-    pub fn adaptive(mut self, dt_min: f64, dt_max: f64) -> Self {
-        self.opts.adaptive = true;
-        self.opts.dt_min = dt_min;
-        self.opts.dt_max = dt_max;
         self
     }
 
@@ -336,7 +304,8 @@ pub struct TransientStats {
     pub steps: usize,
     /// Total Newton iterations across all steps.
     pub newton_iterations: usize,
-    /// Steps rejected by LTE control.
+    /// Steps rejected by the Newton step-cut policy: each divergence
+    /// above `dt_min` quarters the step and counts once.
     pub rejected_steps: usize,
 }
 
@@ -655,16 +624,13 @@ impl<'a> TransientAnalysis<'a> {
             stamps_new,
             stamps_hist,
             sens_jac,
-            sens_lu,
+            sens_dense,
             sens_sparse,
             sens_rhs,
             sens_tmp,
             cg_tmp,
             dfdp_tmp,
             zero_x,
-            lte_pred,
-            lte_err,
-            hist_x,
             hist_sens,
             jac_pattern,
         } = scratch;
@@ -700,9 +666,8 @@ impl<'a> TransientAnalysis<'a> {
             .map(|&p| circuit.assemble_dfdp(0.0, params, p))
             .collect();
         // Time of the two-steps-ago state. While `Some`, that state lives
-        // in the workspace history buffers: `hist_x` (the LTE predictor),
-        // `stamps_hist` (Gear-2's q and C), and `hist_sens` (the old
-        // sensitivities).
+        // in the workspace history buffers: `stamps_hist` (Gear-2's q and
+        // C) and `hist_sens` (the old sensitivities).
         let mut hist_t: Option<f64> = None;
 
         let mut dt = opts.dt.min(opts.tstop);
@@ -834,47 +799,6 @@ impl<'a> TransientAnalysis<'a> {
                 return Err(SpiceError::NumericalBlowup { time: t_new });
             }
 
-            // LTE control (adaptive only, needs two history points).
-            if opts.adaptive {
-                if let Some(t2) = hist_t {
-                    let dt_old = t_prev - t2;
-                    if dt_old > 0.0 {
-                        // pred = x_prev + (x_prev − x_hist)·(Δt_new/Δt_old)
-                        lte_err.copy_from(&x_prev);
-                        lte_err.axpy(-1.0, hist_x);
-                        lte_pred.copy_from(&x_prev);
-                        lte_pred.axpy(dt_eff / dt_old, lte_err);
-                        lte_err.copy_from(x_new);
-                        lte_err.axpy(-1.0, lte_pred);
-                        let norm = lte_err.weighted_norm(x_new, opts.lte_reltol, opts.lte_abstol);
-                        if norm > LTE_ACCEPT_NORM {
-                            if dt_eff > opts.dt_min * DT_FLOOR_SLACK {
-                                dt = (dt_eff * 0.5).max(opts.dt_min);
-                                stats.rejected_steps += 1;
-                                lap_step.end_region(LAP_LTE);
-                                lap_step.bump(LAP_LTE, 1, 0);
-                                continue;
-                            }
-                            // The LTE is still out of tolerance at the step
-                            // floor: the integration has stalled. Abort with
-                            // a typed diagnostic instead of silently
-                            // accepting an inaccurate step.
-                            stats.rejected_steps += 1;
-                            return Err(SpiceError::TimestepTooSmall {
-                                time: t_prev,
-                                dt: dt_eff,
-                                rejected_steps: stats.rejected_steps,
-                            });
-                        }
-                        if norm < LTE_GROW_NORM {
-                            dt = (dt_eff * 1.5).min(opts.dt_max);
-                        }
-                    }
-                }
-                lap_step.end_region(LAP_LTE);
-                lap_step.bump(LAP_LTE, 1, 0);
-            }
-
             // Accepted: re-stamp at the converged point for exact C_i, G_i,
             // q_i, f_i and the sensitivity solves.
             match pattern {
@@ -919,12 +843,14 @@ impl<'a> TransientAnalysis<'a> {
                     with_lu_fault_retries(|| sp.factor_from(sens_jac))?;
                     SensSolver::Sparse(sp)
                 } else {
-                    let lu = match sens_lu.as_mut() {
+                    let lu = match sens_dense.as_mut() {
                         Some(lu) => {
                             with_lu_fault_retries(|| lu.refactor(sens_jac))?;
                             lu
                         }
-                        None => sens_lu.insert(with_lu_fault_retries(|| LuFactor::new(sens_jac))?),
+                        None => {
+                            sens_dense.insert(with_lu_fault_retries(|| LuFactor::new(sens_jac))?)
+                        }
                     };
                     SensSolver::Dense(lu)
                 };
@@ -976,29 +902,20 @@ impl<'a> TransientAnalysis<'a> {
                 RecordMode::FinalOnly => {}
             }
 
-            // History rotation, allocation-free: the previous step's state
-            // and stamps become the two-ago buffers, and the freshly
-            // stamped step becomes the previous one. The displaced two-ago
-            // buffers are recycled as the next step's assembly targets.
+            // History rotation, allocation-free: the previous step's
+            // stamps become the two-ago buffers, and the freshly stamped
+            // step becomes the previous one. The displaced two-ago buffers
+            // are recycled as the next step's assembly targets.
             hist_t = Some(t_prev);
-            mem::swap(hist_x, &mut x_prev);
             x_prev.copy_from(x_new);
             mem::swap(stamps_hist, stamps_prev);
             mem::swap(stamps_prev, stamps_new);
             t_prev = t_new;
 
-            // In fixed-step mode a Newton-failure cut must not persist:
-            // recover toward the configured step after each accepted step.
-            if !opts.adaptive && dt < opts.dt {
+            // A Newton-failure cut must not persist: recover toward the
+            // configured step after each accepted step.
+            if dt < opts.dt {
                 dt = (dt * 2.0).min(opts.dt);
-            }
-
-            if opts.adaptive && dt < opts.dt_min {
-                return Err(SpiceError::TimestepTooSmall {
-                    time: t_prev,
-                    dt,
-                    rejected_steps: stats.rejected_steps,
-                });
             }
             lap_step.end_region(LAP_STEP_SELF);
         }
@@ -1053,9 +970,9 @@ fn combine_step_jacobian_into(
 /// A characterization sweep performs thousands of transient runs over a
 /// fixed-dimension circuit; this workspace owns every per-step buffer —
 /// the Newton iterate/residual/Jacobian/LU factors, the assembly stamps
-/// for the current, previous, and two-steps-ago time points, the
-/// sensitivity solve temporaries, and the LTE predictor scratch — so the
-/// stepping loop performs no matrix allocation once the buffers are warm.
+/// for the current, previous, and two-steps-ago time points, and the
+/// sensitivity solve temporaries — so the stepping loop performs no
+/// matrix allocation once the buffers are warm.
 /// Not `Sync`: create one per thread when running sweeps in parallel.
 #[derive(Debug)]
 pub struct TransientScratch {
@@ -1065,7 +982,8 @@ pub struct TransientScratch {
     stamps_new: Stamps,
     stamps_hist: Stamps,
     sens_jac: Matrix,
-    sens_lu: Option<LuFactor>,
+    /// Dense-path sensitivity factors, created on the first accepted step.
+    sens_dense: Option<LuFactor>,
     /// Sparse-path sensitivity solver; created (cold) by cloning the
     /// Newton solver so both share one symbolic analysis.
     sens_sparse: Option<SparseJacSolver>,
@@ -1074,9 +992,6 @@ pub struct TransientScratch {
     cg_tmp: Vector,
     dfdp_tmp: Vector,
     zero_x: Vector,
-    lte_pred: Vector,
-    lte_err: Vector,
-    hist_x: Vector,
     hist_sens: Vec<Vector>,
     /// Copy of the sparse solver's Jacobian pattern (empty on the dense
     /// path), held outside the Newton workspace so the assembly closure
@@ -1095,16 +1010,13 @@ impl TransientScratch {
             stamps_new: Stamps::new(n),
             stamps_hist: Stamps::new(n),
             sens_jac: Matrix::zeros(n, n),
-            sens_lu: None,
+            sens_dense: None,
             sens_sparse: None,
             sens_rhs: Vector::zeros(n),
             sens_tmp: Vector::zeros(n),
             cg_tmp: Vector::zeros(n),
             dfdp_tmp: Vector::zeros(n),
             zero_x: Vector::zeros(n),
-            lte_pred: Vector::zeros(n),
-            lte_err: Vector::zeros(n),
-            hist_x: Vector::zeros(n),
             hist_sens: Vec::new(),
             jac_pattern: Vec::new(),
         }
@@ -1298,23 +1210,6 @@ mod tests {
             .unwrap();
         // Already charged at t=0 from the DC solution: stays at 1V.
         assert!((res.final_state()[out] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adaptive_takes_fewer_steps_on_smooth_problem() {
-        let (c, _) = rc_circuit();
-        let opts_fixed = TransientOptions::builder(2e-6).dt(1e-9).build();
-        let fixed = TransientAnalysis::new(&c, opts_fixed)
-            .run(&Params::default())
-            .unwrap();
-        let opts_adaptive = TransientOptions::builder(2e-6)
-            .dt(1e-9)
-            .adaptive(1e-11, 1e-7)
-            .build();
-        let adaptive = TransientAnalysis::new(&c, opts_adaptive)
-            .run(&Params::default())
-            .unwrap();
-        assert!(adaptive.stats().steps < fixed.stats().steps / 2);
     }
 
     /// RC driven by the data pulse: sensitivity of the final state w.r.t.
@@ -1603,57 +1498,45 @@ mod tests {
         assert_eq!(snap.counter(shc_obs::Metric::MatrixAllocations), 0);
     }
 
-    /// A PWL discontinuity the LTE tolerance cannot absorb even at the
-    /// step floor: the adaptive stepper must abort with a typed
-    /// diagnostic carrying the rejection count, and the telemetry flushed
-    /// on the failure path must reconcile with the work actually done.
+    /// A Newton solve that fails at every step size: the step-cut policy
+    /// quarters `dt` down to the `dt_min` floor, the floor retries fail
+    /// too, and the run aborts. The telemetry flushed on that failure
+    /// path must reconcile with the work actually done.
     #[test]
-    fn lte_stall_at_dt_floor_aborts_with_populated_diagnostics() {
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let vout = c.node("out");
-        c.add(VoltageSource::new(
-            "V1",
-            vin,
-            Circuit::GROUND,
-            Waveform::Pwl(vec![(0.0, 0.0), (1.0e-6, 0.0), (1.0e-6 + 1e-12, 5.0)]),
-        ));
-        c.add(Resistor::new("R1", vin, vout, 1e3));
-        c.add(Capacitor::new("C1", vout, Circuit::GROUND, 1e-9));
+    fn newton_abort_at_dt_floor_flushes_populated_diagnostics() {
+        let (c, _) = rc_circuit();
+        // A given initial condition keeps the DC solve's own Newton out
+        // of the injected failures.
         let mut opts = TransientOptions::builder(2e-6)
             .dt(2e-9)
-            .adaptive(1e-9, 1e-8)
+            .initial(InitialCondition::Given(Vector::zeros(c.unknown_count())))
             .build();
-        opts.lte_reltol = 1e-9;
-        opts.lte_abstol = 1e-9;
-
+        // Two cuts reach the floor: dt → dt/4 → dt/16.
+        opts.dt_min = opts.dt / 16.0;
+        let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
+            probability: 1.0,
+            site: Some(shc_fault::Site::Newton),
+            kind: shc_fault::FaultKind::NonConvergence,
+            seed: 3,
+        });
         let collector = shc_obs::Collector::new();
         let err = {
+            let _faults = shc_fault::install_scoped(&injector);
             let _guard = shc_obs::install_scoped(&collector);
             TransientAnalysis::new(&c, opts)
                 .run(&Params::default())
                 .unwrap_err()
         };
-        match err {
-            SpiceError::TimestepTooSmall {
-                time,
-                dt,
-                rejected_steps,
-            } => {
-                assert!(rejected_steps >= 1, "rejections {rejected_steps}");
-                assert!(dt <= 1e-9 * (1.0 + 1e-9), "dt {dt}");
-                assert!(time > 0.5e-6, "stalled at t = {time}");
-                let snap = collector.snapshot();
-                assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 1);
-                assert_eq!(
-                    snap.counter(shc_obs::Metric::LteRejections),
-                    rejected_steps as u64,
-                    "every rejection must be flushed despite the abort"
-                );
-                assert!(snap.counter(shc_obs::Metric::TransientSteps) > 0);
-            }
-            other => panic!("expected TimestepTooSmall, got {other}"),
-        }
+        assert!(matches!(err, SpiceError::NewtonDiverged { .. }), "{err}");
+        let rejected_steps = 2;
+        let snap = collector.snapshot();
+        assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 1);
+        assert_eq!(
+            snap.counter(shc_obs::Metric::LteRejections),
+            rejected_steps,
+            "every rejection must be flushed despite the abort"
+        );
+        assert_eq!(snap.counter(shc_obs::Metric::TransientSteps), 0);
     }
 
     /// `run` and `run_with_scratch` must be observably identical.
@@ -1663,7 +1546,6 @@ mod tests {
         let make_opts = || {
             TransientOptions::builder(2e-6)
                 .dt(2e-9)
-                .adaptive(1e-10, 5e-8)
                 .integrator(Integrator::Gear2)
                 .build()
         };
