@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use shc_cells::{OutputTransition, Register};
 use shc_spice::batch::{run_lockstep, BatchLane, BatchPolicy};
 use shc_spice::transient::{
-    CrossingDirection, Integrator, RecordMode, TransientAnalysis, TransientOptions, TransientStats,
+    CrossingDirection, Integrator, PrefixLadder, RecordMode, TransientAnalysis, TransientOptions,
+    TransientResult, TransientStats,
 };
 use shc_spice::waveform::{Param, Params};
 use shc_spice::SolverChoice;
@@ -82,16 +83,19 @@ pub struct CharacterizationProblem {
     reference: Params,
     t_cq: f64,
     tf: f64,
-    r: f64,
     sim_count: AtomicUsize,
-    calibration_sims: usize,
+    /// Checkpoints every scalar evaluation resumes from, built by the
+    /// first eligible one at [`Self::quiescent_params`].
+    ladder: PrefixLadder,
 }
 
 // The parallel sweeps in [`crate::parallel`] share problems across worker
 // threads by reference: every field is plain data except `sim_count`,
-// whose atomic updates make `evaluate` callable from many threads at once.
-// This assertion turns any future non-thread-safe field (e.g. a `RefCell`
-// scratch cache) into a compile error instead of a broken sweep.
+// whose atomic updates make `evaluate` callable from many threads at once,
+// and `ladder`, whose `OnceLock` builds it exactly once however many
+// threads ask. This assertion turns any future non-thread-safe field (e.g.
+// a `RefCell` scratch cache) into a compile error instead of a broken
+// sweep.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CharacterizationProblem>();
@@ -135,7 +139,7 @@ impl CharacterizationProblem {
 
     /// The target output level `r`, in volts.
     pub fn r(&self) -> f64 {
-        self.r
+        self.register.target_level(self.capture_fraction)
     }
 
     /// The fixed transient time step used for `h` evaluations.
@@ -167,12 +171,13 @@ impl CharacterizationProblem {
         self.sim_count.load(Ordering::Relaxed)
     }
 
-    /// Number of transient simulations spent measuring the characteristic
-    /// delay at build time (currently always 1). Reported separately so
-    /// the per-contour budget in [`Self::simulation_count`] stays an
-    /// honest O(n) figure.
+    /// Number of transient simulations spent outside the user-visible
+    /// budget: one measuring the characteristic delay at build time, plus
+    /// one for the prefix ladder once the first scalar evaluation has
+    /// built it. Reported separately so the per-contour budget in
+    /// [`Self::simulation_count`] stays an honest O(n) figure.
     pub fn calibration_simulations(&self) -> usize {
-        self.calibration_sims
+        1 + usize::from(self.ladder.is_built())
     }
 
     /// Resets the simulation counter to zero.
@@ -199,10 +204,8 @@ impl CharacterizationProblem {
     ///
     /// Propagates simulation failures.
     pub fn evaluate(&self, params: &Params) -> Result<f64> {
-        self.sim_count.fetch_add(1, Ordering::Relaxed);
-        let res = TransientAnalysis::new(self.register.circuit(), self.transient_options(false))
-            .run(params)?;
-        Ok(res.final_state()[self.register.output_unknown()] - self.r)
+        let res = self.run_scalar(false, params)?;
+        Ok(res.final_state()[self.register.output_unknown()] - self.r())
     }
 
     /// Evaluates `h` *and* its Jacobian `[∂h/∂τs, ∂h/∂τh]` in one transient
@@ -212,10 +215,33 @@ impl CharacterizationProblem {
     ///
     /// Propagates simulation failures.
     pub fn evaluate_with_jacobian(&self, params: &Params) -> Result<HEvaluation> {
-        self.sim_count.fetch_add(1, Ordering::Relaxed);
-        let res = TransientAnalysis::new(self.register.circuit(), self.transient_options(true))
-            .run(params)?;
+        let res = self.run_scalar(true, params)?;
         self.jacobian_evaluation(&res)
+    }
+
+    /// One counted scalar transient at `params`, resumed from the prefix
+    /// ladder when the analysis allows it; bitwise identical to a run from
+    /// the DC start either way.
+    fn run_scalar(&self, with_sensitivities: bool, params: &Params) -> Result<TransientResult> {
+        self.sim_count.fetch_add(1, Ordering::Relaxed);
+        Ok(TransientAnalysis::new(
+            self.register.circuit(),
+            self.transient_options(with_sensitivities),
+        )
+        .with_ladder(&self.ladder, self.quiescent_params())
+        .run(params)?)
+    }
+
+    /// The prefix ladder's reference skews: a normal data pulse whose
+    /// leading ramp starts `rise/2` after `t_f` and whose trailing ramp
+    /// starts one full `fall` after the leading one ends.
+    fn quiescent_params(&self) -> Params {
+        let data = self.register.data_pulse();
+        let lead = self.tf + data.rise;
+        Params::new(
+            data.t_edge - lead,
+            lead + data.rise + data.fall - data.t_edge,
+        )
     }
 
     /// Evaluates `h(τs, τh)` at many skew points with one lockstep batch
@@ -249,7 +275,7 @@ impl CharacterizationProblem {
         run_lockstep(&lanes, &opts)
             .map_err(CharError::from)?
             .into_iter()
-            .map(|lane| Ok(lane?.final_state()[out] - self.r))
+            .map(|lane| Ok(lane?.final_state()[out] - self.r()))
             .collect()
     }
 
@@ -308,7 +334,7 @@ impl CharacterizationProblem {
                 reason: "transient ran with sensitivities on but returned no hold sensitivity",
             })?;
         Ok(HEvaluation {
-            h: res.final_state()[out] - self.r,
+            h: res.final_state()[out] - self.r(),
             dh_dtau_s: ms[out],
             dh_dtau_h: mh[out],
             stats: *res.stats(),
@@ -345,7 +371,7 @@ impl CharacterizationProblem {
             &Param::ALL,
         )?;
         Ok(HEvaluation {
-            h: res.final_state()[out] - self.r,
+            h: res.final_state()[out] - self.r(),
             dh_dtau_s: adj.gradient(Param::Setup).ok_or(CharError::Internal {
                 reason: "adjoint sweep over Param::ALL returned no setup gradient",
             })?,
@@ -566,9 +592,11 @@ impl ProblemBuilder {
             .reference_setup
             .or_else(|| self.register.reference_setup_hint())
             .unwrap_or(reference_hold);
-        if reference_hold <= 0.0 || reference_setup <= 0.0 {
+        // Accept, not reject, so NaN fails too.
+        let positive = |skew: f64| skew > 0.0 && skew.is_finite();
+        if !(positive(reference_hold) && positive(reference_setup)) {
             return Err(CharError::BadOption {
-                reason: "reference skew must be positive",
+                reason: "reference skew must be positive and finite",
             });
         }
 
@@ -609,11 +637,10 @@ impl ProblemBuilder {
             reference: params,
             t_cq,
             tf,
-            r,
-            // The calibration run above is accounted in `calibration_sims`,
-            // not in the user-visible budget.
+            // The calibration run above is accounted in
+            // `calibration_simulations`, not in the user-visible budget.
             sim_count: AtomicUsize::new(0),
-            calibration_sims: 1,
+            ladder: PrefixLadder::default(),
         })
     }
 }
@@ -768,17 +795,181 @@ mod tests {
     #[test]
     fn builder_validates_options() {
         let tech = Technology::default_250nm();
-        let reg = tspc_register_with(&tech, ClockSpec::fast());
+        let reg = || tspc_register_with(&tech, ClockSpec::fast());
         assert!(matches!(
-            CharacterizationProblem::builder(reg)
+            CharacterizationProblem::builder(reg())
                 .degradation(1.5)
                 .build(),
             Err(CharError::BadOption { .. })
         ));
-        let reg = tspc_register_with(&tech, ClockSpec::fast());
         assert!(matches!(
-            CharacterizationProblem::builder(reg).dt(-1.0).build(),
+            CharacterizationProblem::builder(reg()).dt(-1.0).build(),
             Err(CharError::BadOption { .. })
         ));
+        // Non-finite reference skews are rejected before any simulation.
+        let collector = shc_obs::Collector::new();
+        let _guard = shc_obs::install_scoped(&collector);
+        for skew in [f64::NAN, f64::INFINITY] {
+            for built in [
+                CharacterizationProblem::builder(reg())
+                    .reference_skew(skew)
+                    .build(),
+                CharacterizationProblem::builder(reg())
+                    .reference_setup(skew)
+                    .build(),
+            ] {
+                assert!(
+                    matches!(built, Err(CharError::BadOption { .. })),
+                    "{skew}: {built:?}"
+                );
+            }
+        }
+        assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 0);
+    }
+
+    /// Over a traced contour, computed plus reused steps account for every
+    /// run's steps. These cells never cut `dt`, so every run of a problem
+    /// takes the same steps: the ladder's reference run computes them all,
+    /// every evaluation resumes from it.
+    #[test]
+    fn computed_and_reused_steps_add_up_over_a_traced_contour() {
+        use shc_obs::Metric;
+        let p = fast_problem();
+        let steps_per_run = full_run(&p, &p.reference_params()).stats().steps as u64;
+        let collector = shc_obs::Collector::new();
+        {
+            let _guard = shc_obs::install_scoped(&collector);
+            p.trace_contour(40).unwrap();
+        }
+        let runs = collector.counter(Metric::TransientRuns);
+        assert_eq!(collector.counter(Metric::LteRejections), 0);
+        assert_eq!(
+            runs,
+            p.simulation_count() as u64 + 1,
+            "evaluations + ladder"
+        );
+        assert_eq!(collector.counter(Metric::PrefixResumes), runs - 1);
+        let computed = collector.counter(Metric::TransientSteps);
+        let reused = collector.counter(Metric::PrefixStepsReused);
+        assert_eq!(computed + reused, runs * steps_per_run);
+        assert!(
+            reused > 2 * computed,
+            "{reused} reused vs {computed} computed"
+        );
+    }
+
+    /// The full-run reference for a resumed evaluation: the problem's own
+    /// options, from the DC start.
+    fn full_run(p: &CharacterizationProblem, at: &Params) -> TransientResult {
+        TransientAnalysis::new(p.register().circuit(), p.transient_options(true))
+            .run(at)
+            .unwrap()
+    }
+
+    fn assert_resumed_matches_full(p: &CharacterizationProblem, at: &Params) {
+        let full = full_run(p, at);
+        let resumed = p.run_scalar(true, at).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let what = format!("{} at {at:?}", p.register().name());
+        assert_eq!(bits(resumed.times()), bits(full.times()), "{what}: times");
+        assert_eq!(resumed.stats(), full.stats(), "{what}: stats");
+        assert_eq!(
+            bits(resumed.final_state().as_slice()),
+            bits(full.final_state().as_slice()),
+            "{what}: state"
+        );
+        for param in Param::ALL {
+            assert_eq!(
+                bits(resumed.final_sensitivity(param).unwrap().as_slice()),
+                bits(full.final_sensitivity(param).unwrap().as_slice()),
+                "{what}: {param:?} sensitivity"
+            );
+        }
+        let ev = p.evaluate_with_jacobian(at).unwrap();
+        let want = p.jacobian_evaluation(&full).unwrap();
+        assert_eq!(ev.h.to_bits(), want.h.to_bits(), "{what}: h");
+        assert_eq!(ev.dh_dtau_s.to_bits(), want.dh_dtau_s.to_bits(), "{what}");
+        assert_eq!(ev.dh_dtau_h.to_bits(), want.dh_dtau_h.to_bits(), "{what}");
+        assert_eq!(ev.stats, want.stats, "{what}: stats");
+        assert_eq!(
+            p.evaluate(at).unwrap().to_bits(),
+            want.h.to_bits(),
+            "{what}"
+        );
+    }
+
+    /// Ladder-backed evaluations must reproduce full runs bit for bit:
+    /// every point of a 40-point trace, the seed bracket ends, and a point
+    /// whose data ramp starts exactly on a checkpoint's step endpoint (so
+    /// the strict `reach < h` must pass over that checkpoint).
+    #[test]
+    fn resumed_evaluations_are_bitwise_identical_to_full_runs() {
+        use shc_cells::{c2mos_register_with, C2MOS_CLKB_SKEW};
+        let tech = Technology::default_250nm();
+        for register in [
+            tspc_register_with(&tech, ClockSpec::fast()),
+            c2mos_register_with(&tech, ClockSpec::fast(), C2MOS_CLKB_SKEW),
+        ] {
+            let p = CharacterizationProblem::builder(register).build().unwrap();
+            let reference = p.reference_params();
+            let mut points: Vec<Params> = p
+                .trace_contour(40)
+                .unwrap()
+                .points()
+                .iter()
+                .map(|q| Params::new(q.tau_s, q.tau_h))
+                .collect();
+            assert_eq!(points.len(), 40);
+            points.push(Params::new(-0.3e-9, reference.tau_h));
+            points.push(Params::new(0.9e-9, reference.tau_h));
+            let collector = shc_obs::Collector::new();
+            {
+                let _guard = shc_obs::install_scoped(&collector);
+                for at in &points {
+                    assert_resumed_matches_full(&p, at);
+                }
+            }
+            let resumes = collector.counter(shc_obs::Metric::PrefixResumes);
+            assert_eq!(resumes, 3 * points.len() as u64, "every evaluation resumes");
+            assert!(collector.counter(shc_obs::Metric::PrefixStepsReused) > 0);
+
+            // A leading ramp starting exactly at checkpoint `j`'s time; the
+            // ladder keeps a checkpoint every 16 steps.
+            const STRIDE: usize = 16;
+            let times = full_run(&p, &reference).times().to_vec();
+            let data = p.register().data_pulse();
+            let j = (1..times.len() / STRIDE)
+                .find(|j| times[j * STRIDE] > data.t_edge - 0.4e-9)
+                .unwrap();
+            let t_j = times[j * STRIDE];
+            let circuit = p.register().circuit();
+            let mut tau_s = data.t_edge - (t_j + data.rise / 2.0);
+            let on_endpoint = (0..64).find_map(|_| {
+                let at = Params::new(tau_s, reference.tau_h);
+                let h = circuit.agreement_horizon(&p.quiescent_params(), &at);
+                if h == t_j {
+                    return Some(at);
+                }
+                // A later ramp start needs a smaller τs.
+                tau_s = if h < t_j {
+                    tau_s.next_down()
+                } else {
+                    tau_s.next_up()
+                };
+                None
+            });
+            let at = on_endpoint.expect("a τs whose ramp starts on the endpoint");
+            let collector = shc_obs::Collector::new();
+            {
+                let _guard = shc_obs::install_scoped(&collector);
+                p.run_scalar(true, &at).unwrap();
+            }
+            let reused = collector.counter(shc_obs::Metric::PrefixStepsReused);
+            assert!(
+                reused > 0 && reused < (j * STRIDE) as u64,
+                "checkpoint {j} touches the horizon yet {reused} steps were reused"
+            );
+            assert_resumed_matches_full(&p, &at);
+        }
     }
 }

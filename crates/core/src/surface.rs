@@ -377,6 +377,39 @@ mod tests {
         assert_eq!(fanned.simulations(), 16);
     }
 
+    /// Scalar evaluations share the problem's prefix ladder: worker threads
+    /// racing to build it on one fresh problem must build it once and
+    /// reproduce the serial scalar sweep bit for bit.
+    #[test]
+    fn threaded_scalar_sweep_shares_one_ladder_bitwise() {
+        use crate::BatchPolicy;
+        use shc_cells::{tspc_register_with, ClockSpec, Technology};
+
+        let tech = Technology::default_250nm();
+        let problem = || {
+            CharacterizationProblem::builder(tspc_register_with(&tech, ClockSpec::fast()))
+                .batch(BatchPolicy::Scalar)
+                .build()
+                .unwrap()
+        };
+        let shared = problem();
+        let r = shared.reference_params();
+        let opts = SurfaceOptions {
+            tau_s_range: (r.tau_s - 0.8e-9, r.tau_s - 0.6e-9),
+            tau_h_range: (r.tau_h - 0.85e-9, r.tau_h),
+            n: 6,
+            parallelism: Parallelism::Threads(4),
+        };
+        let fanned = generate(&shared, &opts).unwrap();
+        assert_eq!(shared.calibration_simulations(), 2, "one ladder build");
+        let serial = generate(&problem(), &opts.with_parallelism(Parallelism::Serial)).unwrap();
+        let bits = |s: &OutputSurface| -> Vec<u64> {
+            s.values().iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&fanned), bits(&serial), "surfaces must match bitwise");
+        assert_eq!(fanned.simulations(), 36);
+    }
+
     #[test]
     fn batched_surface_is_bitwise_identical_to_scalar() {
         use crate::BatchPolicy;

@@ -11,7 +11,9 @@
 pub enum Metric {
     /// Completed transient runs (calibration + characterization).
     TransientRuns,
-    /// Accepted integration steps across all transient runs.
+    /// Accepted integration steps across all transient runs; a run
+    /// resumed from a prefix ladder counts only the steps it computed
+    /// (the adopted ones are `PrefixStepsReused`).
     TransientSteps,
     /// Inner Newton iterations across all transient steps.
     NewtonIterations,
@@ -62,11 +64,17 @@ pub enum Metric {
     /// Fill-in produced by symbolic analysis (histogram: nnz(L+U) −
     /// nnz(A) per analysis).
     SparseFillNnz,
+    /// Transient runs resumed from a prefix-ladder checkpoint instead of
+    /// the DC start (each skips one DC operating-point solve).
+    PrefixResumes,
+    /// Accepted steps adopted from prefix-ladder checkpoints rather than
+    /// computed; `TransientSteps` counts only computed steps.
+    PrefixStepsReused,
 }
 
 impl Metric {
     /// Number of metric variants; sizes the collector's atomic arrays.
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 27;
 
     /// All variants, in `repr` order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -95,6 +103,8 @@ impl Metric {
         Metric::SparseRefactors,
         Metric::SparseSolves,
         Metric::SparseFillNnz,
+        Metric::PrefixResumes,
+        Metric::PrefixStepsReused,
     ];
 
     /// Stable snake_case name used in reports and JSON output.
@@ -126,6 +136,8 @@ impl Metric {
             Metric::SparseRefactors => "sparse_refactors",
             Metric::SparseSolves => "sparse_solves",
             Metric::SparseFillNnz => "sparse_fill_nnz",
+            Metric::PrefixResumes => "prefix_resumes",
+            Metric::PrefixStepsReused => "prefix_steps_reused",
         }
     }
 }

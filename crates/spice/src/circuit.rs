@@ -152,6 +152,26 @@ impl Circuit {
         self.devices.len()
     }
 
+    /// A time `t*` such that every device stamps bitwise-identical values
+    /// and skew derivatives under skews `pa` and `pb` for all `t < t*`: the
+    /// scalar twin of [`crate::batch::SoaCircuit::agreement_horizon`],
+    /// built on [`crate::Waveform::agree_until`]. Only voltage-source
+    /// waveforms read the skews; a device outside the batched envelope
+    /// ([`Device::batch_spec`] is `None`) claims nothing (`0.0`).
+    pub fn agreement_horizon(&self, pa: &Params, pb: &Params) -> f64 {
+        let mut horizon = f64::INFINITY;
+        for device in &self.devices {
+            match device.batch_spec() {
+                Some(crate::batch::DeviceSpec::VoltageSource { waveform, .. }) => {
+                    horizon = horizon.min(waveform.agree_until(pa, &waveform, pb));
+                }
+                Some(_) => {}
+                None => return 0.0,
+            }
+        }
+        horizon
+    }
+
     /// Validates the netlist: non-empty, and every unknown has at least one
     /// stamp touching it (rough floating-node detection via the G/C pattern
     /// at a nominal bias).

@@ -17,6 +17,7 @@
 //! observation.
 
 use std::mem;
+use std::sync::OnceLock;
 
 use shc_linalg::{LuFactor, Matrix, Vector};
 
@@ -462,17 +463,181 @@ pub enum CrossingDirection {
     Any,
 }
 
+/// The scalars of the stepping loop's carried state after an accepted
+/// step (or at the DC start, step 0).
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Accepted steps so far; also the index of `t` in the run's times.
+    step: usize,
+    t: f64,
+    /// The step size the next attempt will use.
+    dt: f64,
+    stats: TransientStats,
+    /// Latest time any assembly touched up to this step, rejected Newton
+    /// attempts included. Never below `t`.
+    reach: f64,
+}
+
+/// Where a run starts stepping: the carried state, copied bit for bit,
+/// and the accepted times up to and including it.
+struct Start {
+    mark: Mark,
+    x: Vector,
+    /// One per parameter of the run's options.
+    sens: Vec<Vector>,
+    times: Vec<f64>,
+}
+
+/// Checkpoints of a ladder's reference run, stored flat: `states` holds
+/// `x` and then each sensitivity, per mark.
+struct Capture {
+    marks: Vec<Mark>,
+    states: Vec<f64>,
+}
+
+impl Capture {
+    fn push(&mut self, mark: Mark, x: &Vector, sens: &[(Param, Vector)]) {
+        self.marks.push(mark);
+        self.states.extend_from_slice(x.as_slice());
+        for (_, m) in sens {
+            self.states.extend_from_slice(m.as_slice());
+        }
+    }
+}
+
+/// Accepted steps between two checkpoints of a [`PrefixLadder`]: a seed
+/// cell's ladder stays near 25 KB, and a resumed run recomputes at most
+/// this many steps it could have adopted.
+const LADDER_STRIDE: usize = 16;
+
+/// A prefix ladder: checkpoints of one reference transient at fixed
+/// skews, from which later runs of the same analysis at other skews
+/// resume ([`TransientAnalysis::with_ladder`]).
+///
+/// A run at skews `p` may adopt any checkpoint whose `reach` — the latest
+/// time any of the reference run's assemblies touched up to it — lies
+/// strictly below the agreement horizon of the two skews
+/// ([`Circuit::agreement_horizon`]): until then both runs evaluate
+/// bitwise-identical device stamps, so they perform the same steps on the
+/// same state. A ladder starts empty ([`PrefixLadder::default`]); the
+/// first run that may resume from it builds it, once, even when threads
+/// share it. Until then it is one word and a lock.
+#[derive(Default)]
+pub struct PrefixLadder {
+    rungs: OnceLock<Option<Box<Rungs>>>,
+}
+
+/// The captured part of a [`PrefixLadder`]: a checkpoint at the DC start
+/// and every [`LADDER_STRIDE`] accepted steps.
+struct Rungs {
+    /// The skews of the reference run.
+    reference: Params,
+    /// The reference run's options (every sensitivity on).
+    opts: TransientOptions,
+    /// Circuit dimension: each mark owns `(1 + sensitivities)·n` states.
+    n: usize,
+    times: Vec<f64>,
+    marks: Vec<Mark>,
+    states: Vec<f64>,
+}
+
+impl std::fmt::Debug for PrefixLadder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PrefixLadder")
+            .field("built", &self.is_built())
+            .finish_non_exhaustive()
+    }
+}
+
+impl PrefixLadder {
+    /// Whether the reference run has happened (successfully or not).
+    pub fn is_built(&self) -> bool {
+        self.rungs.get().is_some()
+    }
+}
+
+impl Rungs {
+    /// Whether a run under `opts` on an `n`-unknown circuit steps exactly
+    /// as the reference run did: same dimension, stop time, step bounds,
+    /// Newton and DC settings, solver and integrator.
+    fn fits(&self, opts: &TransientOptions, n: usize) -> bool {
+        let o = &self.opts;
+        self.n == n
+            && o.tstop.to_bits() == opts.tstop.to_bits()
+            && o.dt.to_bits() == opts.dt.to_bits()
+            && o.dt_min.to_bits() == opts.dt_min.to_bits()
+            && o.integrator == opts.integrator
+            && o.newton == opts.newton
+            && o.dc == opts.dc
+            && o.solver == opts.solver
+    }
+
+    // lint: trunk-fence
+    /// Adopts the latest checkpoint whose `reach` lies strictly below
+    /// `horizon`, with its sensitivities reordered to `wanted`; `None`
+    /// when even the DC start touched the horizon. Everything adopted was
+    /// computed before the horizon, so it is copied verbatim.
+    fn adopt(&self, horizon: f64, wanted: &[Param]) -> Option<Start> {
+        // `reach` never decreases along the ladder.
+        let k = self
+            .marks
+            .partition_point(|m| m.reach < horizon)
+            .checked_sub(1)?;
+        let mark = self.marks[k];
+        let n = self.n;
+        let state = &self.states[k * (1 + self.opts.sensitivities.len()) * n..];
+        let block = |b: usize| Vector::from_slice(&state[b * n..(b + 1) * n]);
+        let sens = wanted
+            .iter()
+            .map(|p| {
+                let j = self.opts.sensitivities.iter().position(|q| q == p)?;
+                Some(block(1 + j))
+            })
+            .collect::<Option<Vec<Vector>>>()?;
+        let mut times = Vec::with_capacity(self.times.len());
+        times.extend_from_slice(&self.times[..=mark.step]);
+        Some(Start {
+            mark,
+            x: block(0),
+            sens,
+            times,
+        })
+    }
+}
+
 /// A configured transient analysis, ready to run for any skew values.
 #[derive(Debug)]
 pub struct TransientAnalysis<'a> {
     circuit: &'a Circuit,
     opts: TransientOptions,
+    ladder: Option<(&'a PrefixLadder, Params)>,
 }
 
 impl<'a> TransientAnalysis<'a> {
     /// Binds options to a circuit.
     pub fn new(circuit: &'a Circuit, opts: TransientOptions) -> Self {
-        TransientAnalysis { circuit, opts }
+        TransientAnalysis {
+            circuit,
+            opts,
+            ladder: None,
+        }
+    }
+
+    /// Resumes every run that may — Backward Euler, final-only recording,
+    /// a DC start, dense solves, no fault injector — from `ladder`,
+    /// skipping the DC solve and every step before the
+    /// latest checkpoint below the run's agreement horizon. The first such
+    /// run builds the ladder with one reference transient of this circuit
+    /// at skews `reference` under these options, every sensitivity on;
+    /// later runs keep the skews it was built at.
+    ///
+    /// Results stay bitwise identical to a run from the DC start — state,
+    /// sensitivities, stats and times — as long as `ladder` only ever
+    /// serves analyses of one circuit. Analyses whose options step
+    /// differently from the reference run's run from the DC start.
+    pub fn with_ladder(mut self, ladder: &'a PrefixLadder, reference: Params) -> Self {
+        self.ladder = Some((ladder, reference));
+        self
     }
 
     /// The options in effect.
@@ -511,28 +676,127 @@ impl<'a> TransientAnalysis<'a> {
         params: &Params,
         scratch: &mut TransientScratch,
     ) -> Result<TransientResult> {
-        // One span + one counter flush per *run* (not per step): the
-        // stepping loop itself stays untouched by telemetry. The flush
-        // happens on success AND failure so counters reconcile with the
-        // work actually performed by aborted runs. The profiler frame
-        // follows the same shape: run_core's lap accumulators flush
-        // beneath it before it closes.
+        let start = self.resume_point(params);
+        self.run_from(params, scratch, start, None)
+    }
+
+    /// Whether a run of this analysis may start from a [`PrefixLadder`]
+    /// checkpoint: Backward Euler (no two-step history to restore),
+    /// final-only recording, a DC start, dense solves (a sparse refactor
+    /// replays the pivots of an earlier factorization, so a resumed factor
+    /// could differ), and no fault injector (sharing work would change the
+    /// draw cadence).
+    fn prefix_resumable(&self) -> bool {
+        let o = &self.opts;
+        o.integrator == Integrator::BackwardEuler
+            && matches!(o.record, RecordMode::FinalOnly)
+            && matches!(o.initial, InitialCondition::DcOperatingPoint)
+            && !o.solver.wants_sparse(self.circuit.unknown_count())
+            && !shc_fault::enabled()
+    }
+
+    /// The checkpoint a run at `params` resumes from, building the ladder
+    /// first if this is its first eligible run.
+    fn resume_point(&self, params: &Params) -> Option<Start> {
+        let (ladder, reference) = self.ladder?;
+        if !self.prefix_resumable() {
+            return None;
+        }
+        let rungs = ladder
+            .rungs
+            .get_or_init(|| self.capture(reference).map(Box::new))
+            .as_ref()?;
+        if !rungs.fits(&self.opts, self.circuit.unknown_count()) {
+            return None;
+        }
+        let horizon = self.circuit.agreement_horizon(&rungs.reference, params);
+        rungs.adopt(horizon, &self.opts.sensitivities)
+    }
+
+    /// The reference run of a ladder at skews `reference`, every
+    /// sensitivity on so the ladder serves runs with and without them. It
+    /// counts as one transient run, under a calibration span; `None` if it
+    /// fails.
+    fn capture(&self, reference: Params) -> Option<Rungs> {
+        let _span = shc_obs::span(shc_obs::SpanKind::Calibration);
+        let analysis = TransientAnalysis {
+            circuit: self.circuit,
+            opts: TransientOptions {
+                sensitivities: Param::ALL.to_vec(),
+                ..self.opts.clone()
+            },
+            ladder: None,
+        };
+        let n = self.circuit.unknown_count();
+        let mut scratch = TransientScratch::new(n);
+        let mut capture = Capture {
+            marks: Vec::new(),
+            states: Vec::new(),
+        };
+        let res = analysis
+            .run_from(&reference, &mut scratch, None, Some(&mut capture))
+            .ok()?;
+        let Capture {
+            mut marks,
+            mut states,
+        } = capture;
+        // The ladder lives as long as its owner: keep no growth slack.
+        let mut times = res.times;
+        times.shrink_to_fit();
+        marks.shrink_to_fit();
+        states.shrink_to_fit();
+        Some(Rungs {
+            reference,
+            opts: analysis.opts,
+            n,
+            times,
+            marks,
+            states,
+        })
+    }
+
+    /// One run from the DC start or an adopted checkpoint, wrapped in its
+    /// telemetry. One span + one counter flush per *run* (not per step):
+    /// the stepping loop itself stays untouched by telemetry. The flush
+    /// happens on success AND failure so counters reconcile with the work
+    /// actually performed by aborted runs, and it counts only the steps
+    /// this run computed; the reused prefix is counted apart. The profiler
+    /// frame follows the same shape: run_core's lap accumulators flush
+    /// beneath it before it closes.
+    fn run_from(
+        &self,
+        params: &Params,
+        scratch: &mut TransientScratch,
+        start: Option<Start>,
+        capture: Option<&mut Capture>,
+    ) -> Result<TransientResult> {
         let _span = shc_obs::span(shc_obs::SpanKind::Transient);
         let _frame = shc_prof::enter(shc_prof::Phase::Transient);
         shc_obs::count(shc_obs::Metric::TransientRuns, 1);
-        let mut stats = TransientStats::default();
+        let reused = start
+            .as_ref()
+            .map_or_else(TransientStats::default, |s| s.mark.stats);
+        if start.is_some() {
+            shc_obs::count(shc_obs::Metric::PrefixResumes, 1);
+            shc_obs::count(shc_obs::Metric::PrefixStepsReused, reused.steps as u64);
+        }
+        let mut stats = reused;
         let result = match self.injected_run_fault() {
             Some(e) => Err(e),
-            None => self.run_core(params, scratch, &mut stats),
+            None => self.run_core(params, scratch, &mut stats, start, capture),
         };
-        shc_prof::add_work(stats.steps as u64);
+        let steps = (stats.steps - reused.steps) as u64;
+        shc_prof::add_work(steps);
         if shc_obs::enabled() {
-            shc_obs::observe(shc_obs::Metric::TransientSteps, stats.steps as u64);
+            shc_obs::observe(shc_obs::Metric::TransientSteps, steps);
             shc_obs::observe(
                 shc_obs::Metric::NewtonIterations,
-                stats.newton_iterations as u64,
+                (stats.newton_iterations - reused.newton_iterations) as u64,
             );
-            shc_obs::observe(shc_obs::Metric::LteRejections, stats.rejected_steps as u64);
+            shc_obs::observe(
+                shc_obs::Metric::LteRejections,
+                (stats.rejected_steps - reused.rejected_steps) as u64,
+            );
         }
         result
     }
@@ -563,14 +827,20 @@ impl<'a> TransientAnalysis<'a> {
         })
     }
 
-    /// The stepping loop proper; accumulates work counters into `stats`
-    /// so [`TransientAnalysis::run_with_scratch`] can flush them to
-    /// telemetry on both the success and the failure path.
+    /// The stepping loop proper, from `start` (or, without one, from
+    /// checkpoint zero: the DC operating point or given state at `t = 0`).
+    /// Accumulates work counters into `stats`, which arrive holding the
+    /// start's counters, so [`TransientAnalysis::run_from`] can flush them
+    /// to telemetry on both the success and the failure path. With
+    /// `capture`, checkpoint zero and every [`LADDER_STRIDE`]-th accepted
+    /// step are kept for a [`PrefixLadder`].
     fn run_core(
         &self,
         params: &Params,
         scratch: &mut TransientScratch,
         stats: &mut TransientStats,
+        start: Option<Start>,
+        mut capture: Option<&mut Capture>,
     ) -> Result<TransientResult> {
         let circuit = self.circuit;
         let opts = &self.opts;
@@ -578,22 +848,54 @@ impl<'a> TransientAnalysis<'a> {
         scratch.ensure(n, opts.sensitivities.len());
         scratch.configure_solver(circuit, params, opts.solver)?;
 
-        let x0 = match &opts.initial {
-            InitialCondition::DcOperatingPoint => dcop::solve_dc(circuit, params, &opts.dc)?.x,
-            InitialCondition::Given(x) => {
-                if x.len() != n {
-                    return Err(SpiceError::BadCircuit {
-                        reason: format!(
-                            "initial condition has {} entries, circuit has {n} unknowns",
-                            x.len()
-                        ),
-                    });
+        let Start {
+            mark,
+            x: mut x_prev,
+            sens,
+            mut times,
+        } = match start {
+            Some(start) => start,
+            None => {
+                let (x, reach) = match &opts.initial {
+                    InitialCondition::DcOperatingPoint => (
+                        dcop::solve_dc(circuit, params, &opts.dc)?.x,
+                        opts.dc.time.max(0.0),
+                    ),
+                    InitialCondition::Given(x) => {
+                        if x.len() != n {
+                            return Err(SpiceError::BadCircuit {
+                                reason: format!(
+                                    "initial condition has {} entries, circuit has {n} unknowns",
+                                    x.len()
+                                ),
+                            });
+                        }
+                        (x.clone(), 0.0)
+                    }
+                };
+                Start {
+                    mark: Mark {
+                        step: 0,
+                        t: 0.0,
+                        dt: opts.dt.min(opts.tstop),
+                        stats: TransientStats::default(),
+                        reach,
+                    },
+                    x,
+                    // Sensitivities start at zero: x(0) is held fixed across
+                    // skews (the data pulse is at its rest level at t = 0).
+                    sens: vec![Vector::zeros(n); opts.sensitivities.len()],
+                    times: vec![0.0],
                 }
-                x.clone()
             }
         };
+        let Mark {
+            t: mut t_prev,
+            mut dt,
+            mut reach,
+            ..
+        } = mark;
 
-        let mut times = vec![0.0];
         let mut states = Vec::new();
         let mut probe = Vec::new();
         let probe_index = match opts.record {
@@ -601,18 +903,15 @@ impl<'a> TransientAnalysis<'a> {
             _ => None,
         };
         match opts.record {
-            RecordMode::Full => states.push(x0.clone()),
-            RecordMode::Probe(i) => probe.push(x0[i]),
+            RecordMode::Full => states.push(x_prev.clone()),
+            RecordMode::Probe(i) => probe.push(x_prev[i]),
             RecordMode::FinalOnly => {}
         }
 
-        // Sensitivities start at zero: x(0) is held fixed across skews
-        // (the data pulse is at its rest level at t = 0).
-        let mut sens: Vec<(Param, Vector)> = opts
-            .sensitivities
-            .iter()
-            .map(|&p| (p, Vector::zeros(n)))
-            .collect();
+        let mut sens: Vec<(Param, Vector)> = opts.sensitivities.iter().copied().zip(sens).collect();
+        if let Some(cap) = capture.as_mut() {
+            cap.push(mark, &x_prev, &sens);
+        }
 
         // Borrow every workspace buffer up front as disjoint fields so the
         // Newton closure (which mutates `nr_stamps`) can coexist with the
@@ -656,25 +955,24 @@ impl<'a> TransientAnalysis<'a> {
         };
         let device_work = circuit.device_count() as u64;
 
-        // Previous-step quantities for the recursions.
-        let mut x_prev = x0;
-        let mut t_prev = 0.0;
-        circuit.assemble_into(stamps_prev, &x_prev, 0.0, params, 1.0);
+        // Previous-step quantities for the recursions, stamped at the
+        // start point with this run's own parameters.
+        circuit.assemble_into(stamps_prev, &x_prev, t_prev, params, 1.0);
         let mut dfdp_prev: Vec<Vector> = opts
             .sensitivities
             .iter()
-            .map(|&p| circuit.assemble_dfdp(0.0, params, p))
+            .map(|&p| circuit.assemble_dfdp(t_prev, params, p))
             .collect();
         // Time of the two-steps-ago state. While `Some`, that state lives
         // in the workspace history buffers: `stamps_hist` (Gear-2's q and
-        // C) and `hist_sens` (the old sensitivities).
+        // C) and `hist_sens` (the old sensitivities). Resumable runs are
+        // Backward Euler, which keeps no such history.
         let mut hist_t: Option<f64> = None;
-
-        let mut dt = opts.dt.min(opts.tstop);
 
         while t_prev < opts.tstop - TSTOP_ENDPOINT_SLACK * opts.tstop.max(1.0) {
             let t_new = (t_prev + dt).min(opts.tstop);
             let dt_eff = t_new - t_prev;
+            reach = reach.max(t_new);
 
             // Variable-step BDF2 coefficients for r = h1/h0:
             // c0·q_i − c1·q_{i−1} + c2·q_{i−2} + h1·f_i = 0,
@@ -916,6 +1214,18 @@ impl<'a> TransientAnalysis<'a> {
             // configured step after each accepted step.
             if dt < opts.dt {
                 dt = (dt * 2.0).min(opts.dt);
+            }
+            if let Some(cap) = capture.as_mut() {
+                if stats.steps.is_multiple_of(LADDER_STRIDE) {
+                    let mark = Mark {
+                        step: stats.steps,
+                        t: t_prev,
+                        dt,
+                        stats: *stats,
+                        reach,
+                    };
+                    cap.push(mark, &x_prev, &sens);
+                }
             }
             lap_step.end_region(LAP_STEP_SELF);
         }
@@ -1564,6 +1874,185 @@ mod tests {
                 fresh.final_state().as_slice()
             );
             assert_eq!(reused.series(out), fresh.series(out));
+        }
+    }
+
+    /// A clock step that Newton cannot follow in one `dt` (three damped
+    /// iterations move the source node at most ~1 V) plus the data pulse
+    /// behind an RC load. The data ramps sit after `tstop` at
+    /// [`quiescent`]; the clock edge at 310 ns forces dt-cuts in step 32,
+    /// so the ladder's checkpoint after that step sits inside them.
+    fn clocked_rc() -> (Circuit, TransientOptions) {
+        let mut c = Circuit::new();
+        let clk = c.node("clk");
+        let din = c.node("d");
+        let out = c.node("out");
+        let clock = crate::waveform::Pulse {
+            v0: 0.0,
+            v1: 2.5,
+            delay: 310e-9,
+            rise: 1e-9,
+            fall: 1e-9,
+            width: 1.0,
+            period: 0.0,
+            shape: RampShape::Linear,
+        };
+        c.add(VoltageSource::new(
+            "Vclk",
+            clk,
+            Circuit::GROUND,
+            Waveform::Pulse(clock),
+        ));
+        c.add(Resistor::new("Rclk", clk, Circuit::GROUND, 1e3));
+        let pulse = DataPulse {
+            v_rest: 0.0,
+            v_active: 1.0,
+            t_edge: 300e-9,
+            rise: 100e-9,
+            fall: 100e-9,
+            shape: RampShape::Smoothstep,
+        };
+        c.add(VoltageSource::new(
+            "Vd",
+            din,
+            Circuit::GROUND,
+            Waveform::Data(pulse),
+        ));
+        c.add(Resistor::new("R1", din, out, 1e3));
+        c.add(Capacitor::new("C1", out, Circuit::GROUND, 1e-12));
+        let opts = TransientOptions::builder(400e-9)
+            .dt(10e-9)
+            .newton(crate::newton::NewtonOptions {
+                max_iters: 3,
+                ..Default::default()
+            })
+            .sensitivities(&Param::ALL)
+            .record(RecordMode::FinalOnly)
+            .build();
+        (c, opts)
+    }
+
+    /// Skews whose data ramps both start after the 400 ns stop time.
+    fn quiescent() -> Params {
+        Params::new(-200e-9, 400e-9)
+    }
+
+    fn assert_bitwise_eq(a: &TransientResult, b: &TransientResult) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.times()), bits(b.times()));
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(
+            bits(a.final_state().as_slice()),
+            bits(b.final_state().as_slice())
+        );
+        for p in Param::ALL {
+            assert_eq!(
+                bits(a.final_sensitivity(p).unwrap().as_slice()),
+                bits(b.final_sensitivity(p).unwrap().as_slice())
+            );
+        }
+    }
+
+    /// The captured rungs of a ladder some run has built.
+    fn rungs(ladder: &PrefixLadder) -> &Rungs {
+        ladder.rungs.get().unwrap().as_ref().unwrap()
+    }
+
+    /// A Newton dt-cut inside the prefix leaves a checkpoint whose `reach`
+    /// (the rejected attempt's endpoint) lies past its own `t`. A run whose
+    /// data ramp starts between the two must not adopt that checkpoint,
+    /// only the one before it, and must reproduce the full run bit for bit.
+    #[test]
+    fn checkpoint_past_a_dt_cut_is_excluded_by_its_reach() {
+        let (c, opts) = clocked_rc();
+        let ladder = PrefixLadder::default();
+        let analysis = TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());
+        let full_analysis = TransientAnalysis::new(&c, opts);
+        assert!(analysis.prefix_resumable());
+        analysis.run(&quiescent()).unwrap();
+        let marks = &rungs(&ladder).marks;
+        let cut = marks
+            .iter()
+            .position(|k| k.reach > k.t)
+            .expect("the clock edge forces a dt-cut");
+        let (before, past) = (&marks[cut - 1], &marks[cut]);
+        assert!(past.stats.rejected_steps > 0 && before.reach < past.t);
+
+        // Leading ramp start = t_edge − τs − rise/2, halfway into (t, reach].
+        let ramp_start = 0.5 * (past.t + past.reach);
+        let at = Params::new(300e-9 - ramp_start - 50e-9, 100e-9);
+        let horizon = c.agreement_horizon(&quiescent(), &at);
+        assert!(past.t < horizon && horizon < past.reach, "{horizon:e}");
+
+        let full = full_analysis.run(&at).unwrap();
+        let collector = shc_obs::Collector::new();
+        let resumed = {
+            let _guard = shc_obs::install_scoped(&collector);
+            analysis.run(&at).unwrap()
+        };
+        assert_bitwise_eq(&resumed, &full);
+        assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 1);
+        assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
+        assert_eq!(
+            collector.counter(shc_obs::Metric::PrefixStepsReused),
+            before.step as u64
+        );
+        assert_eq!(
+            collector.counter(shc_obs::Metric::TransientSteps),
+            (full.stats().steps - before.step) as u64
+        );
+    }
+
+    /// A run falls back to the DC start, still bitwise equal, when its
+    /// horizon is zero, its options step differently from the reference
+    /// run's, or it may not resume at all; and the reference run happens
+    /// once, on the first eligible run only.
+    #[test]
+    fn runs_without_an_eligible_checkpoint_start_from_dc() {
+        let (c, opts) = clocked_rc();
+        let ladder = PrefixLadder::default();
+        let mut gear = opts.clone();
+        gear.integrator = Integrator::Gear2;
+        let at = Params::new(100e-9, 100e-9);
+        // Not resumable: no reference run yet.
+        let collector = shc_obs::Collector::new();
+        {
+            let _guard = shc_obs::install_scoped(&collector);
+            let analysis =
+                TransientAnalysis::new(&c, gear.clone()).with_ladder(&ladder, quiescent());
+            analysis.run(&at).unwrap();
+        }
+        assert!(!ladder.is_built());
+        assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 1);
+
+        TransientAnalysis::new(&c, opts.clone())
+            .with_ladder(&ladder, quiescent())
+            .run(&at)
+            .unwrap();
+        assert!(ladder.is_built());
+        assert_eq!(rungs(&ladder).marks[0].step, 0);
+        let mut shorter = opts.clone();
+        shorter.tstop = 300e-9;
+        for (opts, at) in [
+            (opts, Params::new(f64::NAN, 100e-9)),
+            (shorter, at),
+            (gear, at),
+        ] {
+            let analysis =
+                TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());
+            let collector = shc_obs::Collector::new();
+            let resumed = {
+                let _guard = shc_obs::install_scoped(&collector);
+                analysis.run(&at).unwrap()
+            };
+            assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 1);
+            assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 0);
+            let full = TransientAnalysis::new(&c, opts).run(&at).unwrap();
+            assert_eq!(resumed.times(), full.times());
+            assert_eq!(
+                resumed.final_state().as_slice(),
+                full.final_state().as_slice()
+            );
         }
     }
 

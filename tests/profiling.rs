@@ -115,16 +115,20 @@ fn frame_stack_unwinds_cleanly_under_injected_faults() {
 
 #[test]
 fn serial_and_parallel_profiles_aggregate_identical_counts() {
-    let problem = fast_problem();
-    let hint = problem.register().reference_setup_hint().unwrap_or(0.5e-9);
+    let hint = fast_problem()
+        .register()
+        .reference_setup_hint()
+        .unwrap_or(0.5e-9);
     let count = 8;
     let params = |i: usize| Params::new(hint * (1.0 + 0.05 * i as f64), 0.5e-9);
 
     // Timing differs run to run, but frame counts and work units are a
     // deterministic property of the workload: the parallel fan-out must
     // merge worker-thread trees into the same per-phase aggregates the
-    // serial run produces.
+    // serial run produces. Each run gets a fresh problem, so both include
+    // the one prefix-ladder build of the problem's first evaluation.
     let run = |parallelism: Parallelism| -> Vec<(String, u64, u64)> {
+        let problem = fast_problem();
         let profiler = Profiler::with_detail(Detail::Iter);
         {
             let _profile = shc::prof::install_scoped(&profiler);
