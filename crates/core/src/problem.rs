@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use shc_cells::{OutputTransition, Register};
-use shc_spice::batch::{run_lockstep, BatchLane, BatchPolicy};
+use shc_spice::batch::{run_lockstep, run_lockstep_with_ladder, BatchLane, BatchPolicy};
 use shc_spice::transient::{
     CrossingDirection, Integrator, PrefixLadder, RecordMode, TransientAnalysis, TransientOptions,
     TransientResult, TransientStats,
@@ -84,8 +84,8 @@ pub struct CharacterizationProblem {
     t_cq: f64,
     tf: f64,
     sim_count: AtomicUsize,
-    /// Checkpoints every scalar evaluation resumes from, built by the
-    /// first eligible one at [`Self::quiescent_params`].
+    /// Checkpoints every evaluation, scalar or batched, resumes from,
+    /// built by the first eligible one at [`Self::quiescent_params`].
     ladder: PrefixLadder,
 }
 
@@ -173,8 +173,8 @@ impl CharacterizationProblem {
 
     /// Number of transient simulations spent outside the user-visible
     /// budget: one measuring the characteristic delay at build time, plus
-    /// one for the prefix ladder once the first scalar evaluation has
-    /// built it. Reported separately so the per-contour budget in
+    /// one for the prefix ladder once the first evaluation has built it.
+    /// Reported separately so the per-contour budget in
     /// [`Self::simulation_count`] stays an honest O(n) figure.
     pub fn calibration_simulations(&self) -> usize {
         1 + usize::from(self.ladder.is_built())
@@ -255,25 +255,11 @@ impl CharacterizationProblem {
     /// Propagates the lowest-index simulation failure, matching a serial
     /// left-to-right loop.
     pub fn evaluate_batch(&self, params: &[Params]) -> Result<Vec<f64>> {
-        let opts = self.transient_options(false);
-        if !self
-            .batch
-            .use_batched(self.register.circuit(), &opts, params.len())
-        {
+        let Some(lanes) = self.run_batch(false, params)? else {
             return params.iter().map(|p| self.evaluate(p)).collect();
-        }
-        self.sim_count.fetch_add(params.len(), Ordering::Relaxed);
-        let lanes: Vec<BatchLane<'_>> = params
-            .iter()
-            .map(|&p| BatchLane {
-                circuit: self.register.circuit(),
-                params: p,
-                tstop: self.tf,
-            })
-            .collect();
+        };
         let out = self.register.output_unknown();
-        run_lockstep(&lanes, &opts)
-            .map_err(CharError::from)?
+        lanes
             .into_iter()
             .map(|lane| Ok(lane?.final_state()[out] - self.r()))
             .collect()
@@ -290,30 +276,42 @@ impl CharacterizationProblem {
     /// Propagates the lowest-index simulation failure, matching a serial
     /// left-to-right loop.
     pub fn evaluate_with_jacobian_batch(&self, params: &[Params]) -> Result<Vec<HEvaluation>> {
-        let opts = self.transient_options(true);
-        if !self
-            .batch
-            .use_batched(self.register.circuit(), &opts, params.len())
-        {
+        let Some(lanes) = self.run_batch(true, params)? else {
             return params
                 .iter()
                 .map(|p| self.evaluate_with_jacobian(p))
                 .collect();
+        };
+        lanes
+            .into_iter()
+            .map(|lane| self.jacobian_evaluation(&lane?))
+            .collect()
+    }
+
+    /// One counted lockstep batch at `params`, every lane resumed from the
+    /// prefix ladder when it may, as [`Self::run_scalar`] resumes; `None`
+    /// when the [`BatchPolicy`] picks the scalar path.
+    fn run_batch(
+        &self,
+        with_sensitivities: bool,
+        params: &[Params],
+    ) -> Result<Option<Vec<shc_spice::Result<TransientResult>>>> {
+        let opts = self.transient_options(with_sensitivities);
+        let circuit = self.register.circuit();
+        if !self.batch.use_batched(circuit, &opts, params.len()) {
+            return Ok(None);
         }
         self.sim_count.fetch_add(params.len(), Ordering::Relaxed);
         let lanes: Vec<BatchLane<'_>> = params
             .iter()
             .map(|&p| BatchLane {
-                circuit: self.register.circuit(),
+                circuit,
                 params: p,
                 tstop: self.tf,
             })
             .collect();
-        run_lockstep(&lanes, &opts)
-            .map_err(CharError::from)?
-            .into_iter()
-            .map(|lane| self.jacobian_evaluation(&lane?))
-            .collect()
+        let ladder = Some((&self.ladder, self.quiescent_params()));
+        Ok(Some(run_lockstep_with_ladder(&lanes, &opts, ladder)?))
     }
 
     /// Extracts an [`HEvaluation`] from a finished final-only transient of
@@ -837,10 +835,10 @@ mod tests {
         let p = fast_problem();
         let steps_per_run = full_run(&p, &p.reference_params()).stats().steps as u64;
         let collector = shc_obs::Collector::new();
-        {
+        let contour = {
             let _guard = shc_obs::install_scoped(&collector);
-            p.trace_contour(40).unwrap();
-        }
+            p.trace_contour(40).unwrap()
+        };
         let runs = collector.counter(Metric::TransientRuns);
         assert_eq!(collector.counter(Metric::LteRejections), 0);
         assert_eq!(
@@ -852,6 +850,35 @@ mod tests {
         let computed = collector.counter(Metric::TransientSteps);
         let reused = collector.counter(Metric::PrefixStepsReused);
         assert_eq!(computed + reused, runs * steps_per_run);
+        assert!(
+            reused > 2 * computed,
+            "{reused} reused vs {computed} computed"
+        );
+
+        // The same points through the batched engine, in 16-lane chunks:
+        // every lane resumes from the ladder the trace built.
+        let points: Vec<Params> = contour
+            .points()
+            .iter()
+            .map(|q| Params::new(q.tau_s, q.tau_h))
+            .collect();
+        assert_eq!(points.len(), 40);
+        let collector = shc_obs::Collector::new();
+        let mut steps = 0;
+        {
+            let _guard = shc_obs::install_scoped(&collector);
+            for chunk in points.chunks(16) {
+                for ev in p.evaluate_with_jacobian_batch(chunk).unwrap() {
+                    steps += ev.stats.steps as u64;
+                }
+            }
+        }
+        assert_eq!(collector.counter(Metric::TransientRuns), 40);
+        assert_eq!(collector.counter(Metric::PrefixResumes), 40);
+        let computed = collector.counter(Metric::TransientSteps);
+        let reused = collector.counter(Metric::PrefixStepsReused);
+        assert_eq!(computed + reused, steps);
+        assert_eq!(steps, 40 * steps_per_run);
         assert!(
             reused > 2 * computed,
             "{reused} reused vs {computed} computed"
@@ -898,10 +925,77 @@ mod tests {
         );
     }
 
-    /// Ladder-backed evaluations must reproduce full runs bit for bit:
-    /// every point of a 40-point trace, the seed bracket ends, and a point
-    /// whose data ramp starts exactly on a checkpoint's step endpoint (so
-    /// the strict `reach < h` must pass over that checkpoint).
+    /// The ladder checkpoint (every 16 steps) a run at `at` adopts, as its
+    /// step count: the latest one below the run's agreement horizon. These
+    /// cells never cut `dt`, so a checkpoint's `reach` is its own time.
+    fn rung_steps(p: &CharacterizationProblem, times: &[f64], at: &Params) -> u64 {
+        let horizon = p
+            .register()
+            .circuit()
+            .agreement_horizon(&p.quiescent_params(), at);
+        (0..times.len())
+            .step_by(16)
+            .take_while(|&k| times[k] < horizon)
+            .last()
+            .unwrap() as u64
+    }
+
+    /// One batch of lanes against full runs, bit for bit: `h`, both
+    /// derivatives, every state and sensitivity entry, stats and times.
+    /// Every lane resumes, from the rung [`rung_steps`] names.
+    fn assert_batch_matches_full(p: &CharacterizationProblem, times: &[f64], lanes: &[Params]) {
+        let what = format!("{} batch at {lanes:?}", p.register().name());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let collector = shc_obs::Collector::new();
+        let results = {
+            let _guard = shc_obs::install_scoped(&collector);
+            p.run_batch(true, lanes).unwrap().expect("batched")
+        };
+        let reused: u64 = lanes.iter().map(|at| rung_steps(p, times, at)).sum();
+        let resumes = collector.counter(shc_obs::Metric::PrefixResumes);
+        assert_eq!(resumes, lanes.len() as u64, "{what}");
+        let counted = collector.counter(shc_obs::Metric::PrefixStepsReused);
+        assert_eq!(counted, reused, "{what}: reused steps");
+        let fulls: Vec<TransientResult> = lanes.iter().map(|at| full_run(p, at)).collect();
+        let mut steps = 0;
+        for (full, lane) in fulls.iter().zip(results) {
+            let lane = lane.unwrap();
+            assert_eq!(bits(lane.times()), bits(full.times()), "{what}: times");
+            assert_eq!(lane.stats(), full.stats(), "{what}: stats");
+            assert_eq!(
+                bits(lane.final_state().as_slice()),
+                bits(full.final_state().as_slice()),
+                "{what}: state"
+            );
+            for param in Param::ALL {
+                assert_eq!(
+                    bits(lane.final_sensitivity(param).unwrap().as_slice()),
+                    bits(full.final_sensitivity(param).unwrap().as_slice()),
+                    "{what}: {param:?} sensitivity"
+                );
+            }
+            steps += full.stats().steps as u64;
+        }
+        let computed = collector.counter(shc_obs::Metric::TransientSteps);
+        assert_eq!(computed + reused, steps, "{what}: computed steps");
+
+        let evs = p.evaluate_with_jacobian_batch(lanes).unwrap();
+        let hs = p.evaluate_batch(lanes).unwrap();
+        for ((full, ev), h) in fulls.iter().zip(evs).zip(hs) {
+            let want = p.jacobian_evaluation(full).unwrap();
+            assert_eq!(ev.h.to_bits(), want.h.to_bits(), "{what}: h");
+            assert_eq!(ev.dh_dtau_s.to_bits(), want.dh_dtau_s.to_bits(), "{what}");
+            assert_eq!(ev.dh_dtau_h.to_bits(), want.dh_dtau_h.to_bits(), "{what}");
+            assert_eq!(ev.stats, want.stats, "{what}: stats");
+            assert_eq!(h.to_bits(), want.h.to_bits(), "{what}: batched h");
+        }
+    }
+
+    /// Ladder-backed evaluations must reproduce full runs bit for bit,
+    /// scalar and batched: every point of a 40-point trace, the seed
+    /// bracket ends, a surface-grid chunk, and a point whose data ramp
+    /// starts exactly on a checkpoint's step endpoint (so the strict
+    /// `reach < h` must pass over that checkpoint).
     #[test]
     fn resumed_evaluations_are_bitwise_identical_to_full_runs() {
         use shc_cells::{c2mos_register_with, C2MOS_CLKB_SKEW};
@@ -912,9 +1006,8 @@ mod tests {
         ] {
             let p = CharacterizationProblem::builder(register).build().unwrap();
             let reference = p.reference_params();
-            let mut points: Vec<Params> = p
-                .trace_contour(40)
-                .unwrap()
+            let contour = p.trace_contour(40).unwrap();
+            let mut points: Vec<Params> = contour
                 .points()
                 .iter()
                 .map(|q| Params::new(q.tau_s, q.tau_h))
@@ -970,6 +1063,25 @@ mod tests {
                 "checkpoint {j} touches the horizon yet {reused} steps were reused"
             );
             assert_resumed_matches_full(&p, &at);
+
+            // The batched entries, in 16-lane chunks: the trace and the
+            // bracket ends, a surface-grid chunk, and the endpoint lane
+            // beside two traced ones.
+            let grid = crate::SurfaceOptions::around_contour(&contour, 4);
+            let lin = |(a, b): (f64, f64), k: usize| a + (b - a) * k as f64 / 3.0;
+            let cells: Vec<Params> = (0..16)
+                .map(|k| Params::new(lin(grid.tau_s_range, k / 4), lin(grid.tau_h_range, k % 4)))
+                .collect();
+            let mut batches: Vec<&[Params]> = points.chunks(16).collect();
+            let with_endpoint = [points[0], at, points[39]];
+            batches.extend([&cells[..], &with_endpoint[..]]);
+            for lanes in batches {
+                assert_batch_matches_full(&p, &times, lanes);
+            }
+            assert_eq!(rung_steps(&p, &times, &at), ((j - 1) * STRIDE) as u64);
+            let mut rungs: Vec<u64> = points.iter().map(|at| rung_steps(&p, &times, at)).collect();
+            rungs.dedup();
+            assert!(rungs.len() > 1, "lanes adopt different rungs: {rungs:?}");
         }
     }
 }

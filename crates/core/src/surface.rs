@@ -433,11 +433,12 @@ mod tests {
             let _prof = shc_prof::install_scoped(&profiler);
             generate(&batched, &grid).unwrap()
         };
-        // Three lockstep batches, each with one trunk DC solve in place of
-        // one per lane: the batched engine and its trunk really ran.
+        // Three lockstep batches plus the prefix ladder's reference run,
+        // whose DC solve is the only one: every lane resumed from the
+        // ladder, so the batched engine and the ladder really ran.
         let frames = profiler.report("batched");
-        for phase in ["transient", "dc_op"] {
-            assert_eq!(frames.phase(phase).map(|p| p.count), Some(3), "{phase}");
+        for (phase, count) in [("transient", 4), ("dc_op", 1)] {
+            assert_eq!(frames.phase(phase).map(|p| p.count), Some(count), "{phase}");
         }
         assert_eq!(s.simulations(), 36);
         assert_eq!(b.simulations(), 36);

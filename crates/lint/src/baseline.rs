@@ -337,7 +337,7 @@ mod tests {
         let rebuilt = Baseline::from_findings(&[
             finding("soa-index-discipline", "e.rs", 3),
             finding("trunk-divergence-fence", "e.rs", 9)
-                .with_api("Engine::adopt_trunk".into())
+                .with_api("Rungs::adopt".into())
                 .with_effect("lane-divergent"),
         ]);
         assert_eq!(rebuilt.version, 4);
@@ -346,8 +346,9 @@ mod tests {
         assert!(rendered.contains("\"effect\": \"lane-divergent\""));
         // The diff printer labels the new rules like any other group.
         let diff = rebuilt.diff_against(&b);
-        assert!(diff.iter().any(|l| l
-            .contains("+ [trunk-divergence-fence] e.rs Engine::adopt_trunk (lane-divergent) = 1")));
+        assert!(diff.iter().any(
+            |l| l.contains("+ [trunk-divergence-fence] e.rs Rungs::adopt (lane-divergent) = 1")
+        ));
     }
 
     #[test]

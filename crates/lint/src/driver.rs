@@ -476,19 +476,19 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "trunk-divergence-fence" => {
             "trunk-divergence-fence (ratcheted per root and effect)\n\
-             Why: the agreement-horizon trunk (DESIGN.md S13.3) may adopt a\n\
-             simulated prefix for all lanes only because every computation in\n\
-             that prefix is lane-invariant. A new `lane-divergent` effect kind\n\
+             Why: a run may adopt a prefix-ladder checkpoint (DESIGN.md S13.3)\n\
+             computed at other skews only because every computation below the\n\
+             agreement horizon is skew-invariant. A `lane-divergent` effect kind\n\
              seeds at readers of per-lane skew state (Waveform data-pulse\n\
              params tau_s/tau_h, per-lane SoA descriptor vectors) and\n\
              propagates over the SCC-condensed call graph; every\n\
-             `// lint: trunk-fence` root (the adopt_trunk upstream closure)\n\
-             must be unreachable from any seed. This turns the S13 soundness\n\
+             `// lint: trunk-fence` root (the ladder's Rungs::adopt) must be\n\
+             unreachable from any seed. This turns the S13 soundness\n\
              argument into a ratcheted CI certificate: findings render the\n\
              shortest call chain from the fence root to the divergent read.\n\
-             Escape hatch: keep per-lane state out of the trunk prefix, or\n\
+             Escape hatch: keep skew reads out of the adopted checkpoint, or\n\
              `// lint: allow(trunk-divergence-fence, reason = \"…\")` on the\n\
-             fence root for a read proven lane-invariant by construction."
+             fence root for a read proven skew-invariant by construction."
         }
         "lint-annotation" => {
             "lint-annotation (hard error)\n\

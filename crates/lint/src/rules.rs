@@ -194,8 +194,8 @@ struct FileCtx<'a> {
     /// below to the kernel write discipline of `mask-coverage`.
     soa_kernels: Vec<u32>,
     /// Lines of `// lint: trunk-fence` markers; each declares the next fn
-    /// below a trunk prefix entry point that `trunk-divergence-fence`
-    /// must prove unreachable-from-divergent.
+    /// below a prefix-adoption root that `trunk-divergence-fence` must
+    /// prove unreachable-from-divergent.
     trunk_fences: Vec<u32>,
     /// Inclusive line ranges of `#[cfg(test)] mod … { … }` bodies.
     tests: Vec<(u32, u32)>,
@@ -2510,10 +2510,11 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
 
     // --- trunk-divergence-fence ---------------------------------------
     // DESIGN.md §13's soundness argument, as a machine-checked
-    // certificate: the agreement-horizon trunk prefix may only be
-    // adopted because every lane computed identical values there, so a
-    // fence root must be unreachable from any reader of per-lane skew
-    // state (`lane-divergent` seeds, propagated over the call graph).
+    // certificate: a prefix-ladder checkpoint may only be adopted because
+    // a run at other skews computed identical values below its agreement
+    // horizon, so a fence root must be unreachable from any reader of
+    // per-lane skew state (`lane-divergent` seeds, propagated over the
+    // call graph).
     for &root in &fence_roots {
         let d = &table.defs[root];
         let ctx = &by_path[d.file].ctx;
@@ -2524,7 +2525,7 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
                 "trunk-divergence-fence",
                 d.line,
                 format!(
-                    "trunk prefix root `{}` can transitively {} — the adopted trunk would no longer be lane-invariant (DESIGN.md §13.3): {chain}",
+                    "prefix root `{}` can transitively {} — the adopted prefix would no longer be skew-invariant (DESIGN.md §13.3): {chain}",
                     d.qualified_name(),
                     EffectKind::LaneDivergent.verb()
                 ),

@@ -833,58 +833,6 @@ impl SoaCircuit {
         self.devices.len()
     }
 
-    /// A time `t*` such that every lane of this batch provably computes
-    /// *bitwise-identical* device evaluations (values, stamps, and skew
-    /// derivatives) for all `t < t*` given per-lane skews `params` — the
-    /// *agreement horizon* the lockstep engine's shared-prefix trunk runs
-    /// under.
-    ///
-    /// Lanes whose non-source device values differ anywhere (Monte-Carlo
-    /// style batches) get `0.0`; lanes differing only through source
-    /// waveform timing get the earliest time any two lanes' waveforms
-    /// stop being identical functions ([`Waveform::agree_until`]). The
-    /// bound is conservative by construction: it may understate sharing,
-    /// never overstate it.
-    pub fn agreement_horizon(&self, params: &[Params]) -> f64 {
-        debug_assert_eq!(params.len(), self.lanes);
-        let all_eq = |v: &[f64]| v.iter().all(|x| x.to_bits() == v[0].to_bits());
-        let mut horizon = f64::INFINITY;
-        for device in &self.devices {
-            match device {
-                SoaDevice::Resistor { cond, .. } => {
-                    if !all_eq(cond) {
-                        return 0.0;
-                    }
-                }
-                SoaDevice::Capacitor { cap, .. } => {
-                    if !all_eq(cap) {
-                        return 0.0;
-                    }
-                }
-                SoaDevice::Mosfet(m) => {
-                    for field in [
-                        &m.vt0, &m.eps_c, &m.eps_s, &m.lambda, &m.beta, &m.cgs, &m.cgd, &m.cdb,
-                        &m.csb,
-                    ] {
-                        if !all_eq(field) {
-                            return 0.0;
-                        }
-                    }
-                }
-                SoaDevice::VoltageSource { waveforms, .. } => {
-                    for l in 1..waveforms.len() {
-                        horizon = horizon.min(waveforms[0].agree_until(
-                            &params[0],
-                            &waveforms[l],
-                            &params[l],
-                        ));
-                    }
-                }
-            }
-        }
-        horizon
-    }
-
     /// Assembles `q`, `f`, `C`, `G` for every lane at its `(x, t, params)`
     /// in one element-major pass.
     ///
@@ -1323,50 +1271,5 @@ mod tests {
         );
         assert!(SoaCircuit::merge(&[cb.clone(), cb]).is_some(), "self-merge");
         assert!(SoaCircuit::merge(&[]).is_none(), "empty batch");
-    }
-
-    #[test]
-    fn agreement_horizon_follows_the_data_pulse_bound() {
-        // The sweep shape: identical circuits, lanes differ only through
-        // their skew parameters entering via the data pulse.
-        let circuit = mixed_circuit();
-        let compiled = vec![CompiledCircuit::compile(&circuit).unwrap(); 3];
-        let soa = SoaCircuit::merge(&compiled).unwrap();
-
-        // Identical parameters: lanes are the same simulation forever.
-        let p0 = Params::new(1e-10, 2e-10);
-        assert_eq!(soa.agreement_horizon(&[p0, p0, p0]), f64::INFINITY);
-
-        // Skews differing only in τh: horizon is the data pulse's
-        // trailing-edge bound (t_edge + min τh − fall/2), and it covers
-        // most of the pulse (t_edge is 5 ns here).
-        let params = [p0, Params::new(1e-10, 2.5e-10), Params::new(1e-10, 3e-10)];
-        let d = DataPulse {
-            v_rest: 0.0,
-            v_active: 2.5,
-            t_edge: 5e-9,
-            rise: 0.5e-9,
-            fall: 0.5e-9,
-            shape: RampShape::Smoothstep,
-        };
-        let expect = d
-            .agree_until(&params[0], &params[1])
-            .min(d.agree_until(&params[0], &params[2]));
-        let horizon = soa.agreement_horizon(&params);
-        assert_eq!(horizon, expect);
-        assert!(horizon > 4e-9, "fast-edge sweeps share most of the run");
-    }
-
-    #[test]
-    fn agreement_horizon_is_zero_for_differing_devices() {
-        // Same topology, different device values (a Monte-Carlo batch):
-        // the prefix is not shared even when the skews match.
-        let compiled: Vec<CompiledCircuit> = [1.0, 1.1]
-            .iter()
-            .map(|&k| CompiledCircuit::compile(&mixed_circuit_scaled(k)).unwrap())
-            .collect();
-        let soa = SoaCircuit::merge(&compiled).unwrap();
-        let p = Params::new(1e-10, 2e-10);
-        assert_eq!(soa.agreement_horizon(&[p, p]), 0.0);
     }
 }

@@ -36,8 +36,8 @@ use crate::circuit::Circuit;
 use crate::dcop;
 use crate::newton::{self, NewtonOptions};
 use crate::transient::{
-    TransientOptions, TransientResult, TransientStats, DT_FLOOR_SLACK, NEWTON_FAULT_RETRIES,
-    NEWTON_FLOOR_RETRIES, TSTOP_ENDPOINT_SLACK,
+    PrefixLadder, Start, TransientAnalysis, TransientOptions, TransientResult, TransientStats,
+    DT_FLOOR_SLACK, NEWTON_FAULT_RETRIES, NEWTON_FLOOR_RETRIES, TSTOP_ENDPOINT_SLACK,
 };
 use crate::waveform::Params;
 use crate::{Result, SpiceError};
@@ -118,6 +118,8 @@ struct LaneState {
     dt: f64,
     status: LaneStatus,
     stats: TransientStats,
+    /// The share of `stats` adopted from a ladder rung, not computed here.
+    reused: TransientStats,
     times: Vec<f64>,
     /// This round's step attempt.
     stepping: bool,
@@ -448,7 +450,8 @@ fn injected_run_fault(opts: &TransientOptions) -> Option<SpiceError> {
     })
 }
 
-/// Runs every lane to its stop time in lockstep.
+/// Runs every lane to its stop time in lockstep, each from its DC
+/// operating point.
 ///
 /// Returns one `Result` per lane, in lane order: `Ok` with a final-only
 /// [`TransientResult`] bitwise identical to the scalar path, or the typed
@@ -469,6 +472,30 @@ fn injected_run_fault(opts: &TransientOptions) -> Option<SpiceError> {
 pub fn run_lockstep(
     lanes: &[BatchLane<'_>],
     opts: &TransientOptions,
+) -> Result<Vec<Result<TransientResult>>> {
+    run_lockstep_with_ladder(lanes, opts, None)
+}
+
+/// [`run_lockstep`], with every lane that may resuming from `ladder`, as
+/// [`TransientAnalysis::with_ladder`] resumes a scalar run: each lane
+/// adopts the latest checkpoint whose `reach` lies strictly below its own
+/// agreement horizon against the reference skews, and steps on from its
+/// own `t`. The ladder serves `lanes[0].circuit`; a lane of another
+/// circuit (by address) or stop time starts from DC, as every lane does
+/// under a fault injector. Results stay bitwise identical to runs from
+/// the DC start, and telemetry counts only the steps the batch computed;
+/// the adopted prefixes are counted apart (`PrefixResumes`,
+/// `PrefixStepsReused`). The first lane that may resume builds an unbuilt
+/// ladder, a calibration run inside the batch's span.
+///
+/// # Errors
+///
+/// As [`run_lockstep`].
+// lint: allow(panic-reachability, reason = "run_lockstep's own entry: it runs the same engine, reaches no panic site run_lockstep does not, and run_lockstep now delegates here")
+pub fn run_lockstep_with_ladder(
+    lanes: &[BatchLane<'_>],
+    opts: &TransientOptions,
+    ladder: Option<(&PrefixLadder, Params)>,
 ) -> Result<Vec<Result<TransientResult>>> {
     if lanes.is_empty() {
         return Ok(Vec::new());
@@ -502,18 +529,46 @@ pub fn run_lockstep(
         };
         compiled.push(lowered);
     }
-    let Some(soa) = SoaCircuit::merge(&compiled) else {
+    // Each lane's start by the scalar rule, resolved as `Engine::init`
+    // reaches the lane, so one adopted checkpoint is held at a time.
+    let resume = ladder.map(|(ladder, reference)| {
+        TransientAnalysis::new(lanes[0].circuit, opts.clone()).with_ladder(ladder, reference)
+    });
+    let start = |lane: &BatchLane<'_>| {
+        let analysis = resume.as_ref()?;
+        let own = std::ptr::eq(lane.circuit, lanes[0].circuit)
+            && lane.tstop.to_bits() == opts.tstop.to_bits();
+        own.then(|| analysis.resume_point(&lane.params)).flatten()
+    };
+    Ok(run_compiled(lanes, &compiled, opts, &start))
+}
+
+/// Runs validated, compiled lanes, each from `start(lane)` (`None`: DC).
+fn run_compiled(
+    lanes: &[BatchLane<'_>],
+    compiled: &[CompiledCircuit],
+    opts: &TransientOptions,
+    start: &dyn Fn(&BatchLane<'_>) -> Option<Start>,
+) -> Vec<Result<TransientResult>> {
+    let Some(soa) = SoaCircuit::merge(compiled) else {
         // Structurally mismatched lanes (same dimension, different
         // topology): split into per-lane singleton batches. A single lane
         // always merges with itself, and one-lane element-major layout is
         // exactly the scalar layout, so per-lane results are bitwise
         // unchanged; only the lockstep sharing (and the one-span-per-batch
         // telemetry grouping) is lost.
-        let mut results = Vec::with_capacity(lanes.len());
-        for lane in lanes {
-            results.extend(run_lockstep(std::slice::from_ref(lane), opts)?);
-        }
-        return Ok(results);
+        return lanes
+            .iter()
+            .zip(compiled)
+            .flat_map(|(lane, c)| {
+                run_compiled(
+                    std::slice::from_ref(lane),
+                    std::slice::from_ref(c),
+                    opts,
+                    start,
+                )
+            })
+            .collect();
     };
 
     // One span + frame + run count per batch; the lap accumulators flush
@@ -528,47 +583,11 @@ pub fn run_lockstep(
         iter: &lap_iter,
     };
 
-    // Shared-prefix trunk: characterization sweeps vary only source
-    // timing, so every lane's inputs — device values, waveforms, and skew
-    // derivatives — are often provably bitwise identical up to an
-    // *agreement horizon* (the earliest time any two lanes' waveforms
-    // stop being the same function). On that prefix all lanes perform the
-    // identical computation; running it once on a single-lane engine and
-    // broadcasting the state is therefore bitwise-exact and skips
-    // `b − 1` redundant DC solves and prefix transients. Fault-injection
-    // campaigns skip the trunk: sharing would collapse the documented
-    // per-lane draw cadence. Lanes with different stop times keep their
-    // own step schedules, so they forgo the trunk too.
-    let horizon = if lanes.len() >= 2
-        && !shc_fault::enabled()
-        && lanes
-            .iter()
-            .all(|lane| lane.tstop.to_bits() == lanes[0].tstop.to_bits())
-    {
-        let params_v: Vec<Params> = lanes.iter().map(|lane| lane.params).collect();
-        soa.agreement_horizon(&params_v)
-    } else {
-        0.0
-    };
-
     let mut engine = Engine::new(lanes, soa, opts);
-    // A single lane always merges with itself; were it not to, the batch
-    // would simply run without a trunk.
-    let trunk_soa = (horizon > 0.0)
-        .then(|| SoaCircuit::merge(&compiled[..1]))
-        .flatten();
-    if let Some(trunk_soa) = trunk_soa {
-        let mut trunk = Engine::new(&lanes[..1], trunk_soa, opts);
-        trunk.t_limit = horizon;
-        trunk.init(&lanes[..1]);
-        trunk.run(&lap_step, &lap_iter);
-        engine.adopt_trunk(trunk);
-    } else {
-        engine.init(lanes);
-    }
+    engine.init(lanes, start);
     engine.run(&lap_step, &lap_iter);
     engine.flush_observations();
-    Ok(engine.into_results())
+    engine.into_results()
 }
 
 /// The SoA state of one batch. All numeric buffers are flat `Vec<f64>`
@@ -588,11 +607,6 @@ struct Engine<'e> {
     n: usize,
     n_sens: usize,
     b: usize,
-    /// Hard stepping ceiling: a lane only attempts a step whose endpoint
-    /// is strictly below this. The shared-prefix trunk runs with the
-    /// batch's agreement horizon here; a full run uses `+∞`. Pausing at
-    /// the ceiling never alters the arithmetic of the steps taken.
-    t_limit: f64,
     opts: &'e TransientOptions,
     soa: SoaCircuit,
     lanes: Vec<LaneState>,
@@ -666,6 +680,7 @@ impl<'e> Engine<'e> {
                     dt,
                     status: LaneStatus::Active,
                     stats: TransientStats::default(),
+                    reused: TransientStats::default(),
                     times: Vec::with_capacity(cap),
                     stepping: false,
                     t_new: 0.0,
@@ -681,7 +696,6 @@ impl<'e> Engine<'e> {
             n,
             n_sens,
             b,
-            t_limit: f64::INFINITY,
             opts,
             soa,
             lanes: lane_states,
@@ -717,25 +731,48 @@ impl<'e> Engine<'e> {
         lane.stepping = false;
     }
 
-    /// Per-lane setup — run-site fault draws and scalar DC operating
-    /// points in lane order (preserving the scalar per-run draw cadence)
-    /// — then one SoA assembly for the `t = 0` history stamps (`q_prev`,
-    /// `c_prev`). Assembly draws nothing, so batching it after the
-    /// per-lane loop leaves the cadence untouched.
-    fn init(&mut self, input: &[BatchLane<'_>]) {
+    /// Per-lane starts in lane order — the run-site fault draw, then the
+    /// adopted ladder rung or a scalar DC operating point (preserving the
+    /// scalar per-run draw cadence) — then one SoA assembly of the history
+    /// stamps (`q_prev`, `c_prev`) at each lane's own start time, as the
+    /// scalar run stamps them at its start. Assembly draws nothing, so
+    /// batching it after the per-lane loop leaves the cadence untouched.
+    fn init(&mut self, input: &[BatchLane<'_>], start: &dyn Fn(&BatchLane<'_>) -> Option<Start>) {
         let n = self.n;
         let b = self.b;
-        for (l, lane_in) in input.iter().enumerate().take(self.lanes.len()) {
+        for (l, lane_in) in input.iter().enumerate() {
             if let Some(e) = injected_run_fault(self.opts) {
                 self.fail(l, e);
                 continue;
             }
-            let x0 = match dcop::solve_dc(lane_in.circuit, &lane_in.params, &self.opts.dc) {
-                Ok(dc) => dc.x,
-                Err(e) => {
-                    self.fail(l, e);
-                    continue;
+            let x0 = match start(lane_in) {
+                Some(start) => {
+                    let reused = start.mark.stats;
+                    shc_obs::count(shc_obs::Metric::PrefixResumes, 1);
+                    shc_obs::count(shc_obs::Metric::PrefixStepsReused, reused.steps as u64);
+                    for (k, mk) in start.sens.iter().enumerate() {
+                        for (i, v) in mk.as_slice().iter().enumerate() {
+                            self.m[soa_idx(k * n + i, l, b)] = *v;
+                        }
+                    }
+                    let lane = &mut self.lanes[l];
+                    lane.t_prev = start.mark.t;
+                    lane.dt = start.mark.dt;
+                    lane.stats = reused;
+                    lane.reused = reused;
+                    lane.times.extend_from_slice(&start.times);
+                    start.x
                 }
+                None => match dcop::solve_dc(lane_in.circuit, &lane_in.params, &self.opts.dc) {
+                    Ok(dc) => {
+                        self.lanes[l].times.push(0.0);
+                        dc.x
+                    }
+                    Err(e) => {
+                        self.fail(l, e);
+                        continue;
+                    }
+                },
             };
             for (i, v) in x0.as_slice().iter().enumerate() {
                 self.x_prev[soa_idx(i, l, b)] = *v;
@@ -743,6 +780,7 @@ impl<'e> Engine<'e> {
         }
         {
             let Engine {
+                lanes,
                 soa,
                 x,
                 x_prev,
@@ -755,55 +793,14 @@ impl<'e> Engine<'e> {
                 ..
             } = self;
             x[..n * b].copy_from_slice(x_prev);
-            t_v.fill(0.0);
+            for (t, lane) in t_v.iter_mut().zip(lanes.iter()) {
+                *t = lane.t_prev;
+            }
             soa.assemble_all(x, t_v, params_v, q, f, c, g);
         }
         self.q_prev.copy_from_slice(&self.q[..n * b]);
         let nn_b = self.c_prev.len();
         self.c_prev.copy_from_slice(&self.c[..nn_b]);
-        for lane in self.lanes.iter_mut() {
-            if matches!(lane.status, LaneStatus::Active) {
-                lane.times.push(0.0);
-            }
-        }
-    }
-
-    // lint: trunk-fence
-    /// Adopts a finished single-lane *trunk* engine's state into every
-    /// lane of this batch, replacing [`Engine::init`].
-    ///
-    /// The trunk ran lane 0's simulation over the prefix on which every
-    /// lane's inputs are provably bitwise identical (the agreement
-    /// horizon), so each lane's state after that prefix *is* the trunk's
-    /// state: histories, sensitivities, statistics, and accepted times
-    /// are broadcast verbatim. A trunk that finished (`Done`) or retired
-    /// (`Failed`) determines every lane's outcome the same way, because
-    /// each lane's scalar run would have performed the identical
-    /// computation.
-    fn adopt_trunk(&mut self, trunk: Engine<'_>) {
-        debug_assert_eq!(trunk.b, 1);
-        debug_assert_eq!(trunk.n, self.n);
-        // A one-lane element-major block is the plain vector, so each
-        // trunk element fills one `b`-wide row.
-        let b = self.b;
-        for (dst, src) in [
-            (&mut self.x_prev, &trunk.x_prev),
-            (&mut self.q_prev, &trunk.q_prev),
-            (&mut self.c_prev, &trunk.c_prev),
-            (&mut self.m, &trunk.m),
-        ] {
-            for (row, v) in dst.chunks_exact_mut(b).zip(src.iter()) {
-                row.fill(*v);
-            }
-        }
-        let src = &trunk.lanes[0];
-        for lane in self.lanes.iter_mut() {
-            lane.t_prev = src.t_prev;
-            lane.dt = src.dt;
-            lane.status = src.status.clone();
-            lane.stats = src.stats;
-            lane.times = src.times.clone();
-        }
     }
 
     /// Arms lane `l` for a Newton solve: entry fault draw, then the
@@ -1344,7 +1341,6 @@ impl<'e> Engine<'e> {
     /// until all lanes are done or retired.
     fn run(&mut self, lap_step: &shc_prof::Laps, lap_iter: &shc_prof::Laps) {
         let nopts = self.opts.newton;
-        let t_limit = self.t_limit;
         loop {
             let mut any = false;
             for lane in self.lanes.iter_mut() {
@@ -1354,18 +1350,10 @@ impl<'e> Engine<'e> {
                 }
                 if lane.t_prev < lane.tstop - TSTOP_ENDPOINT_SLACK * lane.tstop.max(1.0) {
                     let t_new = (lane.t_prev + lane.dt).min(lane.tstop);
-                    // Strictly below the ceiling: at exactly `t_limit` a
-                    // linear-ramp skew derivative may already differ
-                    // across lanes, so the trunk must not evaluate there.
-                    // A lane at the ceiling pauses (stays `Active`); with
-                    // the default `+∞` ceiling this branch is always
-                    // taken.
-                    if t_new < t_limit {
-                        lane.t_new = t_new;
-                        lane.dt_eff = t_new - lane.t_prev;
-                        lane.stepping = true;
-                        any = true;
-                    }
+                    lane.t_new = t_new;
+                    lane.dt_eff = t_new - lane.t_prev;
+                    lane.stepping = true;
+                    any = true;
                 } else {
                     lane.status = LaneStatus::Done;
                 }
@@ -1385,20 +1373,22 @@ impl<'e> Engine<'e> {
     }
 
     /// Per-lane work counters, flushed once at the end so distribution
-    /// metrics match `lanes` individual scalar runs.
+    /// metrics match `lanes` individual scalar runs. Like a resumed scalar
+    /// run, a lane counts only the work it computed, not its adopted rung's.
     fn flush_observations(&self) {
-        let total_steps: u64 = self.lanes.iter().map(|l| l.stats.steps as u64).sum();
-        shc_prof::add_work(total_steps);
+        let computed = |lane: &LaneState| (lane.stats.steps - lane.reused.steps) as u64;
+        shc_prof::add_work(self.lanes.iter().map(computed).sum());
         if shc_obs::enabled() {
             for lane in &self.lanes {
-                shc_obs::observe(shc_obs::Metric::TransientSteps, lane.stats.steps as u64);
+                let (stats, reused) = (lane.stats, lane.reused);
+                shc_obs::observe(shc_obs::Metric::TransientSteps, computed(lane));
                 shc_obs::observe(
                     shc_obs::Metric::NewtonIterations,
-                    lane.stats.newton_iterations as u64,
+                    (stats.newton_iterations - reused.newton_iterations) as u64,
                 );
                 shc_obs::observe(
                     shc_obs::Metric::LteRejections,
-                    lane.stats.rejected_steps as u64,
+                    (stats.rejected_steps - reused.rejected_steps) as u64,
                 );
             }
         }
@@ -1780,11 +1770,10 @@ mod tests {
     }
 
     #[test]
-    fn identical_lanes_share_the_whole_run_and_match_scalar() {
-        // Bitwise-equal skews give an unbounded agreement horizon: the
-        // trunk carries every lane to tstop and the wide engine only
-        // adopts the finished state. Results must still be bitwise equal
-        // to the scalar path, stats included.
+    fn identical_lanes_match_scalar() {
+        // Bitwise-equal skews: every lane performs the same computation,
+        // and each must still be bitwise equal to the scalar path, stats
+        // included.
         let circuit = inverter_circuit();
         let base = opts(12e-9, true);
         let params = Params::new(0.3e-9, 0.2e-9);
@@ -1979,7 +1968,8 @@ mod tests {
             .collect();
         let soa = SoaCircuit::merge(&compiled).expect("same topology merges");
         let mut engine = Engine::new(&lanes, soa, &base);
-        engine.init(&lanes); // DC solves allocate; that's setup, not stepping
+        // DC solves allocate; that's setup, not stepping.
+        engine.init(&lanes, &|_| None);
         let lap_step = shc_prof::Laps::step();
         let lap_iter = shc_prof::Laps::iter();
         let before = shc_linalg::matrix_allocations();

@@ -20,6 +20,11 @@
 //!   failures are tracked per lane; a diverging lane retires (with the
 //!   same typed error the scalar path would produce) without stalling the
 //!   remaining lanes.
+//! - **Prefix reuse** ([`engine::run_lockstep_with_ladder`]): each lane
+//!   may resume from its own checkpoint of a
+//!   [`crate::transient::PrefixLadder`], chosen by the rule scalar runs
+//!   use, and steps on from its own time; [`run_lockstep`] runs every
+//!   lane from its DC operating point.
 //!
 //! The batched path is **bitwise identical** to the scalar
 //! [`crate::transient::TransientAnalysis`] on its supported envelope
@@ -37,16 +42,16 @@
 //! checked accessor, masked kernels (`// lint: soa-kernel`) may only
 //! write shared state rows under a lane-mask guard or select, the
 //! `multiversioned!`/`lane_dispatch!` SIMD clones are proven
-//! token-identical to the portable baseline, and the agreement-horizon
-//! trunk adoption (`// lint: trunk-fence`) is certified unreachable
-//! from any per-lane skew read. Each certificate has a
+//! token-identical to the portable baseline, and the ladder checkpoint
+//! adoption lanes resume through (`// lint: trunk-fence`) is certified
+//! unreachable from any skew read. Each certificate has a
 //! rehearsed-to-fail CI canary.
 
 pub mod compile;
 pub mod engine;
 
 pub use compile::{CompiledCircuit, DeviceSpec, SoaCircuit};
-pub use engine::{run_lockstep, BatchLane};
+pub use engine::{run_lockstep, run_lockstep_with_ladder, BatchLane};
 
 use serde::{Deserialize, Serialize};
 

@@ -153,8 +153,7 @@ impl Circuit {
     }
 
     /// A time `t*` such that every device stamps bitwise-identical values
-    /// and skew derivatives under skews `pa` and `pb` for all `t < t*`: the
-    /// scalar twin of [`crate::batch::SoaCircuit::agreement_horizon`],
+    /// and skew derivatives under skews `pa` and `pb` for all `t < t*`,
     /// built on [`crate::Waveform::agree_until`]. Only voltage-source
     /// waveforms read the skews; a device outside the batched envelope
     /// ([`Device::batch_spec`] is `None`) claims nothing (`0.0`).
@@ -163,7 +162,7 @@ impl Circuit {
         for device in &self.devices {
             match device.batch_spec() {
                 Some(crate::batch::DeviceSpec::VoltageSource { waveform, .. }) => {
-                    horizon = horizon.min(waveform.agree_until(pa, &waveform, pb));
+                    horizon = horizon.min(waveform.agree_until(pa, pb));
                 }
                 Some(_) => {}
                 None => return 0.0,
@@ -522,5 +521,57 @@ mod tests {
         let g = Matrix::identity(2).scale(3.0);
         let j = Circuit::combine_jacobian(&c, &g, 10.0).unwrap();
         assert_eq!(j[(0, 0)], 13.0);
+    }
+
+    #[test]
+    fn agreement_horizon_follows_the_data_pulse_bound() {
+        use crate::devices::{Diode, DiodeParams};
+        use crate::waveform::{DataPulse, RampShape};
+        let d = DataPulse {
+            v_rest: 0.0,
+            v_active: 2.5,
+            t_edge: 5e-9,
+            rise: 0.5e-9,
+            fall: 0.5e-9,
+            shape: RampShape::Smoothstep,
+        };
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let din = c.node("d");
+        let out = c.node("out");
+        c.add(VoltageSource::new(
+            "Vdd",
+            vdd,
+            Circuit::GROUND,
+            Waveform::dc(2.5),
+        ));
+        c.add(VoltageSource::new(
+            "Vd",
+            din,
+            Circuit::GROUND,
+            Waveform::Data(d),
+        ));
+        c.add(Resistor::new("R1", din, out, 1e3));
+        c.add(Capacitor::new("C1", out, Circuit::GROUND, 1e-12));
+
+        // Identical skews: the same simulation forever.
+        let p0 = Params::new(1e-10, 2e-10);
+        assert_eq!(c.agreement_horizon(&p0, &p0), f64::INFINITY);
+
+        // Skews differing only in τh: the data pulse's trailing-edge bound
+        // (t_edge + min τh − fall/2), which covers most of the pulse.
+        let p1 = Params::new(1e-10, 2.5e-10);
+        let horizon = c.agreement_horizon(&p0, &p1);
+        assert_eq!(horizon, d.agree_until(&p0, &p1));
+        assert!(horizon > 4e-9, "{horizon:e}");
+
+        // A device outside the batched envelope claims nothing.
+        c.add(Diode::new(
+            "D1",
+            out,
+            Circuit::GROUND,
+            DiodeParams::default(),
+        ));
+        assert_eq!(c.agreement_horizon(&p0, &p0), 0.0);
     }
 }

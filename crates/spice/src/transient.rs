@@ -466,13 +466,13 @@ pub enum CrossingDirection {
 /// The scalars of the stepping loop's carried state after an accepted
 /// step (or at the DC start, step 0).
 #[derive(Debug, Clone, Copy)]
-struct Mark {
+pub(crate) struct Mark {
     /// Accepted steps so far; also the index of `t` in the run's times.
     step: usize,
-    t: f64,
+    pub(crate) t: f64,
     /// The step size the next attempt will use.
-    dt: f64,
-    stats: TransientStats,
+    pub(crate) dt: f64,
+    pub(crate) stats: TransientStats,
     /// Latest time any assembly touched up to this step, rejected Newton
     /// attempts included. Never below `t`.
     reach: f64,
@@ -480,12 +480,12 @@ struct Mark {
 
 /// Where a run starts stepping: the carried state, copied bit for bit,
 /// and the accepted times up to and including it.
-struct Start {
-    mark: Mark,
-    x: Vector,
+pub(crate) struct Start {
+    pub(crate) mark: Mark,
+    pub(crate) x: Vector,
     /// One per parameter of the run's options.
-    sens: Vec<Vector>,
-    times: Vec<f64>,
+    pub(crate) sens: Vec<Vector>,
+    pub(crate) times: Vec<f64>,
 }
 
 /// Checkpoints of a ladder's reference run, stored flat: `states` holds
@@ -697,7 +697,8 @@ impl<'a> TransientAnalysis<'a> {
 
     /// The checkpoint a run at `params` resumes from, building the ladder
     /// first if this is its first eligible run.
-    fn resume_point(&self, params: &Params) -> Option<Start> {
+    // lint: allow(panic-reachability, reason = "crate-private: outside shc-spice it is reached only through the baselined TransientAnalysis::run and through run_lockstep_with_ladder")
+    pub(crate) fn resume_point(&self, params: &Params) -> Option<Start> {
         let (ladder, reference) = self.ladder?;
         if !self.prefix_resumable() {
             return None;
@@ -1961,13 +1962,14 @@ mod tests {
     /// A Newton dt-cut inside the prefix leaves a checkpoint whose `reach`
     /// (the rejected attempt's endpoint) lies past its own `t`. A run whose
     /// data ramp starts between the two must not adopt that checkpoint,
-    /// only the one before it, and must reproduce the full run bit for bit.
+    /// only the one before it, and must reproduce the full run bit for bit,
+    /// scalar or as a lane of a batch.
     #[test]
     fn checkpoint_past_a_dt_cut_is_excluded_by_its_reach() {
         let (c, opts) = clocked_rc();
         let ladder = PrefixLadder::default();
         let analysis = TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());
-        let full_analysis = TransientAnalysis::new(&c, opts);
+        let full_analysis = TransientAnalysis::new(&c, opts.clone());
         assert!(analysis.prefix_resumable());
         analysis.run(&quiescent()).unwrap();
         let marks = &rungs(&ladder).marks;
@@ -1985,6 +1987,34 @@ mod tests {
         assert!(past.t < horizon && horizon < past.reach, "{horizon:e}");
 
         let full = full_analysis.run(&at).unwrap();
+
+        // The batched entry resumes the same lanes the same way: `at` from
+        // the checkpoint before the cut, the reference skews from the last.
+        let last = marks.last().unwrap();
+        let full_q = full_analysis.run(&quiescent()).unwrap();
+        let lanes = [at, quiescent()].map(|params| crate::batch::BatchLane {
+            circuit: &c,
+            params,
+            tstop: opts.tstop,
+        });
+        let collector = shc_obs::Collector::new();
+        let batched = {
+            let _guard = shc_obs::install_scoped(&collector);
+            crate::batch::run_lockstep_with_ladder(&lanes, &opts, Some((&ladder, quiescent())))
+                .unwrap()
+        };
+        assert_bitwise_eq(batched[0].as_ref().unwrap(), &full);
+        assert_bitwise_eq(batched[1].as_ref().unwrap(), &full_q);
+        assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 2);
+        assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 2);
+        assert_eq!(
+            collector.counter(shc_obs::Metric::PrefixStepsReused),
+            (before.step + last.step) as u64
+        );
+        assert_eq!(
+            collector.counter(shc_obs::Metric::TransientSteps),
+            (full.stats().steps - before.step + full_q.stats().steps - last.step) as u64
+        );
         let collector = shc_obs::Collector::new();
         let resumed = {
             let _guard = shc_obs::install_scoped(&collector);

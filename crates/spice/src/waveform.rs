@@ -348,54 +348,17 @@ impl Waveform {
         matches!(self, Waveform::Data(_))
     }
 
-    /// A time `t*` such that `self.value(t, pa)` / `.derivative(t, pa, ·)`
-    /// and `other.value(t, pb)` / `.derivative(t, pb, ·)` are bitwise
-    /// identical for every `t < t*` — the *agreement horizon* the lockstep
-    /// batched engine uses to run provably identical lane prefixes once.
-    ///
-    /// The bound is conservative: skew-independent variants agree forever
-    /// when their representations match bitwise and are claimed disjoint
-    /// (`0.0`) otherwise; only [`Waveform::Data`] gets the analytic
-    /// edge-position bound of [`DataPulse::agree_until`]. Mismatched
-    /// variants (and any future variant) claim nothing.
-    pub fn agree_until(&self, pa: &Params, other: &Waveform, pb: &Params) -> f64 {
-        let bits_eq = |a: &[f64], b: &[f64]| {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        match (self, other) {
-            (Waveform::Dc(a), Waveform::Dc(b)) if a.to_bits() == b.to_bits() => f64::INFINITY,
-            (Waveform::Pulse(a), Waveform::Pulse(b)) => {
-                let fa = [a.v0, a.v1, a.delay, a.rise, a.fall, a.width, a.period];
-                let fb = [b.v0, b.v1, b.delay, b.rise, b.fall, b.width, b.period];
-                if a.shape == b.shape && bits_eq(&fa, &fb) {
-                    f64::INFINITY
-                } else {
-                    0.0
-                }
-            }
-            (Waveform::Pwl(a), Waveform::Pwl(b)) => {
-                let flat = |p: &[(f64, f64)]| -> Vec<f64> {
-                    p.iter().flat_map(|&(t, v)| [t, v]).collect()
-                };
-                if bits_eq(&flat(a), &flat(b)) {
-                    f64::INFINITY
-                } else {
-                    0.0
-                }
-            }
-            (Waveform::Data(a), Waveform::Data(b)) => {
-                let fa = [a.v_rest, a.v_active, a.t_edge, a.rise, a.fall];
-                let fb = [b.v_rest, b.v_active, b.t_edge, b.rise, b.fall];
-                if a.shape == b.shape && bits_eq(&fa, &fb) {
-                    a.agree_until(pa, pb)
-                } else {
-                    0.0
-                }
-            }
-            _ => 0.0,
+    /// A time `t*` such that `self.value(t, ·)` and `.derivative(t, ·, ·)`
+    /// are bitwise identical under skews `pa` and `pb` for every `t < t*`
+    /// — the *agreement horizon* below which a run at `pb` may adopt a
+    /// run at `pa`'s prefix. Only [`Waveform::Data`] reads the skews, with
+    /// the analytic edge-position bound of [`DataPulse::agree_until`]; the
+    /// match is exhaustive so a new skew-dependent variant must state its
+    /// own bound.
+    pub fn agree_until(&self, pa: &Params, pb: &Params) -> f64 {
+        match self {
+            Waveform::Data(d) => d.agree_until(pa, pb),
+            Waveform::Dc(_) | Waveform::Pulse(_) | Waveform::Pwl(_) => f64::INFINITY,
         }
     }
 }
@@ -678,30 +641,33 @@ mod tests {
     }
 
     #[test]
-    fn waveform_agreement_requires_matching_variant_and_fields() {
+    fn waveform_agreement_is_the_data_pulse_bound() {
         let pa = Params::new(300e-12, 200e-12);
         let pb = Params::new(250e-12, 200e-12);
 
-        // Skew-independent variants: forever iff bitwise-equal.
-        let dc = Waveform::dc(2.5);
-        assert_eq!(dc.agree_until(&pa, &dc, &pb), f64::INFINITY);
-        assert_eq!(dc.agree_until(&pa, &Waveform::dc(2.4), &pb), 0.0);
+        // Skew-independent variants agree forever.
+        for w in [
+            Waveform::dc(2.5),
+            Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 2.5)]),
+            Waveform::Pulse(Pulse {
+                v0: 0.0,
+                v1: 2.5,
+                delay: 1e-9,
+                rise: 0.1e-9,
+                fall: 0.1e-9,
+                width: 1e-9,
+                period: 4e-9,
+                shape: RampShape::Linear,
+            }),
+        ] {
+            assert_eq!(w.agree_until(&pa, &pb), f64::INFINITY, "{w:?}");
+        }
 
-        let pwl = Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 2.5)]);
-        assert_eq!(pwl.agree_until(&pa, &pwl.clone(), &pb), f64::INFINITY);
-        let pwl2 = Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 2.4)]);
-        assert_eq!(pwl.agree_until(&pa, &pwl2, &pb), 0.0);
-
-        // Data pulses defer to the analytic bound when the shape fields
-        // match, and claim nothing when they differ.
+        // Data pulses defer to the analytic bound.
         let d = Waveform::Data(sample_pulse());
-        let expect = sample_pulse().agree_until(&pa, &pb);
-        assert_eq!(d.agree_until(&pa, &d, &pb), expect);
-        let mut other = sample_pulse();
-        other.v_active = 2.4;
-        assert_eq!(d.agree_until(&pa, &Waveform::Data(other), &pb), 0.0);
-
-        // Mismatched variants claim nothing.
-        assert_eq!(d.agree_until(&pa, &dc, &pb), 0.0);
+        assert_eq!(
+            d.agree_until(&pa, &pb),
+            sample_pulse().agree_until(&pa, &pb)
+        );
     }
 }
