@@ -14,7 +14,6 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use shc_cells::Register;
-use shc_spice::batch::{BatchPolicy, DEFAULT_LANES};
 use shc_spice::waveform::Params;
 
 use crate::mpnr::{self, MpnrOptions};
@@ -56,14 +55,6 @@ pub struct SweepOptions {
     /// concurrently.
     #[serde(skip)]
     pub parallelism: Parallelism,
-    /// Batched-engine policy for serial sweeps. When it may engage, the
-    /// serial sweep adopts the parallel path's warm-start shape — first
-    /// corner cold, every later corner polished from its first contour
-    /// point — so lane groups can share one lockstep transient per MPNR
-    /// iteration. [`BatchPolicy::Scalar`] keeps the corner-to-corner
-    /// chain.
-    #[serde(default)]
-    pub batch: BatchPolicy,
 }
 
 impl Default for SweepOptions {
@@ -74,7 +65,6 @@ impl Default for SweepOptions {
             seed: SeedOptions::default(),
             mpnr: MpnrOptions::default(),
             parallelism: Parallelism::default(),
-            batch: BatchPolicy::default(),
         }
     }
 }
@@ -86,12 +76,6 @@ impl Default for SweepOptions {
 /// policy, the first corner runs cold and the remaining corners run
 /// concurrently, each warm-started from the first corner's contour point;
 /// results are always returned in input order.
-///
-/// When [`SweepOptions::batch`] may engage (the default `Auto` with no
-/// fault injector, or `Batched`), serial sweeps adopt the parallel path's
-/// anchor warm-start shape and advance each lane group's MPNR polish
-/// through one lockstep batched transient per iteration — corner for
-/// corner identical to the same sweep under a parallel policy.
 ///
 /// `corners` yields `(label, register)` pairs — typically the same cell
 /// rebuilt with shifted [`shc_cells::Technology`] parameters.
@@ -127,17 +111,6 @@ pub fn sweep(
 ) -> Result<Vec<CornerResult>> {
     let _span = shc_obs::span(shc_obs::SpanKind::Corners);
     if opts.parallelism.is_serial() {
-        // Batched lockstep reorders problem building against solving, which
-        // would perturb fault-injection draw order; under an active injector
-        // the Auto policy keeps the scalar corner-to-corner chain.
-        let try_lockstep = match opts.batch {
-            BatchPolicy::Scalar => false,
-            BatchPolicy::Auto => !shc_fault::enabled(),
-            BatchPolicy::Batched => true,
-        };
-        if try_lockstep {
-            return sweep_serial_lockstep(corners, opts);
-        }
         let mut results = Vec::new();
         let mut previous_first: Option<Params> = None;
         for (label, register) in corners {
@@ -171,61 +144,6 @@ pub fn sweep(
             .expect("corner job ran twice");
         run_corner(label, register, opts, Some(anchor_params)).map(|(result, _)| result)
     })?);
-    Ok(results)
-}
-
-/// Serial sweep through the batched engine: the first corner runs cold and
-/// every later corner is warm-polished from its first contour point in
-/// lockstep lane groups — the parallel path's warm-start shape, so lane
-/// groups can share one batched transient per MPNR iteration. A lane whose
-/// polish fails falls back to cold seeding; contour tracing stays
-/// per-corner.
-fn sweep_serial_lockstep(
-    corners: impl IntoIterator<Item = (String, Register)>,
-    opts: &SweepOptions,
-) -> Result<Vec<CornerResult>> {
-    let mut rest = corners.into_iter();
-    let Some((label, register)) = rest.next() else {
-        return Ok(Vec::new());
-    };
-    let (anchor, anchor_params) = run_corner(label, register, opts, None)?;
-    let mut results = vec![anchor];
-    let mut remaining = rest.peekable();
-    while remaining.peek().is_some() {
-        let group: Vec<(String, Register)> = remaining.by_ref().take(DEFAULT_LANES).collect();
-        let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-        let mut labels = Vec::with_capacity(group.len());
-        let mut problems = Vec::with_capacity(group.len());
-        for (label, register) in group {
-            let problem = CharacterizationProblem::builder(register)
-                .batch(opts.batch)
-                .build()?;
-            problem.reset_simulation_count();
-            labels.push(label);
-            problems.push(problem);
-        }
-        let refs: Vec<&CharacterizationProblem> = problems.iter().collect();
-        let warm = mpnr::solve_batch(
-            &refs,
-            &vec![anchor_params; refs.len()],
-            &opts.mpnr,
-            opts.batch,
-        );
-        for ((label, problem), solved) in labels.into_iter().zip(&problems).zip(warm) {
-            let (first_point, warm_started) = match solved {
-                Ok(polished) => (polished, true),
-                Err(_) => (seed::find_first_point(problem, &opts.seed)?, false),
-            };
-            let contour = tracer::trace(problem, first_point.params, opts.points, &opts.tracer)?;
-            results.push(CornerResult {
-                label,
-                t_cq: problem.characteristic_delay(),
-                contour,
-                simulations: problem.simulation_count(),
-                warm_started,
-            });
-        }
-    }
     Ok(results)
 }
 
@@ -325,23 +243,6 @@ mod tests {
             results[0].t_cq > results[2].t_cq,
             "corner ordering lost in the parallel merge"
         );
-    }
-
-    #[test]
-    fn batched_serial_sweep_matches_parallel_corner_for_corner() {
-        let base = SweepOptions {
-            points: 6,
-            batch: BatchPolicy::Batched,
-            ..SweepOptions::default()
-        };
-        let parallel_opts = SweepOptions {
-            parallelism: Parallelism::Threads(3),
-            batch: BatchPolicy::Scalar,
-            ..base
-        };
-        let batched = sweep(corner_registers(), &base).unwrap();
-        let parallel = sweep(corner_registers(), &parallel_opts).unwrap();
-        assert_eq!(batched, parallel);
     }
 
     #[test]

@@ -6,12 +6,17 @@
 //! the cell per sample, and characterizes one interdependent setup/hold
 //! point per sample — producing the distribution data a statistical STA
 //! flow consumes.
+//!
+//! Samples run one by one (or one per worker thread). Each sample's
+//! calibration run, which measures its clock-to-Q delay, also seeds its
+//! problem's prefix ladder, so the sample computes one quiescent prefix
+//! and every MPNR evaluation resumes from it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use shc_cells::{Register, Technology};
-use shc_spice::batch::{BatchPolicy, DEFAULT_LANES};
+use shc_spice::batch::BatchPolicy;
 use shc_spice::waveform::Params;
 
 use crate::mpnr::{self, MpnrOptions};
@@ -111,10 +116,10 @@ pub struct MonteCarloOptions {
     /// sample draws from its own index-derived RNG stream.
     #[serde(skip)]
     pub parallelism: Parallelism,
-    /// Batched-engine policy for serial runs: warm-started samples advance
-    /// their MPNR solves in lockstep lane groups ([`mpnr::solve_batch`]),
-    /// sample for sample identical to the scalar path. Parallel runs keep
-    /// the per-thread scalar path.
+    /// Has no effect: every sample runs its MPNR solve on its own
+    /// problem's prefix ladder, which the calibration run seeds, and that
+    /// beats lockstep lanes that each step from DC. Kept because the
+    /// benchmark harness's `montecarlo` workload sets it.
     #[serde(default)]
     pub batch: BatchPolicy,
 }
@@ -175,66 +180,6 @@ where
     })
 }
 
-/// Builds the perturbed problem for one sample index (the sample's own
-/// RNG stream makes this independent of evaluation order).
-fn build_sample_problem<F>(
-    base: &Technology,
-    build: &F,
-    opts: &MonteCarloOptions,
-    index: usize,
-) -> Result<CharacterizationProblem>
-where
-    F: Fn(&Technology) -> Register,
-{
-    let mut rng = StdRng::seed_from_u64(sample_seed(opts.rng_seed, index as u64));
-    let tech = opts.variation.sample(base, &mut rng);
-    let problem = CharacterizationProblem::builder(build(&tech))
-        .batch(opts.batch)
-        .build()?;
-    problem.reset_simulation_count();
-    Ok(problem)
-}
-
-/// The warm-started samples 1.., advanced in lockstep lane groups: each
-/// group's MPNR solves share one batched transient per iteration, and a
-/// lane whose warm start fails falls back to cold seeding — exactly the
-/// scalar [`run_sample`] policy, sample for sample.
-fn run_samples_lockstep<F>(
-    base: &Technology,
-    build: &F,
-    opts: &MonteCarloOptions,
-    anchor: Params,
-) -> Result<Vec<SampleResult>>
-where
-    F: Fn(&Technology) -> Register,
-{
-    let mut results = Vec::with_capacity(opts.samples - 1);
-    let indices: Vec<usize> = (1..opts.samples).collect();
-    for group in indices.chunks(DEFAULT_LANES) {
-        let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-        let problems: Vec<CharacterizationProblem> = group
-            .iter()
-            .map(|&index| build_sample_problem(base, build, opts, index))
-            .collect::<Result<_>>()?;
-        let refs: Vec<&CharacterizationProblem> = problems.iter().collect();
-        let warm = mpnr::solve_batch(&refs, &vec![anchor; refs.len()], &opts.mpnr, opts.batch);
-        for ((&index, problem), solved) in group.iter().zip(&problems).zip(warm) {
-            let point = match solved {
-                Ok(p) => p,
-                Err(_) => seed::find_first_point(problem, &opts.seed)?,
-            };
-            results.push(SampleResult {
-                index,
-                t_cq: problem.characteristic_delay(),
-                tau_s: point.params.tau_s,
-                tau_h: point.params.tau_h,
-                simulations: problem.simulation_count(),
-            });
-        }
-    }
-    Ok(results)
-}
-
 /// Runs a Monte Carlo characterization: for each process sample, finds the
 /// interdependent setup/hold point at the seed's pinned hold skew.
 ///
@@ -266,26 +211,14 @@ where
         let anchor = run_sample(base, &build, opts, 0, None)?;
         let anchor_params = Params::new(anchor.tau_s, anchor.tau_h);
         results.push(anchor);
-        // Batched lockstep reorders problem building against solving, which
-        // would perturb fault-injection draw order; under an active injector
-        // the Auto policy stays on the scalar path.
-        let try_lockstep = match opts.batch {
-            BatchPolicy::Scalar => false,
-            BatchPolicy::Auto => !shc_fault::enabled(),
-            BatchPolicy::Batched => true,
-        };
-        if opts.parallelism.is_serial() && try_lockstep {
-            results.extend(run_samples_lockstep(base, &build, opts, anchor_params)?);
-        } else {
-            results.extend(parallel::run_indexed(
-                opts.parallelism,
-                opts.samples - 1,
-                |k| {
-                    let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-                    run_sample(base, &build, opts, k + 1, Some(anchor_params))
-                },
-            )?);
-        }
+        results.extend(parallel::run_indexed(
+            opts.parallelism,
+            opts.samples - 1,
+            |k| {
+                let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
+                run_sample(base, &build, opts, k + 1, Some(anchor_params))
+            },
+        )?);
     }
 
     let n = results.len().max(1) as f64;
@@ -375,26 +308,6 @@ mod tests {
         let (parallel, parallel_stats) = run(&base, build, &parallel_opts).expect("parallel runs");
         assert_eq!(serial, parallel);
         assert_eq!(serial_stats, parallel_stats);
-    }
-
-    #[test]
-    fn batched_serial_run_matches_scalar_sample_for_sample() {
-        let base = Technology::default_250nm();
-        let build = |tech: &Technology| tspc_register_with(tech, ClockSpec::fast());
-        let scalar_opts = MonteCarloOptions {
-            samples: 5,
-            rng_seed: 42,
-            batch: BatchPolicy::Scalar,
-            ..MonteCarloOptions::default()
-        };
-        let batched_opts = MonteCarloOptions {
-            batch: BatchPolicy::Batched,
-            ..scalar_opts
-        };
-        let (scalar, scalar_stats) = run(&base, build, &scalar_opts).expect("scalar runs");
-        let (batched, batched_stats) = run(&base, build, &batched_opts).expect("batched runs");
-        assert_eq!(scalar, batched);
-        assert_eq!(scalar_stats, batched_stats);
     }
 
     #[test]

@@ -152,9 +152,10 @@ struct BatchSolveLane {
 /// and Jacobian through one batched transient
 /// ([`crate::CharacterizationProblem::evaluate_with_jacobian_batch`]'s
 /// cross-problem form), then applies the scalar update rule per lane.
-/// Lanes may carry *different* problems — e.g. one per Monte Carlo sample
-/// or PVT corner — as long as they share the circuit dimension and solver
-/// settings; a converged or failed lane simply stops being evaluated.
+/// Lanes may carry *different* problems — e.g. one per degradation level
+/// of [`crate::tracer::trace_batch`] — as long as they share the circuit
+/// dimension and solver settings; a converged or failed lane simply stops
+/// being evaluated.
 ///
 /// Per lane, the returned `Result<MpnrResult>` is bitwise identical to
 /// [`solve`] on that lane alone: the update trajectory depends only on the
@@ -163,20 +164,31 @@ struct BatchSolveLane {
 /// [`BatchPolicy::Auto`], out-of-envelope configuration) or the lanes are
 /// not lockstep-compatible, every lane runs through the scalar [`solve`].
 ///
-/// # Panics
+/// Lockstep lanes run every iteration from DC, while the scalar [`solve`]
+/// resumes each evaluation from its problem's prefix ladder, which the
+/// problem's calibration run seeds; Monte Carlo and corner sweeps
+/// therefore solve per problem.
 ///
-/// Panics if `problems` and `initials` differ in length.
+/// # Errors
+///
+/// Per lane, as [`solve`]; when `problems` and `initials` differ in
+/// length, every problem lane fails with [`CharError::BadOption`].
 pub fn solve_batch(
     problems: &[&CharacterizationProblem],
     initials: &[Params],
     opts: &MpnrOptions,
     policy: BatchPolicy,
 ) -> Vec<Result<MpnrResult>> {
-    assert_eq!(
-        problems.len(),
-        initials.len(),
-        "one initial guess per problem lane"
-    );
+    if problems.len() != initials.len() {
+        return problems
+            .iter()
+            .map(|_| {
+                Err(CharError::BadOption {
+                    reason: "solve_batch needs one initial guess per problem lane",
+                })
+            })
+            .collect();
+    }
     if !lockstep_compatible(problems, policy) {
         return problems
             .iter()
@@ -499,5 +511,146 @@ mod tests {
             ),
             "expected failure, got {err:?}"
         );
+    }
+
+    /// The bits a lockstep lane must share with its scalar solve.
+    fn solve_bits(result: &Result<MpnrResult>) -> Option<[u64; 9]> {
+        result.as_ref().ok().map(|r| {
+            [
+                r.params.tau_s.to_bits(),
+                r.params.tau_h.to_bits(),
+                r.iterations as u64,
+                r.residual.to_bits(),
+                r.jacobian[0].to_bits(),
+                r.jacobian[1].to_bits(),
+                r.transient.steps as u64,
+                r.transient.newton_iterations as u64,
+                r.transient.rejected_steps as u64,
+            ]
+        })
+    }
+
+    /// Cross-problem lockstep lanes — Monte Carlo–perturbed TSPC cells
+    /// plus the nominal cell at another degradation — reproduce, lane for
+    /// lane, the scalar solve on each problem alone, although lockstep
+    /// lanes step every iteration from DC and the scalar solve resumes
+    /// each evaluation from its problem's prefix ladder.
+    #[test]
+    fn lockstep_lanes_match_scalar_solves_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let base = Technology::default_250nm();
+        let problems = |batch: BatchPolicy| -> Vec<CharacterizationProblem> {
+            let variation = crate::montecarlo::ProcessVariation::default();
+            let mut registers: Vec<(shc_cells::Register, f64)> = (0..4)
+                .map(|k| {
+                    let tech = variation.sample(&base, &mut StdRng::seed_from_u64(k));
+                    (tspc_register_with(&tech, ClockSpec::fast()), 0.10)
+                })
+                .collect();
+            registers.push((tspc_register_with(&base, ClockSpec::fast()), 0.20));
+            registers
+                .into_iter()
+                .map(|(register, degradation)| {
+                    let problem = CharacterizationProblem::builder(register)
+                        .degradation(degradation)
+                        .batch(batch)
+                        .build()
+                        .unwrap();
+                    problem.reset_simulation_count();
+                    problem
+                })
+                .collect()
+        };
+        let nominal =
+            CharacterizationProblem::builder(tspc_register_with(&base, ClockSpec::fast()))
+                .build()
+                .unwrap();
+        let guess = crate::seed::find_first_point(&nominal, &crate::seed::SeedOptions::default())
+            .unwrap()
+            .params;
+
+        let lockstep = problems(BatchPolicy::Batched);
+        let refs: Vec<&CharacterizationProblem> = lockstep.iter().collect();
+        assert!(lockstep_compatible(&refs, BatchPolicy::Batched));
+        let guesses = vec![guess; refs.len()];
+        let collector = shc_obs::Collector::new();
+        let batched = {
+            let _guard = shc_obs::install_scoped(&collector);
+            solve_batch(
+                &refs,
+                &guesses,
+                &MpnrOptions::default(),
+                BatchPolicy::Batched,
+            )
+        };
+        assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 0);
+
+        let scalar_problems = problems(BatchPolicy::Scalar);
+        let resumed = shc_obs::Collector::new();
+        let _guard = shc_obs::install_scoped(&resumed);
+        for (lane, ((batched, lockstep_problem), problem)) in batched
+            .iter()
+            .zip(&lockstep)
+            .zip(&scalar_problems)
+            .enumerate()
+        {
+            let scalar = solve(problem, guess, &MpnrOptions::default());
+            let bits = solve_bits(&scalar);
+            assert!(
+                bits.is_some(),
+                "lane {lane}: scalar solve failed: {scalar:?}"
+            );
+            assert_eq!(solve_bits(batched), bits, "lane {lane}");
+            assert_eq!(
+                lockstep_problem.simulation_count(),
+                problem.simulation_count(),
+                "lane {lane}"
+            );
+        }
+        // Every scalar evaluation resumed (the first of each problem's
+        // also extends its seeded ladder).
+        let runs = resumed.counter(shc_obs::Metric::TransientRuns);
+        assert_eq!(
+            resumed.counter(shc_obs::Metric::PrefixResumes),
+            runs,
+            "every scalar run resumes"
+        );
+        let distinct: std::collections::BTreeSet<u64> = batched
+            .iter()
+            .filter_map(|r| r.as_ref().ok().map(|r| r.params.tau_s.to_bits()))
+            .collect();
+        assert_eq!(distinct.len(), batched.len(), "lanes must differ");
+    }
+
+    /// A guess count that does not match the problem lanes fails every
+    /// lane with a typed error, before any simulation.
+    #[test]
+    fn solve_batch_rejects_mismatched_guesses_per_lane() {
+        let tech = Technology::default_250nm();
+        let problem =
+            CharacterizationProblem::builder(tspc_register_with(&tech, ClockSpec::fast()))
+                .build()
+                .unwrap();
+        let guess = problem.reference_params();
+        let collector = shc_obs::Collector::new();
+        let _guard = shc_obs::install_scoped(&collector);
+        for policy in [BatchPolicy::Scalar, BatchPolicy::Batched] {
+            let lanes = solve_batch(
+                &[&problem, &problem],
+                &[guess],
+                &MpnrOptions::default(),
+                policy,
+            );
+            assert_eq!(lanes.len(), 2);
+            for lane in lanes {
+                assert!(matches!(lane, Err(CharError::BadOption { .. })), "{lane:?}");
+            }
+            let none = solve_batch(&[], &[guess], &MpnrOptions::default(), policy);
+            assert!(none.is_empty());
+        }
+        assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 0);
+        assert_eq!(problem.simulation_count(), 0);
     }
 }

@@ -85,7 +85,8 @@ pub struct CharacterizationProblem {
     tf: f64,
     sim_count: AtomicUsize,
     /// Checkpoints every evaluation, scalar or batched, resumes from,
-    /// built by the first eligible one at [`Self::quiescent_params`].
+    /// built by the first eligible one at [`Self::quiescent_params`] from
+    /// the calibration run's seed.
     ladder: PrefixLadder,
 }
 
@@ -610,9 +611,17 @@ impl ProblemBuilder {
             .record(RecordMode::Probe(register.output_unknown()))
             .build();
         let params = Params::new(reference_setup, reference_hold);
+        // The run's quiescent prefix is the prefix ladder's too: it seeds
+        // the ladder, which steps only under Backward Euler.
+        let ladder = PrefixLadder::default();
         let res = {
             let _span = shc_obs::span(shc_obs::SpanKind::Calibration);
-            TransientAnalysis::new(register.circuit(), opts).run(&params)?
+            let analysis = TransientAnalysis::new(register.circuit(), opts);
+            if self.integrator == Integrator::BackwardEuler {
+                analysis.seeding(&ladder).run(&params)?
+            } else {
+                analysis.run(&params)?
+            }
         };
         let direction = match register.transition() {
             OutputTransition::Rising => CrossingDirection::Rising,
@@ -638,7 +647,7 @@ impl ProblemBuilder {
             // The calibration run above is accounted in
             // `calibration_simulations`, not in the user-visible budget.
             sim_count: AtomicUsize::new(0),
-            ladder: PrefixLadder::default(),
+            ladder,
         })
     }
 }
@@ -827,8 +836,9 @@ mod tests {
 
     /// Over a traced contour, computed plus reused steps account for every
     /// run's steps. These cells never cut `dt`, so every run of a problem
-    /// takes the same steps: the ladder's reference run computes them all,
-    /// every evaluation resumes from it.
+    /// takes the same steps: the ladder's reference run resumes from the
+    /// calibration run's seed and computes the rest, and every evaluation
+    /// resumes from the ladder.
     #[test]
     fn computed_and_reused_steps_add_up_over_a_traced_contour() {
         use shc_obs::Metric;
@@ -846,7 +856,7 @@ mod tests {
             p.simulation_count() as u64 + 1,
             "evaluations + ladder"
         );
-        assert_eq!(collector.counter(Metric::PrefixResumes), runs - 1);
+        assert_eq!(collector.counter(Metric::PrefixResumes), runs);
         let computed = collector.counter(Metric::TransientSteps);
         let reused = collector.counter(Metric::PrefixStepsReused);
         assert_eq!(computed + reused, runs * steps_per_run);
@@ -926,14 +936,16 @@ mod tests {
     }
 
     /// The ladder checkpoint (every 16 steps) a run at `at` adopts, as its
-    /// step count: the latest one below the run's agreement horizon. These
-    /// cells never cut `dt`, so a checkpoint's `reach` is its own time.
+    /// step count: the latest one below the run's agreement horizon, the
+    /// final mark excluded (a resumed run computes at least one step).
+    /// These cells never cut `dt`, so a checkpoint's `reach` is its own
+    /// time.
     fn rung_steps(p: &CharacterizationProblem, times: &[f64], at: &Params) -> u64 {
         let horizon = p
             .register()
             .circuit()
             .agreement_horizon(&p.quiescent_params(), at);
-        (0..times.len())
+        (0..times.len() - 1)
             .step_by(16)
             .take_while(|&k| times[k] < horizon)
             .last()
@@ -995,18 +1007,36 @@ mod tests {
     /// scalar and batched: every point of a 40-point trace, the seed
     /// bracket ends, a surface-grid chunk, and a point whose data ramp
     /// starts exactly on a checkpoint's step endpoint (so the strict
-    /// `reach < h` must pass over that checkpoint).
+    /// `reach < h` must pass over that checkpoint). The cells are TSPC and
+    /// C²MOS on the fast clock, a Monte Carlo sample of TSPC (per-sample
+    /// device values) and TSPC on the paper clock; in each, lanes adopt
+    /// both rungs the calibration run seeded and rungs the ladder's
+    /// reference run added.
     #[test]
     fn resumed_evaluations_are_bitwise_identical_to_full_runs() {
+        use crate::montecarlo::ProcessVariation;
+        use rand::{rngs::StdRng, SeedableRng};
         use shc_cells::{c2mos_register_with, C2MOS_CLKB_SKEW};
         let tech = Technology::default_250nm();
+        let sample = ProcessVariation::default().sample(&tech, &mut StdRng::seed_from_u64(7));
         for register in [
             tspc_register_with(&tech, ClockSpec::fast()),
             c2mos_register_with(&tech, ClockSpec::fast(), C2MOS_CLKB_SKEW),
+            tspc_register_with(&sample, ClockSpec::fast()),
+            tspc_register_with(&tech, ClockSpec::paper()),
         ] {
             let p = CharacterizationProblem::builder(register).build().unwrap();
             let reference = p.reference_params();
-            let contour = p.trace_contour(40).unwrap();
+            let collector = shc_obs::Collector::new();
+            let contour = {
+                let _guard = shc_obs::install_scoped(&collector);
+                p.trace_contour(40).unwrap()
+            };
+            assert_eq!(
+                collector.counter(shc_obs::Metric::PrefixResumes),
+                collector.counter(shc_obs::Metric::TransientRuns),
+                "the ladder resumes from its seed, every evaluation from the ladder"
+            );
             let mut points: Vec<Params> = contour
                 .points()
                 .iter()
@@ -1014,7 +1044,7 @@ mod tests {
                 .collect();
             assert_eq!(points.len(), 40);
             points.push(Params::new(-0.3e-9, reference.tau_h));
-            points.push(Params::new(0.9e-9, reference.tau_h));
+            points.push(reference);
             let collector = shc_obs::Collector::new();
             {
                 let _guard = shc_obs::install_scoped(&collector);
@@ -1079,9 +1109,16 @@ mod tests {
                 assert_batch_matches_full(&p, &times, lanes);
             }
             assert_eq!(rung_steps(&p, &times, &at), ((j - 1) * STRIDE) as u64);
-            let mut rungs: Vec<u64> = points.iter().map(|at| rung_steps(&p, &times, at)).collect();
-            rungs.dedup();
-            assert!(rungs.len() > 1, "lanes adopt different rungs: {rungs:?}");
+            // The calibration run seeded the rungs below its agreement
+            // horizon with the ladder's reference skews.
+            let seeded_until = circuit.agreement_horizon(&reference, &p.quiescent_params());
+            let seeded: Vec<bool> = points
+                .iter()
+                .chain(&cells)
+                .map(|at| times[rung_steps(&p, &times, at) as usize] < seeded_until)
+                .collect();
+            assert!(seeded.contains(&true), "no lane adopts a seeded rung");
+            assert!(seeded.contains(&false), "no lane adopts an extended rung");
         }
     }
 }

@@ -482,8 +482,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              seeds at readers of per-lane skew state (Waveform data-pulse\n\
              params tau_s/tau_h, per-lane SoA descriptor vectors) and\n\
              propagates over the SCC-condensed call graph; every\n\
-             `// lint: trunk-fence` root (the ladder's Rungs::adopt) must be\n\
-             unreachable from any seed. This turns the S13 soundness\n\
+             `// lint: trunk-fence` root (the ladder's Rungs::adopt and its\n\
+             seed hand-over Rungs::extend_into) must be unreachable from any\n\
+             seed. This turns the S13 soundness\n\
              argument into a ratcheted CI certificate: findings render the\n\
              shortest call chain from the fence root to the divergent read.\n\
              Escape hatch: keep skew reads out of the adopted checkpoint, or\n\

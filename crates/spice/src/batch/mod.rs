@@ -1,8 +1,8 @@
 //! Lockstep batched transient simulation.
 //!
-//! Characterization sweeps (surface grids, Monte-Carlo samples, PVT
-//! corners, `trace_batch` levels) run thousands of transients over the
-//! *same topology* with different parameters. On a one-core host the
+//! Characterization sweeps (surface grids, `trace_batch` levels) run
+//! thousands of transients over the *same topology* with different
+//! parameters. On a one-core host the
 //! thread pool cannot help, so this module attacks per-simulation cost
 //! instead:
 //!

@@ -17,7 +17,7 @@
 //! observation.
 
 use std::mem;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use shc_linalg::{LuFactor, Matrix, Vector};
 
@@ -488,29 +488,59 @@ pub(crate) struct Start {
     pub(crate) times: Vec<f64>,
 }
 
-/// Checkpoints of a ladder's reference run, stored flat: `states` holds
-/// `x` and then each sensitivity, per mark.
+/// Where the stepping loop under `opts` stops: a step starts only below
+/// this time.
+fn loop_end(opts: &TransientOptions) -> f64 {
+    opts.tstop - TSTOP_ENDPOINT_SLACK * opts.tstop.max(1.0)
+}
+
+/// The time before which no skew-dependent source of `circuit` moves at
+/// skews `at`: the earliest start of a data ramp, before which every
+/// `∂u/∂p` is exactly zero. Skews one ulp later in both ramps agree with
+/// `at` exactly until then ([`Circuit::agreement_horizon`]); non-finite
+/// skews claim nothing.
+fn quiet_until(circuit: &Circuit, at: &Params) -> f64 {
+    if !(at.tau_s.is_finite() && at.tau_h.is_finite()) {
+        return 0.0;
+    }
+    let later = Params::new(at.tau_s.next_down(), at.tau_h.next_up());
+    circuit.agreement_horizon(at, &later)
+}
+
+/// Checkpoints captured during one run, stored flat: `states` holds each
+/// mark's `x`. A mark is kept only while its `reach` lies below `below`
+/// and, for a `clean` capture, while no step has been rejected.
 struct Capture {
+    below: f64,
+    clean: bool,
     marks: Vec<Mark>,
     states: Vec<f64>,
 }
 
 impl Capture {
-    fn push(&mut self, mark: Mark, x: &Vector, sens: &[(Param, Vector)]) {
-        self.marks.push(mark);
-        self.states.extend_from_slice(x.as_slice());
-        for (_, m) in sens {
-            self.states.extend_from_slice(m.as_slice());
+    fn new(below: f64, clean: bool) -> Self {
+        Capture {
+            below,
+            clean,
+            marks: Vec::new(),
+            states: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, mark: Mark, x: &Vector) {
+        if mark.reach < self.below && !(self.clean && mark.stats.rejected_steps > 0) {
+            self.marks.push(mark);
+            self.states.extend_from_slice(x.as_slice());
         }
     }
 }
 
 /// Accepted steps between two checkpoints of a [`PrefixLadder`]: a seed
-/// cell's ladder stays near 25 KB, and a resumed run recomputes at most
+/// cell's ladder stays near 15 KB, and a resumed run recomputes at most
 /// this many steps it could have adopted.
 const LADDER_STRIDE: usize = 16;
 
-/// A prefix ladder: checkpoints of one reference transient at fixed
+/// A prefix ladder: state checkpoints of one reference transient at fixed
 /// skews, from which later runs of the same analysis at other skews
 /// resume ([`TransientAnalysis::with_ladder`]).
 ///
@@ -519,24 +549,34 @@ const LADDER_STRIDE: usize = 16;
 /// strictly below the agreement horizon of the two skews
 /// ([`Circuit::agreement_horizon`]): until then both runs evaluate
 /// bitwise-identical device stamps, so they perform the same steps on the
-/// same state. A ladder starts empty ([`PrefixLadder::default`]); the
-/// first run that may resume from it builds it, once, even when threads
-/// share it. Until then it is one word and a lock.
+/// same state. Checkpoints stop before the reference's first data ramp
+/// starts, where every skew sensitivity is still exactly zero, so they
+/// keep states only. A ladder starts empty ([`PrefixLadder::default`]);
+/// the first run that may resume from it builds it, once, even when
+/// threads share it — from the checkpoints a seeding run left
+/// ([`TransientAnalysis::seeding`]) when they fit. Until then it is two
+/// locks.
 #[derive(Default)]
 pub struct PrefixLadder {
     rungs: OnceLock<Option<Box<Rungs>>>,
+    /// A seeding run's checkpoints, until the build takes them.
+    seed: Mutex<Option<Box<Rungs>>>,
 }
 
-/// The captured part of a [`PrefixLadder`]: a checkpoint at the DC start
-/// and every [`LADDER_STRIDE`] accepted steps.
+/// The checkpoints of a [`PrefixLadder`] or of its seed: one at the DC
+/// start and one every [`LADDER_STRIDE`] accepted steps.
 struct Rungs {
-    /// The skews of the reference run.
+    /// The skews of the run that computed them.
     reference: Params,
-    /// The reference run's options (every sensitivity on).
+    /// That run's options, without sensitivities.
     opts: TransientOptions,
-    /// Circuit dimension: each mark owns `(1 + sensitivities)·n` states.
+    /// Circuit dimension: each mark owns `n` states.
     n: usize,
+    /// That run's accepted times up to the last checkpoint.
     times: Vec<f64>,
+    /// How many times that run accepted in all, so a resumed run of the
+    /// same steps reserves its times once.
+    run_len: usize,
     marks: Vec<Mark>,
     states: Vec<f64>,
 }
@@ -557,27 +597,72 @@ impl PrefixLadder {
 }
 
 impl Rungs {
-    /// Whether a run under `opts` on an `n`-unknown circuit steps exactly
-    /// as the reference run did: same dimension, stop time, step bounds,
-    /// Newton and DC settings, solver and integrator.
-    fn fits(&self, opts: &TransientOptions, n: usize) -> bool {
+    /// The checkpoints `capture` kept of a run at `reference` under `opts`
+    /// that accepted `times`; `None` if it kept none.
+    fn new(
+        reference: Params,
+        opts: &TransientOptions,
+        n: usize,
+        times: &[f64],
+        capture: Capture,
+    ) -> Option<Rungs> {
+        let Capture {
+            mut marks,
+            mut states,
+            ..
+        } = capture;
+        let last = marks.last()?.step;
+        // The ladder lives as long as its owner: keep no growth slack.
+        marks.shrink_to_fit();
+        states.shrink_to_fit();
+        Some(Rungs {
+            reference,
+            opts: TransientOptions {
+                sensitivities: Vec::new(),
+                ..opts.clone()
+            },
+            n,
+            times: times.get(..=last)?.to_vec(),
+            run_len: times.len(),
+            marks,
+            states,
+        })
+    }
+
+    /// Whether a run under `opts` on an `n`-unknown circuit takes the steps
+    /// these checkpoints' run took, for as long as neither run rejects a
+    /// step or nears its stop time: same dimension, step, integrator,
+    /// Newton and DC settings, and solver.
+    fn seeds(&self, opts: &TransientOptions, n: usize) -> bool {
         let o = &self.opts;
         self.n == n
-            && o.tstop.to_bits() == opts.tstop.to_bits()
             && o.dt.to_bits() == opts.dt.to_bits()
-            && o.dt_min.to_bits() == opts.dt_min.to_bits()
             && o.integrator == opts.integrator
             && o.newton == opts.newton
             && o.dc == opts.dc
             && o.solver == opts.solver
     }
 
+    /// Whether a run under `opts` on an `n`-unknown circuit steps exactly
+    /// as the reference run did: [`Rungs::seeds`], plus the same stop time
+    /// and step floor.
+    fn fits(&self, opts: &TransientOptions, n: usize) -> bool {
+        self.seeds(opts, n)
+            && self.opts.tstop.to_bits() == opts.tstop.to_bits()
+            && self.opts.dt_min.to_bits() == opts.dt_min.to_bits()
+    }
+
     // lint: trunk-fence
     /// Adopts the latest checkpoint whose `reach` lies strictly below
-    /// `horizon`, with its sensitivities reordered to `wanted`; `None`
-    /// when even the DC start touched the horizon. Everything adopted was
-    /// computed before the horizon, so it is copied verbatim.
-    fn adopt(&self, horizon: f64, wanted: &[Param]) -> Option<Start> {
+    /// `horizon`, with `sens` zero sensitivities; `None` when even the DC
+    /// start touched the horizon. Everything adopted was computed before
+    /// the horizon, so the state is copied verbatim, and every sensitivity
+    /// was exactly zero there. The run still has a step to take from it:
+    /// the capture kept only checkpoints with `reach` below the loop's end
+    /// ([`Capture`]), so the final mark is never a rung. That step turns
+    /// the zeros' signs into the full run's: both recursions read the
+    /// previous sensitivities only through `C_prev·m`, summed from `+0.0`.
+    fn adopt(&self, horizon: f64, sens: usize) -> Option<Start> {
         // `reach` never decreases along the ladder.
         let k = self
             .marks
@@ -585,21 +670,47 @@ impl Rungs {
             .checked_sub(1)?;
         let mark = self.marks[k];
         let n = self.n;
-        let state = &self.states[k * (1 + self.opts.sensitivities.len()) * n..];
-        let block = |b: usize| Vector::from_slice(&state[b * n..(b + 1) * n]);
-        let sens = wanted
-            .iter()
-            .map(|p| {
-                let j = self.opts.sensitivities.iter().position(|q| q == p)?;
-                Some(block(1 + j))
-            })
-            .collect::<Option<Vec<Vector>>>()?;
-        let mut times = Vec::with_capacity(self.times.len());
+        let mut times = Vec::with_capacity(self.run_len);
         times.extend_from_slice(&self.times[..=mark.step]);
         Some(Start {
             mark,
-            x: block(0),
-            sens,
+            x: Vector::from_slice(&self.states[k * n..(k + 1) * n]),
+            sens: (0..sens).map(|_| Vector::zeros(n)).collect(),
+            times,
+        })
+    }
+
+    // lint: trunk-fence
+    /// Hands a seed to the run that extends it into a ladder: the
+    /// checkpoints whose `reach` lies strictly below `horizon` move into
+    /// `capture`, except the latest, which becomes the run's start (the run
+    /// captures its start itself). `None` when even the DC start touched
+    /// the horizon. Everything handed on was computed before the horizon,
+    /// so it is kept verbatim.
+    fn extend_into(self, horizon: f64, capture: &mut Capture) -> Option<Start> {
+        // `reach` never decreases along the seed.
+        let k = self
+            .marks
+            .partition_point(|m| m.reach < horizon)
+            .checked_sub(1)?;
+        let Rungs {
+            n,
+            mut times,
+            mut marks,
+            mut states,
+            ..
+        } = self;
+        let mark = marks[k];
+        let x = Vector::from_slice(&states[k * n..(k + 1) * n]);
+        marks.truncate(k);
+        states.truncate(k * n);
+        times.truncate(mark.step + 1);
+        capture.marks = marks;
+        capture.states = states;
+        Some(Start {
+            mark,
+            x,
+            sens: Vec::new(),
             times,
         })
     }
@@ -611,6 +722,7 @@ pub struct TransientAnalysis<'a> {
     circuit: &'a Circuit,
     opts: TransientOptions,
     ladder: Option<(&'a PrefixLadder, Params)>,
+    seed: Option<&'a PrefixLadder>,
 }
 
 impl<'a> TransientAnalysis<'a> {
@@ -620,6 +732,7 @@ impl<'a> TransientAnalysis<'a> {
             circuit,
             opts,
             ladder: None,
+            seed: None,
         }
     }
 
@@ -628,7 +741,8 @@ impl<'a> TransientAnalysis<'a> {
     /// skipping the DC solve and every step before the
     /// latest checkpoint below the run's agreement horizon. The first such
     /// run builds the ladder with one reference transient of this circuit
-    /// at skews `reference` under these options, every sensitivity on;
+    /// at skews `reference` under these options, without sensitivities,
+    /// keeping checkpoints until the reference's first data ramp starts;
     /// later runs keep the skews it was built at.
     ///
     /// Results stay bitwise identical to a run from the DC start — state,
@@ -637,6 +751,20 @@ impl<'a> TransientAnalysis<'a> {
     /// differently from the reference run's run from the DC start.
     pub fn with_ladder(mut self, ladder: &'a PrefixLadder, reference: Params) -> Self {
         self.ladder = Some((ladder, reference));
+        self
+    }
+
+    /// Seeds `ladder` from runs of this analysis that start at DC under
+    /// Backward Euler, dense solves and no fault injector, whatever they
+    /// record: each keeps its checkpoints until its first data ramp starts
+    /// or a step is rejected. The reference run that builds `ladder`
+    /// ([`TransientAnalysis::with_ladder`]) then resumes from the latest
+    /// seeded checkpoint below the two skews' agreement horizon, if its
+    /// options differ from these at most in stop time, step floor,
+    /// sensitivities and recording; results stay bitwise identical. A
+    /// built ladder takes no seed.
+    pub fn seeding(mut self, ladder: &'a PrefixLadder) -> Self {
+        self.seed = Some(ladder);
         self
     }
 
@@ -677,22 +805,32 @@ impl<'a> TransientAnalysis<'a> {
         scratch: &mut TransientScratch,
     ) -> Result<TransientResult> {
         let start = self.resume_point(params);
-        self.run_from(params, scratch, start, None)
+        match self
+            .seed
+            .filter(|ladder| start.is_none() && !ladder.is_built() && self.ladder_capable())
+        {
+            Some(ladder) => self.run_seeding(params, scratch, ladder),
+            None => self.run_from(params, scratch, start, None),
+        }
     }
 
-    /// Whether a run of this analysis may start from a [`PrefixLadder`]
-    /// checkpoint: Backward Euler (no two-step history to restore),
-    /// final-only recording, a DC start, dense solves (a sparse refactor
-    /// replays the pivots of an earlier factorization, so a resumed factor
-    /// could differ), and no fault injector (sharing work would change the
-    /// draw cadence).
-    fn prefix_resumable(&self) -> bool {
+    /// Whether runs of this analysis step as a [`PrefixLadder`]'s
+    /// checkpoints need: Backward Euler (no two-step history to restore),
+    /// a DC start, dense solves (a sparse refactor replays the pivots of an
+    /// earlier factorization, so a resumed factor could differ), and no
+    /// fault injector (sharing work would change the draw cadence).
+    fn ladder_capable(&self) -> bool {
         let o = &self.opts;
         o.integrator == Integrator::BackwardEuler
-            && matches!(o.record, RecordMode::FinalOnly)
             && matches!(o.initial, InitialCondition::DcOperatingPoint)
             && !o.solver.wants_sparse(self.circuit.unknown_count())
             && !shc_fault::enabled()
+    }
+
+    /// Whether a run of this analysis may start from a [`PrefixLadder`]
+    /// checkpoint: [`Self::ladder_capable`], recording the final state only.
+    fn prefix_resumable(&self) -> bool {
+        matches!(self.opts.record, RecordMode::FinalOnly) && self.ladder_capable()
     }
 
     /// The checkpoint a run at `params` resumes from, building the ladder
@@ -705,55 +843,66 @@ impl<'a> TransientAnalysis<'a> {
         }
         let rungs = ladder
             .rungs
-            .get_or_init(|| self.capture(reference).map(Box::new))
+            .get_or_init(|| self.capture(ladder, reference).map(Box::new))
             .as_ref()?;
         if !rungs.fits(&self.opts, self.circuit.unknown_count()) {
             return None;
         }
         let horizon = self.circuit.agreement_horizon(&rungs.reference, params);
-        rungs.adopt(horizon, &self.opts.sensitivities)
+        rungs.adopt(horizon, self.opts.sensitivities.len())
     }
 
-    /// The reference run of a ladder at skews `reference`, every
-    /// sensitivity on so the ladder serves runs with and without them. It
+    /// The reference run of `ladder` at skews `reference`, without
+    /// sensitivities, resumed from the ladder's seed when that fits. It
     /// counts as one transient run, under a calibration span; `None` if it
-    /// fails.
-    fn capture(&self, reference: Params) -> Option<Rungs> {
+    /// fails or keeps no checkpoint.
+    fn capture(&self, ladder: &PrefixLadder, reference: Params) -> Option<Rungs> {
         let _span = shc_obs::span(shc_obs::SpanKind::Calibration);
         let analysis = TransientAnalysis {
             circuit: self.circuit,
             opts: TransientOptions {
-                sensitivities: Param::ALL.to_vec(),
+                sensitivities: Vec::new(),
                 ..self.opts.clone()
             },
             ladder: None,
+            seed: None,
         };
         let n = self.circuit.unknown_count();
+        let quiet = quiet_until(self.circuit, &reference).min(loop_end(&self.opts));
+        let mut capture = Capture::new(quiet, false);
+        let seed = ladder.seed.lock().ok().and_then(|mut seed| seed.take());
+        let start = seed
+            .filter(|seed| seed.seeds(&self.opts, n))
+            .and_then(|seed| {
+                let horizon = self.circuit.agreement_horizon(&seed.reference, &reference);
+                seed.extend_into(horizon.min(quiet), &mut capture)
+            });
         let mut scratch = TransientScratch::new(n);
-        let mut capture = Capture {
-            marks: Vec::new(),
-            states: Vec::new(),
-        };
         let res = analysis
-            .run_from(&reference, &mut scratch, None, Some(&mut capture))
+            .run_from(&reference, &mut scratch, start, Some(&mut capture))
             .ok()?;
-        let Capture {
-            mut marks,
-            mut states,
-        } = capture;
-        // The ladder lives as long as its owner: keep no growth slack.
-        let mut times = res.times;
-        times.shrink_to_fit();
-        marks.shrink_to_fit();
-        states.shrink_to_fit();
-        Some(Rungs {
-            reference,
-            opts: analysis.opts,
-            n,
-            times,
-            marks,
-            states,
-        })
+        Rungs::new(reference, &analysis.opts, n, res.times(), capture)
+    }
+
+    /// A run from the DC start that leaves its checkpoints in `ladder` as
+    /// its seed ([`Self::seeding`]).
+    fn run_seeding(
+        &self,
+        params: &Params,
+        scratch: &mut TransientScratch,
+        ladder: &PrefixLadder,
+    ) -> Result<TransientResult> {
+        let quiet = quiet_until(self.circuit, params).min(loop_end(&self.opts));
+        let mut capture = Capture::new(quiet, true);
+        let res = self.run_from(params, scratch, None, Some(&mut capture))?;
+        let n = self.circuit.unknown_count();
+        if let (Some(seed), Ok(mut slot)) = (
+            Rungs::new(*params, &self.opts, n, res.times(), capture),
+            ladder.seed.lock(),
+        ) {
+            *slot = Some(Box::new(seed));
+        }
+        Ok(res)
     }
 
     /// One run from the DC start or an adopted checkpoint, wrapped in its
@@ -833,8 +982,8 @@ impl<'a> TransientAnalysis<'a> {
     /// Accumulates work counters into `stats`, which arrive holding the
     /// start's counters, so [`TransientAnalysis::run_from`] can flush them
     /// to telemetry on both the success and the failure path. With
-    /// `capture`, checkpoint zero and every [`LADDER_STRIDE`]-th accepted
-    /// step are kept for a [`PrefixLadder`].
+    /// `capture`, the start and every [`LADDER_STRIDE`]-th accepted step
+    /// are offered to it as [`PrefixLadder`] checkpoints.
     fn run_core(
         &self,
         params: &Params,
@@ -911,7 +1060,7 @@ impl<'a> TransientAnalysis<'a> {
 
         let mut sens: Vec<(Param, Vector)> = opts.sensitivities.iter().copied().zip(sens).collect();
         if let Some(cap) = capture.as_mut() {
-            cap.push(mark, &x_prev, &sens);
+            cap.push(mark, &x_prev);
         }
 
         // Borrow every workspace buffer up front as disjoint fields so the
@@ -970,7 +1119,7 @@ impl<'a> TransientAnalysis<'a> {
         // Backward Euler, which keeps no such history.
         let mut hist_t: Option<f64> = None;
 
-        while t_prev < opts.tstop - TSTOP_ENDPOINT_SLACK * opts.tstop.max(1.0) {
+        while t_prev < loop_end(opts) {
             let t_new = (t_prev + dt).min(opts.tstop);
             let dt_eff = t_new - t_prev;
             reach = reach.max(t_new);
@@ -1225,7 +1374,7 @@ impl<'a> TransientAnalysis<'a> {
                         stats: *stats,
                         reach,
                     };
-                    cap.push(mark, &x_prev, &sens);
+                    cap.push(mark, &x_prev);
                 }
             }
             lap_step.end_region(LAP_STEP_SELF);
@@ -2031,6 +2180,155 @@ mod tests {
             collector.counter(shc_obs::Metric::TransientSteps),
             (full.stats().steps - before.step) as u64
         );
+    }
+
+    /// Full and ladder-backed runs of `analysis` at each of `at`, bit for
+    /// bit, every one resumed from the ladder.
+    fn assert_resumes_bitwise(
+        c: &Circuit,
+        opts: &TransientOptions,
+        analysis: &TransientAnalysis<'_>,
+        at: &[Params],
+    ) {
+        for p in at {
+            let collector = shc_obs::Collector::new();
+            let resumed = {
+                let _guard = shc_obs::install_scoped(&collector);
+                analysis.run(p).unwrap()
+            };
+            let full = TransientAnalysis::new(c, opts.clone()).run(p).unwrap();
+            assert_bitwise_eq(&resumed, &full);
+            assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
+        }
+    }
+
+    /// A reference whose data pulse moves before the stop time: its ladder
+    /// ends below the leading ramp's start, where the sensitivities the
+    /// state-only rungs drop are still exactly zero. Runs at the reference
+    /// and at a τh-only variant — whose horizons lie past that start —
+    /// reproduce full runs bit for bit, sensitivities included.
+    #[test]
+    fn moving_reference_ladder_stops_below_its_first_ramp() {
+        let (c, opts) = clocked_rc();
+        // Leading ramp centred at 250 ns: it starts at 200 ns.
+        let reference = Params::new(50e-9, 400e-9);
+        let variant = Params::new(50e-9, 300e-9);
+        assert!(c.agreement_horizon(&reference, &variant) > opts.tstop);
+        let ladder = PrefixLadder::default();
+        let analysis = TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, reference);
+        assert_resumes_bitwise(&c, &opts, &analysis, &[reference, variant]);
+        let marks = &rungs(&ladder).marks;
+        assert!(marks.iter().all(|m| m.reach < 200e-9));
+        assert_eq!(marks.last().unwrap().step, 16);
+    }
+
+    /// A run at exactly a quiescent reference's skews adopts the latest
+    /// rung from which a step remains, never the final state, and matches
+    /// a full run bit for bit, final sensitivities included.
+    #[test]
+    fn run_at_the_reference_skews_matches_a_full_run() {
+        let (c, opts) = clocked_rc();
+        let ladder = PrefixLadder::default();
+        let analysis = TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());
+        let collector = shc_obs::Collector::new();
+        let resumed = {
+            let _guard = shc_obs::install_scoped(&collector);
+            analysis.run(&quiescent()).unwrap()
+        };
+        assert_bitwise_eq(
+            &resumed,
+            &TransientAnalysis::new(&c, opts).run(&quiescent()).unwrap(),
+        );
+        let last = rungs(&ladder).marks.last().unwrap();
+        assert!(last.step < resumed.stats().steps);
+        assert_eq!(
+            collector.counter(shc_obs::Metric::PrefixStepsReused),
+            last.step as u64
+        );
+        assert_eq!(
+            collector.counter(shc_obs::Metric::TransientSteps),
+            (2 * resumed.stats().steps - last.step) as u64,
+            "the ladder's reference run and the resumed one"
+        );
+    }
+
+    /// A probe-recording run at other skews and another stop time seeds
+    /// the ladder up to its first ramp or rejected step, whichever is
+    /// first; the reference run resumes from the latest seeded rung below
+    /// the two skews' agreement horizon, and everything stays bitwise
+    /// identical. Seeds whose options step differently go unused.
+    #[test]
+    fn seeded_ladder_extends_the_seeding_run() {
+        let (c, opts) = clocked_rc();
+        let seeding_opts = TransientOptions {
+            tstop: 450e-9,
+            dt_min: 450e-9 * 1e-9,
+            sensitivities: Vec::new(),
+            record: RecordMode::Probe(0),
+            ..opts.clone()
+        };
+        // Leading ramp centred at 300 ns: it starts at 250 ns, after the
+        // rung at step 16 (160 ns) and before the one at step 32.
+        let seeding_at = Params::new(0.0, 400e-9);
+        let ladder = PrefixLadder::default();
+        let seeding = TransientAnalysis::new(&c, seeding_opts.clone()).seeding(&ladder);
+        let probe = seeding.run(&seeding_at).unwrap();
+        let unseeded = TransientAnalysis::new(&c, seeding_opts)
+            .run(&seeding_at)
+            .unwrap();
+        assert_eq!(probe.times(), unseeded.times());
+        assert!(!ladder.is_built());
+
+        let analysis = TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());
+        let at = Params::new(100e-9, 100e-9);
+        let collector = shc_obs::Collector::new();
+        {
+            let _guard = shc_obs::install_scoped(&collector);
+            analysis.run(&at).unwrap();
+        }
+        assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 2);
+        assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 2);
+        let built = rungs(&ladder);
+        let resumed_at = c.agreement_horizon(&quiescent(), &at);
+        let adopted = built
+            .marks
+            .iter()
+            .rfind(|m| m.reach < resumed_at)
+            .unwrap()
+            .step;
+        assert_eq!(
+            collector.counter(shc_obs::Metric::PrefixStepsReused),
+            (16 + adopted) as u64,
+            "the reference run resumes from step 16"
+        );
+        assert!(built.marks.iter().any(|m| m.stats.rejected_steps > 0));
+        let full = TransientAnalysis::new(&c, opts.clone())
+            .run(&quiescent())
+            .unwrap();
+        assert_eq!(built.times[..], full.times()[..built.times.len()]);
+        assert_resumes_bitwise(&c, &opts, &analysis, &[at, quiescent()]);
+
+        // A seed at another step size stays unused: the reference run
+        // starts from DC.
+        let ladder = PrefixLadder::default();
+        let coarse = TransientOptions {
+            dt: 20e-9,
+            ..opts.clone()
+        };
+        TransientAnalysis::new(&c, coarse)
+            .seeding(&ladder)
+            .run(&seeding_at)
+            .unwrap();
+        let collector = shc_obs::Collector::new();
+        {
+            let _guard = shc_obs::install_scoped(&collector);
+            TransientAnalysis::new(&c, opts.clone())
+                .with_ladder(&ladder, quiescent())
+                .run(&at)
+                .unwrap();
+        }
+        assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 2);
+        assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
     }
 
     /// A run falls back to the DC start, still bitwise equal, when its
