@@ -611,21 +611,27 @@ impl ProblemBuilder {
             .record(RecordMode::Probe(register.output_unknown()))
             .build();
         let params = Params::new(reference_setup, reference_hold);
-        // The run's quiescent prefix is the prefix ladder's too: it seeds
-        // the ladder, which steps only under Backward Euler.
+        let direction = match register.transition() {
+            OutputTransition::Rising => CrossingDirection::Rising,
+            OutputTransition::Falling => CrossingDirection::Falling,
+        };
+        // The run ends at the crossing it measures. Its quiescent prefix is
+        // the prefix ladder's too: it seeds the ladder, which steps only
+        // under Backward Euler.
         let ladder = PrefixLadder::default();
         let res = {
             let _span = shc_obs::span(shc_obs::SpanKind::Calibration);
-            let analysis = TransientAnalysis::new(register.circuit(), opts);
+            let analysis = TransientAnalysis::new(register.circuit(), opts).stop_at_crossing(
+                register.output_unknown(),
+                r,
+                edge,
+                direction,
+            );
             if self.integrator == Integrator::BackwardEuler {
                 analysis.seeding(&ladder).run(&params)?
             } else {
                 analysis.run(&params)?
             }
-        };
-        let direction = match register.transition() {
-            OutputTransition::Rising => CrossingDirection::Rising,
-            OutputTransition::Falling => CrossingDirection::Falling,
         };
         let tc = res
             .crossing_time(register.output_unknown(), r, edge, direction)
@@ -892,6 +898,47 @@ mod tests {
         assert!(
             reused > 2 * computed,
             "{reused} reused vs {computed} computed"
+        );
+    }
+
+    /// Over a traced contour, every Newton iteration and every accepted
+    /// step's sensitivity solve factors a step Jacobian, except the first
+    /// iterates that take the previous step's factor: the dense
+    /// factorizations plus `FactorsReused` make up that whole count, so
+    /// `FactorsReused` is exactly the drop in `LuRefactors`. These cells
+    /// never cut `dt`, so every computed step's first iterate takes the
+    /// stamps of the state before; and no DC solve runs, since the
+    /// calibration took it before the trace.
+    #[test]
+    fn reused_factors_account_for_the_factorizations_a_traced_contour_skips() {
+        use shc_obs::Metric;
+        let p = fast_problem();
+        let collector = shc_obs::Collector::new();
+        let profiler = shc_prof::Profiler::new();
+        {
+            let _guard = shc_obs::install_scoped(&collector);
+            let _profile = shc_prof::install_scoped(&profiler);
+            p.trace_contour(40).unwrap();
+        }
+        let sens_steps = profiler
+            .report("contour")
+            .phases
+            .iter()
+            .find(|a| a.phase == shc_prof::Phase::SensSolve.name())
+            .map_or(0, |a| a.count);
+        assert_eq!(collector.counter(Metric::LteRejections), 0);
+        let computed = collector.counter(Metric::TransientSteps);
+        assert_eq!(collector.counter(Metric::StampsReused), computed);
+        let factored =
+            collector.counter(Metric::LuRefactors) + collector.counter(Metric::LuFactorizations);
+        let reused = collector.counter(Metric::FactorsReused);
+        assert_eq!(
+            factored + reused,
+            collector.counter(Metric::NewtonIterations) + sens_steps
+        );
+        assert!(
+            sens_steps > 0 && 10 * reused > 9 * sens_steps,
+            "{reused} factors reused over {sens_steps} steps with sensitivities"
         );
     }
 

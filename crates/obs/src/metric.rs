@@ -70,11 +70,18 @@ pub enum Metric {
     /// Accepted steps adopted from prefix-ladder checkpoints rather than
     /// computed; `TransientSteps` counts only computed steps.
     PrefixStepsReused,
+    /// Accepted Backward Euler steps whose first Newton iterate took the
+    /// stamps of the state before instead of evaluating the devices.
+    StampsReused,
+    /// Accepted Backward Euler steps whose first Newton iterate took the
+    /// factor of the previous step's sensitivity Jacobian instead of
+    /// refactoring; each is one `LuRefactors` fewer.
+    FactorsReused,
 }
 
 impl Metric {
     /// Number of metric variants; sizes the collector's atomic arrays.
-    pub const COUNT: usize = 27;
+    pub const COUNT: usize = 29;
 
     /// All variants, in `repr` order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -105,6 +112,8 @@ impl Metric {
         Metric::SparseFillNnz,
         Metric::PrefixResumes,
         Metric::PrefixStepsReused,
+        Metric::StampsReused,
+        Metric::FactorsReused,
     ];
 
     /// Stable snake_case name used in reports and JSON output.
@@ -138,6 +147,8 @@ impl Metric {
             Metric::SparseFillNnz => "sparse_fill_nnz",
             Metric::PrefixResumes => "prefix_resumes",
             Metric::PrefixStepsReused => "prefix_steps_reused",
+            Metric::StampsReused => "stamps_reused",
+            Metric::FactorsReused => "factors_reused",
         }
     }
 }

@@ -153,6 +153,9 @@ pub struct NewtonWorkspace {
     /// When installed, linear solves go through the sparse-direct path
     /// instead of the dense `lu` (see [`crate::solver::SolverChoice`]).
     sparse: Option<SparseJacSolver>,
+    /// Whether the next solve's first iteration takes `lu` as its own
+    /// factor ([`NewtonWorkspace::prime`]).
+    primed: bool,
 }
 
 impl NewtonWorkspace {
@@ -165,6 +168,7 @@ impl NewtonWorkspace {
             jacobian: Matrix::zeros(n, n),
             lu: None,
             sparse: None,
+            primed: false,
         }
     }
 
@@ -205,6 +209,29 @@ impl NewtonWorkspace {
     pub fn sparse_solver_mut(&mut self) -> Option<&mut SparseJacSolver> {
         self.sparse.as_mut()
     }
+
+    /// The Jacobian buffer: the last solve's last Jacobian, or one a
+    /// caller built through [`NewtonWorkspace::jacobian_and_lu`].
+    pub(crate) fn jacobian(&self) -> &Matrix {
+        &self.jacobian
+    }
+
+    /// The Jacobian buffer and the dense LU slot, for building and
+    /// factoring a Jacobian outside a solve — the sensitivity matrix at an
+    /// accepted transient state — that the next solve may take as its
+    /// first iteration's ([`NewtonWorkspace::prime`]).
+    pub(crate) fn jacobian_and_lu(&mut self) -> (&mut Matrix, &mut Option<LuFactor>) {
+        (&mut self.jacobian, &mut self.lu)
+    }
+
+    /// Lets the next solve's first iteration take the dense LU as the
+    /// factor of the Jacobian it assembles instead of refactoring. Sound
+    /// only when that Jacobian is bitwise the factored one: the caller
+    /// vouches for it. Every later iteration, and every retry, factors
+    /// afresh; the sparse path ignores the flag.
+    pub(crate) fn prime(&mut self) {
+        self.primed = true;
+    }
 }
 
 /// Allocation-free variant of [`solve`] operating on a [`NewtonWorkspace`].
@@ -235,7 +262,8 @@ where
 }
 
 /// [`solve_in_place`] with an optional per-iteration profiling
-/// accumulator.
+/// accumulator, and a first iteration that takes the dense factor as its
+/// own when the workspace is [`NewtonWorkspace::prime`]d.
 ///
 /// With `laps` set, the factor and solve of every iteration close lap
 /// regions ([`lap::FACTOR`], [`lap::SOLVE`]); the assembly closure is
@@ -261,6 +289,8 @@ pub fn solve_in_place_lapped<F>(
 where
     F: FnMut(&Vector, &mut Vector, &mut Matrix) -> Result<()>,
 {
+    // Taken before anything can fail, so no retry inherits it.
+    let primed = std::mem::take(&mut ws.primed);
     if let Some(e) = injected_fault() {
         return Err(e);
     }
@@ -297,7 +327,9 @@ where
         } else if !ws.jacobian.is_finite() {
             return Err(SpiceError::NumericalBlowup { time: f64::NAN });
         } else {
+            let reuse = primed && iter == 1;
             let lu = match ws.lu.as_mut() {
+                Some(lu) if reuse => lu,
                 Some(lu) => {
                     lu.refactor(&ws.jacobian)?;
                     lu
@@ -305,7 +337,7 @@ where
                 // lint: allow(hot-loop-alloc, reason = "cold path: the factor is built on the workspace's first solve and refactored in place after")
                 None => ws.lu.insert(LuFactor::new(&ws.jacobian)?), // lint: allow(hot-path-certify, reason = "cold path: the factor is built once on the first solve; every later iteration takes the refactor arm")
             };
-            if let Some(l) = laps {
+            if let (Some(l), false) = (laps, reuse) {
                 l.end_region(lap::FACTOR);
                 l.bump(lap::FACTOR, 1, factor_work);
             }

@@ -65,6 +65,23 @@ impl Stamps {
             self.g[(i, j)] = 0.0;
         }
     }
+
+    /// Zeroes everything but `C`: the vectors, and `G` fully or — with
+    /// `pattern`, under the same invariant as [`Stamps::clear_pattern`] —
+    /// only at the given positions. The clear of an assembly that leaves
+    /// `C` out (a transient's per-step assembly).
+    pub(crate) fn clear_state(&mut self, pattern: Option<&[(usize, usize)]>) {
+        self.q.fill_zero();
+        self.f.fill_zero();
+        match pattern {
+            Some(entries) => {
+                for &(i, j) in entries {
+                    self.g[(i, j)] = 0.0;
+                }
+            }
+            None => self.g.fill_zero(),
+        }
+    }
 }
 
 /// Evaluation context handed to devices while stamping.
@@ -119,6 +136,8 @@ pub struct Stamper<'a> {
     /// When present, every `C`/`G` position stamped is appended here
     /// (duplicates included; callers sort + dedup afterwards).
     pattern: Option<&'a mut Vec<(usize, usize)>>,
+    /// Whether `C` writes land; [`Stamper::without_c`] drops them.
+    with_c: bool,
 }
 
 impl<'a> Stamper<'a> {
@@ -127,6 +146,18 @@ impl<'a> Stamper<'a> {
         Stamper {
             stamps,
             pattern: None,
+            with_c: true,
+        }
+    }
+
+    /// Wraps a workspace for stamping everything but `C`, which every
+    /// device stamps as a constant ([`crate::devices::Device`]): the
+    /// assembly of a run that holds its `C` elsewhere.
+    pub(crate) fn without_c(stamps: &'a mut Stamps) -> Self {
+        Stamper {
+            stamps,
+            pattern: None,
+            with_c: false,
         }
     }
 
@@ -136,6 +167,7 @@ impl<'a> Stamper<'a> {
         Stamper {
             stamps,
             pattern: Some(pattern),
+            with_c: true,
         }
     }
 
@@ -155,7 +187,7 @@ impl<'a> Stamper<'a> {
 
     /// Adds `value` to `C[eq, var]`.
     pub fn add_c(&mut self, eq: Option<usize>, var: Option<usize>, value: f64) {
-        if let (Some(i), Some(j)) = (eq, var) {
+        if let (true, Some(i), Some(j)) = (self.with_c, eq, var) {
             self.stamps.c.add_at(i, j, value);
             if let Some(pattern) = self.pattern.as_deref_mut() {
                 // lint: allow(hot-path-certify, reason = "probe mode only: `pattern` is `Some` during the one-time sparsity probe and `None` in every per-iteration assembly")

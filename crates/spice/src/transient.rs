@@ -14,8 +14,11 @@
 //! The step Jacobian is factored once per accepted step and **reused** for
 //! every sensitivity solve, so the 1×2 characterization Jacobian costs only
 //! two extra back-substitutions per step — the paper's key efficiency
-//! observation.
+//! observation. Under Backward Euler each accepted state is also stamped
+//! once: at the next step's time, where its stamps — and, at an unchanged
+//! step size, that factor — serve as the next step's first Newton iterate.
 
+use std::cell::Cell;
 use std::mem;
 use std::sync::{Mutex, OnceLock};
 
@@ -25,7 +28,7 @@ use crate::circuit::Circuit;
 use crate::dcop::{self, DcOptions};
 use crate::newton::{self, NewtonOptions};
 use crate::solver::{SolverChoice, SparseJacSolver};
-use crate::stamp::Stamps;
+use crate::stamp::{EvalContext, Stamper, Stamps};
 use crate::waveform::{Param, Params};
 use crate::{Result, SpiceError};
 
@@ -87,9 +90,10 @@ pub(crate) const TSTOP_ENDPOINT_SLACK: f64 = 1e-18;
 /// contiguous chain NEWTON → SENS → STEP_SELF, one clock read per
 /// boundary, so the default profiling detail costs ~3 reads per step.
 const LAP_NEWTON: usize = 0;
-/// Accepted-point re-stamp plus the sensitivity factor/solves — the
-/// re-stamp exists to furnish exact `C_i`, `G_i` for this recursion, so
-/// it is charged here.
+/// The sensitivity factor and solves; runs without sensitivities never
+/// enter it. Stamping the accepted state they read is charged to
+/// [`LAP_NEWTON`] and to the device-evaluation and stamp iteration laps:
+/// it is the next step's first Newton iterate.
 const LAP_SENS: usize = 1;
 /// History rotation and result recording; never flushed — it remains the
 /// `Transient` frame's own self-time.
@@ -426,19 +430,14 @@ impl TransientResult {
         direction: CrossingDirection,
     ) -> Option<f64> {
         let traj = self.series(unknown)?;
+        let crossing = Crossing {
+            level,
+            t_after,
+            direction,
+        };
         for i in 1..self.times.len() {
-            if self.times[i] <= t_after {
-                continue;
-            }
             let (v0, v1) = (traj[i - 1], traj[i]);
-            let rising = v0 < level && v1 >= level;
-            let falling = v0 > level && v1 <= level;
-            let hit = match direction {
-                CrossingDirection::Rising => rising,
-                CrossingDirection::Falling => falling,
-                CrossingDirection::Any => rising || falling,
-            };
-            if hit {
+            if crossing.hit(self.times[i], v0, v1) {
                 let (t0, t1) = (self.times[i - 1], self.times[i]);
                 let frac = if v1 == v0 {
                     0.0
@@ -461,6 +460,41 @@ pub enum CrossingDirection {
     Falling,
     /// Either direction.
     Any,
+}
+
+/// A crossing through `level` in `direction` after `t_after`: what
+/// [`TransientResult::crossing_time`] measures and
+/// [`TransientAnalysis::stop_at_crossing`] stops at, by one predicate.
+#[derive(Debug, Clone, Copy)]
+struct Crossing {
+    level: f64,
+    t_after: f64,
+    direction: CrossingDirection,
+}
+
+impl Crossing {
+    /// Whether the accepted step that ends at `t` and takes the unknown
+    /// from `v0` to `v1` makes the crossing.
+    fn hit(&self, t: f64, v0: f64, v1: f64) -> bool {
+        let rising = v0 < self.level && v1 >= self.level;
+        let falling = v0 > self.level && v1 <= self.level;
+        t > self.t_after
+            && match self.direction {
+                CrossingDirection::Rising => rising,
+                CrossingDirection::Falling => falling,
+                CrossingDirection::Any => rising || falling,
+            }
+    }
+}
+
+/// Work a run's accepted steps took from the step before instead of
+/// redoing it, flushed to telemetry with the run's other counters.
+#[derive(Debug, Default)]
+struct Reused {
+    /// Steps whose first Newton iterate took the accepted state's stamps.
+    stamps: u64,
+    /// Of those, the ones whose first iterate took its factor too.
+    factors: u64,
 }
 
 /// The scalars of the stepping loop's carried state after an accepted
@@ -723,6 +757,7 @@ pub struct TransientAnalysis<'a> {
     opts: TransientOptions,
     ladder: Option<(&'a PrefixLadder, Params)>,
     seed: Option<&'a PrefixLadder>,
+    stop: Option<(usize, Crossing)>,
 }
 
 impl<'a> TransientAnalysis<'a> {
@@ -733,6 +768,7 @@ impl<'a> TransientAnalysis<'a> {
             opts,
             ladder: None,
             seed: None,
+            stop: None,
         }
     }
 
@@ -765,6 +801,32 @@ impl<'a> TransientAnalysis<'a> {
     /// built ladder takes no seed.
     pub fn seeding(mut self, ladder: &'a PrefixLadder) -> Self {
         self.seed = Some(ladder);
+        self
+    }
+
+    /// Ends every run at the first accepted step after `t_after` at which
+    /// `unknown` crosses `level` in `direction`: the crossing
+    /// [`TransientResult::crossing_time`] finds first, decided by the same
+    /// predicate, so measuring it on the shortened run gives the same
+    /// time. Everything up to that step stays bitwise identical to a run
+    /// to `tstop`; a run that never crosses runs to `tstop`.
+    ///
+    /// # Panics
+    ///
+    /// Runs panic if `unknown` is not an unknown of the circuit.
+    pub fn stop_at_crossing(
+        mut self,
+        unknown: usize,
+        level: f64,
+        t_after: f64,
+        direction: CrossingDirection,
+    ) -> Self {
+        let crossing = Crossing {
+            level,
+            t_after,
+            direction,
+        };
+        self.stop = Some((unknown, crossing));
         self
     }
 
@@ -866,6 +928,7 @@ impl<'a> TransientAnalysis<'a> {
             },
             ladder: None,
             seed: None,
+            stop: None,
         };
         let n = self.circuit.unknown_count();
         let quiet = quiet_until(self.circuit, &reference).min(loop_end(&self.opts));
@@ -931,9 +994,10 @@ impl<'a> TransientAnalysis<'a> {
             shc_obs::count(shc_obs::Metric::PrefixStepsReused, reused.steps as u64);
         }
         let mut stats = reused;
+        let mut skipped = Reused::default();
         let result = match self.injected_run_fault() {
             Some(e) => Err(e),
-            None => self.run_core(params, scratch, &mut stats, start, capture),
+            None => self.run_core(params, scratch, &mut stats, &mut skipped, start, capture),
         };
         let steps = (stats.steps - reused.steps) as u64;
         shc_prof::add_work(steps);
@@ -947,6 +1011,8 @@ impl<'a> TransientAnalysis<'a> {
                 shc_obs::Metric::LteRejections,
                 (stats.rejected_steps - reused.rejected_steps) as u64,
             );
+            shc_obs::count(shc_obs::Metric::StampsReused, skipped.stamps);
+            shc_obs::count(shc_obs::Metric::FactorsReused, skipped.factors);
         }
         result
     }
@@ -981,7 +1047,8 @@ impl<'a> TransientAnalysis<'a> {
     /// checkpoint zero: the DC operating point or given state at `t = 0`).
     /// Accumulates work counters into `stats`, which arrive holding the
     /// start's counters, so [`TransientAnalysis::run_from`] can flush them
-    /// to telemetry on both the success and the failure path. With
+    /// to telemetry on both the success and the failure path; `reused`
+    /// gathers the stamps and factors it took from earlier steps. With
     /// `capture`, the start and every [`LADDER_STRIDE`]-th accepted step
     /// are offered to it as [`PrefixLadder`] checkpoints.
     fn run_core(
@@ -989,6 +1056,7 @@ impl<'a> TransientAnalysis<'a> {
         params: &Params,
         scratch: &mut TransientScratch,
         stats: &mut TransientStats,
+        reused: &mut Reused,
         start: Option<Start>,
         mut capture: Option<&mut Capture>,
     ) -> Result<TransientResult> {
@@ -1072,8 +1140,7 @@ impl<'a> TransientAnalysis<'a> {
             stamps_prev,
             stamps_new,
             stamps_hist,
-            sens_jac,
-            sens_dense,
+            c,
             sens_sparse,
             sens_rhs,
             sens_tmp,
@@ -1105,19 +1172,38 @@ impl<'a> TransientAnalysis<'a> {
         };
         let device_work = circuit.device_count() as u64;
 
-        // Previous-step quantities for the recursions, stamped at the
-        // start point with this run's own parameters.
-        circuit.assemble_into(stamps_prev, &x_prev, t_prev, params, 1.0);
+        // Every device stamps a constant `C`, so the run assembles it once,
+        // with the start point's stamps; each later assembly leaves it out.
+        // Backward Euler reads no `f` at an accepted state, so it stamps
+        // each state — the start included — at the time of the step that
+        // leaves it: those stamps are that step's first Newton iterate.
+        // The other integrators read `f` there and stamp at the state's
+        // own time.
+        let be = opts.integrator == Integrator::BackwardEuler;
+        let mut stamped_at = if be {
+            (t_prev + dt).min(opts.tstop)
+        } else {
+            t_prev
+        };
+        circuit.assemble_into(stamps_prev, &x_prev, stamped_at, params, 1.0);
+        c.copy_from(&stamps_prev.c)?;
+        let c = &*c;
         let mut dfdp_prev: Vec<Vector> = opts
             .sensitivities
             .iter()
             .map(|&p| circuit.assemble_dfdp(t_prev, params, p))
             .collect();
         // Time of the two-steps-ago state. While `Some`, that state lives
-        // in the workspace history buffers: `stamps_hist` (Gear-2's q and
-        // C) and `hist_sens` (the old sensitivities). Resumable runs are
-        // Backward Euler, which keeps no such history.
+        // in the workspace history buffers: `stamps_hist` (Gear-2's q) and
+        // `hist_sens` (the old sensitivities). Resumable runs are Backward
+        // Euler, which keeps no such history.
         let mut hist_t: Option<f64> = None;
+        // The step size of the sensitivity Jacobian the dense LU factors at
+        // the last accepted state, until a Newton solve refactors it. Under
+        // fault injection every factorization runs, so LU fault draws fall
+        // as they always have.
+        let mut factored_dt: Option<f64> = None;
+        let reuse_factors = !shc_fault::enabled();
 
         while t_prev < loop_end(opts) {
             let t_new = (t_prev + dt).min(opts.tstop);
@@ -1136,6 +1222,20 @@ impl<'a> TransientAnalysis<'a> {
                 )
             });
 
+            // The first iterate is `x_prev`, already stamped at `t_new`
+            // unless a Newton cut moved `t_new`. When the dense LU factors
+            // its Jacobian too — the same `dt_eff` — the iterate skips the
+            // refactor.
+            let was_fresh = be && t_new.to_bits() == stamped_at.to_bits();
+            let fresh = Cell::new(was_fresh);
+            let primed = was_fresh
+                && reuse_factors
+                && factored_dt.map(f64::to_bits) == Some(dt_eff.to_bits());
+            factored_dt = None;
+            if primed {
+                nw.prime();
+            }
+
             // Newton solve of the discretized step equation. Residual and
             // Jacobian are built directly in the workspace buffers; no
             // allocation happens per iteration.
@@ -1144,13 +1244,14 @@ impl<'a> TransientAnalysis<'a> {
                 // Re-arm the lap cursor so time between iterations is
                 // never charged to the device loop.
                 lap_iter.end_region(newton::lap::ITER_SELF);
-                match pattern {
-                    Some(p) => circuit.assemble_sparse_into(nr_stamps, x, t_new, params, 1.0, p),
-                    None => circuit.assemble_into(nr_stamps, x, t_new, params, 1.0),
-                }
-                lap_iter.end_region(newton::lap::DEV);
-                lap_iter.bump(newton::lap::DEV, 1, device_work);
-                let s = &*nr_stamps;
+                let s = if fresh.take() {
+                    &*stamps_prev
+                } else {
+                    assemble_state_into(circuit, nr_stamps, x, t_new, params, pattern);
+                    lap_iter.end_region(newton::lap::DEV);
+                    lap_iter.bump(newton::lap::DEV, 1, device_work);
+                    &*nr_stamps
+                };
                 let (c_scale, a) = match integ {
                     Integrator::BackwardEuler => {
                         r.copy_from(&s.q);
@@ -1184,18 +1285,21 @@ impl<'a> TransientAnalysis<'a> {
                         }
                     },
                 };
-                combine_step_jacobian_into(j, &s.c, &s.g, c_scale, a, pattern)?;
+                combine_step_jacobian_into(j, c, &s.g, c_scale, a, pattern)?;
                 lap_iter.end_region(newton::lap::STAMP);
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 Ok(())
             };
-            let solve_result = match newton::solve_in_place_lapped(
+            let first = newton::solve_in_place_lapped(
                 nw,
                 &x_prev,
                 &opts.newton,
                 Some(&lap_iter),
                 &mut assemble,
-            ) {
+            );
+            // Retries start from jittered states, never from `x_prev`.
+            let took_stamps = was_fresh && !fresh.replace(false);
+            let solve_result = match first {
                 // At the dt floor there is no smaller step to cut to, so a
                 // divergence used to kill the whole run; try the damped
                 // jittered-retry policy before giving up.
@@ -1228,99 +1332,119 @@ impl<'a> TransientAnalysis<'a> {
                 ),
                 other => other,
             };
-            lap_step.end_region(LAP_NEWTON);
 
+            // An accepted solve's lap ends after its state is stamped.
             let iterations = match solve_result {
                 Ok(iters) => iters,
                 Err(SpiceError::NewtonDiverged { .. }) if dt_eff > opts.dt_min * DT_FLOOR_SLACK => {
                     dt = (dt_eff / 4.0).max(opts.dt_min);
                     stats.rejected_steps += 1;
+                    lap_step.end_region(LAP_NEWTON);
                     lap_step.bump(LAP_NEWTON, 1, 0);
                     continue;
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    lap_step.end_region(LAP_NEWTON);
+                    return Err(e);
+                }
             };
             stats.newton_iterations += iterations;
+            reused.stamps += u64::from(took_stamps);
+            reused.factors += u64::from(took_stamps && primed);
             lap_step.bump(LAP_NEWTON, 1, iterations as u64);
             let x_new = nw.x();
             if !x_new.is_finite() {
                 return Err(SpiceError::NumericalBlowup { time: t_new });
             }
+            let stop = self
+                .stop
+                .is_some_and(|(i, at)| at.hit(t_new, x_prev[i], x_new[i]));
+            x_prev.copy_from(x_new);
 
-            // Accepted: re-stamp at the converged point for exact C_i, G_i,
-            // q_i, f_i and the sensitivity solves.
-            match pattern {
-                Some(p) => circuit.assemble_sparse_into(stamps_new, x_new, t_new, params, 1.0, p),
-                None => circuit.assemble_into(stamps_new, x_new, t_new, params, 1.0),
+            // A Newton-failure cut must not persist: recover toward the
+            // configured step after each accepted step.
+            if dt < opts.dt {
+                dt = (dt * 2.0).min(opts.dt);
             }
-            if !sens.is_empty() {
-                let gear_sens_coeffs = if matches!(opts.integrator, Integrator::Gear2) {
-                    gear_coeffs
-                } else {
-                    None
-                };
-                let (c_scale, a) = match (opts.integrator, &gear_sens_coeffs) {
+
+            // Accepted: stamp the new state (for its `q`, `G` and, off
+            // Backward Euler, `f`), charged like any Newton assembly.
+            stamped_at = if be {
+                (t_new + dt).min(opts.tstop)
+            } else {
+                t_new
+            };
+            lap_iter.end_region(newton::lap::ITER_SELF);
+            assemble_state_into(circuit, stamps_new, &x_prev, stamped_at, params, pattern);
+            lap_iter.end_region(newton::lap::DEV);
+            lap_iter.bump(newton::lap::DEV, 1, device_work);
+            if sens.is_empty() {
+                lap_step.end_region(LAP_NEWTON);
+            } else {
+                let (c_scale, a) = match (opts.integrator, &gear_coeffs) {
                     (Integrator::BackwardEuler, _) => (None, dt_eff),
                     (Integrator::Trapezoidal, _) => (None, 0.5 * dt_eff),
                     (Integrator::Gear2, Some((c0, _, _))) => (Some(*c0), dt_eff),
                     (Integrator::Gear2, None) => (None, dt_eff), // first step: BE
                 };
                 combine_step_jacobian_into(
-                    sens_jac,
-                    &stamps_new.c,
+                    nw.jacobian_and_lu().0,
+                    c,
                     &stamps_new.g,
                     c_scale,
                     a,
                     pattern,
                 )?;
-                // The sensitivity solves reuse whichever backend the
-                // Newton path runs on, factoring the sensitivity Jacobian
-                // once per accepted step and back-substituting per
-                // parameter.
+                lap_iter.end_region(newton::lap::STAMP);
+                lap_iter.bump(newton::lap::STAMP, 1, n as u64);
+                lap_step.end_region(LAP_NEWTON);
+
+                // One factor of the sensitivity Jacobian per accepted step,
+                // on whichever backend the Newton path runs, then one
+                // back-substitution per parameter. The dense factor lands
+                // in the Newton LU, where the next step's first iterate may
+                // take it.
                 enum SensSolver<'s> {
-                    Dense(&'s mut LuFactor),
+                    Dense(&'s LuFactor),
                     Sparse(&'s mut SparseJacSolver),
                 }
                 let mut sens_solver = if let Some(src) = nw.sparse_solver() {
-                    let sp = match sens_sparse.as_mut() {
-                        Some(sp) => sp,
-                        // Cold, once per scratch lifetime: the clone
-                        // shares the Newton solver's symbolic analysis.
-                        None => sens_sparse.insert(src.clone()),
-                    };
-                    with_lu_fault_retries(|| sp.factor_from(sens_jac))?;
+                    // Cold, once per scratch lifetime: the clone shares the
+                    // Newton solver's symbolic analysis.
+                    let sp = sens_sparse.get_or_insert_with(|| src.clone());
+                    with_lu_fault_retries(|| sp.factor_from(nw.jacobian()))?;
                     SensSolver::Sparse(sp)
                 } else {
-                    let lu = match sens_dense.as_mut() {
+                    let (jac, lu) = nw.jacobian_and_lu();
+                    let lu = match lu.as_mut() {
                         Some(lu) => {
-                            with_lu_fault_retries(|| lu.refactor(sens_jac))?;
+                            with_lu_fault_retries(|| lu.refactor(jac))?;
                             lu
                         }
-                        None => {
-                            sens_dense.insert(with_lu_fault_retries(|| LuFactor::new(sens_jac))?)
-                        }
+                        None => lu.insert(with_lu_fault_retries(|| LuFactor::new(jac))?),
                     };
+                    factored_dt = Some(dt_eff);
                     SensSolver::Dense(lu)
                 };
                 for (k, (param, m)) in sens.iter_mut().enumerate() {
                     circuit.assemble_dfdp_into(dfdp_tmp, zero_x, t_new, params, *param);
-                    match (opts.integrator, &gear_sens_coeffs) {
+                    match (opts.integrator, &gear_coeffs) {
                         (Integrator::BackwardEuler, _) | (Integrator::Gear2, None) => {
-                            stamps_prev.c.mul_vec_into(m, sens_rhs);
+                            c.mul_vec_into(m, sens_rhs);
                             sens_rhs.axpy(-dt_eff, dfdp_tmp);
                         }
                         (Integrator::Trapezoidal, _) => {
                             let half = 0.5 * dt_eff;
-                            stamps_prev.c.mul_vec_into(m, sens_rhs);
+                            c.mul_vec_into(m, sens_rhs);
                             stamps_prev.g.mul_vec_into(m, cg_tmp);
                             sens_rhs.axpy(-half, cg_tmp);
                             sens_rhs.axpy(-half, dfdp_tmp);
                             sens_rhs.axpy(-half, &dfdp_prev[k]);
                         }
                         (Integrator::Gear2, Some((_, c1, c2))) => {
-                            stamps_prev.c.mul_vec_into(m, sens_rhs);
+                            c.mul_vec_into(m, sens_rhs);
                             sens_rhs.scale_mut(*c1);
-                            stamps_hist.c.mul_vec_into(&hist_sens[k], cg_tmp);
+                            c.mul_vec_into(&hist_sens[k], cg_tmp);
                             sens_rhs.axpy(-*c2, cg_tmp);
                             sens_rhs.axpy(-dt_eff, dfdp_tmp);
                         }
@@ -1338,15 +1462,15 @@ impl<'a> TransientAnalysis<'a> {
                     m.copy_from(sens_tmp);
                     mem::swap(&mut dfdp_prev[k], dfdp_tmp);
                 }
+                lap_step.end_region(LAP_SENS);
+                lap_step.bump(LAP_SENS, 1, sens.len() as u64);
             }
-            lap_step.end_region(LAP_SENS);
-            lap_step.bump(LAP_SENS, 1, sens.len() as u64);
 
             stats.steps += 1;
             times.push(t_new);
             match opts.record {
-                RecordMode::Full => states.push(x_new.clone()),
-                RecordMode::Probe(i) => probe.push(x_new[i]),
+                RecordMode::Full => states.push(x_prev.clone()),
+                RecordMode::Probe(i) => probe.push(x_prev[i]),
                 RecordMode::FinalOnly => {}
             }
 
@@ -1355,16 +1479,10 @@ impl<'a> TransientAnalysis<'a> {
             // step becomes the previous one. The displaced two-ago buffers
             // are recycled as the next step's assembly targets.
             hist_t = Some(t_prev);
-            x_prev.copy_from(x_new);
             mem::swap(stamps_hist, stamps_prev);
             mem::swap(stamps_prev, stamps_new);
             t_prev = t_new;
 
-            // A Newton-failure cut must not persist: recover toward the
-            // configured step after each accepted step.
-            if dt < opts.dt {
-                dt = (dt * 2.0).min(opts.dt);
-            }
             if let Some(cap) = capture.as_mut() {
                 if stats.steps.is_multiple_of(LADDER_STRIDE) {
                     let mark = Mark {
@@ -1378,6 +1496,9 @@ impl<'a> TransientAnalysis<'a> {
                 }
             }
             lap_step.end_region(LAP_STEP_SELF);
+            if stop {
+                break;
+            }
         }
 
         Ok(TransientResult {
@@ -1425,11 +1546,40 @@ fn combine_step_jacobian_into(
     Ok(())
 }
 
+/// Like [`Circuit::assemble_into`] — or, with `pattern`, like
+/// [`Circuit::assemble_sparse_into`] — but leaves `stamps.c` as it is,
+/// neither cleared nor written: every device stamps a constant `C`
+/// ([`crate::devices::Device`]), so a run assembles it once and each step
+/// assembles only `q`, `f` and `G`.
+// lint: hot-fn
+fn assemble_state_into(
+    circuit: &Circuit,
+    stamps: &mut Stamps,
+    x: &Vector,
+    t: f64,
+    params: &Params,
+    pattern: Option<&[(usize, usize)]>,
+) {
+    stamps.clear_state(pattern);
+    let ctx = EvalContext {
+        x,
+        t,
+        params,
+        source_scale: 1.0,
+        node_offset: circuit.node_count(),
+    };
+    let mut stamper = Stamper::without_c(stamps);
+    for device in circuit.devices() {
+        device.stamp(&mut stamper, &ctx);
+    }
+}
+
 /// Reusable per-run workspace for [`TransientAnalysis::run_with_scratch`].
 ///
 /// A characterization sweep performs thousands of transient runs over a
 /// fixed-dimension circuit; this workspace owns every per-step buffer —
-/// the Newton iterate/residual/Jacobian/LU factors, the assembly stamps
+/// the Newton iterate/residual/Jacobian/LU factors (which the dense
+/// sensitivity solves share), the run's constant `C`, the assembly stamps
 /// for the current, previous, and two-steps-ago time points, and the
 /// sensitivity solve temporaries — so the stepping loop performs no
 /// matrix allocation once the buffers are warm.
@@ -1441,11 +1591,12 @@ pub struct TransientScratch {
     stamps_prev: Stamps,
     stamps_new: Stamps,
     stamps_hist: Stamps,
-    sens_jac: Matrix,
-    /// Dense-path sensitivity factors, created on the first accepted step.
-    sens_dense: Option<LuFactor>,
+    /// The run's constant `C`: per-step assemblies leave the stamps' own
+    /// `C` untouched.
+    c: Matrix,
     /// Sparse-path sensitivity solver; created (cold) by cloning the
-    /// Newton solver so both share one symbolic analysis.
+    /// Newton solver so both share one symbolic analysis. The dense path
+    /// factors the sensitivity Jacobian in the Newton workspace.
     sens_sparse: Option<SparseJacSolver>,
     sens_rhs: Vector,
     sens_tmp: Vector,
@@ -1469,8 +1620,7 @@ impl TransientScratch {
             stamps_prev: Stamps::new(n),
             stamps_new: Stamps::new(n),
             stamps_hist: Stamps::new(n),
-            sens_jac: Matrix::zeros(n, n),
-            sens_dense: None,
+            c: Matrix::zeros(n, n),
             sens_sparse: None,
             sens_rhs: Vector::zeros(n),
             sens_tmp: Vector::zeros(n),
@@ -1537,7 +1687,6 @@ impl TransientScratch {
             self.stamps_prev.clear();
             self.stamps_new.clear();
             self.stamps_hist.clear();
-            self.sens_jac.fill_zero();
         } else {
             self.newton.set_sparse_solver(None);
             self.sens_sparse = None;
@@ -2200,6 +2349,60 @@ mod tests {
             assert_bitwise_eq(&resumed, &full);
             assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
         }
+    }
+
+    /// The edges of stamp and factor reuse: Newton dt-cuts, the steps
+    /// that double `dt` back after them, and a last step that `tstop`
+    /// clips. With sensitivities on, a full run, a run resumed from a
+    /// ladder rung below the cut, and a one-lane batch agree bit for bit;
+    /// and the full run's first iterates take the previous step's factor
+    /// exactly on the steps whose `dt_eff` equals the previous step's.
+    #[test]
+    fn reuse_edges_stay_bitwise_and_reuse_only_equal_step_factors() {
+        let (c, mut opts) = clocked_rc();
+        opts.tstop = 405e-9;
+        // Leading ramp 200–300 ns, trailing ramp 300–400 ns: both
+        // sensitivities move, and a ladder-backed run resumes from the
+        // rung at step 16, before the cut.
+        let at = Params::new(50e-9, 50e-9);
+        let collector = shc_obs::Collector::new();
+        let full = {
+            let _guard = shc_obs::install_scoped(&collector);
+            TransientAnalysis::new(&c, opts.clone()).run(&at).unwrap()
+        };
+        let times = full.times();
+        let dts: Vec<u64> = times.windows(2).map(|w| (w[1] - w[0]).to_bits()).collect();
+        let equal_steps = dts.windows(2).filter(|d| d[0] == d[1]).count() as u64;
+        assert!(full.stats().rejected_steps > 0, "the clock edge cuts dt");
+        assert!(times[times.len() - 1] - times[times.len() - 2] < opts.dt);
+        assert!(equal_steps + 1 < full.stats().steps as u64);
+        assert_eq!(
+            collector.counter(shc_obs::Metric::FactorsReused),
+            equal_steps
+        );
+        assert!(
+            collector.counter(shc_obs::Metric::StampsReused)
+                >= collector.counter(shc_obs::Metric::FactorsReused)
+        );
+
+        let ladder = PrefixLadder::default();
+        let analysis = TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());
+        let collector = shc_obs::Collector::new();
+        let resumed = {
+            let _guard = shc_obs::install_scoped(&collector);
+            analysis.run(&at).unwrap()
+        };
+        assert_bitwise_eq(&resumed, &full);
+        assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
+        assert_eq!(collector.counter(shc_obs::Metric::PrefixStepsReused), 16);
+
+        let lane = [crate::batch::BatchLane {
+            circuit: &c,
+            params: at,
+            tstop: opts.tstop,
+        }];
+        let batched = crate::batch::run_lockstep(&lane, &opts).unwrap();
+        assert_bitwise_eq(batched[0].as_ref().unwrap(), &full);
     }
 
     /// A reference whose data pulse moves before the stop time: its ladder

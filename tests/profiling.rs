@@ -158,3 +158,49 @@ fn serial_and_parallel_profiles_aggregate_identical_counts() {
         "serial and parallel per-phase (count, work) aggregates diverge"
     );
 }
+
+/// A transient without sensitivities never enters the sensitivity phase,
+/// at either detail level. Stamping an accepted state is the next step's
+/// first Newton iterate, charged as device evaluation: with every first
+/// iterate taking those stamps, each Newton iteration costs exactly one
+/// device evaluation. With sensitivities the phase counts one entry per
+/// accepted step.
+#[test]
+fn runs_without_sensitivities_record_no_sens_solve() {
+    use shc::spice::transient::{RecordMode, TransientAnalysis, TransientOptions};
+    use shc::spice::waveform::Param;
+    let problem = fast_problem();
+    for detail in [Detail::Step, Detail::Iter] {
+        for sensitivities in [&[][..], &Param::ALL[..]] {
+            let opts = TransientOptions::builder(4e-9)
+                .dt(4e-12)
+                .sensitivities(sensitivities)
+                .record(RecordMode::FinalOnly)
+                .build();
+            let profiler = Profiler::with_detail(detail);
+            let res = {
+                let _profile = shc::prof::install_scoped(&profiler);
+                TransientAnalysis::new(problem.register().circuit(), opts)
+                    .run(&problem.reference_params())
+                    .expect("transient runs")
+            };
+            let report = profiler.report("transient");
+            let count = |phase: Phase| {
+                report
+                    .phases
+                    .iter()
+                    .find(|a| a.phase == phase.name())
+                    .map_or(0, |a| a.count)
+            };
+            let stats = res.stats();
+            assert_eq!(stats.steps, 1000);
+            let sens_entries = if sensitivities.is_empty() { 0 } else { 1000 };
+            assert_eq!(count(Phase::SensSolve), sens_entries, "{detail:?}");
+            assert_eq!(
+                count(Phase::DeviceEval),
+                stats.newton_iterations as u64,
+                "{detail:?}"
+            );
+        }
+    }
+}
