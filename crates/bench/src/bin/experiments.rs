@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p shc-bench --bin experiments            # paper clock (minutes)
+//! cargo run --release -p shc-bench --bin experiments            # paper clock
 //! cargo run --release -p shc-bench --bin experiments -- --fast  # compressed clock (seconds)
 //! cargo run --release -p shc-bench --bin experiments -- --fast --surface-n 20
 //! cargo run --release -p shc-bench --bin experiments -- --fast \
@@ -12,11 +12,6 @@
 //! ```
 //!
 //! `--surface-n N` sets the surface grid edge (default 40, at least 2).
-//!
-//! `--batch auto|scalar|batched` picks the batched-engine policy for every
-//! characterization problem (default `auto`: serial sweeps of supported
-//! circuits run lanes in lockstep; `scalar` forces the per-simulation
-//! path, `batched` asserts the lockstep path engages).
 //!
 //! `--journal <path>` records every traced contour point as one JSONL
 //! event; `--metrics <path>` dumps end-of-run solver counters, histograms,
@@ -26,6 +21,9 @@
 //! writes the phase report as JSON (plus a collapsed-stack `.folded`
 //! flamegraph next to it); `--profile-detail step|iter` picks the
 //! granularity.
+//!
+//! An unknown flag or a flag without its value prints the usage and exits
+//! with a failure.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -37,11 +35,9 @@ use shc_obs::{Collector, FileSink, Metric, Sink};
 use shc_bench::{Cell, Timing};
 use shc_core::independent::{binary_search, newton, IndependentOptions, SkewAxis};
 use shc_core::report::{CellReport, ContourTable, OverlayReport, SpeedupRow};
-use shc_core::{
-    surface, BatchPolicy, CharacterizationProblem, SeedOptions, SurfaceOptions, TracerOptions,
-};
+use shc_core::{surface, CharacterizationProblem, SeedOptions, SurfaceOptions, TracerOptions};
 
-const USAGE: &str = "usage: experiments [--fast] [--surface-n N] [--batch auto|scalar|batched]
+const USAGE: &str = "usage: experiments [--fast] [--surface-n N]
                    [--journal <path>] [--metrics <path>]
                    [--profile <path>] [--profile-detail step|iter]";
 
@@ -52,47 +48,81 @@ fn now() -> Instant {
     Instant::now()
 }
 
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    timing: Timing,
+    surface_n: usize,
+    journal: Option<String>,
+    metrics: Option<String>,
+    profile: Option<String>,
+    profile_detail: shc_prof::Detail,
+}
+
+/// Parses the arguments after the program name. Every flag must be known
+/// and every value-taking flag must have its value.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        timing: Timing::Paper,
+        surface_n: 40,
+        journal: None,
+        metrics: None,
+        profile: None,
+        profile_detail: shc_prof::Detail::Step,
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value_for = |flag: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match arg.as_str() {
+            "--fast" => parsed.timing = Timing::Fast,
+            "--surface-n" => {
+                let v = value_for("--surface-n")?;
+                parsed.surface_n = match v.parse() {
+                    Ok(n) if n >= 2 => n,
+                    _ => {
+                        return Err(format!(
+                            "--surface-n must be an integer of at least 2, got '{v}'"
+                        ))
+                    }
+                };
+            }
+            "--journal" => parsed.journal = Some(value_for("--journal")?),
+            "--metrics" => parsed.metrics = Some(value_for("--metrics")?),
+            "--profile" => parsed.profile = Some(value_for("--profile")?),
+            "--profile-detail" => {
+                parsed.profile_detail = match value_for("--profile-detail")?.as_str() {
+                    "step" => shc_prof::Detail::Step,
+                    "iter" => shc_prof::Detail::Iter,
+                    other => {
+                        return Err(format!(
+                            "--profile-detail must be step or iter, got '{other}'"
+                        ))
+                    }
+                };
+            }
+            other => return Err(format!("unknown flag '{other}'")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let timing = if args.iter().any(|a| a == "--fast") {
-        Timing::Fast
-    } else {
-        Timing::Paper
-    };
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let surface_n: usize = match flag_value("--surface-n") {
-        None => 40,
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 2 => n,
-            _ => {
-                eprintln!("--surface-n must be an integer of at least 2, got '{v}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let batch: BatchPolicy = match flag_value("--batch").as_deref() {
-        None => BatchPolicy::default(),
-        Some(v) => match v.parse() {
-            Ok(policy) => policy,
-            Err(e) => {
-                eprintln!("--batch: {e}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let journal_path = flag_value("--journal");
-    let metrics_path = flag_value("--metrics");
-    let profile_path = flag_value("--profile");
-    let profile_detail = match flag_value("--profile-detail").as_deref() {
-        None | Some("step") => shc_prof::Detail::Step,
-        Some("iter") => shc_prof::Detail::Iter,
-        Some(other) => {
-            eprintln!("--profile-detail must be step or iter, got '{other}'\n{USAGE}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        timing,
+        surface_n,
+        journal: journal_path,
+        metrics: metrics_path,
+        profile: profile_path,
+        profile_detail,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -122,7 +152,6 @@ fn main() -> ExitCode {
         run_experiments(
             timing,
             surface_n,
-            batch,
             &collector,
             journal_path.as_deref(),
             metrics_path.as_deref(),
@@ -169,7 +198,6 @@ fn main() -> ExitCode {
 fn run_experiments(
     timing: Timing,
     surface_n: usize,
-    batch: BatchPolicy,
     collector: &Collector,
     journal_path: Option<&str>,
     metrics_path: Option<&str>,
@@ -185,7 +213,7 @@ fn run_experiments(
     println!("---                          C2MOS 90% criterion, r = 0.25 V) ---");
     let mut problems: Vec<(Cell, CharacterizationProblem)> = Vec::new();
     for cell in Cell::ALL {
-        let problem = cell.problem_with_batch(timing, batch)?;
+        let problem = cell.problem(timing)?;
         let report = CellReport {
             cell: cell.name().to_string(),
             t_cq: problem.characteristic_delay(),
@@ -321,4 +349,61 @@ fn run_experiments(
 
     println!("\ndone.");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parses_the_full_flag_set() {
+        let parsed = parse_args(&args(&[
+            "--fast",
+            "--surface-n",
+            "12",
+            "--journal",
+            "j.jsonl",
+            "--metrics",
+            "m.json",
+            "--profile",
+            "p.json",
+            "--profile-detail",
+            "iter",
+        ]))
+        .unwrap();
+        assert_eq!(
+            parsed,
+            Args {
+                timing: Timing::Fast,
+                surface_n: 12,
+                journal: Some("j.jsonl".into()),
+                metrics: Some("m.json".into()),
+                profile: Some("p.json".into()),
+                profile_detail: shc_prof::Detail::Iter,
+            }
+        );
+        let defaults = parse_args(&[]).unwrap();
+        assert_eq!((defaults.timing, defaults.surface_n), (Timing::Paper, 40));
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_missing_values() {
+        for (bad, message) in [
+            (&["--surfce-n", "10"][..], "unknown flag '--surfce-n'"),
+            (&["--batch", "scalar"][..], "unknown flag '--batch'"),
+            (&["--fast", "--surface-n"][..], "--surface-n needs a value"),
+            (&["--surface-n", "1"][..], "--surface-n must be"),
+            (
+                &["--profile-detail", "frame"][..],
+                "--profile-detail must be",
+            ),
+        ] {
+            let e = parse_args(&args(bad)).unwrap_err();
+            assert!(e.contains(message), "{bad:?}: {e}");
+        }
+    }
 }

@@ -24,7 +24,7 @@ use shc_cells::{
     c2mos_register_with, tg_register_with, tspc_register_with, ClockSpec, Register, Technology,
     C2MOS_CLKB_SKEW,
 };
-use shc_core::{BatchPolicy, CharError, CharacterizationProblem};
+use shc_core::{CharError, CharacterizationProblem};
 use shc_spice::SolverChoice;
 
 /// Which clock timing a fixture uses.
@@ -106,23 +106,6 @@ impl Cell {
         CharacterizationProblem::builder(self.register(timing))
             .degradation(0.10)
             .solver(solver)
-            .build()
-    }
-
-    /// [`Cell::problem`] with an explicit batched-engine policy — used by
-    /// the `experiments` binary's `--batch` flag.
-    ///
-    /// # Errors
-    ///
-    /// Propagates problem-construction failures.
-    pub fn problem_with_batch(
-        self,
-        timing: Timing,
-        batch: BatchPolicy,
-    ) -> Result<CharacterizationProblem, CharError> {
-        CharacterizationProblem::builder(self.register(timing))
-            .degradation(0.10)
-            .batch(batch)
             .build()
     }
 }

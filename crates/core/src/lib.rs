@@ -67,9 +67,8 @@ pub mod tracer;
 pub use error::CharError;
 pub use mpnr::{MpnrOptions, MpnrResult};
 pub use parallel::Parallelism;
-pub use problem::{CharacterizationProblem, HEvaluation, ProblemBuilder};
+pub use problem::{BatchPolicy, CharacterizationProblem, HEvaluation, ProblemBuilder};
 pub use seed::SeedOptions;
-pub use shc_spice::batch::BatchPolicy;
 pub use surface::{OutputSurface, SurfaceContour, SurfaceOptions};
 pub use tracer::{
     trace_batch, trace_session, BatchContour, BatchOptions, CheckpointConfig, Contour,

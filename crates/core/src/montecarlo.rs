@@ -16,13 +16,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use shc_cells::{Register, Technology};
-use shc_spice::batch::BatchPolicy;
 use shc_spice::waveform::Params;
 
 use crate::mpnr::{self, MpnrOptions};
 use crate::parallel::{self, Parallelism};
 use crate::seed::{self, SeedOptions};
-use crate::{CharacterizationProblem, Result};
+use crate::{BatchPolicy, CharacterizationProblem, Result};
 
 /// Process-variation model: independent Gaussian perturbations applied to
 /// both device polarities.
@@ -117,9 +116,9 @@ pub struct MonteCarloOptions {
     #[serde(skip)]
     pub parallelism: Parallelism,
     /// Has no effect: every sample runs its MPNR solve on its own
-    /// problem's prefix ladder, which the calibration run seeds, and that
-    /// beats lockstep lanes that each step from DC. Kept because the
-    /// benchmark harness's `montecarlo` workload sets it.
+    /// problem's prefix ladder, which the calibration run seeds. Retained
+    /// because the benchmark of record's `montecarlo` workload sets it,
+    /// until the benchmark stops setting it (ROADMAP item 3).
     #[serde(default)]
     pub batch: BatchPolicy,
 }

@@ -8,12 +8,10 @@
 //! *nearest* the initial guess (paper Fig. 4).
 
 use serde::{Deserialize, Serialize};
-use shc_spice::batch::BatchPolicy;
 use shc_spice::transient::TransientStats;
 use shc_spice::waveform::Params;
 
-use crate::problem::{evaluate_jacobian_lockstep, lockstep_compatible};
-use crate::{CharError, CharacterizationProblem, Result};
+use crate::{BatchPolicy, CharError, CharacterizationProblem, Result};
 
 /// How far the hold-side bracket search may wander from the predicted
 /// skew, in units of `max_step`. Beyond this span the predictor was so
@@ -139,35 +137,11 @@ pub fn solve(
     })
 }
 
-/// Per-lane state of a lockstep MPNR batch.
-struct BatchSolveLane {
-    tau: Params,
-    last_h: f64,
-    transient: TransientStats,
-    done: Option<Result<MpnrResult>>,
-}
-
-/// Solves `h = 0` by MPNR for many `(problem, initial guess)` lanes in
-/// lockstep: each outer iteration evaluates every still-active lane's `h`
-/// and Jacobian through one batched transient
-/// ([`crate::CharacterizationProblem::evaluate_with_jacobian_batch`]'s
-/// cross-problem form), then applies the scalar update rule per lane.
-/// Lanes may carry *different* problems — e.g. one per degradation level
-/// of [`crate::tracer::trace_batch`] — as long as they share the circuit
-/// dimension and solver settings; a converged or failed lane simply stops
-/// being evaluated.
-///
-/// Per lane, the returned `Result<MpnrResult>` is bitwise identical to
-/// [`solve`] on that lane alone: the update trajectory depends only on the
-/// lane's own evaluations, which the lockstep engine reproduces exactly.
-/// When `policy` declines (scalar policy, lane floor, fault injector under
-/// [`BatchPolicy::Auto`], out-of-envelope configuration) or the lanes are
-/// not lockstep-compatible, every lane runs through the scalar [`solve`].
-///
-/// Lockstep lanes run every iteration from DC, while the scalar [`solve`]
-/// resumes each evaluation from its problem's prefix ladder, which the
-/// problem's calibration run seeds; Monte Carlo and corner sweeps
-/// therefore solve per problem.
+/// Solves `h = 0` by MPNR for each `(problem, initial guess)` lane, in
+/// order: one [`solve`] per lane; the policy is ignored. Retained, with
+/// its signature, for the benchmark of record, whose traced per-layer
+/// pass times it, until the benchmark drops its
+/// `mpnr.solve_batch_ms_per_lane` metric (ROADMAP item 3).
 ///
 /// # Errors
 ///
@@ -177,7 +151,7 @@ pub fn solve_batch(
     problems: &[&CharacterizationProblem],
     initials: &[Params],
     opts: &MpnrOptions,
-    policy: BatchPolicy,
+    _policy: BatchPolicy,
 ) -> Vec<Result<MpnrResult>> {
     if problems.len() != initials.len() {
         return problems
@@ -189,105 +163,10 @@ pub fn solve_batch(
             })
             .collect();
     }
-    if !lockstep_compatible(problems, policy) {
-        return problems
-            .iter()
-            .zip(initials)
-            .map(|(problem, &initial)| solve(problem, initial, opts))
-            .collect();
-    }
-
-    let _span = shc_obs::span(shc_obs::SpanKind::MpnrSolve);
-    let _frame = shc_prof::enter(shc_prof::Phase::CorrectorOverhead);
-    shc_obs::count(shc_obs::Metric::MpnrSolves, problems.len() as u64);
-    let mut lanes: Vec<BatchSolveLane> = initials
+    problems
         .iter()
-        .map(|&initial| BatchSolveLane {
-            tau: initial,
-            last_h: f64::INFINITY,
-            transient: TransientStats::default(),
-            done: match injected_fault(initial) {
-                Some(e) => {
-                    shc_obs::count(shc_obs::Metric::MpnrFailures, 1);
-                    Some(Err(e))
-                }
-                None => None,
-            },
-        })
-        .collect();
-
-    let mut eval_lanes: Vec<(&CharacterizationProblem, Params)> =
-        Vec::with_capacity(problems.len());
-    let mut active: Vec<usize> = Vec::with_capacity(problems.len());
-    for iter in 1..=opts.max_iters {
-        eval_lanes.clear();
-        active.clear();
-        for (l, lane) in lanes.iter().enumerate() {
-            if lane.done.is_none() {
-                eval_lanes.push((problems[l], lane.tau));
-                active.push(l);
-            }
-        }
-        if active.is_empty() {
-            break;
-        }
-        shc_prof::add_work(active.len() as u64);
-        let evaluations = evaluate_jacobian_lockstep(&eval_lanes);
-        for (&l, evaluation) in active.iter().zip(evaluations) {
-            let lane = &mut lanes[l];
-            let ev = match evaluation {
-                Ok(ev) => ev,
-                Err(e) => {
-                    lane.done = Some(Err(e));
-                    continue;
-                }
-            };
-            lane.transient.steps += ev.stats.steps;
-            lane.transient.newton_iterations += ev.stats.newton_iterations;
-            lane.transient.rejected_steps += ev.stats.rejected_steps;
-            lane.last_h = ev.h.abs();
-            let Some((mut ds, mut dh)) = ev.mpnr_step() else {
-                shc_obs::count(shc_obs::Metric::MpnrFailures, 1);
-                lane.done = Some(Err(CharError::VanishingJacobian {
-                    tau_s: lane.tau.tau_s,
-                    tau_h: lane.tau.tau_h,
-                }));
-                continue;
-            };
-            let step_len = (ds * ds + dh * dh).sqrt();
-            if step_len > opts.max_step {
-                let scale = opts.max_step / step_len;
-                ds *= scale;
-                dh *= scale;
-            }
-            lane.tau = Params::new(lane.tau.tau_s + ds, lane.tau.tau_h + dh);
-
-            let tol_s = opts.reltol * lane.tau.tau_s.abs() + opts.abstol;
-            let tol_h = opts.reltol * lane.tau.tau_h.abs() + opts.abstol;
-            if ds.abs() <= tol_s && dh.abs() <= tol_h {
-                shc_obs::observe(shc_obs::Metric::MpnrIterations, iter as u64);
-                lane.done = Some(Ok(MpnrResult {
-                    params: lane.tau,
-                    iterations: iter,
-                    residual: ev.h.abs(),
-                    jacobian: [ev.dh_dtau_s, ev.dh_dtau_h],
-                    transient: lane.transient,
-                }));
-            }
-        }
-    }
-
-    lanes
-        .into_iter()
-        .map(|lane| {
-            lane.done.unwrap_or_else(|| {
-                shc_obs::count(shc_obs::Metric::MpnrFailures, 1);
-                Err(CharError::MpnrDiverged {
-                    iterations: opts.max_iters,
-                    h_value: lane.last_h,
-                })
-            })
-        })
+        .zip(initials)
+        .map(|(problem, &initial)| solve(problem, initial, opts))
         .collect()
 }
 
@@ -513,117 +392,6 @@ mod tests {
         );
     }
 
-    /// The bits a lockstep lane must share with its scalar solve.
-    fn solve_bits(result: &Result<MpnrResult>) -> Option<[u64; 9]> {
-        result.as_ref().ok().map(|r| {
-            [
-                r.params.tau_s.to_bits(),
-                r.params.tau_h.to_bits(),
-                r.iterations as u64,
-                r.residual.to_bits(),
-                r.jacobian[0].to_bits(),
-                r.jacobian[1].to_bits(),
-                r.transient.steps as u64,
-                r.transient.newton_iterations as u64,
-                r.transient.rejected_steps as u64,
-            ]
-        })
-    }
-
-    /// Cross-problem lockstep lanes — Monte Carlo–perturbed TSPC cells
-    /// plus the nominal cell at another degradation — reproduce, lane for
-    /// lane, the scalar solve on each problem alone, although lockstep
-    /// lanes step every iteration from DC and the scalar solve resumes
-    /// each evaluation from its problem's prefix ladder.
-    #[test]
-    fn lockstep_lanes_match_scalar_solves_bitwise() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let base = Technology::default_250nm();
-        let problems = |batch: BatchPolicy| -> Vec<CharacterizationProblem> {
-            let variation = crate::montecarlo::ProcessVariation::default();
-            let mut registers: Vec<(shc_cells::Register, f64)> = (0..4)
-                .map(|k| {
-                    let tech = variation.sample(&base, &mut StdRng::seed_from_u64(k));
-                    (tspc_register_with(&tech, ClockSpec::fast()), 0.10)
-                })
-                .collect();
-            registers.push((tspc_register_with(&base, ClockSpec::fast()), 0.20));
-            registers
-                .into_iter()
-                .map(|(register, degradation)| {
-                    let problem = CharacterizationProblem::builder(register)
-                        .degradation(degradation)
-                        .batch(batch)
-                        .build()
-                        .unwrap();
-                    problem.reset_simulation_count();
-                    problem
-                })
-                .collect()
-        };
-        let nominal =
-            CharacterizationProblem::builder(tspc_register_with(&base, ClockSpec::fast()))
-                .build()
-                .unwrap();
-        let guess = crate::seed::find_first_point(&nominal, &crate::seed::SeedOptions::default())
-            .unwrap()
-            .params;
-
-        let lockstep = problems(BatchPolicy::Batched);
-        let refs: Vec<&CharacterizationProblem> = lockstep.iter().collect();
-        assert!(lockstep_compatible(&refs, BatchPolicy::Batched));
-        let guesses = vec![guess; refs.len()];
-        let collector = shc_obs::Collector::new();
-        let batched = {
-            let _guard = shc_obs::install_scoped(&collector);
-            solve_batch(
-                &refs,
-                &guesses,
-                &MpnrOptions::default(),
-                BatchPolicy::Batched,
-            )
-        };
-        assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 0);
-
-        let scalar_problems = problems(BatchPolicy::Scalar);
-        let resumed = shc_obs::Collector::new();
-        let _guard = shc_obs::install_scoped(&resumed);
-        for (lane, ((batched, lockstep_problem), problem)) in batched
-            .iter()
-            .zip(&lockstep)
-            .zip(&scalar_problems)
-            .enumerate()
-        {
-            let scalar = solve(problem, guess, &MpnrOptions::default());
-            let bits = solve_bits(&scalar);
-            assert!(
-                bits.is_some(),
-                "lane {lane}: scalar solve failed: {scalar:?}"
-            );
-            assert_eq!(solve_bits(batched), bits, "lane {lane}");
-            assert_eq!(
-                lockstep_problem.simulation_count(),
-                problem.simulation_count(),
-                "lane {lane}"
-            );
-        }
-        // Every scalar evaluation resumed (the first of each problem's
-        // also extends its seeded ladder).
-        let runs = resumed.counter(shc_obs::Metric::TransientRuns);
-        assert_eq!(
-            resumed.counter(shc_obs::Metric::PrefixResumes),
-            runs,
-            "every scalar run resumes"
-        );
-        let distinct: std::collections::BTreeSet<u64> = batched
-            .iter()
-            .filter_map(|r| r.as_ref().ok().map(|r| r.params.tau_s.to_bits()))
-            .collect();
-        assert_eq!(distinct.len(), batched.len(), "lanes must differ");
-    }
-
     /// A guess count that does not match the problem lanes fails every
     /// lane with a typed error, before any simulation.
     #[test]
@@ -636,7 +404,7 @@ mod tests {
         let guess = problem.reference_params();
         let collector = shc_obs::Collector::new();
         let _guard = shc_obs::install_scoped(&collector);
-        for policy in [BatchPolicy::Scalar, BatchPolicy::Batched] {
+        for policy in [BatchPolicy::Auto, BatchPolicy::Scalar] {
             let lanes = solve_batch(
                 &[&problem, &problem],
                 &[guess],

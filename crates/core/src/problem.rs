@@ -2,16 +2,33 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use serde::{Deserialize, Serialize};
 use shc_cells::{OutputTransition, Register};
-use shc_spice::batch::{run_lockstep, run_lockstep_with_ladder, BatchLane, BatchPolicy};
 use shc_spice::transient::{
-    CrossingDirection, Integrator, PrefixLadder, RecordMode, TransientAnalysis, TransientOptions,
-    TransientResult, TransientStats,
+    CrossingDirection, Integrator, PrefixLadder, RecordMode, SiblingRungs, TransientAnalysis,
+    TransientOptions, TransientResult, TransientScratch, TransientStats,
 };
 use shc_spice::waveform::{Param, Params};
 use shc_spice::SolverChoice;
 
 use crate::{CharError, Result};
+
+/// How a problem evaluates a sequence of points
+/// ([`CharacterizationProblem::evaluate_batch`], which
+/// [`crate::surface::generate`] runs once per grid row). Both policies
+/// give bitwise-identical values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum BatchPolicy {
+    /// Each point after the first resumes from the sibling rungs the
+    /// point before it left, wherever the prefix ladder may resume a run
+    /// ([`shc_spice::transient::TransientAnalysis::with_siblings`]).
+    #[default]
+    Auto,
+    /// Every point is its own [`CharacterizationProblem::evaluate`]: the
+    /// reference that sibling-resumed evaluations are checked against.
+    Scalar,
+}
 
 /// One evaluation of `h` and (optionally) its 1×2 Jacobian.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,7 +101,7 @@ pub struct CharacterizationProblem {
     t_cq: f64,
     tf: f64,
     sim_count: AtomicUsize,
-    /// Checkpoints every evaluation, scalar or batched, resumes from,
+    /// Checkpoints every evaluation resumes from,
     /// built by the first eligible one at [`Self::quiescent_params`] from
     /// the calibration run's seed.
     ladder: PrefixLadder,
@@ -245,78 +262,57 @@ impl CharacterizationProblem {
         )
     }
 
-    /// Evaluates `h(τs, τh)` at many skew points with one lockstep batch
-    /// (no sensitivities), falling back to a scalar loop whenever the
-    /// problem's [`BatchPolicy`] or the batched engine's envelope says so.
-    /// Results are in input order and bitwise identical to calling
-    /// [`Self::evaluate`] per point.
+    /// Evaluates `h(τs, τh)` at each of `params`, in order, one counted
+    /// transient each, bitwise identical to [`Self::evaluate`] per point.
+    /// Under [`BatchPolicy::Scalar`] every point is an [`Self::evaluate`];
+    /// otherwise each point after the first resumes from the sibling
+    /// rungs the point before it left
+    /// ([`TransientAnalysis::with_siblings`]), or from the prefix ladder
+    /// when none lies below their agreement horizon. A surface row — one
+    /// setup skew, rising hold skews — shares most of its prefix that
+    /// way: its sibling rung is never earlier than the ladder's.
     ///
     /// # Errors
     ///
-    /// Propagates the lowest-index simulation failure, matching a serial
-    /// left-to-right loop.
+    /// Propagates the lowest-index simulation failure.
     pub fn evaluate_batch(&self, params: &[Params]) -> Result<Vec<f64>> {
-        let Some(lanes) = self.run_batch(false, params)? else {
+        if self.batch == BatchPolicy::Scalar {
             return params.iter().map(|p| self.evaluate(p)).collect();
-        };
+        }
+        let circuit = self.register.circuit();
+        let siblings = SiblingRungs::default();
+        let analysis = TransientAnalysis::new(circuit, self.transient_options(false))
+            .with_ladder(&self.ladder, self.quiescent_params())
+            .with_siblings(&siblings);
+        let mut scratch = TransientScratch::new(circuit.unknown_count());
         let out = self.register.output_unknown();
-        lanes
-            .into_iter()
-            .map(|lane| Ok(lane?.final_state()[out] - self.r()))
+        params
+            .iter()
+            .map(|p| {
+                self.sim_count.fetch_add(1, Ordering::Relaxed);
+                let res = analysis.run_with_scratch(p, &mut scratch)?;
+                Ok(res.final_state()[out] - self.r())
+            })
             .collect()
     }
 
-    /// Evaluates `h` *and* its Jacobian at many skew points with one
-    /// lockstep batch carrying forward sensitivities, falling back to a
-    /// scalar loop per the problem's [`BatchPolicy`]. Results are in input
-    /// order and bitwise identical to [`Self::evaluate_with_jacobian`] per
-    /// point.
+    /// Evaluates `h` *and* its Jacobian at each of `params`, in order: one
+    /// [`Self::evaluate_with_jacobian`] per point. Retained for the
+    /// benchmark of record, whose traced per-layer pass times it, until
+    /// the benchmark drops its `*_batch*` metrics (ROADMAP item 3).
     ///
     /// # Errors
     ///
-    /// Propagates the lowest-index simulation failure, matching a serial
-    /// left-to-right loop.
+    /// Propagates the lowest-index simulation failure.
     pub fn evaluate_with_jacobian_batch(&self, params: &[Params]) -> Result<Vec<HEvaluation>> {
-        let Some(lanes) = self.run_batch(true, params)? else {
-            return params
-                .iter()
-                .map(|p| self.evaluate_with_jacobian(p))
-                .collect();
-        };
-        lanes
-            .into_iter()
-            .map(|lane| self.jacobian_evaluation(&lane?))
-            .collect()
-    }
-
-    /// One counted lockstep batch at `params`, every lane resumed from the
-    /// prefix ladder when it may, as [`Self::run_scalar`] resumes; `None`
-    /// when the [`BatchPolicy`] picks the scalar path.
-    fn run_batch(
-        &self,
-        with_sensitivities: bool,
-        params: &[Params],
-    ) -> Result<Option<Vec<shc_spice::Result<TransientResult>>>> {
-        let opts = self.transient_options(with_sensitivities);
-        let circuit = self.register.circuit();
-        if !self.batch.use_batched(circuit, &opts, params.len()) {
-            return Ok(None);
-        }
-        self.sim_count.fetch_add(params.len(), Ordering::Relaxed);
-        let lanes: Vec<BatchLane<'_>> = params
+        params
             .iter()
-            .map(|&p| BatchLane {
-                circuit,
-                params: p,
-                tstop: self.tf,
-            })
-            .collect();
-        let ladder = Some((&self.ladder, self.quiescent_params()));
-        Ok(Some(run_lockstep_with_ladder(&lanes, &opts, ladder)?))
+            .map(|p| self.evaluate_with_jacobian(p))
+            .collect()
     }
 
     /// Extracts an [`HEvaluation`] from a finished final-only transient of
-    /// this problem's circuit (shared by the scalar and batched paths).
+    /// this problem's circuit.
     fn jacobian_evaluation(
         &self,
         res: &shc_spice::transient::TransientResult,
@@ -412,71 +408,6 @@ impl CharacterizationProblem {
     }
 }
 
-/// Whether lockstep evaluation may span all of `problems` at once: the
-/// problems must agree on every option the lanes would share (time step,
-/// integrator, solver, sensitivity set are fixed by construction) and on
-/// the circuit dimension, and the policy must elect batching for this lane
-/// count on the first problem's configuration. Problems built from the
-/// same register factory with the same builder settings always qualify.
-pub(crate) fn lockstep_compatible(
-    problems: &[&CharacterizationProblem],
-    policy: BatchPolicy,
-) -> bool {
-    let Some(first) = problems.first() else {
-        return false;
-    };
-    let n = first.register.circuit().unknown_count();
-    if !problems.iter().all(|p| {
-        p.dt == first.dt
-            && p.integrator == first.integrator
-            && p.solver == first.solver
-            && p.register.circuit().unknown_count() == n
-    }) {
-        return false;
-    }
-    let opts = first.transient_options(true);
-    policy.use_batched(first.register.circuit(), &opts, problems.len())
-}
-
-/// Lockstep evaluation of `h` and its 1×2 Jacobian across *different*
-/// problems: lane `k` evaluates `lanes[k].0` at `lanes[k].1`, each with
-/// its own `t_f` and target level. Callers must have verified
-/// [`lockstep_compatible`] on the involved problems. Per-lane values are
-/// bitwise identical to [`CharacterizationProblem::evaluate_with_jacobian`]
-/// on the same problem; failures are per-lane payload.
-pub(crate) fn evaluate_jacobian_lockstep(
-    lanes: &[(&CharacterizationProblem, Params)],
-) -> Vec<Result<HEvaluation>> {
-    let Some((first, _)) = lanes.first() else {
-        return Vec::new();
-    };
-    let opts = first.transient_options(true);
-    for (problem, _) in lanes {
-        problem.sim_count.fetch_add(1, Ordering::Relaxed);
-    }
-    let batch: Vec<BatchLane<'_>> = lanes
-        .iter()
-        .map(|(problem, params)| BatchLane {
-            circuit: problem.register.circuit(),
-            params: *params,
-            tstop: problem.tf,
-        })
-        .collect();
-    match run_lockstep(&batch, &opts) {
-        Ok(results) => lanes
-            .iter()
-            .zip(results)
-            .map(|((problem, _), lane)| problem.jacobian_evaluation(&lane?))
-            .collect(),
-        // A structural rejection (callers pre-validate, so this is a
-        // defensive arm) fails every lane with the same reason.
-        Err(e) => lanes
-            .iter()
-            .map(|_| Err(CharError::from(e.clone())))
-            .collect(),
-    }
-}
-
 /// Builder for [`CharacterizationProblem`].
 #[derive(Debug)]
 pub struct ProblemBuilder {
@@ -527,10 +458,8 @@ impl ProblemBuilder {
         self
     }
 
-    /// Selects the batched-engine policy for this problem's multi-point
-    /// evaluations ([`CharacterizationProblem::evaluate_batch`] and
-    /// friends). Default [`BatchPolicy::Auto`]: batch inside the supported
-    /// envelope unless a fault injector is installed.
+    /// Selects how surface rows evaluate their points (default
+    /// [`BatchPolicy::Auto`]: sibling rungs).
     pub fn batch(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
         self
@@ -672,11 +601,6 @@ impl CharacterizationProblem {
     /// The linear-solver backend in effect.
     pub fn solver(&self) -> SolverChoice {
         self.solver
-    }
-
-    /// The batched-engine policy in effect.
-    pub fn batch(&self) -> BatchPolicy {
-        self.batch
     }
 }
 
@@ -851,10 +775,10 @@ mod tests {
         let p = fast_problem();
         let steps_per_run = full_run(&p, &p.reference_params()).stats().steps as u64;
         let collector = shc_obs::Collector::new();
-        let contour = {
+        {
             let _guard = shc_obs::install_scoped(&collector);
-            p.trace_contour(40).unwrap()
-        };
+            p.trace_contour(40).unwrap();
+        }
         let runs = collector.counter(Metric::TransientRuns);
         assert_eq!(collector.counter(Metric::LteRejections), 0);
         assert_eq!(
@@ -866,35 +790,6 @@ mod tests {
         let computed = collector.counter(Metric::TransientSteps);
         let reused = collector.counter(Metric::PrefixStepsReused);
         assert_eq!(computed + reused, runs * steps_per_run);
-        assert!(
-            reused > 2 * computed,
-            "{reused} reused vs {computed} computed"
-        );
-
-        // The same points through the batched engine, in 16-lane chunks:
-        // every lane resumes from the ladder the trace built.
-        let points: Vec<Params> = contour
-            .points()
-            .iter()
-            .map(|q| Params::new(q.tau_s, q.tau_h))
-            .collect();
-        assert_eq!(points.len(), 40);
-        let collector = shc_obs::Collector::new();
-        let mut steps = 0;
-        {
-            let _guard = shc_obs::install_scoped(&collector);
-            for chunk in points.chunks(16) {
-                for ev in p.evaluate_with_jacobian_batch(chunk).unwrap() {
-                    steps += ev.stats.steps as u64;
-                }
-            }
-        }
-        assert_eq!(collector.counter(Metric::TransientRuns), 40);
-        assert_eq!(collector.counter(Metric::PrefixResumes), 40);
-        let computed = collector.counter(Metric::TransientSteps);
-        let reused = collector.counter(Metric::PrefixStepsReused);
-        assert_eq!(computed + reused, steps);
-        assert_eq!(steps, 40 * steps_per_run);
         assert!(
             reused > 2 * computed,
             "{reused} reused vs {computed} computed"
@@ -999,65 +894,14 @@ mod tests {
             .unwrap() as u64
     }
 
-    /// One batch of lanes against full runs, bit for bit: `h`, both
-    /// derivatives, every state and sensitivity entry, stats and times.
-    /// Every lane resumes, from the rung [`rung_steps`] names.
-    fn assert_batch_matches_full(p: &CharacterizationProblem, times: &[f64], lanes: &[Params]) {
-        let what = format!("{} batch at {lanes:?}", p.register().name());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let collector = shc_obs::Collector::new();
-        let results = {
-            let _guard = shc_obs::install_scoped(&collector);
-            p.run_batch(true, lanes).unwrap().expect("batched")
-        };
-        let reused: u64 = lanes.iter().map(|at| rung_steps(p, times, at)).sum();
-        let resumes = collector.counter(shc_obs::Metric::PrefixResumes);
-        assert_eq!(resumes, lanes.len() as u64, "{what}");
-        let counted = collector.counter(shc_obs::Metric::PrefixStepsReused);
-        assert_eq!(counted, reused, "{what}: reused steps");
-        let fulls: Vec<TransientResult> = lanes.iter().map(|at| full_run(p, at)).collect();
-        let mut steps = 0;
-        for (full, lane) in fulls.iter().zip(results) {
-            let lane = lane.unwrap();
-            assert_eq!(bits(lane.times()), bits(full.times()), "{what}: times");
-            assert_eq!(lane.stats(), full.stats(), "{what}: stats");
-            assert_eq!(
-                bits(lane.final_state().as_slice()),
-                bits(full.final_state().as_slice()),
-                "{what}: state"
-            );
-            for param in Param::ALL {
-                assert_eq!(
-                    bits(lane.final_sensitivity(param).unwrap().as_slice()),
-                    bits(full.final_sensitivity(param).unwrap().as_slice()),
-                    "{what}: {param:?} sensitivity"
-                );
-            }
-            steps += full.stats().steps as u64;
-        }
-        let computed = collector.counter(shc_obs::Metric::TransientSteps);
-        assert_eq!(computed + reused, steps, "{what}: computed steps");
-
-        let evs = p.evaluate_with_jacobian_batch(lanes).unwrap();
-        let hs = p.evaluate_batch(lanes).unwrap();
-        for ((full, ev), h) in fulls.iter().zip(evs).zip(hs) {
-            let want = p.jacobian_evaluation(full).unwrap();
-            assert_eq!(ev.h.to_bits(), want.h.to_bits(), "{what}: h");
-            assert_eq!(ev.dh_dtau_s.to_bits(), want.dh_dtau_s.to_bits(), "{what}");
-            assert_eq!(ev.dh_dtau_h.to_bits(), want.dh_dtau_h.to_bits(), "{what}");
-            assert_eq!(ev.stats, want.stats, "{what}: stats");
-            assert_eq!(h.to_bits(), want.h.to_bits(), "{what}: batched h");
-        }
-    }
-
-    /// Ladder-backed evaluations must reproduce full runs bit for bit,
-    /// scalar and batched: every point of a 40-point trace, the seed
-    /// bracket ends, a surface-grid chunk, and a point whose data ramp
+    /// Ladder-backed evaluations must reproduce full runs bit for bit:
+    /// every point of a 40-point trace, the seed bracket ends, a
+    /// surface-grid chunk, and a point whose data ramp
     /// starts exactly on a checkpoint's step endpoint (so the strict
     /// `reach < h` must pass over that checkpoint). The cells are TSPC and
     /// C²MOS on the fast clock, a Monte Carlo sample of TSPC (per-sample
-    /// device values) and TSPC on the paper clock; in each, lanes adopt
-    /// both rungs the calibration run seeded and rungs the ladder's
+    /// device values) and TSPC on the paper clock; in each, evaluations
+    /// adopt both rungs the calibration run seeded and rungs the ladder's
     /// reference run added.
     #[test]
     fn resumed_evaluations_are_bitwise_identical_to_full_runs() {
@@ -1092,6 +936,13 @@ mod tests {
             assert_eq!(points.len(), 40);
             points.push(Params::new(-0.3e-9, reference.tau_h));
             points.push(reference);
+            let grid = crate::SurfaceOptions::around_contour(&contour, 4);
+            let lin = |(a, b): (f64, f64), k: usize| a + (b - a) * k as f64 / 3.0;
+            points.extend(
+                (0..16).map(|k| {
+                    Params::new(lin(grid.tau_s_range, k / 4), lin(grid.tau_h_range, k % 4))
+                }),
+            );
             let collector = shc_obs::Collector::new();
             {
                 let _guard = shc_obs::install_scoped(&collector);
@@ -1141,31 +992,16 @@ mod tests {
             );
             assert_resumed_matches_full(&p, &at);
 
-            // The batched entries, in 16-lane chunks: the trace and the
-            // bracket ends, a surface-grid chunk, and the endpoint lane
-            // beside two traced ones.
-            let grid = crate::SurfaceOptions::around_contour(&contour, 4);
-            let lin = |(a, b): (f64, f64), k: usize| a + (b - a) * k as f64 / 3.0;
-            let cells: Vec<Params> = (0..16)
-                .map(|k| Params::new(lin(grid.tau_s_range, k / 4), lin(grid.tau_h_range, k % 4)))
-                .collect();
-            let mut batches: Vec<&[Params]> = points.chunks(16).collect();
-            let with_endpoint = [points[0], at, points[39]];
-            batches.extend([&cells[..], &with_endpoint[..]]);
-            for lanes in batches {
-                assert_batch_matches_full(&p, &times, lanes);
-            }
             assert_eq!(rung_steps(&p, &times, &at), ((j - 1) * STRIDE) as u64);
             // The calibration run seeded the rungs below its agreement
             // horizon with the ladder's reference skews.
             let seeded_until = circuit.agreement_horizon(&reference, &p.quiescent_params());
             let seeded: Vec<bool> = points
                 .iter()
-                .chain(&cells)
                 .map(|at| times[rung_steps(&p, &times, at) as usize] < seeded_until)
                 .collect();
-            assert!(seeded.contains(&true), "no lane adopts a seeded rung");
-            assert!(seeded.contains(&false), "no lane adopts an extended rung");
+            assert!(seeded.contains(&true), "no point adopts a seeded rung");
+            assert!(seeded.contains(&false), "no point adopts an extended rung");
         }
     }
 }

@@ -23,9 +23,9 @@ pub struct SurfaceOptions {
     pub tau_h_range: (f64, f64),
     /// Grid points per axis (the paper uses 40×40).
     pub n: usize,
-    /// Fan-out policy for the n² independent cell simulations. Serial by
-    /// default; parallel runs produce bitwise-identical surfaces (each
-    /// cell is an independent transient, merged in grid order).
+    /// Fan-out policy for the n independent grid rows. Serial by
+    /// default; parallel runs produce bitwise-identical surfaces (rows
+    /// are merged in grid order).
     #[serde(skip)]
     pub parallelism: Parallelism,
 }
@@ -213,9 +213,13 @@ impl SurfaceContour {
 
 /// Generates the output surface with n² transient simulations.
 ///
-/// The grid cells are independent transients, so they are fanned out
-/// according to `opts.parallelism`; rows are merged back in grid order,
-/// making the parallel surface bitwise identical to the serial one.
+/// Each grid row is one [`CharacterizationProblem::evaluate_batch`] over
+/// rising hold skews at one setup skew, so under the default
+/// [`crate::BatchPolicy::Auto`] every point after a row's first resumes
+/// from its neighbour's sibling rungs. Rows are independent, so they are
+/// fanned out according to `opts.parallelism` and merged back in grid
+/// order, making the parallel surface bitwise identical to the serial
+/// one — and to a [`crate::BatchPolicy::Scalar`] one.
 ///
 /// # Errors
 ///
@@ -242,41 +246,16 @@ pub fn generate(problem: &CharacterizationProblem, opts: &SurfaceOptions) -> Res
     let lin = |a: f64, b: f64, k: usize| a + (b - a) * k as f64 / (opts.n - 1) as f64;
     let tau_s: Vec<f64> = (0..opts.n).map(|k| lin(s0, s1, k)).collect();
     let tau_h: Vec<f64> = (0..opts.n).map(|k| lin(h0, h1, k)).collect();
-    let values = if opts.parallelism.is_serial() {
-        // Serial sweeps route through the lockstep batched engine (per the
-        // problem's `BatchPolicy`; `evaluate_batch` falls back to a scalar
-        // loop outside its envelope): the row-major grid is cut into
-        // lane-group chunks, each advancing in one SoA batch. Lane results
-        // are bitwise identical to scalar evaluations, so this produces
-        // the very same surface, faster.
-        let cells: Vec<Params> = tau_s
-            .iter()
-            .flat_map(|&s| tau_h.iter().map(move |&h| Params::new(s, h)))
-            .collect();
-        let mut flat = Vec::with_capacity(cells.len());
-        for chunk in cells.chunks(shc_spice::batch::DEFAULT_LANES) {
-            // One sweep frame per lane-group chunk.
-            let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-            for hval in problem.evaluate_batch(chunk)? {
-                flat.push(hval + problem.r()); // store the raw output level
-            }
-        }
-        flat.chunks(opts.n).map(<[f64]>::to_vec).collect()
-    } else {
-        // One job per grid row: big enough to amortize scheduling, small
-        // enough to balance n >> threads rows across workers.
-        parallel::run_indexed(opts.parallelism, opts.n, |i| {
-            // One sweep frame per grid-row job, on whichever thread runs it.
-            let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-            let s = tau_s[i];
-            let mut row = Vec::with_capacity(opts.n);
-            for &h in &tau_h {
-                let hval = problem.evaluate(&Params::new(s, h))?;
-                row.push(hval + problem.r()); // store the raw output level
-            }
-            Ok::<Vec<f64>, CharError>(row)
-        })?
-    };
+    // One job per grid row, on whichever thread runs it: a row shares
+    // its sibling rungs, so rows are the unit that keeps serial and
+    // parallel sweeps bitwise identical.
+    let values = parallel::run_indexed(opts.parallelism, opts.n, |i| {
+        let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
+        let row: Vec<Params> = tau_h.iter().map(|&h| Params::new(tau_s[i], h)).collect();
+        let row = problem.evaluate_batch(&row)?;
+        // Store the raw output level.
+        Ok::<Vec<f64>, CharError>(row.into_iter().map(|h| h + problem.r()).collect())
+    })?;
     Ok(OutputSurface {
         tau_s,
         tau_h,
@@ -410,49 +389,66 @@ mod tests {
         assert_eq!(fanned.simulations(), 36);
     }
 
+    /// On the benchmark's 20×20 TSPC window, the sibling-resumed `Auto`
+    /// grid equals the per-point `Scalar` grid and a two-thread `Auto`
+    /// grid bit for bit; every run takes the same steps, so computed plus
+    /// reused steps agree, and sibling rungs reuse more than half of the
+    /// steps the per-point sweep computes. No run solves for its DC
+    /// operating point.
     #[test]
-    fn batched_surface_is_bitwise_identical_to_scalar() {
+    fn auto_surface_is_bitwise_identical_to_scalar() {
         use crate::BatchPolicy;
         use shc_cells::{tspc_register_with, ClockSpec, Technology};
+        use shc_obs::Metric;
 
         let tech = Technology::default_250nm();
-        let problem = |batch| {
-            CharacterizationProblem::builder(tspc_register_with(&tech, ClockSpec::fast()))
-                .batch(batch)
-                .build()
-                .unwrap()
+        let grid = SurfaceOptions {
+            tau_s_range: (127e-12, 313e-12),
+            tau_h_range: (22e-12, 158e-12),
+            n: 20,
+            parallelism: Parallelism::Serial,
         };
-        let scalar = problem(BatchPolicy::Scalar);
-        let batched = problem(BatchPolicy::Batched);
-        // 6×6 around a short contour: 36 lanes fill two full lane groups
-        // and a partial one.
-        let grid = SurfaceOptions::around_contour(&scalar.trace_contour(4).unwrap(), 6);
-        let s = generate(&scalar, &grid).unwrap();
-        let profiler = shc_prof::Profiler::new();
-        let b = {
-            let _prof = shc_prof::install_scoped(&profiler);
-            generate(&batched, &grid).unwrap()
+        let sweep = |batch, parallelism| {
+            let problem =
+                CharacterizationProblem::builder(tspc_register_with(&tech, ClockSpec::fast()))
+                    .batch(batch)
+                    .build()
+                    .unwrap();
+            let collector = shc_obs::Collector::new();
+            let profiler = shc_prof::Profiler::new();
+            let surface = {
+                let _obs = shc_obs::install_scoped(&collector);
+                let _prof = shc_prof::install_scoped(&profiler);
+                generate(&problem, &grid.with_parallelism(parallelism)).unwrap()
+            };
+            let dc = profiler
+                .report("surface")
+                .phase("dc_op")
+                .map_or(0, |p| p.count);
+            assert_eq!(dc, 0, "{batch:?}: DC solves");
+            assert_eq!(surface.simulations(), 400);
+            let bits: Vec<u64> = surface
+                .values()
+                .iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect();
+            let steps =
+                [Metric::TransientSteps, Metric::PrefixStepsReused].map(|m| collector.counter(m));
+            (bits, steps)
         };
-        // Three lockstep batches plus the prefix ladder's reference run,
-        // and no DC solve: the reference run resumed from the calibration
-        // run's seed and every lane from the ladder, so the batched engine
-        // and the ladder really ran.
-        let frames = profiler.report("batched");
-        for (phase, count) in [("transient", 4), ("dc_op", 0)] {
-            let frame = frames.phase(phase).map_or(0, |p| p.count);
-            assert_eq!(frame, count, "{phase}");
-        }
-        assert_eq!(s.simulations(), 36);
-        assert_eq!(b.simulations(), 36);
-        for (i, (row_s, row_b)) in s.values().iter().zip(b.values()).enumerate() {
-            for (j, (vs, vb)) in row_s.iter().zip(row_b).enumerate() {
-                assert_eq!(
-                    vs.to_bits(),
-                    vb.to_bits(),
-                    "grid ({i}, {j}): scalar {vs:e} vs batched {vb:e}"
-                );
-            }
-        }
+        let (auto, [computed, reused]) = sweep(BatchPolicy::Auto, Parallelism::Serial);
+        let (scalar, [scalar_computed, scalar_reused]) =
+            sweep(BatchPolicy::Scalar, Parallelism::Serial);
+        let (threaded, threaded_steps) = sweep(BatchPolicy::Auto, Parallelism::Threads(2));
+        assert_eq!(auto, scalar, "Auto vs Scalar");
+        assert_eq!(auto, threaded, "serial vs two threads");
+        assert_eq!(threaded_steps, [computed, reused]);
+        assert_eq!(computed + reused, scalar_computed + scalar_reused);
+        assert!(
+            2 * computed < scalar_computed,
+            "sibling rungs computed {computed} of the per-point {scalar_computed} steps"
+        );
     }
 
     #[test]

@@ -11,11 +11,8 @@
 //! - [`LuFactor`]: LU factorization with partial pivoting, solves, the
 //!   determinant, and a cheap condition-number estimate — this backs the
 //!   small-circuit Newton-Raphson linear solves in the simulator;
-//! - [`SoaLu`]: the structure-of-arrays variant — element-major factors
-//!   processed for *all* lanes per call so the elimination vectorizes
-//!   across lanes (see [`multiversioned!`]) — the linear-solve substrate
-//!   of the lockstep batched sweep engine, bitwise identical per lane to
-//!   [`LuFactor`];
+//! - [`SoaLu`]: [`LuFactor`] over many element-major lane systems, kept
+//!   for the benchmark of record;
 //! - [`SparseLu`]: KLU-style sparse-direct LU over [`CsrMatrix`] storage —
 //!   fill-reducing ordering, one-time symbolic analysis, allocation-free
 //!   value-only refactorization — the large-circuit solve path;
@@ -45,7 +42,6 @@ mod lu;
 mod matrix;
 mod pinv;
 mod qr;
-mod simd;
 mod soa_lu;
 mod sparse;
 mod sparse_lu;

@@ -10,9 +10,8 @@
 //! rules ratchet per-(root, effect) — excusing a clock read on a hot
 //! root must not also excuse an allocation there. Schema `version: 4`
 //! adds no new keys: it marks the baseline as produced by a linter that
-//! ratchets the v4 rules (`kernel-equivalence`, `soa-index-discipline`,
-//! `mask-coverage`, `trunk-divergence-fence`), whose entries reuse the
-//! v3 per-(rule, file, api, effect) shape. The loader accepts
+//! ratchets the v4 rule (`trunk-divergence-fence`), whose entries reuse
+//! the v3 per-(rule, file, api, effect) shape. The loader accepts
 //! version-1/2/3/4 files (missing keys default to empty) and remembers
 //! the version it read, so `--update-baseline` can print a migration
 //! note; the next rewrite is always version 4.
@@ -331,15 +330,12 @@ mod tests {
         let b = Baseline::parse(v3).unwrap();
         assert_eq!(b.version, 3);
         // …has no entries for the v4 rules, so any v4 finding is new…
-        let res = b.apply(vec![finding("kernel-equivalence", "a.rs", 7)]);
+        let res = b.apply(vec![finding("trunk-divergence-fence", "a.rs", 7)]);
         assert_eq!(res.new_findings.len(), 1);
         // …and v4 findings write per-(rule, anchor) entries on rebuild.
-        let rebuilt = Baseline::from_findings(&[
-            finding("soa-index-discipline", "e.rs", 3),
-            finding("trunk-divergence-fence", "e.rs", 9)
-                .with_api("Rungs::adopt".into())
-                .with_effect("lane-divergent"),
-        ]);
+        let rebuilt = Baseline::from_findings(&[finding("trunk-divergence-fence", "e.rs", 9)
+            .with_api("Rungs::adopt".into())
+            .with_effect("lane-divergent")]);
         assert_eq!(rebuilt.version, 4);
         let rendered = rebuilt.render();
         assert!(rendered.contains("\"rule\": \"trunk-divergence-fence\""));

@@ -201,7 +201,7 @@ pub fn run_check(opts: &CheckOptions) -> u8 {
         }
         if old.version < crate::baseline::BASELINE_VERSION {
             println!(
-                "shc-lint: note: migrated baseline schema v{} -> v{} (entries keep the per-(rule, file, api, effect) shape; the v4 rules — kernel-equivalence, soa-index-discipline, mask-coverage, trunk-divergence-fence — ratchet from zero)",
+                "shc-lint: note: migrated baseline schema v{} -> v{} (entries keep the per-(rule, file, api, effect) shape; the v4 rule trunk-divergence-fence ratchets from zero)",
                 old.version,
                 crate::baseline::BASELINE_VERSION
             );
@@ -384,9 +384,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Why: every `unsafe` needs a `// SAFETY:` comment within the three\n\
              lines above explaining why the invariants hold. That includes\n\
              macro-expansion call sites: invoking a macro whose `macro_rules!`\n\
-             body contains `unsafe` (e.g. `multiversioned!`) expands to unsafe\n\
-             code at the invocation, so the call site needs its own comment\n\
-             (typically: the CPU-feature check dominates each wide call).\n\
+             body contains `unsafe` expands to unsafe code at the invocation,\n\
+             so the call site needs its own comment.\n\
              Escape hatch: write the SAFETY comment (there is no allow that\n\
              skips the explanation)."
         }
@@ -427,64 +426,17 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Escape hatch: none — update the annotation (or drop it; the\n\
              annotation is optional)."
         }
-        "kernel-equivalence" => {
-            "kernel-equivalence (ratcheted)\n\
-             Why: the batched engine's 8x rests on bitwise identity between the\n\
-             scalar path and every runtime-dispatched SIMD clone (DESIGN.md\n\
-             S13). `multiversioned!` clone sets must stay token-identical\n\
-             modulo `#[target_feature]` attributes and fn names (wide clones\n\
-             may only forward to the portable baseline), every clone's feature\n\
-             must be guarded by `is_x86_feature_detected!`, and every\n\
-             `lane_dispatch!`-style width arm must be identical modulo the\n\
-             width literal. Findings render a first-divergent-token diff.\n\
-             Hand-rolled `#[target_feature]` fns outside a macro body are\n\
-             flagged too: they escape the check entirely.\n\
-             Escape hatch: make the clones identical again (or forward), or\n\
-             `// lint: allow(kernel-equivalence, reason = \"…\")` for a clone\n\
-             that intentionally diverges (and document why identity holds)."
-        }
-        "soa-index-discipline" => {
-            "soa-index-discipline (ratcheted)\n\
-             Why: the lockstep engine stores batch buffers element-major\n\
-             (`buf[element * b + lane]`). An index like `x_prev[l * n + i]`\n\
-             silently reads another lane's data — the exact bug class the\n\
-             scalar==batched identity tests can miss for b=1. In files marked\n\
-             `// lint: soa-module`, every index into a buffer annotated\n\
-             `/// soa: element-major` must keep the canonical stride form\n\
-             (every product term carries the lane count `b`/`lanes`) or go\n\
-             through the checked `soa_idx` accessor; raw `get_unchecked` or\n\
-             `as_ptr`-arithmetic needs a `// SAFETY:` comment naming the\n\
-             length invariant.\n\
-             Escape hatch: rewrite in stride form / use `soa_idx`, or\n\
-             `// lint: allow(soa-index-discipline, reason = \"…\")`."
-        }
-        "mask-coverage" => {
-            "mask-coverage (ratcheted)\n\
-             Why: retired lanes in a lockstep round must keep their converged\n\
-             values bit-exactly; one unmasked write to a shared solution row\n\
-             corrupts a lane that already certified its result. In\n\
-             `// lint: soa-module` files, writes to buffers annotated\n\
-             `/// soa: …, state` must be dominated by a lane-activity guard\n\
-             (`if !lane.stepping { continue; }`, `?`, early return), written\n\
-             as a lane-select (`if mask { new } else { old }`), or sit inside\n\
-             a `// lint: trunk-fence` root whose broadcasts are certified by\n\
-             trunk-divergence-fence. Kernels marked `// lint: soa-kernel`\n\
-             with a `&[bool]` mask must write only via lane-selects; maskless\n\
-             kernels must not take `&mut` state buffers at all.\n\
-             Escape hatch: mask the write, or\n\
-             `// lint: allow(mask-coverage, reason = \"…\")`."
-        }
         "trunk-divergence-fence" => {
             "trunk-divergence-fence (ratcheted per root and effect)\n\
-             Why: a run may adopt a prefix-ladder checkpoint (DESIGN.md S13.3)\n\
+             Why: a run may adopt a prefix-ladder checkpoint (DESIGN.md S6.1)\n\
              computed at other skews only because every computation below the\n\
              agreement horizon is skew-invariant. A `lane-divergent` effect kind\n\
-             seeds at readers of per-lane skew state (Waveform data-pulse\n\
-             params tau_s/tau_h, per-lane SoA descriptor vectors) and\n\
-             propagates over the SCC-condensed call graph; every\n\
-             `// lint: trunk-fence` root (the ladder's Rungs::adopt and its\n\
-             seed hand-over Rungs::extend_into) must be unreachable from any\n\
-             seed. This turns the S13 soundness\n\
+             seeds at readers of skew state (Waveform data-pulse params\n\
+             tau_s/tau_h) and propagates over the SCC-condensed call graph;\n\
+             every `// lint: trunk-fence` root (Rungs::adopt, which ladder\n\
+             and sibling rungs both resume through, and the seed hand-over\n\
+             Rungs::extend_into) must be unreachable from any seed. This\n\
+             turns the ladder's soundness\n\
              argument into a ratcheted CI certificate: findings render the\n\
              shortest call chain from the fence root to the divergent read.\n\
              Escape hatch: keep skew reads out of the adopted checkpoint, or\n\

@@ -63,11 +63,10 @@ pub enum EffectKind {
     /// Float accumulation (`+=`, `.sum()`, `.fold(..)`) in the order of
     /// an unordered iteration — result bits depend on hash seeds.
     FloatOrder,
-    /// Reads per-lane skew state: a `Waveform` data-pulse parameter
-    /// (`tau_s`/`tau_h`) or a per-lane SoA descriptor vector. Functions
-    /// carrying this effect compute lane-dependent values, so the trunk
-    /// prefix of the batched engine must never reach them
-    /// (`trunk-divergence-fence`).
+    /// Reads skew state: a `Waveform` data-pulse parameter
+    /// (`tau_s`/`tau_h`). Functions carrying this effect compute
+    /// skew-dependent values, so the checkpoint adoption a run resumes
+    /// through must never reach them (`trunk-divergence-fence`).
     LaneDivergent,
     /// Calls something we can neither resolve nor vouch for.
     UnknownCallee,
@@ -140,7 +139,7 @@ impl EffectKind {
             EffectKind::Io => "perform I/O",
             EffectKind::UnorderedIter => "iterate an unordered collection",
             EffectKind::FloatOrder => "accumulate floats in unordered-iteration order",
-            EffectKind::LaneDivergent => "read per-lane skew state",
+            EffectKind::LaneDivergent => "read skew state",
             EffectKind::UnknownCallee => "call an unresolved function",
         }
     }
@@ -332,30 +331,11 @@ const REDUCE_METHODS: &[&str] = &["sum", "product", "fold"];
 pub(crate) const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet"];
 
 /// `Waveform` data-pulse skew parameters. Reading one of these fields
-/// seeds [`EffectKind::LaneDivergent`]: each batch lane carries its own
-/// `(τs, τh)` draw, so any value computed from them differs lane to
-/// lane. Seeds propagate over the SCC-condensed call graph like every
-/// other effect.
+/// seeds [`EffectKind::LaneDivergent`]: each run carries its own
+/// `(τs, τh)`, so any value computed from them differs run to run.
+/// Seeds propagate over the SCC-condensed call graph like every other
+/// effect.
 const SKEW_PARAM_FIELDS: &[&str] = &["tau_s", "tau_h"];
-
-/// Per-lane SoA descriptor vectors (one entry per lane) of the batch
-/// compiler's `SoaDevice`/`SoaMosfet`. *Indexing* one is a per-lane
-/// descriptor read and seeds [`EffectKind::LaneDivergent`]; constructing
-/// or pushing into one is not (the builder runs before lanes diverge).
-const LANE_DESCRIPTOR_FIELDS: &[&str] = &[
-    "waveforms",
-    "cond",
-    "cap",
-    "vt0",
-    "eps_c",
-    "eps_s",
-    "lambda",
-    "beta",
-    "cgs",
-    "cgd",
-    "cdb",
-    "csb",
-];
 
 /// Callee names we can vouch for: std/core functions and methods that
 /// neither allocate, panic (beyond the slice-index panics tracked by
@@ -1114,19 +1094,8 @@ impl Collector<'_, '_> {
                 self.site(
                     EffectKind::LaneDivergent,
                     e.line,
-                    format!("reads per-lane skew parameter `.{name}`"),
+                    format!("reads skew parameter `.{name}`"),
                 );
-            }
-            ExprKind::Index { base, .. } => {
-                if let ExprKind::Field { name, .. } = &base.kind {
-                    if LANE_DESCRIPTOR_FIELDS.contains(&name.as_str()) {
-                        self.site(
-                            EffectKind::LaneDivergent,
-                            e.line,
-                            format!("indexes per-lane descriptor `.{name}[…]`"),
-                        );
-                    }
-                }
             }
             ExprKind::For { iter, body } => {
                 if let Some(root) = self.unordered_root(iter) {
@@ -1326,11 +1295,8 @@ mod tests {
         let (parsed, paths) = parse_all(&[(
             "crates/spice/src/a.rs",
             "pub struct P { pub tau_s: f64 }\n\
-             pub struct D { pub vt0: Vec<f64> }\n\
              pub fn skewed(p: &P) -> f64 { p.tau_s }\n\
-             pub fn upstream(p: &P) -> f64 { skewed(p) }\n\
-             pub fn reads_desc(d: &D, l: usize) -> f64 { d.vt0[l] }\n\
-             pub fn builds(d: &mut D, v: f64) { d.vt0.push(v); }\n",
+             pub fn upstream(p: &P) -> f64 { skewed(p) }\n",
         )]);
         let (table, g) = graph_of(&paths, &parsed);
         // Reading a skew parameter seeds the effect…
@@ -1345,11 +1311,6 @@ mod tests {
             vec![id_of(&table, "upstream"), id_of(&table, "skewed")]
         );
         assert!(site.what.contains("tau_s"), "{}", site.what);
-        // Indexing a per-lane descriptor seeds too…
-        assert!(g.effective[id_of(&table, "reads_desc")].contains(EffectKind::LaneDivergent));
-        // …but constructing one (push) is just an allocation.
-        let builds = g.effective[id_of(&table, "builds")];
-        assert!(!builds.contains(EffectKind::LaneDivergent));
     }
 
     #[test]

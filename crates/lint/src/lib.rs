@@ -16,17 +16,11 @@
 //! I/O, float-nondeterministic, panics, …) propagated over the call
 //! graph, with `/// effects:` declarations ratcheted against drift,
 //! `// lint: hot-path` certification for the solver's inner loops, and
-//! determinism auditing for the replay/checkpoint paths. v4 extends it
-//! to the batched SIMD/SoA engine: `kernel-equivalence` proves every
-//! `multiversioned!` clone and `lane_dispatch!` width arm is
-//! token-identical to the portable baseline (modulo `target_feature`,
-//! names, and the width literal), `soa-index-discipline` enforces
-//! canonical `i * B + l` strides or checked accessors into
-//! element-major buffers, `mask-coverage` requires writes to shared
-//! state rows to be lane-mask guarded or select-preserving, and
-//! `trunk-divergence-fence` certifies that `// lint: trunk-fence`
-//! roots can never transitively read `lane-divergent` (per-lane skew)
-//! state. See DESIGN.md §9.10–§9.13.
+//! determinism auditing for the replay/checkpoint paths. v4 adds
+//! `trunk-divergence-fence`, which certifies that `// lint: trunk-fence`
+//! roots — where a run adopts a checkpoint computed at other skews — can
+//! never transitively read `lane-divergent` (skew) state. See DESIGN.md
+//! §9.10.
 //!
 //! The crate uses no third-party dependencies by design: it must build
 //! and run before anything else in the workspace does. Its only

@@ -14,9 +14,6 @@
 //! | `effect-annotation-drift` | `/// effects:`-annotated fns vs inferred summaries | error |
 //! | `telemetry-hygiene` | whole workspace + DESIGN.md schema table | error |
 //! | `unsafe-audit` | whole workspace, incl. macro-expansion call sites | error |
-//! | `kernel-equivalence` | `multiversioned!`/`lane_dispatch!` clone sets | ratchet |
-//! | `soa-index-discipline` | `// lint: soa-module` files, `/// soa:` buffers | ratchet |
-//! | `mask-coverage` | state-buffer writes in `// lint: soa-module` files | ratchet |
 //! | `trunk-divergence-fence` | `// lint: trunk-fence` roots, via effect summaries | ratchet (per root+effect) |
 //! | `lint-annotation` | the lint annotations themselves | error |
 //!
@@ -54,9 +51,6 @@ pub const RATCHETED_RULES: &[&str] = &[
     "panic-reachability",
     "hot-path-certify",
     "determinism",
-    "kernel-equivalence",
-    "soa-index-discipline",
-    "mask-coverage",
     "trunk-divergence-fence",
 ];
 
@@ -74,9 +68,6 @@ pub const ALL_RULES: &[&str] = &[
     "effect-annotation-drift",
     "telemetry-hygiene",
     "unsafe-audit",
-    "kernel-equivalence",
-    "soa-index-discipline",
-    "mask-coverage",
     "trunk-divergence-fence",
     "lint-annotation",
 ];
@@ -186,13 +177,6 @@ struct FileCtx<'a> {
     /// Lines of `// lint: hot-fn` markers; each certifies the next fn
     /// definition below it as a hot-path root.
     hot_fns: Vec<u32>,
-    /// True when the file carries a `// lint: soa-module` marker: its
-    /// annotated buffers are subject to `soa-index-discipline` and
-    /// `mask-coverage`.
-    soa_module: bool,
-    /// Lines of `// lint: soa-kernel` markers; each subjects the next fn
-    /// below to the kernel write discipline of `mask-coverage`.
-    soa_kernels: Vec<u32>,
     /// Lines of `// lint: trunk-fence` markers; each declares the next fn
     /// below a prefix-adoption root that `trunk-divergence-fence` must
     /// prove unreachable-from-divergent.
@@ -213,8 +197,6 @@ impl<'a> FileCtx<'a> {
         let mut annotation_findings = Vec::new();
         let mut hot = Vec::new();
         let mut hot_fns = Vec::new();
-        let mut soa_module = false;
-        let mut soa_kernels = Vec::new();
         let mut trunk_fences = Vec::new();
         let mut hot_open: Option<u32> = None;
 
@@ -240,8 +222,6 @@ impl<'a> FileCtx<'a> {
                     hot_open = Some(t.line);
                 }
                 Directive::HotFn => hot_fns.push(t.line),
-                Directive::SoaModule => soa_module = true,
-                Directive::SoaKernel => soa_kernels.push(t.line),
                 Directive::TrunkFence => trunk_fences.push(t.line),
                 Directive::EndHotLoop => match hot_open.take() {
                     Some(start) => hot.push((start, t.line)),
@@ -292,8 +272,6 @@ impl<'a> FileCtx<'a> {
             allows,
             hot,
             hot_fns,
-            soa_module,
-            soa_kernels,
             trunk_fences,
             tests,
             annotation_findings,
@@ -388,8 +366,6 @@ enum Directive {
     HotLoop,
     EndHotLoop,
     HotFn,
-    SoaModule,
-    SoaKernel,
     TrunkFence,
     Allow { rule: String, has_reason: bool },
     Malformed(String),
@@ -404,12 +380,6 @@ fn parse_directive(text: &str) -> Directive {
     }
     if text == "hot-fn" {
         return Directive::HotFn;
-    }
-    if text == "soa-module" {
-        return Directive::SoaModule;
-    }
-    if text == "soa-kernel" {
-        return Directive::SoaKernel;
     }
     if text == "trunk-fence" {
         return Directive::TrunkFence;
@@ -437,7 +407,7 @@ fn parse_directive(text: &str) -> Directive {
         };
     }
     Directive::Malformed(format!(
-        "unrecognized lint directive `{text}` (expected `hot-loop`, `end-hot-loop`, `hot-fn`, `soa-module`, `soa-kernel`, `trunk-fence`, or `allow(<rule>, reason = \"…\")`)"
+        "unrecognized lint directive `{text}` (expected `hot-loop`, `end-hot-loop`, `hot-fn`, `trunk-fence`, or `allow(<rule>, reason = \"…\")`)"
     ))
 }
 
@@ -549,7 +519,6 @@ fn analyze_file(file: &SourceFile) -> FileAnalysis<'_> {
     float_eq(&ctx, &mut findings);
     hot_loop_alloc(&ctx, &mut findings);
     unsafe_audit(&ctx, &mut findings);
-    kernel_equivalence(&ctx, &mut findings);
     tolerance_hygiene(&ctx, &parsed, &mut findings);
     thread_local_discipline(&ctx, &parsed, &mut findings);
     FileAnalysis {
@@ -582,7 +551,6 @@ pub fn run(ws: &Workspace, parallelism: Parallelism) -> RunOutput {
     telemetry_hygiene(ws, &analyses, &mut findings);
     units_rule(&analyses, &mut findings);
     unsafe_macro_audit(&analyses, &mut findings);
-    soa_rules(ws, &analyses, &mut findings);
     let panic_apis = panic_reachability(&analyses, &mut findings);
     let effect_rows = effect_rules(&analyses, &mut findings);
 
@@ -801,14 +769,13 @@ fn unsafe_audit(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// (exclusive of the outer braces).
 struct MacroDef<'a> {
     name: &'a str,
-    line: u32,
     /// Token indices of the body, outer braces excluded.
     body: std::ops::Range<usize>,
 }
 
 /// All `macro_rules! name { … }` definitions in a token stream. The
-/// parser stores macro items as opaque placeholders, so macro-body
-/// rules work on the raw (comment-stripped) token stream instead.
+/// parser stores macro items as opaque placeholders, so the macro-body
+/// rule works on the raw (comment-stripped) token stream instead.
 fn macro_defs<'a>(code: &[Token<'a>]) -> Vec<MacroDef<'a>> {
     let mut defs = Vec::new();
     let mut i = 0;
@@ -839,411 +806,11 @@ fn macro_defs<'a>(code: &[Token<'a>]) -> Vec<MacroDef<'a>> {
         }
         defs.push(MacroDef {
             name: name.text,
-            line: name.line,
             body: (i + 4)..j,
         });
         i = j + 1;
     }
     defs
-}
-
-/// One inner `fn` of a multiversioned macro body: the clone name, its
-/// `target_feature` string (empty for the portable baseline), the
-/// signature tokens `( … )`, and the body tokens (braces excluded for
-/// block bodies; a `$body` metavariable body keeps its two tokens).
-struct KernelClone<'a> {
-    name: &'a str,
-    line: u32,
-    feature: &'a str,
-    sig: Vec<&'a str>,
-    body: Vec<Token<'a>>,
-    /// True when the body was a `$ident` metavariable, not a block.
-    meta_body: bool,
-}
-
-/// Extracts the named inner fns of a macro body. Fns whose name token
-/// is a metavariable (`fn $name`) are the generated outer wrapper (or
-/// the matcher pattern) and are skipped.
-fn kernel_clones<'a>(code: &[Token<'a>], body: &std::ops::Range<usize>) -> Vec<KernelClone<'a>> {
-    let mut clones = Vec::new();
-    let mut seg_start = body.start;
-    let mut i = body.start;
-    while i + 1 < body.end {
-        if code[i].text != "fn" || code[i].kind != TokenKind::Ident {
-            i += 1;
-            continue;
-        }
-        let name_tok = code[i + 1];
-        if name_tok.text == "$" {
-            // Matcher pattern or the generated wrapper itself.
-            i += 2;
-            continue;
-        }
-        // The attribute window runs from the previous clone's end (or
-        // the body start) to this `fn`; the feature is the first string
-        // after a `target_feature` ident in that window.
-        let mut feature = "";
-        let mut w = seg_start;
-        while w < i {
-            if code[w].text == "target_feature" {
-                for t in &code[w..i] {
-                    if t.kind == TokenKind::Str {
-                        feature = t.text.trim_matches('"');
-                        break;
-                    }
-                }
-                break;
-            }
-            w += 1;
-        }
-        // Signature: balanced `( … )` after the name.
-        let mut j = i + 2;
-        while j < body.end && code[j].text != "(" {
-            j += 1;
-        }
-        let sig_start = j;
-        let mut depth = 0usize;
-        while j < body.end {
-            match code[j].text {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let sig: Vec<&str> = code[sig_start..=j.min(body.end - 1)]
-            .iter()
-            .map(|t| t.text)
-            .collect();
-        // Body: a `{ … }` block, or a `$ident` metavariable.
-        let mut k = j + 1;
-        while k < body.end && (code[k].text == "-" || code[k].text == ">") {
-            k += 1; // skip `-> ()`-style return annotations token-wise
-        }
-        let (body_toks, meta_body, end) = if code.get(k).map(|t| t.text) == Some("{") {
-            let open = k;
-            let mut depth = 0usize;
-            while k < body.end {
-                match code[k].text {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            (code[open + 1..k].to_vec(), false, k + 1)
-        } else if code.get(k).map(|t| t.text) == Some("$") {
-            (code[k..(k + 2).min(body.end)].to_vec(), true, k + 2)
-        } else {
-            (Vec::new(), false, j + 1)
-        };
-        clones.push(KernelClone {
-            name: name_tok.text,
-            line: name_tok.line,
-            feature,
-            sig,
-            body: body_toks,
-            meta_body,
-        });
-        seg_start = end;
-        i = end;
-    }
-    clones
-}
-
-/// `kernel-equivalence`: `multiversioned!`-style clone sets must stay
-/// token-identical modulo `#[target_feature]` attributes and fn names,
-/// and `lane_dispatch!`-style width arms must be structurally identical
-/// modulo the literal width. The parser skims macro bodies, so both
-/// checks run on the raw token stream; findings render a
-/// first-divergent-token diff.
-fn kernel_equivalence(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let code = &ctx.code;
-    let defs = macro_defs(code);
-
-    for def in &defs {
-        if ctx.in_tests(def.line) {
-            continue;
-        }
-        let body = &code[def.body.clone()];
-        if body.iter().any(|t| t.text == "target_feature") {
-            check_multiversion_clones(ctx, def, out);
-        }
-        check_width_dispatch_arms(ctx, def, out);
-    }
-
-    // A `#[target_feature]` clone outside any macro body is hand-rolled
-    // and escapes the equivalence check entirely.
-    let covered = |idx: usize| defs.iter().any(|d| d.body.contains(&idx));
-    for (i, t) in code.iter().enumerate() {
-        if t.text == "target_feature"
-            && t.kind == TokenKind::Ident
-            && !covered(i)
-            && !ctx.in_tests(t.line)
-        {
-            ctx.push(
-                out,
-                "kernel-equivalence",
-                t.line,
-                "hand-rolled `#[target_feature]` clone escapes the kernel-equivalence check; generate it with `multiversioned!`".to_string(),
-            );
-        }
-    }
-}
-
-/// The multiversioned half of `kernel-equivalence`: baseline = first
-/// featureless inner fn; every featured clone must share its signature
-/// token-for-token and carry a body that is either token-equal to the
-/// reference clone body or a pure forwarding call to the baseline, and
-/// its feature string must be guarded by `is_x86_feature_detected`.
-fn check_multiversion_clones(ctx: &FileCtx<'_>, def: &MacroDef<'_>, out: &mut Vec<Finding>) {
-    let code = &ctx.code;
-    let body = &code[def.body.clone()];
-    let clones = kernel_clones(code, &def.body);
-    let Some(baseline) = clones.iter().find(|c| c.feature.is_empty()) else {
-        ctx.push(
-            out,
-            "kernel-equivalence",
-            def.line,
-            format!(
-                "macro `{}` generates `#[target_feature]` clones but no portable baseline fn to compare them against",
-                def.name
-            ),
-        );
-        return;
-    };
-    let featured: Vec<&KernelClone<'_>> = clones.iter().filter(|c| !c.feature.is_empty()).collect();
-
-    let mut reference: Option<&KernelClone<'_>> = None;
-    for clone in &featured {
-        // Signatures must match the baseline exactly (names differ,
-        // argument lists may not).
-        if let Some((pos, exp, got)) = first_divergence(&baseline.sig, &clone.sig) {
-            ctx.push(
-                out,
-                "kernel-equivalence",
-                clone.line,
-                format!(
-                    "clone `{}` signature diverges from baseline `{}` at token #{pos}: expected `{exp}`, found `{got}`",
-                    clone.name, baseline.name
-                ),
-            );
-            continue;
-        }
-        // Body: token-equal to the baseline body, or a pure forwarding
-        // call `{ baseline(args…) }`.
-        let clone_texts: Vec<&str> = clone.body.iter().map(|t| t.text).collect();
-        let base_texts: Vec<&str> = baseline.body.iter().map(|t| t.text).collect();
-        let forwarding = !clone.meta_body
-            && clone_texts.first() == Some(&baseline.name)
-            && clone_texts.get(1) == Some(&"(")
-            && clone_texts.last() == Some(&")");
-        let equal = clone_texts == base_texts;
-        if !forwarding && !equal {
-            // Diff against the first accepted clone when one exists
-            // (clone-vs-clone drift), else against the baseline body.
-            let (other_name, other_texts) = match reference {
-                Some(r) => (r.name, r.body.iter().map(|t| t.text).collect::<Vec<_>>()),
-                None => (baseline.name, base_texts),
-            };
-            let detail = match first_divergence(&other_texts, &clone_texts) {
-                Some((pos, exp, got)) => {
-                    format!("at token #{pos}: expected `{exp}`, found `{got}`")
-                }
-                None => "one body is a prefix of the other".to_string(),
-            };
-            ctx.push(
-                out,
-                "kernel-equivalence",
-                clone.line,
-                format!(
-                    "clone `{}` body diverges from `{other_name}` {detail}; clones must be token-identical or forward to the baseline",
-                    clone.name
-                ),
-            );
-            continue;
-        }
-        if reference.is_none() && forwarding {
-            reference = Some(clone);
-        } else if let Some(r) = reference {
-            if forwarding {
-                let r_texts: Vec<&str> = r.body.iter().map(|t| t.text).collect();
-                if let Some((pos, exp, got)) = first_divergence(&r_texts, &clone_texts) {
-                    ctx.push(
-                        out,
-                        "kernel-equivalence",
-                        clone.line,
-                        format!(
-                            "clone `{}` body diverges from `{}` at token #{pos}: expected `{exp}`, found `{got}`",
-                            clone.name, r.name
-                        ),
-                    );
-                    continue;
-                }
-            }
-        }
-        // The runtime dispatch must gate this clone's feature.
-        let guarded = body.iter().enumerate().any(|(i, t)| {
-            t.text == "is_x86_feature_detected"
-                && body[i..]
-                    .iter()
-                    .take(5)
-                    .any(|n| n.kind == TokenKind::Str && n.text.trim_matches('"') == clone.feature)
-        });
-        if !guarded {
-            ctx.push(
-                out,
-                "kernel-equivalence",
-                clone.line,
-                format!(
-                    "clone `{}` requires target feature \"{}\" but no `is_x86_feature_detected!(\"{}\")` guard appears in the macro body",
-                    clone.name, clone.feature, clone.feature
-                ),
-            );
-        }
-    }
-}
-
-/// First index where two token-text sequences differ, with the
-/// expected/found texts. `None` when one is a prefix of the other or
-/// they are equal.
-fn first_divergence<'a>(
-    expected: &[&'a str],
-    got: &[&'a str],
-) -> Option<(usize, &'a str, &'a str)> {
-    expected
-        .iter()
-        .zip(got.iter())
-        .enumerate()
-        .find(|(_, (e, g))| e != g)
-        .map(|(i, (e, g))| (i, *e, *g))
-        .or_else(|| {
-            if expected.len() != got.len() {
-                let i = expected.len().min(got.len());
-                Some((
-                    i,
-                    expected.get(i).copied().unwrap_or("<end>"),
-                    got.get(i).copied().unwrap_or("<end>"),
-                ))
-            } else {
-                None
-            }
-        })
-}
-
-/// The `lane_dispatch!` half of `kernel-equivalence`: a macro-body
-/// `match` whose depth-1 arms are single-token patterns including at
-/// least one numeric width must have arm bodies identical after the
-/// arm's own width literal is replaced by a placeholder.
-fn check_width_dispatch_arms(ctx: &FileCtx<'_>, def: &MacroDef<'_>, out: &mut Vec<Finding>) {
-    let code = &ctx.code;
-    let body = &code[def.body.clone()];
-    let Some(m) = body.iter().position(|t| t.text == "match") else {
-        return;
-    };
-    // Opening brace of the match block.
-    let Some(open) = body[m..].iter().position(|t| t.text == "{").map(|p| m + p) else {
-        return;
-    };
-    // Parse depth-1 arms: pattern tokens up to `=>`, then the arm body
-    // up to a depth-1 `,` (or a balanced block).
-    struct WidthArm<'a> {
-        pattern: &'a str,
-        line: u32,
-        body: Vec<&'a str>,
-    }
-    let mut arms: Vec<WidthArm<'_>> = Vec::new();
-    let mut depth = 1usize;
-    let mut j = open + 1;
-    'arms: while j < body.len() && depth > 0 {
-        // Pattern.
-        let pat_start = j;
-        // `=>` lexes as one token (see `lexer::PUNCTS`).
-        while j < body.len() && body[j].text != "=>" {
-            match body[j].text {
-                "{" | "(" | "[" => depth += 1,
-                "}" | ")" | "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break 'arms; // end of match block
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let pattern = &body[pat_start..j];
-        j += 1; // skip `=>`
-        let arm_start = j;
-        let mut arm_depth = 0usize;
-        while j < body.len() {
-            match body[j].text {
-                "{" | "(" | "[" => arm_depth += 1,
-                "}" | ")" | "]" => {
-                    if arm_depth == 0 {
-                        depth -= 1;
-                        break; // closing `}` of the match itself
-                    }
-                    arm_depth -= 1;
-                }
-                "," if arm_depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        if pattern.len() == 1 {
-            arms.push(WidthArm {
-                pattern: pattern[0].text,
-                line: pattern[0].line,
-                body: body[arm_start..j].iter().map(|t| t.text).collect(),
-            });
-        } else if !pattern.is_empty() {
-            return; // not a width-dispatch match
-        }
-        if j < body.len() && body[j].text == "," {
-            j += 1;
-        }
-    }
-    if arms.len() < 2
-        || !arms
-            .iter()
-            .any(|a| a.pattern.chars().all(|c| c.is_ascii_digit()))
-    {
-        return;
-    }
-    // Normalize: the arm's own width literal becomes a placeholder.
-    let normalized: Vec<Vec<&str>> = arms
-        .iter()
-        .map(|a| {
-            a.body
-                .iter()
-                .map(|&t| if t == a.pattern { "«W»" } else { t })
-                .collect()
-        })
-        .collect();
-    for (arm, norm) in arms.iter().zip(&normalized).skip(1) {
-        if let Some((pos, exp, got)) = first_divergence(&normalized[0], norm) {
-            ctx.push(
-                out,
-                "kernel-equivalence",
-                arm.line,
-                format!(
-                    "width arm `{}` of `{}` diverges from arm `{}` at token #{pos}: expected `{exp}`, found `{got}` (arms must be identical modulo the width literal)",
-                    arm.pattern, def.name, arms[0].pattern
-                ),
-            );
-        }
-    }
 }
 
 /// `tolerance-hygiene`: float literals inside comparison operands of
@@ -1630,526 +1197,6 @@ fn unsafe_macro_audit(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) {
     }
 }
 
-/// Memory layout of a `/// soa:`-annotated batch buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SoaLayout {
-    /// `buf[element * lanes + lane]` — the canonical lockstep layout.
-    ElementMajor,
-    /// One entry per lane (`buf[lane]`).
-    PerLane,
-}
-
-/// Role of an annotated buffer under `mask-coverage`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SoaRole {
-    /// Shared stamp/solution rows: writes must be lane-masked.
-    State,
-    /// Rebuilt every round; unmasked writes are fine.
-    Scratch,
-    /// Per-lane circuit descriptors, read-only after compile.
-    Descriptor,
-    Unspecified,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SoaInfo {
-    layout: SoaLayout,
-    role: SoaRole,
-}
-
-/// Parses a `/// soa: <layout>[, <role>]` field annotation.
-fn parse_soa_annotation(text: &str) -> Option<SoaInfo> {
-    let (layout_txt, role_txt) = match text.split_once(',') {
-        Some((l, r)) => (l.trim(), r.trim()),
-        None => (text.trim(), ""),
-    };
-    let layout = match layout_txt {
-        "element-major" => SoaLayout::ElementMajor,
-        "per-lane" => SoaLayout::PerLane,
-        _ => return None,
-    };
-    let role = match role_txt {
-        "" => SoaRole::Unspecified,
-        "state" => SoaRole::State,
-        "scratch" => SoaRole::Scratch,
-        "descriptor" => SoaRole::Descriptor,
-        _ => return None,
-    };
-    Some(SoaInfo { layout, role })
-}
-
-/// The `/// soa:` line of a field doc, when present.
-fn soa_annotation(doc: &[String]) -> Option<&str> {
-    doc.iter()
-        .find_map(|l| l.trim().strip_prefix("soa:"))
-        .map(str::trim)
-}
-
-/// Identifier names accepted as the lane-count factor of a canonical
-/// element-major index (`i * b + l`).
-const LANE_COUNT_NAMES: &[&str] = &["b", "lanes"];
-
-/// Slice-mutating methods audited by `mask-coverage` when the receiver
-/// is a state buffer.
-const WRITE_METHODS: &[&str] = &[
-    "copy_from_slice",
-    "clone_from_slice",
-    "fill",
-    "swap",
-    "swap_with_slice",
-];
-
-/// Identifier fragments that mark a condition as a lane-activity guard
-/// (`if !lane.stepping { continue; }`, `match status { … }`).
-const GUARD_WORDS: &[&str] = &["stepping", "active", "stepped", "status", "retired"];
-
-/// Buffer-name root of an lvalue or receiver: peels indexing, derefs,
-/// parens, refs, and `?`; a field access yields the field name
-/// (`self.x[k]` → `x`), a bare path its last segment.
-fn buffer_root(e: &Expr) -> Option<&str> {
-    match &e.kind {
-        ExprKind::Path { segments } => segments.last().map(String::as_str),
-        ExprKind::Field { name, .. } => Some(name.as_str()),
-        ExprKind::Index { base, .. }
-        | ExprKind::Unary { expr: base, .. }
-        | ExprKind::Paren { expr: base }
-        | ExprKind::Ref { expr: base }
-        | ExprKind::Try { expr: base } => buffer_root(base),
-        _ => None,
-    }
-}
-
-/// Strips parens, casts, and refs off an expression.
-fn strip_trivia(e: &Expr) -> &Expr {
-    match &e.kind {
-        ExprKind::Paren { expr } | ExprKind::Cast { expr } | ExprKind::Ref { expr } => {
-            strip_trivia(expr)
-        }
-        _ => e,
-    }
-}
-
-/// True when `e` (a top-level `*` factor) names a lane count.
-fn is_lane_count_factor(e: &Expr) -> bool {
-    let e = strip_trivia(e);
-    match &e.kind {
-        ExprKind::Path { segments } => segments
-            .last()
-            .is_some_and(|s| LANE_COUNT_NAMES.contains(&s.as_str())),
-        ExprKind::Field { name, .. } => LANE_COUNT_NAMES.contains(&name.as_str()),
-        _ => false,
-    }
-}
-
-/// Flattens a top-level `+`/`-` chain into its terms.
-fn additive_terms<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    let s = strip_trivia(e);
-    match &s.kind {
-        ExprKind::Binary { op, lhs, rhs } if op == "+" || op == "-" => {
-            additive_terms(lhs, out);
-            additive_terms(rhs, out);
-        }
-        _ => out.push(s),
-    }
-}
-
-/// Collects the top-level `*` factors of a term.
-fn product_factors<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    let s = strip_trivia(e);
-    match &s.kind {
-        ExprKind::Binary { op, lhs, rhs } if op == "*" => {
-            product_factors(lhs, out);
-            product_factors(rhs, out);
-        }
-        _ => out.push(s),
-    }
-}
-
-/// Checks one index (or range-endpoint) expression against the
-/// canonical element-major stride form: every additive term that is a
-/// product must carry a lane-count factor (`i * b`, `(i*n+k) * b`);
-/// single identifiers, calls, and sums of non-products pass.
-fn element_major_index_ok(index: &Expr) -> bool {
-    let index = strip_trivia(index);
-    // Single-token indices (`x[i]`, `v[0]`) are trivially canonical —
-    // the enclosing code already computed the flat offset.
-    if matches!(&index.kind, ExprKind::Path { .. } | ExprKind::Lit { .. }) {
-        return true;
-    }
-    let mut terms = Vec::new();
-    additive_terms(index, &mut terms);
-    for term in terms {
-        if let ExprKind::Binary { op, .. } = &term.kind {
-            if op == "*" {
-                let mut factors = Vec::new();
-                product_factors(term, &mut factors);
-                if !factors.iter().any(|f| is_lane_count_factor(f)) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Tail expression of a block, when its last statement is an
-/// expression without a trailing semicolon.
-fn block_tail(b: &ast::Block) -> Option<&Expr> {
-    match b.stmts.last() {
-        Some(Stmt::Expr { expr, semi: false }) => Some(expr),
-        _ => None,
-    }
-}
-
-/// True when `rhs` is a lane-select that preserves the written lvalue:
-/// `if mask { new } else { old }` where one branch tail's source text
-/// equals the lvalue's source text.
-fn select_preserves(lhs: &Expr, rhs: &Expr, src: &str) -> bool {
-    let ExprKind::If { then, else_, .. } = &strip_trivia(rhs).kind else {
-        return false;
-    };
-    let lhs_text = lhs.span.slice(src);
-    let then_keeps = block_tail(then).is_some_and(|t| t.span.slice(src) == lhs_text);
-    let else_keeps = else_.as_deref().is_some_and(|e| match &e.kind {
-        ExprKind::Block(b) => block_tail(b).is_some_and(|t| t.span.slice(src) == lhs_text),
-        _ => e.span.slice(src) == lhs_text,
-    });
-    then_keeps || else_keeps
-}
-
-/// Functions of a file at any module depth, with their item lines.
-fn visit_fns<'a>(items: &'a [ast::Item], f: &mut impl FnMut(u32, &'a ast::FnItem)) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Fn(fi) => f(item.line, fi),
-            ItemKind::Impl(ib) => visit_fns(&ib.items, f),
-            ItemKind::Trait { items, .. } | ItemKind::Mod { items, .. } => visit_fns(items, f),
-            _ => {}
-        }
-    }
-}
-
-/// `soa-index-discipline` + `mask-coverage`: the SoA memory discipline
-/// of `// lint: soa-module` files, driven by `/// soa:` buffer
-/// annotations (see DESIGN.md §9.11–9.12).
-///
-/// Index discipline: indexing into an element-major buffer must keep
-/// the canonical `i * b + l` stride shape (the `retry_lane` bug class —
-/// `x_prev[l * n + i]` — is a product term with no lane-count factor),
-/// and raw `get_unchecked`/pointer arithmetic needs a `// SAFETY:`
-/// comment naming the length invariant.
-///
-/// Mask coverage: writes to `state`-role buffers must be dominated by a
-/// lane-activity guard, written as a lane-select, or sit inside a
-/// `// lint: trunk-fence` root (whose trunk-wide broadcasts are
-/// justified by `trunk-divergence-fence` instead).
-fn soa_rules(ws: &Workspace, analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) {
-    // --- Buffer maps from `/// soa:` annotations -----------------------
-    // Per-file first, then a workspace fallback for names annotated
-    // identically everywhere; conflicting names drop out (unchecked).
-    let mut per_file: HashMap<&str, HashMap<String, SoaInfo>> = HashMap::new();
-    let mut global: HashMap<String, Option<SoaInfo>> = HashMap::new();
-    for a in analyses {
-        visit_structs(&a.ast.items, &mut |s: &ast::StructItem| {
-            for fd in &s.fields {
-                let Some(ann) = soa_annotation(&fd.doc) else {
-                    continue;
-                };
-                match parse_soa_annotation(ann) {
-                    Some(info) => {
-                        per_file
-                            .entry(a.ctx.path)
-                            .or_default()
-                            .insert(fd.name.clone(), info);
-                        match global.get(&fd.name) {
-                            Some(Some(prev)) if *prev != info => {
-                                global.insert(fd.name.clone(), None);
-                            }
-                            Some(None) => {}
-                            _ => {
-                                global.insert(fd.name.clone(), Some(info));
-                            }
-                        }
-                    }
-                    None => a.ctx.push(
-                        out,
-                        "lint-annotation",
-                        fd.line,
-                        format!(
-                            "unrecognized `/// soa:` annotation `{ann}` (expected `element-major` or `per-lane`, optionally `, state`/`, scratch`/`, descriptor`)"
-                        ),
-                    ),
-                }
-            }
-        });
-    }
-    let resolve = |path: &str, name: &str| -> Option<SoaInfo> {
-        if let Some(info) = per_file.get(path).and_then(|m| m.get(name)) {
-            return Some(*info);
-        }
-        global.get(name).copied().flatten()
-    };
-
-    for (a, file) in analyses.iter().zip(&ws.files) {
-        let ctx = &a.ctx;
-        if !ctx.soa_module {
-            continue;
-        }
-        let src = file.text.as_str();
-
-        // Fn-line table for marker association and write attribution.
-        let mut fns: Vec<(u32, &ast::FnItem)> = Vec::new();
-        visit_fns(&a.ast.items, &mut |line, fi| fns.push((line, fi)));
-        fns.sort_by_key(|&(line, _)| line);
-
-        // soa-kernel marker association (same shape as hot-fn).
-        let mut kernel_lines: BTreeSet<u32> = BTreeSet::new();
-        for &marker in &ctx.soa_kernels {
-            match fns.iter().find(|&&(line, _)| line > marker) {
-                Some(&(line, _)) if !ctx.in_tests(line) => {
-                    kernel_lines.insert(line);
-                }
-                Some(_) => ctx.push(
-                    out,
-                    "lint-annotation",
-                    marker,
-                    "`lint: soa-kernel` marks a #[cfg(test)] function; kernel write discipline only covers production code".to_string(),
-                ),
-                None => ctx.push(
-                    out,
-                    "lint-annotation",
-                    marker,
-                    "`lint: soa-kernel` is not followed by a function definition in this file"
-                        .to_string(),
-                ),
-            }
-        }
-        // trunk-fence roots are exempt from mask-coverage (their
-        // broadcasts are certified by trunk-divergence-fence instead);
-        // the marker's own error handling lives in effect_rules.
-        let fence_lines: BTreeSet<u32> = ctx
-            .trunk_fences
-            .iter()
-            .filter_map(|&marker| {
-                fns.iter()
-                    .find(|&&(line, _)| line > marker)
-                    .map(|&(line, _)| line)
-            })
-            .collect();
-
-        for &(fn_line, fi) in &fns {
-            if ctx.in_tests(fn_line) {
-                continue;
-            }
-            let Some(body) = &fi.body else { continue };
-            let is_kernel = kernel_lines.contains(&fn_line);
-            let is_fence_root = fence_lines.contains(&fn_line);
-            // Param type text is token-joined ("& mut [ f64 ]"); strip
-            // spaces before matching shapes.
-            let masked = fi
-                .params
-                .iter()
-                .any(|p| p.ty.replace(' ', "").contains("[bool]"));
-
-            // (b) A maskless kernel must not alias a state buffer
-            // mutably: it has no way to preserve inactive lanes.
-            if is_kernel && !masked {
-                for p in &fi.params {
-                    if p.ty.replace(' ', "").contains("&mut")
-                        && resolve(ctx.path, &p.name)
-                            .is_some_and(|info| info.role == SoaRole::State)
-                    {
-                        ctx.push(
-                            out,
-                            "mask-coverage",
-                            p.line,
-                            format!(
-                                "maskless kernel `{}` takes `&mut {}` aliasing a state buffer; add a lane mask or route through a scratch buffer",
-                                fi.name, p.name
-                            ),
-                        );
-                    }
-                }
-            }
-
-            // Guard events for approximate dominance: a lane-activity
-            // branch, an early `continue`/`return`, or a `?` at or
-            // above the write line within the same function.
-            let mut guard_lines: Vec<u32> = Vec::new();
-            let mut writes: Vec<(&Expr, &Expr, Option<&Expr>)> = Vec::new(); // (site, lhs-ish, rhs)
-            for stmt in &body.stmts {
-                let exprs: Vec<&Expr> = match stmt {
-                    Stmt::Let { init: Some(i), .. } => vec![i],
-                    Stmt::Expr { expr, .. } => vec![expr],
-                    _ => Vec::new(),
-                };
-                for root in exprs {
-                    ast::walk_expr(root, &mut |e: &Expr| match &e.kind {
-                        ExprKind::Continue | ExprKind::Return { .. } | ExprKind::Try { .. } => {
-                            guard_lines.push(e.line);
-                        }
-                        ExprKind::If { cond, .. } | ExprKind::While { cond, .. } => {
-                            let text = cond.span.slice(src);
-                            if GUARD_WORDS.iter().any(|w| text.contains(w)) {
-                                guard_lines.push(cond.line);
-                            }
-                        }
-                        ExprKind::Match { scrutinee, .. } => {
-                            let text = scrutinee.span.slice(src);
-                            if GUARD_WORDS.iter().any(|w| text.contains(w)) {
-                                guard_lines.push(scrutinee.line);
-                            }
-                        }
-                        ExprKind::Assign { op, lhs, rhs } if op == "=" => {
-                            writes.push((e, lhs, Some(rhs)));
-                        }
-                        ExprKind::Assign { lhs, rhs, .. } => {
-                            // `+=` etc.: reads-modifies-writes the lvalue.
-                            writes.push((e, lhs, Some(rhs)));
-                        }
-                        ExprKind::MethodCall { recv, method, .. }
-                            if WRITE_METHODS.contains(&method.as_str()) =>
-                        {
-                            writes.push((e, recv, None));
-                        }
-                        _ => {}
-                    });
-                }
-            }
-            guard_lines.sort_unstable();
-
-            for (site, lhs, rhs) in writes {
-                // (a) In a masked kernel, every deref write must be a
-                // lane-select so inactive lanes keep their values.
-                if is_kernel && masked {
-                    if let ExprKind::Unary { op, .. } = &lhs.kind {
-                        if op == "*" {
-                            let ok = rhs.is_some_and(|r| select_preserves(lhs, r, src));
-                            if !ok {
-                                ctx.push(
-                                    out,
-                                    "mask-coverage",
-                                    site.line,
-                                    format!(
-                                        "unmasked write `{}` in masked kernel `{}`: write a lane-select (`if mask {{ new }} else {{ {} }}`) so inactive lanes are preserved",
-                                        site.span.slice(src).lines().next().unwrap_or_default(),
-                                        fi.name,
-                                        lhs.span.slice(src)
-                                    ),
-                                );
-                            }
-                            continue;
-                        }
-                    }
-                }
-                // (c) Direct writes to state buffers anywhere in the
-                // module need a dominating guard, a select, or the
-                // trunk-fence exemption.
-                let Some(root) = buffer_root(lhs) else {
-                    continue;
-                };
-                if resolve(ctx.path, root).map(|i| i.role) != Some(SoaRole::State) {
-                    continue;
-                }
-                if is_fence_root {
-                    continue; // certified by trunk-divergence-fence
-                }
-                if rhs.is_some_and(|r| select_preserves(lhs, r, src)) {
-                    continue;
-                }
-                if guard_lines.iter().any(|&g| g <= site.line) {
-                    continue;
-                }
-                ctx.push(
-                    out,
-                    "mask-coverage",
-                    site.line,
-                    format!(
-                        "write to state buffer `{root}` in `{}` is not dominated by a lane-activity guard; mask it, select-preserve inactive lanes, or redirect through a spill row",
-                        fi.name
-                    ),
-                );
-            }
-        }
-
-        // --- soa-index-discipline: AST half ---------------------------
-        for item in &a.ast.items {
-            ast::walk_item_exprs(item, &mut |e: &Expr| {
-                let ExprKind::Index { base, index } = &e.kind else {
-                    return;
-                };
-                if ctx.in_tests(e.line) {
-                    return;
-                }
-                let Some(root) = buffer_root(base) else {
-                    return;
-                };
-                if resolve(ctx.path, root).map(|i| i.layout) != Some(SoaLayout::ElementMajor) {
-                    return;
-                }
-                let bad: Option<&Expr> = match &strip_trivia(index).kind {
-                    ExprKind::Range { lo, hi } => [lo.as_deref(), hi.as_deref()]
-                        .into_iter()
-                        .flatten()
-                        .find(|ep| !element_major_index_ok(ep)),
-                    _ => (!element_major_index_ok(index)).then_some(index.as_ref()),
-                };
-                if let Some(bad) = bad {
-                    ctx.push(
-                        out,
-                        "soa-index-discipline",
-                        e.line,
-                        format!(
-                            "non-canonical index `{}` into element-major buffer `{root}`: use the `element * b + lane` stride form or the checked `soa_idx` accessor",
-                            bad.span.slice(src)
-                        ),
-                    );
-                }
-            });
-        }
-
-        // --- soa-index-discipline: raw-pointer half -------------------
-        let code = &ctx.code;
-        let length_words = ["len", "bound", "capacity", "invariant"];
-        let safety_names_length = |line: u32| -> bool {
-            ctx.comments.iter().any(|&(l, text)| {
-                l <= line
-                    && l + 3 >= line
-                    && text.contains("SAFETY:")
-                    && length_words.iter().any(|w| text.contains(w))
-            })
-        };
-        for i in 0..code.len() {
-            let t = code[i];
-            if t.kind != TokenKind::Ident || ctx.in_tests(t.line) {
-                continue;
-            }
-            let dotted = i > 0 && code[i - 1].text == ".";
-            let raw_access = match t.text {
-                "get_unchecked" | "get_unchecked_mut" => dotted,
-                "add" | "offset" | "sub" => {
-                    dotted
-                        && code[i.saturating_sub(8)..i]
-                            .iter()
-                            .any(|p| p.text == "as_ptr" || p.text == "as_mut_ptr")
-                }
-                _ => false,
-            };
-            if raw_access && !safety_names_length(t.line) {
-                ctx.push(
-                    out,
-                    "soa-index-discipline",
-                    t.line,
-                    format!(
-                        "raw `.{}` on a batch buffer without a `// SAFETY:` comment naming the length invariant (len/bound/capacity) in the 3 lines above",
-                        t.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
 /// Structs at any module depth.
 fn visit_structs(items: &[ast::Item], f: &mut impl FnMut(&ast::StructItem)) {
     for item in items {
@@ -2509,12 +1556,12 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
     }
 
     // --- trunk-divergence-fence ---------------------------------------
-    // DESIGN.md §13's soundness argument, as a machine-checked
-    // certificate: a prefix-ladder checkpoint may only be adopted because
-    // a run at other skews computed identical values below its agreement
-    // horizon, so a fence root must be unreachable from any reader of
-    // per-lane skew state (`lane-divergent` seeds, propagated over the
-    // call graph).
+    // DESIGN.md §6.1's soundness argument, as a machine-checked
+    // certificate: a prefix-ladder or sibling checkpoint may only be
+    // adopted because a run at other skews computed identical values
+    // below its agreement horizon, so a fence root must be unreachable
+    // from any reader of skew state (`lane-divergent` seeds, propagated
+    // over the call graph).
     for &root in &fence_roots {
         let d = &table.defs[root];
         let ctx = &by_path[d.file].ctx;
@@ -2525,7 +1572,7 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
                 "trunk-divergence-fence",
                 d.line,
                 format!(
-                    "prefix root `{}` can transitively {} — the adopted prefix would no longer be skew-invariant (DESIGN.md §13.3): {chain}",
+                    "prefix root `{}` can transitively {} — the adopted prefix would no longer be skew-invariant (DESIGN.md §6.1): {chain}",
                     d.qualified_name(),
                     EffectKind::LaneDivergent.verb()
                 ),
@@ -2670,7 +1717,7 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
 /// Renders the workspace call graph as Graphviz DOT
 /// (`shc-lint graph --dot`). With `effects`, nodes are colored by their
 /// effective effect class — red: blocks hot-path certification; amber:
-/// nondeterminism; purple: lane-divergent (reads per-lane skew state);
+/// nondeterminism; purple: lane-divergent (reads skew state);
 /// grey: unknown callees only; green: clean — and labeled with their
 /// effect names. `// lint: trunk-fence` roots get a heavy blue border:
 /// the boundary `trunk-divergence-fence` certifies.
@@ -3318,144 +2365,10 @@ mod tests {
         assert!(run_one("crates/linalg/src/a.rs", src).is_empty());
     }
 
-    /// A well-formed multiversion macro: portable baseline, forwarding
-    /// `#[target_feature]` clone, matching runtime guard.
-    const CLEAN_MULTIVERSION: &str = r#"
-macro_rules! mv {
-    ($(#[$m:meta])* fn $name:ident($($arg:ident : $ty:ty),*) $body:block) => {
-        fn $name($($arg: $ty),*) {
-            fn portable($($arg: $ty),*) $body
-            #[target_feature(enable = "avx2")]
-            // SAFETY: called only after the avx2 detection below.
-            unsafe fn wide256($($arg: $ty),*) {
-                portable($($arg),*)
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: detection on the line above.
-                return unsafe { wide256($($arg),*) };
-            }
-            portable($($arg),*)
-        }
-    };
-}
-"#;
-
-    #[test]
-    fn forwarding_clone_with_guard_passes_kernel_equivalence() {
-        assert!(run_one("crates/cells/src/mv.rs", CLEAN_MULTIVERSION).is_empty());
-    }
-
-    #[test]
-    fn clone_missing_runtime_guard_is_flagged() {
-        // Same macro, but the dispatch detects a *different* feature
-        // than the clone enables.
-        let src = CLEAN_MULTIVERSION.replace(
-            "is_x86_feature_detected!(\"avx2\")",
-            "is_x86_feature_detected!(\"avx512f\")",
-        );
-        let f = run_one("crates/cells/src/mv.rs", &src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "kernel-equivalence");
-        assert!(
-            f[0].message
-                .contains("no `is_x86_feature_detected!(\"avx2\")` guard"),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn macro_without_portable_baseline_is_flagged() {
-        let src = "macro_rules! mv {\n    () => {\n        #[target_feature(enable = \"avx2\")]\n        // SAFETY: guarded by the caller.\n        unsafe fn wide(v: &mut [f64]) { v[0] = 0.5; }\n    };\n}\n";
-        let f = run_one("crates/cells/src/mv.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "kernel-equivalence");
-        assert!(f[0].message.contains("no portable baseline"), "{f:?}");
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn width_dispatch_arm_drift_is_flagged() {
-        let clean = "macro_rules! ld {\n    ($b:expr, $f:ident($($a:expr),*)) => {\n        match $b {\n            8 => $f($($a,)* 8),\n            4 => $f($($a,)* 4),\n            other => $f($($a,)* other),\n        }\n    };\n}\n";
-        assert!(run_one("crates/cells/src/ld.rs", clean).is_empty());
-        // Arm `4` calls with width 8: identical modulo width no longer
-        // holds.
-        let drifted = clean.replace("4 => $f($($a,)* 4)", "4 => $f($($a,)* 8)");
-        let f = run_one("crates/cells/src/ld.rs", &drifted);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "kernel-equivalence");
-        assert!(f[0].message.contains("width arm `4`"), "{f:?}");
-        assert_eq!(f[0].line, 5);
-    }
-
-    /// Preamble opting a file into the SoA rules with one element-major
-    /// state buffer.
-    const SOA_HEADER: &str =
-        "// lint: soa-module\nstruct B {\n    /// soa: element-major, state\n    x: Vec<f64>,\n}\n";
-
-    #[test]
-    fn canonical_strides_and_accessors_pass_index_discipline() {
-        let src = format!(
-            "{SOA_HEADER}fn read(x: &[f64], i: usize, l: usize, b: usize) -> f64 {{\n    x[i * b + l] + x[soa_idx(i, l, b)] + x[l]\n}}\nfn soa_idx(i: usize, l: usize, b: usize) -> usize {{ i * b + l }}\n"
-        );
-        assert!(run_one("crates/spice/src/batch/a.rs", &src).is_empty());
-    }
-
-    #[test]
-    fn non_canonical_element_major_index_is_flagged() {
-        let src = format!("{SOA_HEADER}fn read(x: &[f64], l: usize, n: usize, i: usize) -> f64 {{\n    x[l * n + i]\n}}\n");
-        let f = run_one("crates/spice/src/batch/a.rs", &src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "soa-index-discipline");
-        assert!(f[0].message.contains("`l * n + i`"), "{f:?}");
-    }
-
-    #[test]
-    fn raw_access_needs_safety_comment_naming_length() {
-        let good = format!("{SOA_HEADER}fn read(x: &[f64], i: usize) -> f64 {{\n    // SAFETY: `i` is below `x.len()` by the caller's bound check.\n    unsafe {{ *x.get_unchecked(i) }}\n}}\n");
-        assert!(run_one("crates/spice/src/batch/a.rs", &good).is_empty());
-        let bad = format!("{SOA_HEADER}fn read(x: &[f64], i: usize) -> f64 {{\n    // SAFETY: trust me.\n    unsafe {{ *x.get_unchecked(i) }}\n}}\n");
-        let f = run_one("crates/spice/src/batch/a.rs", &bad);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "soa-index-discipline");
-        assert!(f[0].message.contains("length invariant"), "{f:?}");
-    }
-
-    #[test]
-    fn maskless_kernel_taking_mut_state_is_flagged() {
-        let src = format!("{SOA_HEADER}// lint: soa-kernel\nfn broadcast_impl(x: &mut [f64], v: f64, b: usize) {{\n    for o in x[..b].iter_mut() {{\n        *o = v;\n    }}\n}}\n");
-        let f = run_one("crates/spice/src/batch/a.rs", &src);
-        assert!(
-            f.iter().any(|x| x.rule == "mask-coverage"
-                && x.message.contains("maskless kernel `broadcast_impl`")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn dangling_soa_kernel_marker_errors() {
-        let src = format!("{SOA_HEADER}// lint: soa-kernel\n");
-        let f = run_one("crates/spice/src/batch/a.rs", &src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "lint-annotation");
-        assert!(f[0].message.contains("not followed by a function"), "{f:?}");
-    }
-
     #[test]
     fn trunk_fence_without_skew_reads_is_silent() {
         let src = "struct Dev { bias: f64 }\n// lint: trunk-fence\nfn adopt(d: &Dev, out: &mut [f64]) {\n    for o in out.iter_mut() {\n        *o = d.bias;\n    }\n}\n";
         assert!(run_one("crates/spice/src/batch/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn lane_descriptor_read_reachable_from_fence_is_flagged() {
-        // `.waveforms[...]` is per-lane descriptor state; reading it
-        // under a trunk fence breaks lane invariance just like a skew
-        // parameter.
-        let src = "struct Dev { waveforms: Vec<f64> }\n// lint: trunk-fence\nfn adopt(d: &Dev, i: usize) -> f64 {\n    d.waveforms[i]\n}\n";
-        let f = run_one("crates/spice/src/batch/a.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "trunk-divergence-fence");
-        assert!(f[0].message.contains("`.waveforms["), "{f:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-// Fixture: a trunk prefix root that transitively reads per-lane skew
-// state — the adopted prefix would no longer be lane-invariant.
+// Fixture: a checkpoint-adoption root that transitively reads skew
+// state — the adopted prefix would no longer be skew-invariant.
 
 struct SkewParams {
     tau_s: f64,

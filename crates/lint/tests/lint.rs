@@ -364,72 +364,6 @@ fn undocumented_unsafe_macro_invocation_triggers_unsafe_audit() {
 }
 
 #[test]
-fn drifted_clone_and_hand_rolled_target_feature_trigger_kernel_equivalence() {
-    let findings = lint_fixture(
-        "crates/linalg/src/fixture.rs",
-        include_str!("fixtures/kernel_clone_divergence.rs"),
-    );
-    // Line 15: the AVX2 clone body diverges from the portable baseline.
-    // Line 31: a `#[target_feature]` fn outside any macro body escapes
-    // the clone-set comparison entirely.
-    assert_only(
-        &findings,
-        "kernel-equivalence",
-        "crates/linalg/src/fixture.rs",
-        &[15, 31],
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("diverges from `scale_portable`")),
-        "{findings:#?}"
-    );
-    assert!(
-        findings.iter().any(|f| f.message.contains("hand-rolled")),
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn lane_major_index_and_bare_unchecked_trigger_soa_index_discipline() {
-    let findings = lint_fixture(
-        "crates/spice/src/batch/fixture.rs",
-        include_str!("fixtures/soa_index_bad.rs"),
-    );
-    // Line 16: `residual[l * n + i]` has no lane-count stride factor.
-    // Line 21: `.get_unchecked` whose SAFETY comment names no length
-    // invariant. The canonical `i * b + l` access stays silent.
-    assert_only(
-        &findings,
-        "soa-index-discipline",
-        "crates/spice/src/batch/fixture.rs",
-        &[16, 21],
-    );
-}
-
-#[test]
-fn unmasked_state_write_in_masked_kernel_triggers_mask_coverage() {
-    let findings = lint_fixture(
-        "crates/spice/src/batch/fixture.rs",
-        include_str!("fixtures/mask_coverage_unmasked.rs"),
-    );
-    // The select-preserving kernel is clean; the `*xv += …` write in
-    // `overwrite_impl` clobbers inactive lanes.
-    assert_only(
-        &findings,
-        "mask-coverage",
-        "crates/spice/src/batch/fixture.rs",
-        &[21],
-    );
-    assert!(
-        findings
-            .iter()
-            .all(|f| f.message.contains("overwrite_impl")),
-        "{findings:#?}"
-    );
-}
-
-#[test]
 fn skew_reader_reachable_from_trunk_fence_triggers_divergence_fence() {
     let findings = lint_fixture(
         "crates/spice/src/batch/fixture.rs",

@@ -1,150 +1,95 @@
-//! Lockstep batched transient simulation.
+//! Multi-lane transient entry points, kept for the benchmark of record.
 //!
-//! Characterization sweeps (surface grids, `trace_batch` levels) run
-//! thousands of transients over the *same topology* with different
-//! parameters. On a one-core host the
-//! thread pool cannot help, so this module attacks per-simulation cost
-//! instead:
-//!
-//! - **Compilation** ([`compile::CompiledCircuit`]): the `dyn Device` list
-//!   is lowered once per sweep into a flat array of value-level device
-//!   descriptors with pre-resolved unknown indices, so the per-iteration
-//!   assembly is a monomorphic match over plain data — no virtual
-//!   dispatch, no `Option` re-resolution, no bounds re-derivation.
-//! - **SoA lanes** ([`engine::run_lockstep`]): `B` simulations advance in
-//!   lockstep through shared structure-of-arrays state blocks
-//!   (`lanes·n` vectors, `lanes·n²` Jacobians, one [`shc_linalg::SoaLu`]
-//!   for the Newton and sensitivity solves), allocated once per batch
-//!   instead of once per run.
-//! - **Per-lane masks**: Newton convergence, step rejection, retries, and
-//!   failures are tracked per lane; a diverging lane retires (with the
-//!   same typed error the scalar path would produce) without stalling the
-//!   remaining lanes.
-//! - **Prefix reuse** ([`engine::run_lockstep_with_ladder`]): each lane
-//!   may resume from its own checkpoint of a
-//!   [`crate::transient::PrefixLadder`], chosen by the rule scalar runs
-//!   use, and steps on from its own time; [`run_lockstep`] runs every
-//!   lane from its DC operating point.
-//!
-//! The batched path is **bitwise identical** to the scalar
-//! [`crate::transient::TransientAnalysis`] on its supported envelope
-//! (Backward Euler, final-only recording, dense solves, DC initial
-//! condition): every floating-point operation per lane replicates
-//! the scalar sequence exactly. Anything outside the envelope reports
-//! unsupported via [`supported`] and the caller falls back to the scalar
-//! path.
-//!
-//! The invariants that make this soundness argument work are
-//! machine-checked by `shc-lint` v4 (DESIGN.md §9.10–§9.13): the
-//! modules opt in with `// lint: soa-module`, SoA buffers declare
-//! their layout with `/// soa:` annotations so every element-major
-//! index is forced through the canonical `i * B + l` stride or a
-//! checked accessor, masked kernels (`// lint: soa-kernel`) may only
-//! write shared state rows under a lane-mask guard or select, the
-//! `multiversioned!`/`lane_dispatch!` SIMD clones are proven
-//! token-identical to the portable baseline, and the ladder checkpoint
-//! adoption lanes resume through (`// lint: trunk-fence`) is certified
-//! unreachable from any skew read. Each certificate has a
-//! rehearsed-to-fail CI canary.
-
-pub mod compile;
-pub mod engine;
-
-pub use compile::{CompiledCircuit, DeviceSpec, SoaCircuit};
-pub use engine::{run_lockstep, run_lockstep_with_ladder, BatchLane};
-
-use serde::{Deserialize, Serialize};
+//! [`run_lockstep`] runs each lane through the scalar
+//! [`crate::transient::TransientAnalysis`], one after another. It is
+//! retained, with its signature and its input errors, because the
+//! benchmark's traced per-layer pass times it (`batch.*` metrics) until
+//! the benchmark drops those metrics (ROADMAP item 3). Sweeps share work
+//! through prefix ladders and sibling rungs instead
+//! ([`crate::transient::PrefixLadder`], [`crate::transient::SiblingRungs`]).
 
 use crate::circuit::Circuit;
-use crate::transient::{InitialCondition, Integrator, RecordMode, TransientOptions};
+use crate::transient::{
+    InitialCondition, Integrator, RecordMode, TransientAnalysis, TransientOptions, TransientResult,
+};
+use crate::waveform::Params;
+use crate::{Result, SpiceError};
 
-/// Default lane-group width for sweep drivers that chunk a large
-/// simulation set into batches: wide enough to amortize compilation and
-/// buffer setup, narrow enough that the SoA blocks of a seed-cell-sized
-/// circuit stay cache-resident.
+/// Lane-group width the benchmark's per-layer pass sizes its batches by.
 pub const DEFAULT_LANES: usize = 16;
 
-/// How a sweep driver chooses between the scalar and the batched engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum BatchPolicy {
-    /// Batch when the configuration is inside the supported envelope, at
-    /// least two lanes are available, and no fault injector is installed
-    /// (per-site fault draws interleave across lanes, so injection
-    /// campaigns keep the scalar path's documented draw order).
-    #[default]
-    Auto,
-    /// Always take the scalar path.
-    Scalar,
-    /// Batch whenever the envelope allows it, fault injector or not
-    /// (per-lane retirement still applies); falls back to scalar outside
-    /// the envelope.
-    Batched,
+/// One lane of [`run_lockstep`]: a circuit, its skews and its stop time.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchLane<'a> {
+    /// The lane's circuit; all lanes must share one unknown count.
+    pub circuit: &'a Circuit,
+    /// Skew parameters for this lane.
+    pub params: Params,
+    /// Stop time for this lane; it replaces the shared options' `tstop`.
+    pub tstop: f64,
 }
 
-impl BatchPolicy {
-    /// Stable lowercase name (CLI value / JSON output).
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchPolicy::Auto => "auto",
-            BatchPolicy::Scalar => "scalar",
-            BatchPolicy::Batched => "batched",
+/// Runs every lane to its stop time from its DC operating point, as a
+/// scalar [`TransientAnalysis::run`] under `opts` with the lane's stop
+/// time, and returns one `Result` per lane, in lane order. The outer
+/// `Result` reports invalid input before any lane runs.
+///
+/// # Errors
+///
+/// [`SpiceError::BadCircuit`] when the lanes differ in dimension, a stop
+/// time is not positive and finite, or `opts` asks for anything but
+/// Backward Euler, final-only recording, a DC start and dense solves.
+pub fn run_lockstep(
+    lanes: &[BatchLane<'_>],
+    opts: &TransientOptions,
+) -> Result<Vec<Result<TransientResult>>> {
+    let Some(first) = lanes.first() else {
+        return Ok(Vec::new());
+    };
+    let n = first.circuit.unknown_count();
+    for (l, lane) in lanes.iter().enumerate() {
+        if lane.circuit.unknown_count() != n {
+            return Err(SpiceError::BadCircuit {
+                reason: format!(
+                    "lockstep batch requires one dimension: lane 0 has {n} unknowns, lane {l} has {}",
+                    lane.circuit.unknown_count()
+                ),
+            });
+        }
+        if !(lane.tstop.is_finite() && lane.tstop > 0.0) {
+            return Err(SpiceError::BadCircuit {
+                reason: format!("lane {l} has non-positive stop time {}", lane.tstop),
+            });
+        }
+        let supported = opts.integrator == Integrator::BackwardEuler
+            && matches!(opts.record, RecordMode::FinalOnly)
+            && matches!(opts.initial, InitialCondition::DcOperatingPoint)
+            && !opts.solver.wants_sparse(n);
+        if !supported {
+            return Err(SpiceError::BadCircuit {
+                reason: format!(
+                    "lane {l} is outside the batched envelope (needs Backward Euler, \
+                     final-only recording, DC start and dense solves)"
+                ),
+            });
         }
     }
-
-    /// Whether a sweep of `lanes` same-topology simulations over
-    /// `circuit` under `opts` should take the batched engine.
-    pub fn use_batched(self, circuit: &Circuit, opts: &TransientOptions, lanes: usize) -> bool {
-        match self {
-            BatchPolicy::Scalar => false,
-            BatchPolicy::Auto => lanes >= 2 && !shc_fault::enabled() && supported(circuit, opts),
-            BatchPolicy::Batched => lanes >= 1 && supported(circuit, opts),
-        }
-    }
-}
-
-impl std::str::FromStr for BatchPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(BatchPolicy::Auto),
-            "scalar" => Ok(BatchPolicy::Scalar),
-            "batched" => Ok(BatchPolicy::Batched),
-            other => Err(format!(
-                "unknown batch policy '{other}' (expected auto, scalar, or batched)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for BatchPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Whether `(circuit, opts)` falls inside the batched engine's envelope:
-/// Backward Euler, final-only recording, DC initial condition, dense
-/// solves, and a circuit made entirely of devices with a [`DeviceSpec`]
-/// lowering.
-pub fn supported(circuit: &Circuit, opts: &TransientOptions) -> bool {
-    options_supported(circuit, opts) && CompiledCircuit::compile(circuit).is_some()
-}
-
-/// [`supported`] without the device-lowering check, for callers that
-/// compile the circuit themselves.
-pub(crate) fn options_supported(circuit: &Circuit, opts: &TransientOptions) -> bool {
-    matches!(opts.integrator, Integrator::BackwardEuler)
-        && matches!(opts.record, RecordMode::FinalOnly)
-        && matches!(opts.initial, InitialCondition::DcOperatingPoint)
-        && !opts.solver.wants_sparse(circuit.unknown_count())
+    Ok(lanes
+        .iter()
+        .map(|lane| {
+            let opts = TransientOptions {
+                tstop: lane.tstop,
+                ..opts.clone()
+            };
+            TransientAnalysis::new(lane.circuit, opts).run(&lane.params)
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::{Capacitor, Diode, DiodeParams, Resistor, VoltageSource};
+    use crate::devices::{Capacitor, Resistor, VoltageSource};
     use crate::waveform::Waveform;
 
     fn rc_circuit() -> Circuit {
@@ -162,7 +107,7 @@ mod tests {
         c
     }
 
-    fn fixed_be_opts(tstop: f64) -> TransientOptions {
+    fn final_only(tstop: f64) -> TransientOptions {
         TransientOptions::builder(tstop)
             .dt(tstop / 100.0)
             .record(RecordMode::FinalOnly)
@@ -170,65 +115,63 @@ mod tests {
     }
 
     #[test]
-    fn policy_parses_and_prints_round_trip() {
-        for p in [BatchPolicy::Auto, BatchPolicy::Scalar, BatchPolicy::Batched] {
-            assert_eq!(p.name().parse::<BatchPolicy>().unwrap(), p);
-            assert_eq!(format!("{p}"), p.name());
-        }
-        assert!("turbo".parse::<BatchPolicy>().is_err());
-    }
-
-    #[test]
-    fn envelope_gates_integrator_and_record() {
+    fn lanes_run_as_scalar_transients_at_their_own_stop_times() {
         let c = rc_circuit();
-        assert!(supported(&c, &fixed_be_opts(1e-6)));
-
-        let trap = TransientOptions::builder(1e-6)
-            .dt(1e-8)
-            .integrator(Integrator::Trapezoidal)
-            .record(RecordMode::FinalOnly)
-            .build();
-        assert!(!supported(&c, &trap));
-
-        let full = TransientOptions::builder(1e-6).dt(1e-8).build();
-        assert!(!supported(&c, &full), "Full recording is out of envelope");
-    }
-
-    #[test]
-    fn unsupported_device_opts_the_circuit_out() {
-        let mut c = rc_circuit();
-        let vout = c.find_node("out").unwrap();
-        c.add(Diode::new(
-            "D1",
-            vout,
-            Circuit::GROUND,
-            DiodeParams::default(),
-        ));
-        assert!(!supported(&c, &fixed_be_opts(1e-6)));
-    }
-
-    #[test]
-    fn policy_resolution_respects_scalar_and_lane_floor() {
-        let c = rc_circuit();
-        let opts = fixed_be_opts(1e-6);
-        assert!(!BatchPolicy::Scalar.use_batched(&c, &opts, 400));
-        assert!(!BatchPolicy::Auto.use_batched(&c, &opts, 1));
-        assert!(BatchPolicy::Auto.use_batched(&c, &opts, 2));
-        assert!(BatchPolicy::Batched.use_batched(&c, &opts, 1));
-    }
-
-    #[test]
-    fn auto_defers_to_scalar_under_fault_injection() {
-        let c = rc_circuit();
-        let opts = fixed_be_opts(1e-6);
-        let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
-            probability: 0.5,
-            site: Some(shc_fault::Site::Newton),
-            kind: shc_fault::FaultKind::NonConvergence,
-            seed: 1,
+        let opts = final_only(1e-6);
+        let lanes = [1e-6, 0.5e-6].map(|tstop| BatchLane {
+            circuit: &c,
+            params: Params::default(),
+            tstop,
         });
-        let _g = shc_fault::install_scoped(&injector);
-        assert!(!BatchPolicy::Auto.use_batched(&c, &opts, 8));
-        assert!(BatchPolicy::Batched.use_batched(&c, &opts, 8));
+        let results = run_lockstep(&lanes, &opts).unwrap();
+        for (lane, got) in lanes.iter().zip(&results) {
+            let want = TransientAnalysis::new(
+                &c,
+                TransientOptions {
+                    tstop: lane.tstop,
+                    ..opts.clone()
+                },
+            )
+            .run(&lane.params)
+            .unwrap();
+            let got = got.as_ref().unwrap();
+            assert_eq!(got.times(), want.times());
+            assert_eq!(got.final_state().as_slice(), want.final_state().as_slice());
+        }
+    }
+
+    #[test]
+    fn invalid_lanes_and_options_are_typed_errors() {
+        let c = rc_circuit();
+        let mut bigger = rc_circuit();
+        bigger.node("extra");
+        let lane = |circuit, tstop| BatchLane {
+            circuit,
+            params: Params::default(),
+            tstop,
+        };
+        let opts = final_only(1e-6);
+        for lanes in [
+            vec![lane(&c, 1e-6), lane(&bigger, 1e-6)],
+            vec![lane(&c, f64::NAN)],
+            vec![lane(&c, 0.0)],
+        ] {
+            assert!(matches!(
+                run_lockstep(&lanes, &opts),
+                Err(SpiceError::BadCircuit { .. })
+            ));
+        }
+        let trap = TransientOptions {
+            integrator: Integrator::Trapezoidal,
+            ..opts.clone()
+        };
+        let full = TransientOptions::builder(1e-6).dt(1e-8).build();
+        for opts in [trap, full] {
+            assert!(matches!(
+                run_lockstep(&[lane(&c, 1e-6)], &opts),
+                Err(SpiceError::BadCircuit { .. })
+            ));
+        }
+        assert!(run_lockstep(&[], &opts).unwrap().is_empty());
     }
 }

@@ -155,16 +155,13 @@ impl Circuit {
     /// A time `t*` such that every device stamps bitwise-identical values
     /// and skew derivatives under skews `pa` and `pb` for all `t < t*`,
     /// built on [`crate::Waveform::agree_until`]. Only voltage-source
-    /// waveforms read the skews; a device outside the batched envelope
-    /// ([`Device::batch_spec`] is `None`) claims nothing (`0.0`).
+    /// waveforms read the skews; a device that states no bound
+    /// ([`Device::skew_agreement`] is `None`) claims nothing (`0.0`).
     pub fn agreement_horizon(&self, pa: &Params, pb: &Params) -> f64 {
         let mut horizon = f64::INFINITY;
         for device in &self.devices {
-            match device.batch_spec() {
-                Some(crate::batch::DeviceSpec::VoltageSource { waveform, .. }) => {
-                    horizon = horizon.min(waveform.agree_until(pa, pb));
-                }
-                Some(_) => {}
+            match device.skew_agreement(pa, pb) {
+                Some(bound) => horizon = horizon.min(bound),
                 None => return 0.0,
             }
         }
@@ -565,7 +562,7 @@ mod tests {
         assert_eq!(horizon, d.agree_until(&p0, &p1));
         assert!(horizon > 4e-9, "{horizon:e}");
 
-        // A device outside the batched envelope claims nothing.
+        // A device that states no bound claims nothing.
         c.add(Diode::new(
             "D1",
             out,

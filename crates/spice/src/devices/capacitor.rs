@@ -1,5 +1,6 @@
 use crate::devices::Device;
 use crate::stamp::{EvalContext, Stamper};
+use crate::waveform::Params;
 use crate::Node;
 
 /// A linear capacitor.
@@ -55,19 +56,14 @@ impl Device for Capacitor {
         stamper.stamp_capacitance(ea, eb, self.capacitance);
     }
 
-    fn batch_spec(&self) -> Option<crate::batch::DeviceSpec> {
-        Some(crate::batch::DeviceSpec::Capacitor {
-            a: self.a,
-            b: self.b,
-            capacitance: self.capacitance,
-        })
+    fn skew_agreement(&self, _pa: &Params, _pb: &Params) -> Option<f64> {
+        Some(f64::INFINITY)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::waveform::Params;
     use crate::Circuit;
     use shc_linalg::Vector;
 

@@ -26,7 +26,7 @@ pub use vsource::VoltageSource;
 use shc_linalg::Vector;
 
 use crate::stamp::{EvalContext, Stamper};
-use crate::waveform::Param;
+use crate::waveform::{Param, Params};
 
 /// A circuit element that contributes MNA stamps.
 ///
@@ -63,15 +63,12 @@ pub trait Device: std::fmt::Debug + Send + Sync {
     /// `b_d · z(t)`). Default: no dependence.
     fn stamp_param_derivative(&self, _dfdp: &mut Vector, _ctx: &EvalContext<'_>, _param: Param) {}
 
-    /// Value-level descriptor for the lockstep batched engine.
-    ///
-    /// Devices that can be evaluated by the SoA batch stepper return a
-    /// [`crate::batch::DeviceSpec`]; the default `None` opts the whole
-    /// circuit out of batching, so sweeps over it fall back to the scalar
-    /// path. The spec must describe *exactly* the arithmetic of
-    /// [`Device::stamp`] — the batched path is required to be bitwise
-    /// identical to the scalar one.
-    fn batch_spec(&self) -> Option<crate::batch::DeviceSpec> {
+    /// A time `t*` before which this device stamps bitwise-identical
+    /// values and skew derivatives under skews `pa` and `pb`: `Some(∞)`
+    /// for a device that never reads the skews. The default `None` states
+    /// no bound, and the circuit's agreement horizon is then `0.0`
+    /// ([`crate::Circuit::agreement_horizon`]).
+    fn skew_agreement(&self, _pa: &Params, _pb: &Params) -> Option<f64> {
         None
     }
 }

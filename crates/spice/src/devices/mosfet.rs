@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::devices::Device;
 use crate::stamp::{EvalContext, Stamper};
+use crate::waveform::Params;
 use crate::Node;
 
 /// Device polarity.
@@ -228,37 +229,6 @@ impl Mosfet {
         &self.params
     }
 
-    /// Terminal nodes `(drain, gate, source)` — for the batch compiler.
-    pub(crate) fn terminals(&self) -> (Node, Node, Node) {
-        (self.drain, self.gate, self.source)
-    }
-
-    /// Derived constant capacitances `(c_gs, c_gd, c_db, c_sb)` — for the
-    /// batch compiler's stamping kernel.
-    pub(crate) fn caps(&self) -> (f64, f64, f64, f64) {
-        (self.cgs, self.cgd, self.cdb, self.csb)
-    }
-
-    /// Drain-current kernel constants, flattened for the SoA batch
-    /// compiler: `(sign, vt0, eps_cutoff, eps_sat, lambda, beta)`. The SoA
-    /// assembly replicates [`Mosfet::drain_current`] from these exact
-    /// values, so lane evaluation stays bitwise identical to this device.
-    pub(crate) fn kernel_constants(&self) -> (f64, f64, f64, f64, f64, f64) {
-        (
-            self.params.polarity.sign(),
-            self.params.vt0,
-            self.params.eps_cutoff,
-            self.params.eps_sat,
-            self.params.lambda,
-            self.beta,
-        )
-    }
-
-    /// Model polarity — structural-equality key for the SoA batch merge.
-    pub(crate) fn polarity(&self) -> MosPolarity {
-        self.params.polarity
-    }
-
     /// Drain current and its derivatives at the given terminal voltages:
     /// `(i_d, ∂i_d/∂v_g, ∂i_d/∂v_d, ∂i_d/∂v_s)`, with `i_d` flowing into
     /// the drain terminal.
@@ -323,8 +293,8 @@ impl Device for Mosfet {
         stamper.stamp_capacitance(es, None, self.csb);
     }
 
-    fn batch_spec(&self) -> Option<crate::batch::DeviceSpec> {
-        Some(crate::batch::DeviceSpec::Mosfet(self.clone()))
+    fn skew_agreement(&self, _pa: &Params, _pb: &Params) -> Option<f64> {
+        Some(f64::INFINITY)
     }
 }
 

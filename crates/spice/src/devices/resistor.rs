@@ -1,5 +1,6 @@
 use crate::devices::Device;
 use crate::stamp::{EvalContext, Stamper};
+use crate::waveform::Params;
 use crate::Node;
 
 /// A linear resistor.
@@ -63,19 +64,14 @@ impl Device for Resistor {
         stamper.stamp_conductance(ea, eb, g);
     }
 
-    fn batch_spec(&self) -> Option<crate::batch::DeviceSpec> {
-        Some(crate::batch::DeviceSpec::Resistor {
-            a: self.a,
-            b: self.b,
-            resistance: self.resistance,
-        })
+    fn skew_agreement(&self, _pa: &Params, _pb: &Params) -> Option<f64> {
+        Some(f64::INFINITY)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::waveform::Params;
     use crate::Circuit;
     use shc_linalg::Vector;
 

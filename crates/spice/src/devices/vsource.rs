@@ -2,7 +2,7 @@ use shc_linalg::Vector;
 
 use crate::devices::Device;
 use crate::stamp::{EvalContext, Stamper};
-use crate::waveform::{Param, Waveform};
+use crate::waveform::{Param, Params, Waveform};
 use crate::Node;
 
 /// An independent voltage source with an arbitrary [`Waveform`].
@@ -84,13 +84,8 @@ impl Device for VoltageSource {
         }
     }
 
-    fn batch_spec(&self) -> Option<crate::batch::DeviceSpec> {
-        Some(crate::batch::DeviceSpec::VoltageSource {
-            p: self.p,
-            n: self.n,
-            branch: self.branch,
-            waveform: self.waveform.clone(),
-        })
+    fn skew_agreement(&self, pa: &Params, pb: &Params) -> Option<f64> {
+        Some(self.waveform.agree_until(pa, pb))
     }
 }
 

@@ -63,7 +63,6 @@ pub mod stamp;
 pub mod transient;
 pub mod waveform;
 
-pub use batch::BatchPolicy;
 pub use circuit::{Circuit, Node};
 pub use devices::{
     Capacitor, CurrentSource, Diode, Inductor, MosParams, MosPolarity, Mosfet, Resistor, Vccs,

@@ -388,12 +388,7 @@ pub(crate) fn retryable(e: &SpiceError) -> bool {
 /// (plus a femto-scale absolute floor so exact zeros move too), enough to
 /// leave a stalled basin without changing the converged root.
 pub(crate) fn jitter_into(out: &mut Vector, base: &Vector, attempt: u32) {
-    jitter_slice(out.as_mut_slice(), base.as_slice(), attempt);
-}
-
-/// Slice form of [`jitter_into`], shared with the batched engine so
-/// lockstep retries perturb from the identical deterministic stream.
-pub(crate) fn jitter_slice(out: &mut [f64], base: &[f64], attempt: u32) {
+    let (out, base) = (out.as_mut_slice(), base.as_slice());
     let scale = 1e-4 * 0.5f64.powi(attempt as i32 - 1);
     for (i, v) in out.iter_mut().enumerate() {
         // SplitMix64 finalizer over (attempt, unknown index).

@@ -327,25 +327,6 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// Assembles a final-only result from parts — for the batched lockstep
-    /// engine, which builds the same fields outside [`run_core`].
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        final_state: Vector,
-        final_sensitivities: Vec<(Param, Vector)>,
-        stats: TransientStats,
-    ) -> Self {
-        TransientResult {
-            times,
-            states: Vec::new(),
-            probe: Vec::new(),
-            probe_index: None,
-            final_state,
-            final_sensitivities,
-            stats,
-        }
-    }
-
     /// Accepted time points (includes `t = 0`).
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -500,13 +481,13 @@ struct Reused {
 /// The scalars of the stepping loop's carried state after an accepted
 /// step (or at the DC start, step 0).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Mark {
+struct Mark {
     /// Accepted steps so far; also the index of `t` in the run's times.
     step: usize,
-    pub(crate) t: f64,
+    t: f64,
     /// The step size the next attempt will use.
-    pub(crate) dt: f64,
-    pub(crate) stats: TransientStats,
+    dt: f64,
+    stats: TransientStats,
     /// Latest time any assembly touched up to this step, rejected Newton
     /// attempts included. Never below `t`.
     reach: f64,
@@ -514,12 +495,12 @@ pub(crate) struct Mark {
 
 /// Where a run starts stepping: the carried state, copied bit for bit,
 /// and the accepted times up to and including it.
-pub(crate) struct Start {
-    pub(crate) mark: Mark,
-    pub(crate) x: Vector,
+struct Start {
+    mark: Mark,
+    x: Vector,
     /// One per parameter of the run's options.
-    pub(crate) sens: Vec<Vector>,
-    pub(crate) times: Vec<f64>,
+    sens: Vec<Vector>,
+    times: Vec<f64>,
 }
 
 /// Where the stepping loop under `opts` stops: a step starts only below
@@ -538,6 +519,18 @@ fn quiet_until(circuit: &Circuit, at: &Params) -> f64 {
         return 0.0;
     }
     let later = Params::new(at.tau_s.next_down(), at.tau_h.next_up());
+    circuit.agreement_horizon(at, &later)
+}
+
+/// The time before which a run at skews `at` agrees with a run at the
+/// same setup skew and any later hold skew: the start of `at`'s trailing
+/// data ramp ([`Circuit::agreement_horizon`]); non-finite skews claim
+/// nothing.
+fn trail_until(circuit: &Circuit, at: &Params) -> f64 {
+    if !(at.tau_s.is_finite() && at.tau_h.is_finite()) {
+        return 0.0;
+    }
+    let later = Params::new(at.tau_s, at.tau_h.next_up());
     circuit.agreement_horizon(at, &later)
 }
 
@@ -627,6 +620,24 @@ impl PrefixLadder {
     /// Whether the reference run has happened (successfully or not).
     pub fn is_built(&self) -> bool {
         self.rungs.get().is_some()
+    }
+}
+
+/// States-only checkpoints that one run of a sweep leaves for the next
+/// ([`TransientAnalysis::with_siblings`]): sibling rungs. A run keeps them
+/// past its leading data ramp, up to where its trailing ramp starts, so a
+/// later run at the same setup skew and a later hold skew adopts the
+/// latest one below the two runs' agreement horizon — most of its
+/// prefix. Empty by default, and at most one run's worth. Not `Sync`:
+/// one per thread, like the sweep row it serves.
+#[derive(Default)]
+pub struct SiblingRungs {
+    rungs: Cell<Option<Rungs>>,
+}
+
+impl std::fmt::Debug for SiblingRungs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SiblingRungs").finish_non_exhaustive()
     }
 }
 
@@ -757,6 +768,7 @@ pub struct TransientAnalysis<'a> {
     opts: TransientOptions,
     ladder: Option<(&'a PrefixLadder, Params)>,
     seed: Option<&'a PrefixLadder>,
+    siblings: Option<&'a SiblingRungs>,
     stop: Option<(usize, Crossing)>,
 }
 
@@ -768,6 +780,7 @@ impl<'a> TransientAnalysis<'a> {
             opts,
             ladder: None,
             seed: None,
+            siblings: None,
             stop: None,
         }
     }
@@ -801,6 +814,27 @@ impl<'a> TransientAnalysis<'a> {
     /// built ladder takes no seed.
     pub fn seeding(mut self, ladder: &'a PrefixLadder) -> Self {
         self.seed = Some(ladder);
+        self
+    }
+
+    /// Chains the runs of this analysis through `siblings`. Each run
+    /// starts from the latest checkpoint the run before it left whose
+    /// `reach` lies strictly below the agreement horizon of the two runs'
+    /// skews, and only without one from the prefix ladder
+    /// ([`Self::with_ladder`]); it then leaves its own checkpoints, up to
+    /// where its trailing data ramp starts. A sweep row over rising hold
+    /// skews at one setup skew shares everything before that.
+    ///
+    /// Sibling rungs keep states only, and a run's state past its leading
+    /// ramp carries nonzero skew sensitivities, so a run with
+    /// sensitivities neither adopts nor leaves any; nor does one that may
+    /// not resume from a ladder at all (Backward Euler, final-only
+    /// recording, a DC start, dense solves, no fault injector), and such
+    /// a run empties `siblings`. Results stay bitwise identical to a run
+    /// from the DC start, as long as `siblings` only ever serves analyses
+    /// of one circuit.
+    pub fn with_siblings(mut self, siblings: &'a SiblingRungs) -> Self {
+        self.siblings = Some(siblings);
         self
     }
 
@@ -866,6 +900,18 @@ impl<'a> TransientAnalysis<'a> {
         params: &Params,
         scratch: &mut TransientScratch,
     ) -> Result<TransientResult> {
+        match self.siblings {
+            Some(siblings) => self.run_sibling(params, scratch, siblings),
+            None => self.run_unchained(params, scratch),
+        }
+    }
+
+    /// A run that neither adopts nor leaves sibling rungs.
+    fn run_unchained(
+        &self,
+        params: &Params,
+        scratch: &mut TransientScratch,
+    ) -> Result<TransientResult> {
         let start = self.resume_point(params);
         match self
             .seed
@@ -874,6 +920,37 @@ impl<'a> TransientAnalysis<'a> {
             Some(ladder) => self.run_seeding(params, scratch, ladder),
             None => self.run_from(params, scratch, start, None),
         }
+    }
+
+    /// A run through [`Self::with_siblings`]: from the latest of
+    /// `siblings`' checkpoints below the two runs' agreement horizon, or
+    /// else from the prefix ladder, leaving its own checkpoints in
+    /// `siblings` up to where its trailing data ramp starts.
+    fn run_sibling(
+        &self,
+        params: &Params,
+        scratch: &mut TransientScratch,
+        siblings: &SiblingRungs,
+    ) -> Result<TransientResult> {
+        let prior = siblings.rungs.take();
+        if !(self.prefix_resumable() && self.opts.sensitivities.is_empty()) {
+            return self.run_unchained(params, scratch);
+        }
+        let n = self.circuit.unknown_count();
+        let start = prior
+            .filter(|rungs| rungs.fits(&self.opts, n))
+            .and_then(|rungs| {
+                let horizon = self.circuit.agreement_horizon(&rungs.reference, params);
+                rungs.adopt(horizon, 0)
+            })
+            .or_else(|| self.resume_point(params));
+        let trail = trail_until(self.circuit, params).min(loop_end(&self.opts));
+        let mut capture = Capture::new(trail, false);
+        let res = self.run_from(params, scratch, start, Some(&mut capture))?;
+        siblings
+            .rungs
+            .set(Rungs::new(*params, &self.opts, n, res.times(), capture));
+        Ok(res)
     }
 
     /// Whether runs of this analysis step as a [`PrefixLadder`]'s
@@ -897,8 +974,7 @@ impl<'a> TransientAnalysis<'a> {
 
     /// The checkpoint a run at `params` resumes from, building the ladder
     /// first if this is its first eligible run.
-    // lint: allow(panic-reachability, reason = "crate-private: outside shc-spice it is reached only through the baselined TransientAnalysis::run and through run_lockstep_with_ladder")
-    pub(crate) fn resume_point(&self, params: &Params) -> Option<Start> {
+    fn resume_point(&self, params: &Params) -> Option<Start> {
         let (ladder, reference) = self.ladder?;
         if !self.prefix_resumable() {
             return None;
@@ -928,6 +1004,7 @@ impl<'a> TransientAnalysis<'a> {
             },
             ladder: None,
             seed: None,
+            siblings: None,
             stop: None,
         };
         let n = self.circuit.unknown_count();
@@ -2244,10 +2321,11 @@ mod tests {
             bits(a.final_state().as_slice()),
             bits(b.final_state().as_slice())
         );
+        assert_eq!(a.final_sensitivities.len(), b.final_sensitivities.len());
         for p in Param::ALL {
             assert_eq!(
-                bits(a.final_sensitivity(p).unwrap().as_slice()),
-                bits(b.final_sensitivity(p).unwrap().as_slice())
+                a.final_sensitivity(p).map(|m| bits(m.as_slice())),
+                b.final_sensitivity(p).map(|m| bits(m.as_slice()))
             );
         }
     }
@@ -2260,8 +2338,7 @@ mod tests {
     /// A Newton dt-cut inside the prefix leaves a checkpoint whose `reach`
     /// (the rejected attempt's endpoint) lies past its own `t`. A run whose
     /// data ramp starts between the two must not adopt that checkpoint,
-    /// only the one before it, and must reproduce the full run bit for bit,
-    /// scalar or as a lane of a batch.
+    /// only the one before it, and must reproduce the full run bit for bit.
     #[test]
     fn checkpoint_past_a_dt_cut_is_excluded_by_its_reach() {
         let (c, opts) = clocked_rc();
@@ -2286,33 +2363,6 @@ mod tests {
 
         let full = full_analysis.run(&at).unwrap();
 
-        // The batched entry resumes the same lanes the same way: `at` from
-        // the checkpoint before the cut, the reference skews from the last.
-        let last = marks.last().unwrap();
-        let full_q = full_analysis.run(&quiescent()).unwrap();
-        let lanes = [at, quiescent()].map(|params| crate::batch::BatchLane {
-            circuit: &c,
-            params,
-            tstop: opts.tstop,
-        });
-        let collector = shc_obs::Collector::new();
-        let batched = {
-            let _guard = shc_obs::install_scoped(&collector);
-            crate::batch::run_lockstep_with_ladder(&lanes, &opts, Some((&ladder, quiescent())))
-                .unwrap()
-        };
-        assert_bitwise_eq(batched[0].as_ref().unwrap(), &full);
-        assert_bitwise_eq(batched[1].as_ref().unwrap(), &full_q);
-        assert_eq!(collector.counter(shc_obs::Metric::TransientRuns), 2);
-        assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 2);
-        assert_eq!(
-            collector.counter(shc_obs::Metric::PrefixStepsReused),
-            (before.step + last.step) as u64
-        );
-        assert_eq!(
-            collector.counter(shc_obs::Metric::TransientSteps),
-            (full.stats().steps - before.step + full_q.stats().steps - last.step) as u64
-        );
         let collector = shc_obs::Collector::new();
         let resumed = {
             let _guard = shc_obs::install_scoped(&collector);
@@ -2329,6 +2379,85 @@ mod tests {
             collector.counter(shc_obs::Metric::TransientSteps),
             (full.stats().steps - before.step) as u64
         );
+    }
+
+    /// Sibling rungs across a Newton dt-cut. Runs at one setup skew share
+    /// everything before the earlier of their trailing ramps, a prefix
+    /// that here contains the cut. A run adopts the latest rung its
+    /// sibling left below that horizon — past the cut, or, when the
+    /// horizon falls between the cut checkpoint's `t` and its `reach`, the
+    /// one before it — and reproduces a full run bit for bit in state,
+    /// stats and times. A run with sensitivities neither adopts nor leaves
+    /// sibling rungs.
+    #[test]
+    fn sibling_rungs_resume_a_row_bitwise_across_a_dt_cut() {
+        let (c, mut opts) = clocked_rc();
+        opts.tstop = 600e-9;
+        let sens_opts = opts.clone();
+        opts.sensitivities = Vec::new();
+        let mut scratch = TransientScratch::new(c.unknown_count());
+        // Runs `p` under `opts` after the sibling rungs in `siblings`;
+        // checks it against a full run and returns the steps it reused.
+        let mut run = |opts: &TransientOptions, p: Params, siblings: &SiblingRungs| {
+            let collector = shc_obs::Collector::new();
+            let res = {
+                let _guard = shc_obs::install_scoped(&collector);
+                TransientAnalysis::new(&c, opts.clone())
+                    .with_siblings(siblings)
+                    .run_with_scratch(&p, &mut scratch)
+                    .unwrap()
+            };
+            let full = TransientAnalysis::new(&c, opts.clone()).run(&p).unwrap();
+            assert_bitwise_eq(&res, &full);
+            collector.counter(shc_obs::Metric::PrefixStepsReused) as usize
+        };
+        let held = |siblings: &SiblingRungs| {
+            let rungs = siblings.rungs.take();
+            let marks = rungs.as_ref().map(|r| r.marks.clone());
+            siblings.rungs.set(rungs);
+            marks
+        };
+        // Leading ramp 150–250 ns, before the clock edge's cut at 310 ns;
+        // trailing ramps from 500 ns (`far`) and 400 ns (`near`).
+        let far = Params::new(100e-9, 250e-9);
+        let near = Params::new(100e-9, 150e-9);
+        let siblings = SiblingRungs::default();
+        assert_eq!(run(&opts, far, &siblings), 0, "no ladder: DC start");
+        let marks = held(&siblings).unwrap();
+        let cut = marks
+            .iter()
+            .position(|k| k.reach > k.t)
+            .expect("the clock edge forces a dt-cut");
+        let (before, past) = (marks[cut - 1], marks[cut]);
+        assert!(past.stats.rejected_steps > 0 && before.reach < past.t);
+        assert!(marks.iter().all(|m| m.reach < trail_until(&c, &far)));
+
+        // `near` adopts a rung past the cut, not the later ones `far` keeps
+        // past `near`'s own trailing ramp.
+        let horizon = c.agreement_horizon(&far, &near);
+        assert_eq!(horizon, trail_until(&c, &near));
+        assert!(marks.iter().any(|m| m.reach > horizon));
+        let adopted = marks.iter().rfind(|m| m.reach < horizon).unwrap();
+        assert!(adopted.step >= past.step);
+        assert_eq!(run(&opts, near, &siblings), adopted.step);
+        let kept = held(&siblings).unwrap();
+        assert_eq!(kept[0].step, adopted.step, "a run captures from its start");
+
+        // Trailing ramp starting halfway into the cut checkpoint's
+        // (t, reach]: the rung before the cut.
+        let ramp_start = 0.5 * (past.t + past.reach);
+        let at_cut = Params::new(100e-9, ramp_start + 50e-9 - 300e-9);
+        let horizon = c.agreement_horizon(&far, &at_cut);
+        assert!(past.t < horizon && horizon < past.reach, "{horizon:e}");
+        let siblings = SiblingRungs::default();
+        run(&opts, far, &siblings);
+        assert_eq!(run(&opts, at_cut, &siblings), before.step);
+
+        // With sensitivities: a full run, and the rungs are dropped.
+        let siblings = SiblingRungs::default();
+        run(&opts, far, &siblings);
+        assert_eq!(run(&sens_opts, near, &siblings), 0);
+        assert!(held(&siblings).is_none());
     }
 
     /// Full and ladder-backed runs of `analysis` at each of `at`, bit for
@@ -2353,8 +2482,8 @@ mod tests {
 
     /// The edges of stamp and factor reuse: Newton dt-cuts, the steps
     /// that double `dt` back after them, and a last step that `tstop`
-    /// clips. With sensitivities on, a full run, a run resumed from a
-    /// ladder rung below the cut, and a one-lane batch agree bit for bit;
+    /// clips. With sensitivities on, a full run and a run resumed from a
+    /// ladder rung below the cut agree bit for bit;
     /// and the full run's first iterates take the previous step's factor
     /// exactly on the steps whose `dt_eff` equals the previous step's.
     #[test]
@@ -2395,14 +2524,6 @@ mod tests {
         assert_bitwise_eq(&resumed, &full);
         assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
         assert_eq!(collector.counter(shc_obs::Metric::PrefixStepsReused), 16);
-
-        let lane = [crate::batch::BatchLane {
-            circuit: &c,
-            params: at,
-            tstop: opts.tstop,
-        }];
-        let batched = crate::batch::run_lockstep(&lane, &opts).unwrap();
-        assert_bitwise_eq(batched[0].as_ref().unwrap(), &full);
     }
 
     /// A reference whose data pulse moves before the stop time: its ladder

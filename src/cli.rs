@@ -15,7 +15,6 @@ use shc_core::{
     CharacterizationProblem, CheckpointConfig, SeedOptions, TraceOutcome, TraceStart, TracerOptions,
 };
 use shc_obs::{Collector, FileSink, Sink};
-use shc_spice::batch::BatchPolicy;
 use shc_spice::{netlist, SolverChoice};
 
 /// Parsed command-line configuration.
@@ -43,9 +42,6 @@ pub struct CliConfig {
     pub reference_setup: Option<f64>,
     /// Linear-solver backend (`--solver dense|sparse|auto`).
     pub solver: SolverChoice,
-    /// Batched-engine policy for multi-point sweeps
-    /// (`--batch auto|scalar|batched`).
-    pub batch: BatchPolicy,
     /// JSONL run-journal path (one event per traced contour point).
     pub journal: Option<String>,
     /// End-of-run metrics JSON path.
@@ -101,13 +97,6 @@ options:
                         linear solver behind the Newton loops; auto picks
                         sparse-direct LU for large netlists and the dense
                         (bitwise-reproducible) path for small ones
-  --batch <policy>      auto | scalar | batched   [auto]
-                        lockstep batched engine for multi-point sweeps;
-                        auto batches inside the supported envelope (and
-                        defers to scalar under --fault-plan), scalar
-                        always takes the per-point path, batched asserts
-                        the lockstep path wherever the envelope allows.
-                        All three produce bitwise-identical results
 telemetry:
   --journal <path>      write a JSONL run journal: one event per traced
                         contour point (tau_s, tau_h, residual, Jacobian
@@ -166,7 +155,6 @@ pub fn parse_args(args: &[String]) -> Result<CliConfig, UsageError> {
         points: 20,
         reference_setup: None,
         solver: SolverChoice::Auto,
-        batch: BatchPolicy::Auto,
         journal: None,
         metrics: None,
         fault_plan: None,
@@ -235,12 +223,6 @@ pub fn parse_args(args: &[String]) -> Result<CliConfig, UsageError> {
                 cfg.solver = v
                     .parse()
                     .map_err(|e| UsageError(format!("bad --solver: {e}")))?;
-            }
-            "--batch" => {
-                let v = value_for("--batch")?;
-                cfg.batch = v
-                    .parse()
-                    .map_err(|e| UsageError(format!("bad --batch: {e}")))?;
             }
             "--journal" => cfg.journal = Some(value_for("--journal")?),
             "--metrics" => cfg.metrics = Some(value_for("--metrics")?),
@@ -430,8 +412,7 @@ fn run_pipeline(deck: &str, cfg: &CliConfig) -> Result<String, Box<dyn std::erro
     let register = build_register(deck, cfg)?;
     let mut builder = CharacterizationProblem::builder(register)
         .degradation(cfg.degradation)
-        .solver(cfg.solver)
-        .batch(cfg.batch);
+        .solver(cfg.solver);
     if let Some(rs) = cfg.reference_setup {
         builder = builder.reference_setup(rs);
     }
@@ -601,25 +582,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_batch_policies_and_rejects_unknown() {
-        for (v, want) in [
-            ("auto", BatchPolicy::Auto),
-            ("scalar", BatchPolicy::Scalar),
-            ("batched", BatchPolicy::Batched),
-        ] {
-            let cfg = parse_args(&args(&[
-                "cell.sp", "--output", "q", "--edge", "1n", "--batch", v,
-            ]))
-            .unwrap();
-            assert_eq!(cfg.batch, want);
-        }
-        let cfg = parse_args(&args(&["cell.sp", "--output", "q", "--edge", "1n"])).unwrap();
-        assert_eq!(cfg.batch, BatchPolicy::Auto);
+    fn rejects_the_removed_batch_flag() {
         let e = parse_args(&args(&[
-            "cell.sp", "--output", "q", "--edge", "1n", "--batch", "turbo",
+            "cell.sp", "--output", "q", "--edge", "1n", "--batch", "auto",
         ]))
         .unwrap_err();
-        assert!(e.to_string().contains("--batch"));
+        assert!(e.to_string().contains("unknown flag '--batch'"), "{e}");
     }
 
     #[test]

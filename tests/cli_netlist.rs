@@ -42,7 +42,6 @@ fn latch_config() -> CliConfig {
         checkpoint_every: 5,
         resume: None,
         solver: shc::spice::SolverChoice::Auto,
-        batch: shc::spice::batch::BatchPolicy::Auto,
         profile: None,
         profile_detail: shc::prof::Detail::Step,
     }
@@ -271,7 +270,6 @@ fn hierarchical_tspc_deck_matches_builtin_fixture() {
         checkpoint_every: 5,
         resume: None,
         solver: shc::spice::SolverChoice::Auto,
-        batch: shc::spice::batch::BatchPolicy::Auto,
         profile: None,
         profile_detail: shc::prof::Detail::Step,
     };
