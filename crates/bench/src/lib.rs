@@ -13,8 +13,8 @@
 //! - `profile_smoke` holds `Detail::Step` profiling to its overhead
 //!   budget;
 //! - the Criterion benches under `benches/` ablate this implementation's
-//!   design choices (integrator, time step, tracer step, sensitivities)
-//!   and time independent characterization.
+//!   design choices (time step, tracer step, sensitivities) and time
+//!   independent characterization.
 //!
 //! Performance is measured by the benchmark of record in `benchmark/`
 //! (`cargo run --release --manifest-path benchmark/Cargo.toml -- run`),

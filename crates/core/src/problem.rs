@@ -94,7 +94,6 @@ pub struct CharacterizationProblem {
     degradation: f64,
     capture_fraction: f64,
     dt: f64,
-    integrator: Integrator,
     solver: SolverChoice,
     batch: BatchPolicy,
     reference: Params,
@@ -127,7 +126,6 @@ impl CharacterizationProblem {
             degradation: 0.10,
             capture_fraction: None,
             dt: None,
-            integrator: Integrator::BackwardEuler,
             solver: SolverChoice::Auto,
             batch: BatchPolicy::default(),
             reference_skew: None,
@@ -206,7 +204,6 @@ impl CharacterizationProblem {
     fn transient_options(&self, with_sensitivities: bool) -> TransientOptions {
         let mut builder = TransientOptions::builder(self.tf)
             .dt(self.dt)
-            .integrator(self.integrator)
             .solver(self.solver)
             .record(RecordMode::FinalOnly);
         if with_sensitivities {
@@ -339,17 +336,12 @@ impl CharacterizationProblem {
     /// Evaluates `h` and its Jacobian via the **discrete adjoint** method
     /// (one backward sweep) instead of forward sensitivities — an
     /// independent derivation useful for cross-checks and for extensions
-    /// with many parameters. Requires the Backward-Euler integrator.
+    /// with many parameters.
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures; rejects non-BE integrators.
+    /// Propagates simulation failures.
     pub fn evaluate_with_jacobian_adjoint(&self, params: &Params) -> Result<HEvaluation> {
-        if self.integrator != Integrator::BackwardEuler {
-            return Err(CharError::BadOption {
-                reason: "adjoint evaluation requires the Backward Euler integrator",
-            });
-        }
         self.sim_count.fetch_add(1, Ordering::Relaxed);
         let opts = TransientOptions::builder(self.tf)
             .dt(self.dt)
@@ -415,7 +407,6 @@ pub struct ProblemBuilder {
     degradation: f64,
     capture_fraction: Option<f64>,
     dt: Option<f64>,
-    integrator: Integrator,
     solver: SolverChoice,
     batch: BatchPolicy,
     reference_skew: Option<f64>,
@@ -441,12 +432,6 @@ impl ProblemBuilder {
     /// 0.1 ns signal edge).
     pub fn dt(mut self, dt: f64) -> Self {
         self.dt = Some(dt);
-        self
-    }
-
-    /// Selects the integration method (default Backward Euler).
-    pub fn integrator(mut self, integrator: Integrator) -> Self {
-        self.integrator = integrator;
         self
     }
 
@@ -545,22 +530,14 @@ impl ProblemBuilder {
             OutputTransition::Falling => CrossingDirection::Falling,
         };
         // The run ends at the crossing it measures. Its quiescent prefix is
-        // the prefix ladder's too: it seeds the ladder, which steps only
-        // under Backward Euler.
+        // the prefix ladder's too: it seeds the ladder.
         let ladder = PrefixLadder::default();
         let res = {
             let _span = shc_obs::span(shc_obs::SpanKind::Calibration);
-            let analysis = TransientAnalysis::new(register.circuit(), opts).stop_at_crossing(
-                register.output_unknown(),
-                r,
-                edge,
-                direction,
-            );
-            if self.integrator == Integrator::BackwardEuler {
-                analysis.seeding(&ladder).run(&params)?
-            } else {
-                analysis.run(&params)?
-            }
+            TransientAnalysis::new(register.circuit(), opts)
+                .stop_at_crossing(register.output_unknown(), r, edge, direction)
+                .seeding(&ladder)
+                .run(&params)?
         };
         let tc = res
             .crossing_time(register.output_unknown(), r, edge, direction)
@@ -573,7 +550,6 @@ impl ProblemBuilder {
             degradation: self.degradation,
             capture_fraction,
             dt,
-            integrator: self.integrator,
             solver: self.solver,
             batch: self.batch,
             reference: params,
@@ -593,9 +569,10 @@ impl CharacterizationProblem {
         self.capture_fraction
     }
 
-    /// The integration method in effect.
+    /// The integration method in effect: Backward Euler, the only one.
+    /// Retained for the benchmark of record until ROADMAP item 3.
     pub fn integrator(&self) -> Integrator {
-        self.integrator
+        Integrator::BackwardEuler
     }
 
     /// The linear-solver backend in effect.

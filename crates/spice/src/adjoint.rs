@@ -120,7 +120,7 @@ pub fn backward_sensitivities(
 mod tests {
     use super::*;
     use crate::devices::{Capacitor, Resistor, VoltageSource};
-    use crate::transient::{Integrator, RecordMode, TransientAnalysis, TransientOptions};
+    use crate::transient::{RecordMode, TransientAnalysis, TransientOptions};
     use crate::waveform::{DataPulse, RampShape, Waveform};
     use crate::Circuit;
 
@@ -153,7 +153,6 @@ mod tests {
         let (c, out) = data_driven_rc();
         let opts = TransientOptions::builder(8e-7)
             .dt(1e-9)
-            .integrator(Integrator::BackwardEuler)
             .sensitivities(&Param::ALL)
             .record(RecordMode::Full)
             .build();

@@ -10,7 +10,7 @@
 
 use crate::circuit::Circuit;
 use crate::transient::{
-    InitialCondition, Integrator, RecordMode, TransientAnalysis, TransientOptions, TransientResult,
+    InitialCondition, RecordMode, TransientAnalysis, TransientOptions, TransientResult,
 };
 use crate::waveform::Params;
 use crate::{Result, SpiceError};
@@ -38,7 +38,7 @@ pub struct BatchLane<'a> {
 ///
 /// [`SpiceError::BadCircuit`] when the lanes differ in dimension, a stop
 /// time is not positive and finite, or `opts` asks for anything but
-/// Backward Euler, final-only recording, a DC start and dense solves.
+/// final-only recording, a DC start and dense solves.
 pub fn run_lockstep(
     lanes: &[BatchLane<'_>],
     opts: &TransientOptions,
@@ -61,15 +61,14 @@ pub fn run_lockstep(
                 reason: format!("lane {l} has non-positive stop time {}", lane.tstop),
             });
         }
-        let supported = opts.integrator == Integrator::BackwardEuler
-            && matches!(opts.record, RecordMode::FinalOnly)
+        let supported = matches!(opts.record, RecordMode::FinalOnly)
             && matches!(opts.initial, InitialCondition::DcOperatingPoint)
             && !opts.solver.wants_sparse(n);
         if !supported {
             return Err(SpiceError::BadCircuit {
                 reason: format!(
-                    "lane {l} is outside the batched envelope (needs Backward Euler, \
-                     final-only recording, DC start and dense solves)"
+                    "lane {l} is outside the batched envelope (needs final-only \
+                     recording, DC start and dense solves)"
                 ),
             });
         }
@@ -161,17 +160,11 @@ mod tests {
                 Err(SpiceError::BadCircuit { .. })
             ));
         }
-        let trap = TransientOptions {
-            integrator: Integrator::Trapezoidal,
-            ..opts.clone()
-        };
         let full = TransientOptions::builder(1e-6).dt(1e-8).build();
-        for opts in [trap, full] {
-            assert!(matches!(
-                run_lockstep(&[lane(&c, 1e-6)], &opts),
-                Err(SpiceError::BadCircuit { .. })
-            ));
-        }
+        assert!(matches!(
+            run_lockstep(&[lane(&c, 1e-6)], &full),
+            Err(SpiceError::BadCircuit { .. })
+        ));
         assert!(run_lockstep(&[], &opts).unwrap().is_empty());
     }
 }

@@ -95,7 +95,7 @@ impl Device for Inductor {
 mod tests {
     use super::*;
     use crate::devices::{Capacitor, Resistor, VoltageSource};
-    use crate::transient::{InitialCondition, Integrator, TransientAnalysis, TransientOptions};
+    use crate::transient::{InitialCondition, TransientAnalysis, TransientOptions};
     use crate::waveform::{Params, Waveform};
     use crate::Circuit;
     use shc_linalg::Vector;
@@ -122,7 +122,6 @@ mod tests {
         x0[v_idx] = 1.0;
         let opts = TransientOptions::builder(3.0 * period)
             .dt(period / 400.0)
-            .integrator(Integrator::Trapezoidal)
             .initial(InitialCondition::Given(x0))
             .build();
         let res = TransientAnalysis::new(&c, opts)
@@ -143,30 +142,34 @@ mod tests {
     }
 
     #[test]
-    fn trapezoidal_conserves_lc_energy() {
-        // E = C·v²/2 + L·i²/2 must be (nearly) conserved by TRAP, and must
-        // decay under BE (numerical damping) — a classic integrator litmus.
+    fn backward_euler_damps_lc_energy_by_the_analytic_factor() {
+        // On the linear tank, a Backward Euler step of size Δt scales the
+        // energy E = C·v²/2 + L·i²/2 by exactly 1/(1 + (ωΔt)²): after N
+        // steps, E_N = E_0·(1 + (ωΔt)²)^−N — numerical damping.
         let (c, v_idx, i_idx, l, cap) = lc_tank();
-        let period = 2.0 * std::f64::consts::PI * (l * cap).sqrt();
+        let omega = 1.0 / (l * cap).sqrt();
+        let period = 2.0 * std::f64::consts::PI / omega;
         let energy = |v: f64, i: f64| 0.5 * cap * v * v + 0.5 * l * i * i;
-        let mut drift = Vec::new();
-        for method in [Integrator::Trapezoidal, Integrator::BackwardEuler] {
-            let mut x0 = Vector::zeros(c.unknown_count());
-            x0[v_idx] = 1.0;
-            let opts = TransientOptions::builder(5.0 * period)
-                .dt(period / 200.0)
-                .integrator(method)
-                .initial(InitialCondition::Given(x0))
-                .build();
-            let res = TransientAnalysis::new(&c, opts)
-                .run(&Params::default())
-                .unwrap();
-            let x = res.final_state();
-            drift.push(energy(x[v_idx], x[i_idx]) / energy(1.0, 0.0));
-        }
-        let (trap, be) = (drift[0], drift[1]);
-        assert!((trap - 1.0).abs() < 0.02, "TRAP energy ratio {trap}");
-        assert!(be < 0.6, "BE should damp the tank, energy ratio {be}");
+        let dt = period / 200.0;
+        let mut x0 = Vector::zeros(c.unknown_count());
+        x0[v_idx] = 1.0;
+        let opts = TransientOptions::builder(5.0 * period)
+            .dt(dt)
+            .initial(InitialCondition::Given(x0))
+            .build();
+        let res = TransientAnalysis::new(&c, opts)
+            .run(&Params::default())
+            .unwrap();
+        let steps = res.stats().steps;
+        assert_eq!(steps, 1000);
+        let expected = (1.0 + (omega * dt).powi(2)).powi(-(steps as i32));
+        let x = res.final_state();
+        let ratio = energy(x[v_idx], x[i_idx]) / energy(1.0, 0.0);
+        assert!(expected < 0.6, "the tank must visibly damp: {expected}");
+        assert!(
+            (ratio - expected).abs() <= 1e-6 * expected,
+            "energy ratio {ratio} vs analytic {expected}"
+        );
     }
 
     #[test]

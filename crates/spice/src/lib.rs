@@ -18,8 +18,8 @@
 //!   current sources, and a C¹-smoothed Shichman-Hodges (level-1) MOSFET;
 //! - DC operating-point analysis with gmin and source stepping
 //!   ([`dcop`]);
-//! - transient analysis with Backward-Euler and Trapezoidal integration,
-//!   fixed or LTE-adaptive time steps ([`transient`]);
+//! - fixed-step Backward-Euler transient analysis, with Newton step cuts
+//!   ([`transient`]);
 //! - **forward sensitivity propagation** `∂x/∂τs`, `∂x/∂τh` for parameters
 //!   entering through source waveforms — the paper's eqs. (9)–(13) — with
 //!   the step Jacobian factored once and reused for the sensitivity solves;

@@ -1,22 +1,20 @@
 //! Transient analysis with forward sensitivity propagation.
 //!
-//! Integrates the circuit DAE `d/dt q(x) + f(x, t) = 0` with fixed steps of
-//! Backward Euler, the Trapezoidal rule or Gear-2. Alongside the state,
-//! it can propagate the forward sensitivities `m_p(t) = ∂x/∂p` for the skew
-//! parameters, using the recursions of the paper's eqs. (11) and (13):
+//! Integrates the circuit DAE `d/dt q(x) + f(x, t) = 0` with fixed
+//! Backward Euler steps. Alongside the state, it can propagate the forward
+//! sensitivities `m_p(t) = ∂x/∂p` for the skew parameters, using the
+//! Backward Euler recursion of the paper's eq. (11) (`C` is constant):
 //!
 //! ```text
-//! BE:   (C_i + Δt·G_i) m_i = C_{i−1} m_{i−1} − Δt·(∂f/∂p)_i
-//! TRAP: (C_i + Δt/2·G_i) m_i = (C_{i−1} − Δt/2·G_{i−1}) m_{i−1}
-//!                               − Δt/2·[(∂f/∂p)_i + (∂f/∂p)_{i−1}]
+//! (C + Δt·G_i) m_i = C m_{i−1} − Δt·(∂f/∂p)_i
 //! ```
 //!
 //! The step Jacobian is factored once per accepted step and **reused** for
 //! every sensitivity solve, so the 1×2 characterization Jacobian costs only
 //! two extra back-substitutions per step — the paper's key efficiency
-//! observation. Under Backward Euler each accepted state is also stamped
-//! once: at the next step's time, where its stamps — and, at an unchanged
-//! step size, that factor — serve as the next step's first Newton iterate.
+//! observation. Each accepted state is also stamped once: at the next
+//! step's time, where its stamps — and, at an unchanged step size, that
+//! factor — serve as the next step's first Newton iterate.
 
 use std::cell::Cell;
 use std::mem;
@@ -95,7 +93,7 @@ const LAP_NEWTON: usize = 0;
 /// [`LAP_NEWTON`] and to the device-evaluation and stamp iteration laps:
 /// it is the next step's first Newton iterate.
 const LAP_SENS: usize = 1;
-/// History rotation and result recording; never flushed — it remains the
+/// Stamp rotation and result recording; never flushed — it remains the
 /// `Transient` frame's own self-time.
 const LAP_STEP_SELF: usize = 2;
 
@@ -153,18 +151,15 @@ impl Drop for ProfFlush<'_> {
     }
 }
 
-/// Time-integration method.
+/// Time-integration method: Backward Euler, the only one. Retained, with
+/// [`TransientOptionsBuilder::integrator`], for the benchmark of record
+/// until it drops its pass-through (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Integrator {
-    /// Backward Euler: L-stable, first order — robust default for stiff
-    /// latch circuits.
+    /// Backward Euler: L-stable, first order — robust for stiff latch
+    /// circuits.
     #[default]
     BackwardEuler,
-    /// Trapezoidal rule: A-stable, second order.
-    Trapezoidal,
-    /// Gear-2 (BDF2): L-stable, second order; variable-step coefficients.
-    /// Falls back to Backward Euler on the first step (no history yet).
-    Gear2,
 }
 
 /// What state history to retain.
@@ -199,8 +194,6 @@ pub struct TransientOptions {
     /// Floor of the Newton step-cut policy: a step that diverges at this
     /// size gets damped retries instead of a further cut.
     pub dt_min: f64,
-    /// Integration method.
-    pub integrator: Integrator,
     /// Newton settings per time step.
     pub newton: NewtonOptions,
     /// DC operating-point settings (for the initial condition).
@@ -224,7 +217,6 @@ impl TransientOptions {
                 tstop,
                 dt: tstop / 1000.0,
                 dt_min: tstop * 1e-9,
-                integrator: Integrator::default(),
                 newton: NewtonOptions::default(),
                 dc: DcOptions::default(),
                 sensitivities: Vec::new(),
@@ -249,9 +241,9 @@ impl TransientOptionsBuilder {
         self
     }
 
-    /// Selects the integration method.
-    pub fn integrator(mut self, method: Integrator) -> Self {
-        self.opts.integrator = method;
+    /// Does nothing: Backward Euler is the only method. Retained for the
+    /// benchmark of record until ROADMAP item 3.
+    pub fn integrator(self, _method: Integrator) -> Self {
         self
     }
 
@@ -676,13 +668,12 @@ impl Rungs {
 
     /// Whether a run under `opts` on an `n`-unknown circuit takes the steps
     /// these checkpoints' run took, for as long as neither run rejects a
-    /// step or nears its stop time: same dimension, step, integrator,
-    /// Newton and DC settings, and solver.
+    /// step or nears its stop time: same dimension, step, Newton and DC
+    /// settings, and solver.
     fn seeds(&self, opts: &TransientOptions, n: usize) -> bool {
         let o = &self.opts;
         self.n == n
             && o.dt.to_bits() == opts.dt.to_bits()
-            && o.integrator == opts.integrator
             && o.newton == opts.newton
             && o.dc == opts.dc
             && o.solver == opts.solver
@@ -705,8 +696,8 @@ impl Rungs {
     /// was exactly zero there. The run still has a step to take from it:
     /// the capture kept only checkpoints with `reach` below the loop's end
     /// ([`Capture`]), so the final mark is never a rung. That step turns
-    /// the zeros' signs into the full run's: both recursions read the
-    /// previous sensitivities only through `C_prev·m`, summed from `+0.0`.
+    /// the zeros' signs into the full run's: the recursion reads the
+    /// previous sensitivities only through `C·m`, summed from `+0.0`.
     fn adopt(&self, horizon: f64, sens: usize) -> Option<Start> {
         // `reach` never decreases along the ladder.
         let k = self
@@ -785,10 +776,10 @@ impl<'a> TransientAnalysis<'a> {
         }
     }
 
-    /// Resumes every run that may — Backward Euler, final-only recording,
-    /// a DC start, dense solves, no fault injector — from `ladder`,
-    /// skipping the DC solve and every step before the
-    /// latest checkpoint below the run's agreement horizon. The first such
+    /// Resumes every run that may — final-only recording, a DC start,
+    /// dense solves, no fault injector — from `ladder`, skipping the DC
+    /// solve and every step before the latest checkpoint below the run's
+    /// agreement horizon. The first such
     /// run builds the ladder with one reference transient of this circuit
     /// at skews `reference` under these options, without sensitivities,
     /// keeping checkpoints until the reference's first data ramp starts;
@@ -804,9 +795,9 @@ impl<'a> TransientAnalysis<'a> {
     }
 
     /// Seeds `ladder` from runs of this analysis that start at DC under
-    /// Backward Euler, dense solves and no fault injector, whatever they
-    /// record: each keeps its checkpoints until its first data ramp starts
-    /// or a step is rejected. The reference run that builds `ladder`
+    /// dense solves and no fault injector, whatever they record: each
+    /// keeps its checkpoints until its first data ramp starts or a step is
+    /// rejected. The reference run that builds `ladder`
     /// ([`TransientAnalysis::with_ladder`]) then resumes from the latest
     /// seeded checkpoint below the two skews' agreement horizon, if its
     /// options differ from these at most in stop time, step floor,
@@ -828,9 +819,9 @@ impl<'a> TransientAnalysis<'a> {
     /// Sibling rungs keep states only, and a run's state past its leading
     /// ramp carries nonzero skew sensitivities, so a run with
     /// sensitivities neither adopts nor leaves any; nor does one that may
-    /// not resume from a ladder at all (Backward Euler, final-only
-    /// recording, a DC start, dense solves, no fault injector), and such
-    /// a run empties `siblings`. Results stay bitwise identical to a run
+    /// not resume from a ladder at all (final-only recording, a DC start,
+    /// dense solves, no fault injector), and such a run empties
+    /// `siblings`. Results stay bitwise identical to a run
     /// from the DC start, as long as `siblings` only ever serves analyses
     /// of one circuit.
     pub fn with_siblings(mut self, siblings: &'a SiblingRungs) -> Self {
@@ -954,14 +945,13 @@ impl<'a> TransientAnalysis<'a> {
     }
 
     /// Whether runs of this analysis step as a [`PrefixLadder`]'s
-    /// checkpoints need: Backward Euler (no two-step history to restore),
-    /// a DC start, dense solves (a sparse refactor replays the pivots of an
-    /// earlier factorization, so a resumed factor could differ), and no
-    /// fault injector (sharing work would change the draw cadence).
+    /// checkpoints need: a DC start, dense solves (a sparse refactor
+    /// replays the pivots of an earlier factorization, so a resumed factor
+    /// could differ), and no fault injector (sharing work would change the
+    /// draw cadence).
     fn ladder_capable(&self) -> bool {
         let o = &self.opts;
-        o.integrator == Integrator::BackwardEuler
-            && matches!(o.initial, InitialCondition::DcOperatingPoint)
+        matches!(o.initial, InitialCondition::DcOperatingPoint)
             && !o.solver.wants_sparse(self.circuit.unknown_count())
             && !shc_fault::enabled()
     }
@@ -1140,7 +1130,7 @@ impl<'a> TransientAnalysis<'a> {
         let circuit = self.circuit;
         let opts = &self.opts;
         let n = circuit.unknown_count();
-        scratch.ensure(n, opts.sensitivities.len());
+        scratch.ensure(n);
         scratch.configure_solver(circuit, params, opts.solver)?;
 
         let Start {
@@ -1210,21 +1200,18 @@ impl<'a> TransientAnalysis<'a> {
 
         // Borrow every workspace buffer up front as disjoint fields so the
         // Newton closure (which mutates `nr_stamps`) can coexist with the
-        // shared borrows of the history stamps.
+        // shared borrow of the previous step's stamps.
         let TransientScratch {
             newton: nw,
             nr_stamps,
             stamps_prev,
             stamps_new,
-            stamps_hist,
             c,
             sens_sparse,
             sens_rhs,
             sens_tmp,
-            cg_tmp,
             dfdp_tmp,
             zero_x,
-            hist_sens,
             jac_pattern,
         } = scratch;
 
@@ -1251,30 +1238,13 @@ impl<'a> TransientAnalysis<'a> {
 
         // Every device stamps a constant `C`, so the run assembles it once,
         // with the start point's stamps; each later assembly leaves it out.
-        // Backward Euler reads no `f` at an accepted state, so it stamps
-        // each state — the start included — at the time of the step that
+        // Backward Euler reads no `f` at an accepted state, so each state —
+        // the start included — is stamped at the time of the step that
         // leaves it: those stamps are that step's first Newton iterate.
-        // The other integrators read `f` there and stamp at the state's
-        // own time.
-        let be = opts.integrator == Integrator::BackwardEuler;
-        let mut stamped_at = if be {
-            (t_prev + dt).min(opts.tstop)
-        } else {
-            t_prev
-        };
+        let mut stamped_at = (t_prev + dt).min(opts.tstop);
         circuit.assemble_into(stamps_prev, &x_prev, stamped_at, params, 1.0);
         c.copy_from(&stamps_prev.c)?;
         let c = &*c;
-        let mut dfdp_prev: Vec<Vector> = opts
-            .sensitivities
-            .iter()
-            .map(|&p| circuit.assemble_dfdp(t_prev, params, p))
-            .collect();
-        // Time of the two-steps-ago state. While `Some`, that state lives
-        // in the workspace history buffers: `stamps_hist` (Gear-2's q) and
-        // `hist_sens` (the old sensitivities). Resumable runs are Backward
-        // Euler, which keeps no such history.
-        let mut hist_t: Option<f64> = None;
         // The step size of the sensitivity Jacobian the dense LU factors at
         // the last accepted state, until a Newton solve refactors it. Under
         // fault injection every factorization runs, so LU fault draws fall
@@ -1287,23 +1257,11 @@ impl<'a> TransientAnalysis<'a> {
             let dt_eff = t_new - t_prev;
             reach = reach.max(t_new);
 
-            // Variable-step BDF2 coefficients for r = h1/h0:
-            // c0·q_i − c1·q_{i−1} + c2·q_{i−2} + h1·f_i = 0,
-            // c0 = (1+2r)/(1+r), c1 = 1+r, c2 = r²/(1+r).
-            let gear_coeffs = hist_t.map(|t2| {
-                let r_ = dt_eff / (t_prev - t2);
-                (
-                    (1.0 + 2.0 * r_) / (1.0 + r_),
-                    1.0 + r_,
-                    r_ * r_ / (1.0 + r_),
-                )
-            });
-
             // The first iterate is `x_prev`, already stamped at `t_new`
             // unless a Newton cut moved `t_new`. When the dense LU factors
             // its Jacobian too — the same `dt_eff` — the iterate skips the
             // refactor.
-            let was_fresh = be && t_new.to_bits() == stamped_at.to_bits();
+            let was_fresh = t_new.to_bits() == stamped_at.to_bits();
             let fresh = Cell::new(was_fresh);
             let primed = was_fresh
                 && reuse_factors
@@ -1316,7 +1274,6 @@ impl<'a> TransientAnalysis<'a> {
             // Newton solve of the discretized step equation. Residual and
             // Jacobian are built directly in the workspace buffers; no
             // allocation happens per iteration.
-            let integ = opts.integrator;
             let mut assemble = |x: &Vector, r: &mut Vector, j: &mut Matrix| {
                 // Re-arm the lap cursor so time between iterations is
                 // never charged to the device loop.
@@ -1329,40 +1286,10 @@ impl<'a> TransientAnalysis<'a> {
                     lap_iter.bump(newton::lap::DEV, 1, device_work);
                     &*nr_stamps
                 };
-                let (c_scale, a) = match integ {
-                    Integrator::BackwardEuler => {
-                        r.copy_from(&s.q);
-                        r.axpy(-1.0, &stamps_prev.q);
-                        r.axpy(dt_eff, &s.f);
-                        (None, dt_eff)
-                    }
-                    Integrator::Trapezoidal => {
-                        let half = 0.5 * dt_eff;
-                        r.copy_from(&s.q);
-                        r.axpy(-1.0, &stamps_prev.q);
-                        r.axpy(half, &s.f);
-                        r.axpy(half, &stamps_prev.f);
-                        (None, half)
-                    }
-                    Integrator::Gear2 => match gear_coeffs {
-                        Some((c0, c1, c2)) => {
-                            r.copy_from(&s.q);
-                            r.scale_mut(c0);
-                            r.axpy(-c1, &stamps_prev.q);
-                            r.axpy(c2, &stamps_hist.q);
-                            r.axpy(dt_eff, &s.f);
-                            (Some(c0), dt_eff)
-                        }
-                        None => {
-                            // First step: Backward Euler.
-                            r.copy_from(&s.q);
-                            r.axpy(-1.0, &stamps_prev.q);
-                            r.axpy(dt_eff, &s.f);
-                            (None, dt_eff)
-                        }
-                    },
-                };
-                combine_step_jacobian_into(j, c, &s.g, c_scale, a, pattern)?;
+                r.copy_from(&s.q);
+                r.axpy(-1.0, &stamps_prev.q);
+                r.axpy(dt_eff, &s.f);
+                combine_step_jacobian_into(j, c, &s.g, dt_eff, pattern)?;
                 lap_iter.end_region(newton::lap::STAMP);
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 Ok(())
@@ -1444,13 +1371,9 @@ impl<'a> TransientAnalysis<'a> {
                 dt = (dt * 2.0).min(opts.dt);
             }
 
-            // Accepted: stamp the new state (for its `q`, `G` and, off
-            // Backward Euler, `f`), charged like any Newton assembly.
-            stamped_at = if be {
-                (t_new + dt).min(opts.tstop)
-            } else {
-                t_new
-            };
+            // Accepted: stamp the new state (for its `q` and `G`) at the
+            // next step's time, charged like any Newton assembly.
+            stamped_at = (t_new + dt).min(opts.tstop);
             lap_iter.end_region(newton::lap::ITER_SELF);
             assemble_state_into(circuit, stamps_new, &x_prev, stamped_at, params, pattern);
             lap_iter.end_region(newton::lap::DEV);
@@ -1458,18 +1381,11 @@ impl<'a> TransientAnalysis<'a> {
             if sens.is_empty() {
                 lap_step.end_region(LAP_NEWTON);
             } else {
-                let (c_scale, a) = match (opts.integrator, &gear_coeffs) {
-                    (Integrator::BackwardEuler, _) => (None, dt_eff),
-                    (Integrator::Trapezoidal, _) => (None, 0.5 * dt_eff),
-                    (Integrator::Gear2, Some((c0, _, _))) => (Some(*c0), dt_eff),
-                    (Integrator::Gear2, None) => (None, dt_eff), // first step: BE
-                };
                 combine_step_jacobian_into(
                     nw.jacobian_and_lu().0,
                     c,
                     &stamps_new.g,
-                    c_scale,
-                    a,
+                    dt_eff,
                     pattern,
                 )?;
                 lap_iter.end_region(newton::lap::STAMP);
@@ -1503,29 +1419,10 @@ impl<'a> TransientAnalysis<'a> {
                     factored_dt = Some(dt_eff);
                     SensSolver::Dense(lu)
                 };
-                for (k, (param, m)) in sens.iter_mut().enumerate() {
+                for (param, m) in sens.iter_mut() {
                     circuit.assemble_dfdp_into(dfdp_tmp, zero_x, t_new, params, *param);
-                    match (opts.integrator, &gear_coeffs) {
-                        (Integrator::BackwardEuler, _) | (Integrator::Gear2, None) => {
-                            c.mul_vec_into(m, sens_rhs);
-                            sens_rhs.axpy(-dt_eff, dfdp_tmp);
-                        }
-                        (Integrator::Trapezoidal, _) => {
-                            let half = 0.5 * dt_eff;
-                            c.mul_vec_into(m, sens_rhs);
-                            stamps_prev.g.mul_vec_into(m, cg_tmp);
-                            sens_rhs.axpy(-half, cg_tmp);
-                            sens_rhs.axpy(-half, dfdp_tmp);
-                            sens_rhs.axpy(-half, &dfdp_prev[k]);
-                        }
-                        (Integrator::Gear2, Some((_, c1, c2))) => {
-                            c.mul_vec_into(m, sens_rhs);
-                            sens_rhs.scale_mut(*c1);
-                            c.mul_vec_into(&hist_sens[k], cg_tmp);
-                            sens_rhs.axpy(-*c2, cg_tmp);
-                            sens_rhs.axpy(-dt_eff, dfdp_tmp);
-                        }
-                    }
+                    c.mul_vec_into(m, sens_rhs);
+                    sens_rhs.axpy(-dt_eff, dfdp_tmp);
                     match &mut sens_solver {
                         SensSolver::Dense(lu) => {
                             with_lu_fault_retries(|| lu.solve_into(sens_rhs, sens_tmp))?;
@@ -1534,10 +1431,7 @@ impl<'a> TransientAnalysis<'a> {
                             with_lu_fault_retries(|| sp.solve_into(sens_rhs, sens_tmp))?;
                         }
                     }
-                    // Rotate: the pre-update m becomes the two-ago history.
-                    mem::swap(&mut hist_sens[k], m);
                     m.copy_from(sens_tmp);
-                    mem::swap(&mut dfdp_prev[k], dfdp_tmp);
                 }
                 lap_step.end_region(LAP_SENS);
                 lap_step.bump(LAP_SENS, 1, sens.len() as u64);
@@ -1551,12 +1445,9 @@ impl<'a> TransientAnalysis<'a> {
                 RecordMode::FinalOnly => {}
             }
 
-            // History rotation, allocation-free: the previous step's
-            // stamps become the two-ago buffers, and the freshly stamped
-            // step becomes the previous one. The displaced two-ago buffers
-            // are recycled as the next step's assembly targets.
-            hist_t = Some(t_prev);
-            mem::swap(stamps_hist, stamps_prev);
+            // Allocation-free: the freshly stamped step becomes the
+            // previous one, and the displaced buffers are the next step's
+            // assembly target.
             mem::swap(stamps_prev, stamps_new);
             t_prev = t_new;
 
@@ -1590,33 +1481,27 @@ impl<'a> TransientAnalysis<'a> {
     }
 }
 
-/// Writes the step Jacobian `c_scale·C + a·G` into `j` (`c_scale` is
-/// `None` for the integrators whose charge term is unscaled): densely, or
-/// — when the sparse path supplies the probed pattern — only at the
-/// pattern positions, leaving the structurally-zero remainder untouched.
-/// The dense branch preserves the exact copy/scale/axpy arithmetic order
-/// so the dense path stays bitwise identical to its golden history.
+/// Writes the step Jacobian `C + a·G` into `j`: densely, or — when the
+/// sparse path supplies the probed pattern — only at the pattern
+/// positions, leaving the structurally-zero remainder untouched. The dense
+/// branch preserves the exact copy/axpy arithmetic order so the dense path
+/// stays bitwise identical to its golden history.
 // lint: hot-fn
 fn combine_step_jacobian_into(
     j: &mut Matrix,
     c: &Matrix,
     g: &Matrix,
-    c_scale: Option<f64>,
     a: f64,
     pattern: Option<&[(usize, usize)]>,
 ) -> Result<()> {
     match pattern {
         Some(entries) => {
-            let s = c_scale.unwrap_or(1.0);
             for &(row, col) in entries {
-                j[(row, col)] = s * c[(row, col)] + a * g[(row, col)];
+                j[(row, col)] = c[(row, col)] + a * g[(row, col)];
             }
         }
         None => {
             j.copy_from(c)?;
-            if let Some(s) = c_scale {
-                j.scale_mut(s);
-            }
             j.axpy(a, g)?;
         }
     }
@@ -1657,8 +1542,8 @@ fn assemble_state_into(
 /// fixed-dimension circuit; this workspace owns every per-step buffer —
 /// the Newton iterate/residual/Jacobian/LU factors (which the dense
 /// sensitivity solves share), the run's constant `C`, the assembly stamps
-/// for the current, previous, and two-steps-ago time points, and the
-/// sensitivity solve temporaries — so the stepping loop performs no
+/// for the Newton iterate, the previous step and the freshly accepted one,
+/// and the sensitivity solve temporaries — so the stepping loop performs no
 /// matrix allocation once the buffers are warm.
 /// Not `Sync`: create one per thread when running sweeps in parallel.
 #[derive(Debug)]
@@ -1667,7 +1552,6 @@ pub struct TransientScratch {
     nr_stamps: Stamps,
     stamps_prev: Stamps,
     stamps_new: Stamps,
-    stamps_hist: Stamps,
     /// The run's constant `C`: per-step assemblies leave the stamps' own
     /// `C` untouched.
     c: Matrix,
@@ -1677,10 +1561,8 @@ pub struct TransientScratch {
     sens_sparse: Option<SparseJacSolver>,
     sens_rhs: Vector,
     sens_tmp: Vector,
-    cg_tmp: Vector,
     dfdp_tmp: Vector,
     zero_x: Vector,
-    hist_sens: Vec<Vector>,
     /// Copy of the sparse solver's Jacobian pattern (empty on the dense
     /// path), held outside the Newton workspace so the assembly closure
     /// can address the stamp matrices sparsely while the workspace is
@@ -1696,15 +1578,12 @@ impl TransientScratch {
             nr_stamps: Stamps::new(n),
             stamps_prev: Stamps::new(n),
             stamps_new: Stamps::new(n),
-            stamps_hist: Stamps::new(n),
             c: Matrix::zeros(n, n),
             sens_sparse: None,
             sens_rhs: Vector::zeros(n),
             sens_tmp: Vector::zeros(n),
-            cg_tmp: Vector::zeros(n),
             dfdp_tmp: Vector::zeros(n),
             zero_x: Vector::zeros(n),
-            hist_sens: Vec::new(),
             jac_pattern: Vec::new(),
         }
     }
@@ -1714,14 +1593,11 @@ impl TransientScratch {
         self.zero_x.len()
     }
 
-    /// Resizes (re-allocating) only when the circuit dimension or
-    /// sensitivity count changed since the last run.
-    fn ensure(&mut self, n: usize, n_sens: usize) {
+    /// Resizes (re-allocating) only when the circuit dimension changed
+    /// since the last run.
+    fn ensure(&mut self, n: usize) {
         if self.dim() != n {
             *self = TransientScratch::new(n);
-        }
-        if self.hist_sens.len() != n_sens {
-            self.hist_sens = (0..n_sens).map(|_| Vector::zeros(n)).collect();
         }
     }
 
@@ -1763,7 +1639,6 @@ impl TransientScratch {
             self.nr_stamps.clear();
             self.stamps_prev.clear();
             self.stamps_new.clear();
-            self.stamps_hist.clear();
         } else {
             self.newton.set_sparse_solver(None);
             self.sens_sparse = None;
@@ -1817,77 +1692,6 @@ mod tests {
     }
 
     #[test]
-    fn gear2_matches_analytic_rc_decay() {
-        let (c, out) = rc_circuit();
-        let mut x0 = Vector::zeros(c.unknown_count());
-        x0[0] = 1.0;
-        let opts = TransientOptions::builder(1e-6)
-            .dt(2e-8)
-            .integrator(Integrator::Gear2)
-            .initial(InitialCondition::Given(x0))
-            .build();
-        let res = TransientAnalysis::new(&c, opts)
-            .run(&Params::default())
-            .unwrap();
-        let exact = 1.0 - (-1.0f64).exp();
-        let err = (res.final_state()[out] - exact).abs();
-        // Second order: visibly better than BE at the same step.
-        assert!(err < 2e-3, "gear2 error {err}");
-    }
-
-    #[test]
-    fn gear2_is_more_accurate_than_be() {
-        let (c, out) = rc_circuit();
-        let mut x0 = Vector::zeros(c.unknown_count());
-        x0[0] = 1.0;
-        let exact = 1.0 - (-1.0f64).exp();
-        let mut errs = Vec::new();
-        for method in [Integrator::BackwardEuler, Integrator::Gear2] {
-            let opts = TransientOptions::builder(1e-6)
-                .dt(2e-8)
-                .integrator(method)
-                .initial(InitialCondition::Given(x0.clone()))
-                .build();
-            let res = TransientAnalysis::new(&c, opts)
-                .run(&Params::default())
-                .unwrap();
-            errs.push((res.final_state()[out] - exact).abs());
-        }
-        assert!(
-            errs[1] < errs[0] / 3.0,
-            "gear2 err {} should beat BE err {}",
-            errs[1],
-            errs[0]
-        );
-    }
-
-    #[test]
-    fn trapezoidal_is_more_accurate_than_be() {
-        let (c, out) = rc_circuit();
-        let mut x0 = Vector::zeros(c.unknown_count());
-        x0[0] = 1.0;
-        let exact = 1.0 - (-1.0f64).exp();
-        let mut errs = Vec::new();
-        for method in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
-            let opts = TransientOptions::builder(1e-6)
-                .dt(2e-8)
-                .integrator(method)
-                .initial(InitialCondition::Given(x0.clone()))
-                .build();
-            let res = TransientAnalysis::new(&c, opts)
-                .run(&Params::default())
-                .unwrap();
-            errs.push((res.final_state()[out] - exact).abs());
-        }
-        assert!(
-            errs[1] < errs[0] / 5.0,
-            "trap err {} should beat BE err {}",
-            errs[1],
-            errs[0]
-        );
-    }
-
-    #[test]
     fn dc_initial_condition_starts_settled() {
         let (c, out) = rc_circuit();
         let opts = TransientOptions::builder(1e-7).dt(1e-9).build();
@@ -1923,45 +1727,37 @@ mod tests {
         c.add(Capacitor::new("C1", vout, Circuit::GROUND, 1e-10));
         let out = c.unknown_of(vout).unwrap();
 
-        for method in [
-            Integrator::BackwardEuler,
-            Integrator::Trapezoidal,
-            Integrator::Gear2,
-        ] {
-            let make_opts = || {
-                TransientOptions::builder(8e-7)
-                    .dt(1e-9)
-                    .integrator(method)
-                    .sensitivities(&Param::ALL)
-                    .record(RecordMode::FinalOnly)
-                    .build()
-            };
-            let base = Params::new(1e-7, 1e-7);
-            let res = TransientAnalysis::new(&c, make_opts()).run(&base).unwrap();
-            for param in Param::ALL {
-                let analytic = res.final_sensitivity(param).unwrap()[out];
-                let h = 1e-12;
-                let plus = TransientAnalysis::new(&c, make_opts())
-                    .run(&base.with(param, base.get(param) + h))
-                    .unwrap()
-                    .final_state()[out];
-                let minus = TransientAnalysis::new(&c, make_opts())
-                    .run(&base.with(param, base.get(param) - h))
-                    .unwrap()
-                    .final_state()[out];
-                let fd = (plus - minus) / (2.0 * h);
-                assert!(
-                    (analytic - fd).abs() <= 2e-3 * fd.abs().max(1e3),
-                    "{method:?} {param:?}: analytic {analytic:.6e}, fd {fd:.6e}"
-                );
-            }
+        let make_opts = || {
+            TransientOptions::builder(8e-7)
+                .dt(1e-9)
+                .sensitivities(&Param::ALL)
+                .record(RecordMode::FinalOnly)
+                .build()
+        };
+        let base = Params::new(1e-7, 1e-7);
+        let res = TransientAnalysis::new(&c, make_opts()).run(&base).unwrap();
+        for param in Param::ALL {
+            let analytic = res.final_sensitivity(param).unwrap()[out];
+            let h = 1e-12;
+            let plus = TransientAnalysis::new(&c, make_opts())
+                .run(&base.with(param, base.get(param) + h))
+                .unwrap()
+                .final_state()[out];
+            let minus = TransientAnalysis::new(&c, make_opts())
+                .run(&base.with(param, base.get(param) - h))
+                .unwrap()
+                .final_state()[out];
+            let fd = (plus - minus) / (2.0 * h);
+            assert!(
+                (analytic - fd).abs() <= 2e-3 * fd.abs().max(1e3),
+                "{param:?}: analytic {analytic:.6e}, fd {fd:.6e}"
+            );
         }
     }
 
     /// Acceptance guard for the hot-loop optimization: once the scratch is
     /// warm, a full transient run — Newton iterations, sensitivity solves,
-    /// LU refactorizations, history rotation — must allocate zero matrices,
-    /// for every integrator.
+    /// LU refactorizations, stamp rotation — must allocate zero matrices.
     #[test]
     fn warm_stepping_loop_allocates_no_matrices() {
         let mut c = Circuit::new();
@@ -1984,34 +1780,27 @@ mod tests {
         c.add(Resistor::new("R1", vin, vout, 1e3));
         c.add(Capacitor::new("C1", vout, Circuit::GROUND, 1e-10));
 
-        for method in [
-            Integrator::BackwardEuler,
-            Integrator::Trapezoidal,
-            Integrator::Gear2,
-        ] {
-            let opts = TransientOptions::builder(6e-7)
-                .dt(1e-9)
-                .integrator(method)
-                .sensitivities(&Param::ALL)
-                .record(RecordMode::FinalOnly)
-                .initial(InitialCondition::Given(Vector::zeros(c.unknown_count())))
-                .build();
-            let analysis = TransientAnalysis::new(&c, opts);
-            let params = Params::new(1e-7, 1e-7);
-            let mut scratch = TransientScratch::new(c.unknown_count());
-            let warm = analysis.run_with_scratch(&params, &mut scratch).unwrap();
-            assert!(warm.stats().steps > 100, "test wants a real stepping loop");
+        let opts = TransientOptions::builder(6e-7)
+            .dt(1e-9)
+            .sensitivities(&Param::ALL)
+            .record(RecordMode::FinalOnly)
+            .initial(InitialCondition::Given(Vector::zeros(c.unknown_count())))
+            .build();
+        let analysis = TransientAnalysis::new(&c, opts);
+        let params = Params::new(1e-7, 1e-7);
+        let mut scratch = TransientScratch::new(c.unknown_count());
+        let warm = analysis.run_with_scratch(&params, &mut scratch).unwrap();
+        assert!(warm.stats().steps > 100, "test wants a real stepping loop");
 
-            let before = shc_linalg::matrix_allocations();
-            let res = analysis.run_with_scratch(&params, &mut scratch).unwrap();
-            let allocated = shc_linalg::matrix_allocations() - before;
-            assert_eq!(
-                allocated,
-                0,
-                "{method:?}: {} steps allocated {allocated} matrices",
-                res.stats().steps
-            );
-        }
+        let before = shc_linalg::matrix_allocations();
+        let res = analysis.run_with_scratch(&params, &mut scratch).unwrap();
+        let allocated = shc_linalg::matrix_allocations() - before;
+        assert_eq!(
+            allocated,
+            0,
+            "{} steps allocated {allocated} matrices",
+            res.stats().steps
+        );
     }
 
     /// Builds an RC delay chain behind the parameterized data pulse so
@@ -2143,23 +1932,22 @@ mod tests {
 
     /// Telemetry must be free where it matters: with a collector installed
     /// the warm stepping loop still allocates zero matrices, produces a
-    /// bitwise-identical final state, and the collector's per-run flush
-    /// sees the true step counts.
+    /// bitwise-identical final state and sensitivities, and the
+    /// collector's per-run flush sees the true step counts.
     #[test]
     fn telemetry_keeps_warm_loop_allocation_free_and_bitwise_identical() {
-        let (c, _) = rc_circuit();
+        let c = rc_chain_with_pulse(2);
         // Pin the initial condition so the (allocating) DC operating-point
         // solve stays out of the measured loop, as in the test above.
-        let opts = TransientOptions::builder(2e-6)
+        let opts = TransientOptions::builder(6e-7)
             .dt(2e-9)
-            .integrator(Integrator::Gear2)
+            .sensitivities(&Param::ALL)
             .initial(InitialCondition::Given(Vector::zeros(c.unknown_count())))
             .build();
         let analysis = TransientAnalysis::new(&c, opts);
-        let params = Params::default();
+        let params = Params::new(1e-7, 1e-7);
         let mut scratch = TransientScratch::new(c.unknown_count());
         let quiet = analysis.run_with_scratch(&params, &mut scratch).unwrap();
-        let quiet_state = quiet.final_state().clone();
         let quiet_stats = *quiet.stats();
 
         let collector = shc_obs::Collector::new();
@@ -2169,8 +1957,7 @@ mod tests {
         let allocated = shc_linalg::matrix_allocations() - before;
 
         assert_eq!(allocated, 0, "telemetry allocated {allocated} matrices");
-        assert_eq!(observed.final_state().as_slice(), quiet_state.as_slice());
-        assert_eq!(*observed.stats(), quiet_stats);
+        assert_bitwise_eq(&observed, &quiet);
         let snap = collector.snapshot();
         assert_eq!(snap.counter(shc_obs::Metric::TransientRuns), 1);
         assert_eq!(
@@ -2225,30 +2012,28 @@ mod tests {
         assert_eq!(snap.counter(shc_obs::Metric::TransientSteps), 0);
     }
 
-    /// `run` and `run_with_scratch` must be observably identical.
+    /// `run` and `run_with_scratch` must be observably identical,
+    /// sensitivities included.
     #[test]
     fn scratch_reuse_is_bitwise_identical_to_fresh_runs() {
-        let (c, out) = rc_circuit();
+        let c = rc_chain_with_pulse(2);
+        let out = c.unknown_of(c.find_node("n1").unwrap()).unwrap();
         let make_opts = || {
-            TransientOptions::builder(2e-6)
+            TransientOptions::builder(6e-7)
                 .dt(2e-9)
-                .integrator(Integrator::Gear2)
+                .sensitivities(&Param::ALL)
                 .build()
         };
+        let params = Params::new(1e-7, 1e-7);
         let fresh = TransientAnalysis::new(&c, make_opts())
-            .run(&Params::default())
+            .run(&params)
             .unwrap();
+        assert!(fresh.final_sensitivity(Param::Setup).unwrap()[out] != 0.0);
         let mut scratch = TransientScratch::new(c.unknown_count());
         let analysis = TransientAnalysis::new(&c, make_opts());
         for _ in 0..2 {
-            let reused = analysis
-                .run_with_scratch(&Params::default(), &mut scratch)
-                .unwrap();
-            assert_eq!(reused.times(), fresh.times());
-            assert_eq!(
-                reused.final_state().as_slice(),
-                fresh.final_state().as_slice()
-            );
+            let reused = analysis.run_with_scratch(&params, &mut scratch).unwrap();
+            assert_bitwise_eq(&reused, &fresh);
             assert_eq!(reused.series(out), fresh.series(out));
         }
     }
@@ -2483,9 +2268,10 @@ mod tests {
     /// The edges of stamp and factor reuse: Newton dt-cuts, the steps
     /// that double `dt` back after them, and a last step that `tstop`
     /// clips. With sensitivities on, a full run and a run resumed from a
-    /// ladder rung below the cut agree bit for bit;
-    /// and the full run's first iterates take the previous step's factor
-    /// exactly on the steps whose `dt_eff` equals the previous step's.
+    /// ladder rung below the cut agree bit for bit; the full run's first
+    /// iterates take the previous step's stamps on every step but those a
+    /// Newton cut shortened, and its factor exactly on the steps whose
+    /// `dt_eff` equals the previous step's.
     #[test]
     fn reuse_edges_stay_bitwise_and_reuse_only_equal_step_factors() {
         let (c, mut opts) = clocked_rc();
@@ -2509,9 +2295,23 @@ mod tests {
             collector.counter(shc_obs::Metric::FactorsReused),
             equal_steps
         );
-        assert!(
-            collector.counter(shc_obs::Metric::StampsReused)
-                >= collector.counter(shc_obs::Metric::FactorsReused)
+        // A step ends where the previous one planned it — the step size
+        // that step left, clipped to `tstop` — unless a Newton cut
+        // quartered it after a rejected attempt; only the planned ones
+        // start from stamps made at their own time.
+        let mut planned_dt = opts.dt;
+        let mut planned_steps = 0;
+        for w in times.windows(2) {
+            let dt_eff = w[1] - w[0];
+            if w[1] == opts.tstop || dt_eff > 0.5 * planned_dt {
+                planned_steps += 1;
+            }
+            planned_dt = (2.0 * dt_eff).min(opts.dt);
+        }
+        assert!(planned_steps < full.stats().steps as u64);
+        assert_eq!(
+            collector.counter(shc_obs::Metric::StampsReused),
+            planned_steps
         );
 
         let ladder = PrefixLadder::default();
@@ -2663,15 +2463,17 @@ mod tests {
     fn runs_without_an_eligible_checkpoint_start_from_dc() {
         let (c, opts) = clocked_rc();
         let ladder = PrefixLadder::default();
-        let mut gear = opts.clone();
-        gear.integrator = Integrator::Gear2;
+        let full_record = TransientOptions {
+            record: RecordMode::Full,
+            ..opts.clone()
+        };
         let at = Params::new(100e-9, 100e-9);
         // Not resumable: no reference run yet.
         let collector = shc_obs::Collector::new();
         {
             let _guard = shc_obs::install_scoped(&collector);
             let analysis =
-                TransientAnalysis::new(&c, gear.clone()).with_ladder(&ladder, quiescent());
+                TransientAnalysis::new(&c, full_record.clone()).with_ladder(&ladder, quiescent());
             analysis.run(&at).unwrap();
         }
         assert!(!ladder.is_built());
@@ -2688,7 +2490,7 @@ mod tests {
         for (opts, at) in [
             (opts, Params::new(f64::NAN, 100e-9)),
             (shorter, at),
-            (gear, at),
+            (full_record, at),
         ] {
             let analysis =
                 TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());

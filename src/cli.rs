@@ -282,6 +282,11 @@ pub fn parse_args(args: &[String]) -> Result<CliConfig, UsageError> {
     if cfg.edge <= 0.0 {
         return Err(UsageError("missing or non-positive --edge".to_string()));
     }
+    for (flag, value) in [("--vdd", cfg.vdd), ("--period", cfg.period)] {
+        if !(value > 0.0 && value.is_finite()) {
+            return Err(UsageError(format!("{flag} must be positive and finite")));
+        }
+    }
     if cfg.points < 2 {
         return Err(UsageError("--points must be at least 2".to_string()));
     }
@@ -629,6 +634,22 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.to_string().contains("at least 2"));
+    }
+
+    #[test]
+    fn rejects_non_positive_vdd_and_period() {
+        for (flag, value) in [
+            ("--vdd", "0"),
+            ("--vdd", "-2.5"),
+            ("--period", "0"),
+            ("--period", "-1n"),
+        ] {
+            let e = parse_args(&args(&[
+                "cell.sp", "--output", "q", "--edge", "1n", flag, value,
+            ]))
+            .unwrap_err();
+            assert_eq!(e.to_string(), format!("{flag} must be positive and finite"));
+        }
     }
 
     #[test]

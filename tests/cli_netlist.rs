@@ -303,3 +303,25 @@ fn hierarchical_tspc_deck_matches_builtin_fixture() {
         );
     }
 }
+
+/// A non-positive supply or clock period is a usage error (exit code 1),
+/// reported before the deck is characterized.
+#[test]
+fn non_positive_vdd_or_period_exits_with_a_usage_error() {
+    let deck = std::env::temp_dir().join(format!("shc-cli-usage-{}.sp", std::process::id()));
+    std::fs::write(&deck, DLATCH_DECK).unwrap();
+    for (flag, value) in [("--vdd", "0"), ("--period", "-1n")] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_shc-char"))
+            .arg(&deck)
+            .args(["--output", "q", "--edge", "4.75n", flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {flag} must be positive and finite")),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_file(&deck).unwrap();
+}

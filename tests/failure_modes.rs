@@ -5,7 +5,7 @@ use shc::cells::{tspc_register, ClockSpec, Technology};
 use shc::core::{CharError, CharacterizationProblem};
 use shc::linalg::{LinalgError, Matrix, Vector};
 use shc::spice::newton::{self, NewtonOptions};
-use shc::spice::transient::{Integrator, RecordMode, TransientAnalysis, TransientOptions};
+use shc::spice::transient::{RecordMode, TransientAnalysis, TransientOptions};
 use shc::spice::waveform::{Params, Waveform};
 use shc::spice::{Circuit, Resistor, SpiceError, Vcvs, VoltageSource};
 
@@ -138,20 +138,6 @@ fn adjoint_jacobian_agrees_with_forward_on_real_register() {
         fwd.dh_dtau_h,
         adj.dh_dtau_h
     );
-}
-
-#[test]
-fn adjoint_rejects_non_be_integrator() {
-    let tech = Technology::default_250nm();
-    let problem =
-        CharacterizationProblem::builder(tspc_register(&tech).with_clock(ClockSpec::fast()))
-            .integrator(Integrator::Trapezoidal)
-            .build()
-            .expect("problem");
-    let err = problem
-        .evaluate_with_jacobian_adjoint(&Params::new(180e-12, 60e-12))
-        .unwrap_err();
-    assert!(matches!(err, CharError::BadOption { .. }));
 }
 
 #[test]
