@@ -71,8 +71,8 @@ pub use problem::{BatchPolicy, CharacterizationProblem, HEvaluation, ProblemBuil
 pub use seed::SeedOptions;
 pub use surface::{OutputSurface, SurfaceContour, SurfaceOptions};
 pub use tracer::{
-    trace_batch, trace_session, BatchContour, BatchOptions, CheckpointConfig, Contour,
-    ContourPoint, RecoveryOptions, TraceDirection, TraceOutcome, TraceStart, TracerOptions,
+    trace_session, CheckpointConfig, Contour, ContourPoint, RecoveryOptions, TraceDirection,
+    TraceOutcome, TraceStart, TracerOptions,
 };
 
 /// Result alias used throughout this crate.

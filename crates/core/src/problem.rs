@@ -30,6 +30,12 @@ pub enum BatchPolicy {
     Scalar,
 }
 
+/// Most fixed steps the calibration run may span, `(edge + 0.45·period)/dt`.
+/// The shipped cells and examples need at most ~8k (paper clock at a 2 ps
+/// step), so this leaves >100× headroom while a huge `--edge` or `--period`
+/// becomes an error instead of a run that never ends.
+const MAX_CALIBRATION_STEPS: f64 = 1e6;
+
 /// One evaluation of `h` and (optionally) its 1×2 Jacobian.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HEvaluation {
@@ -333,42 +339,6 @@ impl CharacterizationProblem {
         })
     }
 
-    /// Evaluates `h` and its Jacobian via the **discrete adjoint** method
-    /// (one backward sweep) instead of forward sensitivities — an
-    /// independent derivation useful for cross-checks and for extensions
-    /// with many parameters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures.
-    pub fn evaluate_with_jacobian_adjoint(&self, params: &Params) -> Result<HEvaluation> {
-        self.sim_count.fetch_add(1, Ordering::Relaxed);
-        let opts = TransientOptions::builder(self.tf)
-            .dt(self.dt)
-            .solver(self.solver)
-            .record(RecordMode::Full)
-            .build();
-        let res = TransientAnalysis::new(self.register.circuit(), opts).run(params)?;
-        let out = self.register.output_unknown();
-        let adj = shc_spice::adjoint::backward_sensitivities(
-            self.register.circuit(),
-            &res,
-            params,
-            out,
-            &Param::ALL,
-        )?;
-        Ok(HEvaluation {
-            h: res.final_state()[out] - self.r(),
-            dh_dtau_s: adj.gradient(Param::Setup).ok_or(CharError::Internal {
-                reason: "adjoint sweep over Param::ALL returned no setup gradient",
-            })?,
-            dh_dtau_h: adj.gradient(Param::Hold).ok_or(CharError::Internal {
-                reason: "adjoint sweep over Param::ALL returned no hold gradient",
-            })?,
-            stats: *res.stats(),
-        })
-    }
-
     /// Convenience: seed and trace an `n`-point constant clock-to-Q contour
     /// with default options.
     ///
@@ -519,6 +489,13 @@ impl ProblemBuilder {
         let edge = register.active_edge_time();
         let r = register.target_level(capture_fraction);
         let settle = 0.45 * register.clock().period;
+        // Accept, not reject, so NaN fails too.
+        let within_budget = (edge + settle) / dt <= MAX_CALIBRATION_STEPS;
+        if !within_budget {
+            return Err(CharError::BadOption {
+                reason: "calibration span (edge + 0.45·period) exceeds the step budget at this dt",
+            });
+        }
         let opts = TransientOptions::builder(edge + settle)
             .dt(dt)
             .solver(self.solver)

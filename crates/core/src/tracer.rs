@@ -20,13 +20,10 @@
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
-use shc_cells::Register;
 use shc_spice::transient::TransientStats;
 use shc_spice::waveform::Params;
 
 use crate::mpnr::{self, MpnrOptions};
-use crate::parallel::{self, Parallelism};
-use crate::seed::SeedOptions;
 use crate::{CharError, CharacterizationProblem, Result};
 
 /// Predictor step-length multiplier used both by the recovery ladder
@@ -325,7 +322,6 @@ fn journal_point(
     }
     shc_obs::journal(&shc_obs::JournalEvent {
         point: point as u64,
-        level: shc_obs::journal_level(),
         tau_s: tau.tau_s,
         tau_h: tau.tau_h,
         residual,
@@ -685,97 +681,10 @@ pub fn trace_session(
     })
 }
 
-/// One degradation level's contour from [`trace_batch`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchContour {
-    /// The clock-to-Q degradation fraction defining this contour.
-    pub degradation: f64,
-    /// Characteristic clock-to-Q delay, seconds.
-    pub t_cq: f64,
-    /// The traced contour.
-    pub contour: Contour,
-    /// Transient simulations this level consumed (seeding + tracing).
-    pub simulations: usize,
-}
-
-/// Options for [`trace_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BatchOptions {
-    /// Contour points per degradation level.
-    pub points: usize,
-    /// Seeding settings (each level seeds independently).
-    pub seed: SeedOptions,
-    /// Tracer settings.
-    pub tracer: TracerOptions,
-    /// Fan-out policy across degradation levels. Levels are fully
-    /// independent, so parallel results are identical to serial ones.
-    #[serde(skip)]
-    pub parallelism: Parallelism,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            points: 20,
-            seed: SeedOptions::default(),
-            tracer: TracerOptions::default(),
-            parallelism: Parallelism::default(),
-        }
-    }
-}
-
-/// Traces one constant clock-to-Q contour per degradation level — the
-/// library-characterization shape where a cell is characterized at several
-/// delay-degradation criteria (e.g. 2%, 10%, 50%) at once.
-///
-/// Every level rebuilds the cell through `build` because `t_f` and `r` are
-/// fixed when a [`CharacterizationProblem`] is constructed; the factory
-/// must be `Sync` so levels can fan out across threads. Results are
-/// returned in the order of `degradations` regardless of the policy, one
-/// `Result` per level: a failing level no longer discards its siblings'
-/// completed contours.
-pub fn trace_batch<F>(
-    build: F,
-    degradations: &[f64],
-    opts: &BatchOptions,
-) -> Vec<Result<BatchContour>>
-where
-    F: Fn() -> Register + Sync,
-{
-    let _span = shc_obs::span(shc_obs::SpanKind::TraceBatch);
-    let run = parallel::run_indexed(opts.parallelism, degradations.len(), |i| {
-        // Tag this level's journal events with its index so batch
-        // journals stay attributable regardless of worker interleaving.
-        let _level = shc_obs::with_journal_level(i as u64);
-        let _frame = shc_prof::enter(shc_prof::Phase::Sweep);
-        let degradation = degradations[i];
-        let level = (|| {
-            let problem = CharacterizationProblem::builder(build())
-                .degradation(degradation)
-                .build()?;
-            problem.reset_simulation_count();
-            let contour = problem.trace_contour_with(opts.points, &opts.seed, &opts.tracer)?;
-            Ok(BatchContour {
-                degradation,
-                t_cq: problem.characteristic_delay(),
-                contour,
-                simulations: problem.simulation_count(),
-            })
-        })();
-        // Per-level failures are payload, not control flow: every level
-        // always runs to its own verdict.
-        Ok::<_, std::convert::Infallible>(level)
-    });
-    match run {
-        Ok(levels) => levels,
-        Err(never) => match never {},
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seed::find_first_point;
+    use crate::seed::{find_first_point, SeedOptions};
     use shc_cells::{tspc_register_with, ClockSpec, Technology};
 
     fn fast_problem() -> CharacterizationProblem {
@@ -900,92 +809,6 @@ mod tests {
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_dir(&dir).ok();
-    }
-
-    #[test]
-    fn batch_levels_are_independent_and_order_free() {
-        let build = || tspc_register_with(&Technology::default_250nm(), ClockSpec::fast());
-        let levels = [0.05, 0.10];
-        let serial_opts = BatchOptions {
-            points: 5,
-            ..BatchOptions::default()
-        };
-        let parallel_opts = BatchOptions {
-            parallelism: Parallelism::Threads(2),
-            ..serial_opts
-        };
-        let serial: Vec<BatchContour> = trace_batch(build, &levels, &serial_opts)
-            .into_iter()
-            .collect::<Result<_>>()
-            .unwrap();
-        let fanned: Vec<BatchContour> = trace_batch(build, &levels, &parallel_opts)
-            .into_iter()
-            .collect::<Result<_>>()
-            .unwrap();
-        assert_eq!(serial, fanned);
-        assert_eq!(serial.len(), 2);
-        assert_eq!(serial[0].degradation, 0.05);
-        assert_eq!(serial[1].degradation, 0.10);
-        // A looser degradation criterion gives a later capture deadline,
-        // so the two levels must land on genuinely different contours.
-        assert_ne!(serial[0].contour.points()[0], serial[1].contour.points()[0]);
-    }
-
-    #[test]
-    fn batch_keeps_completed_levels_when_one_fails() {
-        let build = || tspc_register_with(&Technology::default_250nm(), ClockSpec::fast());
-        // 1.5 fails builder validation; its siblings must still come back.
-        let levels = [0.05, 1.5, 0.10];
-        let opts = BatchOptions {
-            points: 4,
-            ..BatchOptions::default()
-        };
-        let results = trace_batch(build, &levels, &opts);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok(), "level 0: {:?}", results[0]);
-        assert!(
-            matches!(results[1], Err(CharError::BadOption { .. })),
-            "level 1: {:?}",
-            results[1]
-        );
-        assert!(results[2].is_ok(), "level 2: {:?}", results[2]);
-    }
-
-    #[test]
-    fn batch_journal_is_identical_serial_and_parallel() {
-        use std::sync::Arc;
-
-        use shc_obs::{Collector, JournalEvent, MemorySink, Sink};
-
-        // Run a two-level batch under a journaling collector and return
-        // the events sorted by (level, point) — the order-free identity.
-        let journal_of = |parallelism: Parallelism| -> Vec<JournalEvent> {
-            let sink = Arc::new(MemorySink::new());
-            let collector = Collector::with_sink(Arc::clone(&sink) as Arc<dyn Sink>);
-            let _guard = shc_obs::install_scoped(&collector);
-            let build = || tspc_register_with(&Technology::default_250nm(), ClockSpec::fast());
-            let opts = BatchOptions {
-                points: 5,
-                parallelism,
-                ..BatchOptions::default()
-            };
-            let batch: Vec<BatchContour> = trace_batch(build, &[0.05, 0.10], &opts)
-                .into_iter()
-                .collect::<Result<_>>()
-                .unwrap();
-            let mut events = sink.events();
-            events.sort_by_key(JournalEvent::sort_key);
-            let traced: usize = batch.iter().map(|b| b.contour.points().len()).sum();
-            assert_eq!(events.len(), traced, "one journal event per traced point");
-            events
-        };
-
-        let serial = journal_of(Parallelism::Serial);
-        let fanned = journal_of(Parallelism::Threads(2));
-        assert_eq!(serial, fanned, "journal must not depend on fan-out");
-        // Every batch event carries its degradation-level index.
-        assert!(serial.iter().all(|e| matches!(e.level, Some(0 | 1))));
-        assert!(serial.iter().any(|e| e.level == Some(1)));
     }
 
     #[test]

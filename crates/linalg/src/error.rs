@@ -29,14 +29,6 @@ pub enum LinalgError {
         /// Actual shape as `(rows, cols)`.
         shape: (usize, usize),
     },
-    /// The matrix does not have the full rank required by the operation
-    /// (e.g. a fat matrix passed to [`crate::pinv_fat`] with dependent rows).
-    RankDeficient {
-        /// Estimated rank.
-        rank: usize,
-        /// Rank required by the operation.
-        required: usize,
-    },
     /// Construction input was empty or ragged.
     InvalidInput {
         /// Description of what was wrong.
@@ -60,9 +52,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NotSquare { shape } => {
                 write!(f, "matrix must be square, got {}x{}", shape.0, shape.1)
-            }
-            LinalgError::RankDeficient { rank, required } => {
-                write!(f, "rank-deficient matrix: rank {rank}, required {required}")
             }
             LinalgError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
         }

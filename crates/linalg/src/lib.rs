@@ -8,19 +8,18 @@
 //!
 //! - [`Matrix`] and [`Vector`]: row-major dense storage with the usual
 //!   arithmetic and iteration APIs;
-//! - [`LuFactor`]: LU factorization with partial pivoting, solves, the
-//!   determinant, and a cheap condition-number estimate — this backs the
-//!   small-circuit Newton-Raphson linear solves in the simulator;
+//! - [`LuFactor`]: LU factorization with partial pivoting and solves that
+//!   reuse the factors — this backs the small-circuit Newton-Raphson linear
+//!   solves in the simulator;
 //! - [`SoaLu`]: [`LuFactor`] over many element-major lane systems, kept
 //!   for the benchmark of record;
 //! - [`SparseLu`]: KLU-style sparse-direct LU over [`CsrMatrix`] storage —
 //!   fill-reducing ordering, one-time symbolic analysis, allocation-free
-//!   value-only refactorization — the large-circuit solve path;
-//! - [`QrFactor`]: Householder QR, used for least-squares and for the
-//!   general Moore-Penrose pseudo-inverse;
-//! - [`pinv`]: Moore-Penrose pseudo-inverse for full-row-rank "fat"
-//!   matrices, the key ingredient of the MPNR solver of the DAC 2007 paper
-//!   (its eq. (15): `H⁺ = Hᵀ (H Hᵀ)⁻¹`).
+//!   value-only refactorization — the large-circuit solve path.
+//!
+//! The MPNR solver of the DAC 2007 paper needs the pseudo-inverse of a
+//! 1×2 Jacobian only (its eq. (15): `H⁺ = Hᵀ (H Hᵀ)⁻¹`), which `shc-core`
+//! takes in closed form.
 //!
 //! # Example
 //!
@@ -40,8 +39,6 @@
 mod error;
 mod lu;
 mod matrix;
-mod pinv;
-mod qr;
 mod soa_lu;
 mod sparse;
 mod sparse_lu;
@@ -50,11 +47,6 @@ mod vector;
 pub use error::LinalgError;
 pub use lu::LuFactor;
 pub use matrix::{matrix_allocations, Matrix};
-pub use pinv::{pinv, pinv_fat, PseudoInverse};
-pub use qr::QrFactor;
-// The retired ILU(0)/GMRES iterative stack stays in `sparse` (compiled and
-// unit-tested) but is deliberately not re-exported; `SparseLu` is the
-// supported sparse solve path.
 pub use soa_lu::SoaLu;
 pub use sparse::CsrMatrix;
 pub use sparse_lu::SparseLu;

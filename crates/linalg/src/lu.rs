@@ -45,8 +45,6 @@ pub struct LuFactor {
     lu: Matrix,
     /// Row permutation: row `i` of the factored matrix came from `perm[i]`.
     perm: Vec<usize>,
-    /// Sign of the permutation, ±1 (used by the determinant).
-    perm_sign: f64,
 }
 
 impl LuFactor {
@@ -75,7 +73,6 @@ impl LuFactor {
         let mut factor = LuFactor {
             lu: a.clone(),
             perm: (0..n).collect(),
-            perm_sign: 1.0,
         };
         factor.factor_in_place()?;
         Ok(factor)
@@ -117,12 +114,11 @@ impl LuFactor {
         for (i, p) in self.perm.iter_mut().enumerate() {
             *p = i;
         }
-        self.perm_sign = 1.0;
         self.factor_in_place()
     }
 
     /// Gaussian elimination with partial pivoting over the prepared
-    /// `(lu, perm, perm_sign)` state; `lu` must hold the matrix entries on
+    /// `(lu, perm)` state; `lu` must hold the matrix entries on
     /// entry and holds the packed L/U factors on successful exit.
     fn factor_in_place(&mut self) -> Result<()> {
         let n = self.lu.rows();
@@ -151,7 +147,6 @@ impl LuFactor {
                     lu[(pivot_row, j)] = tmp;
                 }
                 self.perm.swap(k, pivot_row);
-                self.perm_sign = -self.perm_sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -230,83 +225,6 @@ impl LuFactor {
         }
         Ok(())
     }
-
-    /// Solves `Aᵀ·x = b` using the stored factors (no re-factorization).
-    ///
-    /// Useful for adjoint computations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != dim()`.
-    pub fn solve_transposed(&self, b: &Vector) -> Result<Vector> {
-        shc_obs::count(shc_obs::Metric::LuSolves, 1);
-        if let Some(e) = injected_fault(shc_fault::Site::LuSolve) {
-            return Err(e);
-        }
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu_solve_transposed",
-                lhs: (n, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        // Aᵀ = Uᵀ·Lᵀ·P, so solve Uᵀ·y = b, then Lᵀ·z = y, then x = Pᵀ·z.
-        let mut y = Vector::zeros(n);
-        for i in 0..n {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= self.lu[(j, i)] * y[j];
-            }
-            y[i] = acc / self.lu[(i, i)];
-        }
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for j in (i + 1)..n {
-                acc -= self.lu[(j, i)] * y[j];
-            }
-            y[i] = acc;
-        }
-        let mut x = Vector::zeros(n);
-        for i in 0..n {
-            x[self.perm[i]] = y[i];
-        }
-        Ok(x)
-    }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Cheap lower bound on the infinity-norm condition number:
-    /// `‖A‖∞ · max|1/u_ii| · n`-free estimate based on diagonal extremes.
-    ///
-    /// This is a heuristic health indicator (SPICE uses similar pivot-ratio
-    /// checks), not a rigorous condition number.
-    pub fn condition_estimate(&self) -> f64 {
-        let n = self.dim();
-        if n == 0 {
-            return 1.0;
-        }
-        let mut max_u = 0.0_f64;
-        let mut min_u = f64::INFINITY;
-        for i in 0..n {
-            let u = self.lu[(i, i)].abs();
-            max_u = max_u.max(u);
-            min_u = min_u.min(u);
-        }
-        // lint: allow(float-eq, reason = "an exactly-zero pivot is the definition of a singular U; tolerance belongs to the caller")
-        if min_u == 0.0 {
-            f64::INFINITY
-        } else {
-            max_u / min_u
-        }
-    }
 }
 
 #[cfg(test)]
@@ -347,23 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_with_permutation_sign() {
-        // det = -2 and requires a row swap for stability.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[2.0, 0.0]]).unwrap();
-        let d = a.lu().unwrap().det();
-        assert!((d + 2.0).abs() < 1e-12, "det = {d}");
-    }
-
-    #[test]
-    fn transposed_solve_matches_explicit_transpose() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[2.0, 5.0]]).unwrap();
-        let b = Vector::from_slice(&[1.0, 2.0]);
-        let x1 = a.lu().unwrap().solve_transposed(&b).unwrap();
-        let x2 = a.transpose().lu().unwrap().solve(&b).unwrap();
-        assert!(x1.sub(&x2).norm_inf() < 1e-12);
-    }
-
-    #[test]
     fn factor_reuse_many_rhs() {
         let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
         let lu = a.lu().unwrap();
@@ -379,7 +280,6 @@ mod tests {
         let a = Matrix::identity(2);
         let lu = a.lu().unwrap();
         assert!(lu.solve(&Vector::zeros(3)).is_err());
-        assert!(lu.solve_transposed(&Vector::zeros(1)).is_err());
     }
 
     #[test]
@@ -401,7 +301,6 @@ mod tests {
             x.sub(&fresh).norm_inf() == 0.0,
             "refactor diverged from new"
         );
-        assert!((lu.det() - LuFactor::new(&b_mat).unwrap().det()).abs() < 1e-12);
     }
 
     #[test]
@@ -468,17 +367,5 @@ mod tests {
             other => panic!("expected Singular, got {other:?}"),
         }
         assert_eq!(injector.injected(), 1);
-    }
-
-    #[test]
-    fn condition_estimate_flags_ill_conditioning() {
-        let well = Matrix::identity(3).lu().unwrap().condition_estimate();
-        assert!((well - 1.0).abs() < 1e-12);
-        let ill = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1e-12]])
-            .unwrap()
-            .lu()
-            .unwrap()
-            .condition_estimate();
-        assert!(ill > 1e11);
     }
 }

@@ -4,7 +4,7 @@ use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{LinalgError, LuFactor, QrFactor, Result, Vector};
+use crate::{LinalgError, LuFactor, Result, Vector};
 
 thread_local! {
     /// Per-thread count of matrix buffer allocations.
@@ -15,7 +15,7 @@ thread_local! {
 /// thread* so far.
 ///
 /// Every constructor that allocates a fresh backing buffer increments this
-/// counter; in-place operations (`copy_from`, `axpy`, `scale_mut`,
+/// counter; in-place operations (`copy_from`, `axpy`,
 /// `fill_zero`, …) do not. Dense `Matrix` buffers (`zeros`, `from_*`,
 /// `identity`, the out-of-place arithmetic ops, and `Clone`) and sparse
 /// buffers (`CsrMatrix` construction and `Clone`, `SparseLu` symbolic
@@ -144,33 +144,6 @@ impl Matrix {
         Ok(Matrix::tracked(rows, cols, data))
     }
 
-    /// Builds a matrix whose columns are the given vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidInput`] if `cols` is empty or the
-    /// vectors have differing lengths.
-    pub fn from_cols(cols: &[Vector]) -> Result<Self> {
-        if cols.is_empty() {
-            return Err(LinalgError::InvalidInput {
-                reason: "from_cols: no columns",
-            });
-        }
-        let n = cols[0].len();
-        if cols.iter().any(|c| c.len() != n) {
-            return Err(LinalgError::InvalidInput {
-                reason: "from_cols: ragged columns",
-            });
-        }
-        let mut m = Matrix::zeros(n, cols.len());
-        for (j, c) in cols.iter().enumerate() {
-            for i in 0..n {
-                m[(i, j)] = c[i];
-            }
-        }
-        Ok(m)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -208,16 +181,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index {i} out of range");
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copies column `j` into a new [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols`.
-    pub fn col(&self, j: usize) -> Vector {
-        assert!(j < self.cols, "column index {j} out of range");
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Sets every entry to zero, keeping the allocation.
@@ -267,23 +230,6 @@ impl Matrix {
             }
             out[i] = acc;
         }
-    }
-
-    /// Transposed matrix–vector product `Aᵀ·v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != rows`.
-    pub fn mul_vec_transposed(&self, v: &Vector) -> Vector {
-        assert_eq!(v.len(), self.rows, "mul_vec_transposed: dimension mismatch");
-        let mut out = Vector::zeros(self.cols);
-        for i in 0..self.rows {
-            let vi = v[i];
-            for j in 0..self.cols {
-                out[j] += self[(i, j)] * vi;
-            }
-        }
-        out
     }
 
     /// Matrix product `A·B`.
@@ -367,13 +313,6 @@ impl Matrix {
         )
     }
 
-    /// In-place scaling `self *= s`.
-    pub fn scale_mut(&mut self, s: f64) {
-        for a in &mut self.data {
-            *a *= s;
-        }
-    }
-
     /// Copies `other`'s entries into `self` without reallocating.
     ///
     /// # Errors
@@ -448,16 +387,6 @@ impl Matrix {
         LuFactor::new(self)
     }
 
-    /// Householder QR factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidInput`] if the matrix has more columns
-    /// than rows (use the transpose for underdetermined systems).
-    pub fn qr(&self) -> Result<QrFactor> {
-        QrFactor::new(self)
-    }
-
     /// Solves `A·x = b` via LU.
     ///
     /// # Errors
@@ -465,24 +394,6 @@ impl Matrix {
     /// Propagates factorization errors; see [`Matrix::lu`].
     pub fn solve(&self, b: &Vector) -> Result<Vector> {
         self.lu()?.solve(b)
-    }
-
-    /// Computes the inverse `A⁻¹` via LU.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorization errors; see [`Matrix::lu`].
-    pub fn inverse(&self) -> Result<Matrix> {
-        let lu = self.lu()?;
-        let n = self.rows;
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let x = lu.solve(&Vector::unit(n, j))?;
-            for i in 0..n {
-                inv[(i, j)] = x[i];
-            }
-        }
-        Ok(inv)
     }
 }
 
@@ -519,10 +430,6 @@ impl fmt::Display for Matrix {
 mod tests {
     use super::*;
 
-    fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-        (a - b).abs() <= tol
-    }
-
     #[test]
     fn construction_shapes() {
         let m = Matrix::zeros(2, 3);
@@ -532,17 +439,6 @@ mod tests {
         assert!(Matrix::from_rows(&[]).is_err());
         assert!(Matrix::from_rows(&[&[1.0], &[1.0, 2.0]]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn from_cols_builds_column_major() {
-        let c0 = Vector::from_slice(&[1.0, 2.0]);
-        let c1 = Vector::from_slice(&[3.0, 4.0]);
-        let m = Matrix::from_cols(&[c0, c1]).unwrap();
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(1, 0)], 2.0);
-        assert_eq!(m[(0, 1)], 3.0);
-        assert_eq!(m[(1, 1)], 4.0);
     }
 
     #[test]
@@ -558,7 +454,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let v = Vector::from_slice(&[1.0, 1.0]);
         assert_eq!(a.mul_vec(&v).as_slice(), &[3.0, 7.0]);
-        assert_eq!(a.mul_vec_transposed(&v).as_slice(), &[4.0, 6.0]);
     }
 
     #[test]
@@ -566,19 +461,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose().shape(), (3, 2));
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = a.inverse().unwrap();
-        let prod = a.mul(&inv).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!(approx_eq(prod[(i, j)], expect, 1e-12));
-            }
-        }
     }
 
     #[test]
@@ -619,10 +501,9 @@ mod tests {
     }
 
     #[test]
-    fn row_col_views() {
+    fn row_view() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.row(1), &[3.0, 4.0]);
-        assert_eq!(a.col(0).as_slice(), &[1.0, 3.0]);
     }
 
     #[test]
@@ -634,14 +515,13 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_scale_mut_do_not_allocate() {
+    fn copy_from_does_not_allocate() {
         let src = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let mut dst = Matrix::zeros(2, 2);
         let before = matrix_allocations();
         dst.copy_from(&src).unwrap();
-        dst.scale_mut(2.0);
         assert_eq!(matrix_allocations(), before);
-        assert_eq!(dst[(1, 0)], 6.0);
+        assert_eq!(dst[(1, 0)], 3.0);
         assert!(dst.copy_from(&Matrix::zeros(3, 3)).is_err());
     }
 

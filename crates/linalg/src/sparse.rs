@@ -1,17 +1,10 @@
-//! Sparse linear algebra: CSR storage plus a retired iterative stack.
+//! Sparse linear algebra: CSR storage.
 //!
 //! The dense LU path is ideal for the tens-of-unknowns latch circuits this
 //! project characterizes, but register banks and post-layout parasitic
 //! netlists need a sparse path. [`CsrMatrix`] is the storage shared by the
 //! sparse-direct factorization in [`crate::SparseLu`] and by the
 //! pattern-preserving Jacobian gather in the simulator.
-//!
-//! The ILU(0)/GMRES iterative stack below predates the sparse-direct
-//! solver and is no longer wired into any solve path: the circuit matrices
-//! here are far too small and too ill-scaled for an iterative method to
-//! beat a direct factorization with a fill-reducing ordering. It is kept
-//! compiling and unit-tested as reference material but is deliberately
-//! excluded from the crate's public prelude.
 
 use crate::{LinalgError, Matrix, Result, Vector};
 
@@ -201,322 +194,11 @@ impl CsrMatrix {
         }
         out
     }
-
-    /// Densifies (test/diagnostic helper).
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                m[(i, self.col_idx[k])] = self.values[k];
-            }
-        }
-        m
-    }
-
-    /// Iterates over one row's `(column, value)` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        assert!(i < self.rows, "row index {i} out of range");
-        (self.row_ptr[i]..self.row_ptr[i + 1]).map(move |k| (self.col_idx[k], self.values[k]))
-    }
-}
-
-/// Zero-fill incomplete LU factorization (ILU(0)): the classic smoother /
-/// preconditioner that factors only on the sparsity pattern of `A`.
-///
-/// Retired scaffolding: superseded by the sparse-direct [`crate::SparseLu`]
-/// and no longer re-exported from the crate prelude (see the module docs).
-#[doc(hidden)]
-#[allow(dead_code)]
-#[derive(Debug, Clone)]
-pub struct Ilu0 {
-    lu: CsrMatrix,
-    diag_ptr: Vec<usize>,
-}
-
-#[allow(dead_code)]
-impl Ilu0 {
-    /// Computes ILU(0) of a square CSR matrix.
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::NotSquare`] for rectangular input;
-    /// - [`LinalgError::Singular`] if a structural or numerical zero pivot
-    ///   appears.
-    pub fn new(a: &CsrMatrix) -> Result<Self> {
-        if a.rows != a.cols {
-            return Err(LinalgError::NotSquare {
-                shape: (a.rows, a.cols),
-            });
-        }
-        let n = a.rows;
-        let mut lu = a.clone();
-        // Locate diagonals.
-        let mut diag_ptr = vec![usize::MAX; n];
-        for (i, diag) in diag_ptr.iter_mut().enumerate() {
-            for k in lu.row_ptr[i]..lu.row_ptr[i + 1] {
-                if lu.col_idx[k] == i {
-                    *diag = k;
-                }
-            }
-            if *diag == usize::MAX {
-                return Err(LinalgError::Singular {
-                    pivot: i,
-                    value: 0.0,
-                });
-            }
-        }
-        // IKJ factorization restricted to the pattern.
-        // Column lookup scratch: position of column j in the current row.
-        let mut col_pos = vec![usize::MAX; n];
-        for i in 0..n {
-            for k in lu.row_ptr[i]..lu.row_ptr[i + 1] {
-                col_pos[lu.col_idx[k]] = k;
-            }
-            // Eliminate using previous rows that appear in this row.
-            for k in lu.row_ptr[i]..lu.row_ptr[i + 1] {
-                let kcol = lu.col_idx[k];
-                if kcol >= i {
-                    break;
-                }
-                let pivot = lu.values[diag_ptr[kcol]];
-                if pivot.abs() < 1e-300 {
-                    return Err(LinalgError::Singular {
-                        pivot: kcol,
-                        value: pivot.abs(),
-                    });
-                }
-                let factor = lu.values[k] / pivot;
-                lu.values[k] = factor;
-                // Update the rest of row i against row kcol's upper part.
-                for kk in (diag_ptr[kcol] + 1)..lu.row_ptr[kcol + 1] {
-                    let j = lu.col_idx[kk];
-                    let pos = col_pos[j];
-                    if pos != usize::MAX && pos >= lu.row_ptr[i] && pos < lu.row_ptr[i + 1] {
-                        lu.values[pos] -= factor * lu.values[kk];
-                    }
-                }
-            }
-            let dv = lu.values[diag_ptr[i]];
-            if dv.abs() < 1e-300 || !dv.is_finite() {
-                return Err(LinalgError::Singular {
-                    pivot: i,
-                    value: dv.abs(),
-                });
-            }
-            for k in lu.row_ptr[i]..lu.row_ptr[i + 1] {
-                col_pos[lu.col_idx[k]] = usize::MAX;
-            }
-        }
-        Ok(Ilu0 { lu, diag_ptr })
-    }
-
-    /// Applies the preconditioner: solves `(L·U)·x = b` on the incomplete
-    /// factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the matrix dimension.
-    pub fn apply(&self, b: &Vector) -> Vector {
-        let n = self.lu.rows;
-        assert_eq!(b.len(), n, "ilu0 apply: dimension mismatch");
-        let mut x = b.clone();
-        // Forward: L (unit diagonal).
-        for i in 0..n {
-            let mut acc = x[i];
-            for k in self.lu.row_ptr[i]..self.diag_ptr[i] {
-                acc -= self.lu.values[k] * x[self.lu.col_idx[k]];
-            }
-            x[i] = acc;
-        }
-        // Backward: U.
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for k in (self.diag_ptr[i] + 1)..self.lu.row_ptr[i + 1] {
-                acc -= self.lu.values[k] * x[self.lu.col_idx[k]];
-            }
-            x[i] = acc / self.lu.values[self.diag_ptr[i]];
-        }
-        x
-    }
-}
-
-/// Options for [`gmres`].
-///
-/// Retired scaffolding alongside [`Ilu0`]; see the module docs.
-#[doc(hidden)]
-#[allow(dead_code)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GmresOptions {
-    /// Krylov subspace dimension before restarting.
-    pub restart: usize,
-    /// Relative residual tolerance (`‖r‖/‖b‖`).
-    pub tol: f64,
-    /// Maximum total iterations.
-    pub max_iters: usize,
-}
-
-impl Default for GmresOptions {
-    fn default() -> Self {
-        GmresOptions {
-            restart: 30,
-            tol: 1e-10,
-            max_iters: 500,
-        }
-    }
-}
-
-/// Outcome of a GMRES solve.
-///
-/// Retired scaffolding alongside [`Ilu0`]; see the module docs.
-#[doc(hidden)]
-#[allow(dead_code)]
-#[derive(Debug, Clone, PartialEq)]
-pub struct GmresResult {
-    /// The solution estimate.
-    pub x: Vector,
-    /// Final relative residual.
-    pub relative_residual: f64,
-    /// Iterations performed.
-    pub iterations: usize,
-}
-
-/// Left-preconditioned restarted GMRES: solves `A·x = b` using `precond`
-/// (e.g. [`Ilu0::apply`]) as `M⁻¹`.
-///
-/// Retired scaffolding alongside [`Ilu0`]; see the module docs.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::InvalidInput`] on dimension mismatch and
-/// [`LinalgError::RankDeficient`] if the tolerance is not reached within
-/// the iteration budget.
-#[doc(hidden)]
-#[allow(dead_code)]
-pub fn gmres<P>(
-    a: &CsrMatrix,
-    b: &Vector,
-    x0: &Vector,
-    precond: P,
-    opts: &GmresOptions,
-) -> Result<GmresResult>
-where
-    P: Fn(&Vector) -> Vector,
-{
-    let n = a.rows;
-    if a.cols != n || b.len() != n || x0.len() != n {
-        return Err(LinalgError::InvalidInput {
-            reason: "gmres: dimension mismatch",
-        });
-    }
-    let m = opts.restart.max(1).min(n);
-    let b_norm = precond(b).norm2().max(1e-300);
-
-    let mut x = x0.clone();
-    let mut total_iters = 0;
-
-    loop {
-        // r = M⁻¹(b − A·x)
-        let r = precond(&b.sub(&a.mul_vec(&x)));
-        let beta = r.norm2();
-        let rel = beta / b_norm;
-        if rel <= opts.tol {
-            return Ok(GmresResult {
-                x,
-                relative_residual: rel,
-                iterations: total_iters,
-            });
-        }
-        if total_iters >= opts.max_iters {
-            return Err(LinalgError::RankDeficient {
-                rank: total_iters,
-                required: opts.max_iters,
-            });
-        }
-
-        // Arnoldi with Givens rotations.
-        let mut v: Vec<Vector> = vec![r.scale(1.0 / beta)];
-        let mut h = vec![vec![0.0f64; m]; m + 1]; // h[i][j]
-        let mut cs = vec![0.0f64; m];
-        let mut sn = vec![0.0f64; m];
-        let mut g = vec![0.0f64; m + 1];
-        g[0] = beta;
-        let mut k_used = 0;
-
-        for j in 0..m {
-            total_iters += 1;
-            let mut w = precond(&a.mul_vec(&v[j]));
-            for (i, vi) in v.iter().enumerate() {
-                h[i][j] = w.dot(vi);
-                w.axpy(-h[i][j], vi);
-            }
-            let w_norm = w.norm2();
-            h[j + 1][j] = w_norm;
-            // Apply previous rotations to the new column.
-            for i in 0..j {
-                let tmp = cs[i] * h[i][j] + sn[i] * h[i + 1][j];
-                h[i + 1][j] = -sn[i] * h[i][j] + cs[i] * h[i + 1][j];
-                h[i][j] = tmp;
-            }
-            // New rotation to annihilate h[j+1][j].
-            let denom = (h[j][j] * h[j][j] + h[j + 1][j] * h[j + 1][j]).sqrt();
-            if denom < 1e-300 {
-                k_used = j;
-                break;
-            }
-            cs[j] = h[j][j] / denom;
-            sn[j] = h[j + 1][j] / denom;
-            h[j][j] = denom;
-            h[j + 1][j] = 0.0;
-            g[j + 1] = -sn[j] * g[j];
-            g[j] *= cs[j];
-            k_used = j + 1;
-
-            // "Lucky breakdown": the Krylov space is invariant and the
-            // current estimate is exact within it.
-            if w_norm < 1e-300 || (g[j + 1].abs() / b_norm) <= opts.tol {
-                break;
-            }
-            if j + 1 < m {
-                v.push(w.scale(1.0 / w_norm));
-            }
-        }
-
-        // Back-substitute the small triangular system H·y = g.
-        let mut y = vec![0.0f64; k_used];
-        for i in (0..k_used).rev() {
-            let mut acc = g[i];
-            for j in (i + 1)..k_used {
-                acc -= h[i][j] * y[j];
-            }
-            y[i] = acc / h[i][i];
-        }
-        for (j, &yj) in y.iter().enumerate() {
-            x.axpy(yj, &v[j]);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn laplacian_1d(n: usize) -> CsrMatrix {
-        let mut t = Vec::new();
-        for i in 0..n {
-            t.push((i, i, 2.0));
-            if i > 0 {
-                t.push((i, i - 1, -1.0));
-            }
-            if i + 1 < n {
-                t.push((i, i + 1, -1.0));
-            }
-        }
-        CsrMatrix::from_triplets(n, n, &t).unwrap()
-    }
 
     #[test]
     fn csr_construction_and_spmv() {
@@ -539,108 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_roundtrip() {
+    fn from_dense_keeps_the_nonzero_pattern() {
         let d = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0], &[4.0, 0.0, 5.0]]).unwrap();
         let s = CsrMatrix::from_dense(&d, 0.0).unwrap();
         assert_eq!(s.nnz(), 5);
-        assert_eq!(s.to_dense(), d);
-    }
-
-    #[test]
-    fn ilu0_is_exact_for_triangular_patterns() {
-        // For a lower+upper bidiagonal matrix ILU(0) has no dropped fill,
-        // so apply() solves exactly.
-        let a = laplacian_1d(8);
-        // Tridiagonal: ILU(0) on a tridiagonal matrix is exact (fill stays
-        // within the band).
-        let ilu = Ilu0::new(&a).unwrap();
-        let b = Vector::filled(8, 1.0);
-        let x = ilu.apply(&b);
-        let r = a.mul_vec(&x).sub(&b);
-        assert!(r.norm_inf() < 1e-12, "residual {}", r.norm_inf());
-    }
-
-    #[test]
-    fn ilu0_detects_missing_diagonal() {
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        assert!(matches!(Ilu0::new(&a), Err(LinalgError::Singular { .. })));
-    }
-
-    #[test]
-    fn gmres_solves_laplacian_with_and_without_preconditioner() {
-        let n = 60;
-        let a = laplacian_1d(n);
-        let x_true: Vector = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let b = a.mul_vec(&x_true);
-        let x0 = Vector::zeros(n);
-
-        let plain = gmres(&a, &b, &x0, |v| v.clone(), &GmresOptions::default()).unwrap();
-        assert!(plain.relative_residual <= 1e-10);
-        assert!(plain.x.sub(&x_true).norm_inf() < 1e-6);
-
-        let ilu = Ilu0::new(&a).unwrap();
-        let pre = gmres(&a, &b, &x0, |v| ilu.apply(v), &GmresOptions::default()).unwrap();
-        assert!(pre.x.sub(&x_true).norm_inf() < 1e-6);
-        assert!(
-            pre.iterations <= plain.iterations,
-            "ILU(0) should not slow convergence: {} vs {}",
-            pre.iterations,
-            plain.iterations
-        );
-    }
-
-    #[test]
-    fn gmres_matches_dense_lu_on_random_system() {
-        // Diagonally dominant random system: compare against the dense LU.
-        let n = 24;
-        let mut dense = Matrix::zeros(n, n);
-        let mut seed = 123u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for i in 0..n {
-            for j in 0..n {
-                if (i as i64 - j as i64).abs() <= 2 {
-                    dense[(i, j)] = rnd();
-                }
-            }
-            dense[(i, i)] += 6.0;
-        }
-        let b: Vector = (0..n).map(|i| (i as f64).cos()).collect();
-        let x_dense = dense.lu().unwrap().solve(&b).unwrap();
-
-        let a = CsrMatrix::from_dense(&dense, 0.0).unwrap();
-        let ilu = Ilu0::new(&a).unwrap();
-        let res = gmres(
-            &a,
-            &b,
-            &Vector::zeros(n),
-            |v| ilu.apply(v),
-            &GmresOptions::default(),
-        )
-        .unwrap();
-        assert!(
-            res.x.sub(&x_dense).norm_inf() < 1e-8,
-            "gmres vs dense deviation {}",
-            res.x.sub(&x_dense).norm_inf()
-        );
-    }
-
-    #[test]
-    fn gmres_reports_budget_exhaustion() {
-        let a = laplacian_1d(50);
-        let b = Vector::filled(50, 1.0);
-        let opts = GmresOptions {
-            restart: 2,
-            tol: 1e-14,
-            max_iters: 3,
-        };
-        assert!(matches!(
-            gmres(&a, &b, &Vector::zeros(50), |v| v.clone(), &opts),
-            Err(LinalgError::RankDeficient { .. })
-        ));
+        assert_eq!(s.row_ptr(), &[0, 2, 3, 5]);
+        assert_eq!(s.col_indices(), &[0, 2, 1, 0, 2]);
+        assert_eq!(s.values(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 }

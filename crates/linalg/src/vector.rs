@@ -3,8 +3,6 @@ use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{LinalgError, Result};
-
 /// A dense, heap-allocated vector of `f64`.
 ///
 /// `Vector` is the state-vector type used throughout the simulator: node
@@ -48,18 +46,6 @@ impl Vector {
         Vector {
             data: slice.to_vec(),
         }
-    }
-
-    /// Creates the `i`-th standard basis vector of length `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= n`.
-    pub fn unit(n: usize, i: usize) -> Self {
-        assert!(i < n, "unit vector index {i} out of range for length {n}");
-        let mut v = Vector::zeros(n);
-        v.data[i] = 1.0;
-        v
     }
 
     /// Number of entries.
@@ -181,13 +167,6 @@ impl Vector {
         }
     }
 
-    /// In-place scaling `self *= s`.
-    pub fn scale_mut(&mut self, s: f64) {
-        for a in &mut self.data {
-            *a *= s;
-        }
-    }
-
     /// Copies `other`'s entries into `self` without reallocating.
     ///
     /// # Panics
@@ -227,27 +206,6 @@ impl Vector {
             .zip(reference.data.iter())
             .map(|(d, r)| d.abs() / (reltol * r.abs() + abstol))
             .fold(0.0_f64, f64::max)
-    }
-
-    /// Concatenates two vectors.
-    pub fn concat(&self, other: &Vector) -> Vector {
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Vector { data }
-    }
-
-    /// Returns a sub-vector `self[start..start+len]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidInput`] if the range is out of bounds.
-    pub fn slice(&self, start: usize, len: usize) -> Result<Vector> {
-        if start + len > self.data.len() {
-            return Err(LinalgError::InvalidInput {
-                reason: "slice range out of bounds",
-            });
-        }
-        Ok(Vector::from_slice(&self.data[start..start + len]))
     }
 }
 
@@ -329,18 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_vector() {
-        let e1 = Vector::unit(3, 1);
-        assert_eq!(e1.as_slice(), &[0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn unit_vector_out_of_range_panics() {
-        let _ = Vector::unit(2, 2);
-    }
-
-    #[test]
     fn arithmetic() {
         let a = Vector::from_slice(&[1.0, 2.0]);
         let b = Vector::from_slice(&[3.0, -1.0]);
@@ -375,16 +321,6 @@ mod tests {
         assert!(wn <= 1.0, "wn = {wn}");
         let big = Vector::from_slice(&[1e-3, 0.0]);
         assert!(big.weighted_norm(&x, 1e-6, 1e-6) > 1.0);
-    }
-
-    #[test]
-    fn slice_and_concat() {
-        let v = Vector::from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        let s = v.slice(1, 2).unwrap();
-        assert_eq!(s.as_slice(), &[2.0, 3.0]);
-        assert!(v.slice(3, 2).is_err());
-        let c = s.concat(&Vector::from_slice(&[9.0]));
-        assert_eq!(c.as_slice(), &[2.0, 3.0, 9.0]);
     }
 
     #[test]

@@ -101,7 +101,7 @@ const THREAD_LOCAL_OWNERS: &[&str] = &[
 
 /// Functions that return a scope guard which must be bound to a named
 /// local (dropping it immediately uninstalls / restores the state).
-const GUARD_FNS: &[&str] = &["install_scoped", "with_journal_level", "install"];
+const GUARD_FNS: &[&str] = &["install_scoped", "install"];
 
 /// Allocating method calls forbidden inside hot-loop regions.
 const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
@@ -894,7 +894,7 @@ fn collect_tolerance_literals(e: &Expr, hits: &mut BTreeSet<(u32, String)>) {
 
 /// `thread-local-discipline`: Collector/Injector installs must flow
 /// through the scoped-guard pattern. Two shapes are flagged: a guard
-/// returned by `install_scoped`/`with_journal_level`/`install` that is
+/// returned by `install_scoped`/`install` that is
 /// immediately dropped (bare expression statement or `let _ =`), and
 /// raw `.set`/`.replace`/`.borrow_mut` mutation of a `thread_local!`
 /// static outside the owning collector/injector modules.

@@ -4,5 +4,5 @@
 
 fn listen() {
     shc_obs::install_scoped(None);
-    let _ = shc_obs::with_journal_level(3);
+    let _ = shc_fault::install_scoped(&injector);
 }

@@ -144,36 +144,6 @@ thread_local! {
     static CURRENT: RefCell<Option<Collector>> = const { RefCell::new(None) };
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static SPAN_STACK: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-    static JOURNAL_LEVEL: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// The journal level (degradation-level index) in effect on this thread.
-///
-/// Batch sweeps set it per job with [`with_journal_level`]; the tracer
-/// stamps it into every event so batch journals stay attributable.
-#[must_use]
-pub fn journal_level() -> Option<u64> {
-    JOURNAL_LEVEL.with(Cell::get)
-}
-
-/// Tags journal events emitted on this thread with `level` until the
-/// guard drops.
-#[must_use]
-pub fn with_journal_level(level: u64) -> LevelGuard {
-    LevelGuard {
-        previous: JOURNAL_LEVEL.with(|l| l.replace(Some(level))),
-    }
-}
-
-/// Restores the previous journal level on drop.
-pub struct LevelGuard {
-    previous: Option<u64>,
-}
-
-impl Drop for LevelGuard {
-    fn drop(&mut self) {
-        JOURNAL_LEVEL.with(|l| l.set(self.previous));
-    }
 }
 
 /// True when a collector is installed on this thread.
@@ -342,7 +312,6 @@ mod tests {
     fn event(point: u64) -> JournalEvent {
         JournalEvent {
             point,
-            level: None,
             tau_s: 0.0,
             tau_h: 0.0,
             residual: 0.0,

@@ -13,15 +13,12 @@ use crate::json;
 
 /// One journal record, emitted per traced contour point.
 ///
-/// `level` is the degradation-level index for `trace_batch` runs and `None`
-/// for single-contour traces. Transient statistics are the totals
-/// accumulated over every simulation the corrector ran for this point.
+/// Transient statistics are the totals accumulated over every simulation
+/// the corrector ran for this point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalEvent {
     /// Zero-based index of the point along its contour.
     pub point: u64,
-    /// Degradation-level index for batch traces; `None` for single traces.
-    pub level: Option<u64>,
     /// Setup skew, seconds.
     pub tau_s: f64,
     /// Hold skew, seconds.
@@ -63,10 +60,6 @@ impl JournalEvent {
         s.push('{');
         let mut first = true;
         json::push_u64_field(&mut s, &mut first, "point", self.point);
-        match self.level {
-            Some(l) => json::push_u64_field(&mut s, &mut first, "level", l),
-            None => json::push_raw_field(&mut s, &mut first, "level", "null"),
-        }
         json::push_f64_field(&mut s, &mut first, "tau_s", self.tau_s);
         json::push_f64_field(&mut s, &mut first, "tau_h", self.tau_h);
         json::push_f64_field(&mut s, &mut first, "residual", self.residual);
@@ -117,7 +110,6 @@ impl JournalEvent {
         }
         Some(JournalEvent {
             point: json::scan_u64(line, "point")?,
-            level: json::scan_u64(line, "level"),
             tau_s: json::scan_f64(line, "tau_s")?,
             tau_h: json::scan_f64(line, "tau_h")?,
             residual: json::scan_f64(line, "residual")?,
@@ -135,8 +127,8 @@ impl JournalEvent {
 
     /// Sort key used to order-normalize events across serial/parallel runs.
     #[must_use]
-    pub fn sort_key(&self) -> (u64, u64) {
-        (self.level.unwrap_or(0), self.point)
+    pub fn sort_key(&self) -> u64 {
+        self.point
     }
 }
 
@@ -249,10 +241,9 @@ impl Drop for FileSink {
 mod tests {
     use super::*;
 
-    fn sample(point: u64, level: Option<u64>) -> JournalEvent {
+    fn sample(point: u64) -> JournalEvent {
         JournalEvent {
             point,
-            level,
             tau_s: 1.25e-10,
             tau_h: -3.5e-11,
             residual: 4.2e-15,
@@ -270,7 +261,7 @@ mod tests {
 
     #[test]
     fn event_round_trips_through_json() {
-        for ev in [sample(0, None), sample(3, Some(1))] {
+        for ev in [sample(0), sample(3)] {
             let line = ev.to_json_line();
             assert!(!line.contains('\n'));
             let back = JournalEvent::from_json(&line).unwrap();
@@ -280,7 +271,7 @@ mod tests {
 
     #[test]
     fn phase_breakdown_round_trips_and_is_omitted_when_absent() {
-        let mut ev = sample(0, None);
+        let mut ev = sample(0);
         assert!(!ev.to_json_line().contains("phases"));
         ev.phases = Some("{\"newton_overhead\":{\"self_ns\":1200,\"count\":3}}".to_string());
         let line = ev.to_json_line();
@@ -291,7 +282,7 @@ mod tests {
 
     #[test]
     fn non_finite_fields_become_null_and_fail_strict_parse() {
-        let mut ev = sample(0, None);
+        let mut ev = sample(0);
         ev.residual = f64::NAN;
         let line = ev.to_json_line();
         assert!(line.contains("\"residual\":null"));
@@ -301,8 +292,8 @@ mod tests {
     #[test]
     fn memory_sink_collects_in_order() {
         let sink = MemorySink::new();
-        sink.record(&sample(0, None));
-        sink.record(&sample(1, None));
+        sink.record(&sample(0));
+        sink.record(&sample(1));
         let events = sink.drain();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].point, 0);
@@ -316,8 +307,8 @@ mod tests {
         let path = dir.join(format!("shc_obs_sink_{}.jsonl", std::process::id()));
         {
             let sink = FileSink::create(&path).unwrap();
-            sink.record(&sample(0, None));
-            sink.record(&sample(1, Some(2)));
+            sink.record(&sample(0));
+            sink.record(&sample(1));
             sink.flush().unwrap();
         }
         let body = std::fs::read_to_string(&path).unwrap();
@@ -326,7 +317,7 @@ mod tests {
             .map(|l| JournalEvent::from_json(l).unwrap())
             .collect();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[1].level, Some(2));
+        assert_eq!(events[1].point, 1);
         std::fs::remove_file(&path).ok();
     }
 }

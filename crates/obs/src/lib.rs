@@ -42,8 +42,8 @@ mod snapshot;
 
 pub use checkpoint::{CheckpointPoint, TraceCheckpoint};
 pub use collector::{
-    count, current, enabled, install_scoped, journal, journal_level, observe, span,
-    with_journal_level, Collector, InstallGuard, LevelGuard, SpanGuard,
+    count, current, enabled, install_scoped, journal, observe, span, Collector, InstallGuard,
+    SpanGuard,
 };
 pub use journal::{FileSink, JournalEvent, MemorySink, Sink};
 pub use metric::{Metric, SpanKind};

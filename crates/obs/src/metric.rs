@@ -26,8 +26,6 @@ pub enum Metric {
     LuRefactors,
     /// LU forward/back substitutions.
     LuSolves,
-    /// Moore-Penrose pseudo-inverse solves (MPNR corrector steps).
-    PinvSolves,
     /// Dense matrix buffer allocations (mirrors
     /// `shc_linalg::matrix_allocations`).
     MatrixAllocations,
@@ -81,7 +79,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of metric variants; sizes the collector's atomic arrays.
-    pub const COUNT: usize = 29;
+    pub const COUNT: usize = 28;
 
     /// All variants, in `repr` order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -92,7 +90,6 @@ impl Metric {
         Metric::LuFactorizations,
         Metric::LuRefactors,
         Metric::LuSolves,
-        Metric::PinvSolves,
         Metric::MatrixAllocations,
         Metric::MpnrSolves,
         Metric::MpnrIterations,
@@ -127,7 +124,6 @@ impl Metric {
             Metric::LuFactorizations => "lu_factorizations",
             Metric::LuRefactors => "lu_refactors",
             Metric::LuSolves => "lu_solves",
-            Metric::PinvSolves => "pinv_solves",
             Metric::MatrixAllocations => "matrix_allocations",
             Metric::MpnrSolves => "mpnr_solves",
             Metric::MpnrIterations => "mpnr_iterations",
@@ -179,15 +175,13 @@ pub enum SpanKind {
     MonteCarlo,
     /// PVT corner sweep.
     Corners,
-    /// Batch contour tracing over degradation levels.
-    TraceBatch,
     /// One sparse-LU symbolic analysis (cold, once per topology).
     SparseAnalyze,
 }
 
 impl SpanKind {
     /// Number of span variants; sizes the collector's edge matrices.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// All variants, in `repr` order.
     pub const ALL: [SpanKind; SpanKind::COUNT] = [
@@ -200,7 +194,6 @@ impl SpanKind {
         SpanKind::Surface,
         SpanKind::MonteCarlo,
         SpanKind::Corners,
-        SpanKind::TraceBatch,
         SpanKind::SparseAnalyze,
     ];
 
@@ -217,7 +210,6 @@ impl SpanKind {
             SpanKind::Surface => "surface",
             SpanKind::MonteCarlo => "monte_carlo",
             SpanKind::Corners => "corners",
-            SpanKind::TraceBatch => "trace_batch",
             SpanKind::SparseAnalyze => "sparse_analyze",
         }
     }

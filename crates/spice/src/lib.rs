@@ -49,7 +49,6 @@
 //! # }
 //! ```
 
-pub mod adjoint;
 pub mod batch;
 pub mod circuit;
 pub mod dcop;

@@ -183,14 +183,6 @@ impl NewtonWorkspace {
         &self.x
     }
 
-    /// LU factors of the most recently factored Jacobian, if any —
-    /// reusable for sensitivity solves without re-factoring. `None`
-    /// whenever the sparse path is active (use
-    /// [`NewtonWorkspace::sparse_solver_mut`] there).
-    pub fn jacobian_lu(&self) -> Option<&LuFactor> {
-        self.lu.as_ref()
-    }
-
     /// Installs (or removes) the sparse solve path. Passing `Some`
     /// drops any dense factors; passing `None` restores dense solves.
     pub fn set_sparse_solver(&mut self, solver: Option<SparseJacSolver>) {
@@ -402,45 +394,12 @@ pub(crate) fn jitter_into(out: &mut Vector, base: &Vector, attempt: u32) {
     }
 }
 
-/// [`solve_in_place`] plus a bounded damped-retry recovery policy.
-///
-/// The first attempt is *exactly* `solve_in_place` — same iterates, same
-/// result — so this wrapper is bitwise-transparent whenever Newton
-/// converges. On a retryable failure (divergence, blow-up, singular
-/// Jacobian) it re-solves up to `retries` more times, each from a
-/// deterministically jittered copy of `x0` with the voltage-limiting step
-/// cap halved (stronger damping), and reports a rescue to telemetry. The
-/// last failure is returned when every retry is exhausted.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_in_place`].
-///
-/// # Panics
-///
-/// Panics if `x0.len() != ws.dim()`.
-pub fn solve_in_place_recovering<F>(
-    ws: &mut NewtonWorkspace,
-    x0: &Vector,
-    opts: &NewtonOptions,
-    retries: usize,
-    mut assemble: F,
-) -> Result<usize>
-where
-    F: FnMut(&Vector, &mut Vector, &mut Matrix) -> Result<()>,
-{
-    match solve_in_place(ws, x0, opts, &mut assemble) {
-        Ok(iters) => Ok(iters),
-        Err(e) if retries > 0 && retryable(&e) => {
-            retry_in_place(ws, x0, opts, retries, e, assemble)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// The retry half of [`solve_in_place_recovering`], for callers that have
-/// already run (and seen fail) the plain first attempt: up to `retries`
-/// damped solves from jittered starts. Returns the rescued iteration count
+/// A bounded damped-retry recovery policy, for callers that have already
+/// run (and seen fail) the plain first attempt of [`solve_in_place`]: on a
+/// retryable failure (divergence, blow-up, singular Jacobian) it re-solves
+/// up to `retries` more times, each from a deterministically jittered copy
+/// of `x0` with the voltage-limiting step cap halved (stronger damping),
+/// and reports a rescue to telemetry. Returns the rescued iteration count
 /// or the last failure (`first` when nothing improved on it).
 pub(crate) fn retry_in_place<F>(
     ws: &mut NewtonWorkspace,
@@ -558,7 +517,6 @@ mod tests {
         let mut sparse_ws = NewtonWorkspace::new(n);
         sparse_ws.set_sparse_solver(Some(SparseJacSolver::new(&c, &params).unwrap()));
         assert!(sparse_ws.sparse_solver().is_some());
-        assert!(sparse_ws.jacobian_lu().is_none());
         solve_in_place(&mut sparse_ws, &x0, &opts, assemble).unwrap();
 
         let diff = sparse_ws.x().sub(dense_ws.x()).norm_inf();
@@ -660,8 +618,20 @@ mod tests {
         Ok(())
     }
 
+    /// The production retry shape (see the transient step loop): a plain
+    /// first attempt, then [`retry_in_place`] on its failure.
+    fn solve_then_retry(
+        ws: &mut NewtonWorkspace,
+        x0: &Vector,
+        opts: &NewtonOptions,
+        retries: usize,
+    ) -> Result<usize> {
+        solve_in_place(ws, x0, opts, fill_2d)
+            .or_else(|e| retry_in_place(ws, x0, opts, retries, e, fill_2d))
+    }
+
     #[test]
-    fn recovering_solve_is_transparent_when_newton_converges() {
+    fn retry_is_transparent_when_newton_converges() {
         let x0 = Vector::from_slice(&[2.5, 0.5]);
         let opts = NewtonOptions {
             max_step: f64::INFINITY,
@@ -671,13 +641,13 @@ mod tests {
         let iters = solve_in_place(&mut ws, &x0, &opts, fill_2d).unwrap();
         let plain = ws.x().as_slice().to_vec();
         let mut ws2 = NewtonWorkspace::new(2);
-        let iters2 = solve_in_place_recovering(&mut ws2, &x0, &opts, 3, fill_2d).unwrap();
+        let iters2 = solve_then_retry(&mut ws2, &x0, &opts, 3).unwrap();
         assert_eq!(iters, iters2);
         assert_eq!(ws2.x().as_slice(), plain.as_slice());
     }
 
     #[test]
-    fn injected_fault_fails_plain_solve_and_recovering_solve_rescues_it() {
+    fn injected_fault_fails_plain_solve_and_retry_rescues_it() {
         use shc_fault::{FaultKind, FaultPlan, Injector, Site};
 
         let plan_with = |seed: u64| FaultPlan {
@@ -710,14 +680,14 @@ mod tests {
         assert!(matches!(err, SpiceError::NewtonDiverged { .. }), "{err:?}");
         drop(guard);
 
-        // Recovering solve under the same plan: retry rescues, telemetry
+        // Solve plus retry under the same plan: retry rescues, telemetry
         // records both the injection and the recovery.
         let collector = shc_obs::Collector::new();
         let _obs = shc_obs::install_scoped(&collector);
         let inj = Injector::new(plan_with(seed));
         let _g = shc_fault::install_scoped(&inj);
         let mut ws = NewtonWorkspace::new(2);
-        solve_in_place_recovering(&mut ws, &x0, &opts, 2, fill_2d).unwrap();
+        solve_then_retry(&mut ws, &x0, &opts, 2).unwrap();
         assert!((ws.x()[0] - 2.0).abs() < 1e-6);
         assert!((ws.x()[1] - 1.0).abs() < 1e-6);
         assert_eq!(inj.injected(), 1);
@@ -726,7 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn recovering_solve_exhausts_retries_and_reports_last_failure() {
+    fn retry_exhausts_its_budget_and_reports_last_failure() {
         use shc_fault::{FaultKind, FaultPlan, Injector, Site};
         let inj = Injector::new(FaultPlan {
             probability: 1.0,
@@ -737,8 +707,7 @@ mod tests {
         let _g = shc_fault::install_scoped(&inj);
         let x0 = Vector::from_slice(&[2.5, 0.5]);
         let mut ws = NewtonWorkspace::new(2);
-        let err = solve_in_place_recovering(&mut ws, &x0, &NewtonOptions::default(), 3, fill_2d)
-            .unwrap_err();
+        let err = solve_then_retry(&mut ws, &x0, &NewtonOptions::default(), 3).unwrap_err();
         assert!(matches!(err, SpiceError::NewtonDiverged { .. }));
         assert_eq!(inj.injected(), 4, "initial attempt + 3 retries");
     }

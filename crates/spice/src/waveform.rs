@@ -294,11 +294,6 @@ impl Pulse {
             self.v0
         }
     }
-
-    /// Time of the 50% crossing of the `k`-th rising edge (k = 0, 1, …).
-    pub fn rising_edge_midpoint(&self, k: usize) -> f64 {
-        self.delay + self.rise / 2.0 + k as f64 * self.period.max(0.0)
-    }
 }
 
 /// A source waveform.
@@ -343,11 +338,6 @@ impl Waveform {
         }
     }
 
-    /// Whether this waveform depends on the skew parameters.
-    pub fn depends_on_params(&self) -> bool {
-        matches!(self, Waveform::Data(_))
-    }
-
     /// A time `t*` such that `self.value(t, ·)` and `.derivative(t, ·, ·)`
     /// are bitwise identical under skews `pa` and `pb` for every `t < t*`
     /// — the *agreement horizon* below which a run at `pb` may adopt a
@@ -389,8 +379,6 @@ fn pwl_value(points: &[(f64, f64)], t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const DT: f64 = 1e-15;
 
     fn fd_derivative(d: &DataPulse, t: f64, p: &Params, param: Param) -> f64 {
         let h = 1e-15;
@@ -530,7 +518,6 @@ mod tests {
         assert_eq!(clk.value(3e-9), 2.5);
         // Second period: active edge at 11ns.
         assert!((clk.value(11.05e-9) - 1.25).abs() < 1e-9);
-        assert!((clk.rising_edge_midpoint(1) - 11.05e-9).abs() < DT);
     }
 
     #[test]
@@ -567,12 +554,6 @@ mod tests {
         let q = p.with(Param::Hold, 5.0);
         assert_eq!(q.tau_h, 5.0);
         assert_eq!(q.tau_s, 1.0);
-    }
-
-    #[test]
-    fn only_data_waveform_depends_on_params() {
-        assert!(!Waveform::dc(1.0).depends_on_params());
-        assert!(Waveform::Data(sample_pulse()).depends_on_params());
     }
 
     #[test]

@@ -179,7 +179,6 @@ fn journal_and_metrics_files_capture_the_run() {
     assert!(events.len() <= cfg.points, "--points bounds the journal");
     for (i, e) in events.iter().enumerate() {
         assert_eq!(e.point, i as u64);
-        assert_eq!(e.level, None, "single trace has no batch level");
         assert!(
             e.residual < 5e-3,
             "point {i}: loose residual {}",
@@ -323,5 +322,60 @@ fn non_positive_vdd_or_period_exits_with_a_usage_error() {
             "{stderr}"
         );
     }
+    std::fs::remove_file(&deck).unwrap();
+}
+
+/// A huge `--edge` or `--period` puts the calibration run's stop time far
+/// past the step budget; `shc-char` must reject it at once, not simulate
+/// for hours. Each command gets 20 s before the test calls it hung.
+#[test]
+fn huge_time_flags_exit_with_an_error_instead_of_hanging() {
+    let netlists = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/netlists");
+    for (deck, flags) in [
+        ("dlatch.sp", &["--edge", "1e30"][..]),
+        ("tspc.sp", &["--edge", "11.05n", "--period", "1e300"][..]),
+    ] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_shc-char"))
+            .arg(format!("{netlists}/{deck}"))
+            .args(["--output", "q"])
+            .args(flags)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        // A watchdog deadline, not a measurement.
+        #[allow(clippy::disallowed_methods)]
+        let start = std::time::Instant::now();
+        while child.try_wait().unwrap().is_none() {
+            if start.elapsed() > std::time::Duration::from_secs(20) {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("{deck} {flags:?} still running after 20 s");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{deck} {flags:?}: {stderr}");
+        assert!(stderr.contains("step budget"), "{stderr}");
+    }
+}
+
+/// An error written to a closed stderr (its reader already gone) still
+/// ends in the usage-error exit code, not in a panic's 101.
+#[test]
+fn closed_stderr_still_exits_with_the_error_code() {
+    let deck = std::env::temp_dir().join(format!("shc-cli-epipe-{}.sp", std::process::id()));
+    std::fs::write(&deck, DLATCH_DECK).unwrap();
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_shc-char"))
+        .arg(&deck)
+        .args(["--output", "q", "--edge", "4.75n", "--vdd", "0"])
+        .stdout(std::process::Stdio::null())
+        .stderr(writer)
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(1));
     std::fs::remove_file(&deck).unwrap();
 }
