@@ -1,20 +1,13 @@
 //! The ratchet baseline: committed per-(rule, file[, api][, effect])
 //! counts for the ratcheted rules (`no-panic`, `float-eq`,
-//! `panic-reachability`, `hot-path-certify`, `determinism`). Findings at
-//! or below the baseline count pass; the count may only go down over
-//! time.
+//! `panic-reachability`, `determinism`, `trunk-divergence-fence`).
+//! Findings at or below the baseline count pass; the count may only go
+//! down over time.
 //!
-//! Schema `version: 2` added an optional `"api"` key to each entry so
-//! `panic-reachability` ratchets per public API rather than per file.
-//! Schema `version: 3` adds an optional `"effect"` key so the effect
-//! rules ratchet per-(root, effect) — excusing a clock read on a hot
-//! root must not also excuse an allocation there. Schema `version: 4`
-//! adds no new keys: it marks the baseline as produced by a linter that
-//! ratchets the v4 rule (`trunk-divergence-fence`), whose entries reuse
-//! the v3 per-(rule, file, api, effect) shape. The loader accepts
-//! version-1/2/3/4 files (missing keys default to empty) and remembers
-//! the version it read, so `--update-baseline` can print a migration
-//! note; the next rewrite is always version 4.
+//! Schema `version: 4` keys each entry by rule and file, plus an
+//! `"api"` key for the per-API rules and an `"effect"` key for the
+//! per-(API, effect) rules; an empty key is omitted. The loader accepts
+//! only version 4: any other version is an error that names it.
 //!
 //! The file format is a small fixed-shape JSON document that this module
 //! both writes and reads (one entry object per line), so the reader is a
@@ -35,22 +28,9 @@ pub type GroupKey = (String, String, String, String);
 pub const BASELINE_VERSION: u32 = 4;
 
 /// Allowed finding counts keyed by (rule, file, api, effect).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
     pub entries: BTreeMap<GroupKey, usize>,
-    /// Schema version of the file this baseline was parsed from
-    /// ([`BASELINE_VERSION`] for freshly built ones); lets the driver
-    /// print a migration note when rewriting an older file.
-    pub version: u32,
-}
-
-impl Default for Baseline {
-    fn default() -> Self {
-        Baseline {
-            entries: BTreeMap::new(),
-            version: BASELINE_VERSION,
-        }
-    }
 }
 
 /// Outcome of filtering findings through the baseline.
@@ -76,17 +56,18 @@ fn key_of(f: &Finding) -> GroupKey {
 }
 
 impl Baseline {
-    /// Parses the committed `lint-baseline.json` (version 1–4).
-    /// Returns `Err` on any line that looks like an entry but does not
-    /// parse — a corrupt baseline must not silently allow findings.
+    /// Parses the committed `lint-baseline.json`. Returns `Err` on a
+    /// missing or other-than-[`BASELINE_VERSION`] version, and on any
+    /// line that looks like an entry but does not parse — a corrupt
+    /// baseline must not silently allow findings.
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let mut entries = BTreeMap::new();
-        let mut version = 1;
+        let mut version = None;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if !line.contains("\"rule\"") {
                 if let Some(v) = extract_usize(line, "version") {
-                    version = v as u32;
+                    version = Some(v);
                 }
                 continue;
             }
@@ -96,13 +77,20 @@ impl Baseline {
                 .ok_or_else(|| format!("baseline line {}: missing \"file\"", lineno + 1))?;
             let count = extract_usize(line, "count")
                 .ok_or_else(|| format!("baseline line {}: missing \"count\"", lineno + 1))?;
-            // v1 entries have no "api" key, v1/v2 no "effect"; treat
-            // missing keys as empty.
+            // `render` omits empty keys.
             let api = extract_str(line, "api").unwrap_or_default();
             let effect = extract_str(line, "effect").unwrap_or_default();
             entries.insert((rule, file, api, effect), count);
         }
-        Ok(Baseline { entries, version })
+        match version {
+            Some(v) if v == BASELINE_VERSION as usize => Ok(Baseline { entries }),
+            Some(v) => Err(format!(
+                "baseline schema version {v} is not supported (expected {BASELINE_VERSION}); regenerate it with `check --update-baseline`"
+            )),
+            None => Err(format!(
+                "baseline has no \"version\" (expected {BASELINE_VERSION})"
+            )),
+        }
     }
 
     /// Serializes in the fixed one-entry-per-line shape `parse` expects.
@@ -147,10 +135,7 @@ impl Baseline {
                 *entries.entry(key_of(f)).or_insert(0) += 1;
             }
         }
-        Baseline {
-            entries,
-            version: BASELINE_VERSION,
-        }
+        Baseline { entries }
     }
 
     /// Splits findings into baselined and new. Ratcheted groups are
@@ -279,7 +264,7 @@ mod tests {
             finding("no-panic", "crates/core/src/a.rs", 1),
             finding("no-panic", "crates/core/src/a.rs", 2),
             finding("float-eq", "crates/linalg/src/lu.rs", 9),
-            finding("unsafe-audit", "src/x.rs", 3), // not ratcheted: excluded
+            finding("units", "src/x.rs", 3), // not ratcheted: excluded
             finding("panic-reachability", "crates/linalg/src/lu.rs", 14)
                 .with_api("LuFactor::solve".into()),
         ];
@@ -290,61 +275,6 @@ mod tests {
         assert!(rendered.contains("\"api\": \"LuFactor::solve\""));
         let parsed = Baseline::parse(&rendered).unwrap();
         assert_eq!(parsed, b);
-        assert_eq!(parsed.version, BASELINE_VERSION);
-    }
-
-    #[test]
-    fn v1_and_v2_files_parse_with_empty_keys() {
-        let v1 = "{\n  \"version\": 1,\n  \"entries\": [\n    { \"rule\": \"no-panic\", \"file\": \"a.rs\", \"count\": 2 }\n  ]\n}\n";
-        let b = Baseline::parse(v1).unwrap();
-        assert_eq!(b.version, 1);
-        assert_eq!(
-            b.entries.get(&(
-                "no-panic".into(),
-                "a.rs".into(),
-                String::new(),
-                String::new()
-            )),
-            Some(&2)
-        );
-        // Re-rendering upgrades to the current version.
-        assert!(b.render().contains("\"version\": 4"));
-        let v2 = "{\n  \"version\": 2,\n  \"entries\": [\n    { \"rule\": \"panic-reachability\", \"file\": \"a.rs\", \"api\": \"X::y\", \"count\": 1 }\n  ]\n}\n";
-        let b = Baseline::parse(v2).unwrap();
-        assert_eq!(b.version, 2);
-        assert_eq!(
-            b.entries.get(&(
-                "panic-reachability".into(),
-                "a.rs".into(),
-                "X::y".into(),
-                String::new()
-            )),
-            Some(&1)
-        );
-    }
-
-    #[test]
-    fn v3_files_migrate_to_v4_and_ratchet_new_rules() {
-        // A committed v3 baseline (pre-v4 linter) loads cleanly…
-        let v3 = "{\n  \"version\": 3,\n  \"entries\": [\n    { \"rule\": \"hot-path-certify\", \"file\": \"a.rs\", \"api\": \"X::y\", \"effect\": \"clock\", \"count\": 1 }\n  ]\n}\n";
-        let b = Baseline::parse(v3).unwrap();
-        assert_eq!(b.version, 3);
-        // …has no entries for the v4 rules, so any v4 finding is new…
-        let res = b.apply(vec![finding("trunk-divergence-fence", "a.rs", 7)]);
-        assert_eq!(res.new_findings.len(), 1);
-        // …and v4 findings write per-(rule, anchor) entries on rebuild.
-        let rebuilt = Baseline::from_findings(&[finding("trunk-divergence-fence", "e.rs", 9)
-            .with_api("Rungs::adopt".into())
-            .with_effect("lane-divergent")]);
-        assert_eq!(rebuilt.version, 4);
-        let rendered = rebuilt.render();
-        assert!(rendered.contains("\"rule\": \"trunk-divergence-fence\""));
-        assert!(rendered.contains("\"effect\": \"lane-divergent\""));
-        // The diff printer labels the new rules like any other group.
-        let diff = rebuilt.diff_against(&b);
-        assert!(diff.iter().any(
-            |l| l.contains("+ [trunk-divergence-fence] e.rs Rungs::adopt (lane-divergent) = 1")
-        ));
     }
 
     #[test]
@@ -407,14 +337,14 @@ mod tests {
         let mut b = Baseline::default();
         b.entries.insert(
             (
-                "hot-loop-alloc".into(),
+                "hot-path-certify".into(),
                 "x.rs".into(),
                 String::new(),
                 String::new(),
             ),
             5,
         );
-        let res = b.apply(vec![finding("hot-loop-alloc", "x.rs", 1)]);
+        let res = b.apply(vec![finding("hot-path-certify", "x.rs", 1)]);
         assert_eq!(res.new_findings.len(), 1, "hard rules cannot be baselined");
     }
 
@@ -423,26 +353,26 @@ mod tests {
         let mut b = Baseline::default();
         b.entries.insert(
             (
-                "hot-path-certify".into(),
+                "determinism".into(),
                 "a.rs".into(),
-                "SparseLu::refactor".into(),
-                "clock".into(),
+                "trace_contour".into(),
+                "unordered-iter".into(),
             ),
             1,
         );
-        // The baselined (root, effect) passes; a different effect on the
-        // same root fails.
+        // The baselined (API, effect) passes; a different effect on the
+        // same API fails.
         let res = b.apply(vec![
-            finding("hot-path-certify", "a.rs", 3)
-                .with_api("SparseLu::refactor".into())
-                .with_effect("clock"),
-            finding("hot-path-certify", "a.rs", 3)
-                .with_api("SparseLu::refactor".into())
-                .with_effect("alloc"),
+            finding("determinism", "a.rs", 3)
+                .with_api("trace_contour".into())
+                .with_effect("unordered-iter"),
+            finding("determinism", "a.rs", 3)
+                .with_api("trace_contour".into())
+                .with_effect("float-order"),
         ]);
         assert_eq!(res.baselined, 1);
         assert_eq!(res.new_findings.len(), 1);
-        assert_eq!(res.new_findings[0].effect, Some("alloc"));
+        assert_eq!(res.new_findings[0].effect, Some("float-order"));
         // Rendered entries carry the effect key.
         let rendered = Baseline::from_findings(&[finding("determinism", "b.rs", 1)
             .with_api("trace_contour".into())
@@ -484,10 +414,10 @@ mod tests {
         );
         new.entries.insert(
             (
-                "hot-path-certify".into(),
+                "determinism".into(),
                 "c.rs".into(),
                 "root".into(),
-                "alloc".into(),
+                "unordered-iter".into(),
             ),
             1,
         );
@@ -495,7 +425,7 @@ mod tests {
         assert_eq!(diff.len(), 3);
         assert!(diff
             .iter()
-            .any(|l| l.contains("+ [hot-path-certify] c.rs root (alloc) = 1")));
+            .any(|l| l.contains("+ [determinism] c.rs root (unordered-iter) = 1")));
         assert!(diff
             .iter()
             .any(|l| l.contains("~ [no-panic] a.rs = 1 (was 2)")));
@@ -506,5 +436,10 @@ mod tests {
     #[test]
     fn corrupt_baseline_is_an_error() {
         assert!(Baseline::parse("{ \"entries\": [ { \"rule\": \"x\" } ] }").is_err());
+        let v3 = "{\n  \"version\": 3,\n  \"entries\": [\n  ]\n}\n";
+        let err = Baseline::parse(v3).unwrap_err();
+        assert!(err.contains("version 3"), "{err}");
+        let unversioned = "{\n  \"entries\": [\n  ]\n}\n";
+        assert!(Baseline::parse(unversioned).is_err());
     }
 }

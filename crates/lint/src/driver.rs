@@ -199,13 +199,6 @@ pub fn run_check(opts: &CheckOptions) -> u8 {
             eprintln!("shc-lint: cannot write {}: {e}", baseline_path.display());
             return 2;
         }
-        if old.version < crate::baseline::BASELINE_VERSION {
-            println!(
-                "shc-lint: note: migrated baseline schema v{} -> v{} (entries keep the per-(rule, file, api, effect) shape; the v4 rule trunk-divergence-fence ratchets from zero)",
-                old.version,
-                crate::baseline::BASELINE_VERSION
-            );
-        }
         let diff = baseline.diff_against(&old);
         println!(
             "shc-lint: wrote {} ({} ratcheted entr{}, {} group{} changed)",
@@ -318,11 +311,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "panic-reachability" => {
             "panic-reachability (ratcheted per API)\n\
              Why: a panic buried three calls deep still takes down every public\n\
-             entry point above it. The call graph (name-resolved, conservative)\n\
-             computes which public solver APIs can transitively reach a panic site\n\
-             and reports the shortest chain as clickable file:line frames.\n\
+             entry point above it. The effect graph's call edges (name-resolved,\n\
+             conservative) show which public solver APIs can transitively reach\n\
+             a site that aborts a release build — `unwrap`/`expect`, `panic!`-\n\
+             family macros, `assert!`-family macros (not the `debug_` ones), and\n\
+             indexing inside `// lint: hot-loop` regions — and the shortest\n\
+             chain is reported as clickable file:line frames.\n\
              Escape hatch: the reachable-API set is ratcheted in lint-baseline.json\n\
-             (v2, per-API `api` key); it may only shrink. A single API can be\n\
+             (per-API `api` key); it may only shrink. A single API can be\n\
              excused with `// lint: allow(panic-reachability, reason = \"…\")` on\n\
              its `fn` line."
         }
@@ -363,14 +359,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Escape hatch: hoist the literal into a `const`; else\n\
              `// lint: allow(tolerance-hygiene, reason = \"…\")`."
         }
-        "hot-loop-alloc" => {
-            "hot-loop-alloc (hard error)\n\
-             Why: regions marked `// lint: hot-loop` are the per-Newton-iteration\n\
-             inner loops; an allocation there multiplies across every corner,\n\
-             sample, and contour point.\n\
-             Escape hatch: move the allocation out of the region, or\n\
-             `// lint: allow(hot-loop-alloc, reason = \"…\")`."
-        }
         "telemetry-hygiene" => {
             "telemetry-hygiene (hard error)\n\
              Why: metric names, journal keys, and the DESIGN.md schema table must\n\
@@ -379,29 +367,21 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Escape hatch: declare the variant/key, or\n\
              `// lint: allow(telemetry-hygiene, reason = \"…\")`."
         }
-        "unsafe-audit" => {
-            "unsafe-audit (hard error)\n\
-             Why: every `unsafe` needs a `// SAFETY:` comment within the three\n\
-             lines above explaining why the invariants hold. That includes\n\
-             macro-expansion call sites: invoking a macro whose `macro_rules!`\n\
-             body contains `unsafe` expands to unsafe code at the invocation,\n\
-             so the call site needs its own comment.\n\
-             Escape hatch: write the SAFETY comment (there is no allow that\n\
-             skips the explanation)."
-        }
         "hot-path-certify" => {
-            "hot-path-certify (ratcheted per root and effect)\n\
-             Why: the token-level hot-loop rule only sees the lines between the\n\
-             markers, not the functions they call. This rule computes a\n\
-             per-function effect summary (allocates / panics / locks / reads\n\
-             clock / does I/O) as a bottom-up fixed point over the call graph and\n\
-             requires the *transitive closure* of every `// lint: hot-loop`\n\
-             region and `// lint: hot-fn` function to be free of all five.\n\
+            "hot-path-certify (hard error)\n\
+             Why: a `// lint: hot-loop` region or `// lint: hot-fn` function runs\n\
+             once per Newton iteration, so anything it calls runs there too. This\n\
+             rule computes a per-function effect summary (allocates / panics /\n\
+             locks / reads clock / does I/O) as a bottom-up fixed point over the\n\
+             call graph and requires the *transitive closure* of every\n\
+             `// lint: hot-loop` region and `// lint: hot-fn` function to be\n\
+             free of all five.\n\
              Violations render the shortest call chain to the offending site.\n\
              Escape hatch: `// lint: allow(hot-path-certify, reason = \"…\")` at\n\
              the effect site (excuses it everywhere) or at a call site (excuses\n\
              the callee's effects through that one edge — for documented\n\
-             cold/fallback paths); else the per-(root, effect) baseline ratchet."
+             cold/fallback paths). There is no baseline: a hot allocation\n\
+             cannot be ratcheted in."
         }
         "determinism" => {
             "determinism (ratcheted per API and effect)\n\

@@ -1,5 +1,6 @@
 //! Interprocedural effect summaries: the dataflow layer beneath
-//! `hot-path-certify`, `determinism`, and `effect-annotation-drift`.
+//! `panic-reachability`, `hot-path-certify`, `determinism`,
+//! `trunk-divergence-fence` and `effect-annotation-drift`.
 //!
 //! Every workspace function gets an [`EffectSet`] — a bitset over
 //! [`EffectKind`] — computed in two steps:
@@ -11,9 +12,9 @@
 //!    no workspace function and are not on the known-clean std
 //!    allowlist contribute the conservative `unknown-callee` effect.
 //! 2. **Fixed point.** Effects propagate bottom-up over the
-//!    name-resolved call graph (same `may_call` pruning as
-//!    panic-reachability), condensed into Tarjan SCCs so recursion
-//!    cycles converge with one inner worklist per component.
+//!    name-resolved call graph (edges pruned by `may_call`), condensed
+//!    into Tarjan SCCs so recursion cycles converge with one inner
+//!    worklist per component.
 //!
 //! Two summaries are kept per function: the **raw** set (no escape
 //! hatches) and the **effective** set, where a
@@ -25,12 +26,18 @@
 //! rule consume the effective sets; `effect-summaries.json` exports
 //! both so excused effects stay visible.
 //!
+//! Panic-reachability reads the raw sites and edges directly
+//! ([`EffectGraph::panic_chain`]): its evidence is every site that can
+//! abort a release build ([`Site::aborts`]) — the `Panic` sites, the
+//! non-`debug_` `Assert` sites, and [`EffectKind::HotIndex`].
+//!
 //! Deliberate conservatism gaps, so downstream readers know what a
-//! clean summary does *not* prove: slice indexing is panic-reachability's
-//! job, not an effect (every solver kernel indexes, and hot-region
-//! indexing is already audited there); `assert!`-family macros are a
-//! separate non-certifying [`EffectKind::Assert`] dimension (they are
-//! deliberate dimension guards, not latent panics); `.insert()` /
+//! clean summary does *not* prove: slice indexing counts only inside
+//! `// lint: hot-loop` regions, as the non-certifying
+//! [`EffectKind::HotIndex`] (every solver kernel indexes);
+//! `assert!`-family macros are a separate non-certifying
+//! [`EffectKind::Assert`] dimension (they are deliberate dimension
+//! guards, not latent panics); `.insert()` /
 //! `.entry()` are left unresolved rather than classified (map insertion
 //! may allocate, `Option::insert` never does — name-only resolution
 //! cannot tell them apart, so they surface as `unknown-callee`); and
@@ -52,6 +59,10 @@ pub enum EffectKind {
     /// `assert!`/`assert_eq!`/`assert_ne!` and their `debug_` twins —
     /// deliberate contract guards, reported but never certification-failing.
     Assert,
+    /// Slice indexing inside a `// lint: hot-loop` region: an
+    /// out-of-bounds panic the hot path owns. Panic-reachability
+    /// evidence only; never certification-failing.
+    HotIndex,
     /// Blocking synchronization: `.lock()`, `.wait()`, channel `recv`.
     Lock,
     /// Reads a clock: `Instant::now`, `.elapsed()`, `_rdtsc`.
@@ -73,10 +84,11 @@ pub enum EffectKind {
 }
 
 /// All kinds, in canonical rendering order.
-pub const ALL_KINDS: [EffectKind; 10] = [
+pub const ALL_KINDS: [EffectKind; 11] = [
     EffectKind::Alloc,
     EffectKind::Panic,
     EffectKind::Assert,
+    EffectKind::HotIndex,
     EffectKind::Lock,
     EffectKind::Clock,
     EffectKind::Io,
@@ -93,6 +105,7 @@ impl EffectKind {
             EffectKind::Alloc => "alloc",
             EffectKind::Panic => "panic",
             EffectKind::Assert => "assert",
+            EffectKind::HotIndex => "hot-index",
             EffectKind::Lock => "lock",
             EffectKind::Clock => "clock",
             EffectKind::Io => "io",
@@ -124,7 +137,7 @@ impl EffectKind {
             | EffectKind::Io => Some("hot-path-certify"),
             EffectKind::UnorderedIter | EffectKind::FloatOrder => Some("determinism"),
             EffectKind::LaneDivergent => Some("trunk-divergence-fence"),
-            EffectKind::Assert | EffectKind::UnknownCallee => None,
+            EffectKind::Assert | EffectKind::HotIndex | EffectKind::UnknownCallee => None,
         }
     }
 
@@ -134,6 +147,7 @@ impl EffectKind {
             EffectKind::Alloc => "allocate",
             EffectKind::Panic => "panic",
             EffectKind::Assert => "assert",
+            EffectKind::HotIndex => "index out of bounds in a hot region",
             EffectKind::Lock => "block on a lock",
             EffectKind::Clock => "read the clock",
             EffectKind::Io => "perform I/O",
@@ -228,6 +242,19 @@ pub struct Site {
     pub what: String,
 }
 
+impl Site {
+    /// Whether the site can abort a release build: panic-reachability's
+    /// evidence. `debug_assert!`-family sites are compiled out of release
+    /// builds, so they stay `assert` effects without counting here.
+    pub fn aborts(&self) -> bool {
+        match self.kind {
+            EffectKind::Panic | EffectKind::HotIndex => true,
+            EffectKind::Assert => !self.what.starts_with("`debug_"),
+            _ => false,
+        }
+    }
+}
+
 /// One name-resolved call edge, with the call-site line so edge-level
 /// allows can prune effect propagation through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -236,12 +263,12 @@ pub struct Edge {
     pub line: u32,
 }
 
-/// Allocating macros (shared with the token-level `hot-loop-alloc` rule).
+/// Allocating macros.
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
-/// Allocating method names. Broader than `hot-loop-alloc`'s list: the
-/// growth methods (`push`, `extend`, …) only *may* allocate, which is
-/// exactly what a conservative summary must assume.
+/// Allocating method names. The growth methods (`push`, `extend`, …)
+/// only *may* allocate, which is exactly what a conservative summary
+/// must assume.
 const ALLOC_METHODS: &[&str] = &[
     "clone",
     "to_vec",
@@ -257,22 +284,49 @@ const ALLOC_METHODS: &[&str] = &[
     "resize",
 ];
 
+/// Allocating `Type::constructor` pairs.
+const ALLOC_CTORS: &[(&str, &str)] = &[
+    ("Vec", "new"),
+    ("Vec", "with_capacity"),
+    ("Vec", "from"),
+    ("Box", "new"),
+    ("String", "new"),
+    ("String", "from"),
+    ("String", "with_capacity"),
+    ("Matrix", "zeros"),
+    ("Matrix", "identity"),
+    ("Matrix", "from_rows"),
+    ("Vector", "zeros"),
+    ("Vector", "from_slice"),
+    ("Vector", "unit"),
+    ("LuFactor", "new"),
+    ("Stamps", "new"),
+    ("NewtonWorkspace", "new"),
+    ("TransientScratch", "new"),
+    ("HashMap", "new"),
+    ("BTreeMap", "new"),
+    ("VecDeque", "new"),
+    ("CsrMatrix", "from_triplets"),
+    ("CsrMatrix", "from_dense"),
+    ("SparseLu", "new"),
+    ("SparseJacSolver", "new"),
+];
+
 /// `Type::ctor` tails that allocate regardless of the type.
 const ALLOC_CTOR_TAILS: &[&str] = &["with_capacity"];
 
 /// Macros whose expansion aborts (the `assert` family is separate).
-const HARD_PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+pub(crate) const HARD_PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-const ASSERT_MACROS: &[&str] = &[
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
+/// Assertions that stay in release builds: they abort like a panic, so
+/// `no-panic` and panic-reachability count them.
+pub(crate) const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
+/// The debug-only twins: `assert` effects, but compiled out of release
+/// builds.
+const DEBUG_ASSERT_MACROS: &[&str] = &["debug_assert", "debug_assert_eq", "debug_assert_ne"];
+
+pub(crate) const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
 /// Blocking method names. `.join()` is deliberately absent: on a thread
 /// handle it blocks, but the same name on a slice of strings is a pure
@@ -640,12 +694,17 @@ impl EffectGraph {
     ///
     /// `unordered_fields` holds struct-field names whose declared type
     /// is an unordered collection (workspace-wide, like the units field
-    /// map). `allowed` reports whether a `// lint: allow(<rule>, …)`
-    /// covers a (file, line) — same-line-or-line-above, like every
-    /// other rule — and may mark the allow used as a side effect.
+    /// map). `in_hot` reports whether a (file, line) sits inside a
+    /// `// lint: hot-loop` region, where indexing is a
+    /// [`EffectKind::HotIndex`] site. `may_call` prunes name-collision
+    /// edges that are structurally impossible (caller file, callee
+    /// file), e.g. library code "calling" a same-named fn in a binary.
+    /// `allowed` reports whether a `// lint: allow(<rule>, …)` covers a
+    /// (file, line) — same-line-or-line-above, like every other rule.
     pub fn build(
         table: &SymbolTable<'_>,
         unordered_fields: &HashSet<String>,
+        in_hot: &dyn Fn(&str, u32) -> bool,
         may_call: &dyn Fn(&str, &str) -> bool,
         allowed: &dyn Fn(&str, u32, &str) -> bool,
     ) -> EffectGraph {
@@ -657,6 +716,7 @@ impl EffectGraph {
             let mut c = Collector {
                 table,
                 file: def.file,
+                in_hot,
                 may_call,
                 unordered_fields,
                 unordered_locals: HashSet::new(),
@@ -746,16 +806,44 @@ impl EffectGraph {
     }
 
     /// Shortest call chain (over allow-masked edges) from `start` to a
-    /// surviving direct site of `kind`: `Some((fn ids, site))`. BFS with
-    /// sorted adjacency, so chains are deterministic. Present whenever
-    /// `effective[start]` contains `kind`.
+    /// surviving direct site of `kind`: `Some((fn ids, site))`. Present
+    /// whenever `effective[start]` contains `kind`.
     pub fn shortest_chain(&self, start: usize, kind: EffectKind) -> Option<(Vec<usize>, &Site)> {
+        self.chain(
+            start,
+            &self.pruned_sites,
+            |s| s.kind == kind,
+            |caller, i| {
+                self.edge_masks[caller][i].contains(kind)
+                    && self.effective[self.edges[caller][i].callee].contains(kind)
+            },
+        )
+    }
+
+    /// Panic-reachability: the shortest call chain from `start` to a site
+    /// that can abort ([`Site::aborts`]), over the raw sites and every
+    /// edge — no effect-rule allow excuses a panic. `None` when no such
+    /// site is reachable.
+    pub fn panic_chain(&self, start: usize) -> Option<(Vec<usize>, &Site)> {
+        self.chain(start, &self.sites, Site::aborts, |_, _| true)
+    }
+
+    /// BFS from `start` to the first fn with a site matching `hit`,
+    /// following edge `i` of fn `caller` only when `follow(caller, i)`.
+    /// Adjacency is sorted by callee id, so chains are deterministic.
+    fn chain<'s>(
+        &'s self,
+        start: usize,
+        sites: &'s [Vec<Site>],
+        hit: impl Fn(&Site) -> bool,
+        follow: impl Fn(usize, usize) -> bool,
+    ) -> Option<(Vec<usize>, &'s Site)> {
         let mut parent: HashMap<usize, usize> = HashMap::new();
         let mut queue: VecDeque<usize> = VecDeque::new();
         parent.insert(start, start);
         queue.push_back(start);
         while let Some(id) = queue.pop_front() {
-            if let Some(site) = self.pruned_sites[id].iter().find(|s| s.kind == kind) {
+            if let Some(site) = sites[id].iter().find(|s| hit(s)) {
                 let mut path = vec![id];
                 let mut cur = id;
                 while parent[&cur] != cur {
@@ -765,8 +853,8 @@ impl EffectGraph {
                 path.reverse();
                 return Some((path, site));
             }
-            for (e, mask) in self.edges[id].iter().zip(&self.edge_masks[id]) {
-                if !mask.contains(kind) || !self.effective[e.callee].contains(kind) {
+            for (i, e) in self.edges[id].iter().enumerate() {
+                if !follow(id, i) {
                     continue;
                 }
                 if let std::collections::hash_map::Entry::Vacant(v) = parent.entry(e.callee) {
@@ -895,6 +983,7 @@ fn tarjan_sccs(edges: &[Vec<Edge>]) -> Vec<Vec<usize>> {
 struct Collector<'a, 'b> {
     table: &'b SymbolTable<'a>,
     file: &'a str,
+    in_hot: &'b dyn Fn(&str, u32) -> bool,
     may_call: &'b dyn Fn(&str, &str) -> bool,
     unordered_fields: &'b HashSet<String>,
     unordered_locals: HashSet<String>,
@@ -999,7 +1088,7 @@ impl Collector<'_, '_> {
                 let n = name.as_str();
                 if HARD_PANIC_MACROS.contains(&n) {
                     self.site(EffectKind::Panic, e.line, format!("`{n}!`"));
-                } else if ASSERT_MACROS.contains(&n) {
+                } else if ASSERT_MACROS.contains(&n) || DEBUG_ASSERT_MACROS.contains(&n) {
                     self.site(EffectKind::Assert, e.line, format!("`{n}!`"));
                 } else if ALLOC_MACROS.contains(&n) {
                     self.site(EffectKind::Alloc, e.line, format!("`{n}!`"));
@@ -1010,7 +1099,7 @@ impl Collector<'_, '_> {
             ExprKind::MethodCall { recv, method, .. } => {
                 let m = method.as_str();
                 if PANIC_METHODS.contains(&m) {
-                    // Like the call graph: a direct site, never an edge.
+                    // A direct site, never an edge.
                     self.site(EffectKind::Panic, e.line, format!("`.{m}()`"));
                     return;
                 }
@@ -1055,8 +1144,8 @@ impl Collector<'_, '_> {
                         .checked_sub(2)
                         .map(|i| segments[i].as_str())
                         .unwrap_or("");
-                    let is_alloc_ctor = crate::rules::ALLOC_CTORS.contains(&(prev, tail))
-                        || ALLOC_CTOR_TAILS.contains(&tail);
+                    let is_alloc_ctor =
+                        ALLOC_CTORS.contains(&(prev, tail)) || ALLOC_CTOR_TAILS.contains(&tail);
                     let is_clock = CLOCK_CTORS.contains(&(prev, tail)) || CLOCK_FNS.contains(&tail);
                     if is_alloc_ctor {
                         self.site(EffectKind::Alloc, e.line, format!("`{prev}::{tail}`"));
@@ -1089,6 +1178,9 @@ impl Collector<'_, '_> {
                         self.unknown.push(tail.to_string());
                     }
                 }
+            }
+            ExprKind::Index { .. } if (self.in_hot)(self.file, e.line) => {
+                self.site(EffectKind::HotIndex, e.line, "indexing");
             }
             ExprKind::Field { name, .. } if SKEW_PARAM_FIELDS.contains(&name.as_str()) => {
                 self.site(
@@ -1218,7 +1310,9 @@ mod tests {
     ) -> (SymbolTable<'a>, EffectGraph) {
         let table = SymbolTable::build(paths.iter().copied().zip(parsed.iter()), &|_, _| false);
         let fields = HashSet::new();
-        let g = EffectGraph::build(&table, &fields, &|_, _| true, &|_, _, _| false);
+        let g = EffectGraph::build(&table, &fields, &|_, _| false, &|_, _| true, &|_, _, _| {
+            false
+        });
         (table, g)
     }
 
@@ -1228,6 +1322,99 @@ mod tests {
             .iter()
             .position(|d| d.name() == name)
             .unwrap_or_else(|| panic!("no fn named {name}"))
+    }
+
+    /// One workspace for the panic-reachability tests: a helper chain,
+    /// one fn per abort site class, a debug-only assert, a hot-region
+    /// index (line 9) next to a cold one, and a call into a bin target.
+    const PANIC_FIXTURE: &[(&str, &str)] = &[
+        (
+            "crates/a/src/lib.rs",
+            "pub fn api(x: Option<u32>) -> u32 { helper(x) }\n\
+             fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n\
+             pub fn safe(x: u32) -> u32 { x + 1 }\n\
+             pub fn expects(x: Option<u32>) -> u32 { x.expect(\"x\") }\n\
+             pub fn panics() { panic!(\"no\"); }\n\
+             pub fn asserts(n: u32) { assert!(n > 0); }\n\
+             pub fn asserts_eq(n: u32) { assert_eq!(n, 1); }\n\
+             pub fn debug_only(n: u32) { debug_assert!(n > 0); }\n\
+             pub fn hot_index(v: &[f64]) -> f64 { v[0] }\n\
+             pub fn cold_index(v: &[f64]) -> f64 { v[0] }\n\
+             pub fn via_bin(x: Option<u32>) -> u32 { tool_helper(x) }\n",
+        ),
+        (
+            "crates/a/src/bin/tool.rs",
+            "fn tool_helper(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        ),
+    ];
+
+    /// The panic fixture's graph, with line 9 of the lib hot and with
+    /// either permissive or bin-pruning `may_call`.
+    fn panic_graph<'a>(
+        paths: &'a [&'static str],
+        parsed: &'a [crate::ast::File],
+        prune_bins: bool,
+    ) -> (SymbolTable<'a>, EffectGraph) {
+        let table = SymbolTable::build(paths.iter().copied().zip(parsed.iter()), &|_, _| false);
+        let g = EffectGraph::build(
+            &table,
+            &HashSet::new(),
+            &|file, line| file.ends_with("lib.rs") && line == 9,
+            &|_, callee: &str| !prune_bins || !callee.contains("/src/bin/"),
+            &|_, _, _| false,
+        );
+        (table, g)
+    }
+
+    #[test]
+    fn panic_chain_crosses_function_boundaries_and_counts_every_abort_site() {
+        let (parsed, paths) = parse_all(PANIC_FIXTURE);
+        let (table, g) = panic_graph(&paths, &parsed, true);
+        let (path, site) = g.panic_chain(id_of(&table, "api")).unwrap();
+        assert_eq!(path, vec![id_of(&table, "api"), id_of(&table, "helper")]);
+        assert_eq!(site.what, "`.unwrap()`");
+        assert!(g.panic_chain(id_of(&table, "safe")).is_none());
+        for (name, what) in [
+            ("expects", "`.expect()`"),
+            ("panics", "`panic!`"),
+            ("asserts", "`assert!`"),
+            ("asserts_eq", "`assert_eq!`"),
+        ] {
+            let (path, site) = g.panic_chain(id_of(&table, name)).unwrap();
+            assert_eq!((path.len(), site.what.as_str()), (1, what), "{name}");
+        }
+        // Debug-only asserts are compiled out of release builds: still an
+        // `assert` effect, never panic evidence.
+        let debug_only = id_of(&table, "debug_only");
+        assert!(g.effective[debug_only].contains(EffectKind::Assert));
+        assert!(g.panic_chain(debug_only).is_none());
+    }
+
+    #[test]
+    fn hot_indexing_counts_only_inside_hot_regions() {
+        let (parsed, paths) = parse_all(PANIC_FIXTURE);
+        let (table, g) = panic_graph(&paths, &parsed, true);
+        let hot = id_of(&table, "hot_index");
+        let (_, site) = g.panic_chain(hot).unwrap();
+        assert_eq!((site.what.as_str(), site.line), ("indexing", 9));
+        // A panic-reachability site, never a certification failure.
+        assert!(g.effective[hot].contains(EffectKind::HotIndex));
+        assert!(!CERT_KINDS.contains(&EffectKind::HotIndex));
+        assert!(g.panic_chain(id_of(&table, "cold_index")).is_none());
+    }
+
+    #[test]
+    fn may_call_prunes_panic_chains_into_bin_targets() {
+        let (parsed, paths) = parse_all(PANIC_FIXTURE);
+        // Permissive: the lib fn inherits the binary's unwrap by name.
+        let (table, loose) = panic_graph(&paths, &parsed, false);
+        let via_bin = id_of(&table, "via_bin");
+        let (path, _) = loose.panic_chain(via_bin).unwrap();
+        assert_eq!(path, vec![via_bin, id_of(&table, "tool_helper")]);
+        // Pruned: binaries are link roots, never callees.
+        let (_, strict) = panic_graph(&paths, &parsed, true);
+        assert!(strict.panic_chain(via_bin).is_none());
+        assert!(strict.panic_chain(id_of(&table, "tool_helper")).is_some());
     }
 
     #[test]
@@ -1277,11 +1464,14 @@ mod tests {
         ]);
         let table = SymbolTable::build(paths.iter().copied().zip(parsed.iter()), &|_, _| false);
         let fields = HashSet::new();
-        let loose = EffectGraph::build(&table, &fields, &|_, _| true, &|_, _, _| false);
+        let loose = EffectGraph::build(&table, &fields, &|_, _| false, &|_, _| true, &|_, _, _| {
+            false
+        });
         assert!(loose.effective[id_of(&table, "api")].contains(EffectKind::Alloc));
         let strict = EffectGraph::build(
             &table,
             &fields,
+            &|_, _| false,
             &|_, callee: &str| !callee.contains("/src/bin/"),
             &|_, _, _| false,
         );
@@ -1371,9 +1561,13 @@ mod tests {
         )]);
         let table = SymbolTable::build(paths.iter().copied().zip(parsed.iter()), &|_, _| false);
         let fields = HashSet::new();
-        let g = EffectGraph::build(&table, &fields, &|_, _| true, &|_, line, rule| {
-            rule == "hot-path-certify" && line == 1
-        });
+        let g = EffectGraph::build(
+            &table,
+            &fields,
+            &|_, _| false,
+            &|_, _| true,
+            &|_, line, rule| rule == "hot-path-certify" && line == 1,
+        );
         let f = id_of(&table, "f");
         assert!(!g.effective[f].contains(EffectKind::Alloc));
         assert!(g.raw[f].contains(EffectKind::Alloc));
@@ -1388,9 +1582,13 @@ mod tests {
         let table = SymbolTable::build(paths.iter().copied().zip(parsed.iter()), &|_, _| false);
         let fields = HashSet::new();
         // The call inside `excused` sits on line 1.
-        let g = EffectGraph::build(&table, &fields, &|_, _| true, &|_, line, rule| {
-            rule == "hot-path-certify" && line == 1
-        });
+        let g = EffectGraph::build(
+            &table,
+            &fields,
+            &|_, _| false,
+            &|_, _| true,
+            &|_, line, rule| rule == "hot-path-certify" && line == 1,
+        );
         assert!(!g.effective[id_of(&table, "excused")].contains(EffectKind::Alloc));
         assert!(g.effective[id_of(&table, "blamed")].contains(EffectKind::Alloc));
         assert!(g.effective[id_of(&table, "fallback")].contains(EffectKind::Alloc));
@@ -1405,8 +1603,12 @@ mod tests {
         let (parsed, paths) = parse_all(&[("crates/core/src/a.rs", src)]);
         let table = SymbolTable::build(paths.iter().copied().zip(parsed.iter()), &|_, _| false);
         let fields = HashSet::new();
-        let g1 = EffectGraph::build(&table, &fields, &|_, _| true, &|_, _, _| false);
-        let g2 = EffectGraph::build(&table, &fields, &|_, _| true, &|_, _, _| false);
+        let g1 = EffectGraph::build(&table, &fields, &|_, _| false, &|_, _| true, &|_, _, _| {
+            false
+        });
+        let g2 = EffectGraph::build(&table, &fields, &|_, _| false, &|_, _| true, &|_, _, _| {
+            false
+        });
         assert_eq!(g1.effective, g2.effective);
         assert_eq!(g1.raw, g2.raw);
         assert_eq!(g1.sccs, g2.sccs);
@@ -1438,7 +1640,9 @@ mod tests {
             line == 3
         });
         let fields = HashSet::new();
-        let g = EffectGraph::build(&table, &fields, &|_, _| true, &|_, _, _| false);
+        let g = EffectGraph::build(&table, &fields, &|_, _| false, &|_, _| true, &|_, _, _| {
+            false
+        });
         assert!(g.effective[id_of(&table, "api")].is_empty());
     }
 }

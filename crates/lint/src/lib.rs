@@ -1,22 +1,23 @@
 //! `shc-lint`: workspace static analysis for the characterization stack.
 //!
 //! Enforces project-specific invariants that clippy cannot express:
-//! panic-freedom in the solver crates (ratcheted, with call-graph
-//! reachability chains to the public API), allocation-freedom in
-//! annotated hot-loop regions, no float `==`, physical-unit consistency
+//! panic-freedom in the solver crates (ratcheted, with reachability
+//! chains to the public API), no float `==`, physical-unit consistency
 //! (`/// unit:` annotations propagated through arithmetic), scoped-guard
 //! discipline for thread-local installs, named-constant convergence
-//! tolerances, telemetry hygiene (metric-name declarations, journal
-//! schema vs DESIGN.md, `enabled()` gating), and `// SAFETY:` comments
-//! on `unsafe` — including macro *invocation* sites whose expansion
-//! contains `unsafe`.
+//! tolerances, and telemetry hygiene (metric-name declarations, journal
+//! schema vs DESIGN.md, `enabled()` gating). `unsafe` is left to the
+//! workspace lints (`unsafe_code`, clippy's `undocumented_unsafe_blocks`).
 //!
-//! On top of the syntax layer sits an interprocedural [`effects`]
-//! engine (v3): per-function effect inference (allocates, locks, does
-//! I/O, float-nondeterministic, panics, …) propagated over the call
-//! graph, with `/// effects:` declarations ratcheted against drift,
-//! `// lint: hot-path` certification for the solver's inner loops, and
-//! determinism auditing for the replay/checkpoint paths. v4 adds
+//! On top of the syntax layer sits one interprocedural [`effects`]
+//! engine: per-function effect inference (allocates, locks, does I/O,
+//! float-nondeterministic, panics, …) propagated over the call graph it
+//! builds. Every flow-aware rule reads it: panic reachability,
+//! `/// effects:` declarations checked against drift, hot-path
+//! certification of the solver's inner loops (`// lint: hot-loop`
+//! regions and `// lint: hot-fn` functions, which must not allocate,
+//! panic, lock, read a clock or do I/O, transitively), determinism
+//! auditing of the result-producing APIs, and
 //! `trunk-divergence-fence`, which certifies that `// lint: trunk-fence`
 //! roots — where a run adopts a checkpoint computed at other skews — can
 //! never transitively read `lane-divergent` (skew) state. See DESIGN.md
@@ -29,9 +30,9 @@
 //! hand-rolled Rust lexer ([`lexer`]) and a tolerant recursive-descent
 //! parser ([`parser`]) producing a per-file AST ([`ast`]), so rules see
 //! real syntax — call expressions, field accesses, loops — in which
-//! comments and string contents can never produce false matches. A
-//! workspace [`symbols`] table and conservative [`callgraph`] sit on
-//! top for the flow-aware rules.
+//! comments and string contents can never produce false matches. One
+//! workspace [`symbols`] table, built once per run, names every
+//! function the effect graph connects.
 //!
 //! Run it with `cargo run -p shc-lint -- check [--json]
 //! [--update-baseline] [--threads N]`, `graph [--dot] [--effects]` for
@@ -41,7 +42,6 @@
 
 pub mod ast;
 pub mod baseline;
-pub mod callgraph;
 pub mod driver;
 pub mod effects;
 pub mod lexer;

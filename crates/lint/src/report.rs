@@ -21,9 +21,10 @@ pub struct Finding {
     /// is about. Ratcheting keys on it so each API is tracked
     /// individually rather than as a per-file count.
     pub api: Option<String>,
-    /// For the effect rules (`hot-path-certify`, `determinism`): the
-    /// effect name (`alloc`, `clock`, …) this finding is about, so the
-    /// v3 baseline can ratchet per-(root, effect).
+    /// For the effect rules (`hot-path-certify`, `determinism`,
+    /// `trunk-divergence-fence`): the effect name (`alloc`, `clock`, …)
+    /// this finding is about, so the baseline can ratchet per-(API,
+    /// effect).
     pub effect: Option<&'static str>,
 }
 
@@ -281,7 +282,7 @@ mod tests {
             },
         ];
         let j = render_effects_json(&rows);
-        // v2: the schema carries the ten-kind lattice incl. lane-divergent.
+        // v2: the schema carries the effect lattice incl. lane-divergent.
         assert!(j.contains("\"version\": 2"));
         assert!(j.contains("\"functions\": 2"));
         // raw shown only when it differs from effects.

@@ -3,19 +3,21 @@
 //! | rule | scope | enforcement |
 //! |------|-------|-------------|
 //! | `no-panic` | non-test lib code of `shc-linalg`/`shc-spice`/`shc-core` | ratchet |
-//! | `panic-reachability` | public APIs of the same crates, via the call graph | ratchet (per API) |
+//! | `panic-reachability` | public APIs of the same crates, via the effect graph | ratchet (per API) |
 //! | `float-eq` | non-test lib code of the same numeric crates | ratchet |
 //! | `units` | `/// unit:`-annotated quantities in the numeric crates | error |
 //! | `thread-local-discipline` | Collector/Injector installs, workspace-wide | error |
 //! | `tolerance-hygiene` | convergence loops of `mpnr.rs`/`tracer.rs`/`transient.rs` | error |
-//! | `hot-loop-alloc` | `// lint: hot-loop` … `// lint: end-hot-loop` regions | error |
-//! | `hot-path-certify` | transitive closure of hot-loop/`hot-fn` roots, via effect summaries | ratchet (per root+effect) |
+//! | `hot-path-certify` | transitive closure of hot-loop/`hot-fn` roots, via effect summaries | error |
 //! | `determinism` | result-producing public APIs of the solver crates | ratchet (per API+effect) |
 //! | `effect-annotation-drift` | `/// effects:`-annotated fns vs inferred summaries | error |
 //! | `telemetry-hygiene` | whole workspace + DESIGN.md schema table | error |
-//! | `unsafe-audit` | whole workspace, incl. macro-expansion call sites | error |
 //! | `trunk-divergence-fence` | `// lint: trunk-fence` roots, via effect summaries | ratchet (per root+effect) |
 //! | `lint-annotation` | the lint annotations themselves | error |
+//!
+//! `unsafe` is not a rule here: the workspace lints
+//! (`unsafe_code = "deny"`, clippy's `undocumented_unsafe_blocks =
+//! "deny"`) cover it.
 //!
 //! Ratcheted rules are compared against `lint-baseline.json` (counts may
 //! only go down); the rest are hard errors. Any rule can be silenced at a
@@ -24,9 +26,10 @@
 //!
 //! Execution is two-phase. Phase A lexes and parses each file exactly
 //! once and runs every per-file rule on the shared AST; it fans out
-//! over files with `shc_core::parallel::run_indexed`. Phase B runs the
-//! workspace-global rules (symbol table, call graph, unit maps,
-//! telemetry cross-checks) serially over the phase-A products. Findings
+//! over files with `shc_core::parallel::run_indexed`. Phase B builds
+//! one symbol table and one effect graph over the phase-A products and
+//! runs the workspace-global rules (units, panic reachability, the
+//! effect rules, telemetry cross-checks) on them, serially. Findings
 //! are fully sorted at the end, so parallel output is byte-identical to
 //! serial output.
 
@@ -34,8 +37,10 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::ast::{self, Expr, ExprKind, ItemKind, Stmt};
-use crate::callgraph::{CallGraph, PANIC_MACROS, PANIC_METHODS};
-use crate::effects::{EffectGraph, EffectKind, EffectSet, CERT_KINDS, DET_KINDS, UNORDERED_TYPES};
+use crate::effects::{
+    EffectGraph, EffectKind, EffectSet, ASSERT_MACROS, CERT_KINDS, DET_KINDS, HARD_PANIC_MACROS,
+    PANIC_METHODS, UNORDERED_TYPES,
+};
 use crate::lexer::{self, is_float_literal, Token, TokenKind};
 use crate::parser;
 use crate::report::{EffectRow, Finding, PanicApi};
@@ -49,7 +54,6 @@ pub const RATCHETED_RULES: &[&str] = &[
     "no-panic",
     "float-eq",
     "panic-reachability",
-    "hot-path-certify",
     "determinism",
     "trunk-divergence-fence",
 ];
@@ -62,12 +66,10 @@ pub const ALL_RULES: &[&str] = &[
     "units",
     "thread-local-discipline",
     "tolerance-hygiene",
-    "hot-loop-alloc",
     "hot-path-certify",
     "determinism",
     "effect-annotation-drift",
     "telemetry-hygiene",
-    "unsafe-audit",
     "trunk-divergence-fence",
     "lint-annotation",
 ];
@@ -103,40 +105,6 @@ const THREAD_LOCAL_OWNERS: &[&str] = &[
 /// local (dropping it immediately uninstalls / restores the state).
 const GUARD_FNS: &[&str] = &["install_scoped", "install"];
 
-/// Allocating method calls forbidden inside hot-loop regions.
-const ALLOC_METHODS: &[&str] = &["clone", "to_vec", "to_string", "to_owned", "collect"];
-
-/// Allocating macros forbidden inside hot-loop regions.
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
-
-/// Allocating `Type::constructor` pairs forbidden inside hot-loop regions.
-pub(crate) const ALLOC_CTORS: &[(&str, &str)] = &[
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("Vec", "from"),
-    ("Box", "new"),
-    ("String", "new"),
-    ("String", "from"),
-    ("String", "with_capacity"),
-    ("Matrix", "zeros"),
-    ("Matrix", "identity"),
-    ("Matrix", "from_rows"),
-    ("Vector", "zeros"),
-    ("Vector", "from_slice"),
-    ("Vector", "unit"),
-    ("LuFactor", "new"),
-    ("Stamps", "new"),
-    ("NewtonWorkspace", "new"),
-    ("TransientScratch", "new"),
-    ("HashMap", "new"),
-    ("BTreeMap", "new"),
-    ("VecDeque", "new"),
-    ("CsrMatrix", "from_triplets"),
-    ("CsrMatrix", "from_dense"),
-    ("SparseLu", "new"),
-    ("SparseJacSolver", "new"),
-];
-
 /// One source file handed to the linter, with a repo-relative path.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
@@ -162,8 +130,6 @@ struct Allow {
     line: u32,
     rule: String,
     has_reason: bool,
-    /// Set when a finding was suppressed by this allow.
-    used: std::cell::Cell<bool>,
 }
 
 /// Per-file lexed view plus the lint annotations found in its comments.
@@ -185,14 +151,11 @@ struct FileCtx<'a> {
     tests: Vec<(u32, u32)>,
     /// Annotation problems found while building the context.
     annotation_findings: Vec<Finding>,
-    /// All comment tokens, for the SAFETY-comment lookup.
-    comments: Vec<(u32, &'a str)>,
 }
 
 impl<'a> FileCtx<'a> {
     fn build(file: &'a SourceFile, all: &[Token<'a>]) -> FileCtx<'a> {
         let mut code = Vec::with_capacity(all.len());
-        let mut comments = Vec::new();
         let mut allows = Vec::new();
         let mut annotation_findings = Vec::new();
         let mut hot = Vec::new();
@@ -205,7 +168,6 @@ impl<'a> FileCtx<'a> {
                 code.push(*t);
                 continue;
             }
-            comments.push((t.line, t.text));
             let Some(directive) = lint_directive(t.text) else {
                 continue;
             };
@@ -245,7 +207,6 @@ impl<'a> FileCtx<'a> {
                         line: t.line,
                         rule,
                         has_reason,
-                        used: std::cell::Cell::new(false),
                     });
                 }
                 Directive::Malformed(msg) => annotation_findings.push(Finding::new(
@@ -275,7 +236,6 @@ impl<'a> FileCtx<'a> {
             trunk_fences,
             tests,
             annotation_findings,
-            comments,
         }
     }
 
@@ -287,68 +247,28 @@ impl<'a> FileCtx<'a> {
         self.hot.iter().any(|&(a, b)| line >= a && line <= b)
     }
 
-    /// Emits `finding` unless a matching allow (same rule, on the same
-    /// line or the line directly above) suppresses it.
-    fn push(&self, out: &mut Vec<Finding>, rule: &'static str, line: u32, message: String) {
-        for allow in &self.allows {
-            if allow.rule == rule && (allow.line == line || allow.line + 1 == line) {
-                allow.used.set(true);
-                return; // suppressed; reason-less allows error separately
-            }
-        }
-        out.push(Finding::new(rule, self.path.to_string(), line, message));
-    }
-
-    /// [`FileCtx::push`] for findings that carry a qualified API name
-    /// (panic-reachability): same allow handling, api attached.
-    fn push_with_api(
-        &self,
-        out: &mut Vec<Finding>,
-        rule: &'static str,
-        line: u32,
-        message: String,
-        api: String,
-    ) {
-        for allow in &self.allows {
-            if allow.rule == rule && (allow.line == line || allow.line + 1 == line) {
-                allow.used.set(true);
-                return;
-            }
-        }
-        out.push(Finding::new(rule, self.path.to_string(), line, message).with_api(api));
-    }
-
-    /// [`FileCtx::push`] for effect-rule findings, which carry both the
-    /// qualified API and the effect name (the v3 ratchet key).
-    #[allow(clippy::too_many_arguments)]
-    fn push_with_effect(
-        &self,
-        out: &mut Vec<Finding>,
-        rule: &'static str,
-        line: u32,
-        message: String,
-        api: String,
-        effect: &'static str,
-    ) {
-        for allow in &self.allows {
-            if allow.rule == rule && (allow.line == line || allow.line + 1 == line) {
-                allow.used.set(true);
-                return;
-            }
-        }
-        out.push(
-            Finding::new(rule, self.path.to_string(), line, message)
-                .with_api(api)
-                .with_effect(effect),
-        );
-    }
-
-    /// True when a comment containing `SAFETY:` sits within `window` lines
-    /// above (or on) `line`.
-    fn has_safety_comment(&self, line: u32, window: u32) -> bool {
-        self.comments
+    /// Whether an allow for `rule` sits on `line` or the line directly
+    /// above.
+    fn allowed(&self, rule: &str, line: u32) -> bool {
+        self.allows
             .iter()
-            .any(|&(l, text)| l <= line && l + window >= line && text.contains("SAFETY:"))
+            .any(|a| a.rule == rule && (a.line == line || a.line + 1 == line))
+    }
+
+    /// Emits `finding` unless an allow suppresses it (reason-less allows
+    /// error separately).
+    fn emit(&self, out: &mut Vec<Finding>, finding: Finding) {
+        if !self.allowed(finding.rule, finding.line) {
+            out.push(finding);
+        }
+    }
+
+    /// [`FileCtx::emit`] for a plain finding in this file.
+    fn push(&self, out: &mut Vec<Finding>, rule: &'static str, line: u32, message: String) {
+        self.emit(
+            out,
+            Finding::new(rule, self.path.to_string(), line, message),
+        );
     }
 }
 
@@ -517,8 +437,6 @@ fn analyze_file(file: &SourceFile) -> FileAnalysis<'_> {
     let mut findings = ctx.annotation_findings.clone();
     no_panic(&ctx, &mut findings);
     float_eq(&ctx, &mut findings);
-    hot_loop_alloc(&ctx, &mut findings);
-    unsafe_audit(&ctx, &mut findings);
     tolerance_hygiene(&ctx, &parsed, &mut findings);
     thread_local_discipline(&ctx, &parsed, &mut findings);
     FileAnalysis {
@@ -549,10 +467,10 @@ pub fn run(ws: &Workspace, parallelism: Parallelism) -> RunOutput {
         findings.extend(a.findings.iter().cloned());
     }
     telemetry_hygiene(ws, &analyses, &mut findings);
-    units_rule(&analyses, &mut findings);
-    unsafe_macro_audit(&analyses, &mut findings);
-    let panic_apis = panic_reachability(&analyses, &mut findings);
-    let effect_rows = effect_rules(&analyses, &mut findings);
+    let global = Global::build(&analyses);
+    units_rule(&global, &mut findings);
+    let panic_apis = panic_reachability(&global, &mut findings);
+    let effect_rows = effect_rules(&global, &mut findings);
 
     // Escape hatches require a reason regardless of whether they fired.
     for a in &analyses {
@@ -594,7 +512,9 @@ fn no_panic(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         if t.kind != TokenKind::Ident || ctx.in_tests(t.line) {
             continue;
         }
-        if PANIC_MACROS.contains(&t.text) && code.get(i + 1).map(|n| n.text) == Some("!") {
+        if (HARD_PANIC_MACROS.contains(&t.text) || ASSERT_MACROS.contains(&t.text))
+            && code.get(i + 1).map(|n| n.text) == Some("!")
+        {
             ctx.push(
                 out,
                 "no-panic",
@@ -664,153 +584,6 @@ fn float_eq(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             );
         }
     }
-}
-
-/// `hot-loop-alloc`: allocating token patterns inside annotated regions.
-fn hot_loop_alloc(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.hot.is_empty() {
-        return;
-    }
-    let code = &ctx.code;
-    for i in 0..code.len() {
-        let t = code[i];
-        if t.kind != TokenKind::Ident || !ctx.in_hot(t.line) {
-            continue;
-        }
-        if ALLOC_MACROS.contains(&t.text) && code.get(i + 1).map(|n| n.text) == Some("!") {
-            ctx.push(
-                out,
-                "hot-loop-alloc",
-                t.line,
-                format!("`{}!` allocates inside a hot-loop region", t.text),
-            );
-            continue;
-        }
-        if ALLOC_METHODS.contains(&t.text)
-            && i > 0
-            && code[i - 1].text == "."
-            && code.get(i + 1).map(|n| n.text) == Some("(")
-        {
-            ctx.push(
-                out,
-                "hot-loop-alloc",
-                t.line,
-                format!("`.{}()` allocates inside a hot-loop region", t.text),
-            );
-            continue;
-        }
-        // `Type::ctor(` with an optional turbofish: `Vec::<f64>::new(`.
-        if ALLOC_CTORS.iter().any(|&(ty, _)| ty == t.text)
-            && code.get(i + 1).map(|n| n.text) == Some("::")
-        {
-            let mut j = i + 2;
-            if code.get(j).map(|n| n.text) == Some("<") {
-                let mut depth = 0usize;
-                while j < code.len() {
-                    match code[j].text {
-                        "<" => depth += 1,
-                        ">" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                j += 1;
-                if code.get(j).map(|n| n.text) != Some("::") {
-                    continue;
-                }
-                j += 1;
-            }
-            let Some(ctor) = code.get(j) else { continue };
-            if ALLOC_CTORS.contains(&(t.text, ctor.text))
-                && code.get(j + 1).map(|n| n.text) == Some("(")
-            {
-                ctx.push(
-                    out,
-                    "hot-loop-alloc",
-                    t.line,
-                    format!(
-                        "`{}::{}` allocates inside a hot-loop region",
-                        t.text, ctor.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// `unsafe-audit`: every `unsafe` keyword needs a `// SAFETY:` comment
-/// within the three preceding lines.
-fn unsafe_audit(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    for (i, t) in ctx.code.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        // `unsafe` inside an attribute (`#[unsafe(no_mangle)]`) still
-        // deserves the comment; no exclusions.
-        let _ = i;
-        if !ctx.has_safety_comment(t.line, 3) {
-            ctx.push(
-                out,
-                "unsafe-audit",
-                t.line,
-                "`unsafe` without a `// SAFETY:` comment in the 3 lines above".to_string(),
-            );
-        }
-    }
-}
-
-/// A `macro_rules!` definition located by token matching: the macro
-/// name and the token index range of its balanced `{ … }` body
-/// (exclusive of the outer braces).
-struct MacroDef<'a> {
-    name: &'a str,
-    /// Token indices of the body, outer braces excluded.
-    body: std::ops::Range<usize>,
-}
-
-/// All `macro_rules! name { … }` definitions in a token stream. The
-/// parser stores macro items as opaque placeholders, so the macro-body
-/// rule works on the raw (comment-stripped) token stream instead.
-fn macro_defs<'a>(code: &[Token<'a>]) -> Vec<MacroDef<'a>> {
-    let mut defs = Vec::new();
-    let mut i = 0;
-    while i + 3 < code.len() {
-        if code[i].text != "macro_rules" || code[i + 1].text != "!" {
-            i += 1;
-            continue;
-        }
-        let name = code[i + 2];
-        let mut j = i + 3;
-        if code.get(j).map(|t| t.text) != Some("{") {
-            i += 1;
-            continue;
-        }
-        let mut depth = 0usize;
-        while j < code.len() {
-            match code[j].text {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        defs.push(MacroDef {
-            name: name.text,
-            body: (i + 4)..j,
-        });
-        i = j + 1;
-    }
-    defs
 }
 
 /// `tolerance-hygiene`: float literals inside comparison operands of
@@ -1037,15 +810,14 @@ fn receiver_root(e: &Expr) -> Option<&str> {
 
 /// `units`: workspace annotation maps plus per-function local inference
 /// (see [`crate::units`] for the algebra).
-fn units_rule(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) {
-    let by_path: HashMap<&str, &FileAnalysis<'_>> =
-        analyses.iter().map(|a| (a.ctx.path, a)).collect();
+fn units_rule(global: &Global<'_>, out: &mut Vec<Finding>) {
+    let table = &global.table;
 
     // Workspace field-name map. A name annotated with two different
     // units in different structs is ambiguous and dropped.
     let mut fields: HashMap<String, Unit> = HashMap::new();
     let mut ambiguous: BTreeSet<String> = BTreeSet::new();
-    for a in analyses {
+    for a in global.analyses {
         visit_structs(&a.ast.items, &mut |s: &ast::StructItem| {
             for f in &s.fields {
                 let Some(ann) = units::field_annotation(&f.doc) else {
@@ -1073,11 +845,6 @@ fn units_rule(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) {
     for name in &ambiguous {
         fields.remove(name);
     }
-
-    let table = SymbolTable::build(
-        analyses.iter().map(|a| (a.ctx.path, &a.ast)),
-        &|path, line| by_path.get(path).is_some_and(|a| a.ctx.in_tests(line)),
-    );
 
     // Return-unit map by fn name; conflicting annotations drop out.
     let mut returns: HashMap<String, Unit> = HashMap::new();
@@ -1109,7 +876,7 @@ fn units_rule(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) {
             continue;
         }
         let Some(body) = &def.item.body else { continue };
-        let ctx = &by_path[def.file].ctx;
+        let ctx = global.ctx(def.file);
         let mut params: HashMap<String, Unit> = HashMap::new();
         for (target, ann) in units::fn_annotations(&def.item.doc) {
             if target == "return" {
@@ -1140,59 +907,6 @@ fn units_rule(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) {
         env.check_stmts(&body.stmts);
         for (line, message) in env.findings {
             ctx.push(out, "units", line, message);
-        }
-    }
-}
-
-/// The macro-expansion half of `unsafe-audit`: a call to a macro whose
-/// `macro_rules!` body contains `unsafe` expands to unsafe code at the
-/// invocation site, which the token-level scan (definition-side only)
-/// cannot see. Every such invocation needs its own `// SAFETY:` comment.
-fn unsafe_macro_audit(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) {
-    // Workspace set of macros that expand to unsafe code.
-    let mut unsafe_macros: BTreeSet<&str> = BTreeSet::new();
-    for a in analyses {
-        for def in macro_defs(&a.ctx.code) {
-            if a.ctx.code[def.body.clone()]
-                .iter()
-                .any(|t| t.kind == TokenKind::Ident && t.text == "unsafe")
-            {
-                unsafe_macros.insert(def.name);
-            }
-        }
-    }
-    if unsafe_macros.is_empty() {
-        return;
-    }
-    for a in analyses {
-        let ctx = &a.ctx;
-        let code = &ctx.code;
-        for i in 0..code.len() {
-            let t = code[i];
-            // Invocation shape `name ! {` / `name ! (` / `name ! [`;
-            // at the definition the name is followed by `{`, not `!`,
-            // so definitions never match.
-            if t.kind != TokenKind::Ident
-                || !unsafe_macros.contains(t.text)
-                || code.get(i + 1).map(|n| n.text) != Some("!")
-                || !matches!(
-                    code.get(i + 2).map(|n| n.text),
-                    Some("{") | Some("(") | Some("[")
-                )
-            {
-                continue;
-            }
-            if !ctx.has_safety_comment(t.line, 3) {
-                ctx.push(
-                    out,
-                    "unsafe-audit",
-                    t.line,
-                    format!(
-                        "`{}!` expands to `unsafe` code at this call site; document the safety argument with a `// SAFETY:` comment in the 3 lines above",
-                        t.text
-                    ),
-                );
-            }
         }
     }
 }
@@ -1329,46 +1043,144 @@ fn may_call(caller_file: &str, callee_file: &str) -> bool {
     false
 }
 
-/// `panic-reachability`: reverse reachability from every direct panic
-/// site over the conservative call graph; one finding per reachable
-/// public API of the solver crates, carrying the shortest chain.
-/// Returns the full report (including baselined APIs) for the CI
-/// artifact.
-fn panic_reachability(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<PanicApi> {
-    let by_path: HashMap<&str, &FileAnalysis<'_>> =
-        analyses.iter().map(|a| (a.ctx.path, a)).collect();
-    let table = SymbolTable::build(
-        analyses.iter().map(|a| (a.ctx.path, &a.ast)),
-        &|path, line| by_path.get(path).is_some_and(|a| a.ctx.in_tests(line)),
-    );
-    let cg = CallGraph::build(
-        &table,
-        &|path, line| by_path.get(path).is_some_and(|a| a.ctx.in_hot(line)),
-        &may_call,
-    );
-    let reachable = cg.panic_reachable();
+/// Phase-B context shared by every workspace-global rule: the phase-A
+/// products by path, the one symbol table, and the effect graph over
+/// it (the workspace unordered-field map, then the raw and allow-pruned
+/// fixed points).
+struct Global<'a> {
+    analyses: &'a [FileAnalysis<'a>],
+    by_path: HashMap<&'a str, &'a FileAnalysis<'a>>,
+    table: SymbolTable<'a>,
+    graph: EffectGraph,
+}
 
-    let mut apis = Vec::new();
-    for def in &table.defs {
-        if !def.is_pub || def.in_tests || !in_solver_crate(def.file) {
-            continue;
+impl<'a> Global<'a> {
+    fn build(analyses: &'a [FileAnalysis<'a>]) -> Global<'a> {
+        let by_path: HashMap<&str, &FileAnalysis<'_>> =
+            analyses.iter().map(|a| (a.ctx.path, a)).collect();
+        let table = SymbolTable::build(
+            analyses.iter().map(|a| (a.ctx.path, &a.ast)),
+            &|path, line| by_path.get(path).is_some_and(|a| a.ctx.in_tests(line)),
+        );
+
+        // Struct fields whose declared type is an unordered collection:
+        // iterating `self.cache` is as order-dependent as iterating a local.
+        let mut unordered_fields: HashSet<String> = HashSet::new();
+        for a in analyses {
+            visit_structs(&a.ast.items, &mut |s: &ast::StructItem| {
+                for f in &s.fields {
+                    if UNORDERED_TYPES.iter().any(|t| f.ty.contains(t)) {
+                        unordered_fields.insert(f.name.clone());
+                    }
+                }
+            });
         }
-        if !reachable.contains(&def.id) {
-            continue;
+
+        let graph = EffectGraph::build(
+            &table,
+            &unordered_fields,
+            &|path, line| by_path.get(path).is_some_and(|a| a.ctx.in_hot(line)),
+            &may_call,
+            // Same-line-or-line-above allow lookup, shared with every
+            // other rule.
+            &|file, line, rule| by_path.get(file).is_some_and(|a| a.ctx.allowed(rule, line)),
+        );
+        Global {
+            analyses,
+            by_path,
+            table,
+            graph,
         }
-        let Some((path, site)) = cg.shortest_panic_chain(def.id) else {
-            continue;
-        };
+    }
+
+    fn ctx(&self, file: &str) -> &FileCtx<'a> {
+        &self.by_path[file].ctx
+    }
+
+    /// The fns marked by the `// lint: <marker>` comments that `lines`
+    /// picks from each file: each marks the next fn below it. A marker
+    /// on a `#[cfg(test)]` fn, or with no fn below, is a
+    /// `lint-annotation` finding.
+    fn marked_roots(
+        &self,
+        marker: &str,
+        lines: impl for<'c> Fn(&'c FileCtx<'a>) -> &'c [u32],
+        out: &mut Vec<Finding>,
+    ) -> BTreeSet<usize> {
+        let mut roots = BTreeSet::new();
+        for a in self.analyses {
+            for &line in lines(&a.ctx) {
+                let next = self
+                    .table
+                    .defs
+                    .iter()
+                    .filter(|d| d.file == a.ctx.path && d.line > line)
+                    .min_by_key(|d| d.line);
+                let problem = match next {
+                    Some(d) if !d.in_tests => {
+                        roots.insert(d.id);
+                        continue;
+                    }
+                    Some(_) => {
+                        "marks a #[cfg(test)] function; certification only covers production code"
+                    }
+                    None => "is not followed by a function definition in this file",
+                };
+                a.ctx.push(
+                    out,
+                    "lint-annotation",
+                    line,
+                    format!("`lint: {marker}` {problem}"),
+                );
+            }
+        }
+        roots
+    }
+
+    /// Renders a call chain in the report's frame format:
+    /// `qualified (file:line) -> … -> what (file:line)`.
+    fn render_chain(&self, path: &[usize], what: &str, line: u32) -> String {
         let mut frames: Vec<String> = path
             .iter()
             .map(|&id| {
-                let d = &table.defs[id];
+                let d = &self.table.defs[id];
                 format!("{} ({}:{})", d.qualified_name(), d.file, d.line)
             })
             .collect();
-        let last = &table.defs[*path.last().unwrap_or(&def.id)];
-        frames.push(format!("{} ({}:{})", site.what, last.file, site.line));
-        let chain = frames.join(" -> ");
+        if let Some(&last) = path.last() {
+            frames.push(format!("{what} ({}:{line})", self.table.defs[last].file));
+        }
+        frames.join(" -> ")
+    }
+
+    /// The shortest call chain from `root` to a direct site of `kind`.
+    fn effect_chain(&self, root: usize, kind: EffectKind) -> String {
+        match self.graph.shortest_chain(root, kind) {
+            Some((path, site)) => self.render_chain(&path, &site.what, site.line),
+            // Effect arrived only via unknown-callee widening; no
+            // concrete site exists to point at.
+            None => "(no concrete site: effect inferred conservatively)".to_string(),
+        }
+    }
+}
+
+/// `panic-reachability`: one finding per public API of the solver crates
+/// from which the effect graph reaches a site that can abort, carrying
+/// the shortest chain. Returns the full report (including baselined
+/// APIs) for the CI artifact.
+fn panic_reachability(global: &Global<'_>, out: &mut Vec<Finding>) -> Vec<PanicApi> {
+    let mut apis = Vec::new();
+    for def in &global.table.defs {
+        if !def.is_pub || def.in_tests || !in_solver_crate(def.file) {
+            continue;
+        }
+        let Some((path, site)) = global.graph.panic_chain(def.id) else {
+            continue;
+        };
+        // The report labels sites plainly (`unwrap()`, `assert!`,
+        // `indexing`), so its artifacts diff cleanly across versions.
+        let what = site.what.trim_matches('`').trim_start_matches('.');
+        let chain = global.render_chain(&path, what, site.line);
         let api = def.qualified_name();
         apis.push(PanicApi {
             api: api.clone(),
@@ -1376,87 +1188,28 @@ fn panic_reachability(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> 
             line: def.line,
             chain: chain.clone(),
         });
-        let ctx = &by_path[def.file].ctx;
-        ctx.push_with_api(
+        global.ctx(def.file).emit(
             out,
-            "panic-reachability",
-            def.line,
-            format!("public API `{api}` can reach a panic: {chain}"),
-            api,
+            Finding::new(
+                "panic-reachability",
+                def.file.to_string(),
+                def.line,
+                format!("public API `{api}` can reach a panic: {chain}"),
+            )
+            .with_api(api),
         );
     }
     apis
 }
 
-/// Builds the symbol table plus the interprocedural effect graph over
-/// the phase-A products: workspace unordered-field map, then the two
-/// fixed-point passes (raw and allow-pruned). Shared by the effect
-/// rules and the `graph --dot --effects` export.
-fn build_effect_graph<'a>(analyses: &'a [FileAnalysis<'a>]) -> (SymbolTable<'a>, EffectGraph) {
-    let by_path: HashMap<&str, &FileAnalysis<'_>> =
-        analyses.iter().map(|a| (a.ctx.path, a)).collect();
-    let table = SymbolTable::build(
-        analyses.iter().map(|a| (a.ctx.path, &a.ast)),
-        &|path, line| by_path.get(path).is_some_and(|a| a.ctx.in_tests(line)),
-    );
-
-    // Struct fields whose declared type is an unordered collection:
-    // iterating `self.cache` is as order-dependent as iterating a local.
-    let mut unordered_fields: HashSet<String> = HashSet::new();
-    for a in analyses {
-        visit_structs(&a.ast.items, &mut |s: &ast::StructItem| {
-            for f in &s.fields {
-                if UNORDERED_TYPES.iter().any(|t| f.ty.contains(t)) {
-                    unordered_fields.insert(f.name.clone());
-                }
-            }
-        });
-    }
-
-    // Same-line-or-line-above allow lookup, shared with every other
-    // rule; marking the allow used keeps the unused-allow check honest.
-    let allowed = |file: &str, line: u32, rule: &str| -> bool {
-        let Some(a) = by_path.get(file) else {
-            return false;
-        };
-        for allow in &a.ctx.allows {
-            if allow.rule == rule && (allow.line == line || allow.line + 1 == line) {
-                allow.used.set(true);
-                return true;
-            }
-        }
-        false
-    };
-
-    let graph = EffectGraph::build(&table, &unordered_fields, &may_call, &allowed);
-    (table, graph)
-}
-
-/// Renders the shortest call chain from `root` to a direct site of
-/// `kind`, in the panic-reachability frame format:
-/// `qualified (file:line) -> … -> what (file:line)`.
-fn render_effect_chain(
-    graph: &EffectGraph,
-    table: &SymbolTable<'_>,
-    root: usize,
-    kind: EffectKind,
-) -> String {
-    let Some((path, site)) = graph.shortest_chain(root, kind) else {
-        // Effect arrived only via unknown-callee widening; no concrete
-        // site exists to point at.
-        return "(no concrete site: effect inferred conservatively)".to_string();
-    };
-    let mut frames: Vec<String> = path
-        .iter()
-        .map(|&id| {
-            let d = &table.defs[id];
-            format!("{} ({}:{})", d.qualified_name(), d.file, d.line)
-        })
-        .collect();
-    let last = &table.defs[*path.last().unwrap_or(&root)];
-    frames.push(format!("{} ({}:{})", site.what, last.file, site.line));
-    frames.join(" -> ")
-}
+/// Effect kinds no `/// effects:` annotation may name: `lane-divergent`
+/// is the fence rule's gating kind, `hot-index` is panic-reachability
+/// evidence, and `unknown-callee` is analysis bookkeeping.
+const INTERNAL_KINDS: [EffectKind; 3] = [
+    EffectKind::HotIndex,
+    EffectKind::LaneDivergent,
+    EffectKind::UnknownCallee,
+];
 
 /// The `/// effects: …` doc annotation on a fn, when present.
 fn effect_annotation(doc: &[String]) -> Option<&str> {
@@ -1465,9 +1218,9 @@ fn effect_annotation(doc: &[String]) -> Option<&str> {
         .map(str::trim)
 }
 
-/// The three effect rules (`hot-path-certify`, `determinism`,
-/// `effect-annotation-drift`) plus the per-function summary table for
-/// `effect-summaries.json`.
+/// The effect rules (`trunk-divergence-fence`, `hot-path-certify`,
+/// `determinism`, `effect-annotation-drift`) plus the per-function
+/// summary table for `effect-summaries.json`.
 ///
 /// Hot roots are the functions enclosing each `// lint: hot-loop`
 /// region plus every fn directly below a `// lint: hot-fn` marker; a
@@ -1477,14 +1230,12 @@ fn effect_annotation(doc: &[String]) -> Option<&str> {
 /// and float-accumulation-order effects. Drift compares declared
 /// `/// effects:` annotations against the inferred (allow-pruned)
 /// summaries.
-fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<EffectRow> {
-    let by_path: HashMap<&str, &FileAnalysis<'_>> =
-        analyses.iter().map(|a| (a.ctx.path, a)).collect();
-    let (table, graph) = build_effect_graph(analyses);
+fn effect_rules(global: &Global<'_>, out: &mut Vec<Finding>) -> Vec<EffectRow> {
+    let (table, graph) = (&global.table, &global.graph);
 
     // --- Hot-root collection ------------------------------------------
     let mut roots: BTreeSet<usize> = BTreeSet::new();
-    for a in analyses {
+    for a in global.analyses {
         // A hot-loop region certifies its enclosing function: the last
         // def that starts at or before the region opens.
         for &(start, _) in &a.ctx.hot {
@@ -1497,63 +1248,10 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
                 roots.insert(d.id);
             }
         }
-        // A hot-fn marker certifies the next function below it.
-        for &line in &a.ctx.hot_fns {
-            match table
-                .defs
-                .iter()
-                .filter(|d| d.file == a.ctx.path && d.line > line)
-                .min_by_key(|d| d.line)
-            {
-                Some(d) if !d.in_tests => {
-                    roots.insert(d.id);
-                }
-                Some(_) => a.ctx.push(
-                    out,
-                    "lint-annotation",
-                    line,
-                    "`lint: hot-fn` marks a #[cfg(test)] function; hot-path certification only covers production code".to_string(),
-                ),
-                None => a.ctx.push(
-                    out,
-                    "lint-annotation",
-                    line,
-                    "`lint: hot-fn` is not followed by a function definition in this file"
-                        .to_string(),
-                ),
-            }
-        }
     }
-
-    // --- Trunk-fence root collection ----------------------------------
-    let mut fence_roots: BTreeSet<usize> = BTreeSet::new();
-    for a in analyses {
-        for &line in &a.ctx.trunk_fences {
-            match table
-                .defs
-                .iter()
-                .filter(|d| d.file == a.ctx.path && d.line > line)
-                .min_by_key(|d| d.line)
-            {
-                Some(d) if !d.in_tests => {
-                    fence_roots.insert(d.id);
-                }
-                Some(_) => a.ctx.push(
-                    out,
-                    "lint-annotation",
-                    line,
-                    "`lint: trunk-fence` marks a #[cfg(test)] function; the divergence fence only covers production code".to_string(),
-                ),
-                None => a.ctx.push(
-                    out,
-                    "lint-annotation",
-                    line,
-                    "`lint: trunk-fence` is not followed by a function definition in this file"
-                        .to_string(),
-                ),
-            }
-        }
-    }
+    // A hot-fn marker certifies the next function below it.
+    roots.extend(global.marked_roots("hot-fn", |c| &c.hot_fns, out));
+    let fence_roots = global.marked_roots("trunk-fence", |c| &c.trunk_fences, out);
 
     // --- trunk-divergence-fence ---------------------------------------
     // DESIGN.md §6.1's soundness argument, as a machine-checked
@@ -1564,20 +1262,22 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
     // over the call graph).
     for &root in &fence_roots {
         let d = &table.defs[root];
-        let ctx = &by_path[d.file].ctx;
         if graph.effective[root].contains(EffectKind::LaneDivergent) {
-            let chain = render_effect_chain(&graph, &table, root, EffectKind::LaneDivergent);
-            ctx.push_with_effect(
+            let chain = global.effect_chain(root, EffectKind::LaneDivergent);
+            global.ctx(d.file).emit(
                 out,
-                "trunk-divergence-fence",
-                d.line,
-                format!(
-                    "prefix root `{}` can transitively {} — the adopted prefix would no longer be skew-invariant (DESIGN.md §6.1): {chain}",
-                    d.qualified_name(),
-                    EffectKind::LaneDivergent.verb()
-                ),
-                d.qualified_name(),
-                EffectKind::LaneDivergent.name(),
+                Finding::new(
+                    "trunk-divergence-fence",
+                    d.file.to_string(),
+                    d.line,
+                    format!(
+                        "prefix root `{}` can transitively {} — the adopted prefix would no longer be skew-invariant (DESIGN.md §6.1): {chain}",
+                        d.qualified_name(),
+                        EffectKind::LaneDivergent.verb()
+                    ),
+                )
+                .with_api(d.qualified_name())
+                .with_effect(EffectKind::LaneDivergent.name()),
             );
         }
     }
@@ -1585,23 +1285,25 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
     // --- hot-path-certify ---------------------------------------------
     for &root in &roots {
         let d = &table.defs[root];
-        let ctx = &by_path[d.file].ctx;
         for kind in CERT_KINDS {
             if !graph.effective[root].contains(kind) {
                 continue;
             }
-            let chain = render_effect_chain(&graph, &table, root, kind);
-            ctx.push_with_effect(
+            let chain = global.effect_chain(root, kind);
+            global.ctx(d.file).emit(
                 out,
-                "hot-path-certify",
-                d.line,
-                format!(
-                    "hot root `{}` can transitively {}: {chain}",
-                    d.qualified_name(),
-                    kind.verb()
-                ),
-                d.qualified_name(),
-                kind.name(),
+                Finding::new(
+                    "hot-path-certify",
+                    d.file.to_string(),
+                    d.line,
+                    format!(
+                        "hot root `{}` can transitively {}: {chain}",
+                        d.qualified_name(),
+                        kind.verb()
+                    ),
+                )
+                .with_api(d.qualified_name())
+                .with_effect(kind.name()),
             );
         }
     }
@@ -1611,23 +1313,25 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
         if !def.is_pub || def.in_tests || !in_solver_crate(def.file) {
             continue;
         }
-        let ctx = &by_path[def.file].ctx;
         for kind in DET_KINDS {
             if !graph.effective[def.id].contains(kind) {
                 continue;
             }
-            let chain = render_effect_chain(&graph, &table, def.id, kind);
-            ctx.push_with_effect(
+            let chain = global.effect_chain(def.id, kind);
+            global.ctx(def.file).emit(
                 out,
-                "determinism",
-                def.line,
-                format!(
-                    "public API `{}` can {}, so repeated runs may differ: {chain}",
-                    def.qualified_name(),
-                    kind.verb()
-                ),
-                def.qualified_name(),
-                kind.name(),
+                Finding::new(
+                    "determinism",
+                    def.file.to_string(),
+                    def.line,
+                    format!(
+                        "public API `{}` can {}, so repeated runs may differ: {chain}",
+                        def.qualified_name(),
+                        kind.verb()
+                    ),
+                )
+                .with_api(def.qualified_name())
+                .with_effect(kind.name()),
             );
         }
     }
@@ -1640,39 +1344,34 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
         let Some(ann) = effect_annotation(&def.item.doc) else {
             continue;
         };
-        let ctx = &by_path[def.file].ctx;
+        let ctx = global.ctx(def.file);
         let mut declared = EffectSet::EMPTY;
         let mut malformed = false;
         if ann != "none" {
             for name in ann.split(',') {
                 let name = name.trim();
                 match EffectKind::from_name(name) {
-                    Some(EffectKind::UnknownCallee | EffectKind::LaneDivergent) | None => {
+                    Some(k) if !INTERNAL_KINDS.contains(&k) => declared.add(k),
+                    _ => {
                         ctx.push(
                             out,
                             "lint-annotation",
                             def.line,
                             format!(
-                                "`/// effects:` on `{}` names undeclarable effect `{name}` (declarable: alloc, panic, assert, lock, clock, io, unordered-iter, float-order, or `none`; `lane-divergent` and `unknown-callee` are analysis-internal)",
+                                "`/// effects:` on `{}` names undeclarable effect `{name}` (declarable: alloc, panic, assert, lock, clock, io, unordered-iter, float-order, or `none`; `lane-divergent`, `hot-index` and `unknown-callee` are analysis-internal)",
                                 def.name()
                             ),
                         );
                         malformed = true;
                     }
-                    Some(k) => declared.add(k),
                 }
             }
         }
         if malformed {
             continue;
         }
-        // Unknown-callee is analysis bookkeeping and lane-divergent is
-        // the fence rule's gating kind, not a declarable effect; compare
-        // over the eight declarable kinds.
-        let inferred = graph.effective[def.id].without(EffectSet::of(&[
-            EffectKind::UnknownCallee,
-            EffectKind::LaneDivergent,
-        ]));
+        // Compare over the eight declarable kinds.
+        let inferred = graph.effective[def.id].without(EffectSet::of(&INTERNAL_KINDS));
         if inferred != declared {
             let show = |s: EffectSet| -> String {
                 if s.is_empty() {
@@ -1681,17 +1380,20 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
                     s.names().join(", ")
                 }
             };
-            ctx.push_with_api(
+            ctx.emit(
                 out,
-                "effect-annotation-drift",
-                def.line,
-                format!(
-                    "`/// effects:` on `{}` is stale: declares [{}] but the analysis infers [{}]",
-                    def.qualified_name(),
-                    show(declared),
-                    show(inferred)
-                ),
-                def.qualified_name(),
+                Finding::new(
+                    "effect-annotation-drift",
+                    def.file.to_string(),
+                    def.line,
+                    format!(
+                        "`/// effects:` on `{}` is stale: declares [{}] but the analysis infers [{}]",
+                        def.qualified_name(),
+                        show(declared),
+                        show(inferred)
+                    ),
+                )
+                .with_api(def.qualified_name()),
             );
         }
     }
@@ -1723,24 +1425,11 @@ fn effect_rules(analyses: &[FileAnalysis<'_>], out: &mut Vec<Finding>) -> Vec<Ef
 /// the boundary `trunk-divergence-fence` certifies.
 pub fn render_graph_dot(ws: &Workspace, effects: bool) -> String {
     let analyses: Vec<FileAnalysis<'_>> = ws.files.iter().map(analyze_file).collect();
-    let (table, graph) = build_effect_graph(&analyses);
+    let global = Global::build(&analyses);
+    let fence_roots = global.marked_roots("trunk-fence", |c| &c.trunk_fences, &mut Vec::new());
+    let (table, graph) = (&global.table, &global.graph);
     let cert = EffectSet::of(&CERT_KINDS);
     let det = EffectSet::of(&DET_KINDS);
-
-    // Trunk-fence roots, by the marker association effect_rules uses.
-    let mut fence_roots: BTreeSet<usize> = BTreeSet::new();
-    for a in &analyses {
-        for &line in &a.ctx.trunk_fences {
-            if let Some(d) = table
-                .defs
-                .iter()
-                .filter(|d| d.file == a.ctx.path && d.line > line && !d.in_tests)
-                .min_by_key(|d| d.line)
-            {
-                fence_roots.insert(d.id);
-            }
-        }
-    }
 
     let mut s = String::new();
     s.push_str("digraph shc {\n");
@@ -2222,7 +1911,7 @@ mod tests {
     fn unwrap_flagged_only_in_solver_crates() {
         let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }";
         // In a solver crate the unwrap fires twice: the token-level
-        // `no-panic` site and the call-graph `panic-reachability` on
+        // `no-panic` site and the effect-graph `panic-reachability` on
         // the public API.
         let f = run_one("crates/linalg/src/a.rs", src);
         let mut rules: Vec<&str> = f.iter().map(|x| x.rule).collect();
@@ -2245,7 +1934,7 @@ mod tests {
 
     #[test]
     fn allow_with_reason_suppresses_without_reason_errors() {
-        // Non-pub so the call-graph panic-reachability rule (which only
+        // Non-pub so the panic-reachability rule (which only
         // reports public APIs) stays out of this allow-semantics test.
         let with = "fn f(x: Option<u8>) -> u8 {\n    // lint: allow(no-panic, reason = \"checked above\")\n    x.unwrap()\n}\n";
         assert!(run_one("crates/core/src/a.rs", with).is_empty());
@@ -2283,18 +1972,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_loop_alloc_catches_ctor_macro_and_method() {
-        let src = "fn step() {\n    // lint: hot-loop\n    let v: Vec<f64> = Vec::new();\n    let w = vec![0.0];\n    let c = w.clone();\n    let t = Vec::<f64>::with_capacity(4);\n    // lint: end-hot-loop\n    let outside = Vec::new();\n}\n";
-        let f = run_one("crates/spice/src/a.rs", src);
-        let rules: Vec<&str> = f.iter().map(|x| x.rule).collect();
-        // The hot-loop region also makes `step` a hot-path-certify root,
-        // and its allocations fail the transitive certification.
-        let mut expected = vec!["hot-path-certify"];
-        expected.extend(vec!["hot-loop-alloc"; 4]);
-        assert_eq!(rules, expected, "{f:?}");
-    }
-
-    #[test]
     fn unmatched_hot_loop_markers_error() {
         let f = run_one("crates/spice/src/a.rs", "// lint: hot-loop\nfn f() {}\n");
         assert_eq!(f.len(), 1);
@@ -2304,16 +1981,6 @@ mod tests {
             "fn f() {}\n// lint: end-hot-loop\n",
         );
         assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn unsafe_requires_safety_comment() {
-        let bad = "fn f() { unsafe { std::hint::unreachable_unchecked() } }";
-        let f = run_one("src/a.rs", bad);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "unsafe-audit");
-        let good = "fn f() {\n    // SAFETY: provably unreachable, guarded above.\n    unsafe { std::hint::unreachable_unchecked() }\n}";
-        assert!(run_one("src/a.rs", good).is_empty());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Workspace symbol table: every fn/method defined across the parsed
-//! workspace, indexed by name for the conservative call graph.
+//! workspace, indexed by name for the effect graph's conservative call
+//! edges.
 //!
-//! Definitions borrow the per-file ASTs, so the table is rebuilt each
+//! Definitions borrow the per-file ASTs, so the table is built once per
 //! run (cheap: one vector push per fn) and rules can walk bodies
 //! without cloning them.
 

@@ -1,16 +1,47 @@
-// Fixture: must trigger `hot-loop-alloc` (four sites) and nothing else.
+// Fixture: each allocation form sits alone in a hot-loop region, which
+// makes its enclosing function a hot-path root; every root must fail
+// `hot-path-certify` on `alloc`, and nothing else may fire.
 
-pub fn step(xs: &[f64]) -> f64 {
+pub fn ctor(xs: &[f64]) -> f64 {
     let mut acc = 0.0;
     // lint: hot-loop
     for &x in xs {
         let v: Vec<f64> = Vec::new();
-        let w = vec![x];
-        let copied = w.clone();
-        let sized = Vec::<f64>::with_capacity(4);
-        acc += x + v.len() as f64 + copied.len() as f64 + sized.capacity() as f64;
+        acc += x + v.len() as f64;
     }
     // lint: end-hot-loop
-    let fine_outside: Vec<f64> = Vec::new();
-    acc + fine_outside.len() as f64
+    acc
+}
+
+pub fn macro_call(xs: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    // lint: hot-loop
+    for &x in xs {
+        let w = vec![x];
+        acc += w.len() as f64;
+    }
+    // lint: end-hot-loop
+    acc
+}
+
+pub fn method(xs: &[f64], w: &Scratch) -> f64 {
+    let mut acc = 0.0;
+    // lint: hot-loop
+    for &x in xs {
+        let copied = w.clone();
+        acc += x + copied.len() as f64;
+    }
+    // lint: end-hot-loop
+    acc
+}
+
+pub fn turbofish(xs: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    // lint: hot-loop
+    for &x in xs {
+        let sized = Vec::<f64>::with_capacity(4);
+        acc += x + sized.capacity() as f64;
+    }
+    // lint: end-hot-loop
+    acc
 }

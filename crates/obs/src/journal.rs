@@ -124,12 +124,6 @@ impl JournalEvent {
             phases: json::scan_raw_object(line, "phases").map(str::to_string),
         })
     }
-
-    /// Sort key used to order-normalize events across serial/parallel runs.
-    #[must_use]
-    pub fn sort_key(&self) -> u64 {
-        self.point
-    }
 }
 
 /// Destination for journal events.

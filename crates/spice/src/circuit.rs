@@ -354,19 +354,11 @@ impl Circuit {
     }
 
     /// Assembles the parameter derivative of the residual,
-    /// `∂f/∂param = b_d · z(t)` in the paper's notation (eqs. (9), (12)).
-    pub fn assemble_dfdp(&self, t: f64, params: &Params, param: Param) -> Vector {
-        let mut dfdp = Vector::zeros(self.unknown_count());
-        let x = Vector::zeros(self.unknown_count());
-        self.assemble_dfdp_into(&mut dfdp, &x, t, params, param);
-        dfdp
-    }
-
-    /// Like [`Circuit::assemble_dfdp`] but writes into caller-provided
-    /// buffers (zeroing `dfdp` first) to avoid allocation in inner loops.
-    /// `x_zero` must be an all-zero vector of the unknown count; it only
-    /// feeds the evaluation context, whose state is unused by source
-    /// derivatives.
+    /// `∂f/∂param = b_d · z(t)` in the paper's notation (eqs. (9), (12)),
+    /// into caller-provided buffers (zeroing `dfdp` first) to avoid
+    /// allocation in inner loops. `x_zero` must be an all-zero vector of
+    /// the unknown count; it only feeds the evaluation context, whose
+    /// state is unused by source derivatives.
     ///
     /// # Panics
     ///

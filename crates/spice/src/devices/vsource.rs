@@ -149,8 +149,10 @@ mod tests {
             Waveform::Data(pulse),
         ));
         let params = Params::new(2e-9, 2e-9);
+        let x_zero = Vector::zeros(c.unknown_count());
+        let mut dfdp = Vector::zeros(c.unknown_count());
         // Mid leading edge: t = t_edge − τs = 8 ns.
-        let dfdp = c.assemble_dfdp(8e-9, &params, Param::Setup);
+        c.assemble_dfdp_into(&mut dfdp, &x_zero, 8e-9, &params, Param::Setup);
         let expected = -pulse.derivative(8e-9, &params, Param::Setup);
         assert!(
             (dfdp[1] - expected).abs() < 1e-12,
@@ -159,7 +161,7 @@ mod tests {
         );
         assert!(dfdp[1] != 0.0);
         // A DC source has no parameter dependence.
-        let dfdp_hold = c.assemble_dfdp(0.0, &params, Param::Hold);
-        assert_eq!(dfdp_hold[1], 0.0);
+        c.assemble_dfdp_into(&mut dfdp, &x_zero, 0.0, &params, Param::Hold);
+        assert_eq!(dfdp[1], 0.0);
     }
 }

@@ -736,7 +736,15 @@ R3 p 0 1k
         assert_eq!(c.device_count(), 6);
         // The data source responds to skews.
         let params = Params::new(300e-12, 200e-12);
-        let dfdp = c.assemble_dfdp(11.05e-9 - 300e-12, &params, crate::Param::Setup);
+        let x_zero = shc_linalg::Vector::zeros(c.unknown_count());
+        let mut dfdp = shc_linalg::Vector::zeros(c.unknown_count());
+        c.assemble_dfdp_into(
+            &mut dfdp,
+            &x_zero,
+            11.05e-9 - 300e-12,
+            &params,
+            crate::Param::Setup,
+        );
         assert!(dfdp.norm_inf() > 0.0, "data source must couple to τs");
     }
 

@@ -326,7 +326,6 @@ where
                     lu.refactor(&ws.jacobian)?;
                     lu
                 }
-                // lint: allow(hot-loop-alloc, reason = "cold path: the factor is built on the workspace's first solve and refactored in place after")
                 None => ws.lu.insert(LuFactor::new(&ws.jacobian)?), // lint: allow(hot-path-certify, reason = "cold path: the factor is built once on the first solve; every later iteration takes the refactor arm")
             };
             if let (Some(l), false) = (laps, reuse) {
