@@ -128,40 +128,6 @@ pub struct SparseLu {
     steps: Vec<usize>,
 }
 
-impl Clone for SparseLu {
-    /// Copies the symbolic analysis and current numeric factors into
-    /// fresh buffers — one tracked allocation event. This is how a
-    /// secondary solver (e.g. the sensitivity path) shares an analysis
-    /// without re-running the fill-reducing ordering.
-    fn clone(&self) -> Self {
-        crate::matrix::note_buffer_allocation();
-        SparseLu {
-            n: self.n,
-            cc_ptr: self.cc_ptr.clone(),
-            cc_row: self.cc_row.clone(),
-            cc_val: self.cc_val.clone(),
-            csr_to_csc: self.csr_to_csc.clone(),
-            q: self.q.clone(),
-            p: self.p.clone(),
-            pinv: self.pinv.clone(),
-            l_ptr: self.l_ptr.clone(),
-            l_row: self.l_row.clone(),
-            l_val: self.l_val.clone(),
-            u_ptr: self.u_ptr.clone(),
-            u_step: self.u_step.clone(),
-            u_val: self.u_val.clone(),
-            udiag: self.udiag.clone(),
-            x: self.x.clone(),
-            work: self.work.clone(),
-            marked: self.marked.clone(),
-            stamp: self.stamp,
-            stack: self.stack.clone(),
-            touched: self.touched.clone(),
-            steps: self.steps.clone(),
-        }
-    }
-}
-
 impl SparseLu {
     /// Performs the one-time symbolic analysis (fill-reducing ordering)
     /// and the first numeric factorization of `a`.

@@ -106,45 +106,24 @@ pub fn solve_dc(circuit: &Circuit, params: &Params, opts: &DcOptions) -> Result<
     let _frame = shc_prof::enter(shc_prof::Phase::DcOp);
     let n = circuit.unknown_count();
     let x0 = Vector::zeros(n);
-
-    // One sparse workspace (pattern probe + symbolic analysis) shared by
-    // every inner solve of every homotopy strategy; `None` keeps the
-    // classic dense path, bit for bit.
-    let mut sparse = if opts.solver.wants_sparse(n) {
-        let mut ws = newton::NewtonWorkspace::new(n);
-        ws.set_sparse_solver(Some(SparseJacSolver::new(circuit, params)?));
-        Some(DcSparse {
-            ws,
-            stamps: Stamps::new(n),
-        })
-    } else {
-        None
-    };
+    let mut dc = DcSolver::new(circuit, params, opts)?;
 
     // Strategy 1: plain Newton with the residual gmin.
-    if let Ok(sol) = dc_newton(
-        circuit,
-        params,
-        opts,
-        &x0,
-        opts.gmin_final,
-        1.0,
-        &mut sparse,
-    ) {
+    if let Ok((x, iterations)) = dc.newton(&x0, opts.gmin_final, 1.0) {
         return Ok(DcSolution {
-            x: sol.0,
+            x,
             strategy: DcStrategy::Direct,
-            total_iterations: sol.1,
+            total_iterations: iterations,
         });
     }
 
     // Strategy 2: gmin stepping.
-    if let Ok(sol) = gmin_stepping(circuit, params, opts, &x0, &mut sparse) {
+    if let Ok(sol) = dc.gmin_stepping(&x0) {
         return Ok(sol);
     }
 
     // Strategy 3: source stepping.
-    source_stepping(circuit, params, opts, &x0, &mut sparse)
+    dc.source_stepping(&x0)
 }
 
 /// Extra attempts granted per inner solve when a fault injector is active.
@@ -158,28 +137,45 @@ pub fn solve_dc(circuit: &Circuit, params: &Params, opts: &DcOptions) -> Result<
 /// at a 10% injection rate, 4 retries leave 1e-5 per solve.
 const DC_FAULT_RETRIES: usize = 4;
 
-/// Sparse-path workspace shared by every inner DC solve: the Newton
-/// buffers (with the [`SparseJacSolver`] installed) plus assembly stamps.
-/// Large circuits would otherwise pay a dense `O(n³)` factorization per
-/// Newton iteration per homotopy step.
-#[derive(Debug)]
-struct DcSparse {
+/// One DC operating-point problem and the buffers every inner solve of
+/// every strategy shares: a Newton workspace — dense LU, or the sparse
+/// solver with its pattern probe and symbolic analysis — and the assembly
+/// stamps. No homotopy step allocates a matrix or repeats an analysis.
+struct DcSolver<'a> {
+    circuit: &'a Circuit,
+    params: &'a Params,
+    opts: &'a DcOptions,
     ws: newton::NewtonWorkspace,
     stamps: Stamps,
 }
 
-fn dc_newton(
-    circuit: &Circuit,
-    params: &Params,
-    opts: &DcOptions,
-    x0: &Vector,
-    gmin: f64,
-    source_scale: f64,
-    sparse: &mut Option<DcSparse>,
-) -> Result<(Vector, usize)> {
-    let n_nodes = circuit.node_count();
-    let mut attempt = 0;
-    if let Some(DcSparse { ws, stamps }) = sparse.as_mut() {
+impl<'a> DcSolver<'a> {
+    fn new(circuit: &'a Circuit, params: &'a Params, opts: &'a DcOptions) -> Result<Self> {
+        let n = circuit.unknown_count();
+        let mut ws = newton::NewtonWorkspace::new(n);
+        if opts.solver.wants_sparse(n) {
+            ws.set_sparse_solver(Some(SparseJacSolver::new(circuit, params)?));
+        }
+        Ok(DcSolver {
+            circuit,
+            params,
+            opts,
+            ws,
+            stamps: Stamps::new(n),
+        })
+    }
+
+    /// One inner Newton solve from `x0` with a node shunt `gmin` and the
+    /// sources scaled by `source_scale`.
+    fn newton(&mut self, x0: &Vector, gmin: f64, source_scale: f64) -> Result<(Vector, usize)> {
+        let DcSolver {
+            circuit,
+            params,
+            opts,
+            ws,
+            stamps,
+        } = self;
+        let n_nodes = circuit.node_count();
         let mut assemble = |x: &Vector, f: &mut Vector, j: &mut Matrix| -> Result<()> {
             circuit.assemble_into(stamps, x, opts.time, params, source_scale);
             // Shunt gmin on every node (not on branch equations).
@@ -191,8 +187,9 @@ fn dc_newton(
             j.copy_from(&stamps.g)?;
             Ok(())
         };
+        let mut attempt = 0;
         loop {
-            match newton::solve_in_place(ws, x0, &opts.newton, &mut assemble) {
+            match newton::solve_in_place(ws, x0, &opts.newton, None, &mut assemble) {
                 Ok(iters) => {
                     if attempt > 0 {
                         shc_obs::count(shc_obs::Metric::NewtonRecoveries, 1);
@@ -210,89 +207,52 @@ fn dc_newton(
             }
         }
     }
-    let mut assemble = |x: &Vector| {
-        let mut stamps = circuit.assemble(x, opts.time, params, source_scale);
-        // Shunt gmin on every node (not on branch equations).
-        for i in 0..n_nodes {
-            stamps.f[i] += gmin * x[i];
-            stamps.g.add_at(i, i, gmin);
+
+    fn gmin_stepping(&mut self, x0: &Vector) -> Result<DcSolution> {
+        let mut x = x0.clone();
+        let mut gmin = self.opts.gmin_start;
+        let mut total = 0;
+        loop {
+            let (xn, iters) = self.newton(&x, gmin, 1.0)?;
+            x = xn;
+            total += iters;
+            if gmin <= self.opts.gmin_final {
+                return Ok(DcSolution {
+                    x,
+                    strategy: DcStrategy::GminStepping,
+                    total_iterations: total,
+                });
+            }
+            gmin = (gmin * self.opts.gmin_factor).max(self.opts.gmin_final);
         }
-        Ok((stamps.f, stamps.g))
-    };
-    loop {
-        match newton::solve(x0, &opts.newton, &mut assemble) {
-            Ok(sol) => {
-                if attempt > 0 {
-                    shc_obs::count(shc_obs::Metric::NewtonRecoveries, 1);
+    }
+
+    fn source_stepping(&mut self, x0: &Vector) -> Result<DcSolution> {
+        let mut x = x0.clone();
+        let mut total = 0;
+        let steps = self.opts.source_steps.max(1);
+        for k in 1..=steps {
+            let scale = k as f64 / steps as f64;
+            match self.newton(&x, self.opts.gmin_final, scale) {
+                Ok((xn, iters)) => {
+                    x = xn;
+                    total += iters;
                 }
-                return Ok((sol.x, sol.iterations));
-            }
-            Err(e)
-                if shc_fault::enabled() && attempt < DC_FAULT_RETRIES && newton::retryable(&e) =>
-            {
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn gmin_stepping(
-    circuit: &Circuit,
-    params: &Params,
-    opts: &DcOptions,
-    x0: &Vector,
-    sparse: &mut Option<DcSparse>,
-) -> Result<DcSolution> {
-    let mut x = x0.clone();
-    let mut gmin = opts.gmin_start;
-    let mut total = 0;
-    loop {
-        let (xn, iters) = dc_newton(circuit, params, opts, &x, gmin, 1.0, sparse)?;
-        x = xn;
-        total += iters;
-        if gmin <= opts.gmin_final {
-            return Ok(DcSolution {
-                x,
-                strategy: DcStrategy::GminStepping,
-                total_iterations: total,
-            });
-        }
-        gmin = (gmin * opts.gmin_factor).max(opts.gmin_final);
-    }
-}
-
-fn source_stepping(
-    circuit: &Circuit,
-    params: &Params,
-    opts: &DcOptions,
-    x0: &Vector,
-    sparse: &mut Option<DcSparse>,
-) -> Result<DcSolution> {
-    let mut x = x0.clone();
-    let mut total = 0;
-    let steps = opts.source_steps.max(1);
-    for k in 1..=steps {
-        let scale = k as f64 / steps as f64;
-        match dc_newton(circuit, params, opts, &x, opts.gmin_final, scale, sparse) {
-            Ok((xn, iters)) => {
-                x = xn;
-                total += iters;
-            }
-            Err(_) => {
-                return Err(SpiceError::NewtonDiverged {
-                    context: "dc operating point (all strategies)",
-                    iterations: total,
-                    residual: f64::NAN,
-                })
+                Err(_) => {
+                    return Err(SpiceError::NewtonDiverged {
+                        context: "dc operating point (all strategies)",
+                        iterations: total,
+                        residual: f64::NAN,
+                    })
+                }
             }
         }
+        Ok(DcSolution {
+            x,
+            strategy: DcStrategy::SourceStepping,
+            total_iterations: total,
+        })
     }
-    Ok(DcSolution {
-        x,
-        strategy: DcStrategy::SourceStepping,
-        total_iterations: total,
-    })
 }
 
 #[cfg(test)]
@@ -463,15 +423,56 @@ mod tests {
             Waveform::dc(1.0),
         ));
         c.add(Resistor::new("R1", a, Circuit::GROUND, 1e3));
-        let sol = source_stepping(
-            &c,
-            &Params::default(),
-            &DcOptions::default(),
-            &Vector::zeros(c.unknown_count()),
-            &mut None,
-        )
-        .unwrap();
+        let params = Params::default();
+        let opts = DcOptions::default();
+        let sol = DcSolver::new(&c, &params, &opts)
+            .unwrap()
+            .source_stepping(&Vector::zeros(c.unknown_count()))
+            .unwrap();
         assert_eq!(sol.strategy, DcStrategy::SourceStepping);
         assert!((sol.x[0] - 1.0).abs() < 1e-6);
+    }
+
+    /// Every inner solve of every strategy runs in the one workspace and
+    /// stamps a `solve_dc` call builds: on the default dense path, a
+    /// solve that fails two strategies and source-steps through dozens of
+    /// Newton iterations allocates exactly the matrices a one-iteration
+    /// direct solve does.
+    #[test]
+    fn homotopy_steps_allocate_no_matrix_on_the_dense_path() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.add(VoltageSource::new(
+            "V1",
+            a,
+            Circuit::GROUND,
+            Waveform::dc(2.5),
+        ));
+        c.add(Resistor::new("R1", a, b, 1e3));
+        c.add(Resistor::new("R2", b, Circuit::GROUND, 1e3));
+        let params = Params::default();
+        let allocations = |opts: &DcOptions| {
+            let before = shc_linalg::matrix_allocations();
+            let sol = solve_dc(&c, &params, opts).unwrap();
+            (sol, shc_linalg::matrix_allocations() - before)
+        };
+
+        let (direct, one_strategy) = allocations(&DcOptions::default());
+        assert_eq!(direct.strategy, DcStrategy::Direct);
+        // The 0.5 V step cap needs five damped iterations to reach 2.5 V,
+        // so four fail the direct solve and the first gmin step; a 1/20
+        // source step converges in two.
+        let (stepped, homotopy) = allocations(&DcOptions {
+            newton: NewtonOptions {
+                max_iters: 4,
+                ..NewtonOptions::default()
+            },
+            ..DcOptions::default()
+        });
+        assert_eq!(stepped.strategy, DcStrategy::SourceStepping);
+        assert!(stepped.total_iterations >= 40, "{stepped:?}");
+        assert_eq!(homotopy, one_strategy);
+        assert!(stepped.x.sub(&direct.x).norm_inf() < 1e-9);
     }
 }

@@ -16,13 +16,17 @@
 //!
 //! - a netlist builder ([`Circuit`]) with resistors, capacitors, voltage and
 //!   current sources, and a C¹-smoothed Shichman-Hodges (level-1) MOSFET;
+//! - one damped Newton-Raphson loop ([`newton::solve_in_place`]) behind
+//!   both analyses, iterating in a [`newton::NewtonWorkspace`] that owns
+//!   the one Jacobian factor, dense LU or sparse-direct ([`solver`]);
 //! - DC operating-point analysis with gmin and source stepping
-//!   ([`dcop`]);
+//!   ([`dcop`]), every inner solve in one workspace;
 //! - fixed-step Backward-Euler transient analysis, with Newton step cuts
 //!   ([`transient`]);
 //! - **forward sensitivity propagation** `∂x/∂τs`, `∂x/∂τh` for parameters
 //!   entering through source waveforms — the paper's eqs. (9)–(13) — with
-//!   the step Jacobian factored once and reused for the sensitivity solves;
+//!   the step Jacobian factored once, in the Newton workspace, and reused
+//!   for the sensitivity solves;
 //! - the parameterized data waveform `u_d(t, τs, τh)` of the paper's Fig. 2,
 //!   with analytic `∂u_d/∂τs` and `∂u_d/∂τh` ([`waveform::DataPulse`]).
 //!
@@ -54,7 +58,6 @@ pub mod circuit;
 pub mod dcop;
 pub mod devices;
 mod error;
-pub mod measure;
 pub mod netlist;
 pub mod newton;
 pub mod solver;

@@ -93,10 +93,9 @@ impl std::str::FromStr for SolverChoice {
 /// Construction probes the step-Jacobian sparsity pattern once (see
 /// [`Circuit::jacobian_pattern`]); every Newton iteration then gathers
 /// the current values out of the densely assembled Jacobian into the CSR
-/// template and refactors in place. Cloning copies the symbolic analysis
-/// (tracked buffer allocations, cold) so the sensitivity path can share
-/// it without re-running the fill-reducing ordering.
-#[derive(Debug, Clone)]
+/// template and refactors in place. A transient's sensitivity solves
+/// factor in the same solver as its Newton iterations.
+#[derive(Debug)]
 pub struct SparseJacSolver {
     /// Probed Jacobian positions, sorted by `(row, col)` and
     /// duplicate-free — exactly the CSR storage order, so entry `k`

@@ -171,7 +171,13 @@ impl<'a> Stamper<'a> {
         }
     }
 
+    // The adders below are `#[inline]`: every device's `stamp` calls them
+    // once per matrix entry on every Newton iteration, and without the
+    // hint whether they inline depends on which codegen unit rustc puts
+    // the devices in.
+
     /// Adds `value` to the charge vector at equation `eq`.
+    #[inline]
     pub fn add_q(&mut self, eq: Option<usize>, value: f64) {
         if let Some(i) = eq {
             self.stamps.q[i] += value;
@@ -179,6 +185,7 @@ impl<'a> Stamper<'a> {
     }
 
     /// Adds `value` to the residual at equation `eq`.
+    #[inline]
     pub fn add_f(&mut self, eq: Option<usize>, value: f64) {
         if let Some(i) = eq {
             self.stamps.f[i] += value;
@@ -186,6 +193,7 @@ impl<'a> Stamper<'a> {
     }
 
     /// Adds `value` to `C[eq, var]`.
+    #[inline]
     pub fn add_c(&mut self, eq: Option<usize>, var: Option<usize>, value: f64) {
         if let (true, Some(i), Some(j)) = (self.with_c, eq, var) {
             self.stamps.c.add_at(i, j, value);
@@ -197,6 +205,7 @@ impl<'a> Stamper<'a> {
     }
 
     /// Adds `value` to `G[eq, var]`.
+    #[inline]
     pub fn add_g(&mut self, eq: Option<usize>, var: Option<usize>, value: f64) {
         if let (Some(i), Some(j)) = (eq, var) {
             self.stamps.g.add_at(i, j, value);
@@ -209,6 +218,7 @@ impl<'a> Stamper<'a> {
 
     /// Stamps a two-terminal conductance `g` between equations/variables
     /// `a` and `b` (the classic 4-entry pattern).
+    #[inline]
     pub fn stamp_conductance(&mut self, a: Option<usize>, b: Option<usize>, g: f64) {
         self.add_g(a, a, g);
         self.add_g(b, b, g);
@@ -218,6 +228,7 @@ impl<'a> Stamper<'a> {
 
     /// Stamps a two-terminal linear capacitance `c` between `a` and `b`
     /// into the `C` matrix.
+    #[inline]
     pub fn stamp_capacitance(&mut self, a: Option<usize>, b: Option<usize>, c: f64) {
         self.add_c(a, a, c);
         self.add_c(b, b, c);

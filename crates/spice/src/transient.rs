@@ -24,7 +24,7 @@ use shc_linalg::{LuFactor, Matrix, Vector};
 
 use crate::circuit::Circuit;
 use crate::dcop::{self, DcOptions};
-use crate::newton::{self, NewtonOptions};
+use crate::newton::{self, Factor, NewtonOptions};
 use crate::solver::{SolverChoice, SparseJacSolver};
 use crate::stamp::{EvalContext, Stamper, Stamps};
 use crate::waveform::{Param, Params};
@@ -1207,7 +1207,6 @@ impl<'a> TransientAnalysis<'a> {
             stamps_prev,
             stamps_new,
             c,
-            sens_sparse,
             sens_rhs,
             sens_tmp,
             dfdp_tmp,
@@ -1245,10 +1244,10 @@ impl<'a> TransientAnalysis<'a> {
         circuit.assemble_into(stamps_prev, &x_prev, stamped_at, params, 1.0);
         c.copy_from(&stamps_prev.c)?;
         let c = &*c;
-        // The step size of the sensitivity Jacobian the dense LU factors at
-        // the last accepted state, until a Newton solve refactors it. Under
-        // fault injection every factorization runs, so LU fault draws fall
-        // as they always have.
+        // The step size of the sensitivity Jacobian the Newton workspace
+        // factors at the last accepted state, until a Newton solve
+        // refactors it. Under fault injection every factorization runs, so
+        // LU fault draws fall as they always have.
         let mut factored_dt: Option<f64> = None;
         let reuse_factors = !shc_fault::enabled();
 
@@ -1258,9 +1257,9 @@ impl<'a> TransientAnalysis<'a> {
             reach = reach.max(t_new);
 
             // The first iterate is `x_prev`, already stamped at `t_new`
-            // unless a Newton cut moved `t_new`. When the dense LU factors
-            // its Jacobian too — the same `dt_eff` — the iterate skips the
-            // refactor.
+            // unless a Newton cut moved `t_new`. When the workspace's
+            // factor is its Jacobian's too — the same `dt_eff` — the
+            // iterate skips the refactor.
             let was_fresh = t_new.to_bits() == stamped_at.to_bits();
             let fresh = Cell::new(was_fresh);
             let primed = was_fresh
@@ -1294,13 +1293,8 @@ impl<'a> TransientAnalysis<'a> {
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 Ok(())
             };
-            let first = newton::solve_in_place_lapped(
-                nw,
-                &x_prev,
-                &opts.newton,
-                Some(&lap_iter),
-                &mut assemble,
-            );
+            let first =
+                newton::solve_in_place(nw, &x_prev, &opts.newton, Some(&lap_iter), &mut assemble);
             // Retries start from jittered states, never from `x_prev`.
             let took_stamps = was_fresh && !fresh.replace(false);
             let solve_result = match first {
@@ -1381,44 +1375,34 @@ impl<'a> TransientAnalysis<'a> {
             if sens.is_empty() {
                 lap_step.end_region(LAP_NEWTON);
             } else {
-                combine_step_jacobian_into(
-                    nw.jacobian_and_lu().0,
-                    c,
-                    &stamps_new.g,
-                    dt_eff,
-                    pattern,
-                )?;
+                let (jac, factor) = nw.jacobian_and_factor();
+                combine_step_jacobian_into(jac, c, &stamps_new.g, dt_eff, pattern)?;
                 lap_iter.end_region(newton::lap::STAMP);
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 lap_step.end_region(LAP_NEWTON);
 
                 // One factor of the sensitivity Jacobian per accepted step,
-                // on whichever backend the Newton path runs, then one
-                // back-substitution per parameter. The dense factor lands
-                // in the Newton LU, where the next step's first iterate may
-                // take it.
+                // in the Newton workspace's own factor on either backend,
+                // where the next step's first iterate may take it; then
+                // one back-substitution per parameter.
                 enum SensSolver<'s> {
                     Dense(&'s LuFactor),
                     Sparse(&'s mut SparseJacSolver),
                 }
-                let mut sens_solver = if let Some(src) = nw.sparse_solver() {
-                    // Cold, once per scratch lifetime: the clone shares the
-                    // Newton solver's symbolic analysis.
-                    let sp = sens_sparse.get_or_insert_with(|| src.clone());
-                    with_lu_fault_retries(|| sp.factor_from(nw.jacobian()))?;
-                    SensSolver::Sparse(sp)
-                } else {
-                    let (jac, lu) = nw.jacobian_and_lu();
-                    let lu = match lu.as_mut() {
-                        Some(lu) => {
-                            with_lu_fault_retries(|| lu.refactor(jac))?;
-                            lu
-                        }
-                        None => lu.insert(with_lu_fault_retries(|| LuFactor::new(jac))?),
-                    };
-                    factored_dt = Some(dt_eff);
-                    SensSolver::Dense(lu)
+                let mut sens_solver = match factor {
+                    Factor::Sparse(sp) => {
+                        with_lu_fault_retries(|| sp.factor_from(jac))?;
+                        SensSolver::Sparse(sp)
+                    }
+                    Factor::Dense(Some(lu)) => {
+                        with_lu_fault_retries(|| lu.refactor(jac))?;
+                        SensSolver::Dense(lu)
+                    }
+                    Factor::Dense(slot) => SensSolver::Dense(
+                        slot.insert(with_lu_fault_retries(|| LuFactor::new(jac))?),
+                    ),
                 };
+                factored_dt = Some(dt_eff);
                 for (param, m) in sens.iter_mut() {
                     circuit.assemble_dfdp_into(dfdp_tmp, zero_x, t_new, params, *param);
                     c.mul_vec_into(m, sens_rhs);
@@ -1539,12 +1523,13 @@ fn assemble_state_into(
 /// Reusable per-run workspace for [`TransientAnalysis::run_with_scratch`].
 ///
 /// A characterization sweep performs thousands of transient runs over a
-/// fixed-dimension circuit; this workspace owns every per-step buffer —
-/// the Newton iterate/residual/Jacobian/LU factors (which the dense
-/// sensitivity solves share), the run's constant `C`, the assembly stamps
-/// for the Newton iterate, the previous step and the freshly accepted one,
-/// and the sensitivity solve temporaries — so the stepping loop performs no
-/// matrix allocation once the buffers are warm.
+/// fixed-dimension circuit; this workspace owns every per-step buffer: the
+/// Newton iterate, residual and Jacobian with the workspace's one factor
+/// (dense or sparse), which the sensitivity solves share; the run's
+/// constant `C`; the assembly stamps for the Newton iterate, the previous
+/// step and the freshly accepted one; and the sensitivity solve
+/// temporaries. So the stepping loop performs no matrix allocation once
+/// the buffers are warm.
 /// Not `Sync`: create one per thread when running sweeps in parallel.
 #[derive(Debug)]
 pub struct TransientScratch {
@@ -1555,10 +1540,6 @@ pub struct TransientScratch {
     /// The run's constant `C`: per-step assemblies leave the stamps' own
     /// `C` untouched.
     c: Matrix,
-    /// Sparse-path sensitivity solver; created (cold) by cloning the
-    /// Newton solver so both share one symbolic analysis. The dense path
-    /// factors the sensitivity Jacobian in the Newton workspace.
-    sens_sparse: Option<SparseJacSolver>,
     sens_rhs: Vector,
     sens_tmp: Vector,
     dfdp_tmp: Vector,
@@ -1579,7 +1560,6 @@ impl TransientScratch {
             stamps_prev: Stamps::new(n),
             stamps_new: Stamps::new(n),
             c: Matrix::zeros(n, n),
-            sens_sparse: None,
             sens_rhs: Vector::zeros(n),
             sens_tmp: Vector::zeros(n),
             dfdp_tmp: Vector::zeros(n),
@@ -1622,7 +1602,6 @@ impl TransientScratch {
             if !reuse {
                 self.newton
                     .set_sparse_solver(Some(SparseJacSolver::new(circuit, params)?));
-                self.sens_sparse = None;
             }
             // The hot loop addresses the stamp and Jacobian matrices only
             // at the pattern positions (O(nnz) per iteration); copy the
@@ -1641,7 +1620,6 @@ impl TransientScratch {
             self.stamps_new.clear();
         } else {
             self.newton.set_sparse_solver(None);
-            self.sens_sparse = None;
             self.jac_pattern.clear();
         }
         Ok(())
@@ -1839,8 +1817,8 @@ mod tests {
     /// The sparse path must reproduce the dense trajectory (state AND
     /// sensitivities) to solver tolerance on the same circuit, and the
     /// warm sparse stepping loop must stay matrix-allocation-free —
-    /// including the per-run pattern re-probe and the shared-symbolic
-    /// sensitivity solver.
+    /// including the per-run pattern re-probe and the sensitivity
+    /// factorizations in the Newton solver.
     #[test]
     fn sparse_transient_matches_dense_and_keeps_warm_loop_allocation_free() {
         let c = rc_chain_with_pulse(30);
@@ -1886,8 +1864,8 @@ mod tests {
 
     /// The sparse work counters must reconcile with the run shape: one
     /// analysis per topology, one fresh factor, refactors on every later
-    /// Newton iteration, and a solve per iteration plus two per accepted
-    /// step for the sensitivities.
+    /// factorization (all but the reused ones), and a solve per iteration
+    /// plus two per accepted step for the sensitivities.
     #[test]
     fn sparse_transient_work_counters_reconcile() {
         let c = rc_chain_with_pulse(20);
@@ -1913,14 +1891,16 @@ mod tests {
         let factors = snap.counter(shc_obs::Metric::SparseFactors);
         let refactors = snap.counter(shc_obs::Metric::SparseRefactors);
         let solves = snap.counter(shc_obs::Metric::SparseSolves);
-        // The Newton path factors once per iteration (the first via
-        // `SparseLu::new`, later ones as refactors); the sensitivity
-        // solver — a clone carrying warm factors — refactors once per
-        // accepted step.
+        let reused = snap.counter(shc_obs::Metric::FactorsReused);
+        // One solver factors every Newton iteration (the first via
+        // `SparseLu::new`, later ones as refactors) and the sensitivity
+        // Jacobian of every accepted step, except the first iterations
+        // that took the previous step's sensitivity factor.
         assert!(factors >= 1, "factors = {factors}");
+        assert!(reused > 0, "an equal-step run reuses factors");
         assert_eq!(
             factors + refactors,
-            stats.newton_iterations as u64 + stats.steps as u64,
+            stats.newton_iterations as u64 + stats.steps as u64 - reused,
             "factor work must match newton + sensitivity factorizations"
         );
         assert_eq!(
@@ -2265,13 +2245,34 @@ mod tests {
         }
     }
 
+    /// The steps of a run whose first iterate may reuse the previous
+    /// step's factor and its stamps: those whose `dt_eff` equals the
+    /// previous step's, and those that end where the previous step
+    /// planned them — the step size that step left, clipped to `tstop` —
+    /// rather than a quarter of it after a Newton cut.
+    fn reusable_steps(times: &[f64], opts: &TransientOptions) -> (u64, u64) {
+        let dts: Vec<u64> = times.windows(2).map(|w| (w[1] - w[0]).to_bits()).collect();
+        let equal_steps = dts.windows(2).filter(|d| d[0] == d[1]).count() as u64;
+        let mut planned_dt = opts.dt;
+        let mut planned_steps = 0;
+        for w in times.windows(2) {
+            let dt_eff = w[1] - w[0];
+            if w[1] == opts.tstop || dt_eff > 0.5 * planned_dt {
+                planned_steps += 1;
+            }
+            planned_dt = (2.0 * dt_eff).min(opts.dt);
+        }
+        (equal_steps, planned_steps)
+    }
+
     /// The edges of stamp and factor reuse: Newton dt-cuts, the steps
     /// that double `dt` back after them, and a last step that `tstop`
     /// clips. With sensitivities on, a full run and a run resumed from a
     /// ladder rung below the cut agree bit for bit; the full run's first
     /// iterates take the previous step's stamps on every step but those a
     /// Newton cut shortened, and its factor exactly on the steps whose
-    /// `dt_eff` equals the previous step's.
+    /// `dt_eff` equals the previous step's. The sparse backend reuses on
+    /// the same steps, bitwise identically to a run that reuses nothing.
     #[test]
     fn reuse_edges_stay_bitwise_and_reuse_only_equal_step_factors() {
         let (c, mut opts) = clocked_rc();
@@ -2286,8 +2287,7 @@ mod tests {
             TransientAnalysis::new(&c, opts.clone()).run(&at).unwrap()
         };
         let times = full.times();
-        let dts: Vec<u64> = times.windows(2).map(|w| (w[1] - w[0]).to_bits()).collect();
-        let equal_steps = dts.windows(2).filter(|d| d[0] == d[1]).count() as u64;
+        let (equal_steps, planned_steps) = reusable_steps(times, &opts);
         assert!(full.stats().rejected_steps > 0, "the clock edge cuts dt");
         assert!(times[times.len() - 1] - times[times.len() - 2] < opts.dt);
         assert!(equal_steps + 1 < full.stats().steps as u64);
@@ -2295,24 +2295,45 @@ mod tests {
             collector.counter(shc_obs::Metric::FactorsReused),
             equal_steps
         );
-        // A step ends where the previous one planned it — the step size
-        // that step left, clipped to `tstop` — unless a Newton cut
-        // quartered it after a rejected attempt; only the planned ones
-        // start from stamps made at their own time.
-        let mut planned_dt = opts.dt;
-        let mut planned_steps = 0;
-        for w in times.windows(2) {
-            let dt_eff = w[1] - w[0];
-            if w[1] == opts.tstop || dt_eff > 0.5 * planned_dt {
-                planned_steps += 1;
-            }
-            planned_dt = (2.0 * dt_eff).min(opts.dt);
-        }
         assert!(planned_steps < full.stats().steps as u64);
         assert_eq!(
             collector.counter(shc_obs::Metric::StampsReused),
             planned_steps
         );
+
+        // Sparse: the same reuse counts, and a never-firing fault plan
+        // (under which no factor is reused) changes no bit.
+        let sparse_opts = TransientOptions {
+            solver: SolverChoice::Sparse,
+            ..opts.clone()
+        };
+        let collector = shc_obs::Collector::new();
+        let sparse = {
+            let _guard = shc_obs::install_scoped(&collector);
+            TransientAnalysis::new(&c, sparse_opts.clone())
+                .run(&at)
+                .unwrap()
+        };
+        assert!(sparse.stats().rejected_steps > 0, "the clock edge cuts dt");
+        let (equal_steps, planned_steps) = reusable_steps(sparse.times(), &opts);
+        assert!(equal_steps + 1 < sparse.stats().steps as u64);
+        assert_eq!(
+            collector.counter(shc_obs::Metric::FactorsReused),
+            equal_steps
+        );
+        assert_eq!(
+            collector.counter(shc_obs::Metric::StampsReused),
+            planned_steps
+        );
+        let silent = shc_fault::Injector::new(shc_fault::FaultPlan::default());
+        let collector = shc_obs::Collector::new();
+        let unreused = {
+            let _faults = shc_fault::install_scoped(&silent);
+            let _guard = shc_obs::install_scoped(&collector);
+            TransientAnalysis::new(&c, sparse_opts).run(&at).unwrap()
+        };
+        assert_eq!(collector.counter(shc_obs::Metric::FactorsReused), 0);
+        assert_bitwise_eq(&sparse, &unreused);
 
         let ladder = PrefixLadder::default();
         let analysis = TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());
@@ -2324,6 +2345,73 @@ mod tests {
         assert_bitwise_eq(&resumed, &full);
         assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
         assert_eq!(collector.counter(shc_obs::Metric::PrefixStepsReused), 16);
+    }
+
+    /// On a nonlinear circuit, where every Newton iteration's Jacobian
+    /// differs, a sparse first iterate that takes the previous step's
+    /// sensitivity factor reproduces a run that refactors it, bit for bit.
+    #[test]
+    fn sparse_factor_reuse_is_bitwise_on_a_nonlinear_circuit() {
+        use crate::devices::{MosParams, Mosfet};
+        let mut c = rc_chain_with_pulse(2);
+        let vdd = c.node("vdd");
+        c.add(VoltageSource::new(
+            "Vdd",
+            vdd,
+            Circuit::GROUND,
+            Waveform::dc(2.5),
+        ));
+        let mut input = c.find_node("n1").unwrap();
+        for s in 0..2 {
+            let out = c.node(&format!("inv{s}"));
+            let (n, p) = (MosParams::nmos_250nm(), MosParams::pmos_250nm());
+            c.add(Mosfet::new(
+                &format!("MN{s}"),
+                out,
+                input,
+                Circuit::GROUND,
+                n,
+                1e-6,
+                0.25e-6,
+            ));
+            c.add(Mosfet::new(
+                &format!("MP{s}"),
+                out,
+                input,
+                vdd,
+                p,
+                2e-6,
+                0.25e-6,
+            ));
+            c.add(Capacitor::new(
+                &format!("CL{s}"),
+                out,
+                Circuit::GROUND,
+                1e-13,
+            ));
+            input = out;
+        }
+        let opts = TransientOptions::builder(6e-7)
+            .dt(2e-9)
+            .sensitivities(&Param::ALL)
+            .solver(SolverChoice::Sparse)
+            .build();
+        let params = Params::new(1e-7, 1e-7);
+        let collector = shc_obs::Collector::new();
+        let reused = {
+            let _guard = shc_obs::install_scoped(&collector);
+            TransientAnalysis::new(&c, opts.clone())
+                .run(&params)
+                .unwrap()
+        };
+        assert!(collector.counter(shc_obs::Metric::FactorsReused) > 0);
+        assert!(reused.stats().newton_iterations > reused.stats().steps);
+        let silent = shc_fault::Injector::new(shc_fault::FaultPlan::default());
+        let refactored = {
+            let _faults = shc_fault::install_scoped(&silent);
+            TransientAnalysis::new(&c, opts).run(&params).unwrap()
+        };
+        assert_bitwise_eq(&reused, &refactored);
     }
 
     /// A reference whose data pulse moves before the stop time: its ladder

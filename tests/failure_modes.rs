@@ -51,12 +51,12 @@ fn newton_budget_exhaustion_is_reported() {
         max_step: f64::INFINITY,
         ..NewtonOptions::default()
     };
-    let err = newton::solve(&x0, &opts, |x| {
+    let mut ws = newton::NewtonWorkspace::new(1);
+    let err = newton::solve_in_place(&mut ws, &x0, &opts, None, |x, f, j| {
         // F(x) = x, but claim slope −1: iterates bounce x → 2x.
-        Ok((
-            Vector::from_slice(&[x[0]]),
-            Matrix::from_rows(&[&[-1.0]]).unwrap(),
-        ))
+        f.as_mut_slice()[0] = x[0];
+        j[(0, 0)] = -1.0;
+        Ok(())
     })
     .unwrap_err();
     match err {
