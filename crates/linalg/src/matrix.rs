@@ -183,23 +183,19 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// The entries as one row-major slice: entry `(i, j)` at `i·cols + j`.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Mutable row-major entries, for writes addressed by flat index.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Sets every entry to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    /// Adds `value` to entry `(i, j)` — the MNA "stamp" primitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn add_at(&mut self, i: usize, j: usize, value: f64) {
-        let c = self.cols;
-        assert!(
-            i < self.rows && j < c,
-            "add_at: index ({i},{j}) out of range"
-        );
-        self.data[i * c + j] += value;
     }
 
     /// Matrix–vector product `A·v`.
@@ -483,14 +479,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[3.0, 4.0], &[0.0, 0.0]]).unwrap();
         assert_eq!(a.norm_frobenius(), 5.0);
         assert_eq!(a.norm_inf(), 7.0);
-    }
-
-    #[test]
-    fn stamp_primitive_accumulates() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_at(0, 0, 1.5);
-        m.add_at(0, 0, 0.5);
-        assert_eq!(m[(0, 0)], 2.0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! project characterizes, but register banks and post-layout parasitic
 //! netlists need a sparse path. [`CsrMatrix`] is the storage shared by the
 //! sparse-direct factorization in [`crate::SparseLu`] and by the
-//! pattern-preserving Jacobian gather in the simulator.
+//! simulator's sparse Jacobian, whose value array the assembly stamps
+//! into slot by slot.
 
 use crate::{LinalgError, Matrix, Result, Vector};
 

@@ -309,7 +309,6 @@ const ALLOC_CTORS: &[(&str, &str)] = &[
     ("CsrMatrix", "from_triplets"),
     ("CsrMatrix", "from_dense"),
     ("SparseLu", "new"),
-    ("SparseJacSolver", "new"),
 ];
 
 /// `Type::ctor` tails that allocate regardless of the type.

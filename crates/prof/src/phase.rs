@@ -30,12 +30,14 @@ pub enum Phase {
     /// Newton loop bookkeeping: convergence checks, damping, recovery
     /// retries (self-time excludes assembly and linear algebra).
     NewtonOverhead,
-    /// Dense device evaluation + stamping loop (`assemble_into`).
+    /// Device evaluation + stamping loop (`Circuit::stamp`) on the dense
+    /// layout.
     DeviceEval,
     /// Residual formation and companion-model combination after the
     /// device loop (`combine_step_jacobian_into` and friends).
     Stamp,
-    /// Sparse device evaluation + stamping loop (`assemble_sparse_into`).
+    /// Device evaluation + stamping loop (`Circuit::stamp`) on the
+    /// sparse layout: slot-indexed writes straight into CSR values.
     AssembleSparse,
     /// Dense LU fresh factorization (allocating).
     LuFactor,

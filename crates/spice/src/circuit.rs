@@ -1,12 +1,16 @@
-//! Netlist representation and MNA unknown bookkeeping.
+//! Netlist representation, MNA unknown bookkeeping, and the device loop
+//! every assembly runs: `Circuit::stamp` hands each device, in insertion
+//! order, a [`Stamper`] over the caller's layout (see [`crate::stamp`]).
+//! The dense `Stamps` entry points ([`Circuit::assemble_into`] and its
+//! wrappers) are that loop over the dense layout.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use shc_linalg::{Matrix, Vector};
+use shc_linalg::{CsrMatrix, Matrix, Vector};
 
 use crate::devices::Device;
-use crate::stamp::{EvalContext, Stamper, Stamps};
+use crate::stamp::{EvalContext, Layout, SlotMap, Stamper, Stamps, Trace};
 use crate::waveform::{Param, Params};
 use crate::{Result, SpiceError};
 
@@ -142,11 +146,6 @@ impl Circuit {
         self.node_count() + b
     }
 
-    /// Iterates over the devices in insertion order.
-    pub fn devices(&self) -> impl Iterator<Item = &dyn Device> {
-        self.devices.iter().map(|d| d.as_ref())
-    }
-
     /// Number of devices.
     pub fn device_count(&self) -> usize {
         self.devices.len()
@@ -234,33 +233,17 @@ impl Circuit {
             "stamps workspace has wrong dimension"
         );
         stamps.clear();
-        let ctx = EvalContext {
-            x,
-            t,
-            params,
-            source_scale,
-            node_offset: self.node_count(),
-        };
-        let mut stamper = Stamper::new(stamps);
-        for device in &self.devices {
-            device.stamp(&mut stamper, &ctx);
-        }
+        self.stamp(&mut Stamper::new(stamps), x, t, params, source_scale);
     }
 
-    /// Like [`Circuit::assemble_into`] but clears the Jacobian workspaces
-    /// via [`Stamps::clear_pattern`] — `O(nnz)` instead of `O(n²)` — so the
-    /// sparse-direct Newton path pays no dense bookkeeping per iteration.
-    ///
-    /// `pattern` must cover this circuit's [`Circuit::jacobian_pattern`],
-    /// and `stamps` must not hold nonzeros outside that pattern (give it a
-    /// full [`Stamps::clear`] first when its history is unknown).
+    /// [`Circuit::assemble_into`]; `pattern` is unused. Kept, with
+    /// [`Circuit::jacobian_pattern`], for the benchmark of record until
+    /// ROADMAP item 3: the sparse Newton path stamps into CSR slots, not
+    /// into `Stamps`.
     ///
     /// # Panics
     ///
     /// Panics if the workspace dimension does not match the circuit.
-    ///
-    /// effects: assert
-    // lint: hot-fn
     pub fn assemble_sparse_into(
         &self,
         stamps: &mut Stamps,
@@ -268,14 +251,22 @@ impl Circuit {
         t: f64,
         params: &Params,
         source_scale: f64,
-        pattern: &[(usize, usize)],
+        _pattern: &[(usize, usize)],
     ) {
-        assert_eq!(
-            stamps.dim(),
-            self.unknown_count(),
-            "stamps workspace has wrong dimension"
-        );
-        stamps.clear_pattern(pattern);
+        self.assemble_into(stamps, x, t, params, source_scale);
+    }
+
+    /// Runs every device's stamp at `(x, t)` into `stamper`, in insertion
+    /// order: the one device loop of every assembly.
+    // lint: hot-fn
+    pub(crate) fn stamp(
+        &self,
+        stamper: &mut Stamper<'_>,
+        x: &Vector,
+        t: f64,
+        params: &Params,
+        source_scale: f64,
+    ) {
         let ctx = EvalContext {
             x,
             t,
@@ -283,74 +274,54 @@ impl Circuit {
             source_scale,
             node_offset: self.node_count(),
         };
-        let mut stamper = Stamper::new(stamps);
         for device in &self.devices {
-            device.stamp(&mut stamper, &ctx);
+            device.stamp(stamper, &ctx);
         }
     }
 
-    /// Records the sparsity pattern of the step Jacobian `C·a + G`.
-    ///
-    /// Device stamping is pattern-preserving — the set of `(eq, var)`
-    /// positions touched depends only on the topology — so a single probe
-    /// assembly at `x = 0`, `t = 0` captures the structure for every
-    /// evaluation point. Every diagonal position is included as well
-    /// (integrators and the DC `gmin` shunt stamp the diagonal, and sparse
-    /// LU pivoting prefers a structurally present diagonal). The result is
-    /// sorted by `(row, col)` and duplicate-free, which matches the storage
-    /// order of [`shc_linalg::CsrMatrix::from_triplets`].
+    /// The sparse layout's slots for this circuit, resolved from one
+    /// recording assembly at `x = 0`, `t = 0`.
+    pub(crate) fn slot_map(&self, params: &Params) -> SlotMap {
+        let (n, mut trace) = (self.unknown_count(), Trace::default());
+        self.stamp(&mut trace.recorder(n), &Vector::zeros(n), 0.0, params, 1.0);
+        SlotMap::resolve(n, &trace)
+    }
+
+    /// The sparsity pattern of the step Jacobian `C·a + G`: every position
+    /// the devices stamp — the same at every evaluation point — plus every
+    /// diagonal, sorted by `(row, col)` and duplicate-free, which matches
+    /// the storage order of [`shc_linalg::CsrMatrix::from_triplets`].
     pub fn jacobian_pattern(&self, params: &Params) -> Vec<(usize, usize)> {
-        let n = self.unknown_count();
-        let mut stamps = Stamps::new(n);
-        let x = Vector::zeros(n);
-        let mut entries = Vec::new();
-        self.assemble_pattern_into(&mut stamps, &x, params, &mut entries);
-        entries
+        self.slot_map(params).entries
     }
 
-    /// Like [`Circuit::jacobian_pattern`] but writes into caller-provided
-    /// buffers so per-run pattern re-probes stay allocation-free (beyond
-    /// `entries` growth). `x_zero` must be an all-zero vector of the
-    /// unknown count; `stamps` is clobbered as scratch.
+    /// `C` and `G` at `(x, t)` as the sparse path assembles them: stamped
+    /// through its slots into CSR matrices on [`Circuit::jacobian_pattern`],
+    /// explicit zeros kept. Allocates; for inspection.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a buffer dimension does not match the circuit.
-    pub fn assemble_pattern_into(
+    /// [`SpiceError::Linalg`] for a circuit with no unknowns.
+    pub fn assemble_csr(
         &self,
-        stamps: &mut Stamps,
-        x_zero: &Vector,
+        x: &Vector,
+        t: f64,
         params: &Params,
-        entries: &mut Vec<(usize, usize)>,
-    ) {
-        assert_eq!(
-            stamps.dim(),
-            self.unknown_count(),
-            "stamps workspace has wrong dimension"
+    ) -> Result<(CsrMatrix, CsrMatrix)> {
+        let n = self.unknown_count();
+        let map = self.slot_map(params);
+        let (mut c, mut g) = (map.csr()?, map.csr()?);
+        let (mut q, mut f) = (Vector::zeros(n), Vector::zeros(n));
+        let layout = Layout::Sparse(map);
+        let mut stamper = Stamper::in_layout(
+            &layout,
+            &mut q,
+            &mut f,
+            Some(c.values_mut()),
+            g.values_mut(),
         );
-        assert_eq!(
-            x_zero.len(),
-            self.unknown_count(),
-            "x workspace has wrong dimension"
-        );
-        stamps.clear();
-        entries.clear();
-        let ctx = EvalContext {
-            x: x_zero,
-            t: 0.0,
-            params,
-            source_scale: 1.0,
-            node_offset: self.node_count(),
-        };
-        let mut stamper = Stamper::with_pattern(stamps, entries);
-        for device in &self.devices {
-            device.stamp(&mut stamper, &ctx);
-        }
-        for i in 0..self.unknown_count() {
-            entries.push((i, i));
-        }
-        entries.sort_unstable();
-        entries.dedup();
+        self.stamp(&mut stamper, x, t, params, 1.0);
+        Ok((c, g))
     }
 
     /// Assembles the parameter derivative of the residual,

@@ -8,12 +8,12 @@
 //! methods — the same family of ideas as the Euler-Newton contour tracing
 //! this simulator exists to support.
 
-use shc_linalg::{Matrix, Vector};
+use shc_linalg::Vector;
 
 use crate::circuit::Circuit;
 use crate::newton::{self, NewtonOptions};
-use crate::solver::{SolverChoice, SparseJacSolver};
-use crate::stamp::Stamps;
+use crate::solver::SolverChoice;
+use crate::stamp::{Layout, Stamper};
 use crate::waveform::Params;
 use crate::{Result, SpiceError};
 
@@ -138,30 +138,34 @@ pub fn solve_dc(circuit: &Circuit, params: &Params, opts: &DcOptions) -> Result<
 const DC_FAULT_RETRIES: usize = 4;
 
 /// One DC operating-point problem and the buffers every inner solve of
-/// every strategy shares: a Newton workspace — dense LU, or the sparse
-/// solver with its pattern probe and symbolic analysis — and the assembly
-/// stamps. No homotopy step allocates a matrix or repeats an analysis.
+/// every strategy shares: the assembly layout and a Newton workspace that
+/// follows it, into whose residual and Jacobian each solve stamps. No
+/// homotopy step allocates a matrix or repeats an analysis.
 struct DcSolver<'a> {
     circuit: &'a Circuit,
     params: &'a Params,
     opts: &'a DcOptions,
+    layout: Layout,
     ws: newton::NewtonWorkspace,
-    stamps: Stamps,
+    /// The charges each assembly stamps and DC ignores.
+    q: Vector,
 }
 
 impl<'a> DcSolver<'a> {
     fn new(circuit: &'a Circuit, params: &'a Params, opts: &'a DcOptions) -> Result<Self> {
         let n = circuit.unknown_count();
-        let mut ws = newton::NewtonWorkspace::new(n);
-        if opts.solver.wants_sparse(n) {
-            ws.set_sparse_solver(Some(SparseJacSolver::new(circuit, params)?));
-        }
+        let layout = if opts.solver.wants_sparse(n) {
+            Layout::Sparse(circuit.slot_map(params))
+        } else {
+            Layout::Dense(n)
+        };
         Ok(DcSolver {
             circuit,
             params,
             opts,
-            ws,
-            stamps: Stamps::new(n),
+            ws: newton::NewtonWorkspace::for_layout(&layout)?,
+            layout,
+            q: Vector::zeros(n),
         })
     }
 
@@ -172,19 +176,22 @@ impl<'a> DcSolver<'a> {
             circuit,
             params,
             opts,
+            layout,
             ws,
-            stamps,
+            q,
         } = self;
         let n_nodes = circuit.node_count();
-        let mut assemble = |x: &Vector, f: &mut Vector, j: &mut Matrix| -> Result<()> {
-            circuit.assemble_into(stamps, x, opts.time, params, source_scale);
+        let mut assemble = |x: &Vector, f: &mut Vector, j: &mut [f64]| -> Result<()> {
+            q.fill_zero();
+            f.fill_zero();
+            j.fill(0.0);
+            let mut stamper = Stamper::in_layout(layout, q, f, None, j);
+            circuit.stamp(&mut stamper, x, opts.time, params, source_scale);
             // Shunt gmin on every node (not on branch equations).
             for i in 0..n_nodes {
-                stamps.f[i] += gmin * x[i];
-                stamps.g.add_at(i, i, gmin);
+                f[i] += gmin * x[i];
+                j[layout.diagonal(i)] += gmin;
             }
-            f.copy_from(&stamps.f);
-            j.copy_from(&stamps.g)?;
             Ok(())
         };
         let mut attempt = 0;

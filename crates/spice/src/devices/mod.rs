@@ -40,7 +40,10 @@ use crate::waveform::{Param, Params};
 /// - `q` and `G` never depend on `t`, so a Backward Euler transient
 ///   stamps an accepted state once, at the next step's time, and those
 ///   stamps serve as both the step's history and the next step's first
-///   Newton iterate.
+///   Newton iterate;
+/// - which `C`/`G` positions a device stamps, and in what order, never
+///   depends on the evaluation point: the sparse layout's slots
+///   ([`crate::stamp`]) are resolved once from that order.
 pub trait Device: std::fmt::Debug + Send + Sync {
     /// Instance name (diagnostics only).
     fn name(&self) -> &str;
@@ -76,6 +79,7 @@ pub trait Device: std::fmt::Debug + Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stamp::{SlotMap, Trace};
     use crate::waveform::{DataPulse, Params, RampShape, Waveform};
     use crate::Circuit;
     use shc_linalg::Matrix;
@@ -98,6 +102,8 @@ mod tests {
     /// once-per-run `C` and its reuse of accepted-state stamps rely on:
     /// `C` is bitwise the same at unrelated `(x, t, params)`, and `q` and
     /// `G` are bitwise the same at two times, while a source's `f` moves.
+    /// It also stamps the same `C`/`G` positions in the same order at
+    /// unrelated points, which the sparse layout's slots rely on.
     #[test]
     fn only_f_depends_on_time_and_c_on_nothing() {
         let pulse = Waveform::Data(DataPulse {
@@ -175,6 +181,13 @@ mod tests {
             if what.ends_with("source") {
                 assert_ne!(vbits(&at_t1.f), vbits(&at_t2.f), "{what}: f is still");
             }
+            let (mut here, mut there) = (Trace::default(), Trace::default());
+            c.stamp(&mut here.recorder(n), &x1, 4e-9, &p1, 1.0);
+            c.stamp(&mut there.recorder(n), &x2, 6e-9, &p2, 1.0);
+            assert!(
+                SlotMap::resolve(n, &here).matches(&there),
+                "{what}: stamp positions move"
+            );
         }
     }
 }

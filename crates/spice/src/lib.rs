@@ -16,6 +16,8 @@
 //!
 //! - a netlist builder ([`Circuit`]) with resistors, capacitors, voltage and
 //!   current sources, and a C¹-smoothed Shichman-Hodges (level-1) MOSFET;
+//! - MNA assembly into slot-indexed value arrays ([`stamp`]): row-major
+//!   dense, or the CSR values of the sparse Jacobian pattern;
 //! - one damped Newton-Raphson loop ([`newton::solve_in_place`]) behind
 //!   both analyses, iterating in a [`newton::NewtonWorkspace`] that owns
 //!   the one Jacobian factor, dense LU or sparse-direct ([`solver`]);

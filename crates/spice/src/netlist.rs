@@ -209,6 +209,18 @@ fn kv_value(
     }
 }
 
+/// `value` when it is positive and finite, which every device constructor
+/// asserts of its element values; otherwise a typed error naming `what`.
+fn positive(value: f64, what: &str, line: usize) -> Result<f64, NetlistError> {
+    if value.is_finite() && value > 0.0 {
+        return Ok(value);
+    }
+    Err(err(
+        line,
+        format!("{what} must be positive and finite, got {value:e}"),
+    ))
+}
+
 /// Parses a waveform specification from source-card tokens.
 fn parse_waveform(tokens: &[String], line: usize) -> Result<Waveform, NetlistError> {
     if tokens.is_empty() {
@@ -554,6 +566,7 @@ pub fn parse(deck: &str) -> Result<Circuit, NetlistError> {
                 need(4)?;
                 let value = parse_value(&tokens[3])
                     .ok_or_else(|| err(ln, format!("bad resistance '{}'", tokens[3])))?;
+                let value = positive(value, "resistance", ln)?;
                 let (a, b) = (
                     node(&mut circuit, &tokens[1]),
                     node(&mut circuit, &tokens[2]),
@@ -564,6 +577,7 @@ pub fn parse(deck: &str) -> Result<Circuit, NetlistError> {
                 need(4)?;
                 let value = parse_value(&tokens[3])
                     .ok_or_else(|| err(ln, format!("bad capacitance '{}'", tokens[3])))?;
+                let value = positive(value, "capacitance", ln)?;
                 let (a, b) = (
                     node(&mut circuit, &tokens[1]),
                     node(&mut circuit, &tokens[2]),
@@ -574,6 +588,7 @@ pub fn parse(deck: &str) -> Result<Circuit, NetlistError> {
                 need(4)?;
                 let value = parse_value(&tokens[3])
                     .ok_or_else(|| err(ln, format!("bad inductance '{}'", tokens[3])))?;
+                let value = positive(value, "inductance", ln)?;
                 let (a, b) = (
                     node(&mut circuit, &tokens[1]),
                     node(&mut circuit, &tokens[2]),
@@ -601,12 +616,14 @@ pub fn parse(deck: &str) -> Result<Circuit, NetlistError> {
             'd' => {
                 need(3)?;
                 let (kv, _) = split_kv(&tokens[3..]);
+                let pos = |key: &str, default| positive(kv_value(&kv, key, default, ln)?, key, ln);
+                let defaults = DiodeParams::default();
                 let params = DiodeParams {
-                    i_s: kv_value(&kv, "is", DiodeParams::default().i_s, ln)?,
-                    v_t: kv_value(&kv, "vt", DiodeParams::default().v_t, ln)?,
-                    n: kv_value(&kv, "n", DiodeParams::default().n, ln)?,
-                    cj: kv_value(&kv, "cj", DiodeParams::default().cj, ln)?,
-                    v_crit: DiodeParams::default().v_crit,
+                    i_s: pos("is", defaults.i_s)?,
+                    v_t: pos("vt", defaults.v_t)?,
+                    n: pos("n", defaults.n)?,
+                    cj: kv_value(&kv, "cj", defaults.cj, ln)?,
+                    v_crit: defaults.v_crit,
                 };
                 let (a, c) = (
                     node(&mut circuit, &tokens[1]),
@@ -627,8 +644,8 @@ pub fn parse(deck: &str) -> Result<Circuit, NetlistError> {
                         format!("unknown model '{model_name}' (missing .MODEL?)"),
                     )
                 })?;
-                let w = kv_value(&kv, "w", 1e-6, ln)?;
-                let l = kv_value(&kv, "l", 0.25e-6, ln)?;
+                let w = positive(kv_value(&kv, "w", 1e-6, ln)?, "w", ln)?;
+                let l = positive(kv_value(&kv, "l", 0.25e-6, ln)?, "l", ln)?;
                 let d = node(&mut circuit, &positional[0]);
                 let g = node(&mut circuit, &positional[1]);
                 let s = node(&mut circuit, &positional[2]);
@@ -816,6 +833,47 @@ D1 load 0 IS=1e-14
 
         let e = parse(".weird\n.end").unwrap_err();
         assert!(e.message.contains("unsupported directive"));
+    }
+
+    /// Every element value a device constructor asserts on comes back as
+    /// a typed error on its card's line, never a panic.
+    fn rejects_on_line_2(card: &str, what: &str) {
+        let deck = format!("V1 a 0 DC 1\n{card}\n.end");
+        let e = parse(&deck).unwrap_err();
+        assert_eq!(e.line, 2, "{card}: {e}");
+        assert!(e.message.contains(what), "{card}: {e}");
+    }
+
+    #[test]
+    fn resistor_values_must_be_positive_and_finite() {
+        rejects_on_line_2("R1 a 0 0", "resistance");
+        rejects_on_line_2("R1 a 0 1e999", "resistance");
+    }
+
+    #[test]
+    fn capacitor_values_must_be_positive() {
+        rejects_on_line_2("C1 a 0 -1p", "capacitance");
+    }
+
+    #[test]
+    fn inductor_values_must_be_positive() {
+        rejects_on_line_2("L1 a 0 0", "inductance");
+    }
+
+    #[test]
+    fn mosfet_geometry_must_be_positive() {
+        let model = ".model nm nmos vto=0.4 kp=1e-4";
+        let e = parse(&format!("{model}\nM1 d g 0 nm w=0\n.end")).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains('w'), "{e}");
+        let e = parse(&format!("{model}\nM1 d g 0 nm l=-1u\n.end")).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+    }
+
+    #[test]
+    fn diode_parameters_must_be_positive() {
+        rejects_on_line_2("D1 a 0 is=-1", "is");
+        rejects_on_line_2("D1 a 0 n=0", "n");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The crate's one damped Newton-Raphson loop, shared by DC and transient
 //! analyses, and the workspace that owns its buffers and Jacobian factor.
 
-use shc_linalg::{LuFactor, Matrix, Vector};
+use shc_linalg::{CsrMatrix, LuFactor, Matrix, SparseLu, Vector};
 
-use crate::solver::SparseJacSolver;
+use crate::stamp::Layout;
 use crate::{Result, SpiceError};
 
 /// Deterministic fault hook for the Newton site: maps an injected fault
@@ -69,20 +69,73 @@ impl Default for NewtonOptions {
     }
 }
 
-/// The factor of a [`NewtonWorkspace`]: the one place its Newton
-/// iterations, and the transient's sensitivity solves, factor the
-/// Jacobian buffer.
+/// The Jacobian buffer of a [`NewtonWorkspace`] in its assembly layout
+/// ([`crate::stamp`]) — dense row-major, or the CSR values the sparse
+/// assembly stamps into — and its LU factor, built on the first
+/// factorization and refactored in place after it: the one factor of the
+/// Newton iterations and of a transient's sensitivity solves.
 #[derive(Debug)]
 #[allow(
     clippy::large_enum_variant,
     reason = "one per workspace, built once per analysis and never moved in a loop; boxing the sparse variant would only add an allocation"
 )]
 pub(crate) enum Factor {
-    /// Dense LU, built on the first factorization and refactored in place
-    /// after it.
-    Dense(Option<LuFactor>),
-    /// The sparse-direct path (see [`crate::solver::SolverChoice`]).
-    Sparse(SparseJacSolver),
+    Dense(Matrix, Option<LuFactor>),
+    Sparse(CsrMatrix, Option<SparseLu>),
+}
+
+impl Factor {
+    /// The Jacobian buffer, one value per slot.
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        match self {
+            Factor::Dense(jacobian, _) => jacobian.as_mut_slice(),
+            Factor::Sparse(jacobian, _) => jacobian.values_mut(),
+        }
+    }
+
+    /// A [`SpiceError::NumericalBlowup`] if the Jacobian buffer holds a
+    /// non-finite value: checked before every factorization.
+    pub(crate) fn check_finite(&self) -> Result<()> {
+        let values = match self {
+            Factor::Dense(jacobian, _) => jacobian.as_slice(),
+            Factor::Sparse(jacobian, _) => jacobian.values(),
+        };
+        if values.iter().all(|v| v.is_finite()) {
+            Ok(())
+        } else {
+            Err(SpiceError::NumericalBlowup { time: f64::NAN })
+        }
+    }
+
+    /// `out = A·v` for `A` given by its slot values `a`: per row, ascending
+    /// columns accumulated from `+0.0`. Sparse, that is bitwise the dense
+    /// product, since the structural zeros it skips add only `±0`.
+    pub(crate) fn mul_slots_into(&self, a: &[f64], v: &Vector, out: &mut Vector) {
+        match self {
+            Factor::Dense(jacobian, _) => {
+                for (row, o) in a.chunks_exact(jacobian.cols()).zip(out.iter_mut()) {
+                    *o = ordered_dot(row, 0..row.len(), v);
+                }
+            }
+            Factor::Sparse(jacobian, _) => {
+                let (ptr, cols) = (jacobian.row_ptr(), jacobian.col_indices());
+                for ((o, &lo), &hi) in out.iter_mut().zip(ptr).zip(&ptr[1..]) {
+                    *o = ordered_dot(&a[lo..hi], cols[lo..hi].iter().copied(), v);
+                }
+            }
+        }
+    }
+}
+
+/// `Σ_k a_k·v[col_k]` in order, from `+0.0`.
+fn ordered_dot(a: &[f64], cols: impl Iterator<Item = usize>, v: &Vector) -> f64 {
+    a.iter().zip(cols).fold(0.0, |acc, (a, j)| acc + a * v[j])
+}
+
+/// The error of a solve with a factor that was never built.
+pub(crate) fn unfactored() -> SpiceError {
+    let reason = "jacobian solved before its first factorization";
+    shc_linalg::LinalgError::InvalidInput { reason }.into()
 }
 
 /// Reusable buffers for [`solve_in_place`].
@@ -97,7 +150,6 @@ pub struct NewtonWorkspace {
     x: Vector,
     delta: Vector,
     residual: Vector,
-    jacobian: Matrix,
     factor: Factor,
     /// Whether the next solve's first iteration takes the factor as its
     /// own ([`NewtonWorkspace::prime`]).
@@ -107,13 +159,28 @@ pub struct NewtonWorkspace {
 impl NewtonWorkspace {
     /// Creates a workspace for systems of dimension `n` (dense solves).
     pub fn new(n: usize) -> Self {
+        NewtonWorkspace::with_factor(n, Factor::Dense(Matrix::zeros(n, n), None))
+    }
+
+    /// Creates a workspace whose Jacobian and factor follow `layout`.
+    pub(crate) fn for_layout(layout: &Layout) -> Result<Self> {
+        Ok(match layout {
+            Layout::Dense(n) => NewtonWorkspace::new(*n),
+            Layout::Sparse(map) => {
+                NewtonWorkspace::with_factor(map.dim(), Factor::Sparse(map.csr()?, None))
+            }
+        })
+    }
+
+    fn with_factor(n: usize, factor: Factor) -> Self {
+        let x = Vector::zeros(n);
+        let (delta, residual, primed) = (x.clone(), x.clone(), false);
         NewtonWorkspace {
-            x: Vector::zeros(n),
-            delta: Vector::zeros(n),
-            residual: Vector::zeros(n),
-            jacobian: Matrix::zeros(n, n),
-            factor: Factor::Dense(None),
-            primed: false,
+            x,
+            delta,
+            residual,
+            factor,
+            primed,
         }
     }
 
@@ -128,38 +195,12 @@ impl NewtonWorkspace {
         &self.x
     }
 
-    /// Installs (or removes) the sparse solve path. Passing `Some`
-    /// drops any dense factors; passing `None` restores dense solves.
-    pub fn set_sparse_solver(&mut self, solver: Option<SparseJacSolver>) {
-        match solver {
-            Some(sp) => self.factor = Factor::Sparse(sp),
-            None if matches!(self.factor, Factor::Sparse(_)) => self.factor = Factor::Dense(None),
-            None => {}
-        }
-    }
-
-    /// The installed sparse solver, if any.
-    pub fn sparse_solver(&self) -> Option<&SparseJacSolver> {
-        match &self.factor {
-            Factor::Sparse(sp) => Some(sp),
-            Factor::Dense(_) => None,
-        }
-    }
-
-    /// Mutable access to the installed sparse solver, if any.
-    pub fn sparse_solver_mut(&mut self) -> Option<&mut SparseJacSolver> {
-        match &mut self.factor {
-            Factor::Sparse(sp) => Some(sp),
-            Factor::Dense(_) => None,
-        }
-    }
-
-    /// The Jacobian buffer and the factor, for building and factoring a
+    /// The Jacobian buffer and its factor, for building and factoring a
     /// Jacobian outside a solve — the sensitivity matrix at an accepted
     /// transient state — that the next solve may take as its first
     /// iteration's ([`NewtonWorkspace::prime`]).
-    pub(crate) fn jacobian_and_factor(&mut self) -> (&mut Matrix, &mut Factor) {
-        (&mut self.jacobian, &mut self.factor)
+    pub(crate) fn factor_mut(&mut self) -> &mut Factor {
+        &mut self.factor
     }
 
     /// Lets the next solve's first iteration take the factor as the
@@ -175,15 +216,17 @@ impl NewtonWorkspace {
 /// Solves `F(x) = 0` with damped Newton-Raphson in the buffers of a
 /// [`NewtonWorkspace`].
 ///
-/// `assemble` writes the residual `F(x)` and Jacobian `∂F/∂x` at the
+/// `assemble` writes the residual `F(x)` and the Jacobian `∂F/∂x` at the
 /// trial point into the provided buffers (which arrive zeroed only on the
-/// first call — overwrite, don't accumulate). Convergence is declared
-/// when the weighted update norm `max_i |Δx_i| / (reltol·|x_i| + abstol)`
-/// drops to `≤ 1`; the converged state is then in `ws.x()` and the
-/// iteration count is returned. Apart from the first factorization of a
-/// workspace, no heap allocation occurs inside the iteration loop. A
-/// [`NewtonWorkspace::prime`]d workspace's first iteration takes the
-/// factor already in place as its own.
+/// first call — overwrite, don't accumulate). The Jacobian buffer holds
+/// one value per slot of the workspace's layout: row-major `n×n` on the
+/// dense path, the CSR values of the resolved pattern on the sparse path.
+/// Convergence is declared when the weighted update norm
+/// `max_i |Δx_i| / (reltol·|x_i| + abstol)` drops to `≤ 1`; the converged
+/// state is then in `ws.x()` and the iteration count is returned. Apart
+/// from the first factorization of a workspace, no heap allocation occurs
+/// inside the iteration loop. A [`NewtonWorkspace::prime`]d workspace's
+/// first iteration takes the factor already in place as its own.
 ///
 /// With `laps` set, the factor and solve of every iteration close lap
 /// regions ([`lap::FACTOR`], [`lap::SOLVE`]); the assembly closure is
@@ -209,7 +252,7 @@ pub fn solve_in_place<F>(
     mut assemble: F,
 ) -> Result<usize>
 where
-    F: FnMut(&Vector, &mut Vector, &mut Matrix) -> Result<()>,
+    F: FnMut(&Vector, &mut Vector, &mut [f64]) -> Result<()>,
 {
     // Taken before anything can fail, so no retry inherits it.
     let primed = std::mem::take(&mut ws.primed);
@@ -221,48 +264,41 @@ where
     // Work units for the linear-algebra lap slots: factor work follows
     // the backend (pattern nonzeros sparse, dimension dense).
     let solve_work = ws.dim() as u64;
-    let factor_work = ws
-        .sparse_solver()
-        .map_or(solve_work, |sp| sp.pattern().len() as u64);
+    let factor_work = match &ws.factor {
+        Factor::Dense(..) => solve_work,
+        Factor::Sparse(jacobian, _) => jacobian.nnz() as u64,
+    };
 
     // Every iteration works in workspace buffers sized at construction;
-    // the only allocation is the one-time LU factor below.
+    // the only allocation is the one-time factor below.
     // lint: hot-loop
     for iter in 1..=opts.max_iters {
         // lint: allow(hot-path-certify, reason = "closure parameter: name resolution cannot see through `F` and blames `Circuit::assemble`; the closure body's real effects are charged to the caller that defines it")
-        assemble(&ws.x, &mut ws.residual, &mut ws.jacobian)?;
+        assemble(&ws.x, &mut ws.residual, ws.factor.values_mut())?;
         if !ws.residual.is_finite() {
             return Err(SpiceError::NumericalBlowup { time: f64::NAN });
         }
+        // A primed first iteration's Jacobian is bitwise the factored one.
         let reuse = primed && iter == 1;
+        if !reuse {
+            ws.factor.check_finite()?;
+            match &mut ws.factor {
+                Factor::Dense(jacobian, Some(lu)) => lu.refactor(jacobian)?,
+                Factor::Sparse(jacobian, Some(lu)) => lu.refactor(jacobian)?,
+                // lint: allow(hot-path-certify, reason = "cold path: the factor is built once on the first solve; every later iteration takes a refactor arm")
+                Factor::Dense(jacobian, lu) => *lu = Some(LuFactor::new(jacobian)?),
+                // lint: allow(hot-path-certify, reason = "cold path: the first factorization performs the symbolic analysis (allocating, span-instrumented); every later iteration takes a refactor arm")
+                Factor::Sparse(jacobian, lu) => *lu = Some(SparseLu::new(jacobian)?),
+            }
+            if let Some(l) = laps {
+                l.end_region(lap::FACTOR);
+                l.bump(lap::FACTOR, 1, factor_work);
+            }
+        }
         match &mut ws.factor {
-            Factor::Sparse(sp) => {
-                // Gather + allocation-free refactor (the first call
-                // performs the one-time analysis inside the solver).
-                // Jacobian blow-up is detected on the gathered O(nnz)
-                // values inside `factor_from`; the O(n²) dense scan is
-                // skipped.
-                if !reuse {
-                    sp.factor_from(&ws.jacobian)?;
-                }
-                end_factor_lap(laps, reuse, factor_work);
-                sp.solve_into(&ws.residual, &mut ws.delta)?;
-            }
-            Factor::Dense(_) if !ws.jacobian.is_finite() => {
-                return Err(SpiceError::NumericalBlowup { time: f64::NAN });
-            }
-            Factor::Dense(slot) => {
-                let lu = match slot {
-                    Some(lu) if reuse => lu,
-                    Some(lu) => {
-                        lu.refactor(&ws.jacobian)?;
-                        lu
-                    }
-                    None => slot.insert(LuFactor::new(&ws.jacobian)?), // lint: allow(hot-path-certify, reason = "cold path: the factor is built once on the first solve; every later iteration takes the refactor arm")
-                };
-                end_factor_lap(laps, reuse, factor_work);
-                lu.solve_into(&ws.residual, &mut ws.delta)?;
-            }
+            Factor::Dense(_, Some(lu)) => lu.solve_into(&ws.residual, &mut ws.delta)?,
+            Factor::Sparse(_, Some(lu)) => lu.solve_into(&ws.residual, &mut ws.delta)?,
+            _ => return Err(unfactored()),
         }
         if let Some(l) = laps {
             l.end_region(lap::SOLVE);
@@ -292,15 +328,6 @@ where
         iterations: opts.max_iters,
         residual: last_norm,
     })
-}
-
-/// Closes an iteration's [`lap::FACTOR`] region, unless the iteration
-/// took the primed factor instead of factoring.
-fn end_factor_lap(laps: Option<&shc_prof::Laps>, reused: bool, work: u64) {
-    if let (Some(l), false) = (laps, reused) {
-        l.end_region(lap::FACTOR);
-        l.bump(lap::FACTOR, 1, work);
-    }
 }
 
 /// Whether a Newton failure is worth retrying from a perturbed start.
@@ -348,7 +375,7 @@ pub(crate) fn retry_in_place<F>(
     mut assemble: F,
 ) -> Result<usize>
 where
-    F: FnMut(&Vector, &mut Vector, &mut Matrix) -> Result<()>,
+    F: FnMut(&Vector, &mut Vector, &mut [f64]) -> Result<()>,
 {
     let mut last = first;
     if !retryable(&last) {
@@ -388,7 +415,7 @@ mod tests {
         let mut ws = NewtonWorkspace::new(1);
         let iters = solve_in_place(&mut ws, &x0, &opts, None, |x, f, j| {
             f.as_mut_slice()[0] = x[0] * x[0] - 4.0;
-            j[(0, 0)] = 2.0 * x[0];
+            j[0] = 2.0 * x[0];
             Ok(())
         })
         .unwrap();
@@ -413,7 +440,7 @@ mod tests {
     #[test]
     fn sparse_workspace_matches_dense_workspace_on_circuit_solve() {
         use crate::devices::{Resistor, VoltageSource};
-        use crate::solver::SparseJacSolver;
+        use crate::stamp::Stamper;
         use crate::waveform::{Params, Waveform};
 
         // A resistive ladder behind a voltage source (MNA: the branch row
@@ -439,25 +466,118 @@ mod tests {
             max_step: f64::INFINITY,
             ..NewtonOptions::default()
         };
-        let assemble = |x: &Vector, f: &mut Vector, j: &mut Matrix| -> Result<()> {
-            let stamps = c.assemble(x, 0.0, &params, 1.0);
-            f.copy_from(&stamps.f);
-            j.copy_from(&stamps.g).unwrap();
-            Ok(())
+        // Both layouts through the one slot-stamping path; only the DC
+        // shunt-free `G` enters the Jacobian.
+        let solve = |layout: Layout| {
+            let mut ws = NewtonWorkspace::for_layout(&layout).unwrap();
+            let mut q = Vector::zeros(n);
+            solve_in_place(&mut ws, &x0, &opts, None, |x, f, j| {
+                f.fill_zero();
+                j.fill(0.0);
+                let mut stamper = Stamper::in_layout(&layout, &mut q, f, None, j);
+                c.stamp(&mut stamper, x, 0.0, &params, 1.0);
+                Ok(())
+            })
+            .unwrap();
+            ws
         };
-
-        let mut dense_ws = NewtonWorkspace::new(n);
-        solve_in_place(&mut dense_ws, &x0, &opts, None, assemble).unwrap();
-
-        let mut sparse_ws = NewtonWorkspace::new(n);
-        sparse_ws.set_sparse_solver(Some(SparseJacSolver::new(&c, &params).unwrap()));
-        assert!(sparse_ws.sparse_solver().is_some());
-        solve_in_place(&mut sparse_ws, &x0, &opts, None, assemble).unwrap();
-
+        let dense_ws = solve(Layout::Dense(n));
+        let sparse_ws = solve(Layout::Sparse(c.slot_map(&params)));
+        assert!(matches!(sparse_ws.factor, Factor::Sparse(..)));
         let diff = sparse_ws.x().sub(dense_ws.x()).norm_inf();
         assert!(diff < 1e-10, "sparse vs dense newton diverged: {diff:e}");
         // The ladder divides 1 V evenly: node s sits at (20 − s)/21 V.
         assert!((sparse_ws.x()[1] - 20.0 / 21.0).abs() < 1e-9);
+    }
+
+    /// An RC ladder behind a voltage source, for the layout tests below.
+    fn rc_ladder(stages: usize) -> crate::Circuit {
+        use crate::devices::{Capacitor, Resistor, VoltageSource};
+        use crate::waveform::Waveform;
+        let mut c = crate::Circuit::new();
+        let mut prev = c.node("in");
+        c.add(VoltageSource::new(
+            "V1",
+            prev,
+            crate::Circuit::GROUND,
+            Waveform::dc(1.0),
+        ));
+        for s in 0..stages {
+            let node = c.node(&format!("n{s}"));
+            c.add(Resistor::new(&format!("R{s}"), prev, node, 1e3));
+            c.add(Capacitor::new(
+                &format!("C{s}"),
+                node,
+                crate::Circuit::GROUND,
+                1e-12,
+            ));
+            prev = node;
+        }
+        c
+    }
+
+    /// `C·v` from slot values is bitwise the dense product on both
+    /// layouts: the sensitivity right-hand side does not move with the
+    /// backend.
+    #[test]
+    fn slot_products_are_bitwise_the_dense_product() {
+        use crate::waveform::Params;
+        let c = rc_ladder(12);
+        let params = Params::default();
+        let n = c.unknown_count();
+        let x = Vector::from_slice(&(0..n).map(|i| 0.1 * i as f64 - 0.4).collect::<Vec<_>>());
+        let v = Vector::from_slice(&(0..n).map(|i| (i as f64).sin()).collect::<Vec<_>>());
+        let dense = c.assemble(&x, 1e-9, &params, 1.0);
+        let expect = dense.c.mul_vec(&v);
+
+        let (c_csr, _) = c.assemble_csr(&x, 1e-9, &params).unwrap();
+        let mut out = Vector::zeros(n);
+        let sparse_ws = NewtonWorkspace::for_layout(&Layout::Sparse(c.slot_map(&params))).unwrap();
+        sparse_ws
+            .factor
+            .mul_slots_into(c_csr.values(), &v, &mut out);
+        assert_eq!(out, expect);
+
+        let dense_ws = NewtonWorkspace::new(n);
+        dense_ws
+            .factor
+            .mul_slots_into(dense.c.as_slice(), &v, &mut out);
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn non_finite_jacobian_is_a_blowup_on_both_layouts() {
+        use crate::waveform::Params;
+        let c = rc_ladder(3);
+        let n = c.unknown_count();
+        let sparse = Layout::Sparse(c.slot_map(&Params::default()));
+        for layout in [Layout::Dense(n), sparse] {
+            let mut ws = NewtonWorkspace::for_layout(&layout).unwrap();
+            let x0 = Vector::zeros(n);
+            let err = solve_in_place(&mut ws, &x0, &NewtonOptions::default(), None, |_x, f, j| {
+                f.fill_zero();
+                j.fill(1.0);
+                j[0] = f64::NAN;
+                Ok(())
+            })
+            .unwrap_err();
+            assert!(matches!(err, SpiceError::NumericalBlowup { .. }), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn a_primed_workspace_without_a_factor_reports_it() {
+        let mut ws = NewtonWorkspace::new(2);
+        ws.prime();
+        let err = solve_in_place(
+            &mut ws,
+            &Vector::from_slice(&[2.5, 0.5]),
+            &NewtonOptions::default(),
+            None,
+            fill_2d,
+        )
+        .unwrap_err();
+        assert!(matches!(err, SpiceError::Linalg(_)), "{err:?}");
     }
 
     #[test]
@@ -472,7 +592,7 @@ mod tests {
         let mut ws = NewtonWorkspace::new(1);
         let iters = solve_in_place(&mut ws, &x0, &opts, None, |x, f, j| {
             f.as_mut_slice()[0] = x[0];
-            j[(0, 0)] = 1.0;
+            j[0] = 1.0;
             Ok(())
         })
         .unwrap();
@@ -492,7 +612,7 @@ mod tests {
         let mut ws = NewtonWorkspace::new(1);
         let err = solve_in_place(&mut ws, &x0, &opts, None, |_x, f, j| {
             f.as_mut_slice()[0] = 1.0;
-            j[(0, 0)] = 1e-3;
+            j[0] = 1e-3;
             Ok(())
         })
         .unwrap_err();
@@ -505,7 +625,7 @@ mod tests {
         let mut ws = NewtonWorkspace::new(1);
         let err = solve_in_place(&mut ws, &x0, &NewtonOptions::default(), None, |_x, f, j| {
             f.as_mut_slice()[0] = f64::NAN;
-            j[(0, 0)] = 1.0;
+            j[0] = 1.0;
             Ok(())
         })
         .unwrap_err();
@@ -531,13 +651,14 @@ mod tests {
         assert_eq!(shc_linalg::matrix_allocations(), before);
     }
 
-    fn fill_2d(x: &Vector, f: &mut Vector, j: &mut Matrix) -> Result<()> {
+    /// The 2-D system below, its Jacobian row-major (the dense layout).
+    fn fill_2d(x: &Vector, f: &mut Vector, j: &mut [f64]) -> Result<()> {
         f.as_mut_slice()[0] = x[0] * x[0] + x[1] * x[1] - 5.0;
         f.as_mut_slice()[1] = x[0] * x[1] - 2.0;
-        j[(0, 0)] = 2.0 * x[0];
-        j[(0, 1)] = 2.0 * x[1];
-        j[(1, 0)] = x[1];
-        j[(1, 1)] = x[0];
+        j[0] = 2.0 * x[0];
+        j[1] = 2.0 * x[1];
+        j[2] = x[1];
+        j[3] = x[0];
         Ok(())
     }
 

@@ -1,4 +1,4 @@
-//! MNA stamp assembly workspace.
+//! MNA stamp assembly into slot-indexed value arrays.
 //!
 //! Devices contribute ("stamp") their constitutive relations into four
 //! containers that together define the circuit DAE
@@ -8,12 +8,25 @@
 //! - `f`: resistive/source residual `f(x, t)` (includes `b(t)`);
 //! - `c`: charge Jacobian `C = ∂q/∂x`;
 //! - `g`: conductance Jacobian `G = ∂f/∂x`.
+//!
+//! `C` and `G` are flat value arrays, and a `Layout` names each entry's
+//! *slot*: `i·n + j` in dense row-major storage, computed inline; or its
+//! index in the CSR values of the sparse step-Jacobian pattern, resolved
+//! once per solver setup as SPICE3 resolves element pointers (`TSTALLOC`).
+//! A recording assembly (`Trace`) lists every `C`/`G` write position in
+//! stamping order, and `SlotMap` maps the k-th write to its index; the
+//! pattern is those positions plus the diagonal. Devices stamp the same
+//! positions in the same order at every evaluation point, so an assembly
+//! walks that list with a cursor. Both layouts share one adder code path
+//! and sum each entry's contributions in device order, so they hold
+//! bitwise the same values.
 
-use shc_linalg::{Matrix, Vector};
+use shc_linalg::{CsrMatrix, Matrix, Vector};
 
 use crate::waveform::Params;
 
-/// Assembled MNA quantities at one `(x, t)` evaluation point.
+/// Assembled MNA quantities at one `(x, t)` evaluation point, in the
+/// dense layout.
 #[derive(Debug, Clone)]
 pub struct Stamps {
     /// Charge vector `q(x)`.
@@ -49,38 +62,149 @@ impl Stamps {
         self.c.fill_zero();
         self.g.fill_zero();
     }
+}
 
-    /// Zeroes the vectors fully but the Jacobians only at the given
-    /// positions — `O(nnz)` instead of `O(n²)`, the sparse hot path's
-    /// per-iteration clear.
-    ///
-    /// Sound only under the pattern-preserving stamping invariant: every
-    /// `C`/`G` write since the last full [`Stamps::clear`] must have hit a
-    /// position inside `pattern`, so everything outside it is still zero.
-    pub fn clear_pattern(&mut self, pattern: &[(usize, usize)]) {
-        self.q.fill_zero();
-        self.f.fill_zero();
-        for &(i, j) in pattern {
-            self.c[(i, j)] = 0.0;
-            self.g[(i, j)] = 0.0;
+/// Where the `C`/`G` entries of a circuit's assemblies live: row-major
+/// `n×n` for `n` unknowns, or a resolved sparse pattern's CSR values.
+#[derive(Debug)]
+pub(crate) enum Layout {
+    Dense(usize),
+    Sparse(SlotMap),
+}
+
+impl Layout {
+    /// Slots per value array.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Layout::Dense(n) => n * n,
+            Layout::Sparse(map) => map.entries.len(),
         }
     }
 
-    /// Zeroes everything but `C`: the vectors, and `G` fully or — with
-    /// `pattern`, under the same invariant as [`Stamps::clear_pattern`] —
-    /// only at the given positions. The clear of an assembly that leaves
-    /// `C` out (a transient's per-step assembly).
-    pub(crate) fn clear_state(&mut self, pattern: Option<&[(usize, usize)]>) {
+    /// The slot of diagonal entry `(i, i)`.
+    pub(crate) fn diagonal(&self, i: usize) -> usize {
+        match self {
+            Layout::Dense(n) => i * n + i,
+            Layout::Sparse(map) => map.diagonal[i],
+        }
+    }
+}
+
+/// Index of the `C` and of the `G` writes in the per-kind arrays below.
+const C: usize = 0;
+const G: usize = 1;
+
+/// The `C` and `G` write positions of one recording assembly, in stamping
+/// order, with the `q`/`f` buffers it writes and ignores.
+#[derive(Debug, Default)]
+pub(crate) struct Trace {
+    writes: [Vec<(usize, usize)>; 2],
+    q: Vector,
+    f: Vector,
+}
+
+impl Trace {
+    /// A stamper that records the positions of a circuit of `n` unknowns
+    /// into this trace, replacing the last recording.
+    pub(crate) fn recorder(&mut self, n: usize) -> Stamper<'_> {
+        self.writes.iter_mut().for_each(Vec::clear);
+        if self.q.len() != n {
+            (self.q, self.f) = (Vector::zeros(n), Vector::zeros(n));
+        }
+        Stamper {
+            q: self.q.as_mut_slice(),
+            f: self.f.as_mut_slice(),
+            c: Some(&mut []),
+            g: &mut [],
+            slots: Slots::Record(&mut self.writes),
+        }
+    }
+}
+
+/// The sparse layout's slots: the pattern, sorted by `(row, col)` and
+/// duplicate-free (CSR storage order, so entry `k` is slot `k`), and the
+/// slot of each `C` and each `G` write and of each diagonal entry.
+#[derive(Debug)]
+pub(crate) struct SlotMap {
+    pub(crate) entries: Vec<(usize, usize)>,
+    slots: [Vec<usize>; 2],
+    diagonal: Vec<usize>,
+}
+
+impl SlotMap {
+    /// Resolves the writes of `trace`, recorded on `n` unknowns, to the
+    /// pattern they span plus the diagonal (the DC `gmin` shunt stamps it,
+    /// and sparse pivoting prefers it present).
+    pub(crate) fn resolve(n: usize, trace: &Trace) -> SlotMap {
+        let diagonal: Vec<_> = (0..n).map(|i| (i, i)).collect();
+        let mut entries = [&trace.writes[C][..], &trace.writes[G], &diagonal].concat();
+        entries.sort_unstable();
+        entries.dedup();
+        // Every position looked up is in `entries`: the search finds it.
+        let slots = |ps: &[(usize, usize)]| -> Vec<usize> {
+            ps.iter()
+                .map(|p| entries.binary_search(p).unwrap_or_else(|k| k))
+                .collect()
+        };
+        SlotMap {
+            slots: [slots(&trace.writes[C]), slots(&trace.writes[G])],
+            diagonal: slots(&diagonal),
+            entries,
+        }
+    }
+
+    /// Unknown count of the traced circuit.
+    pub(crate) fn dim(&self) -> usize {
+        self.diagonal.len()
+    }
+
+    /// A zero CSR matrix on the pattern, explicit zeros kept.
+    pub(crate) fn csr(&self) -> crate::Result<CsrMatrix> {
+        let (n, ones) = (self.dim(), self.entries.iter().map(|&(i, j)| (i, j, 1.0)));
+        let mut csr = CsrMatrix::from_triplets(n, n, &ones.collect::<Vec<_>>())?;
+        csr.values_mut().fill(0.0);
+        Ok(csr)
+    }
+
+    /// True when `trace` writes exactly the positions these slots were
+    /// resolved from, in order, on as many unknowns: the slots, and any
+    /// factor analyzed on their pattern, serve its circuit as they are.
+    pub(crate) fn matches(&self, trace: &Trace) -> bool {
+        let same = |slots: &[usize], writes: &[(usize, usize)]| {
+            slots.len() == writes.len()
+                && (slots.iter().zip(writes)).all(|(&k, p)| self.entries.get(k) == Some(p))
+        };
+        trace.q.len() == self.dim() && (0..2).all(|k| same(&self.slots[k], &trace.writes[k]))
+    }
+}
+
+/// `q`, `f` and `G` of one state in a [`Layout`]; a transient holds its
+/// constant `C` apart, once per run.
+#[derive(Debug)]
+pub(crate) struct StateStamps {
+    pub(crate) q: Vector,
+    pub(crate) f: Vector,
+    pub(crate) g: Vec<f64>,
+}
+
+impl StateStamps {
+    pub(crate) fn new(n: usize, layout: &Layout) -> Self {
+        let (q, f, g) = (Vector::zeros(n), Vector::zeros(n), vec![0.0; layout.len()]);
+        StateStamps { q, f, g }
+    }
+
+    /// Zeroes these stamps and returns a stamper over them, adding `C`
+    /// into `c` when given.
+    // lint: hot-fn
+    pub(crate) fn stamper<'a>(
+        &'a mut self,
+        layout: &'a Layout,
+        c: Option<&'a mut [f64]>,
+    ) -> Stamper<'a> {
         self.q.fill_zero();
         self.f.fill_zero();
-        match pattern {
-            Some(entries) => {
-                for &(i, j) in entries {
-                    self.g[(i, j)] = 0.0;
-                }
-            }
-            None => self.g.fill_zero(),
-        }
+        self.g.fill(0.0);
+        Stamper::in_layout(layout, &mut self.q, &mut self.f, c, &mut self.g)
     }
 }
 
@@ -120,55 +244,86 @@ impl<'a> EvalContext<'a> {
     }
 }
 
+/// Where a stamper's writes land: row-major `n×n`; the sparse slots, with
+/// the count of writes of each kind so far; or nowhere, recording them.
+#[derive(Debug)]
+enum Slots<'a> {
+    Dense(usize),
+    Sparse(&'a SlotMap, [usize; 2]),
+    Record(&'a mut [Vec<(usize, usize)>; 2]),
+}
+
+impl Slots<'_> {
+    /// The slot of the next write of `kind` ([`C`] or [`G`]) at `(i, j)`;
+    /// `None` while recording.
+    #[inline]
+    fn next(&mut self, kind: usize, i: usize, j: usize) -> Option<usize> {
+        match self {
+            Slots::Dense(n) => {
+                debug_assert!(i < *n && j < *n, "stamp ({i}, {j}) outside {n}×{n}");
+                Some(i * *n + j)
+            }
+            Slots::Sparse(map, counts) => {
+                let k = map.slots[kind][counts[kind]];
+                counts[kind] += 1;
+                debug_assert_eq!(map.entries[k], (i, j), "a stamp missed its slot");
+                Some(k)
+            }
+            Slots::Record(writes) => {
+                // lint: allow(hot-path-certify, reason = "record mode only: a recording runs once per solver setup or per-run slot check, never in a Newton assembly")
+                writes[kind].push((i, j));
+                None
+            }
+        }
+    }
+}
+
 /// Mutable stamping interface handed to devices.
 ///
 /// All methods accept `Option<usize>` equation/variable indices so that
 /// ground connections (`None`) are silently dropped, exactly as in
 /// textbook MNA stamping.
 ///
-/// Device stamping is *pattern-preserving*: the set of `(eq, var)`
-/// positions a device touches depends only on the topology, never on the
-/// evaluation point. [`Stamper::with_pattern`] exploits that to record the
-/// step-Jacobian sparsity structure from a single probe assembly.
+/// Device stamping is *order-preserving*: which `(eq, var)` positions a
+/// device writes, and in what order, depends only on the topology, never
+/// on the evaluation point. The sparse layout's slots rely on it.
 #[derive(Debug)]
 pub struct Stamper<'a> {
-    stamps: &'a mut Stamps,
-    /// When present, every `C`/`G` position stamped is appended here
-    /// (duplicates included; callers sort + dedup afterwards).
-    pattern: Option<&'a mut Vec<(usize, usize)>>,
-    /// Whether `C` writes land; [`Stamper::without_c`] drops them.
-    with_c: bool,
+    q: &'a mut [f64],
+    f: &'a mut [f64],
+    /// `None` drops `C` writes: a transient holds its constant `C` apart.
+    c: Option<&'a mut [f64]>,
+    g: &'a mut [f64],
+    slots: Slots<'a>,
 }
 
 impl<'a> Stamper<'a> {
-    /// Wraps a workspace for stamping.
+    /// Wraps a dense workspace for stamping.
     pub fn new(stamps: &'a mut Stamps) -> Self {
         Stamper {
-            stamps,
-            pattern: None,
-            with_c: true,
+            slots: Slots::Dense(stamps.dim()),
+            q: stamps.q.as_mut_slice(),
+            f: stamps.f.as_mut_slice(),
+            c: Some(stamps.c.as_mut_slice()),
+            g: stamps.g.as_mut_slice(),
         }
     }
 
-    /// Wraps a workspace for stamping everything but `C`, which every
-    /// device stamps as a constant ([`crate::devices::Device`]): the
-    /// assembly of a run that holds its `C` elsewhere.
-    pub(crate) fn without_c(stamps: &'a mut Stamps) -> Self {
-        Stamper {
-            stamps,
-            pattern: None,
-            with_c: false,
-        }
-    }
-
-    /// Wraps a workspace and records every Jacobian position stamped via
-    /// [`Stamper::add_c`]/[`Stamper::add_g`] into `pattern`.
-    pub fn with_pattern(stamps: &'a mut Stamps, pattern: &'a mut Vec<(usize, usize)>) -> Self {
-        Stamper {
-            stamps,
-            pattern: Some(pattern),
-            with_c: true,
-        }
+    /// Adds into value arrays in `layout`, `C` only when given.
+    // lint: hot-fn
+    pub(crate) fn in_layout(
+        layout: &'a Layout,
+        q: &'a mut Vector,
+        f: &'a mut Vector,
+        c: Option<&'a mut [f64]>,
+        g: &'a mut [f64],
+    ) -> Self {
+        let slots = match layout {
+            Layout::Dense(n) => Slots::Dense(*n),
+            Layout::Sparse(map) => Slots::Sparse(map, [0, 0]),
+        };
+        let (q, f) = (q.as_mut_slice(), f.as_mut_slice());
+        Stamper { q, f, c, g, slots }
     }
 
     // The adders below are `#[inline]`: every device's `stamp` calls them
@@ -180,7 +335,7 @@ impl<'a> Stamper<'a> {
     #[inline]
     pub fn add_q(&mut self, eq: Option<usize>, value: f64) {
         if let Some(i) = eq {
-            self.stamps.q[i] += value;
+            self.q[i] += value;
         }
     }
 
@@ -188,18 +343,16 @@ impl<'a> Stamper<'a> {
     #[inline]
     pub fn add_f(&mut self, eq: Option<usize>, value: f64) {
         if let Some(i) = eq {
-            self.stamps.f[i] += value;
+            self.f[i] += value;
         }
     }
 
     /// Adds `value` to `C[eq, var]`.
     #[inline]
     pub fn add_c(&mut self, eq: Option<usize>, var: Option<usize>, value: f64) {
-        if let (true, Some(i), Some(j)) = (self.with_c, eq, var) {
-            self.stamps.c.add_at(i, j, value);
-            if let Some(pattern) = self.pattern.as_deref_mut() {
-                // lint: allow(hot-path-certify, reason = "probe mode only: `pattern` is `Some` during the one-time sparsity probe and `None` in every per-iteration assembly")
-                pattern.push((i, j));
+        if let (Some(c), Some(i), Some(j)) = (self.c.as_deref_mut(), eq, var) {
+            if let Some(k) = self.slots.next(C, i, j) {
+                c[k] += value;
             }
         }
     }
@@ -208,10 +361,8 @@ impl<'a> Stamper<'a> {
     #[inline]
     pub fn add_g(&mut self, eq: Option<usize>, var: Option<usize>, value: f64) {
         if let (Some(i), Some(j)) = (eq, var) {
-            self.stamps.g.add_at(i, j, value);
-            if let Some(pattern) = self.pattern.as_deref_mut() {
-                // lint: allow(hot-path-certify, reason = "probe mode only: `pattern` is `Some` during the one-time sparsity probe and `None` in every per-iteration assembly")
-                pattern.push((i, j));
+            if let Some(k) = self.slots.next(G, i, j) {
+                self.g[k] += value;
             }
         }
     }
@@ -275,18 +426,102 @@ mod tests {
         assert_eq!(s.c[(0, 0)], 1e-12);
     }
 
+    /// The stamps every test below replays: a conductance, a capacitor to
+    /// ground, a grounded `G` write (dropped) and a residual write (not
+    /// Jacobian structure).
+    fn stamp_three(st: &mut Stamper<'_>, scale: f64) {
+        st.stamp_conductance(Some(0), Some(1), 2.0 * scale);
+        st.add_c(Some(2), Some(2), 1e-15 * scale);
+        st.add_g(None, Some(1), 1.0);
+        st.add_f(Some(2), scale);
+        st.add_g(Some(1), Some(0), 0.5 * scale);
+    }
+
     #[test]
-    fn pattern_recording_captures_jacobian_positions_only() {
-        let mut s = Stamps::new(3);
-        let mut pattern = Vec::new();
-        let mut st = Stamper::with_pattern(&mut s, &mut pattern);
+    fn recording_yields_the_pattern_and_one_slot_per_write() {
+        let mut trace = Trace::default();
+        stamp_three(&mut trace.recorder(3), 1.0);
+        assert_eq!(
+            trace.writes[G],
+            vec![(0, 0), (1, 1), (0, 1), (1, 0), (1, 0)]
+        );
+        assert_eq!(trace.writes[C], vec![(2, 2)]);
+        let map = SlotMap::resolve(3, &trace);
+        assert_eq!(map.entries, &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]);
+        // Two writes to (1, 0) share one slot; the diagonals are present.
+        assert_eq!(map.slots, [vec![4], vec![0, 3, 1, 2, 2]]);
+        assert_eq!(map.diagonal, vec![0, 3, 4]);
+        assert!(map.matches(&trace));
+
+        let mut other = Trace::default();
+        let mut st = other.recorder(3);
         st.stamp_conductance(Some(0), Some(1), 2.0);
         st.add_c(Some(2), Some(2), 1e-15);
-        st.add_g(None, Some(1), 1.0); // ground: dropped from values AND pattern
-        st.add_f(Some(2), 1.0); // residual writes are not Jacobian structure
-        pattern.sort_unstable();
-        pattern.dedup();
-        assert_eq!(pattern, vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]);
+        assert!(!map.matches(&other), "a missing write");
+        stamp_three(&mut other.recorder(4), 1.0);
+        assert!(!map.matches(&other), "another unknown count");
+    }
+
+    #[test]
+    fn sparse_slots_hold_the_dense_sums() {
+        let mut trace = Trace::default();
+        stamp_three(&mut trace.recorder(3), 1.0);
+        let map = SlotMap::resolve(3, &trace);
+        let entries = map.entries.to_vec();
+        let layout = Layout::Sparse(map);
+        let (mut q, mut f) = (Vector::zeros(3), Vector::zeros(3));
+        let (mut c, mut g) = (vec![0.0; layout.len()], vec![0.0; layout.len()]);
+        let mut dense = Stamps::new(3);
+        for scale in [1.0, 0.3] {
+            stamp_three(
+                &mut Stamper::in_layout(&layout, &mut q, &mut f, Some(&mut c), &mut g),
+                scale,
+            );
+            stamp_three(&mut Stamper::new(&mut dense), scale);
+        }
+        for (k, &(i, j)) in entries.iter().enumerate() {
+            assert_eq!(c[k].to_bits(), dense.c[(i, j)].to_bits(), "C{i}{j}");
+            assert_eq!(g[k].to_bits(), dense.g[(i, j)].to_bits(), "G{i}{j}");
+        }
+        assert_eq!(f.as_slice(), dense.f.as_slice());
+    }
+
+    #[test]
+    fn slot_recheck_accepts_same_topology_and_rejects_other() {
+        use crate::devices::{Capacitor, Resistor};
+        use crate::Circuit;
+        // A chain of `stages` RC sections; the last capacitor hangs on
+        // node `cap_at` instead of the chain's end when given.
+        let chain = |stages: usize, cap_at: Option<usize>| {
+            let mut c = Circuit::new();
+            let mut prev = c.node("in");
+            c.add(Resistor::new("Rin", prev, Circuit::GROUND, 1e3));
+            for s in 0..stages {
+                let node = c.node(&format!("n{s}"));
+                c.add(Resistor::new(&format!("R{s}"), prev, node, 1e3));
+                let at = match cap_at {
+                    Some(k) if s + 1 == stages => c.node(&format!("n{k}")),
+                    _ => node,
+                };
+                c.add(Capacitor::new(&format!("C{s}"), at, Circuit::GROUND, 1e-12));
+                prev = node;
+            }
+            c
+        };
+        let params = Params::default();
+        let circuit = chain(6, None);
+        let map = circuit.slot_map(&params);
+        let mut trace = Trace::default();
+        let retrace = |c: &Circuit, trace: &mut Trace| {
+            let n = c.unknown_count();
+            c.stamp(&mut trace.recorder(n), &Vector::zeros(n), 0.0, &params, 1.0);
+        };
+        retrace(&circuit, &mut trace);
+        assert!(map.matches(&trace));
+        retrace(&chain(7, None), &mut trace);
+        assert!(!map.matches(&trace), "another unknown count");
+        retrace(&chain(6, Some(2)), &mut trace);
+        assert!(!map.matches(&trace), "one capacitor moved");
     }
 
     #[test]

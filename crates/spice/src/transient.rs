@@ -20,13 +20,13 @@ use std::cell::Cell;
 use std::mem;
 use std::sync::{Mutex, OnceLock};
 
-use shc_linalg::{LuFactor, Matrix, Vector};
+use shc_linalg::{LuFactor, SparseLu, Vector};
 
 use crate::circuit::Circuit;
 use crate::dcop::{self, DcOptions};
 use crate::newton::{self, Factor, NewtonOptions};
-use crate::solver::{SolverChoice, SparseJacSolver};
-use crate::stamp::{EvalContext, Stamper, Stamps};
+use crate::solver::SolverChoice;
+use crate::stamp::{Layout, SlotMap, StateStamps, Trace};
 use crate::waveform::{Param, Params};
 use crate::{Result, SpiceError};
 
@@ -1131,7 +1131,24 @@ impl<'a> TransientAnalysis<'a> {
         let opts = &self.opts;
         let n = circuit.unknown_count();
         scratch.ensure(n);
-        scratch.configure_solver(circuit, params, opts.solver)?;
+        let TransientScratch {
+            assembly,
+            trace,
+            sens_rhs,
+            sens_tmp,
+            dfdp_tmp,
+            zero_x,
+        } = scratch;
+        // Disjoint field borrows let the Newton closure, which mutates
+        // `nr_stamps`, share the previous step's stamps.
+        let Assembly {
+            layout,
+            newton: nw,
+            c,
+            nr: nr_stamps,
+            prev: stamps_prev,
+            new: stamps_new,
+        } = Assembly::configure(assembly, trace, zero_x, circuit, params, opts.solver)?;
 
         let Start {
             mark,
@@ -1198,28 +1215,6 @@ impl<'a> TransientAnalysis<'a> {
             cap.push(mark, &x_prev);
         }
 
-        // Borrow every workspace buffer up front as disjoint fields so the
-        // Newton closure (which mutates `nr_stamps`) can coexist with the
-        // shared borrow of the previous step's stamps.
-        let TransientScratch {
-            newton: nw,
-            nr_stamps,
-            stamps_prev,
-            stamps_new,
-            c,
-            sens_rhs,
-            sens_tmp,
-            dfdp_tmp,
-            zero_x,
-            jac_pattern,
-        } = scratch;
-
-        // Sparse fast path: with the solver installed, every stamp clear
-        // and Jacobian combine below touches only the probed pattern
-        // positions — O(nnz) per Newton iteration instead of O(n²).
-        let pattern: Option<&[(usize, usize)]> =
-            nw.sparse_solver().is_some().then_some(&jac_pattern[..]);
-
         // Profiling accumulators, shared by `&` (all-`Cell` state) between
         // this loop, the assembly closure, and the Newton solver. With no
         // profiler installed both are inert: every call below reduces to a
@@ -1231,7 +1226,7 @@ impl<'a> TransientAnalysis<'a> {
         let _prof_flush = ProfFlush {
             step: &lap_step,
             iter: &lap_iter,
-            sparse: pattern.is_some(),
+            sparse: matches!(layout, Layout::Sparse(_)),
         };
         let device_work = circuit.device_count() as u64;
 
@@ -1241,8 +1236,9 @@ impl<'a> TransientAnalysis<'a> {
         // the start included — is stamped at the time of the step that
         // leaves it: those stamps are that step's first Newton iterate.
         let mut stamped_at = (t_prev + dt).min(opts.tstop);
-        circuit.assemble_into(stamps_prev, &x_prev, stamped_at, params, 1.0);
-        c.copy_from(&stamps_prev.c)?;
+        c.fill(0.0);
+        let stamper = &mut stamps_prev.stamper(layout, Some(c));
+        circuit.stamp(stamper, &x_prev, stamped_at, params, 1.0);
         let c = &*c;
         // The step size of the sensitivity Jacobian the Newton workspace
         // factors at the last accepted state, until a Newton solve
@@ -1273,14 +1269,14 @@ impl<'a> TransientAnalysis<'a> {
             // Newton solve of the discretized step equation. Residual and
             // Jacobian are built directly in the workspace buffers; no
             // allocation happens per iteration.
-            let mut assemble = |x: &Vector, r: &mut Vector, j: &mut Matrix| {
+            let mut assemble = |x: &Vector, r: &mut Vector, j: &mut [f64]| {
                 // Re-arm the lap cursor so time between iterations is
                 // never charged to the device loop.
                 lap_iter.end_region(newton::lap::ITER_SELF);
                 let s = if fresh.take() {
                     &*stamps_prev
                 } else {
-                    assemble_state_into(circuit, nr_stamps, x, t_new, params, pattern);
+                    circuit.stamp(&mut nr_stamps.stamper(layout, None), x, t_new, params, 1.0);
                     lap_iter.end_region(newton::lap::DEV);
                     lap_iter.bump(newton::lap::DEV, 1, device_work);
                     &*nr_stamps
@@ -1288,7 +1284,7 @@ impl<'a> TransientAnalysis<'a> {
                 r.copy_from(&s.q);
                 r.axpy(-1.0, &stamps_prev.q);
                 r.axpy(dt_eff, &s.f);
-                combine_step_jacobian_into(j, c, &s.g, dt_eff, pattern)?;
+                combine_step_jacobian_into(j, c, &s.g, dt_eff);
                 lap_iter.end_region(newton::lap::STAMP);
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 Ok(())
@@ -1369,14 +1365,15 @@ impl<'a> TransientAnalysis<'a> {
             // next step's time, charged like any Newton assembly.
             stamped_at = (t_new + dt).min(opts.tstop);
             lap_iter.end_region(newton::lap::ITER_SELF);
-            assemble_state_into(circuit, stamps_new, &x_prev, stamped_at, params, pattern);
+            let stamper = &mut stamps_new.stamper(layout, None);
+            circuit.stamp(stamper, &x_prev, stamped_at, params, 1.0);
             lap_iter.end_region(newton::lap::DEV);
             lap_iter.bump(newton::lap::DEV, 1, device_work);
             if sens.is_empty() {
                 lap_step.end_region(LAP_NEWTON);
             } else {
-                let (jac, factor) = nw.jacobian_and_factor();
-                combine_step_jacobian_into(jac, c, &stamps_new.g, dt_eff, pattern)?;
+                let factor = nw.factor_mut();
+                combine_step_jacobian_into(factor.values_mut(), c, &stamps_new.g, dt_eff);
                 lap_iter.end_region(newton::lap::STAMP);
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 lap_step.end_region(LAP_NEWTON);
@@ -1385,36 +1382,25 @@ impl<'a> TransientAnalysis<'a> {
                 // in the Newton workspace's own factor on either backend,
                 // where the next step's first iterate may take it; then
                 // one back-substitution per parameter.
-                enum SensSolver<'s> {
-                    Dense(&'s LuFactor),
-                    Sparse(&'s mut SparseJacSolver),
+                factor.check_finite()?;
+                match factor {
+                    Factor::Dense(j, Some(lu)) => with_lu_fault_retries(|| lu.refactor(j))?,
+                    Factor::Sparse(j, Some(lu)) => with_lu_fault_retries(|| lu.refactor(j))?,
+                    Factor::Dense(j, lu) => *lu = Some(with_lu_fault_retries(|| LuFactor::new(j))?),
+                    Factor::Sparse(j, lu) => {
+                        *lu = Some(with_lu_fault_retries(|| SparseLu::new(j))?)
+                    }
                 }
-                let mut sens_solver = match factor {
-                    Factor::Sparse(sp) => {
-                        with_lu_fault_retries(|| sp.factor_from(jac))?;
-                        SensSolver::Sparse(sp)
-                    }
-                    Factor::Dense(Some(lu)) => {
-                        with_lu_fault_retries(|| lu.refactor(jac))?;
-                        SensSolver::Dense(lu)
-                    }
-                    Factor::Dense(slot) => SensSolver::Dense(
-                        slot.insert(with_lu_fault_retries(|| LuFactor::new(jac))?),
-                    ),
-                };
                 factored_dt = Some(dt_eff);
                 for (param, m) in sens.iter_mut() {
                     circuit.assemble_dfdp_into(dfdp_tmp, zero_x, t_new, params, *param);
-                    c.mul_vec_into(m, sens_rhs);
+                    factor.mul_slots_into(c, m, sens_rhs);
                     sens_rhs.axpy(-dt_eff, dfdp_tmp);
-                    match &mut sens_solver {
-                        SensSolver::Dense(lu) => {
-                            with_lu_fault_retries(|| lu.solve_into(sens_rhs, sens_tmp))?;
-                        }
-                        SensSolver::Sparse(sp) => {
-                            with_lu_fault_retries(|| sp.solve_into(sens_rhs, sens_tmp))?;
-                        }
-                    }
+                    with_lu_fault_retries(|| match factor {
+                        Factor::Dense(_, Some(lu)) => Ok(lu.solve_into(sens_rhs, sens_tmp)?),
+                        Factor::Sparse(_, Some(lu)) => Ok(lu.solve_into(sens_rhs, sens_tmp)?),
+                        _ => Err(newton::unfactored()),
+                    })?;
                     m.copy_from(sens_tmp);
                 }
                 lap_step.end_region(LAP_SENS);
@@ -1465,106 +1451,113 @@ impl<'a> TransientAnalysis<'a> {
     }
 }
 
-/// Writes the step Jacobian `C + a·G` into `j`: densely, or — when the
-/// sparse path supplies the probed pattern — only at the pattern
-/// positions, leaving the structurally-zero remainder untouched. The dense
-/// branch preserves the exact copy/axpy arithmetic order so the dense path
-/// stays bitwise identical to its golden history.
+/// Writes the step Jacobian `C + a·G` into `j`, one slot at a time, on
+/// either layout: bitwise a copy of `C` followed by an `axpy` of `G`.
 // lint: hot-fn
-fn combine_step_jacobian_into(
-    j: &mut Matrix,
-    c: &Matrix,
-    g: &Matrix,
-    a: f64,
-    pattern: Option<&[(usize, usize)]>,
-) -> Result<()> {
-    match pattern {
-        Some(entries) => {
-            for &(row, col) in entries {
-                j[(row, col)] = c[(row, col)] + a * g[(row, col)];
-            }
-        }
-        None => {
-            j.copy_from(c)?;
-            j.axpy(a, g)?;
-        }
-    }
-    Ok(())
-}
-
-/// Like [`Circuit::assemble_into`] — or, with `pattern`, like
-/// [`Circuit::assemble_sparse_into`] — but leaves `stamps.c` as it is,
-/// neither cleared nor written: every device stamps a constant `C`
-/// ([`crate::devices::Device`]), so a run assembles it once and each step
-/// assembles only `q`, `f` and `G`.
-// lint: hot-fn
-fn assemble_state_into(
-    circuit: &Circuit,
-    stamps: &mut Stamps,
-    x: &Vector,
-    t: f64,
-    params: &Params,
-    pattern: Option<&[(usize, usize)]>,
-) {
-    stamps.clear_state(pattern);
-    let ctx = EvalContext {
-        x,
-        t,
-        params,
-        source_scale: 1.0,
-        node_offset: circuit.node_count(),
-    };
-    let mut stamper = Stamper::without_c(stamps);
-    for device in circuit.devices() {
-        device.stamp(&mut stamper, &ctx);
+fn combine_step_jacobian_into(j: &mut [f64], c: &[f64], g: &[f64], a: f64) {
+    for ((j, &c), &g) in j.iter_mut().zip(c).zip(g) {
+        *j = c + a * g;
     }
 }
 
 /// Reusable per-run workspace for [`TransientAnalysis::run_with_scratch`].
 ///
 /// A characterization sweep performs thousands of transient runs over a
-/// fixed-dimension circuit; this workspace owns every per-step buffer: the
-/// Newton iterate, residual and Jacobian with the workspace's one factor
-/// (dense or sparse), which the sensitivity solves share; the run's
-/// constant `C`; the assembly stamps for the Newton iterate, the previous
-/// step and the freshly accepted one; and the sensitivity solve
-/// temporaries. So the stepping loop performs no matrix allocation once
-/// the buffers are warm.
+/// fixed-dimension circuit; this workspace owns every per-step buffer
+/// and the sensitivity solve temporaries, so the stepping loop performs
+/// no matrix allocation once the buffers are warm. It holds no `n×n`
+/// buffer until a run picks the dense layout, and a sparse run holds none
+/// at all.
 /// Not `Sync`: create one per thread when running sweeps in parallel.
 #[derive(Debug)]
 pub struct TransientScratch {
-    newton: newton::NewtonWorkspace,
-    nr_stamps: Stamps,
-    stamps_prev: Stamps,
-    stamps_new: Stamps,
-    /// The run's constant `C`: per-step assemblies leave the stamps' own
-    /// `C` untouched.
-    c: Matrix,
+    /// The last run's layout and its buffers; `None` until a run
+    /// configures one.
+    assembly: Option<Assembly>,
+    /// The recording assembly a sparse run checks its slots against.
+    trace: Trace,
     sens_rhs: Vector,
     sens_tmp: Vector,
     dfdp_tmp: Vector,
     zero_x: Vector,
-    /// Copy of the sparse solver's Jacobian pattern (empty on the dense
-    /// path), held outside the Newton workspace so the assembly closure
-    /// can address the stamp matrices sparsely while the workspace is
-    /// mutably borrowed by the solve.
-    jac_pattern: Vec<(usize, usize)>,
+}
+
+/// One layout's per-run buffers: the Newton workspace, whose Jacobian
+/// buffer and factor (dense or sparse) the sensitivity solves share; the
+/// run's constant `C`; and the stamps of the Newton iterate, the previous
+/// step and the freshly accepted one — all in the layout's slot order.
+#[derive(Debug)]
+struct Assembly {
+    layout: Layout,
+    newton: newton::NewtonWorkspace,
+    /// The run's constant `C`: per-step assemblies leave it out.
+    c: Vec<f64>,
+    nr: StateStamps,
+    prev: StateStamps,
+    new: StateStamps,
+}
+
+impl Assembly {
+    /// The buffers of one run of `circuit` under `choice`: the last run's
+    /// when they fit, else new ones.
+    ///
+    /// A sparse run records one assembly at `x = 0` into `trace` (no
+    /// allocation once the trace is warm) and keeps the slots, and the
+    /// symbolic analysis on their pattern, while the circuit still stamps
+    /// exactly the traced positions in order; so repeated runs over one
+    /// topology analyze once.
+    fn configure<'s>(
+        assembly: &'s mut Option<Assembly>,
+        trace: &mut Trace,
+        zero_x: &Vector,
+        circuit: &Circuit,
+        params: &Params,
+        choice: SolverChoice,
+    ) -> Result<&'s mut Assembly> {
+        let n = circuit.unknown_count();
+        let sparse = choice.wants_sparse(n);
+        if sparse {
+            circuit.stamp(&mut trace.recorder(n), zero_x, 0.0, params, 1.0);
+        }
+        let fits = match assembly.as_ref().map(|a| &a.layout) {
+            Some(Layout::Sparse(map)) => sparse && map.matches(trace),
+            Some(Layout::Dense(m)) => !sparse && *m == n,
+            None => false,
+        };
+        if !fits {
+            // Freed before the replacement is built.
+            *assembly = None;
+        }
+        match assembly {
+            Some(a) => Ok(a),
+            none => {
+                let layout = match sparse {
+                    true => Layout::Sparse(SlotMap::resolve(n, trace)),
+                    false => Layout::Dense(n),
+                };
+                Ok(none.insert(Assembly {
+                    newton: newton::NewtonWorkspace::for_layout(&layout)?,
+                    c: vec![0.0; layout.len()],
+                    nr: StateStamps::new(n, &layout),
+                    prev: StateStamps::new(n, &layout),
+                    new: StateStamps::new(n, &layout),
+                    layout,
+                }))
+            }
+        }
+    }
 }
 
 impl TransientScratch {
     /// Creates a workspace for circuits with `n` MNA unknowns.
     pub fn new(n: usize) -> Self {
         TransientScratch {
-            newton: newton::NewtonWorkspace::new(n),
-            nr_stamps: Stamps::new(n),
-            stamps_prev: Stamps::new(n),
-            stamps_new: Stamps::new(n),
-            c: Matrix::zeros(n, n),
+            assembly: None,
+            trace: Trace::default(),
             sens_rhs: Vector::zeros(n),
             sens_tmp: Vector::zeros(n),
             dfdp_tmp: Vector::zeros(n),
             zero_x: Vector::zeros(n),
-            jac_pattern: Vec::new(),
         }
     }
 
@@ -1579,50 +1572,6 @@ impl TransientScratch {
         if self.dim() != n {
             *self = TransientScratch::new(n);
         }
-    }
-
-    /// Installs or validates the sparse solve path for one run.
-    ///
-    /// The guard is one pattern probe per run (an assembly at `x = 0`,
-    /// no allocation once the probe buffer is warm); the symbolic
-    /// analysis carried by an already-installed solver is reused whenever
-    /// the circuit still probes to the same pattern, so repeated runs
-    /// over one topology analyze exactly once.
-    fn configure_solver(
-        &mut self,
-        circuit: &Circuit,
-        params: &Params,
-        choice: SolverChoice,
-    ) -> Result<()> {
-        if choice.wants_sparse(circuit.unknown_count()) {
-            let reuse = match self.newton.sparse_solver_mut() {
-                Some(sp) => sp.matches_pattern(circuit, &mut self.nr_stamps, &self.zero_x, params),
-                None => false,
-            };
-            if !reuse {
-                self.newton
-                    .set_sparse_solver(Some(SparseJacSolver::new(circuit, params)?));
-            }
-            // The hot loop addresses the stamp and Jacobian matrices only
-            // at the pattern positions (O(nnz) per iteration); copy the
-            // pattern out of the solver so the assembly closure can use it
-            // while the Newton workspace is mutably borrowed, and give
-            // every assembly buffer one full O(n²) clear per run to
-            // establish the zero-outside-pattern invariant (a previous
-            // dense run over a different same-size circuit may have left
-            // stale off-pattern entries).
-            self.jac_pattern.clear();
-            if let Some(sp) = self.newton.sparse_solver() {
-                self.jac_pattern.extend_from_slice(sp.pattern());
-            }
-            self.nr_stamps.clear();
-            self.stamps_prev.clear();
-            self.stamps_new.clear();
-        } else {
-            self.newton.set_sparse_solver(None);
-            self.jac_pattern.clear();
-        }
-        Ok(())
     }
 }
 
@@ -1817,7 +1766,7 @@ mod tests {
     /// The sparse path must reproduce the dense trajectory (state AND
     /// sensitivities) to solver tolerance on the same circuit, and the
     /// warm sparse stepping loop must stay matrix-allocation-free —
-    /// including the per-run pattern re-probe and the sensitivity
+    /// including the per-run slot check and the sensitivity
     /// factorizations in the Newton solver.
     #[test]
     fn sparse_transient_matches_dense_and_keeps_warm_loop_allocation_free() {
@@ -1850,7 +1799,7 @@ mod tests {
             assert!(sdiff < 1e-6 * md.norm_inf().max(1.0), "{p:?}: {sdiff:e}");
         }
 
-        // The sparse scratch is warm now: a repeat run (pattern re-probe,
+        // The sparse scratch is warm now: a repeat run (slot check,
         // Newton refactors, sensitivity solves) must allocate nothing.
         let before = shc_linalg::matrix_allocations();
         let warm = run(crate::SolverChoice::Sparse, &mut scratch);
@@ -1859,6 +1808,38 @@ mod tests {
         assert_eq!(
             allocated, 0,
             "warm sparse run allocated {allocated} matrix/sparse buffers"
+        );
+    }
+
+    /// The sparse path holds no `n×n` matrix. On a fresh scratch, a
+    /// forced-sparse run with a DC start and sensitivities allocates only
+    /// the sparse buffers of its two analyses, the DC solve's and the
+    /// transient's: each a CSR Jacobian, a symbolic analysis and the
+    /// storage of its first factor.
+    #[test]
+    fn sparse_runs_allocate_no_dense_matrix() {
+        let c = rc_chain_with_pulse(30);
+        let opts = TransientOptions::builder(6e-7)
+            .dt(2e-9)
+            .sensitivities(&Param::ALL)
+            .record(RecordMode::FinalOnly)
+            .solver(crate::SolverChoice::Sparse)
+            .build();
+        assert!(matches!(opts.initial, InitialCondition::DcOperatingPoint));
+        let collector = shc_obs::Collector::new();
+        let _obs = shc_obs::install_scoped(&collector);
+        let mut scratch = TransientScratch::new(c.unknown_count());
+        let res = TransientAnalysis::new(&c, opts)
+            .run_with_scratch(&Params::new(1e-7, 1e-7), &mut scratch)
+            .unwrap();
+        assert!(res.stats().steps > 100, "test wants a real stepping loop");
+        let analyses = collector.counter(shc_obs::Metric::SparseAnalyses);
+        assert_eq!(analyses, 2, "the DC solve's and the transient's");
+        let allocations = collector.counter(shc_obs::Metric::MatrixAllocations);
+        assert_eq!(
+            allocations,
+            3 * analyses,
+            "matrix allocations beyond the sparse analyses' own buffers"
         );
     }
 

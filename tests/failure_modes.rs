@@ -55,7 +55,7 @@ fn newton_budget_exhaustion_is_reported() {
     let err = newton::solve_in_place(&mut ws, &x0, &opts, None, |x, f, j| {
         // F(x) = x, but claim slope −1: iterates bounce x → 2x.
         f.as_mut_slice()[0] = x[0];
-        j[(0, 0)] = -1.0;
+        j[0] = -1.0;
         Ok(())
     })
     .unwrap_err();
