@@ -327,11 +327,14 @@ impl<'a> Parser<'a> {
         let line = self.line();
         let attr_line = line;
         self.skim_attrs();
+        // Only a bare `pub` is public API: `pub(crate)`, `pub(super)`,
+        // `pub(self)` and `pub(in path)` stay inside the crate.
         let is_pub = if self.eat("pub") {
-            if self.text() == "(" {
+            let restricted = self.text() == "(";
+            if restricted {
                 self.skim_group();
             }
-            true
+            !restricted
         } else {
             false
         };

@@ -165,6 +165,21 @@ fn transitive_panic_chain_triggers_panic_reachability() {
 }
 
 #[test]
+fn only_bare_pub_items_are_public_api() {
+    let findings = lint_fixture(
+        "crates/linalg/src/fixture.rs",
+        include_str!("fixtures/restricted_visibility.rs"),
+    );
+    assert_only(
+        &findings,
+        "panic-reachability",
+        "crates/linalg/src/fixture.rs",
+        &[6],
+    );
+    assert_eq!(findings[0].api.as_deref(), Some("bare"));
+}
+
+#[test]
 fn direct_panic_site_triggers_panic_reachability_in_solver_crates_only() {
     let findings = lint_fixture(
         "crates/linalg/src/fixture.rs",

@@ -101,12 +101,36 @@ pub enum DcStrategy {
 /// # }
 /// ```
 pub fn solve_dc(circuit: &Circuit, params: &Params, opts: &DcOptions) -> Result<DcSolution> {
+    let n = circuit.unknown_count();
+    let layout = if opts.solver.wants_sparse(n) {
+        Layout::Sparse(circuit.slot_map(params))
+    } else {
+        Layout::Dense(n)
+    };
+    let mut ws = newton::NewtonWorkspace::for_layout(&layout)?;
+    solve_dc_in(circuit, params, opts, &layout, &mut ws)
+}
+
+/// [`solve_dc`] in a caller's assembly `layout` of `circuit` and a Newton
+/// workspace that follows it: a transient solves its DC start in its own
+/// buffers, so one slot map and one symbolic analysis serve both. The
+/// workspace's factor is left holding the DC's pivots.
+///
+/// # Errors
+///
+/// As [`solve_dc`].
+pub(crate) fn solve_dc_in(
+    circuit: &Circuit,
+    params: &Params,
+    opts: &DcOptions,
+    layout: &Layout,
+    ws: &mut newton::NewtonWorkspace,
+) -> Result<DcSolution> {
     // Once per transient run, outside the stepping hot loop: a full
     // profiler frame is affordable here.
     let _frame = shc_prof::enter(shc_prof::Phase::DcOp);
-    let n = circuit.unknown_count();
-    let x0 = Vector::zeros(n);
-    let mut dc = DcSolver::new(circuit, params, opts)?;
+    let x0 = Vector::zeros(circuit.unknown_count());
+    let mut dc = DcSolver::new(circuit, params, opts, layout, ws);
 
     // Strategy 1: plain Newton with the residual gmin.
     if let Ok((x, iterations)) = dc.newton(&x0, opts.gmin_final, 1.0) {
@@ -145,28 +169,29 @@ struct DcSolver<'a> {
     circuit: &'a Circuit,
     params: &'a Params,
     opts: &'a DcOptions,
-    layout: Layout,
-    ws: newton::NewtonWorkspace,
+    layout: &'a Layout,
+    ws: &'a mut newton::NewtonWorkspace,
     /// The charges each assembly stamps and DC ignores.
     q: Vector,
 }
 
 impl<'a> DcSolver<'a> {
-    fn new(circuit: &'a Circuit, params: &'a Params, opts: &'a DcOptions) -> Result<Self> {
-        let n = circuit.unknown_count();
-        let layout = if opts.solver.wants_sparse(n) {
-            Layout::Sparse(circuit.slot_map(params))
-        } else {
-            Layout::Dense(n)
-        };
-        Ok(DcSolver {
+    fn new(
+        circuit: &'a Circuit,
+        params: &'a Params,
+        opts: &'a DcOptions,
+        layout: &'a Layout,
+        ws: &'a mut newton::NewtonWorkspace,
+    ) -> Self {
+        let q = Vector::zeros(circuit.unknown_count());
+        DcSolver {
             circuit,
             params,
             opts,
-            ws: newton::NewtonWorkspace::for_layout(&layout)?,
             layout,
-            q: Vector::zeros(n),
-        })
+            ws,
+            q,
+        }
     }
 
     /// One inner Newton solve from `x0` with a node shunt `gmin` and the
@@ -432,8 +457,9 @@ mod tests {
         c.add(Resistor::new("R1", a, Circuit::GROUND, 1e3));
         let params = Params::default();
         let opts = DcOptions::default();
-        let sol = DcSolver::new(&c, &params, &opts)
-            .unwrap()
+        let layout = Layout::Dense(c.unknown_count());
+        let mut ws = newton::NewtonWorkspace::for_layout(&layout).unwrap();
+        let sol = DcSolver::new(&c, &params, &opts, &layout, &mut ws)
             .source_stepping(&Vector::zeros(c.unknown_count()))
             .unwrap();
         assert_eq!(sol.strategy, DcStrategy::SourceStepping);

@@ -81,7 +81,13 @@ impl Default for NewtonOptions {
 )]
 pub(crate) enum Factor {
     Dense(Matrix, Option<LuFactor>),
-    Sparse(CsrMatrix, Option<SparseLu>),
+    Sparse {
+        jacobian: CsrMatrix,
+        lu: Option<SparseLu>,
+        /// Whether the next factorization pivots afresh on `lu`'s symbolic
+        /// analysis instead of replaying its pivots ([`Factor::repivot`]).
+        repivot: bool,
+    },
 }
 
 impl Factor {
@@ -89,27 +95,94 @@ impl Factor {
     pub(crate) fn values_mut(&mut self) -> &mut [f64] {
         match self {
             Factor::Dense(jacobian, _) => jacobian.as_mut_slice(),
-            Factor::Sparse(jacobian, _) => jacobian.values_mut(),
+            Factor::Sparse { jacobian, .. } => jacobian.values_mut(),
         }
     }
 
-    /// A [`SpiceError::NumericalBlowup`] if the Jacobian buffer holds a
-    /// non-finite value: checked before every factorization.
-    pub(crate) fn check_finite(&self) -> Result<()> {
+    /// Factors the Jacobian buffer: builds the factor the first time and
+    /// refactors it in place after that. A [`SpiceError::NumericalBlowup`]
+    /// if the buffer holds a non-finite value.
+    ///
+    /// A dense refactor takes the buffer's storage
+    /// ([`LuFactor::refactor_taking`]): once it has run, successfully or
+    /// not, the buffer holds no Jacobian, so every factorization needs a
+    /// freshly assembled one. A sparse refactor replays the pivots of the
+    /// last fresh factorization, or pivots afresh after
+    /// [`Factor::repivot`].
+    pub(crate) fn factorize(&mut self) -> Result<()> {
         let values = match self {
             Factor::Dense(jacobian, _) => jacobian.as_slice(),
-            Factor::Sparse(jacobian, _) => jacobian.values(),
+            Factor::Sparse { jacobian, .. } => jacobian.values(),
         };
-        if values.iter().all(|v| v.is_finite()) {
-            Ok(())
-        } else {
-            Err(SpiceError::NumericalBlowup { time: f64::NAN })
+        if !values.iter().all(|v| v.is_finite()) {
+            return Err(SpiceError::NumericalBlowup { time: f64::NAN });
         }
+        match self {
+            Factor::Dense(jacobian, Some(lu)) => lu.refactor_taking(jacobian)?,
+            Factor::Sparse {
+                jacobian,
+                lu: Some(lu),
+                repivot,
+            } => {
+                if *repivot {
+                    // lint: allow(hot-path-certify, reason = "cold path: a fresh pivoting runs once per run that follows its DC start's solves in the same workspace; every later iteration replays its pivots")
+                    lu.factor(jacobian)?;
+                    *repivot = false;
+                } else {
+                    lu.refactor(jacobian)?;
+                }
+            }
+            // lint: allow(hot-path-certify, reason = "cold path: the factor is built once on the first solve; every later iteration takes a refactor arm")
+            Factor::Dense(jacobian, lu) => *lu = Some(LuFactor::new(jacobian)?),
+            Factor::Sparse { jacobian, lu, .. } => {
+                // lint: allow(hot-path-certify, reason = "cold path: the first factorization performs the symbolic analysis (allocating, span-instrumented); every later iteration takes a refactor arm")
+                *lu = Some(SparseLu::new(jacobian)?);
+            }
+        }
+        Ok(())
+    }
+
+    /// Solves `J·x = b` with the factor.
+    pub(crate) fn solve_into(&mut self, b: &Vector, x: &mut Vector) -> Result<()> {
+        match self {
+            Factor::Dense(_, Some(lu)) => lu.solve_into(b, x)?,
+            Factor::Sparse { lu: Some(lu), .. } => lu.solve_into(b, x)?,
+            _ => {
+                let reason = "jacobian solved before its first factorization";
+                return Err(shc_linalg::LinalgError::InvalidInput { reason }.into());
+            }
+        }
+        Ok(())
+    }
+
+    /// Makes the next sparse factorization pivot afresh, keeping the
+    /// symbolic analysis: the pivots the factor holds are another solve's
+    /// (a DC start's), and replaying them would move the results. A dense
+    /// factor keeps no pivots.
+    pub(crate) fn repivot(&mut self) {
+        if let Factor::Sparse { repivot, .. } = self {
+            *repivot = true;
+        }
+    }
+
+    /// Whether the factor holds pivots that its next factorization
+    /// replays: the sparse one, once built, until [`Factor::repivot`].
+    pub(crate) fn keeps_pivots(&self) -> bool {
+        matches!(
+            self,
+            Factor::Sparse {
+                lu: Some(_),
+                repivot: false,
+                ..
+            }
+        )
     }
 
     /// `out = A·v` for `A` given by its slot values `a`: per row, ascending
-    /// columns accumulated from `+0.0`. Sparse, that is bitwise the dense
-    /// product, since the structural zeros it skips add only `±0`.
+    /// columns accumulated from `+0.0`, skipping the zero values of `a`.
+    /// For finite `v` that is bitwise the dense product: a skipped entry,
+    /// structural or stored, would add only `±0` to a sum that starts at
+    /// `+0.0` and so is never `-0.0`.
     pub(crate) fn mul_slots_into(&self, a: &[f64], v: &Vector, out: &mut Vector) {
         match self {
             Factor::Dense(jacobian, _) => {
@@ -117,7 +190,7 @@ impl Factor {
                     *o = ordered_dot(row, 0..row.len(), v);
                 }
             }
-            Factor::Sparse(jacobian, _) => {
+            Factor::Sparse { jacobian, .. } => {
                 let (ptr, cols) = (jacobian.row_ptr(), jacobian.col_indices());
                 for ((o, &lo), &hi) in out.iter_mut().zip(ptr).zip(&ptr[1..]) {
                     *o = ordered_dot(&a[lo..hi], cols[lo..hi].iter().copied(), v);
@@ -127,15 +200,16 @@ impl Factor {
     }
 }
 
-/// `Σ_k a_k·v[col_k]` in order, from `+0.0`.
+/// `Σ_k a_k·v[col_k]` in order, from `+0.0`, over the nonzero `a_k`.
 fn ordered_dot(a: &[f64], cols: impl Iterator<Item = usize>, v: &Vector) -> f64 {
-    a.iter().zip(cols).fold(0.0, |acc, (a, j)| acc + a * v[j])
-}
-
-/// The error of a solve with a factor that was never built.
-pub(crate) fn unfactored() -> SpiceError {
-    let reason = "jacobian solved before its first factorization";
-    shc_linalg::LinalgError::InvalidInput { reason }.into()
+    a.iter().zip(cols).fold(0.0, |acc, (&a, j)| {
+        // lint: allow(float-eq, reason = "exact-zero skip: a zero entry adds only ±0 to the sum")
+        if a == 0.0 {
+            acc
+        } else {
+            acc + a * v[j]
+        }
+    })
 }
 
 /// Reusable buffers for [`solve_in_place`].
@@ -167,7 +241,12 @@ impl NewtonWorkspace {
         Ok(match layout {
             Layout::Dense(n) => NewtonWorkspace::new(*n),
             Layout::Sparse(map) => {
-                NewtonWorkspace::with_factor(map.dim(), Factor::Sparse(map.csr()?, None))
+                let factor = Factor::Sparse {
+                    jacobian: map.csr()?,
+                    lu: None,
+                    repivot: false,
+                };
+                NewtonWorkspace::with_factor(map.dim(), factor)
             }
         })
     }
@@ -217,10 +296,13 @@ impl NewtonWorkspace {
 /// [`NewtonWorkspace`].
 ///
 /// `assemble` writes the residual `F(x)` and the Jacobian `∂F/∂x` at the
-/// trial point into the provided buffers (which arrive zeroed only on the
-/// first call — overwrite, don't accumulate). The Jacobian buffer holds
-/// one value per slot of the workspace's layout: row-major `n×n` on the
-/// dense path, the CSR values of the resolved pattern on the sparse path.
+/// trial point into the provided buffers, every entry of both: they
+/// arrive zeroed only on the first call, and a dense factorization takes
+/// the Jacobian buffer's storage, leaving it the factor's old contents
+/// ([`Factor::factorize`]). The Jacobian buffer holds one value per slot of
+/// the workspace's layout: row-major `n×n` on the dense path, the CSR
+/// values of the resolved pattern on the sparse path. A primed first
+/// iteration may leave it unwritten: nothing reads it.
 /// Convergence is declared when the weighted update norm
 /// `max_i |Δx_i| / (reltol·|x_i| + abstol)` drops to `≤ 1`; the converged
 /// state is then in `ws.x()` and the iteration count is returned. Apart
@@ -266,7 +348,7 @@ where
     let solve_work = ws.dim() as u64;
     let factor_work = match &ws.factor {
         Factor::Dense(..) => solve_work,
-        Factor::Sparse(jacobian, _) => jacobian.nnz() as u64,
+        Factor::Sparse { jacobian, .. } => jacobian.nnz() as u64,
     };
 
     // Every iteration works in workspace buffers sized at construction;
@@ -281,25 +363,13 @@ where
         // A primed first iteration's Jacobian is bitwise the factored one.
         let reuse = primed && iter == 1;
         if !reuse {
-            ws.factor.check_finite()?;
-            match &mut ws.factor {
-                Factor::Dense(jacobian, Some(lu)) => lu.refactor(jacobian)?,
-                Factor::Sparse(jacobian, Some(lu)) => lu.refactor(jacobian)?,
-                // lint: allow(hot-path-certify, reason = "cold path: the factor is built once on the first solve; every later iteration takes a refactor arm")
-                Factor::Dense(jacobian, lu) => *lu = Some(LuFactor::new(jacobian)?),
-                // lint: allow(hot-path-certify, reason = "cold path: the first factorization performs the symbolic analysis (allocating, span-instrumented); every later iteration takes a refactor arm")
-                Factor::Sparse(jacobian, lu) => *lu = Some(SparseLu::new(jacobian)?),
-            }
+            ws.factor.factorize()?;
             if let Some(l) = laps {
                 l.end_region(lap::FACTOR);
                 l.bump(lap::FACTOR, 1, factor_work);
             }
         }
-        match &mut ws.factor {
-            Factor::Dense(_, Some(lu)) => lu.solve_into(&ws.residual, &mut ws.delta)?,
-            Factor::Sparse(_, Some(lu)) => lu.solve_into(&ws.residual, &mut ws.delta)?,
-            _ => return Err(unfactored()),
-        }
+        ws.factor.solve_into(&ws.residual, &mut ws.delta)?;
         if let Some(l) = laps {
             l.end_region(lap::SOLVE);
             l.bump(lap::SOLVE, 1, solve_work);
@@ -483,7 +553,7 @@ mod tests {
         };
         let dense_ws = solve(Layout::Dense(n));
         let sparse_ws = solve(Layout::Sparse(c.slot_map(&params)));
-        assert!(matches!(sparse_ws.factor, Factor::Sparse(..)));
+        assert!(matches!(sparse_ws.factor, Factor::Sparse { .. }));
         let diff = sparse_ws.x().sub(dense_ws.x()).norm_inf();
         assert!(diff < 1e-10, "sparse vs dense newton diverged: {diff:e}");
         // The ladder divides 1 V evenly: node s sits at (20 − s)/21 V.

@@ -20,11 +20,11 @@ use std::cell::Cell;
 use std::mem;
 use std::sync::{Mutex, OnceLock};
 
-use shc_linalg::{LuFactor, SparseLu, Vector};
+use shc_linalg::Vector;
 
 use crate::circuit::Circuit;
 use crate::dcop::{self, DcOptions};
-use crate::newton::{self, Factor, NewtonOptions};
+use crate::newton::{self, NewtonOptions};
 use crate::solver::SolverChoice;
 use crate::stamp::{Layout, SlotMap, StateStamps, Trace};
 use crate::waveform::{Param, Params};
@@ -170,7 +170,8 @@ pub enum RecordMode {
     Full,
     /// Keep only one unknown's trajectory.
     Probe(usize),
-    /// Keep nothing but the final state.
+    /// Keep nothing but the final state and the final time: no history,
+    /// so a run resumed from a prefix ladder copies no prefix.
     FinalOnly,
 }
 
@@ -319,7 +320,9 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// Accepted time points (includes `t = 0`).
+    /// Accepted time points: every one from `t = 0` in
+    /// [`RecordMode::Full`] and [`RecordMode::Probe`]; in
+    /// [`RecordMode::FinalOnly`] the final time alone.
     pub fn times(&self) -> &[f64] {
         &self.times
     }
@@ -474,8 +477,6 @@ struct Reused {
 /// step (or at the DC start, step 0).
 #[derive(Debug, Clone, Copy)]
 struct Mark {
-    /// Accepted steps so far; also the index of `t` in the run's times.
-    step: usize,
     t: f64,
     /// The step size the next attempt will use.
     dt: f64,
@@ -485,14 +486,12 @@ struct Mark {
     reach: f64,
 }
 
-/// Where a run starts stepping: the carried state, copied bit for bit,
-/// and the accepted times up to and including it.
+/// Where a run starts stepping: the carried state, copied bit for bit.
 struct Start {
     mark: Mark,
     x: Vector,
     /// One per parameter of the run's options.
     sens: Vec<Vector>,
-    times: Vec<f64>,
 }
 
 /// Where the stepping loop under `opts` stops: a step starts only below
@@ -583,7 +582,9 @@ pub struct PrefixLadder {
 }
 
 /// The checkpoints of a [`PrefixLadder`] or of its seed: one at the DC
-/// start and one every [`LADDER_STRIDE`] accepted steps.
+/// start and one every [`LADDER_STRIDE`] accepted steps. They keep no
+/// accepted times: the runs that resume from them record the final
+/// state and time only ([`RecordMode::FinalOnly`]).
 struct Rungs {
     /// The skews of the run that computed them.
     reference: Params,
@@ -591,11 +592,6 @@ struct Rungs {
     opts: TransientOptions,
     /// Circuit dimension: each mark owns `n` states.
     n: usize,
-    /// That run's accepted times up to the last checkpoint.
-    times: Vec<f64>,
-    /// How many times that run accepted in all, so a resumed run of the
-    /// same steps reserves its times once.
-    run_len: usize,
     marks: Vec<Mark>,
     states: Vec<f64>,
 }
@@ -634,13 +630,12 @@ impl std::fmt::Debug for SiblingRungs {
 }
 
 impl Rungs {
-    /// The checkpoints `capture` kept of a run at `reference` under `opts`
-    /// that accepted `times`; `None` if it kept none.
+    /// The checkpoints `capture` kept of a run at `reference` under `opts`;
+    /// `None` if it kept none.
     fn new(
         reference: Params,
         opts: &TransientOptions,
         n: usize,
-        times: &[f64],
         capture: Capture,
     ) -> Option<Rungs> {
         let Capture {
@@ -648,7 +643,9 @@ impl Rungs {
             mut states,
             ..
         } = capture;
-        let last = marks.last()?.step;
+        if marks.is_empty() {
+            return None;
+        }
         // The ladder lives as long as its owner: keep no growth slack.
         marks.shrink_to_fit();
         states.shrink_to_fit();
@@ -659,8 +656,6 @@ impl Rungs {
                 ..opts.clone()
             },
             n,
-            times: times.get(..=last)?.to_vec(),
-            run_len: times.len(),
             marks,
             states,
         })
@@ -706,13 +701,10 @@ impl Rungs {
             .checked_sub(1)?;
         let mark = self.marks[k];
         let n = self.n;
-        let mut times = Vec::with_capacity(self.run_len);
-        times.extend_from_slice(&self.times[..=mark.step]);
         Some(Start {
             mark,
             x: Vector::from_slice(&self.states[k * n..(k + 1) * n]),
             sens: (0..sens).map(|_| Vector::zeros(n)).collect(),
-            times,
         })
     }
 
@@ -731,7 +723,6 @@ impl Rungs {
             .checked_sub(1)?;
         let Rungs {
             n,
-            mut times,
             mut marks,
             mut states,
             ..
@@ -740,14 +731,12 @@ impl Rungs {
         let x = Vector::from_slice(&states[k * n..(k + 1) * n]);
         marks.truncate(k);
         states.truncate(k * n);
-        times.truncate(mark.step + 1);
         capture.marks = marks;
         capture.states = states;
         Some(Start {
             mark,
             x,
             sens: Vec::new(),
-            times,
         })
     }
 }
@@ -786,7 +775,7 @@ impl<'a> TransientAnalysis<'a> {
     /// later runs keep the skews it was built at.
     ///
     /// Results stay bitwise identical to a run from the DC start — state,
-    /// sensitivities, stats and times — as long as `ladder` only ever
+    /// sensitivities, stats and final time — as long as `ladder` only ever
     /// serves analyses of one circuit. Analyses whose options step
     /// differently from the reference run's run from the DC start.
     pub fn with_ladder(mut self, ladder: &'a PrefixLadder, reference: Params) -> Self {
@@ -940,7 +929,7 @@ impl<'a> TransientAnalysis<'a> {
         let res = self.run_from(params, scratch, start, Some(&mut capture))?;
         siblings
             .rungs
-            .set(Rungs::new(*params, &self.opts, n, res.times(), capture));
+            .set(Rungs::new(*params, &self.opts, n, capture));
         Ok(res)
     }
 
@@ -1008,10 +997,10 @@ impl<'a> TransientAnalysis<'a> {
                 seed.extend_into(horizon.min(quiet), &mut capture)
             });
         let mut scratch = TransientScratch::new(n);
-        let res = analysis
+        analysis
             .run_from(&reference, &mut scratch, start, Some(&mut capture))
             .ok()?;
-        Rungs::new(reference, &analysis.opts, n, res.times(), capture)
+        Rungs::new(reference, &analysis.opts, n, capture)
     }
 
     /// A run from the DC start that leaves its checkpoints in `ladder` as
@@ -1027,7 +1016,7 @@ impl<'a> TransientAnalysis<'a> {
         let res = self.run_from(params, scratch, None, Some(&mut capture))?;
         let n = self.circuit.unknown_count();
         if let (Some(seed), Ok(mut slot)) = (
-            Rungs::new(*params, &self.opts, n, res.times(), capture),
+            Rungs::new(*params, &self.opts, n, capture),
             ladder.seed.lock(),
         ) {
             *slot = Some(Box::new(seed));
@@ -1154,15 +1143,29 @@ impl<'a> TransientAnalysis<'a> {
             mark,
             x: mut x_prev,
             sens,
-            mut times,
         } = match start {
             Some(start) => start,
             None => {
                 let (x, reach) = match &opts.initial {
-                    InitialCondition::DcOperatingPoint => (
-                        dcop::solve_dc(circuit, params, &opts.dc)?.x,
-                        opts.dc.time.max(0.0),
-                    ),
+                    InitialCondition::DcOperatingPoint => {
+                        // The DC start solves in this run's layout and
+                        // workspace when its solver picks the same layout,
+                        // unless the workspace keeps a sparse factor whose
+                        // pivots this run's first factorization replays.
+                        // Then the run's first factorization pivots afresh,
+                        // as on a fresh workspace, on the DC's analysis.
+                        let shared = opts.dc.solver.wants_sparse(n)
+                            == matches!(layout, Layout::Sparse(_))
+                            && !nw.factor_mut().keeps_pivots();
+                        let dc = if shared {
+                            let dc = dcop::solve_dc_in(circuit, params, &opts.dc, layout, nw);
+                            nw.factor_mut().repivot();
+                            dc
+                        } else {
+                            dcop::solve_dc(circuit, params, &opts.dc)
+                        };
+                        (dc?.x, opts.dc.time.max(0.0))
+                    }
                     InitialCondition::Given(x) => {
                         if x.len() != n {
                             return Err(SpiceError::BadCircuit {
@@ -1177,7 +1180,6 @@ impl<'a> TransientAnalysis<'a> {
                 };
                 Start {
                     mark: Mark {
-                        step: 0,
                         t: 0.0,
                         dt: opts.dt.min(opts.tstop),
                         stats: TransientStats::default(),
@@ -1187,7 +1189,6 @@ impl<'a> TransientAnalysis<'a> {
                     // Sensitivities start at zero: x(0) is held fixed across
                     // skews (the data pulse is at its rest level at t = 0).
                     sens: vec![Vector::zeros(n); opts.sensitivities.len()],
-                    times: vec![0.0],
                 }
             }
         };
@@ -1198,6 +1199,10 @@ impl<'a> TransientAnalysis<'a> {
             ..
         } = mark;
 
+        // A final-only run keeps its final time alone; the others keep
+        // every accepted time. Only final-only runs resume from a rung.
+        let history = opts.record != RecordMode::FinalOnly;
+        let mut times = Vec::new();
         let mut states = Vec::new();
         let mut probe = Vec::new();
         let probe_index = match opts.record {
@@ -1208,6 +1213,9 @@ impl<'a> TransientAnalysis<'a> {
             RecordMode::Full => states.push(x_prev.clone()),
             RecordMode::Probe(i) => probe.push(x_prev[i]),
             RecordMode::FinalOnly => {}
+        }
+        if history {
+            times.push(t_prev);
         }
 
         let mut sens: Vec<(Param, Vector)> = opts.sensitivities.iter().copied().zip(sens).collect();
@@ -1273,7 +1281,8 @@ impl<'a> TransientAnalysis<'a> {
                 // Re-arm the lap cursor so time between iterations is
                 // never charged to the device loop.
                 lap_iter.end_region(newton::lap::ITER_SELF);
-                let s = if fresh.take() {
+                let first = fresh.take();
+                let s = if first {
                     &*stamps_prev
                 } else {
                     circuit.stamp(&mut nr_stamps.stamper(layout, None), x, t_new, params, 1.0);
@@ -1284,7 +1293,11 @@ impl<'a> TransientAnalysis<'a> {
                 r.copy_from(&s.q);
                 r.axpy(-1.0, &stamps_prev.q);
                 r.axpy(dt_eff, &s.f);
-                combine_step_jacobian_into(j, c, &s.g, dt_eff);
+                // A primed first iterate takes the factor in place and
+                // reads no Jacobian.
+                if !(first && primed) {
+                    combine_step_jacobian_into(j, c, &s.g, dt_eff);
+                }
                 lap_iter.end_region(newton::lap::STAMP);
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 Ok(())
@@ -1381,26 +1394,22 @@ impl<'a> TransientAnalysis<'a> {
                 // One factor of the sensitivity Jacobian per accepted step,
                 // in the Newton workspace's own factor on either backend,
                 // where the next step's first iterate may take it; then
-                // one back-substitution per parameter.
-                factor.check_finite()?;
-                match factor {
-                    Factor::Dense(j, Some(lu)) => with_lu_fault_retries(|| lu.refactor(j))?,
-                    Factor::Sparse(j, Some(lu)) => with_lu_fault_retries(|| lu.refactor(j))?,
-                    Factor::Dense(j, lu) => *lu = Some(with_lu_fault_retries(|| LuFactor::new(j))?),
-                    Factor::Sparse(j, lu) => {
-                        *lu = Some(with_lu_fault_retries(|| SparseLu::new(j))?)
+                // one back-substitution per parameter. A failed dense
+                // factorization has taken the Jacobian's storage, so each
+                // retry rewrites it first.
+                let mut retry = false;
+                with_lu_fault_retries(|| {
+                    if mem::replace(&mut retry, true) {
+                        combine_step_jacobian_into(factor.values_mut(), c, &stamps_new.g, dt_eff);
                     }
-                }
+                    factor.factorize()
+                })?;
                 factored_dt = Some(dt_eff);
                 for (param, m) in sens.iter_mut() {
                     circuit.assemble_dfdp_into(dfdp_tmp, zero_x, t_new, params, *param);
                     factor.mul_slots_into(c, m, sens_rhs);
                     sens_rhs.axpy(-dt_eff, dfdp_tmp);
-                    with_lu_fault_retries(|| match factor {
-                        Factor::Dense(_, Some(lu)) => Ok(lu.solve_into(sens_rhs, sens_tmp)?),
-                        Factor::Sparse(_, Some(lu)) => Ok(lu.solve_into(sens_rhs, sens_tmp)?),
-                        _ => Err(newton::unfactored()),
-                    })?;
+                    with_lu_fault_retries(|| factor.solve_into(sens_rhs, sens_tmp))?;
                     m.copy_from(sens_tmp);
                 }
                 lap_step.end_region(LAP_SENS);
@@ -1408,11 +1417,13 @@ impl<'a> TransientAnalysis<'a> {
             }
 
             stats.steps += 1;
-            times.push(t_new);
             match opts.record {
                 RecordMode::Full => states.push(x_prev.clone()),
                 RecordMode::Probe(i) => probe.push(x_prev[i]),
                 RecordMode::FinalOnly => {}
+            }
+            if history {
+                times.push(t_new);
             }
 
             // Allocation-free: the freshly stamped step becomes the
@@ -1424,7 +1435,6 @@ impl<'a> TransientAnalysis<'a> {
             if let Some(cap) = capture.as_mut() {
                 if stats.steps.is_multiple_of(LADDER_STRIDE) {
                     let mark = Mark {
-                        step: stats.steps,
                         t: t_prev,
                         dt,
                         stats: *stats,
@@ -1439,6 +1449,9 @@ impl<'a> TransientAnalysis<'a> {
             }
         }
 
+        if !history {
+            times.push(t_prev);
+        }
         Ok(TransientResult {
             times,
             states,
@@ -1813,8 +1826,9 @@ mod tests {
 
     /// The sparse path holds no `n×n` matrix. On a fresh scratch, a
     /// forced-sparse run with a DC start and sensitivities allocates only
-    /// the sparse buffers of its two analyses, the DC solve's and the
-    /// transient's: each a CSR Jacobian, a symbolic analysis and the
+    /// the sparse buffers of its one analysis, which the DC solve makes in
+    /// the transient's workspace and the transient's first factorization
+    /// pivots afresh on: a CSR Jacobian, a symbolic analysis and the
     /// storage of its first factor.
     #[test]
     fn sparse_runs_allocate_no_dense_matrix() {
@@ -1834,7 +1848,7 @@ mod tests {
             .unwrap();
         assert!(res.stats().steps > 100, "test wants a real stepping loop");
         let analyses = collector.counter(shc_obs::Metric::SparseAnalyses);
-        assert_eq!(analyses, 2, "the DC solve's and the transient's");
+        assert_eq!(analyses, 1, "the DC solve's, which the transient keeps");
         let allocations = collector.counter(shc_obs::Metric::MatrixAllocations);
         assert_eq!(
             allocations,
@@ -2059,9 +2073,11 @@ mod tests {
         Params::new(-200e-9, 400e-9)
     }
 
+    /// Stats, final time, state and sensitivities, bit for bit.
     fn assert_bitwise_eq(a: &TransientResult, b: &TransientResult) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(a.times()), bits(b.times()));
+        let last = |r: &TransientResult| r.times().last().map(|t| t.to_bits());
+        assert_eq!(last(a), last(b), "final time");
         assert_eq!(a.stats(), b.stats());
         assert_eq!(
             bits(a.final_state().as_slice()),
@@ -2119,11 +2135,11 @@ mod tests {
         assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
         assert_eq!(
             collector.counter(shc_obs::Metric::PrefixStepsReused),
-            before.step as u64
+            before.stats.steps as u64
         );
         assert_eq!(
             collector.counter(shc_obs::Metric::TransientSteps),
-            (full.stats().steps - before.step) as u64
+            (full.stats().steps - before.stats.steps) as u64
         );
     }
 
@@ -2133,7 +2149,7 @@ mod tests {
     /// sibling left below that horizon — past the cut, or, when the
     /// horizon falls between the cut checkpoint's `t` and its `reach`, the
     /// one before it — and reproduces a full run bit for bit in state,
-    /// stats and times. A run with sensitivities neither adopts nor leaves
+    /// stats and final time. A run with sensitivities neither adopts nor leaves
     /// sibling rungs.
     #[test]
     fn sibling_rungs_resume_a_row_bitwise_across_a_dt_cut() {
@@ -2184,10 +2200,13 @@ mod tests {
         assert_eq!(horizon, trail_until(&c, &near));
         assert!(marks.iter().any(|m| m.reach > horizon));
         let adopted = marks.iter().rfind(|m| m.reach < horizon).unwrap();
-        assert!(adopted.step >= past.step);
-        assert_eq!(run(&opts, near, &siblings), adopted.step);
+        assert!(adopted.stats.steps >= past.stats.steps);
+        assert_eq!(run(&opts, near, &siblings), adopted.stats.steps);
         let kept = held(&siblings).unwrap();
-        assert_eq!(kept[0].step, adopted.step, "a run captures from its start");
+        assert_eq!(
+            kept[0].stats.steps, adopted.stats.steps,
+            "a run captures from its start"
+        );
 
         // Trailing ramp starting halfway into the cut checkpoint's
         // (t, reach]: the rung before the cut.
@@ -2197,7 +2216,7 @@ mod tests {
         assert!(past.t < horizon && horizon < past.reach, "{horizon:e}");
         let siblings = SiblingRungs::default();
         run(&opts, far, &siblings);
-        assert_eq!(run(&opts, at_cut, &siblings), before.step);
+        assert_eq!(run(&opts, at_cut, &siblings), before.stats.steps);
 
         // With sensitivities: a full run, and the rungs are dropped.
         let siblings = SiblingRungs::default();
@@ -2224,6 +2243,17 @@ mod tests {
             assert_bitwise_eq(&resumed, &full);
             assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 1);
         }
+    }
+
+    /// Every accepted time of a run under `opts` at `at`: the same run,
+    /// recording one unknown's trajectory instead of the final state only.
+    fn step_times(c: &Circuit, opts: &TransientOptions, at: &Params) -> Vec<f64> {
+        let probed = TransientOptions {
+            record: RecordMode::Probe(0),
+            ..opts.clone()
+        };
+        let res = TransientAnalysis::new(c, probed).run(at).unwrap();
+        res.times().to_vec()
     }
 
     /// The steps of a run whose first iterate may reuse the previous
@@ -2267,8 +2297,8 @@ mod tests {
             let _guard = shc_obs::install_scoped(&collector);
             TransientAnalysis::new(&c, opts.clone()).run(&at).unwrap()
         };
-        let times = full.times();
-        let (equal_steps, planned_steps) = reusable_steps(times, &opts);
+        let times = step_times(&c, &opts, &at);
+        let (equal_steps, planned_steps) = reusable_steps(&times, &opts);
         assert!(full.stats().rejected_steps > 0, "the clock edge cuts dt");
         assert!(times[times.len() - 1] - times[times.len() - 2] < opts.dt);
         assert!(equal_steps + 1 < full.stats().steps as u64);
@@ -2296,7 +2326,8 @@ mod tests {
                 .unwrap()
         };
         assert!(sparse.stats().rejected_steps > 0, "the clock edge cuts dt");
-        let (equal_steps, planned_steps) = reusable_steps(sparse.times(), &opts);
+        let (equal_steps, planned_steps) =
+            reusable_steps(&step_times(&c, &sparse_opts, &at), &opts);
         assert!(equal_steps + 1 < sparse.stats().steps as u64);
         assert_eq!(
             collector.counter(shc_obs::Metric::FactorsReused),
@@ -2412,7 +2443,7 @@ mod tests {
         assert_resumes_bitwise(&c, &opts, &analysis, &[reference, variant]);
         let marks = &rungs(&ladder).marks;
         assert!(marks.iter().all(|m| m.reach < 200e-9));
-        assert_eq!(marks.last().unwrap().step, 16);
+        assert_eq!(marks.last().unwrap().stats.steps, 16);
     }
 
     /// A run at exactly a quiescent reference's skews adopts the latest
@@ -2433,14 +2464,14 @@ mod tests {
             &TransientAnalysis::new(&c, opts).run(&quiescent()).unwrap(),
         );
         let last = rungs(&ladder).marks.last().unwrap();
-        assert!(last.step < resumed.stats().steps);
+        assert!(last.stats.steps < resumed.stats().steps);
         assert_eq!(
             collector.counter(shc_obs::Metric::PrefixStepsReused),
-            last.step as u64
+            last.stats.steps as u64
         );
         assert_eq!(
             collector.counter(shc_obs::Metric::TransientSteps),
-            (2 * resumed.stats().steps - last.step) as u64,
+            (2 * resumed.stats().steps - last.stats.steps) as u64,
             "the ladder's reference run and the resumed one"
         );
     }
@@ -2488,7 +2519,8 @@ mod tests {
             .iter()
             .rfind(|m| m.reach < resumed_at)
             .unwrap()
-            .step;
+            .stats
+            .steps;
         assert_eq!(
             collector.counter(shc_obs::Metric::PrefixStepsReused),
             (16 + adopted) as u64,
@@ -2498,7 +2530,19 @@ mod tests {
         let full = TransientAnalysis::new(&c, opts.clone())
             .run(&quiescent())
             .unwrap();
-        assert_eq!(built.times[..], full.times()[..built.times.len()]);
+        let probed = TransientAnalysis::new(
+            &c,
+            TransientOptions {
+                record: RecordMode::Probe(0),
+                ..opts.clone()
+            },
+        )
+        .run(&quiescent())
+        .unwrap();
+        assert_eq!(probed.stats(), full.stats());
+        for mark in &built.marks {
+            assert_eq!(mark.t.to_bits(), probed.times()[mark.stats.steps].to_bits());
+        }
         assert_resumes_bitwise(&c, &opts, &analysis, &[at, quiescent()]);
 
         // A seed at another step size stays unused: the reference run
@@ -2553,7 +2597,7 @@ mod tests {
             .run(&at)
             .unwrap();
         assert!(ladder.is_built());
-        assert_eq!(rungs(&ladder).marks[0].step, 0);
+        assert_eq!(rungs(&ladder).marks[0].stats.steps, 0);
         let mut shorter = opts.clone();
         shorter.tstop = 300e-9;
         for (opts, at) in [
@@ -2572,6 +2616,7 @@ mod tests {
             assert_eq!(collector.counter(shc_obs::Metric::PrefixResumes), 0);
             let full = TransientAnalysis::new(&c, opts).run(&at).unwrap();
             assert_eq!(resumed.times(), full.times());
+            assert_eq!(resumed.stats(), full.stats());
             assert_eq!(
                 resumed.final_state().as_slice(),
                 full.final_state().as_slice()
@@ -2635,6 +2680,44 @@ mod tests {
         assert!(res.states().is_empty());
         assert!(res.trajectory(out).is_none());
         assert_eq!(res.final_state().len(), c.unknown_count());
+        assert_eq!(res.times().len(), 1);
+        assert!((res.times()[0] - 1e-7).abs() < 1e-18);
+    }
+
+    /// A final-only run keeps its final time and nothing before it, from
+    /// the DC start and resumed from a ladder alike, with the same bits
+    /// as the last time of a run that records every step.
+    #[test]
+    fn final_only_runs_hold_their_final_time_alone() {
+        let (c, opts) = clocked_rc();
+        let ladder = PrefixLadder::default();
+        let analysis = TransientAnalysis::new(&c, opts.clone()).with_ladder(&ladder, quiescent());
+        // Leading ramp 250–350 ns: the run adopts a rung past step 16.
+        let at = Params::new(0.0, 400e-9);
+        analysis.run(&quiescent()).unwrap();
+        let collector = shc_obs::Collector::new();
+        let resumed = {
+            let _guard = shc_obs::install_scoped(&collector);
+            analysis.run(&at).unwrap()
+        };
+        assert!(collector.counter(shc_obs::Metric::PrefixStepsReused) > 0);
+        let full = TransientAnalysis::new(&c, opts.clone()).run(&at).unwrap();
+        let probed = TransientAnalysis::new(
+            &c,
+            TransientOptions {
+                record: RecordMode::Probe(0),
+                ..opts
+            },
+        )
+        .run(&at)
+        .unwrap();
+        assert_eq!(probed.times().len(), probed.stats().steps + 1);
+        let last = probed.times().last().unwrap().to_bits();
+        for run in [&resumed, &full] {
+            assert_eq!(run.times().len(), 1);
+            assert_eq!(run.times()[0].to_bits(), last);
+            assert_eq!(run.stats(), probed.stats());
+        }
     }
 
     #[test]
