@@ -11,10 +11,7 @@
 //!   `goldens/`;
 //! - `fault_matrix` runs every fault site × kind plan;
 //! - `profile_smoke` holds `Detail::Step` profiling to its overhead
-//!   budget;
-//! - the Criterion benches under `benches/` ablate this implementation's
-//!   design choices (time step, tracer step, sensitivities) and time
-//!   independent characterization.
+//!   budget.
 //!
 //! Performance is measured by the benchmark of record in `benchmark/`
 //! (`cargo run --release --manifest-path benchmark/Cargo.toml -- run`),

@@ -38,17 +38,12 @@ pub struct CornerResult {
     pub warm_started: bool,
 }
 
-/// Options for a corner sweep.
+/// Options for a corner sweep. Every corner is seeded, polished and traced
+/// with the default [`SeedOptions`], [`MpnrOptions`] and [`TracerOptions`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepOptions {
     /// Contour points per corner.
     pub points: usize,
-    /// Tracer settings.
-    pub tracer: TracerOptions,
-    /// Seeding settings (used for the first corner and as fallback).
-    pub seed: SeedOptions,
-    /// MPNR settings for warm-start polishing.
-    pub mpnr: MpnrOptions,
     /// Fan-out policy for the corner loop. Serial keeps the paper's
     /// corner-to-corner warm-start chain; parallel policies solve the
     /// first corner cold and warm-start every remaining corner from it
@@ -61,9 +56,6 @@ impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             points: 20,
-            tracer: TracerOptions::default(),
-            seed: SeedOptions::default(),
-            mpnr: MpnrOptions::default(),
             parallelism: Parallelism::default(),
         }
     }
@@ -162,17 +154,22 @@ fn run_corner(
 
     let mut warm_started = false;
     let first_point = match warm_start {
-        Some(guess) => match mpnr::solve(&problem, guess, &opts.mpnr) {
+        Some(guess) => match mpnr::solve(&problem, guess, &MpnrOptions::default()) {
             Ok(polished) => {
                 warm_started = true;
                 polished
             }
-            Err(_) => seed::find_first_point(&problem, &opts.seed)?,
+            Err(_) => seed::find_first_point(&problem, &SeedOptions::default())?,
         },
-        None => seed::find_first_point(&problem, &opts.seed)?,
+        None => seed::find_first_point(&problem, &SeedOptions::default())?,
     };
 
-    let contour = tracer::trace(&problem, first_point.params, opts.points, &opts.tracer)?;
+    let contour = tracer::trace(
+        &problem,
+        first_point.params,
+        opts.points,
+        &TracerOptions::default(),
+    )?;
     let first_params = first_point.params;
     let result = CornerResult {
         label,
@@ -229,7 +226,6 @@ mod tests {
         let opts = SweepOptions {
             points: 6,
             parallelism: Parallelism::Threads(3),
-            ..SweepOptions::default()
         };
         let results = sweep(corner_registers(), &opts).unwrap();
         let labels: Vec<&str> = results.iter().map(|r| r.label.as_str()).collect();

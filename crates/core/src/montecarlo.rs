@@ -97,7 +97,8 @@ pub struct MonteCarloStats {
     pub total_simulations: usize,
 }
 
-/// Options for a Monte Carlo run.
+/// Options for a Monte Carlo run. Samples are seeded and warm-start
+/// polished with the default [`SeedOptions`] and [`MpnrOptions`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MonteCarloOptions {
     /// Number of samples to draw.
@@ -106,10 +107,6 @@ pub struct MonteCarloOptions {
     pub rng_seed: u64,
     /// Variation model.
     pub variation: ProcessVariation,
-    /// Seeding options (first sample / fallback).
-    pub seed: SeedOptions,
-    /// MPNR options for warm-started samples.
-    pub mpnr: MpnrOptions,
     /// Fan-out policy for samples 1.. (sample 0 always runs first as the
     /// warm-start anchor). Results are independent of the policy: each
     /// sample draws from its own index-derived RNG stream.
@@ -129,8 +126,6 @@ impl Default for MonteCarloOptions {
             samples: 20,
             rng_seed: 0x5348_4331,
             variation: ProcessVariation::default(),
-            seed: SeedOptions::default(),
-            mpnr: MpnrOptions::default(),
             parallelism: Parallelism::default(),
             batch: BatchPolicy::default(),
         }
@@ -164,11 +159,11 @@ where
     let problem = CharacterizationProblem::builder(build(&tech)).build()?;
     problem.reset_simulation_count();
     let point = match warm_start {
-        Some(guess) => match mpnr::solve(&problem, guess, &opts.mpnr) {
+        Some(guess) => match mpnr::solve(&problem, guess, &MpnrOptions::default()) {
             Ok(p) => p,
-            Err(_) => seed::find_first_point(&problem, &opts.seed)?,
+            Err(_) => seed::find_first_point(&problem, &SeedOptions::default())?,
         },
-        None => seed::find_first_point(&problem, &opts.seed)?,
+        None => seed::find_first_point(&problem, &SeedOptions::default())?,
     };
     Ok(SampleResult {
         index,

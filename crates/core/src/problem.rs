@@ -447,7 +447,7 @@ impl ProblemBuilder {
     ///   the target level with generous skews;
     /// - propagated simulation failures.
     pub fn build(self) -> Result<CharacterizationProblem> {
-        if !(0.0..1.0).contains(&self.degradation) && self.degradation != 0.0 {
+        if !(0.0..1.0).contains(&self.degradation) {
             return Err(CharError::BadOption {
                 reason: "degradation must be in [0, 1)",
             });
@@ -687,12 +687,24 @@ mod tests {
     fn builder_validates_options() {
         let tech = Technology::default_250nm();
         let reg = || tspc_register_with(&tech, ClockSpec::fast());
-        assert!(matches!(
-            CharacterizationProblem::builder(reg())
-                .degradation(1.5)
-                .build(),
-            Err(CharError::BadOption { .. })
-        ));
+        // `0.0..1.0` holds both zeros and excludes 1 and NaN.
+        for bad in [1.5, 1.0, -0.1, f64::NAN] {
+            assert!(
+                matches!(
+                    CharacterizationProblem::builder(reg())
+                        .degradation(bad)
+                        .build(),
+                    Err(CharError::BadOption { .. })
+                ),
+                "degradation {bad} accepted"
+            );
+        }
+        for good in [0.0, -0.0] {
+            let problem = CharacterizationProblem::builder(reg())
+                .degradation(good)
+                .build();
+            assert!(problem.is_ok(), "degradation {good}: {problem:?}");
+        }
         assert!(matches!(
             CharacterizationProblem::builder(reg()).dt(-1.0).build(),
             Err(CharError::BadOption { .. })

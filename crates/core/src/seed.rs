@@ -13,39 +13,51 @@ use crate::independent::{self, IndependentOptions, SkewAxis};
 use crate::mpnr::{self, MpnrOptions};
 use crate::{CharError, CharacterizationProblem, MpnrResult, Result};
 
-/// Options for seeding.
+/// Bracket width at which the setup-skew bisection stops and MPNR polishes
+/// the midpoint: an estimate of MPNR's convergence range (paper Fig. 7).
+/// unit: s
+const BRACKET_TOL: f64 = 10e-12;
+
+/// Pinned hold skew's margin above the estimated hold time: far enough that
+/// the setup time barely depends on it, near enough that the trace starts
+/// at the contour's bend rather than far up its flat asymptote.
+/// unit: s
+const HOLD_MARGIN: f64 = 100e-12;
+
+/// Lower end of the coarse hold-time search (the upper end is the
+/// problem's generous reference hold skew): below every library cell's
+/// hold time.
+/// unit: s
+const HOLD_SEARCH_MIN: f64 = -150e-12;
+
+/// Bracket width of the coarse hold-time search: coarser than
+/// [`BRACKET_TOL`], since [`HOLD_MARGIN`] absorbs the estimate's error.
+/// unit: s
+const HOLD_SEARCH_TOL: f64 = 20e-12;
+
+/// Iteration cap of the coarse hold-time search, which bisection reaches
+/// [`HOLD_SEARCH_TOL`] far inside.
+const HOLD_SEARCH_MAX_ITERS: usize = 40;
+
+/// Options for seeding: the setup-skew search range. The hold skew is
+/// pinned `HOLD_MARGIN` above a coarse hold-time estimate, and the bracket
+/// tolerance and MPNR polish settings are fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SeedOptions {
-    /// Stop the bracketing binary search when the interval shrinks below
-    /// this width, in seconds (the MPNR convergence-range estimate).
-    pub bracket_tol: f64,
     /// Lower end of the initial setup-skew search range, in seconds.
     pub tau_s_min: f64,
     /// Upper end of the initial setup-skew search range; `None` uses the
     /// problem's generous reference skew.
     pub tau_s_max: Option<f64>,
-    /// Hold skew pinned during seeding. `None` (the default) estimates the
-    /// hold time by a coarse bisection and pins the hold skew
-    /// `hold_margin` above it, so the trace starts near the contour's
-    /// interesting bend instead of far up its flat asymptote.
-    pub tau_h: Option<f64>,
-    /// Margin added above the estimated hold time when `tau_h` is `None`.
-    pub hold_margin: f64,
-    /// MPNR settings for the polish step.
-    pub mpnr: MpnrOptions,
 }
 
 impl Default for SeedOptions {
     fn default() -> Self {
         SeedOptions {
-            bracket_tol: 10e-12,
             // Pulsed latches can have substantially negative setup times
             // (the capture window opens after the clock edge).
             tau_s_min: -300e-12,
             tau_s_max: None,
-            tau_h: None,
-            hold_margin: 100e-12,
-            mpnr: MpnrOptions::default(),
         }
     }
 }
@@ -80,23 +92,18 @@ pub fn find_first_point(
     let _span = shc_obs::span(shc_obs::SpanKind::Seed);
     let _frame = shc_prof::enter(shc_prof::Phase::SeedSearch);
     let reference = problem.reference_params();
-    let tau_h = match opts.tau_h {
-        Some(t) => t,
-        None => {
-            // Coarse hold-time estimate at a generous setup skew.
-            let hold = independent::binary_search(
-                problem,
-                SkewAxis::Hold,
-                &IndependentOptions {
-                    range: (-150e-12, reference.tau_h),
-                    tol: 20e-12,
-                    max_iters: 40,
-                    initial_guess: None,
-                },
-            )?;
-            hold.skew + opts.hold_margin
-        }
-    };
+    // Coarse hold-time estimate at a generous setup skew.
+    let hold = independent::binary_search(
+        problem,
+        SkewAxis::Hold,
+        &IndependentOptions {
+            range: (HOLD_SEARCH_MIN, reference.tau_h),
+            tol: HOLD_SEARCH_TOL,
+            max_iters: HOLD_SEARCH_MAX_ITERS,
+            initial_guess: None,
+        },
+    )?;
+    let tau_h = hold.skew + HOLD_MARGIN;
     let mut lo = opts.tau_s_min;
     let mut hi = opts.tau_s_max.unwrap_or(reference.tau_s);
     // NaN bounds must fail too, so the comparison accepts, not rejects.
@@ -124,7 +131,7 @@ pub fn find_first_point(
     }
 
     // Coarse binary search until the bracket fits the NR convergence range.
-    while hi - lo > opts.bracket_tol {
+    while hi - lo > BRACKET_TOL {
         let mid = 0.5 * (lo + hi);
         if pass_at(mid)? {
             hi = mid;
@@ -134,7 +141,11 @@ pub fn find_first_point(
     }
 
     // Polish the midpoint onto the curve with MPNR.
-    mpnr::solve(problem, Params::new(0.5 * (lo + hi), tau_h), &opts.mpnr)
+    mpnr::solve(
+        problem,
+        Params::new(0.5 * (lo + hi), tau_h),
+        &MpnrOptions::default(),
+    )
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 use shc_cells::Register;
 
-use crate::mpnr::{self};
+use crate::mpnr::{self, MpnrOptions};
 use crate::seed::{self};
 use crate::tracer::{self};
 use crate::{CharError, CharacterizationProblem, Contour, Result, SeedOptions, TracerOptions};
@@ -126,7 +126,7 @@ pub fn trace_stack(
             .build()?;
         problem.reset_simulation_count();
         let first = match previous_first {
-            Some(guess) => match mpnr::solve(&problem, guess, &tracer_opts.mpnr) {
+            Some(guess) => match mpnr::solve(&problem, guess, &MpnrOptions::default()) {
                 Ok(p) => p,
                 Err(_) => seed::find_first_point(&problem, &SeedOptions::default())?,
             },

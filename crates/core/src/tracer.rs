@@ -26,13 +26,48 @@ use shc_spice::waveform::Params;
 use crate::mpnr::{self, MpnrOptions};
 use crate::{CharError, CharacterizationProblem, Result};
 
+/// First predictor step from the seed, and the step a restart resets to:
+/// under a tenth of a setup time, so the first prediction stays near the
+/// seed, where MPNR has just converged.
+/// unit: s
+const ALPHA_INIT: f64 = 10e-12;
+
+/// Smallest predictor step: halving stops here and the bisection fallback
+/// takes over. Half a picosecond is well below any feature of a contour.
+/// unit: s
+const ALPHA_MIN: f64 = 0.5e-12;
+
+/// Largest predictor step: growth stops at a third of a setup time, so the
+/// contour's bend is crossed in several corrected points, not one.
+/// unit: s
+const ALPHA_MAX: f64 = 50e-12;
+
 /// Predictor step-length multiplier used both by the recovery ladder
 /// (rung 1 halves `α` after a corrector failure) and by the post-accept
-/// adaptation when the corrector needed more than `easy_iters`
+/// adaptation when the corrector needed more than [`EASY_ITERS`]
 /// iterations. Halving keeps the retried point inside the previous
 /// step's trust region while shedding length quickly under repeated
 /// failures.
 const ALPHA_BACKOFF: f64 = 0.5;
+
+/// Predictor step-length multiplier after an easy correction: slower
+/// growth than [`ALPHA_BACKOFF`]'s shrink, so the step settles below the
+/// length at which corrections stop being easy instead of oscillating.
+const ALPHA_GROWTH: f64 = 1.25;
+
+/// Corrector iterations up to which a correction counts as easy and the
+/// step grows: the paper reports 2–3 MPNR iterations per point.
+const EASY_ITERS: usize = 3;
+
+/// The walk stops when a predicted τs or τh leaves `±SKEW_BOUND`: two
+/// nanoseconds holds every cell's setup/hold window with room to spare.
+/// unit: s
+const SKEW_BOUND: f64 = 2e-9;
+
+/// Full restarts allowed per trace, each from the last accepted point with
+/// α reset to [`ALPHA_INIT`], after step-halving and the bisection
+/// fallback have both failed: two bound the work spent on a dead end.
+const MAX_RESTARTS: usize = 2;
 
 /// Which way to walk the contour from the seed point.
 ///
@@ -48,69 +83,19 @@ pub enum TraceDirection {
     IncreasingHold,
 }
 
-/// Bounds on the tracer's recovery ladder (what happens when the MPNR
-/// corrector fails at a predicted point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryOptions {
-    /// Full restarts allowed per trace: after step-halving and the
-    /// bisection fallback have both failed, α is reset to its initial
-    /// value and the walk retried from the last accepted point, at most
-    /// this many times.
-    pub max_restarts: usize,
-    /// Whether to try bisection along the hold axis when MPNR diverges
-    /// and step-halving has bottomed out at `alpha_min`.
-    pub bisection_fallback: bool,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions {
-            max_restarts: 2,
-            bisection_fallback: true,
-        }
-    }
-}
-
-/// Options for the Euler-Newton tracer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Options for the Euler-Newton tracer. The step-length adaptation,
+/// skew window, restart budget and MPNR corrector settings are fixed
+/// (the `ALPHA_*` constants and their neighbours in this module, and
+/// [`MpnrOptions::default`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct TracerOptions {
-    /// Initial Euler step length, in seconds of skew-plane arc length.
-    pub alpha: f64,
-    /// Lower bound on the adaptive step length.
-    pub alpha_min: f64,
-    /// Upper bound on the adaptive step length.
-    pub alpha_max: f64,
-    /// Corrector iteration count above which the step length is halved.
-    pub easy_iters: usize,
     /// Initial walking direction.
     pub direction: TraceDirection,
-    /// Abort if τs or τh leaves `[-bound, bound]`, in seconds.
-    pub skew_bound: f64,
     /// Stop when the unit tangent's hold component falls below this value,
     /// i.e. when the walk has reached the pure-setup asymptote where the
     /// contour carries no more interdependence information. `0.0` disables
     /// the check (the default: trace as far as requested).
     pub min_tangent_hold: f64,
-    /// MPNR corrector settings.
-    pub mpnr: MpnrOptions,
-    /// Recovery-ladder bounds for corrector failures.
-    pub recovery: RecoveryOptions,
-}
-
-impl Default for TracerOptions {
-    fn default() -> Self {
-        TracerOptions {
-            alpha: 10e-12,
-            alpha_min: 0.5e-12,
-            alpha_max: 50e-12,
-            easy_iters: 3,
-            direction: TraceDirection::default(),
-            skew_bound: 2e-9,
-            min_tangent_hold: 0.0,
-            mpnr: MpnrOptions::default(),
-            recovery: RecoveryOptions::default(),
-        }
-    }
 }
 
 /// One traced contour point.
@@ -414,15 +399,15 @@ pub fn trace(
 /// On a corrector failure the ladder runs, cheapest rung first:
 ///
 /// 1. **Step-halving** — the Euler predictor step α is halved (down to
-///    `alpha_min`) and the correction retried closer to the last accepted
+///    `ALPHA_MIN`) and the correction retried closer to the last accepted
 ///    point. Skipped for simulation failures, which a shorter predictor
 ///    step cannot fix.
 /// 2. **Bisection fallback** — [`mpnr::bisect_fallback`] solves
 ///    `h(τs, ·) = 0` along the hold axis by sign bisection, which needs no
 ///    Jacobian and tolerates the near-singular geometry that defeats MPNR.
 /// 3. **Restart** — α is reset to its initial value and the walk retried
-///    from the last accepted point, at most
-///    [`RecoveryOptions::max_restarts`] times per trace.
+///    from the last accepted point, at most `MAX_RESTARTS` (two) times per
+///    trace.
 ///
 /// Only when every rung fails does the trace stop, and even then the
 /// accepted points are returned as [`TraceOutcome::Partial`] rather than
@@ -472,7 +457,7 @@ pub fn trace_session(
             total_iters = 0;
             restarts_used = 0;
             base_sims = 0;
-            alpha = opts.alpha;
+            alpha = ALPHA_INIT;
             // Evaluate at the seed to obtain the starting tangent.
             let ev0 = problem.evaluate_with_jacobian(&seed)?;
             let mut t0 = ev0.tangent().ok_or(CharError::VanishingJacobian {
@@ -533,7 +518,7 @@ pub fn trace_session(
     let mut failure: Option<CharError> = None;
 
     while points.len() < n {
-        if alpha < opts.alpha_min {
+        if alpha < ALPHA_MIN {
             break;
         }
         // Euler predictor along the tangent.
@@ -541,12 +526,12 @@ pub fn trace_session(
             current.tau_s + alpha * tangent.0,
             current.tau_h + alpha * tangent.1,
         );
-        if predicted.tau_s.abs() > opts.skew_bound || predicted.tau_h.abs() > opts.skew_bound {
+        if predicted.tau_s.abs() > SKEW_BOUND || predicted.tau_h.abs() > SKEW_BOUND {
             break; // walked out of the characterization window
         }
 
         // MPNR corrector, with the recovery ladder on failure.
-        let corrected = match mpnr::solve(problem, predicted, &opts.mpnr) {
+        let corrected = match mpnr::solve(problem, predicted, &MpnrOptions::default()) {
             Ok(corrected) => corrected,
             Err(err) => {
                 attempts_since_accept += 1;
@@ -554,24 +539,24 @@ pub fn trace_session(
                 // Rung 1: shrink the predictor step and retry closer to
                 // the last accepted point. A simulation failure is not a
                 // geometry problem, so it skips straight past this rung.
-                if !is_simulation && alpha * ALPHA_BACKOFF >= opts.alpha_min {
+                if !is_simulation && alpha * ALPHA_BACKOFF >= ALPHA_MIN {
                     alpha *= ALPHA_BACKOFF;
                     shc_obs::count(shc_obs::Metric::AlphaAdaptations, 1);
                     continue;
                 }
                 // Rung 2: bisection along the hold axis.
-                let rescued = if opts.recovery.bisection_fallback && !is_simulation {
-                    mpnr::bisect_fallback(problem, current, predicted, &opts.mpnr).ok()
-                } else {
+                let rescued = if is_simulation {
                     None
+                } else {
+                    mpnr::bisect_fallback(problem, current, predicted, &MpnrOptions::default()).ok()
                 };
                 match rescued {
                     Some(corrected) => corrected,
                     None => {
                         // Rung 3: bounded restart with α reset.
-                        if restarts_used < opts.recovery.max_restarts {
+                        if restarts_used < MAX_RESTARTS {
                             restarts_used += 1;
-                            alpha = opts.alpha;
+                            alpha = ALPHA_INIT;
                             shc_obs::count(shc_obs::Metric::TracerRestarts, 1);
                             continue;
                         }
@@ -631,10 +616,10 @@ pub fn trace_session(
             residual: corrected.residual,
         });
         // Step-length adaptation.
-        let adapted = if corrected.iterations <= opts.easy_iters {
-            (alpha * 1.25).min(opts.alpha_max)
+        let adapted = if corrected.iterations <= EASY_ITERS {
+            (alpha * ALPHA_GROWTH).min(ALPHA_MAX)
         } else {
-            (alpha * ALPHA_BACKOFF).max(opts.alpha_min)
+            (alpha * ALPHA_BACKOFF).max(ALPHA_MIN)
         };
         if adapted != alpha {
             shc_obs::count(shc_obs::Metric::AlphaAdaptations, 1);
@@ -756,6 +741,60 @@ mod tests {
         // seed's (already asymptotic) value.
         let drift = (pts.last().unwrap().tau_s - pts[0].tau_s).abs();
         assert!(drift < 30e-12, "setup drifted {:.1} ps", drift * 1e12);
+    }
+
+    /// With every MPNR solve failing, each point is rescued by the ladder's
+    /// second rung: step-halving bottoms out at `ALPHA_MIN`, and bisection
+    /// along the hold axis lands the point on the contour.
+    #[test]
+    fn bisection_fallback_rescues_every_point_when_mpnr_always_fails() {
+        let problem = fast_problem();
+        let seed = find_first_point(&problem, &SeedOptions::default()).unwrap();
+        let n = 4;
+        let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
+            probability: 1.0,
+            site: Some(shc_fault::Site::Mpnr),
+            kind: shc_fault::FaultKind::NonConvergence,
+            seed: 1,
+        });
+        let collector = shc_obs::Collector::new();
+        let outcome = {
+            let _faults = shc_fault::install_scoped(&injector);
+            let _telemetry = shc_obs::install_scoped(&collector);
+            trace_session(
+                &problem,
+                TraceStart::Seed(seed.params),
+                n,
+                &TracerOptions::default(),
+                None,
+            )
+            .unwrap()
+        };
+        let TraceOutcome::Complete(contour) = outcome else {
+            panic!("the bisection rung should complete the trace: {outcome:?}");
+        };
+        let pts = contour.points();
+        assert_eq!(pts.len(), n);
+        assert_eq!(
+            collector.counter(shc_obs::Metric::MpnrFallbacks),
+            (n - 1) as u64
+        );
+        assert_eq!(collector.counter(shc_obs::Metric::TracerRestarts), 0);
+        assert!(collector.counter(shc_obs::Metric::AlphaAdaptations) > 0);
+        // Each rescued point brackets the level set along the hold axis.
+        for p in &pts[1..] {
+            let h = |dh: f64| {
+                problem
+                    .evaluate(&Params::new(p.tau_s, p.tau_h + dh))
+                    .unwrap()
+            };
+            assert!(
+                problem.is_pass(h(1e-13)) != problem.is_pass(h(-1e-13)),
+                "point ({:e}, {:e}) is off the contour",
+                p.tau_s,
+                p.tau_h
+            );
+        }
     }
 
     #[test]

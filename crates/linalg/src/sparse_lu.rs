@@ -251,7 +251,7 @@ impl SparseLu {
     /// pattern and pivot order against `a`'s new values, allocation-free.
     ///
     /// If a replayed pivot collapses — magnitude below the singularity
-    /// threshold or below [`REFACTOR_PIVOT_FLOOR`] times its column
+    /// threshold or below `REFACTOR_PIVOT_FLOOR` (1e-6) times its column
     /// maximum — the recorded pivot order is no longer numerically safe
     /// and this method transparently falls back to a fresh
     /// [`SparseLu::factor`] with full repivoting.

@@ -127,7 +127,7 @@ impl ProfileReport {
         out
     }
 
-    /// Parses a report written by [`to_json`].
+    /// Parses a report written by [`Self::to_json`].
     ///
     /// # Errors
     ///

@@ -17,21 +17,32 @@ use crate::stamp::{Layout, Stamper};
 use crate::waveform::Params;
 use crate::{Result, SpiceError};
 
-/// Options for DC operating-point analysis.
+/// Node shunt that gmin stepping starts from: 10 mS dominates the cells'
+/// transistor conductances, so the first shunted solve is nearly linear.
+/// unit: S
+const GMIN_START: f64 = 1e-2;
+
+/// Node shunt every DC solve keeps, where gmin stepping ends: SPICE's
+/// 1 pS `GMIN`, which keeps a cut-off node from making the Jacobian
+/// singular and moves node voltages far less than the Newton tolerance.
+/// unit: S
+const GMIN_FINAL: f64 = 1e-12;
+
+/// Shunt reduction per gmin step: one decade, so each solve starts near
+/// the last one's operating point.
+const GMIN_FACTOR: f64 = 0.1;
+
+/// Increments in which source stepping ramps the independent sources to
+/// full value: 5% each, within the Newton step cap's reach of the last.
+const SOURCE_STEPS: usize = 20;
+
+/// Options for DC operating-point analysis. Sources are evaluated at
+/// `t = 0`, and the homotopy schedules are fixed (`GMIN_START` to
+/// `GMIN_FINAL` by `GMIN_FACTOR`, then `SOURCE_STEPS` source increments).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcOptions {
     /// Newton settings for each inner solve.
     pub newton: NewtonOptions,
-    /// Initial gmin for gmin stepping, in siemens.
-    pub gmin_start: f64,
-    /// Final (residual) gmin left in place for numerical robustness.
-    pub gmin_final: f64,
-    /// Multiplicative reduction per gmin step.
-    pub gmin_factor: f64,
-    /// Number of source-stepping increments.
-    pub source_steps: usize,
-    /// Time at which source waveforms are evaluated (usually `0.0`).
-    pub time: f64,
     /// Linear-solver backend for the inner Newton solves. Small circuits
     /// stay on the (bitwise-reproducible) dense path under `Auto`.
     pub solver: SolverChoice,
@@ -41,11 +52,6 @@ impl Default for DcOptions {
     fn default() -> Self {
         DcOptions {
             newton: NewtonOptions::default(),
-            gmin_start: 1e-2,
-            gmin_final: 1e-12,
-            gmin_factor: 0.1,
-            source_steps: 20,
-            time: 0.0,
             solver: SolverChoice::Auto,
         }
     }
@@ -133,7 +139,7 @@ pub(crate) fn solve_dc_in(
     let mut dc = DcSolver::new(circuit, params, opts, layout, ws);
 
     // Strategy 1: plain Newton with the residual gmin.
-    if let Ok((x, iterations)) = dc.newton(&x0, opts.gmin_final, 1.0) {
+    if let Ok((x, iterations)) = dc.newton(&x0, GMIN_FINAL, 1.0) {
         return Ok(DcSolution {
             x,
             strategy: DcStrategy::Direct,
@@ -211,7 +217,7 @@ impl<'a> DcSolver<'a> {
             f.fill_zero();
             j.fill(0.0);
             let mut stamper = Stamper::in_layout(layout, q, f, None, j);
-            circuit.stamp(&mut stamper, x, opts.time, params, source_scale);
+            circuit.stamp(&mut stamper, x, 0.0, params, source_scale);
             // Shunt gmin on every node (not on branch equations).
             for i in 0..n_nodes {
                 f[i] += gmin * x[i];
@@ -242,30 +248,29 @@ impl<'a> DcSolver<'a> {
 
     fn gmin_stepping(&mut self, x0: &Vector) -> Result<DcSolution> {
         let mut x = x0.clone();
-        let mut gmin = self.opts.gmin_start;
+        let mut gmin = GMIN_START;
         let mut total = 0;
         loop {
             let (xn, iters) = self.newton(&x, gmin, 1.0)?;
             x = xn;
             total += iters;
-            if gmin <= self.opts.gmin_final {
+            if gmin <= GMIN_FINAL {
                 return Ok(DcSolution {
                     x,
                     strategy: DcStrategy::GminStepping,
                     total_iterations: total,
                 });
             }
-            gmin = (gmin * self.opts.gmin_factor).max(self.opts.gmin_final);
+            gmin = (gmin * GMIN_FACTOR).max(GMIN_FINAL);
         }
     }
 
     fn source_stepping(&mut self, x0: &Vector) -> Result<DcSolution> {
         let mut x = x0.clone();
         let mut total = 0;
-        let steps = self.opts.source_steps.max(1);
-        for k in 1..=steps {
-            let scale = k as f64 / steps as f64;
-            match self.newton(&x, self.opts.gmin_final, scale) {
+        for k in 1..=SOURCE_STEPS {
+            let scale = k as f64 / SOURCE_STEPS as f64;
+            match self.newton(&x, GMIN_FINAL, scale) {
                 Ok((xn, iters)) => {
                     x = xn;
                     total += iters;
@@ -291,7 +296,7 @@ impl<'a> DcSolver<'a> {
 mod tests {
     use super::*;
     use crate::devices::MosParams;
-    use crate::devices::{Mosfet, Resistor, VoltageSource};
+    use crate::devices::{CurrentSource, Mosfet, Resistor, VoltageSource};
     use crate::waveform::Waveform;
 
     #[test]
@@ -442,6 +447,31 @@ mod tests {
         assert_eq!(dense.strategy, sparse.strategy);
         let diff = dense.x.sub(&sparse.x).norm_inf();
         assert!(diff < 1e-10, "sparse vs dense dc diverged: {diff:e}");
+    }
+
+    /// A 40 mA source into 1 kΩ puts its node at 40 V, which the 0.5 V
+    /// step cap cannot reach from zero within the default 60 iterations.
+    /// The 10 mS starting shunt holds the node near 3.6 V, and each
+    /// decade of gmin moves it at most ~16 V, so every shunted solve fits
+    /// its budget: gmin stepping, not source stepping, finds the point.
+    #[test]
+    fn gmin_stepping_reaches_a_node_plain_newton_cannot() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add(CurrentSource::new(
+            "I1",
+            Circuit::GROUND,
+            a,
+            Waveform::dc(40e-3),
+        ));
+        c.add(Resistor::new("R1", a, Circuit::GROUND, 1e3));
+        let opts = DcOptions::default();
+        let sol = solve_dc(&c, &Params::default(), &opts).unwrap();
+        // Strategies run in order, so plain Newton failed first.
+        assert_eq!(sol.strategy, DcStrategy::GminStepping);
+        assert!(sol.total_iterations > opts.newton.max_iters, "{sol:?}");
+        // The residual shunt moves the node by 40 V · 1e-9 = 40 nV.
+        assert!((sol.x[0] - 40.0).abs() < 1e-6, "{sol:?}");
     }
 
     #[test]

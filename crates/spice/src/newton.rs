@@ -298,8 +298,7 @@ impl NewtonWorkspace {
 /// `assemble` writes the residual `F(x)` and the Jacobian `∂F/∂x` at the
 /// trial point into the provided buffers, every entry of both: they
 /// arrive zeroed only on the first call, and a dense factorization takes
-/// the Jacobian buffer's storage, leaving it the factor's old contents
-/// ([`Factor::factorize`]). The Jacobian buffer holds one value per slot of
+/// the Jacobian buffer's storage, leaving it the factor's old contents. The Jacobian buffer holds one value per slot of
 /// the workspace's layout: row-major `n×n` on the dense path, the CSR
 /// values of the resolved pattern on the sparse path. A primed first
 /// iteration may leave it unwritten: nothing reads it.
@@ -307,8 +306,10 @@ impl NewtonWorkspace {
 /// `max_i |Δx_i| / (reltol·|x_i| + abstol)` drops to `≤ 1`; the converged
 /// state is then in `ws.x()` and the iteration count is returned. Apart
 /// from the first factorization of a workspace, no heap allocation occurs
-/// inside the iteration loop. A [`NewtonWorkspace::prime`]d workspace's
-/// first iteration takes the factor already in place as its own.
+/// inside the iteration loop. A primed workspace's first iteration takes
+/// the factor already in place as its own (the transient primes it when
+/// a step's first Jacobian is bitwise the one the previous step last
+/// factored).
 ///
 /// With `laps` set, the factor and solve of every iteration close lap
 /// regions ([`lap::FACTOR`], [`lap::SOLVE`]); the assembly closure is

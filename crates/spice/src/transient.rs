@@ -280,17 +280,9 @@ impl TransientOptionsBuilder {
         self
     }
 
-    /// Finalizes the options.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tstop` or `dt` is not positive and finite.
+    /// Finalizes the options. A `tstop` or `dt` that is not positive and
+    /// finite is reported when the analysis runs.
     pub fn build(self) -> TransientOptions {
-        let o = &self.opts;
-        assert!(
-            o.tstop.is_finite() && o.tstop > 0.0 && o.dt.is_finite() && o.dt > 0.0,
-            "transient options: tstop and dt must be positive and finite"
-        );
         self.opts
     }
 }
@@ -874,12 +866,23 @@ impl<'a> TransientAnalysis<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates DC, Newton, and step-control failures.
+    /// [`SpiceError::BadCircuit`] if `tstop` or `dt` is not positive and
+    /// finite; otherwise propagates DC, Newton, and step-control failures.
     pub fn run_with_scratch(
         &self,
         params: &Params,
         scratch: &mut TransientScratch,
     ) -> Result<TransientResult> {
+        let o = &self.opts;
+        let span_ok = o.tstop.is_finite() && o.tstop > 0.0 && o.dt.is_finite() && o.dt > 0.0;
+        if !span_ok {
+            return Err(SpiceError::BadCircuit {
+                reason: format!(
+                    "transient tstop ({:e} s) and dt ({:e} s) must be positive and finite",
+                    o.tstop, o.dt
+                ),
+            });
+        }
         match self.siblings {
             Some(siblings) => self.run_sibling(params, scratch, siblings),
             None => self.run_unchained(params, scratch),
@@ -1164,7 +1167,7 @@ impl<'a> TransientAnalysis<'a> {
                         } else {
                             dcop::solve_dc(circuit, params, &opts.dc)
                         };
-                        (dc?.x, opts.dc.time.max(0.0))
+                        (dc?.x, 0.0)
                     }
                     InitialCondition::Given(x) => {
                         if x.len() != n {
@@ -2734,8 +2737,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
     fn builder_rejects_bad_tstop() {
-        let _ = TransientOptions::builder(-1.0).build();
+        let (c, _) = rc_circuit();
+        let built = TransientOptions::builder(-1.0).build();
+        let direct = TransientOptions {
+            dt: f64::NAN,
+            ..TransientOptions::builder(1e-7).build()
+        };
+        for opts in [built, direct] {
+            let err = TransientAnalysis::new(&c, opts)
+                .run(&Params::default())
+                .unwrap_err();
+            assert!(
+                matches!(&err, SpiceError::BadCircuit { reason } if reason.contains("positive")),
+                "{err}"
+            );
+        }
     }
 }
