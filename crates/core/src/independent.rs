@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 use shc_spice::waveform::{Param, Params};
 
+use crate::problem::EvalChain;
 use crate::{CharError, CharacterizationProblem, Result};
 
 /// Which skew is being solved for (the other is pinned).
@@ -74,7 +75,8 @@ fn params_on_axis(problem: &CharacterizationProblem, axis: SkewAxis, value: f64)
     problem.reference_params().with(axis.param(), value)
 }
 
-/// Bisection on the pass/fail boundary — one transient per probe.
+/// Bisection on the pass/fail boundary — one transient per probe, each
+/// resumed from the probes before it where they share its prefix.
 ///
 /// # Errors
 ///
@@ -86,10 +88,22 @@ pub fn binary_search(
     axis: SkewAxis,
     opts: &IndependentOptions,
 ) -> Result<IndependentResult> {
+    binary_search_on(&mut EvalChain::new(problem), axis, opts)
+}
+
+/// [`binary_search`] with its probes on `chain`: along [`SkewAxis::Hold`]
+/// they share the pinned setup skew, so each resumes from the probes
+/// before it up to the earlier of their trailing data ramps.
+pub(crate) fn binary_search_on(
+    chain: &mut EvalChain<'_>,
+    axis: SkewAxis,
+    opts: &IndependentOptions,
+) -> Result<IndependentResult> {
+    let problem = chain.problem();
     let sims_before = problem.simulation_count();
     let (mut lo, mut hi) = opts.range;
-    let pass = |v: f64| -> Result<bool> {
-        let h = problem.evaluate(&params_on_axis(problem, axis, v))?;
+    let mut pass = |v: f64| -> Result<bool> {
+        let h = chain.h(&params_on_axis(problem, axis, v))?;
         Ok(problem.is_pass(h))
     };
     if !pass(hi)? {

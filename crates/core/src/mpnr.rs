@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use shc_spice::transient::TransientStats;
 use shc_spice::waveform::Params;
 
+use crate::problem::EvalChain;
 use crate::{BatchPolicy, CharError, CharacterizationProblem, Result};
 
 /// How far the hold-side bracket search may wander from the predicted
@@ -98,9 +99,7 @@ pub fn solve(
     for iter in 1..=opts.max_iters {
         shc_prof::add_work(1);
         let ev = problem.evaluate_with_jacobian(&tau)?;
-        transient.steps += ev.stats.steps;
-        transient.newton_iterations += ev.stats.newton_iterations;
-        transient.rejected_steps += ev.stats.rejected_steps;
+        accumulate(&mut transient, &ev.stats);
         last_h = ev.h.abs();
         let (mut ds, mut dh) = ev.mpnr_step().ok_or(CharError::VanishingJacobian {
             tau_s: tau.tau_s,
@@ -125,6 +124,79 @@ pub fn solve(
                 iterations: iter,
                 residual: ev.h.abs(),
                 jacobian: [ev.dh_dtau_s, ev.dh_dtau_h],
+                transient,
+            });
+        }
+    }
+
+    shc_obs::count(shc_obs::Metric::MpnrFailures, 1);
+    Err(CharError::MpnrDiverged {
+        iterations: opts.max_iters,
+        h_value: last_h,
+    })
+}
+
+/// Corrects `initial` onto the curve along the hold axis alone: scalar
+/// Newton on `h(τs, ·) = 0` at the fixed setup skew `initial.tau_s`, with
+/// the settings, step cap, convergence test and telemetry of [`solve`].
+/// The evaluations run on one chain, so each after the first resumes from
+/// the one before it up to the earlier of their trailing data ramps, and
+/// propagates `∂x/∂τh` alone. The first propagates both sensitivities,
+/// and the reported Jacobian is `[∂h/∂τs` of the first evaluation,
+/// `∂h/∂τh` of the last`]`: the tangent it steers needs both, and the
+/// point's exactness comes from `|h|`.
+///
+/// # Errors
+///
+/// As [`solve`].
+pub(crate) fn solve_hold_axis(
+    problem: &CharacterizationProblem,
+    initial: Params,
+    opts: &MpnrOptions,
+) -> Result<MpnrResult> {
+    let _span = shc_obs::span(shc_obs::SpanKind::MpnrSolve);
+    let _frame = shc_prof::enter(shc_prof::Phase::CorrectorOverhead);
+    shc_obs::count(shc_obs::Metric::MpnrSolves, 1);
+    if let Some(e) = injected_fault(initial) {
+        shc_obs::count(shc_obs::Metric::MpnrFailures, 1);
+        return Err(e);
+    }
+    let tau_s = initial.tau_s;
+    let mut tau_h = initial.tau_h;
+    let mut chain = EvalChain::new(problem);
+    let mut dh_dtau_s = f64::NAN;
+    let mut last_h = f64::INFINITY;
+    let mut transient = TransientStats::default();
+
+    for iter in 1..=opts.max_iters {
+        shc_prof::add_work(1);
+        let at = Params::new(tau_s, tau_h);
+        let ev = if iter == 1 {
+            let ev = chain.h_with_jacobian(&at)?;
+            dh_dtau_s = ev.dh_dtau_s;
+            ev
+        } else {
+            chain.h_with_hold_derivative(&at)?
+        };
+        accumulate(&mut transient, &ev.stats);
+        last_h = ev.h.abs();
+        let mut dh = -ev.h / ev.dh_dtau_h;
+        if !dh.is_finite() {
+            return Err(CharError::VanishingJacobian { tau_s, tau_h });
+        }
+        if dh.abs() > opts.max_step {
+            dh = opts.max_step.copysign(dh);
+        }
+        tau_h += dh;
+
+        let tol_h = opts.reltol * tau_h.abs() + opts.abstol;
+        if dh.abs() <= tol_h {
+            shc_obs::observe(shc_obs::Metric::MpnrIterations, iter as u64);
+            return Ok(MpnrResult {
+                params: Params::new(tau_s, tau_h),
+                iterations: iter,
+                residual: ev.h.abs(),
+                jacobian: [dh_dtau_s, ev.dh_dtau_h],
                 transient,
             });
         }
@@ -168,6 +240,13 @@ pub fn solve_batch(
         .zip(initials)
         .map(|(problem, &initial)| solve(problem, initial, opts))
         .collect()
+}
+
+/// Adds one evaluation's transient work to a solve's total.
+fn accumulate(total: &mut TransientStats, run: &TransientStats) {
+    total.steps += run.steps;
+    total.newton_iterations += run.newton_iterations;
+    total.rejected_steps += run.rejected_steps;
 }
 
 /// Consults the ambient fault injector for the MPNR site (no-op unless a
@@ -226,9 +305,7 @@ pub fn bisect_fallback(
      -> Result<crate::HEvaluation> {
         *evals += 1;
         let ev = problem.evaluate_with_jacobian(&Params::new(tau_s, tau_h))?;
-        transient.steps += ev.stats.steps;
-        transient.newton_iterations += ev.stats.newton_iterations;
-        transient.rejected_steps += ev.stats.rejected_steps;
+        accumulate(transient, &ev.stats);
         Ok(ev)
     };
 
@@ -390,6 +467,70 @@ mod tests {
             ),
             "expected failure, got {err:?}"
         );
+    }
+
+    /// The hold-axis corrector lands on the curve at its fixed setup
+    /// skew, next to where MPNR lands, and reports to telemetry and to
+    /// the fault injector exactly as [`solve`]: one solve, its iterations
+    /// observed, one simulation per iteration; under an always-failing
+    /// MPNR fault plan, a failed solve before any simulation.
+    #[test]
+    fn hold_axis_corrector_converges_with_solves_telemetry_and_faults() {
+        use shc_obs::Metric;
+        let tech = Technology::default_250nm();
+        let problem =
+            CharacterizationProblem::builder(tspc_register_with(&tech, ClockSpec::fast()))
+                .build()
+                .unwrap();
+        // A point on the hold-limited asymptote, and a guess above it.
+        let on_curve = *problem.trace_contour(12).unwrap().points().last().unwrap();
+        let guess = Params::new(on_curve.tau_s, on_curve.tau_h + 5e-12);
+        let opts = MpnrOptions::default();
+        let sims = problem.simulation_count();
+        let collector = shc_obs::Collector::new();
+        let held = {
+            let _guard = shc_obs::install_scoped(&collector);
+            solve_hold_axis(&problem, guess, &opts).unwrap()
+        };
+        let sims = problem.simulation_count() - sims;
+        assert_eq!(held.params.tau_s.to_bits(), guess.tau_s.to_bits());
+        let h = problem.evaluate(&held.params).unwrap();
+        assert!(h.abs() <= held.residual.max(1e-9), "|h| = {h:e}");
+        assert!(held.jacobian.iter().all(|d| d.is_finite()));
+        assert!((held.params.tau_h - on_curve.tau_h).abs() < 1e-3 * on_curve.tau_h);
+        assert_eq!(collector.counter(Metric::MpnrSolves), 1);
+        assert_eq!(collector.counter(Metric::MpnrFailures), 0);
+        let iterations = held.iterations as u64;
+        assert_eq!(collector.counter(Metric::MpnrIterations), iterations);
+        assert_eq!(collector.counter(Metric::TransientRuns), iterations);
+        assert_eq!(sims as u64, iterations);
+        assert!(iterations >= 2, "the test wants a resumed evaluation");
+        assert!(collector.counter(Metric::PrefixStepsReused) > 0);
+
+        let nearest = solve(&problem, guess, &opts).unwrap();
+        let apart = (nearest.params.tau_s - held.params.tau_s)
+            .hypot(nearest.params.tau_h - held.params.tau_h);
+        assert!(apart < 1e-2 * held.params.tau_s.hypot(held.params.tau_h));
+
+        let injector = shc_fault::Injector::new(shc_fault::FaultPlan {
+            probability: 1.0,
+            site: Some(shc_fault::Site::Mpnr),
+            kind: shc_fault::FaultKind::NonConvergence,
+            seed: 1,
+        });
+        let collector = shc_obs::Collector::new();
+        let failed = {
+            let _faults = shc_fault::install_scoped(&injector);
+            let _guard = shc_obs::install_scoped(&collector);
+            solve_hold_axis(&problem, guess, &opts)
+        };
+        assert!(
+            matches!(failed, Err(CharError::MpnrDiverged { .. })),
+            "{failed:?}"
+        );
+        assert_eq!(collector.counter(Metric::MpnrSolves), 1);
+        assert_eq!(collector.counter(Metric::MpnrFailures), 1);
+        assert_eq!(collector.counter(Metric::TransientRuns), 0);
     }
 
     /// A guess count that does not match the problem lanes fails every

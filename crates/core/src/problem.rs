@@ -207,15 +207,13 @@ impl CharacterizationProblem {
         self.sim_count.store(0, Ordering::Relaxed);
     }
 
-    fn transient_options(&self, with_sensitivities: bool) -> TransientOptions {
-        let mut builder = TransientOptions::builder(self.tf)
+    fn transient_options(&self, sensitivities: &[Param]) -> TransientOptions {
+        TransientOptions::builder(self.tf)
             .dt(self.dt)
             .solver(self.solver)
-            .record(RecordMode::FinalOnly);
-        if with_sensitivities {
-            builder = builder.sensitivities(&Param::ALL);
-        }
-        builder.build()
+            .record(RecordMode::FinalOnly)
+            .sensitivities(sensitivities)
+            .build()
     }
 
     /// Evaluates `h(τs, τh)` with one transient simulation (no
@@ -225,8 +223,8 @@ impl CharacterizationProblem {
     ///
     /// Propagates simulation failures.
     pub fn evaluate(&self, params: &Params) -> Result<f64> {
-        let res = self.run_scalar(false, params)?;
-        Ok(res.final_state()[self.register.output_unknown()] - self.r())
+        let res = self.run_scalar(&[], params)?;
+        Ok(self.h_of(&res))
     }
 
     /// Evaluates `h` *and* its Jacobian `[∂h/∂τs, ∂h/∂τh]` in one transient
@@ -236,21 +234,31 @@ impl CharacterizationProblem {
     ///
     /// Propagates simulation failures.
     pub fn evaluate_with_jacobian(&self, params: &Params) -> Result<HEvaluation> {
-        let res = self.run_scalar(true, params)?;
+        let res = self.run_scalar(&Param::ALL, params)?;
         self.jacobian_evaluation(&res)
     }
 
     /// One counted scalar transient at `params`, resumed from the prefix
     /// ladder when the analysis allows it; bitwise identical to a run from
     /// the DC start either way.
-    fn run_scalar(&self, with_sensitivities: bool, params: &Params) -> Result<TransientResult> {
+    fn run_scalar(&self, sensitivities: &[Param], params: &Params) -> Result<TransientResult> {
         self.sim_count.fetch_add(1, Ordering::Relaxed);
-        Ok(TransientAnalysis::new(
+        Ok(self.analysis(sensitivities).run(params)?)
+    }
+
+    /// The analysis behind every evaluation with these sensitivities,
+    /// resuming from the prefix ladder.
+    fn analysis(&self, sensitivities: &[Param]) -> TransientAnalysis<'_> {
+        TransientAnalysis::new(
             self.register.circuit(),
-            self.transient_options(with_sensitivities),
+            self.transient_options(sensitivities),
         )
         .with_ladder(&self.ladder, self.quiescent_params())
-        .run(params)?)
+    }
+
+    /// `h` of a finished final-only transient of this problem's circuit.
+    fn h_of(&self, res: &TransientResult) -> f64 {
+        res.final_state()[self.register.output_unknown()] - self.r()
     }
 
     /// The prefix ladder's reference skews: a normal data pulse whose
@@ -282,21 +290,8 @@ impl CharacterizationProblem {
         if self.batch == BatchPolicy::Scalar {
             return params.iter().map(|p| self.evaluate(p)).collect();
         }
-        let circuit = self.register.circuit();
-        let siblings = SiblingRungs::default();
-        let analysis = TransientAnalysis::new(circuit, self.transient_options(false))
-            .with_ladder(&self.ladder, self.quiescent_params())
-            .with_siblings(&siblings);
-        let mut scratch = TransientScratch::new(circuit.unknown_count());
-        let out = self.register.output_unknown();
-        params
-            .iter()
-            .map(|p| {
-                self.sim_count.fetch_add(1, Ordering::Relaxed);
-                let res = analysis.run_with_scratch(p, &mut scratch)?;
-                Ok(res.final_state()[out] - self.r())
-            })
-            .collect()
+        let mut chain = EvalChain::new(self);
+        params.iter().map(|p| chain.h(p)).collect()
     }
 
     /// Evaluates `h` *and* its Jacobian at each of `params`, in order: one
@@ -316,10 +311,7 @@ impl CharacterizationProblem {
 
     /// Extracts an [`HEvaluation`] from a finished final-only transient of
     /// this problem's circuit.
-    fn jacobian_evaluation(
-        &self,
-        res: &shc_spice::transient::TransientResult,
-    ) -> Result<HEvaluation> {
+    fn jacobian_evaluation(&self, res: &TransientResult) -> Result<HEvaluation> {
         let out = self.register.output_unknown();
         let ms = res
             .final_sensitivity(Param::Setup)
@@ -332,7 +324,7 @@ impl CharacterizationProblem {
                 reason: "transient ran with sensitivities on but returned no hold sensitivity",
             })?;
         Ok(HEvaluation {
-            h: res.final_state()[out] - self.r(),
+            h: self.h_of(res),
             dh_dtau_s: ms[out],
             dh_dtau_h: mh[out],
             stats: *res.stats(),
@@ -367,6 +359,74 @@ impl CharacterizationProblem {
     ) -> Result<crate::Contour> {
         let seed = crate::seed::find_first_point(self, seed_opts)?;
         crate::tracer::trace(self, seed.params, n, tracer_opts)
+    }
+}
+
+/// A chain of evaluations of one problem that resume from each other's
+/// transient prefix: one set of sibling rungs and one scratch. Evaluations
+/// at one setup skew share everything before the earlier of their
+/// trailing data ramps, and each resumes from the latest rung the ones
+/// before it left below that, in any order of hold skews
+/// ([`TransientAnalysis::with_siblings`]). Each evaluation counts as one
+/// simulation and is bitwise identical to the problem's own evaluation at
+/// its point.
+pub(crate) struct EvalChain<'p> {
+    problem: &'p CharacterizationProblem,
+    siblings: SiblingRungs,
+    scratch: TransientScratch,
+}
+
+impl<'p> EvalChain<'p> {
+    pub(crate) fn new(problem: &'p CharacterizationProblem) -> Self {
+        EvalChain {
+            problem,
+            siblings: SiblingRungs::default(),
+            scratch: TransientScratch::new(problem.register.circuit().unknown_count()),
+        }
+    }
+
+    /// The problem the chain evaluates.
+    pub(crate) fn problem(&self) -> &'p CharacterizationProblem {
+        self.problem
+    }
+
+    /// `h` at `params`: [`CharacterizationProblem::evaluate`].
+    pub(crate) fn h(&mut self, params: &Params) -> Result<f64> {
+        let res = self.run(&[], params)?;
+        Ok(self.problem.h_of(&res))
+    }
+
+    /// `h` and its Jacobian at `params`:
+    /// [`CharacterizationProblem::evaluate_with_jacobian`].
+    pub(crate) fn h_with_jacobian(&mut self, params: &Params) -> Result<HEvaluation> {
+        let res = self.run(&Param::ALL, params)?;
+        self.problem.jacobian_evaluation(&res)
+    }
+
+    /// `h` and `∂h/∂τh` at `params`, from one transient that propagates
+    /// the hold sensitivity alone; `dh_dtau_s` is NaN.
+    pub(crate) fn h_with_hold_derivative(&mut self, params: &Params) -> Result<HEvaluation> {
+        let res = self.run(&[Param::Hold], params)?;
+        let mh = res
+            .final_sensitivity(Param::Hold)
+            .ok_or(CharError::Internal {
+                reason: "transient ran with the hold sensitivity on but returned none",
+            })?;
+        Ok(HEvaluation {
+            h: self.problem.h_of(&res),
+            dh_dtau_s: f64::NAN,
+            dh_dtau_h: mh[self.problem.register.output_unknown()],
+            stats: *res.stats(),
+        })
+    }
+
+    fn run(&mut self, sensitivities: &[Param], params: &Params) -> Result<TransientResult> {
+        self.problem.sim_count.fetch_add(1, Ordering::Relaxed);
+        Ok(self
+            .problem
+            .analysis(sensitivities)
+            .with_siblings(&self.siblings)
+            .run_with_scratch(params, &mut self.scratch)?)
     }
 }
 
@@ -806,14 +866,14 @@ mod tests {
     /// The full-run reference for a resumed evaluation: the problem's own
     /// options, from the DC start.
     fn full_run(p: &CharacterizationProblem, at: &Params) -> TransientResult {
-        TransientAnalysis::new(p.register().circuit(), p.transient_options(true))
+        TransientAnalysis::new(p.register().circuit(), p.transient_options(&Param::ALL))
             .run(at)
             .unwrap()
     }
 
     fn assert_resumed_matches_full(p: &CharacterizationProblem, at: &Params) {
         let full = full_run(p, at);
-        let resumed = p.run_scalar(true, at).unwrap();
+        let resumed = p.run_scalar(&Param::ALL, at).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let what = format!("{} at {at:?}", p.register().name());
         assert_eq!(resumed.times().len(), 1, "{what}: final-only times");
@@ -931,7 +991,7 @@ mod tests {
             let times = {
                 let opts = TransientOptions {
                     record: shc_spice::transient::RecordMode::Probe(0),
-                    ..p.transient_options(true)
+                    ..p.transient_options(&Param::ALL)
                 };
                 let analysis = TransientAnalysis::new(p.register().circuit(), opts);
                 analysis.run(&reference).unwrap().times().to_vec()
@@ -961,7 +1021,7 @@ mod tests {
             let collector = shc_obs::Collector::new();
             {
                 let _guard = shc_obs::install_scoped(&collector);
-                p.run_scalar(true, &at).unwrap();
+                p.run_scalar(&Param::ALL, &at).unwrap();
             }
             let reused = collector.counter(shc_obs::Metric::PrefixStepsReused);
             assert!(

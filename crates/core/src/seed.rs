@@ -11,6 +11,7 @@ use shc_spice::waveform::Params;
 
 use crate::independent::{self, IndependentOptions, SkewAxis};
 use crate::mpnr::{self, MpnrOptions};
+use crate::problem::EvalChain;
 use crate::{CharError, CharacterizationProblem, MpnrResult, Result};
 
 /// Bracket width at which the setup-skew bisection stops and MPNR polishes
@@ -92,9 +93,13 @@ pub fn find_first_point(
     let _span = shc_obs::span(shc_obs::SpanKind::Seed);
     let _frame = shc_prof::enter(shc_prof::Phase::SeedSearch);
     let reference = problem.reference_params();
+    // Every probe before the polish shares one evaluation chain: the hold
+    // search's probes all sit at the reference setup skew, and so does
+    // the setup bisection's first.
+    let mut chain = EvalChain::new(problem);
     // Coarse hold-time estimate at a generous setup skew.
-    let hold = independent::binary_search(
-        problem,
+    let hold = independent::binary_search_on(
+        &mut chain,
         SkewAxis::Hold,
         &IndependentOptions {
             range: (HOLD_SEARCH_MIN, reference.tau_h),
@@ -114,8 +119,8 @@ pub fn find_first_point(
         });
     }
 
-    let pass_at = |tau_s: f64| -> Result<bool> {
-        let h = problem.evaluate(&Params::new(tau_s, tau_h))?;
+    let mut pass_at = |tau_s: f64| -> Result<bool> {
+        let h = chain.h(&Params::new(tau_s, tau_h))?;
         Ok(problem.is_pass(h))
     };
 
@@ -139,6 +144,8 @@ pub fn find_first_point(
             lo = mid;
         }
     }
+    // The polish runs its own evaluations: one scratch at a time.
+    drop(chain);
 
     // Polish the midpoint onto the curve with MPNR.
     mpnr::solve(

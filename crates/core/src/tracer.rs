@@ -4,8 +4,10 @@
 //! A standard predictor-corrector continuation: from a point on the curve,
 //! extrapolate along the unit tangent `T = (−∂h/∂τh, ∂h/∂τs)/‖·‖`
 //! (paper eq. (16)) by a step length α (the Euler predictor), then correct
-//! back onto the curve with MPNR. The step length adapts: it shrinks when
-//! the corrector struggles and grows after easy corrections.
+//! back onto the curve: with MPNR, or, where the curve runs mostly along
+//! τs, with Newton in τh alone at the predicted τs, whose evaluations
+//! resume from each other ([`crate::mpnr`]). The step length adapts: it
+//! shrinks when the corrector struggles and grows after easy corrections.
 //!
 //! Corrector failures no longer abort the trace outright. A bounded
 //! recovery ladder kicks in instead — predictor step-halving, a bisection
@@ -107,7 +109,8 @@ pub struct ContourPoint {
     /// Hold skew, in seconds.
     /// unit: s
     pub tau_h: f64,
-    /// MPNR corrector iterations this point needed (0 for the seed).
+    /// Corrector iterations this point needed (0 for the seed): MPNR or
+    /// hold-axis Newton iterations, one simulation each.
     pub corrector_iterations: usize,
     /// `|h|` at the point, in volts.
     /// unit: V
@@ -134,7 +137,7 @@ impl Contour {
         self.simulations
     }
 
-    /// Total MPNR corrector iterations across all points.
+    /// Total corrector iterations across all points.
     pub fn total_corrector_iterations(&self) -> usize {
         self.total_corrector_iterations
     }
@@ -530,8 +533,15 @@ pub fn trace_session(
             break; // walked out of the characterization window
         }
 
-        // MPNR corrector, with the recovery ladder on failure.
-        let corrected = match mpnr::solve(problem, predicted, &MpnrOptions::default()) {
+        // Where the curve runs mostly along τs, τh alone corrects onto it,
+        // and evaluations at the predicted τs resume from each other;
+        // elsewhere MPNR. Either way, the recovery ladder on failure.
+        let corrector = if tangent.0.abs() >= tangent.1.abs() {
+            mpnr::solve_hold_axis
+        } else {
+            mpnr::solve
+        };
+        let corrected = match corrector(problem, predicted, &MpnrOptions::default()) {
             Ok(corrected) => corrected,
             Err(err) => {
                 attempts_since_accept += 1;

@@ -493,34 +493,35 @@ fn loop_end(opts: &TransientOptions) -> f64 {
 }
 
 /// The time before which no skew-dependent source of `circuit` moves at
-/// skews `at`: the earliest start of a data ramp, before which every
-/// `∂u/∂p` is exactly zero. Skews one ulp later in both ramps agree with
-/// `at` exactly until then ([`Circuit::agreement_horizon`]); non-finite
-/// skews claim nothing.
+/// skews `at`: the earlier of the two data ramps' starts
+/// ([`ramp_start`]), before which every `∂u/∂p` is exactly zero.
 fn quiet_until(circuit: &Circuit, at: &Params) -> f64 {
-    if !(at.tau_s.is_finite() && at.tau_h.is_finite()) {
-        return 0.0;
-    }
-    let later = Params::new(at.tau_s.next_down(), at.tau_h.next_up());
-    circuit.agreement_horizon(at, &later)
+    ramp_start(circuit, at, Param::Setup).min(ramp_start(circuit, at, Param::Hold))
 }
 
-/// The time before which a run at skews `at` agrees with a run at the
-/// same setup skew and any later hold skew: the start of `at`'s trailing
-/// data ramp ([`Circuit::agreement_horizon`]); non-finite skews claim
-/// nothing.
-fn trail_until(circuit: &Circuit, at: &Params) -> f64 {
+/// The time before which no source of `circuit` depends on `param` at
+/// skews `at`: the start of that parameter's data ramp — the leading one
+/// for [`Param::Setup`], the trailing one for [`Param::Hold`]. Before it,
+/// `∂u/∂p` is exactly zero, and a run at `at` agrees with one whose
+/// `param` moves that ramp later ([`Circuit::agreement_horizon`]);
+/// non-finite skews claim nothing.
+fn ramp_start(circuit: &Circuit, at: &Params, param: Param) -> f64 {
     if !(at.tau_s.is_finite() && at.tau_h.is_finite()) {
         return 0.0;
     }
-    let later = Params::new(at.tau_s, at.tau_h.next_up());
+    let later = match param {
+        Param::Setup => Params::new(at.tau_s.next_down(), at.tau_h),
+        Param::Hold => Params::new(at.tau_s, at.tau_h.next_up()),
+    };
     circuit.agreement_horizon(at, &later)
 }
 
 /// Checkpoints captured during one run, stored flat: `states` holds each
-/// mark's `x`. A mark is kept only while its `reach` lies below `below`
-/// and, for a `clean` capture, while no step has been rejected.
+/// mark's `x`. A mark is kept only while its `reach` lies in
+/// `[from, below)` and, for a `clean` capture, while no step has been
+/// rejected.
 struct Capture {
+    from: f64,
     below: f64,
     clean: bool,
     marks: Vec<Mark>,
@@ -529,7 +530,12 @@ struct Capture {
 
 impl Capture {
     fn new(below: f64, clean: bool) -> Self {
+        Capture::window(f64::NEG_INFINITY, below, clean)
+    }
+
+    fn window(from: f64, below: f64, clean: bool) -> Self {
         Capture {
+            from,
             below,
             clean,
             marks: Vec::new(),
@@ -538,7 +544,8 @@ impl Capture {
     }
 
     fn push(&mut self, mark: Mark, x: &Vector) {
-        if mark.reach < self.below && !(self.clean && mark.stats.rejected_steps > 0) {
+        let kept = self.from <= mark.reach && mark.reach < self.below;
+        if kept && !(self.clean && mark.stats.rejected_steps > 0) {
             self.marks.push(mark);
             self.states.extend_from_slice(x.as_slice());
         }
@@ -549,6 +556,17 @@ impl Capture {
 /// cell's ladder stays near 15 KB, and a resumed run recomputes at most
 /// this many steps it could have adopted.
 const LADDER_STRIDE: usize = 16;
+
+/// How far below the start of its trailing ramp, beyond one
+/// [`LADDER_STRIDE`] of steps, a sibling run keeps rungs
+/// ([`TransientAnalysis::with_siblings`]): the longest hold-skew move
+/// between chained runs that resume from each other. The
+/// characterization corrector caps a Newton step in τh at 100 ps, so its
+/// next run's trailing ramp starts at most that much earlier, and the
+/// extra stride keeps a rung below it. Older rungs would only grow the
+/// chain's memory.
+/// unit: s
+const SIBLING_WINDOW: f64 = 100e-12;
 
 /// A prefix ladder: state checkpoints of one reference transient at fixed
 /// skews, from which later runs of the same analysis at other skews
@@ -701,13 +719,16 @@ impl Rungs {
     }
 
     // lint: trunk-fence
-    /// Hands a seed to the run that extends it into a ladder: the
-    /// checkpoints whose `reach` lies strictly below `horizon` move into
-    /// `capture`, except the latest, which becomes the run's start (the run
-    /// captures its start itself). `None` when even the DC start touched
-    /// the horizon. Everything handed on was computed before the horizon,
-    /// so it is kept verbatim.
-    fn extend_into(self, horizon: f64, capture: &mut Capture) -> Option<Start> {
+    /// Hands these checkpoints to the run that extends them — a seed to the
+    /// ladder's reference run, or a sibling's rungs to the next sibling:
+    /// those whose `reach` lies strictly below `horizon` and at or above
+    /// `capture`'s lower bound move into `capture`, except the latest below
+    /// `horizon`, which becomes the run's start, with `sens` zero
+    /// sensitivities (the run captures its start itself). `None` when even
+    /// the first checkpoint touched the horizon. Everything handed on was
+    /// computed before the horizon, so it is kept verbatim, and every
+    /// sensitivity was exactly zero there ([`Rungs::adopt`]).
+    fn extend_into(self, horizon: f64, sens: usize, capture: &mut Capture) -> Option<Start> {
         // `reach` never decreases along the seed.
         let k = self
             .marks
@@ -721,14 +742,17 @@ impl Rungs {
         } = self;
         let mark = marks[k];
         let x = Vector::from_slice(&states[k * n..(k + 1) * n]);
+        let first = marks[..k].partition_point(|m| m.reach < capture.from);
         marks.truncate(k);
         states.truncate(k * n);
+        marks.drain(..first);
+        states.drain(..first * n);
         capture.marks = marks;
         capture.states = states;
         Some(Start {
             mark,
             x,
-            sens: Vec::new(),
+            sens: (0..sens).map(|_| Vector::zeros(n)).collect(),
         })
     }
 }
@@ -793,18 +817,21 @@ impl<'a> TransientAnalysis<'a> {
     /// starts from the latest checkpoint the run before it left whose
     /// `reach` lies strictly below the agreement horizon of the two runs'
     /// skews, and only without one from the prefix ladder
-    /// ([`Self::with_ladder`]); it then leaves its own checkpoints, up to
-    /// where its trailing data ramp starts. A sweep row over rising hold
-    /// skews at one setup skew shares everything before that.
+    /// ([`Self::with_ladder`]). It then leaves the earlier run's
+    /// checkpoints below its start and its own, from a little below where
+    /// its trailing data ramp starts up to there. Runs at one setup skew
+    /// share everything before the earlier of their trailing ramps, in
+    /// whatever order their hold skews come.
     ///
-    /// Sibling rungs keep states only, and a run's state past its leading
-    /// ramp carries nonzero skew sensitivities, so a run with
-    /// sensitivities neither adopts nor leaves any; nor does one that may
-    /// not resume from a ladder at all (final-only recording, a DC start,
-    /// dense solves, no fault injector), and such a run empties
-    /// `siblings`. Results stay bitwise identical to a run
-    /// from the DC start, as long as `siblings` only ever serves analyses
-    /// of one circuit.
+    /// Sibling rungs keep states only. A run with sensitivities adopts one
+    /// only below the start of each requested parameter's data ramp — the
+    /// leading ramp for [`Param::Setup`], the trailing one for
+    /// [`Param::Hold`] — where that sensitivity is still exactly zero. A
+    /// run that may not resume from a ladder at all (final-only recording,
+    /// a DC start, dense solves, no fault injector) neither adopts nor
+    /// leaves any, and empties `siblings`. Results stay bitwise identical
+    /// to a run from the DC start, as long as `siblings` only ever serves
+    /// analyses of one circuit.
     pub fn with_siblings(mut self, siblings: &'a SiblingRungs) -> Self {
         self.siblings = Some(siblings);
         self
@@ -906,9 +933,11 @@ impl<'a> TransientAnalysis<'a> {
     }
 
     /// A run through [`Self::with_siblings`]: from the latest of
-    /// `siblings`' checkpoints below the two runs' agreement horizon, or
-    /// else from the prefix ladder, leaving its own checkpoints in
-    /// `siblings` up to where its trailing data ramp starts.
+    /// `siblings`' checkpoints below the two runs' agreement horizon and
+    /// below the ramp start of each requested sensitivity, or else from the
+    /// prefix ladder. It leaves in `siblings` the earlier run's checkpoints
+    /// below its start and its own, within [`SIBLING_WINDOW`] and one
+    /// stride below where its trailing data ramp starts.
     fn run_sibling(
         &self,
         params: &Params,
@@ -916,19 +945,30 @@ impl<'a> TransientAnalysis<'a> {
         siblings: &SiblingRungs,
     ) -> Result<TransientResult> {
         let prior = siblings.rungs.take();
-        if !(self.prefix_resumable() && self.opts.sensitivities.is_empty()) {
+        if !self.prefix_resumable() {
             return self.run_unchained(params, scratch);
         }
-        let n = self.circuit.unknown_count();
+        let circuit = self.circuit;
+        let n = circuit.unknown_count();
+        let trail = ramp_start(circuit, params, Param::Hold).min(loop_end(&self.opts));
+        let window = SIBLING_WINDOW + LADDER_STRIDE as f64 * self.opts.dt;
+        let mut capture = Capture::window(trail - window, trail, false);
+        // Rungs keep states only: below each requested parameter's ramp
+        // its sensitivity is still exactly zero.
+        let zero_until = self
+            .opts
+            .sensitivities
+            .iter()
+            .map(|&p| ramp_start(circuit, params, p))
+            .fold(f64::INFINITY, f64::min);
         let start = prior
             .filter(|rungs| rungs.fits(&self.opts, n))
             .and_then(|rungs| {
-                let horizon = self.circuit.agreement_horizon(&rungs.reference, params);
-                rungs.adopt(horizon, 0)
+                let horizon = circuit.agreement_horizon(&rungs.reference, params);
+                let sens = self.opts.sensitivities.len();
+                rungs.extend_into(horizon.min(zero_until), sens, &mut capture)
             })
             .or_else(|| self.resume_point(params));
-        let trail = trail_until(self.circuit, params).min(loop_end(&self.opts));
-        let mut capture = Capture::new(trail, false);
         let res = self.run_from(params, scratch, start, Some(&mut capture))?;
         siblings
             .rungs
@@ -997,7 +1037,7 @@ impl<'a> TransientAnalysis<'a> {
             .filter(|seed| seed.seeds(&self.opts, n))
             .and_then(|seed| {
                 let horizon = self.circuit.agreement_horizon(&seed.reference, &reference);
-                seed.extend_into(horizon.min(quiet), &mut capture)
+                seed.extend_into(horizon.min(quiet), 0, &mut capture)
             });
         let mut scratch = TransientScratch::new(n);
         analysis
@@ -1222,6 +1262,7 @@ impl<'a> TransientAnalysis<'a> {
         }
 
         let mut sens: Vec<(Param, Vector)> = opts.sensitivities.iter().copied().zip(sens).collect();
+        let [setup_from, hold_from] = Param::ALL.map(|p| ramp_start(circuit, params, p));
         if let Some(cap) = capture.as_mut() {
             cap.push(mark, &x_prev);
         }
@@ -1408,15 +1449,29 @@ impl<'a> TransientAnalysis<'a> {
                     factor.factorize()
                 })?;
                 factored_dt = Some(dt_eff);
+                let mut solves = 0;
                 for (param, m) in sens.iter_mut() {
+                    // Every start's sensitivities are zero, and before its
+                    // ramp a parameter's `∂f/∂p` is exactly zero too: the
+                    // solve would return zeros. Leaving `+0.0` where it
+                    // could return `-0.0` changes no later step, which
+                    // reads `m` only through `C·m`, summed from `+0.0`.
+                    let zero_until = match param {
+                        Param::Setup => setup_from,
+                        Param::Hold => hold_from,
+                    };
+                    if t_new < zero_until {
+                        continue;
+                    }
                     circuit.assemble_dfdp_into(dfdp_tmp, zero_x, t_new, params, *param);
                     factor.mul_slots_into(c, m, sens_rhs);
                     sens_rhs.axpy(-dt_eff, dfdp_tmp);
                     with_lu_fault_retries(|| factor.solve_into(sens_rhs, sens_tmp))?;
                     m.copy_from(sens_tmp);
+                    solves += 1;
                 }
                 lap_step.end_region(LAP_SENS);
-                lap_step.bump(LAP_SENS, 1, sens.len() as u64);
+                lap_step.bump(LAP_SENS, 1, solves);
             }
 
             stats.steps += 1;
@@ -1863,7 +1918,8 @@ mod tests {
     /// The sparse work counters must reconcile with the run shape: one
     /// analysis per topology, one fresh factor, refactors on every later
     /// factorization (all but the reused ones), and a solve per iteration
-    /// plus two per accepted step for the sensitivities.
+    /// plus one per accepted step and parameter whose data ramp has
+    /// started.
     #[test]
     fn sparse_transient_work_counters_reconcile() {
         let c = rc_chain_with_pulse(20);
@@ -1879,7 +1935,7 @@ mod tests {
         let collector = shc_obs::Collector::new();
         let stats = {
             let _guard = shc_obs::install_scoped(&collector);
-            *TransientAnalysis::new(&c, opts)
+            *TransientAnalysis::new(&c, opts.clone())
                 .run(&params)
                 .unwrap()
                 .stats()
@@ -1901,10 +1957,24 @@ mod tests {
             stats.newton_iterations as u64 + stats.steps as u64 - reused,
             "factor work must match newton + sensitivity factorizations"
         );
+        // Each parameter's solves start with the first step that ends at
+        // or past its data ramp's start.
+        let times = step_times(&c, &opts, &params);
+        let live: u64 = Param::ALL
+            .iter()
+            .map(|&p| {
+                let from = ramp_start(&c, &params, p);
+                times[1..].iter().filter(|&&t| t >= from).count() as u64
+            })
+            .sum();
+        assert!(
+            live < 2 * stats.steps as u64,
+            "the ramps start after the first step"
+        );
         assert_eq!(
             solves,
-            stats.newton_iterations as u64 + 2 * stats.steps as u64,
-            "solve count must match newton iterations + 2 sens solves/step"
+            stats.newton_iterations as u64 + live,
+            "solve count must match newton iterations + the live sens solves"
         );
     }
 
@@ -2146,61 +2216,82 @@ mod tests {
         );
     }
 
+    /// Skews at the setup skew of the sibling-rung tests (leading ramp
+    /// 150–250 ns, before the clock edge's cut at 310 ns) whose trailing
+    /// ramp starts at `t`.
+    fn trailing_at(t: f64) -> Params {
+        Params::new(100e-9, t + 50e-9 - 300e-9)
+    }
+
+    /// The checkpoints `siblings` holds, left in place.
+    fn held(siblings: &SiblingRungs) -> Option<Vec<Mark>> {
+        let rungs = siblings.rungs.take();
+        let marks = rungs.as_ref().map(|r| r.marks.clone());
+        siblings.rungs.set(rungs);
+        marks
+    }
+
+    /// Runs `p` under `opts` on the chain `siblings`, checks it against a
+    /// run from the DC start bit for bit, and returns the steps it reused.
+    fn sibling_run(
+        c: &Circuit,
+        opts: &TransientOptions,
+        p: Params,
+        siblings: &SiblingRungs,
+        scratch: &mut TransientScratch,
+    ) -> usize {
+        let collector = shc_obs::Collector::new();
+        let res = {
+            let _guard = shc_obs::install_scoped(&collector);
+            TransientAnalysis::new(c, opts.clone())
+                .with_siblings(siblings)
+                .run_with_scratch(&p, scratch)
+                .unwrap()
+        };
+        let full = TransientAnalysis::new(c, opts.clone()).run(&p).unwrap();
+        assert_bitwise_eq(&res, &full);
+        collector.counter(shc_obs::Metric::PrefixStepsReused) as usize
+    }
+
     /// Sibling rungs across a Newton dt-cut. Runs at one setup skew share
     /// everything before the earlier of their trailing ramps, a prefix
     /// that here contains the cut. A run adopts the latest rung its
     /// sibling left below that horizon — past the cut, or, when the
     /// horizon falls between the cut checkpoint's `t` and its `reach`, the
     /// one before it — and reproduces a full run bit for bit in state,
-    /// stats and final time. A run with sensitivities neither adopts nor leaves
-    /// sibling rungs.
+    /// stats and final time. A run with hold sensitivities adopts the
+    /// same rung as one without; a run with setup sensitivities adopts
+    /// none past its leading ramp, yet leaves its own rungs.
     #[test]
     fn sibling_rungs_resume_a_row_bitwise_across_a_dt_cut() {
         let (c, mut opts) = clocked_rc();
         opts.tstop = 600e-9;
         let sens_opts = opts.clone();
+        let hold_opts = TransientOptions {
+            sensitivities: vec![Param::Hold],
+            ..opts.clone()
+        };
         opts.sensitivities = Vec::new();
         let mut scratch = TransientScratch::new(c.unknown_count());
-        // Runs `p` under `opts` after the sibling rungs in `siblings`;
-        // checks it against a full run and returns the steps it reused.
         let mut run = |opts: &TransientOptions, p: Params, siblings: &SiblingRungs| {
-            let collector = shc_obs::Collector::new();
-            let res = {
-                let _guard = shc_obs::install_scoped(&collector);
-                TransientAnalysis::new(&c, opts.clone())
-                    .with_siblings(siblings)
-                    .run_with_scratch(&p, &mut scratch)
-                    .unwrap()
-            };
-            let full = TransientAnalysis::new(&c, opts.clone()).run(&p).unwrap();
-            assert_bitwise_eq(&res, &full);
-            collector.counter(shc_obs::Metric::PrefixStepsReused) as usize
+            sibling_run(&c, opts, p, siblings, &mut scratch)
         };
-        let held = |siblings: &SiblingRungs| {
-            let rungs = siblings.rungs.take();
-            let marks = rungs.as_ref().map(|r| r.marks.clone());
-            siblings.rungs.set(rungs);
-            marks
-        };
-        // Leading ramp 150–250 ns, before the clock edge's cut at 310 ns;
-        // trailing ramps from 500 ns (`far`) and 400 ns (`near`).
-        let far = Params::new(100e-9, 250e-9);
-        let near = Params::new(100e-9, 150e-9);
+        // `far`'s window holds the cut rung and the one after it.
+        let far = trailing_at(470e-9);
+        let near = trailing_at(400e-9);
         let siblings = SiblingRungs::default();
         assert_eq!(run(&opts, far, &siblings), 0, "no ladder: DC start");
         let marks = held(&siblings).unwrap();
-        let cut = marks
+        let past = *marks
             .iter()
-            .position(|k| k.reach > k.t)
+            .find(|k| k.reach > k.t)
             .expect("the clock edge forces a dt-cut");
-        let (before, past) = (marks[cut - 1], marks[cut]);
-        assert!(past.stats.rejected_steps > 0 && before.reach < past.t);
-        assert!(marks.iter().all(|m| m.reach < trail_until(&c, &far)));
+        assert!(past.stats.rejected_steps > 0);
 
-        // `near` adopts a rung past the cut, not the later ones `far` keeps
-        // past `near`'s own trailing ramp.
+        // `near` adopts the rung past the cut, not the later one `far`
+        // keeps past `near`'s own trailing ramp.
         let horizon = c.agreement_horizon(&far, &near);
-        assert_eq!(horizon, trail_until(&c, &near));
+        assert_eq!(horizon, ramp_start(&c, &near, Param::Hold));
         assert!(marks.iter().any(|m| m.reach > horizon));
         let adopted = marks.iter().rfind(|m| m.reach < horizon).unwrap();
         assert!(adopted.stats.steps >= past.stats.steps);
@@ -2211,21 +2302,141 @@ mod tests {
             "a run captures from its start"
         );
 
-        // Trailing ramp starting halfway into the cut checkpoint's
-        // (t, reach]: the rung before the cut.
-        let ramp_start = 0.5 * (past.t + past.reach);
-        let at_cut = Params::new(100e-9, ramp_start + 50e-9 - 300e-9);
-        let horizon = c.agreement_horizon(&far, &at_cut);
-        assert!(past.t < horizon && horizon < past.reach, "{horizon:e}");
+        // A first run whose trailing ramp starts just past the cut rung's
+        // reach keeps the rung before the cut too. A trailing ramp
+        // starting halfway into the cut rung's (t, reach] resumes from
+        // that one.
         let siblings = SiblingRungs::default();
-        run(&opts, far, &siblings);
+        run(&opts, trailing_at(past.reach + 0.05e-9), &siblings);
+        let marks = held(&siblings).unwrap();
+        let before = marks[marks.len() - 2];
+        assert_eq!(marks[marks.len() - 1].stats, past.stats);
+        assert!(before.reach < past.t);
+        let at_cut = trailing_at(0.5 * (past.t + past.reach));
+        let horizon = c.agreement_horizon(&marks_reference(&siblings), &at_cut);
+        assert!(past.t < horizon && horizon < past.reach, "{horizon:e}");
         assert_eq!(run(&opts, at_cut, &siblings), before.stats.steps);
 
-        // With sensitivities: a full run, and the rungs are dropped.
+        // Hold sensitivities: the same rung, zero-started.
         let siblings = SiblingRungs::default();
         run(&opts, far, &siblings);
+        assert_eq!(run(&hold_opts, near, &siblings), adopted.stats.steps);
+        assert!(
+            held(&siblings).is_some(),
+            "a run with sensitivities leaves rungs"
+        );
+        // Setup sensitivities too: every rung lies past the leading ramp.
+        let lead = ramp_start(&c, &near, Param::Setup);
+        assert!(held(&siblings).unwrap().iter().all(|m| m.reach >= lead));
         assert_eq!(run(&sens_opts, near, &siblings), 0);
-        assert!(held(&siblings).is_none());
+        assert!(
+            held(&siblings).is_some(),
+            "a run with sensitivities leaves rungs"
+        );
+    }
+
+    /// A run with setup sensitivities adopts no sibling rung past its
+    /// leading ramp, where `∂x/∂τs` is no longer zero, even one below the
+    /// two runs' agreement horizon; without them, or with hold
+    /// sensitivities alone, the same run adopts that rung. Each matches a
+    /// run from the DC start bit for bit.
+    #[test]
+    fn setup_sensitivity_runs_adopt_no_rung_past_the_leading_ramp() {
+        let (c, mut opts) = clocked_rc();
+        opts.tstop = 600e-9;
+        let with = |sensitivities: &[Param]| TransientOptions {
+            sensitivities: sensitivities.to_vec(),
+            ..opts.clone()
+        };
+        // Leading ramp from 400 ns; trailing ramps from 475 and 470 ns.
+        let first = Params::new(-150e-9, 225e-9);
+        let next = Params::new(-150e-9, 220e-9);
+        let lead = ramp_start(&c, &next, Param::Setup);
+        let horizon = c.agreement_horizon(&first, &next);
+        let mut scratch = TransientScratch::new(c.unknown_count());
+        let mut adopted = Vec::new();
+        for sensitivities in [&[][..], &[Param::Hold], &[Param::Setup], &Param::ALL] {
+            let siblings = SiblingRungs::default();
+            sibling_run(&c, &with(&[]), first, &siblings, &mut scratch);
+            let marks = held(&siblings).unwrap();
+            assert!(marks.iter().any(|m| lead < m.reach && m.reach < horizon));
+            assert!(marks.iter().any(|m| m.reach < lead));
+            let reused = sibling_run(&c, &with(sensitivities), next, &siblings, &mut scratch);
+            let rung = marks.iter().find(|m| m.stats.steps == reused).unwrap();
+            adopted.push(rung.reach);
+        }
+        assert!(adopted[0] > lead && adopted[1] == adopted[0], "{adopted:?}");
+        assert!(adopted[2] < lead && adopted[3] == adopted[2], "{adopted:?}");
+    }
+
+    /// The skews of the run that left `siblings`' rungs.
+    fn marks_reference(siblings: &SiblingRungs) -> Params {
+        let rungs = siblings.rungs.take();
+        let reference = rungs.as_ref().unwrap().reference;
+        siblings.rungs.set(rungs);
+        reference
+    }
+
+    /// A chain at one setup skew, its hold skews in bisection order —
+    /// down as well as up — matches runs from the DC start bit for bit,
+    /// without sensitivities, with hold sensitivities and with both. Runs
+    /// without setup sensitivities resume from their siblings wherever
+    /// the one before left a rung below their horizon; a run with them
+    /// adopts nothing past its leading ramp. After each run the chain
+    /// holds exactly the full run's checkpoints inside its window below
+    /// the trailing ramp.
+    #[test]
+    fn sibling_chain_resumes_bisection_probes_bitwise() {
+        let (c, mut opts) = clocked_rc();
+        opts.tstop = 600e-9;
+        let window = SIBLING_WINDOW + LADDER_STRIDE as f64 * opts.dt;
+        // Trailing ramp starts of a bisection between 330 and 590 ns.
+        let mut probes = vec![590e-9, 330e-9];
+        let (mut lo, mut hi) = (330e-9, 590e-9);
+        for pass in [true, false, true, false, false] {
+            let mid = 0.5 * (lo + hi);
+            probes.push(mid);
+            if pass {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        for sensitivities in [vec![], vec![Param::Hold], Param::ALL.to_vec()] {
+            let opts = TransientOptions {
+                sensitivities: sensitivities.clone(),
+                ..opts.clone()
+            };
+            let lead = ramp_start(&c, &trailing_at(probes[0]), Param::Setup);
+            let mut scratch = TransientScratch::new(c.unknown_count());
+            let siblings = SiblingRungs::default();
+            let mut resumed = 0;
+            for &t in &probes {
+                let p = trailing_at(t);
+                let reused = sibling_run(&c, &opts, p, &siblings, &mut scratch);
+                resumed += usize::from(reused > 0);
+                let times = step_times(&c, &opts, &p);
+                let trail = ramp_start(&c, &p, Param::Hold).min(loop_end(&opts));
+                let want: Vec<usize> = (0..times.len())
+                    .step_by(LADDER_STRIDE)
+                    .filter(|&k| trail - window <= times[k] && times[k] < trail)
+                    .collect();
+                let got: Vec<usize> = held(&siblings)
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|m| m.stats.steps)
+                    .collect();
+                assert_eq!(got, want, "{sensitivities:?} at {t:e}");
+                if sensitivities.contains(&Param::Setup) {
+                    assert!(reused == 0 || times[reused] < lead);
+                }
+            }
+            if sensitivities.contains(&Param::Setup) {
+                assert_eq!(resumed, 0, "{sensitivities:?}");
+            } else {
+                assert!(resumed >= 3, "{sensitivities:?}: {resumed} resumed");
+            }
+        }
     }
 
     /// Full and ladder-backed runs of `analysis` at each of `at`, bit for
