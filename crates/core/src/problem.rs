@@ -824,9 +824,11 @@ mod tests {
 
     /// Over a traced contour, every Newton iteration and every accepted
     /// step's sensitivity solve factors a step Jacobian, except the first
-    /// iterates that take the previous step's factor: the dense
-    /// factorizations plus `FactorsReused` make up that whole count, so
-    /// `FactorsReused` is exactly the drop in `LuRefactors`. These cells
+    /// iterates that take the previous step's factor and the chord
+    /// iterations that keep their step's first one: the dense
+    /// factorizations plus `FactorsReused` plus `ChordIterations` make up
+    /// that whole count, so those two are exactly the drop in
+    /// `LuRefactors`. These cells
     /// never cut `dt`, so every computed step's first iterate takes the
     /// stamps of the state before; and no DC solve runs, since the
     /// calibration took it before the trace.
@@ -853,14 +855,34 @@ mod tests {
         let factored =
             collector.counter(Metric::LuRefactors) + collector.counter(Metric::LuFactorizations);
         let reused = collector.counter(Metric::FactorsReused);
+        let chords = collector.counter(Metric::ChordIterations);
         assert_eq!(
-            factored + reused,
+            factored + reused + chords,
             collector.counter(Metric::NewtonIterations) + sens_steps
         );
+        assert!(chords > 0, "no chord iteration over a traced contour");
         assert!(
             sens_steps > 0 && 10 * reused > 9 * sens_steps,
             "{reused} factors reused over {sens_steps} steps with sensitivities"
         );
+    }
+
+    /// A step's chord iterations keep the factor its first iteration
+    /// took, and that factor is bitwise the same whether a primed
+    /// sensitivity factor or a fresh one: so `h` does not depend on
+    /// whether the run carries sensitivities. Factor reuse across steps
+    /// would break this.
+    #[test]
+    fn h_is_bitwise_the_same_with_and_without_sensitivities() {
+        let p = fast_problem();
+        let contour = p.trace_contour(12).unwrap();
+        assert_eq!(contour.points().len(), 12);
+        for (i, q) in contour.points().iter().enumerate() {
+            let at = Params::new(q.tau_s, q.tau_h);
+            let plain = p.evaluate(&at).unwrap();
+            let with_jacobian = p.evaluate_with_jacobian(&at).unwrap().h;
+            assert_eq!(plain.to_bits(), with_jacobian.to_bits(), "point {i}");
+        }
     }
 
     /// The full-run reference for a resumed evaluation: the problem's own

@@ -256,6 +256,12 @@ impl SparseLu {
     /// and this method transparently falls back to a fresh
     /// [`SparseLu::factor`] with full repivoting.
     ///
+    /// Each column's loops walk the zipped index and value slices of the
+    /// `A`, `U` and `L` columns they read, and the `L` scale clears each
+    /// accumulator entry as it reads it. The arithmetic is the plain
+    /// indexed replay's, in its order, so the factors are bitwise the
+    /// same.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`SparseLu::factor`].
@@ -268,62 +274,78 @@ impl SparseLu {
             return Err(e);
         }
         self.refresh_values(a);
+        let SparseLu {
+            cc_ptr,
+            cc_row,
+            cc_val,
+            q,
+            p,
+            l_ptr,
+            l_row,
+            l_val,
+            u_ptr,
+            u_step,
+            u_val,
+            udiag,
+            x,
+            ..
+        } = self;
         // lint: hot-loop
         // Defensive reset: a previously failed factorization may have left
         // the accumulator dirty. O(n), no allocation.
-        self.x.fill(0.0);
-        for j in 0..self.n {
+        x.fill(0.0);
+        for (j, &col) in q.iter().enumerate() {
             // Scatter column q[j] of A.
-            let col = self.q[j];
-            for idx in self.cc_ptr[col]..self.cc_ptr[col + 1] {
-                self.x[self.cc_row[idx]] = self.cc_val[idx];
+            let (lo, hi) = (cc_ptr[col], cc_ptr[col + 1]);
+            for (&r, &v) in cc_row[lo..hi].iter().zip(&cc_val[lo..hi]) {
+                x[r] = v;
             }
             // Replay the recorded updates in ascending pivot-step order.
-            for idx in self.u_ptr[j]..self.u_ptr[j + 1] {
-                let k = self.u_step[idx];
-                let ukj = self.x[self.p[k]];
-                self.u_val[idx] = ukj;
+            let (u_lo, u_hi) = (u_ptr[j], u_ptr[j + 1]);
+            for (&k, u) in u_step[u_lo..u_hi].iter().zip(&mut u_val[u_lo..u_hi]) {
+                let ukj = x[p[k]];
+                *u = ukj;
                 // lint: allow(float-eq, reason = "exact-zero skip is a sparsity fast path; any nonzero update must be applied")
                 if ukj != 0.0 {
-                    for t in self.l_ptr[k]..self.l_ptr[k + 1] {
-                        self.x[self.l_row[t]] -= self.l_val[t] * ukj;
+                    let (lo, hi) = (l_ptr[k], l_ptr[k + 1]);
+                    for (&r, &l) in l_row[lo..hi].iter().zip(&l_val[lo..hi]) {
+                        x[r] -= l * ukj;
                     }
                 }
             }
             // Fixed pivot; verify it did not collapse under the new values.
-            let piv = self.x[self.p[j]];
-            let mut colmax = piv.abs();
-            for t in self.l_ptr[j]..self.l_ptr[j + 1] {
-                colmax = colmax.max(self.x[self.l_row[t]].abs());
-            }
+            let piv = x[p[j]];
+            let (l_lo, l_hi) = (l_ptr[j], l_ptr[j + 1]);
+            let rows = &l_row[l_lo..l_hi];
+            let colmax = rows.iter().fold(piv.abs(), |m, &r| m.max(x[r].abs()));
             if !(piv.abs() >= SINGULARITY_THRESHOLD
                 && piv.abs() >= REFACTOR_PIVOT_FLOOR * colmax
                 && colmax.is_finite())
             {
                 // Pivot-collapse event: clear this column's scatter and
                 // repivot from scratch (fresh fault decision included).
-                for idx in self.u_ptr[j]..self.u_ptr[j + 1] {
-                    self.x[self.p[self.u_step[idx]]] = 0.0;
+                for &k in &u_step[u_lo..u_hi] {
+                    x[p[k]] = 0.0;
                 }
-                for t in self.l_ptr[j]..self.l_ptr[j + 1] {
-                    self.x[self.l_row[t]] = 0.0;
+                for &r in rows {
+                    x[r] = 0.0;
                 }
-                self.x[self.p[j]] = 0.0;
+                x[p[j]] = 0.0;
                 // lint: allow(hot-path-certify, reason = "pivot-collapse fallback: repivoting from scratch allocates, but it is the documented cold escape from a numerically dead refactor, not steady-state work")
                 return self.factor(a);
             }
-            self.udiag[j] = piv;
-            for t in self.l_ptr[j]..self.l_ptr[j + 1] {
-                self.l_val[t] = self.x[self.l_row[t]] / piv;
+            udiag[j] = piv;
+            // Scale `L` and clear the column's footprint, so x is all-zero
+            // again: the `L` rows are unpivoted, the `U` rows pivoted
+            // earlier, so no cleared entry is read after.
+            for (&r, l) in rows.iter().zip(&mut l_val[l_lo..l_hi]) {
+                *l = x[r] / piv;
+                x[r] = 0.0;
             }
-            // Gather/clear the column's footprint so x is all-zero again.
-            for idx in self.u_ptr[j]..self.u_ptr[j + 1] {
-                self.x[self.p[self.u_step[idx]]] = 0.0;
+            for &k in &u_step[u_lo..u_hi] {
+                x[p[k]] = 0.0;
             }
-            for t in self.l_ptr[j]..self.l_ptr[j + 1] {
-                self.x[self.l_row[t]] = 0.0;
-            }
-            self.x[self.p[j]] = 0.0;
+            x[p[j]] = 0.0;
         }
         // lint: end-hot-loop
         Ok(())
@@ -332,7 +354,8 @@ impl SparseLu {
     /// Solves `A·x = b` using the stored factors (allocation-free).
     ///
     /// Takes `&mut self` for the internal permuted-solve scratch vector;
-    /// the factors themselves are not modified.
+    /// the factors themselves are not modified. Like
+    /// [`SparseLu::refactor`], its loops walk zipped column slices.
     ///
     /// # Errors
     ///
@@ -353,26 +376,41 @@ impl SparseLu {
                 rhs: (b.len().max(x.len()), 1),
             });
         }
+        let SparseLu {
+            q,
+            p,
+            l_ptr,
+            l_row,
+            l_val,
+            u_ptr,
+            u_step,
+            u_val,
+            udiag,
+            work,
+            ..
+        } = self;
         // lint: hot-loop
         // Forward: L·c = P·b, accumulated in original-row coordinates.
-        self.work.copy_from_slice(b.as_slice());
-        for k in 0..n {
-            let yk = self.work[self.p[k]];
+        work.copy_from_slice(b.as_slice());
+        for (k, &pk) in p.iter().enumerate() {
+            let yk = work[pk];
             // lint: allow(float-eq, reason = "exact-zero skip is a sparsity fast path; any nonzero update must be applied")
             if yk != 0.0 {
-                for t in self.l_ptr[k]..self.l_ptr[k + 1] {
-                    self.work[self.l_row[t]] -= self.l_val[t] * yk;
+                let (lo, hi) = (l_ptr[k], l_ptr[k + 1]);
+                for (&r, &l) in l_row[lo..hi].iter().zip(&l_val[lo..hi]) {
+                    work[r] -= l * yk;
                 }
             }
         }
         // Backward: U·z = c, scattering z back through the column order.
         for j in (0..n).rev() {
-            let zj = self.work[self.p[j]] / self.udiag[j];
-            x[self.q[j]] = zj;
+            let zj = work[p[j]] / udiag[j];
+            x[q[j]] = zj;
             // lint: allow(float-eq, reason = "exact-zero skip is a sparsity fast path; any nonzero update must be applied")
             if zj != 0.0 {
-                for idx in self.u_ptr[j]..self.u_ptr[j + 1] {
-                    self.work[self.p[self.u_step[idx]]] -= self.u_val[idx] * zj;
+                let (lo, hi) = (u_ptr[j], u_ptr[j + 1]);
+                for (&k, &u) in u_step[lo..hi].iter().zip(&u_val[lo..hi]) {
+                    work[p[k]] -= u * zj;
                 }
             }
         }
@@ -641,6 +679,199 @@ mod tests {
             dense[(i, i)] += 6.0;
         }
         dense
+    }
+
+    /// The indexed refactor loop that [`SparseLu::refactor`] replaced,
+    /// kept verbatim as its oracle.
+    fn oracle_refactor(lu: &mut SparseLu, a: &CsrMatrix) -> Result<()> {
+        lu.check_pattern(a)?;
+        lu.refresh_values(a);
+        lu.x.fill(0.0);
+        for j in 0..lu.n {
+            // Scatter column q[j] of A.
+            let col = lu.q[j];
+            for idx in lu.cc_ptr[col]..lu.cc_ptr[col + 1] {
+                lu.x[lu.cc_row[idx]] = lu.cc_val[idx];
+            }
+            // Replay the recorded updates in ascending pivot-step order.
+            for idx in lu.u_ptr[j]..lu.u_ptr[j + 1] {
+                let k = lu.u_step[idx];
+                let ukj = lu.x[lu.p[k]];
+                lu.u_val[idx] = ukj;
+                if ukj != 0.0 {
+                    for t in lu.l_ptr[k]..lu.l_ptr[k + 1] {
+                        lu.x[lu.l_row[t]] -= lu.l_val[t] * ukj;
+                    }
+                }
+            }
+            // Fixed pivot; verify it did not collapse under the new values.
+            let piv = lu.x[lu.p[j]];
+            let mut colmax = piv.abs();
+            for t in lu.l_ptr[j]..lu.l_ptr[j + 1] {
+                colmax = colmax.max(lu.x[lu.l_row[t]].abs());
+            }
+            if !(piv.abs() >= SINGULARITY_THRESHOLD
+                && piv.abs() >= REFACTOR_PIVOT_FLOOR * colmax
+                && colmax.is_finite())
+            {
+                for idx in lu.u_ptr[j]..lu.u_ptr[j + 1] {
+                    lu.x[lu.p[lu.u_step[idx]]] = 0.0;
+                }
+                for t in lu.l_ptr[j]..lu.l_ptr[j + 1] {
+                    lu.x[lu.l_row[t]] = 0.0;
+                }
+                lu.x[lu.p[j]] = 0.0;
+                return lu.factor(a);
+            }
+            lu.udiag[j] = piv;
+            for t in lu.l_ptr[j]..lu.l_ptr[j + 1] {
+                lu.l_val[t] = lu.x[lu.l_row[t]] / piv;
+            }
+            // Gather/clear the column's footprint so x is all-zero again.
+            for idx in lu.u_ptr[j]..lu.u_ptr[j + 1] {
+                lu.x[lu.p[lu.u_step[idx]]] = 0.0;
+            }
+            for t in lu.l_ptr[j]..lu.l_ptr[j + 1] {
+                lu.x[lu.l_row[t]] = 0.0;
+            }
+            lu.x[lu.p[j]] = 0.0;
+        }
+        Ok(())
+    }
+
+    /// The indexed solve loop that [`SparseLu::solve_into`] replaced,
+    /// kept verbatim as its oracle.
+    fn oracle_solve(lu: &mut SparseLu, b: &Vector, x: &mut Vector) {
+        let n = lu.n;
+        // Forward: L·c = P·b, accumulated in original-row coordinates.
+        lu.work.copy_from_slice(b.as_slice());
+        for k in 0..n {
+            let yk = lu.work[lu.p[k]];
+            if yk != 0.0 {
+                for t in lu.l_ptr[k]..lu.l_ptr[k + 1] {
+                    lu.work[lu.l_row[t]] -= lu.l_val[t] * yk;
+                }
+            }
+        }
+        // Backward: U·z = c, scattering z back through the column order.
+        for j in (0..n).rev() {
+            let zj = lu.work[lu.p[j]] / lu.udiag[j];
+            x[lu.q[j]] = zj;
+            if zj != 0.0 {
+                for idx in lu.u_ptr[j]..lu.u_ptr[j + 1] {
+                    lu.work[lu.p[lu.u_step[idx]]] -= lu.u_val[idx] * zj;
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A factor's numeric state, bitwise: pivots, `L`, `U` and diagonal.
+    fn factor_bits(lu: &SparseLu) -> (Vec<usize>, Vec<u64>, Vec<u64>, Vec<u64>) {
+        (
+            lu.p.clone(),
+            bits(&lu.l_val),
+            bits(&lu.u_val),
+            bits(&lu.udiag),
+        )
+    }
+
+    /// Seeded sparse pairs `(a0, a1)` on one pattern: `a0` is factored,
+    /// `a1` refactored. The diagonal is always present; some rounds draw
+    /// values from a small set (exact zeros in `L`/`U` columns, `-0.0`),
+    /// some drop diagonal dominance (off-diagonal pivots), and some zero
+    /// `a1`'s first pivot so the refactor collapses and repivots.
+    fn oracle_pairs() -> Vec<(CsrMatrix, CsrMatrix)> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5BA25E);
+        let small = [-2.0, -1.0, -0.0, 0.0, 0.0, 1.0, 2.0];
+        let mut pairs = Vec::new();
+        for round in 0..80 {
+            let n = 1 + round % 12;
+            let pattern: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| (0..n).map(move |j| (i, j)))
+                .filter(|&(i, j)| i == j || rng.gen_range(0.0..1.0) < 0.3)
+                .collect();
+            // Explicit zeros stay in the pattern: build on ones, then
+            // write the values in CSR (row-major) order.
+            let ones: Vec<_> = pattern.iter().map(|&(i, j)| (i, j, 1.0)).collect();
+            let draw = |rng: &mut StdRng| {
+                let mut a = CsrMatrix::from_triplets(n, n, &ones).unwrap();
+                for (v, &(i, j)) in a.values_mut().iter_mut().zip(&pattern) {
+                    *v = match round % 4 {
+                        1 => small[rng.gen_range(0..small.len())],
+                        _ => rng.gen_range(-1.0..1.0),
+                    };
+                    if i == j && round % 4 != 2 {
+                        *v += 4.0;
+                    }
+                }
+                a
+            };
+            let a0 = draw(&mut rng);
+            let mut a1 = draw(&mut rng);
+            if round % 4 == 3 {
+                // Zero the entry step 0 pivots on: its column has no
+                // updates, so the replayed pivot is exactly zero.
+                let lu = SparseLu::new(&a0).unwrap();
+                let at = pattern.iter().position(|&e| e == (lu.p[0], lu.q[0]));
+                a1.values_mut()[at.unwrap()] = 0.0;
+            }
+            pairs.push((a0, a1));
+        }
+        pairs
+    }
+
+    /// The slice loops of `refactor` and `solve_into` against their
+    /// indexed oracles: bitwise the same factors (or error), including
+    /// after a pivot collapse, and bitwise the same solutions.
+    #[test]
+    fn slice_refactor_and_solve_are_bitwise_the_indexed_oracle() {
+        let (mut collapses, mut failures) = (0, 0);
+        for (case, (a0, a1)) in oracle_pairs().iter().enumerate() {
+            let n = a0.rows();
+            let Ok(mut lu) = SparseLu::new(a0) else {
+                continue;
+            };
+            let mut oracle = SparseLu::new(a0).unwrap();
+            let pivots = lu.p.clone();
+            let (got, want) = (lu.refactor(a1), oracle_refactor(&mut oracle, a1));
+            match (&got, &want) {
+                (Ok(()), Ok(())) => {}
+                (
+                    Err(LinalgError::Singular { pivot, value }),
+                    Err(LinalgError::Singular { pivot: p, value: v }),
+                ) => {
+                    assert_eq!((pivot, value.to_bits()), (p, v.to_bits()), "case {case}");
+                    failures += 1;
+                    continue;
+                }
+                _ => panic!("case {case}: kernel {got:?}, oracle {want:?}"),
+            }
+            collapses += usize::from(lu.p != pivots);
+            assert_eq!(
+                factor_bits(&lu),
+                factor_bits(&oracle),
+                "case {case} (n = {n})"
+            );
+            for rhs in 0..3 {
+                let b: Vec<f64> = (0..n)
+                    .map(|i| [1.0, -0.0, (i as f64 + 0.5).sin(), 0.0][(i + rhs) % 4])
+                    .collect();
+                let b = Vector::from_slice(&b);
+                let (mut x, mut want_x) = (Vector::zeros(n), Vector::zeros(n));
+                lu.solve_into(&b, &mut x).unwrap();
+                oracle_solve(&mut oracle, &b, &mut want_x);
+                assert_eq!(bits(x.as_slice()), bits(want_x.as_slice()), "case {case}");
+            }
+        }
+        assert!(
+            collapses >= 5 && failures < 20,
+            "{collapses} collapses, {failures} failures: the cases must repivot and mostly factor"
+        );
     }
 
     #[test]

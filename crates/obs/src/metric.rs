@@ -75,11 +75,17 @@ pub enum Metric {
     /// factor of the previous step's sensitivity Jacobian instead of
     /// refactoring; each is one `LuRefactors` fewer.
     FactorsReused,
+    /// Transient Newton iterations after a step's first that solved with
+    /// the factor an earlier iteration of the step built (chord
+    /// iterations) instead of refactoring; each is one `LuRefactors` (or
+    /// `SparseRefactors`) fewer. Primed first iterates are
+    /// `FactorsReused`, not these.
+    ChordIterations,
 }
 
 impl Metric {
     /// Number of metric variants; sizes the collector's atomic arrays.
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 29;
 
     /// All variants, in `repr` order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -111,6 +117,7 @@ impl Metric {
         Metric::PrefixStepsReused,
         Metric::StampsReused,
         Metric::FactorsReused,
+        Metric::ChordIterations,
     ];
 
     /// Stable snake_case name used in reports and JSON output.
@@ -145,6 +152,7 @@ impl Metric {
             Metric::PrefixStepsReused => "prefix_steps_reused",
             Metric::StampsReused => "stamps_reused",
             Metric::FactorsReused => "factors_reused",
+            Metric::ChordIterations => "chord_iterations",
         }
     }
 }

@@ -212,13 +212,31 @@ fn ordered_dot(a: &[f64], cols: impl Iterator<Item = usize>, v: &Vector) -> f64 
     })
 }
 
+/// Largest ratio of successive weighted update norms at which an armed
+/// chord solve ([`NewtonWorkspace::chord`]) keeps its factor.
+///
+/// A chord iteration contracts linearly, by a ratio θ that grows with the
+/// distance between the factored Jacobian and the one at the iterate.
+/// While θ ≤ 1/2, the error left after an accepted update of weighted
+/// norm ‖Δx‖ ≤ 1 is at most θ/(1−θ)·‖Δx‖ ≤ 1: inside the tolerance the
+/// update test already enforces. After an update norm above this ratio
+/// times the one before it, the next iteration refactors at its iterate.
+/// Ratios of 0.2 and 0.9 read within 2% of this one on the benchmark's
+/// contour and bank workloads (EXPERIMENTS.md, "Ablations"), so the
+/// value is set by the error bound.
+const CHORD_CONTRACTION: f64 = 0.5;
+
 /// Reusable buffers for [`solve_in_place`].
 ///
 /// A transient analysis performs one Newton solve per time step with a
 /// fixed system dimension, and a DC operating point one per homotopy
 /// step; allocating the iterate, update, residual, Jacobian and factor
 /// once per *analysis* instead of once per *iteration* removes every
-/// per-iteration heap allocation from the Newton path.
+/// per-iteration heap allocation from the Newton path. Two flags, each
+/// taken by the next solve, let it skip factorizations: a primed solve's
+/// first iteration takes the factor in place
+/// (`NewtonWorkspace::prime`), and an armed chord solve keeps one factor
+/// over its later iterations (`NewtonWorkspace::chord`).
 #[derive(Debug)]
 pub struct NewtonWorkspace {
     x: Vector,
@@ -228,6 +246,12 @@ pub struct NewtonWorkspace {
     /// Whether the next solve's first iteration takes the factor as its
     /// own ([`NewtonWorkspace::prime`]).
     primed: bool,
+    /// Whether the next solve runs chord iterations
+    /// ([`NewtonWorkspace::chord`]).
+    chord: bool,
+    /// Iterations of the last solve that kept an earlier iteration's
+    /// factor.
+    chords: usize,
 }
 
 impl NewtonWorkspace {
@@ -253,13 +277,15 @@ impl NewtonWorkspace {
 
     fn with_factor(n: usize, factor: Factor) -> Self {
         let x = Vector::zeros(n);
-        let (delta, residual, primed) = (x.clone(), x.clone(), false);
+        let (delta, residual) = (x.clone(), x.clone());
         NewtonWorkspace {
             x,
             delta,
             residual,
             factor,
-            primed,
+            primed: false,
+            chord: false,
+            chords: 0,
         }
     }
 
@@ -290,6 +316,23 @@ impl NewtonWorkspace {
     pub(crate) fn prime(&mut self) {
         self.primed = true;
     }
+
+    /// Arms the next solve for chord iterations: after its first, each
+    /// iteration keeps the factor in place unless the update norm before
+    /// it exceeded `CHORD_CONTRACTION` times the one before that, and then
+    /// refactors at its iterate. Sound for a caller whose assembly skips the Jacobian when
+    /// handed an empty buffer ([`solve_in_place`]). Retries, and every
+    /// unarmed solve, run plain Newton.
+    pub(crate) fn chord(&mut self) {
+        self.chord = true;
+    }
+
+    /// Iterations of the last solve that solved with a factor an earlier
+    /// iteration built: zero unless it was armed by
+    /// [`NewtonWorkspace::chord`].
+    pub(crate) fn chord_iterations(&self) -> usize {
+        self.chords
+    }
 }
 
 /// Solves `F(x) = 0` with damped Newton-Raphson in the buffers of a
@@ -298,10 +341,11 @@ impl NewtonWorkspace {
 /// `assemble` writes the residual `F(x)` and the Jacobian `∂F/∂x` at the
 /// trial point into the provided buffers, every entry of both: they
 /// arrive zeroed only on the first call, and a dense factorization takes
-/// the Jacobian buffer's storage, leaving it the factor's old contents. The Jacobian buffer holds one value per slot of
-/// the workspace's layout: row-major `n×n` on the dense path, the CSR
-/// values of the resolved pattern on the sparse path. A primed first
-/// iteration may leave it unwritten: nothing reads it.
+/// the Jacobian buffer's storage, leaving it the factor's old contents.
+/// The Jacobian buffer holds one value per slot of the workspace's
+/// layout: row-major `n×n` on the dense path, the CSR values of the
+/// resolved pattern on the sparse path. A primed first iteration may
+/// leave it unwritten: nothing reads it.
 /// Convergence is declared when the weighted update norm
 /// `max_i |Δx_i| / (reltol·|x_i| + abstol)` drops to `≤ 1`; the converged
 /// state is then in `ws.x()` and the iteration count is returned. Apart
@@ -310,6 +354,18 @@ impl NewtonWorkspace {
 /// the factor already in place as its own (the transient primes it when
 /// a step's first Jacobian is bitwise the one the previous step last
 /// factored).
+///
+/// A solve armed by `NewtonWorkspace::chord` runs chord iterations:
+/// iteration `k ≥ 2` solves with the factor in place, and refactors at
+/// its iterate only when the update norm of iteration `k − 1` exceeds
+/// `CHORD_CONTRACTION` (1/2) times that of iteration `k − 2`.
+/// Such a solve hands `assemble` an empty Jacobian buffer on every
+/// iteration that factors nothing, the primed first one included, so it
+/// can skip building the Jacobian. While updates contract by θ ≤ 1/2,
+/// the accepted iterate's remaining error, at most θ/(1−θ)·‖Δx‖ in the
+/// weighted norm, stays inside the tolerance the update test enforces;
+/// results move from plain Newton's only within that tolerance. The DC
+/// operating point and the retries run plain Newton.
 ///
 /// With `laps` set, the factor and solve of every iteration close lap
 /// regions ([`lap::FACTOR`], [`lap::SOLVE`]); the assembly closure is
@@ -337,13 +393,16 @@ pub fn solve_in_place<F>(
 where
     F: FnMut(&Vector, &mut Vector, &mut [f64]) -> Result<()>,
 {
-    // Taken before anything can fail, so no retry inherits it.
+    // Taken before anything can fail, so no retry inherits them.
     let primed = std::mem::take(&mut ws.primed);
+    let chord = std::mem::take(&mut ws.chord);
+    ws.chords = 0;
     if let Some(e) = injected_fault() {
         return Err(e);
     }
     ws.x.copy_from(x0);
-    let mut last_norm = f64::INFINITY;
+    // The weighted update norms of the last two iterations.
+    let (mut last_norm, mut norm_before) = (f64::INFINITY, f64::INFINITY);
     // Work units for the linear-algebra lap slots: factor work follows
     // the backend (pattern nonzeros sparse, dimension dense).
     let solve_work = ws.dim() as u64;
@@ -356,19 +415,31 @@ where
     // the only allocation is the one-time factor below.
     // lint: hot-loop
     for iter in 1..=opts.max_iters {
+        // A primed first iteration's Jacobian is bitwise the factored one;
+        // a chord iteration keeps the factor while the update contracts.
+        let factors = if iter == 1 {
+            !primed
+        } else {
+            !chord || last_norm > CHORD_CONTRACTION * norm_before
+        };
+        let jacobian = if factors || !chord {
+            ws.factor.values_mut()
+        } else {
+            &mut []
+        };
         // lint: allow(hot-path-certify, reason = "closure parameter: name resolution cannot see through `F` and blames `Circuit::assemble`; the closure body's real effects are charged to the caller that defines it")
-        assemble(&ws.x, &mut ws.residual, ws.factor.values_mut())?;
+        assemble(&ws.x, &mut ws.residual, jacobian)?;
         if !ws.residual.is_finite() {
             return Err(SpiceError::NumericalBlowup { time: f64::NAN });
         }
-        // A primed first iteration's Jacobian is bitwise the factored one.
-        let reuse = primed && iter == 1;
-        if !reuse {
+        if factors {
             ws.factor.factorize()?;
             if let Some(l) = laps {
                 l.end_region(lap::FACTOR);
                 l.bump(lap::FACTOR, 1, factor_work);
             }
+        } else if iter > 1 {
+            ws.chords += 1;
         }
         ws.factor.solve_into(&ws.residual, &mut ws.delta)?;
         if let Some(l) = laps {
@@ -387,7 +458,7 @@ where
         if !ws.x.is_finite() {
             return Err(SpiceError::NumericalBlowup { time: f64::NAN });
         }
-        last_norm = norm;
+        (norm_before, last_norm) = (last_norm, norm);
         if norm <= 1.0 {
             return Ok(iter);
         }

@@ -115,7 +115,7 @@ impl Trace {
             q: self.q.as_mut_slice(),
             f: self.f.as_mut_slice(),
             c: Some(&mut []),
-            g: &mut [],
+            g: Some(&mut []),
             slots: Slots::Record(&mut self.writes),
         }
     }
@@ -194,17 +194,23 @@ impl StateStamps {
     }
 
     /// Zeroes these stamps and returns a stamper over them, adding `C`
-    /// into `c` when given.
+    /// into `c` when given. Without `with_g` the stamper drops the `G`
+    /// writes, and `G` keeps its old values: an assembly whose Jacobian
+    /// nothing factors (a chord iteration's) stamps only `q` and `f`.
     // lint: hot-fn
     pub(crate) fn stamper<'a>(
         &'a mut self,
         layout: &'a Layout,
         c: Option<&'a mut [f64]>,
+        with_g: bool,
     ) -> Stamper<'a> {
         self.q.fill_zero();
         self.f.fill_zero();
-        self.g.fill(0.0);
-        Stamper::in_layout(layout, &mut self.q, &mut self.f, c, &mut self.g)
+        let g = with_g.then(|| {
+            self.g.fill(0.0);
+            &mut self.g[..]
+        });
+        Stamper::with_slots(layout, &mut self.q, &mut self.f, c, g)
     }
 }
 
@@ -287,13 +293,18 @@ impl Slots<'_> {
 /// Device stamping is *order-preserving*: which `(eq, var)` positions a
 /// device writes, and in what order, depends only on the topology, never
 /// on the evaluation point. The sparse layout's slots rely on it.
+///
+/// `C` and `G` are each optional: a stamper without one drops its writes,
+/// on either layout, so devices stamp the same code path whatever the
+/// caller needs.
 #[derive(Debug)]
 pub struct Stamper<'a> {
     q: &'a mut [f64],
     f: &'a mut [f64],
     /// `None` drops `C` writes: a transient holds its constant `C` apart.
     c: Option<&'a mut [f64]>,
-    g: &'a mut [f64],
+    /// `None` drops `G` writes: a chord iteration factors no Jacobian.
+    g: Option<&'a mut [f64]>,
     slots: Slots<'a>,
 }
 
@@ -305,7 +316,7 @@ impl<'a> Stamper<'a> {
             q: stamps.q.as_mut_slice(),
             f: stamps.f.as_mut_slice(),
             c: Some(stamps.c.as_mut_slice()),
-            g: stamps.g.as_mut_slice(),
+            g: Some(stamps.g.as_mut_slice()),
         }
     }
 
@@ -317,6 +328,18 @@ impl<'a> Stamper<'a> {
         f: &'a mut Vector,
         c: Option<&'a mut [f64]>,
         g: &'a mut [f64],
+    ) -> Self {
+        Stamper::with_slots(layout, q, f, c, Some(g))
+    }
+
+    /// Adds into value arrays in `layout`, `C` and `G` only when given.
+    // lint: hot-fn
+    fn with_slots(
+        layout: &'a Layout,
+        q: &'a mut Vector,
+        f: &'a mut Vector,
+        c: Option<&'a mut [f64]>,
+        g: Option<&'a mut [f64]>,
     ) -> Self {
         let slots = match layout {
             Layout::Dense(n) => Slots::Dense(*n),
@@ -360,9 +383,9 @@ impl<'a> Stamper<'a> {
     /// Adds `value` to `G[eq, var]`.
     #[inline]
     pub fn add_g(&mut self, eq: Option<usize>, var: Option<usize>, value: f64) {
-        if let (Some(i), Some(j)) = (eq, var) {
+        if let (Some(g), Some(i), Some(j)) = (self.g.as_deref_mut(), eq, var) {
             if let Some(k) = self.slots.next(G, i, j) {
-                self.g[k] += value;
+                g[k] += value;
             }
         }
     }

@@ -15,6 +15,13 @@
 //! observation. Each accepted state is also stamped once: at the next
 //! step's time, where its stamps — and, at an unchanged step size, that
 //! factor — serve as the next step's first Newton iterate.
+//!
+//! A step's later Newton iterations are chord iterations: they solve with
+//! the step's first factor while their updates contract, stamp only `q`
+//! and `f`, and refactor at the iterate when an update stalls
+//! ([`newton::solve_in_place`]). That first factor is `C + Δt·G` at the
+//! previous state whether it was primed or built, so runs with and without
+//! sensitivities, resumed and full, take the same iterates bit for bit.
 
 use std::cell::Cell;
 use std::mem;
@@ -455,14 +462,17 @@ impl Crossing {
     }
 }
 
-/// Work a run's accepted steps took from the step before instead of
-/// redoing it, flushed to telemetry with the run's other counters.
+/// Work a run's accepted steps reused instead of redoing it, flushed to
+/// telemetry with the run's other counters.
 #[derive(Debug, Default)]
 struct Reused {
     /// Steps whose first Newton iterate took the accepted state's stamps.
     stamps: u64,
     /// Of those, the ones whose first iterate took its factor too.
     factors: u64,
+    /// Newton iterations after a step's first that solved with a factor
+    /// an earlier iteration of the step built (chord iterations).
+    chords: u64,
 }
 
 /// The scalars of the stepping loop's carried state after an accepted
@@ -1112,6 +1122,7 @@ impl<'a> TransientAnalysis<'a> {
             );
             shc_obs::count(shc_obs::Metric::StampsReused, skipped.stamps);
             shc_obs::count(shc_obs::Metric::FactorsReused, skipped.factors);
+            shc_obs::count(shc_obs::Metric::ChordIterations, skipped.chords);
         }
         result
     }
@@ -1289,7 +1300,7 @@ impl<'a> TransientAnalysis<'a> {
         // leaves it: those stamps are that step's first Newton iterate.
         let mut stamped_at = (t_prev + dt).min(opts.tstop);
         c.fill(0.0);
-        let stamper = &mut stamps_prev.stamper(layout, Some(c));
+        let stamper = &mut stamps_prev.stamper(layout, Some(c), true);
         circuit.stamp(stamper, &x_prev, stamped_at, params, 1.0);
         let c = &*c;
         // The step size of the sensitivity Jacobian the Newton workspace
@@ -1317,19 +1328,25 @@ impl<'a> TransientAnalysis<'a> {
             if primed {
                 nw.prime();
             }
+            // The step's first factor serves its later iterations while
+            // their updates contract; a retry runs plain Newton.
+            nw.chord();
 
             // Newton solve of the discretized step equation. Residual and
             // Jacobian are built directly in the workspace buffers; no
             // allocation happens per iteration.
             let mut assemble = |x: &Vector, r: &mut Vector, j: &mut [f64]| {
                 // Re-arm the lap cursor so time between iterations is
-                // never charged to the device loop.
+                // never charged to the device loop. An iteration that
+                // factors nothing — a primed first one or a chord one —
+                // gets an empty Jacobian buffer, and builds no `G`.
                 lap_iter.end_region(newton::lap::ITER_SELF);
-                let first = fresh.take();
-                let s = if first {
+                let factors = !j.is_empty();
+                let s = if fresh.take() {
                     &*stamps_prev
                 } else {
-                    circuit.stamp(&mut nr_stamps.stamper(layout, None), x, t_new, params, 1.0);
+                    let stamper = &mut nr_stamps.stamper(layout, None, factors);
+                    circuit.stamp(stamper, x, t_new, params, 1.0);
                     lap_iter.end_region(newton::lap::DEV);
                     lap_iter.bump(newton::lap::DEV, 1, device_work);
                     &*nr_stamps
@@ -1337,9 +1354,7 @@ impl<'a> TransientAnalysis<'a> {
                 r.copy_from(&s.q);
                 r.axpy(-1.0, &stamps_prev.q);
                 r.axpy(dt_eff, &s.f);
-                // A primed first iterate takes the factor in place and
-                // reads no Jacobian.
-                if !(first && primed) {
+                if factors {
                     combine_step_jacobian_into(j, c, &s.g, dt_eff);
                 }
                 lap_iter.end_region(newton::lap::STAMP);
@@ -1402,6 +1417,7 @@ impl<'a> TransientAnalysis<'a> {
             stats.newton_iterations += iterations;
             reused.stamps += u64::from(took_stamps);
             reused.factors += u64::from(took_stamps && primed);
+            reused.chords += nw.chord_iterations() as u64;
             lap_step.bump(LAP_NEWTON, 1, iterations as u64);
             let x_new = nw.x();
             if !x_new.is_finite() {
@@ -1422,7 +1438,7 @@ impl<'a> TransientAnalysis<'a> {
             // next step's time, charged like any Newton assembly.
             stamped_at = (t_new + dt).min(opts.tstop);
             lap_iter.end_region(newton::lap::ITER_SELF);
-            let stamper = &mut stamps_new.stamper(layout, None);
+            let stamper = &mut stamps_new.stamper(layout, None, true);
             circuit.stamp(stamper, &x_prev, stamped_at, params, 1.0);
             lap_iter.end_region(newton::lap::DEV);
             lap_iter.bump(newton::lap::DEV, 1, device_work);
@@ -1946,14 +1962,20 @@ mod tests {
         let refactors = snap.counter(shc_obs::Metric::SparseRefactors);
         let solves = snap.counter(shc_obs::Metric::SparseSolves);
         let reused = snap.counter(shc_obs::Metric::FactorsReused);
+        let chords = snap.counter(shc_obs::Metric::ChordIterations);
         // One solver factors every Newton iteration (the first via
         // `SparseLu::new`, later ones as refactors) and the sensitivity
         // Jacobian of every accepted step, except the first iterations
-        // that took the previous step's sensitivity factor.
+        // that took the previous step's sensitivity factor and the chord
+        // iterations that kept their step's first factor.
         assert!(factors >= 1, "factors = {factors}");
         assert!(reused > 0, "an equal-step run reuses factors");
+        assert!(
+            chords > 0,
+            "second iterations keep their step's first factor"
+        );
         assert_eq!(
-            factors + refactors,
+            factors + refactors + chords,
             stats.newton_iterations as u64 + stats.steps as u64 - reused,
             "factor work must match newton + sensitivity factorizations"
         );
@@ -2638,6 +2660,131 @@ mod tests {
             TransientAnalysis::new(&c, opts).run(&params).unwrap()
         };
         assert_bitwise_eq(&reused, &refactored);
+    }
+
+    /// The circuit of `sparse_factor_reuse_is_bitwise_on_a_nonlinear_circuit`:
+    /// the data pulse through an RC pair into two CMOS inverters.
+    fn rc_into_inverter_pair() -> Circuit {
+        use crate::devices::{MosParams, Mosfet};
+        let mut c = rc_chain_with_pulse(2);
+        let vdd = c.node("vdd");
+        c.add(VoltageSource::new(
+            "Vdd",
+            vdd,
+            Circuit::GROUND,
+            Waveform::dc(2.5),
+        ));
+        let mut input = c.find_node("n1").unwrap();
+        for s in 0..2 {
+            let out = c.node(&format!("inv{s}"));
+            let (n, p) = (MosParams::nmos_250nm(), MosParams::pmos_250nm());
+            let (gnd, len) = (Circuit::GROUND, 0.25e-6);
+            c.add(Mosfet::new(
+                &format!("MN{s}"),
+                out,
+                input,
+                gnd,
+                n,
+                1e-6,
+                len,
+            ));
+            c.add(Mosfet::new(
+                &format!("MP{s}"),
+                out,
+                input,
+                vdd,
+                p,
+                2e-6,
+                len,
+            ));
+            c.add(Capacitor::new(&format!("CL{s}"), out, gnd, 1e-13));
+            input = out;
+        }
+        c
+    }
+
+    /// Chord iterations move a run only within the Newton tolerance: on
+    /// both layouts, the final state at the default tolerances lies
+    /// within the default tolerance bound of a run whose Newton solves
+    /// converge to `reltol` 1e-12.
+    #[test]
+    fn chord_runs_stay_within_tolerance_of_a_tight_newton_run() {
+        let c = rc_into_inverter_pair();
+        let params = Params::new(1e-7, 1e-7);
+        let tol = NewtonOptions::default();
+        let tight = NewtonOptions {
+            reltol: 1e-12,
+            abstol: 1e-15,
+            ..tol
+        };
+        for solver in [SolverChoice::Dense, SolverChoice::Sparse] {
+            let run = |newton| {
+                let opts = TransientOptions::builder(6e-7)
+                    .dt(2e-9)
+                    .sensitivities(&Param::ALL)
+                    .solver(solver)
+                    .newton(newton)
+                    .build();
+                let collector = shc_obs::Collector::new();
+                let _guard = shc_obs::install_scoped(&collector);
+                let res = TransientAnalysis::new(&c, opts).run(&params).unwrap();
+                (res, collector.counter(shc_obs::Metric::ChordIterations))
+            };
+            let ((loose, chords), (exact, _)) = (run(tol), run(tight));
+            assert!(chords > 0, "{solver:?}: no chord iteration");
+            let (got, want) = (loose.final_state(), exact.final_state());
+            for (i, (&a, &b)) in got.iter().zip(want.iter()).enumerate() {
+                let bound = tol.reltol * b.abs() + tol.abstol;
+                assert!((a - b).abs() <= bound, "{solver:?} x[{i}]: {a} vs {b}");
+            }
+        }
+    }
+
+    /// A step whose chord update does not contract by half refactors at
+    /// its iterate and still converges. Without sensitivities nothing
+    /// primes a step's first iteration, so every step factors once there;
+    /// each factorization beyond one per step is a stall refactor.
+    #[test]
+    fn a_stalled_chord_iteration_refactors_and_converges() {
+        let c = rc_into_inverter_pair();
+        let params = Params::new(1e-7, 1e-7);
+        for solver in [SolverChoice::Dense, SolverChoice::Sparse] {
+            let opts = TransientOptions::builder(6e-7)
+                .dt(2e-9)
+                .solver(solver)
+                .initial(InitialCondition::Given(Vector::zeros(c.unknown_count())))
+                .build();
+            let collector = shc_obs::Collector::new();
+            let stats = {
+                let _guard = shc_obs::install_scoped(&collector);
+                *TransientAnalysis::new(&c, opts)
+                    .run(&params)
+                    .unwrap()
+                    .stats()
+            };
+            use shc_obs::Metric;
+            let factored = [
+                Metric::LuFactorizations,
+                Metric::LuRefactors,
+                Metric::SparseFactors,
+                Metric::SparseRefactors,
+            ]
+            .map(|m| collector.counter(m))
+            .iter()
+            .sum::<u64>();
+            let (steps, chords) = (
+                stats.steps as u64,
+                collector.counter(Metric::ChordIterations),
+            );
+            assert_eq!(stats.rejected_steps, 0, "{solver:?}");
+            assert_eq!(
+                factored + chords,
+                stats.newton_iterations as u64,
+                "{solver:?}"
+            );
+            assert!(chords > 0, "{solver:?}: no chord iteration");
+            assert!(factored > steps, "{solver:?}: no stalled chord refactored");
+        }
     }
 
     /// A reference whose data pulse moves before the stop time: its ladder
