@@ -1,10 +1,10 @@
 //! Profiler overhead gate for CI.
 //!
 //! `Detail::Step` profiling (the `--profile` default) must cost at most
-//! [`OVERHEAD_LIMIT_PCT`] of wall clock on the compressed-clock TSPC
-//! contour trace, measured as block-accumulated ABBA floors with a
-//! base-vs-base null arm that widens the budget by the measured noise of
-//! the runner. That profiling leaves results bitwise unchanged is a
+//! [`OVERHEAD_LIMIT_NS_PER_STEP`] per computed transient step on the
+//! compressed-clock TSPC contour trace, measured as block-accumulated ABBA
+//! floors with a base-vs-base null arm that widens the budget by the
+//! measured noise of the runner. That profiling leaves results bitwise unchanged is a
 //! `cargo test` (`tests/profiling.rs`).
 //!
 //! Usage:
@@ -25,10 +25,18 @@ const SMOKE_POINTS: usize = 16;
 /// of [`OVERHEAD_BLOCK`] back-to-back traces.
 const OVERHEAD_ROUNDS: usize = 4;
 /// Traces accumulated per timed block: single traces are too short for
-/// stable floors on a shared runner, ~1 s blocks are not.
+/// stable floors on a shared runner.
 const OVERHEAD_BLOCK: usize = 4;
-/// Maximum tolerated Step-detail profiling overhead, percent of wall clock.
-const OVERHEAD_LIMIT_PCT: f64 = 2.0;
+/// Maximum tolerated Step-detail profiling cost per computed transient
+/// step, in nanoseconds: the 2% of wall clock this gate once allowed,
+/// calibrated on the commit before the lean dense workspace, whose
+/// fastest unprofiled block over 14 runs took 0.084 s for 22,308
+/// computed steps on a 2-vCPU host (3.77 µs per step; 2% is 75.3 ns,
+/// rounded down). Profiling costs per step, so a share of the wall time
+/// tightened the gate whenever steps got cheaper, though profiling cost
+/// no more; a budget per step admits no more cost per step than the 2%
+/// did there.
+const OVERHEAD_LIMIT_NS_PER_STEP: f64 = 75.0;
 
 fn main() -> ExitCode {
     match run() {
@@ -58,14 +66,14 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     // Block-accumulated ABBA comparison at Step detail. Shared runners
     // jitter by several percent run to run — more than the ~1.5% signal —
     // so two defenses: each timed sample accumulates [`OVERHEAD_BLOCK`]
-    // back-to-back traces (~1 s, long enough that the fastest block
+    // back-to-back traces (long enough that the fastest block
     // converges on the true floor), and each round times off/on/on/off so
     // slow drift cancels across the palindrome. The two off positions
     // measure the same thing, so the spread between their floors is pure
     // measurement noise; the on arm must stay within the budget *plus
     // that measured noise*. On a quiet machine the noise term vanishes
-    // and the 2% budget binds exactly; on a loaded one the gate degrades
-    // gracefully instead of flaking. One unmeasured warmup block settles
+    // and the per-step budget binds exactly; on a loaded one the gate
+    // degrades gracefully instead of flaking. One unmeasured warmup block settles
     // caches.
     let time_block = |profiled: bool| -> Result<f64, shc_core::CharError> {
         let (r, s) = seconds(|| -> Result<(), shc_core::CharError> {
@@ -83,6 +91,15 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         r.map(|()| s)
     };
     time_block(true)?;
+    // Every warm trace computes the same steps; count one block's.
+    let collector = shc_obs::Collector::new();
+    {
+        let _obs = shc_obs::install_scoped(&collector);
+        for _ in 0..OVERHEAD_BLOCK {
+            problem.trace_contour(SMOKE_POINTS)?;
+        }
+    }
+    let steps = collector.counter(shc_obs::Metric::TransientSteps).max(1) as f64;
     let mut floors = [f64::INFINITY; 3]; // [off-lead, on, off-trail]
     for _ in 0..OVERHEAD_ROUNDS {
         floors[0] = floors[0].min(time_block(false)?);
@@ -91,20 +108,24 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         floors[2] = floors[2].min(time_block(false)?);
     }
     let (base_s, prof_s) = (floors[0].min(floors[2]), floors[1]);
+    let per_step_ns = |seconds: f64| 1e9 * seconds / steps;
+    let overhead_ns = per_step_ns(prof_s - base_s);
+    let noise_ns = per_step_ns(floors[0].max(floors[2]) - base_s);
     let overhead_pct = 100.0 * (prof_s / base_s - 1.0);
-    let noise_pct = 100.0 * (floors[0].max(floors[2]) / base_s - 1.0);
-    if overhead_pct <= OVERHEAD_LIMIT_PCT + noise_pct {
+    let measured = format!(
+        "{overhead_ns:+.1} ns per computed step ({overhead_pct:+.2}%) at Step detail \
+         over {steps} steps"
+    );
+    if overhead_ns <= OVERHEAD_LIMIT_NS_PER_STEP + noise_ns {
         println!(
-            "overhead: {overhead_pct:+.2}% at Step detail \
-             ({base_s:.3} s off, {prof_s:.3} s on; budget {OVERHEAD_LIMIT_PCT:.1}% \
-             + {noise_pct:.2}% null spread) OK"
+            "overhead: {measured} ({base_s:.3} s off, {prof_s:.3} s on; budget \
+             {OVERHEAD_LIMIT_NS_PER_STEP:.0} ns + {noise_ns:.1} ns null spread) OK"
         );
         Ok(ExitCode::SUCCESS)
     } else {
         eprintln!(
-            "overhead: {overhead_pct:+.2}% at Step detail exceeds the \
-             {OVERHEAD_LIMIT_PCT:.1}% budget + {noise_pct:.2}% null spread \
-             ({base_s:.3} s off, {prof_s:.3} s on)"
+            "overhead: {measured} exceeds the {OVERHEAD_LIMIT_NS_PER_STEP:.0} ns budget + \
+             {noise_ns:.1} ns null spread ({base_s:.3} s off, {prof_s:.3} s on)"
         );
         Ok(ExitCode::FAILURE)
     }

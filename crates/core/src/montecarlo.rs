@@ -70,10 +70,17 @@ pub struct SampleResult {
     /// Characteristic clock-to-Q delay, seconds.
     /// unit: s
     pub t_cq: f64,
-    /// Setup skew of the contour point at the pinned hold skew, seconds.
+    /// Setup skew of the sample's contour point, seconds. Sample 0's point
+    /// is the seed's ([`seed::find_first_point`]); every later sample's is
+    /// where a 2-D minimum-norm Newton correction ([`mpnr::solve`]) from
+    /// sample 0's point lands on the sample's own contour, or the seed's
+    /// if that correction fails.
     /// unit: s
     pub tau_s: f64,
-    /// The pinned hold skew, seconds.
+    /// Hold skew of the same point, seconds. It is not pinned: the 2-D
+    /// correction moves it along with the setup skew, so samples differ in
+    /// both skews (on 32 fast-clock TSPC samples at the default variation,
+    /// by under 0.4 ps in hold against up to 20 ps in setup).
     /// unit: s
     pub tau_h: f64,
     /// Simulations consumed by this sample.
@@ -97,8 +104,10 @@ pub struct MonteCarloStats {
     pub total_simulations: usize,
 }
 
-/// Options for a Monte Carlo run. Samples are seeded and warm-start
-/// polished with the default [`SeedOptions`] and [`MpnrOptions`].
+/// Options for a Monte Carlo run. Sample 0 is seeded with the default
+/// [`SeedOptions`]; every later sample starts a 2-D [`mpnr::solve`] with
+/// the default [`MpnrOptions`] from sample 0's point, so its result moves
+/// in both skews ([`SampleResult`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MonteCarloOptions {
     /// Number of samples to draw.
@@ -174,8 +183,9 @@ where
     })
 }
 
-/// Runs a Monte Carlo characterization: for each process sample, finds the
-/// interdependent setup/hold point at the seed's pinned hold skew.
+/// Runs a Monte Carlo characterization: for each process sample, finds one
+/// interdependent setup/hold point on the sample's contour, near sample
+/// 0's ([`SampleResult`]).
 ///
 /// Sample 0 is always solved first, from a cold seed; it anchors the MPNR
 /// warm start for every later sample. Each sample draws its technology from

@@ -559,15 +559,16 @@ impl ProblemBuilder {
         let opts = TransientOptions::builder(edge + settle)
             .dt(dt)
             .solver(self.solver)
-            .record(RecordMode::Probe(register.output_unknown()))
+            .record(RecordMode::FinalOnly)
             .build();
         let params = Params::new(reference_setup, reference_hold);
         let direction = match register.transition() {
             OutputTransition::Rising => CrossingDirection::Rising,
             OutputTransition::Falling => CrossingDirection::Falling,
         };
-        // The run ends at the crossing it measures. Its quiescent prefix is
-        // the prefix ladder's too: it seeds the ladder.
+        // The run ends at the crossing it measures, and records only that
+        // crossing. Its quiescent prefix is the prefix ladder's too: it
+        // seeds the ladder.
         let ladder = PrefixLadder::default();
         let res = {
             let _span = shc_obs::span(shc_obs::SpanKind::Calibration);
@@ -577,7 +578,7 @@ impl ProblemBuilder {
                 .run(&params)?
         };
         let tc = res
-            .crossing_time(register.output_unknown(), r, edge, direction)
+            .stop_crossing_time()
             .ok_or(CharError::NoCharacteristicDelay { level: r })?;
         let t_cq = tc - edge;
         let tf = edge + (1.0 + self.degradation) * t_cq;
@@ -644,6 +645,57 @@ mod tests {
                                                // Calibration is accounted separately from the user budget.
         assert_eq!(p.simulation_count(), 0);
         assert_eq!(p.calibration_simulations(), 1);
+    }
+
+    /// The calibration records only the crossing it stops at, and its
+    /// `t_CQ` is bitwise the one measured on the same run's recorded
+    /// output trajectory: on TSPC (rising output), C²MOS (falling output)
+    /// and the level-sensitive D latch (its own reference setup skew).
+    #[test]
+    fn calibration_delay_is_bitwise_the_recorded_trajectory_crossing() {
+        use shc_cells::{c2mos_register_with, d_latch_with, C2MOS_CLKB_SKEW};
+        let tech = Technology::default_250nm();
+        let clock = ClockSpec::fast();
+        let cells = [
+            tspc_register_with(&tech, clock),
+            c2mos_register_with(&tech, clock, C2MOS_CLKB_SKEW),
+            d_latch_with(&tech, clock),
+        ];
+        let mut falling = 0;
+        for register in cells {
+            let p = CharacterizationProblem::builder(register)
+                .build()
+                .expect("problem builds");
+            let register = p.register();
+            let out = register.output_unknown();
+            let edge = register.active_edge_time();
+            let direction = match register.transition() {
+                OutputTransition::Rising => CrossingDirection::Rising,
+                OutputTransition::Falling => CrossingDirection::Falling,
+            };
+            falling += usize::from(direction == CrossingDirection::Falling);
+            let opts = TransientOptions::builder(edge + 0.45 * register.clock().period)
+                .dt(p.dt())
+                .solver(p.solver())
+                .record(RecordMode::Probe(out))
+                .build();
+            let res = TransientAnalysis::new(register.circuit(), opts)
+                .stop_at_crossing(out, p.r(), edge, direction)
+                .run(&p.reference_params())
+                .unwrap();
+            let tc = res.crossing_time(out, p.r(), edge, direction).unwrap();
+            assert_eq!(
+                res.stop_crossing_time().map(f64::to_bits),
+                Some(tc.to_bits())
+            );
+            assert_eq!(
+                p.characteristic_delay().to_bits(),
+                (tc - edge).to_bits(),
+                "{}",
+                register.name()
+            );
+        }
+        assert_eq!(falling, 1, "C²MOS's output falls");
     }
 
     #[test]

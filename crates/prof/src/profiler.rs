@@ -184,8 +184,9 @@ impl Tree {
 pub enum Detail {
     /// Per-step lap timing plus exact invocation counts everywhere.
     /// The default: ~4 clock reads per accepted time step, sized to
-    /// keep profiling overhead within the ~2% budget on the transient
-    /// hot loop. The Newton solve appears as one phase with exact
+    /// keep profiling overhead within its per-step budget on the
+    /// transient hot loop (`profile_smoke`: 75 ns per computed step, 2%
+    /// of a step's time when it was set). The Newton solve appears as one phase with exact
     /// device-eval/stamp/factor/solve *counts* but no time split.
     #[default]
     Step,

@@ -63,6 +63,9 @@ pub struct Circuit {
     node_names: Vec<String>,
     name_to_node: HashMap<String, Node>,
     devices: Vec<Box<dyn Device>>,
+    /// Indices into `devices` of those that may read the skews: the only
+    /// ones that can add to `∂f/∂p` ([`Circuit::add`]).
+    skew_readers: Vec<usize>,
     n_branches: usize,
 }
 
@@ -78,6 +81,7 @@ impl Circuit {
             node_names: vec!["0".to_string()],
             name_to_node,
             devices: Vec::new(),
+            skew_readers: Vec::new(),
             n_branches: 0,
         }
     }
@@ -111,11 +115,20 @@ impl Circuit {
 
     /// Adds a device to the netlist, allocating branch unknowns if the
     /// device needs them (e.g. voltage sources).
+    ///
+    /// A device that agrees for all time with itself at skews it cannot
+    /// know — [`Device::skew_agreement`] is `Some(∞)` between zero and NaN
+    /// skews — reads no skews, adds nothing to `∂f/∂p`, and is left out
+    /// of [`Circuit::assemble_dfdp_into`]. Every other device is kept.
     pub fn add<D: Device + 'static>(&mut self, mut device: D) -> &mut Self {
         let branches = device.branch_count();
         if branches > 0 {
             device.set_branch_start(self.n_branches);
             self.n_branches += branches;
+        }
+        let unknown = Params::new(f64::NAN, f64::NAN);
+        if device.skew_agreement(&Params::default(), &unknown) != Some(f64::INFINITY) {
+            self.skew_readers.push(self.devices.len());
         }
         self.devices.push(Box::new(device));
         self
@@ -327,7 +340,9 @@ impl Circuit {
     /// Assembles the parameter derivative of the residual,
     /// `∂f/∂param = b_d · z(t)` in the paper's notation (eqs. (9), (12)),
     /// into caller-provided buffers (zeroing `dfdp` first) to avoid
-    /// allocation in inner loops. `x_zero` must be an all-zero vector of
+    /// allocation in inner loops. Only the devices that may read the
+    /// skews contribute ([`Circuit::add`]); in a seed cell, the data
+    /// source alone. `x_zero` must be an all-zero vector of
     /// the unknown count; it only feeds the evaluation context, whose
     /// state is unused by source derivatives.
     ///
@@ -360,8 +375,8 @@ impl Circuit {
             source_scale: 1.0,
             node_offset: self.node_count(),
         };
-        for device in &self.devices {
-            device.stamp_param_derivative(dfdp, &ctx, param);
+        for &k in &self.skew_readers {
+            self.devices[k].stamp_param_derivative(dfdp, &ctx, param);
         }
     }
 
@@ -533,5 +548,68 @@ mod tests {
             DiodeParams::default(),
         ));
         assert_eq!(c.agreement_horizon(&p0, &p0), 0.0);
+    }
+
+    /// `∂f/∂p` visits only the devices that may read the skews — the data
+    /// source, and devices that state no agreement bound — and is bitwise
+    /// the sum over every device.
+    #[test]
+    fn dfdp_assembly_visits_only_the_skew_readers() {
+        use crate::devices::{CurrentSource, Diode, DiodeParams};
+        use crate::waveform::{DataPulse, RampShape};
+        let d = DataPulse {
+            v_rest: 0.0,
+            v_active: 2.5,
+            t_edge: 5e-9,
+            rise: 0.5e-9,
+            fall: 0.5e-9,
+            shape: RampShape::Smoothstep,
+        };
+        let mut c = Circuit::new();
+        let (vdd, din, out) = (c.node("vdd"), c.node("d"), c.node("out"));
+        c.add(VoltageSource::new(
+            "Vdd",
+            vdd,
+            Circuit::GROUND,
+            Waveform::dc(2.5),
+        ));
+        c.add(VoltageSource::new(
+            "Vd",
+            din,
+            Circuit::GROUND,
+            Waveform::Data(d),
+        ));
+        c.add(Resistor::new("R1", din, out, 1e3));
+        c.add(Capacitor::new("C1", out, Circuit::GROUND, 1e-12));
+        c.add(CurrentSource::new(
+            "Id",
+            out,
+            Circuit::GROUND,
+            Waveform::Data(d),
+        ));
+        c.add(Diode::new("D1", out, vdd, DiodeParams::default()));
+        assert_eq!(c.skew_readers, [1, 4, 5]);
+
+        let n = c.unknown_count();
+        let (zero, mut got, mut all) = (Vector::zeros(n), Vector::zeros(n), Vector::zeros(n));
+        let params = Params::new(1e-10, 2e-10);
+        for t in [0.0, 4.6e-9, 4.9e-9, 5.2e-9, 5.4e-9] {
+            for param in Param::ALL {
+                c.assemble_dfdp_into(&mut got, &zero, t, &params, param);
+                all.fill_zero();
+                let ctx = EvalContext {
+                    x: &zero,
+                    t,
+                    params: &params,
+                    source_scale: 1.0,
+                    node_offset: c.node_count(),
+                };
+                for device in &c.devices {
+                    device.stamp_param_derivative(&mut all, &ctx, param);
+                }
+                let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&all), "{param:?} at {t:e}");
+            }
+        }
     }
 }

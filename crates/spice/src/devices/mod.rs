@@ -70,7 +70,10 @@ pub trait Device: std::fmt::Debug + Send + Sync {
     /// values and skew derivatives under skews `pa` and `pb`: `Some(∞)`
     /// for a device that never reads the skews. The default `None` states
     /// no bound, and the circuit's agreement horizon is then `0.0`
-    /// ([`crate::Circuit::agreement_horizon`]).
+    /// ([`crate::Circuit::agreement_horizon`]). A device that states
+    /// `Some(∞)` between zero and NaN skews must add nothing to `∂f/∂p`:
+    /// the circuit's `∂f/∂p` assembly leaves it out
+    /// ([`crate::Circuit::add`]).
     fn skew_agreement(&self, _pa: &Params, _pb: &Params) -> Option<f64> {
         None
     }

@@ -96,10 +96,16 @@ impl MosParams {
     }
 }
 
+// The model functions below are generic over `D`, whether the caller
+// wants derivatives. Without them (`D = false`) every derivative reads
+// `0.0` and is never computed, and the current comes from the same
+// operations in the same order, so it is bitwise the current with them.
+
 /// Smoothed `max(x, 0)`: returns `(value, derivative)`.
-fn softplus(x: f64, eps: f64) -> (f64, f64) {
+#[inline(always)]
+fn softplus<const D: bool>(x: f64, eps: f64) -> (f64, f64) {
     let r = (x * x + eps * eps).sqrt();
-    (0.5 * (x + r), 0.5 * (1.0 + x / r))
+    (0.5 * (x + r), if D { 0.5 * (1.0 + x / r) } else { 0.0 })
 }
 
 /// Forward-region drain current for an NMOS-reflected device with
@@ -109,26 +115,30 @@ fn softplus(x: f64, eps: f64) -> (f64, f64) {
 /// the raw expression is therefore offset-corrected by its own value at
 /// `v_ds = 0` so that `i_d(v_gs, 0) ≡ 0` exactly, preserving drain/source
 /// symmetry and C¹ continuity across `v_ds = 0`.
-fn ids_forward(vgs: f64, vds: f64, p: &MosParams, beta: f64) -> (f64, f64, f64) {
-    let (id, gm, gds) = ids_forward_raw(vgs, vds, p, beta);
-    let (id0, gm0, _) = ids_forward_raw(vgs, 0.0, p, beta);
+#[inline(always)]
+fn ids_forward<const D: bool>(vgs: f64, vds: f64, p: &MosParams, beta: f64) -> (f64, f64, f64) {
+    let (id, gm, gds) = ids_forward_raw::<D>(vgs, vds, p, beta);
+    let (id0, gm0, _) = ids_forward_raw::<D>(vgs, 0.0, p, beta);
     (id - id0, gm - gm0, gds)
 }
 
-fn ids_forward_raw(vgs: f64, vds: f64, p: &MosParams, beta: f64) -> (f64, f64, f64) {
-    let (vov, dvov) = softplus(vgs - p.vt0, p.eps_cutoff);
+#[inline(always)]
+fn ids_forward_raw<const D: bool>(vgs: f64, vds: f64, p: &MosParams, beta: f64) -> (f64, f64, f64) {
+    let (vov, dvov) = softplus::<D>(vgs - p.vt0, p.eps_cutoff);
     // Effective v_ds clamps smoothly at the saturation voltage v_ov.
-    let (clip, dclip) = softplus(vds - vov, p.eps_sat);
+    let (clip, dclip) = softplus::<D>(vds - vov, p.eps_sat);
     let vdse = vds - clip;
-    let dvdse_dvds = 1.0 - dclip;
-    let dvdse_dvov = dclip;
-
     let klm = 1.0 + p.lambda * vds;
     let fcur = (vov - 0.5 * vdse) * vdse;
+    let id = beta * klm * fcur;
+    if !D {
+        return (id, 0.0, 0.0);
+    }
+
+    let dvdse_dvds = 1.0 - dclip;
+    let dvdse_dvov = dclip;
     let df_dvov = vdse + (vov - vdse) * dvdse_dvov;
     let df_dvds = (vov - vdse) * dvdse_dvds;
-
-    let id = beta * klm * fcur;
     let gm = beta * klm * df_dvov * dvov;
     let gds = beta * (p.lambda * fcur + klm * df_dvds);
     (id, gm, gds)
@@ -136,12 +146,13 @@ fn ids_forward_raw(vgs: f64, vds: f64, p: &MosParams, beta: f64) -> (f64, f64, f
 
 /// Drain current of the reflected (NMOS-like) device for any `v_ds` sign:
 /// returns `(i_d, ∂i_d/∂v_gs, ∂i_d/∂v_ds)`.
-fn ids_symmetric(vgs: f64, vds: f64, p: &MosParams, beta: f64) -> (f64, f64, f64) {
+#[inline(always)]
+fn ids_symmetric<const D: bool>(vgs: f64, vds: f64, p: &MosParams, beta: f64) -> (f64, f64, f64) {
     if vds >= 0.0 {
-        ids_forward(vgs, vds, p, beta)
+        ids_forward::<D>(vgs, vds, p, beta)
     } else {
         // Exchange source and drain: i_d(v_gs, v_ds) = −i_fwd(v_gd, −v_ds).
-        let (i, gm_f, gds_f) = ids_forward(vgs - vds, -vds, p, beta);
+        let (i, gm_f, gds_f) = ids_forward::<D>(vgs - vds, -vds, p, beta);
         // ∂/∂v_gs = −gm_f·∂(v_gs−v_ds)/∂v_gs = −gm_f
         // ∂/∂v_ds = −[gm_f·(−1) + gds_f·(−1)] = gm_f + gds_f
         (-i, -gm_f, gm_f + gds_f)
@@ -233,11 +244,18 @@ impl Mosfet {
     /// `(i_d, ∂i_d/∂v_g, ∂i_d/∂v_d, ∂i_d/∂v_s)`, with `i_d` flowing into
     /// the drain terminal.
     pub fn drain_current(&self, vd: f64, vg: f64, vs: f64) -> (f64, f64, f64, f64) {
+        self.evaluate::<true>(vd, vg, vs)
+    }
+
+    /// [`Mosfet::drain_current`], with derivatives only when `D`: without,
+    /// they read `0.0` and the current is bitwise the same.
+    #[inline(always)]
+    fn evaluate<const D: bool>(&self, vd: f64, vg: f64, vs: f64) -> (f64, f64, f64, f64) {
         let s = self.params.polarity.sign();
         // Reflect to NMOS voltages.
         let vgs = s * (vg - vs);
         let vds = s * (vd - vs);
-        let (i, gm, gds) = ids_symmetric(vgs, vds, &self.params, self.beta);
+        let (i, gm, gds) = ids_symmetric::<D>(vgs, vds, &self.params, self.beta);
         // Reflect back: i_drain = s·i; ∂(s·i)/∂v_g = s·gm·s = gm, etc.
         let id = s * i;
         let did_dvg = gm;
@@ -256,15 +274,19 @@ impl Device for Mosfet {
         let vd = ctx.voltage(self.drain);
         let vg = ctx.voltage(self.gate);
         let vs = ctx.voltage(self.source);
-        let (id, gm, gds, gs_) = self.drain_current(vd, vg, vs);
-
         let (ed, eg, es) = (
             self.drain.unknown(),
             self.gate.unknown(),
             self.source.unknown(),
         );
 
-        // Channel current: into drain, out of source.
+        // Channel current: into drain, out of source. A stamper that
+        // drops `G` (a chord iteration's) needs the current alone.
+        let (id, gm, gds, gs_) = if stamper.keeps_g() {
+            self.evaluate::<true>(vd, vg, vs)
+        } else {
+            self.evaluate::<false>(vd, vg, vs)
+        };
         stamper.add_f(ed, id);
         stamper.add_f(es, -id);
         stamper.add_g(ed, eg, gm);
@@ -316,13 +338,13 @@ mod tests {
 
     #[test]
     fn softplus_limits_and_derivative() {
-        let (v, d) = softplus(1.0, 0.01);
+        let (v, d) = softplus::<true>(1.0, 0.01);
         assert!((v - 1.0).abs() < 1e-4);
         assert!((d - 1.0).abs() < 1e-3);
-        let (v, d) = softplus(-1.0, 0.01);
+        let (v, d) = softplus::<true>(-1.0, 0.01);
         assert!(v.abs() < 1e-4);
         assert!(d.abs() < 1e-3);
-        let (v, d) = softplus(0.0, 0.01);
+        let (v, d) = softplus::<true>(0.0, 0.01);
         assert!((v - 0.005).abs() < 1e-12);
         assert!((d - 0.5).abs() < 1e-12);
     }
@@ -418,6 +440,79 @@ mod tests {
                     m.params.polarity
                 );
             }
+        }
+    }
+
+    /// The current-only evaluation a chord assembly runs is bitwise the
+    /// current of [`Mosfet::drain_current`], over random terminal
+    /// voltages of both polarities and both signs of `v_ds` (and
+    /// `v_ds = 0`, where the offset correction matters most), and a
+    /// stamper without `G` stamps a bitwise-equal residual.
+    #[test]
+    fn current_only_path_is_bitwise_the_drain_current() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xD5);
+        let mut signs = [0usize; 3];
+        for m in [nmos(), pmos()] {
+            for k in 0..4000 {
+                let (vg, vs) = (rng.gen_range(-0.5..3.0), rng.gen_range(-0.5..3.0));
+                let vd = match k % 8 {
+                    0 => vs,
+                    1 => vs + rng.gen_range(-1e-9..1e-9),
+                    _ => rng.gen_range(-0.5..3.0),
+                };
+                signs[usize::from(vd > vs) + usize::from(vd >= vs)] += 1;
+                let full = m.drain_current(vd, vg, vs);
+                let alone = m.evaluate::<false>(vd, vg, vs);
+                assert_eq!(
+                    alone.0.to_bits(),
+                    full.0.to_bits(),
+                    "{:?} at ({vd}, {vg}, {vs}): {} vs {}",
+                    m.params.polarity,
+                    alone.0,
+                    full.0
+                );
+            }
+        }
+        assert!(signs.iter().all(|&k| k > 100), "v_ds signs {signs:?}");
+
+        let mut c = crate::Circuit::new();
+        let (d, g, s) = (c.node("d"), c.node("g"), c.node("s"));
+        c.add(Mosfet::new(
+            "M1",
+            d,
+            g,
+            s,
+            MosParams::nmos_250nm(),
+            1e-6,
+            0.25e-6,
+        ));
+        c.add(Mosfet::new(
+            "M2",
+            s,
+            g,
+            d,
+            MosParams::pmos_250nm(),
+            2e-6,
+            0.25e-6,
+        ));
+        let layout = crate::stamp::Layout::Dense(3);
+        let mut stamps = crate::stamp::StateStamps::new(3, &layout);
+        let params = crate::waveform::Params::default();
+        for x in [[1.7, 2.2, 0.1], [0.3, 1.1, 2.4], [0.9, 0.0, 0.9]] {
+            let x = shc_linalg::Vector::from_slice(&x);
+            let mut f = Vec::new();
+            for with_g in [true, false] {
+                c.stamp(
+                    &mut stamps.stamper(&layout, None, with_g),
+                    &x,
+                    0.0,
+                    &params,
+                    1.0,
+                );
+                f.push(stamps.f.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            }
+            assert_eq!(f[0], f[1], "at {x:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The crate's one damped Newton-Raphson loop, shared by DC and transient
 //! analyses, and the workspace that owns its buffers and Jacobian factor.
 
-use shc_linalg::{CsrMatrix, LuFactor, Matrix, SparseLu, Vector};
+use shc_linalg::{CsrMatrix, LuFactor, SparseLu, Vector};
 
 use crate::stamp::Layout;
 use crate::{Result, SpiceError};
@@ -70,17 +70,19 @@ impl Default for NewtonOptions {
 }
 
 /// The Jacobian buffer of a [`NewtonWorkspace`] in its assembly layout
-/// ([`crate::stamp`]) — dense row-major, or the CSR values the sparse
-/// assembly stamps into — and its LU factor, built on the first
-/// factorization and refactored in place after it: the one factor of the
-/// Newton iterations and of a transient's sensitivity solves.
+/// ([`crate::stamp`]) and its LU factor: the one factor of the Newton
+/// iterations and of a transient's sensitivity solves. Dense, the buffer
+/// is the factor's own storage, row-major: the Jacobian is assembled
+/// into it and factored in place, so writing it ends the factor. Sparse,
+/// it is the CSR values the sparse assembly stamps into, and the factor,
+/// built on the first factorization, is refactored in place after it.
 #[derive(Debug)]
 #[allow(
     clippy::large_enum_variant,
     reason = "one per workspace, built once per analysis and never moved in a loop; boxing the sparse variant would only add an allocation"
 )]
 pub(crate) enum Factor {
-    Dense(Matrix, Option<LuFactor>),
+    Dense(LuFactor),
     Sparse {
         jacobian: CsrMatrix,
         lu: Option<SparseLu>,
@@ -91,34 +93,36 @@ pub(crate) enum Factor {
 }
 
 impl Factor {
-    /// The Jacobian buffer, one value per slot.
+    /// The Jacobian buffer, one value per slot. Dense, handing it out ends
+    /// the factor: no solve succeeds until the next factorization.
     pub(crate) fn values_mut(&mut self) -> &mut [f64] {
         match self {
-            Factor::Dense(jacobian, _) => jacobian.as_mut_slice(),
+            Factor::Dense(lu) => lu.values_mut(),
             Factor::Sparse { jacobian, .. } => jacobian.values_mut(),
         }
     }
 
-    /// Factors the Jacobian buffer: builds the factor the first time and
-    /// refactors it in place after that. A [`SpiceError::NumericalBlowup`]
-    /// if the buffer holds a non-finite value.
+    /// Factors the Jacobian buffer in place: builds the sparse factor the
+    /// first time and refactors it after that. A
+    /// [`SpiceError::NumericalBlowup`] if the buffer holds a non-finite
+    /// value.
     ///
-    /// A dense refactor takes the buffer's storage
-    /// ([`LuFactor::refactor_taking`]): once it has run, successfully or
+    /// A dense factorization overwrites the buffer with the factors
+    /// ([`LuFactor::factor_values`]): once it has run, successfully or
     /// not, the buffer holds no Jacobian, so every factorization needs a
     /// freshly assembled one. A sparse refactor replays the pivots of the
     /// last fresh factorization, or pivots afresh after
     /// [`Factor::repivot`].
     pub(crate) fn factorize(&mut self) -> Result<()> {
         let values = match self {
-            Factor::Dense(jacobian, _) => jacobian.as_slice(),
+            Factor::Dense(lu) => lu.values(),
             Factor::Sparse { jacobian, .. } => jacobian.values(),
         };
         if !values.iter().all(|v| v.is_finite()) {
             return Err(SpiceError::NumericalBlowup { time: f64::NAN });
         }
         match self {
-            Factor::Dense(jacobian, Some(lu)) => lu.refactor_taking(jacobian)?,
+            Factor::Dense(lu) => lu.factor_values()?,
             Factor::Sparse {
                 jacobian,
                 lu: Some(lu),
@@ -132,8 +136,6 @@ impl Factor {
                     lu.refactor(jacobian)?;
                 }
             }
-            // lint: allow(hot-path-certify, reason = "cold path: the factor is built once on the first solve; every later iteration takes a refactor arm")
-            Factor::Dense(jacobian, lu) => *lu = Some(LuFactor::new(jacobian)?),
             Factor::Sparse { jacobian, lu, .. } => {
                 // lint: allow(hot-path-certify, reason = "cold path: the first factorization performs the symbolic analysis (allocating, span-instrumented); every later iteration takes a refactor arm")
                 *lu = Some(SparseLu::new(jacobian)?);
@@ -145,14 +147,20 @@ impl Factor {
     /// Solves `J·x = b` with the factor.
     pub(crate) fn solve_into(&mut self, b: &Vector, x: &mut Vector) -> Result<()> {
         match self {
-            Factor::Dense(_, Some(lu)) => lu.solve_into(b, x)?,
+            Factor::Dense(lu) => lu.solve_into(b, x)?,
             Factor::Sparse { lu: Some(lu), .. } => lu.solve_into(b, x)?,
-            _ => {
-                let reason = "jacobian solved before its first factorization";
-                return Err(shc_linalg::LinalgError::InvalidInput { reason }.into());
-            }
+            Factor::Sparse { lu: None, .. } => return Err(solved_before_factoring()),
         }
         Ok(())
+    }
+
+    /// Whether a factor is in place to solve with: the dense one since its
+    /// last successful factorization, the sparse one once built.
+    fn ready(&self) -> bool {
+        match self {
+            Factor::Dense(lu) => lu.is_factored(),
+            Factor::Sparse { lu, .. } => lu.is_some(),
+        }
     }
 
     /// Makes the next sparse factorization pivot afresh, keeping the
@@ -177,16 +185,21 @@ impl Factor {
             }
         )
     }
+}
 
+#[cfg(test)]
+impl Factor {
     /// `out = A·v` for `A` given by its slot values `a`: per row, ascending
     /// columns accumulated from `+0.0`, skipping the zero values of `a`.
     /// For finite `v` that is bitwise the dense product: a skipped entry,
     /// structural or stored, would add only `±0` to a sum that starts at
-    /// `+0.0` and so is never `-0.0`.
+    /// `+0.0` and so is never `-0.0`. The transient forms its products
+    /// over a list of the nonzero slots instead
+    /// (`crate::stamp::NonzeroSlots`), which keeps this order.
     pub(crate) fn mul_slots_into(&self, a: &[f64], v: &Vector, out: &mut Vector) {
         match self {
-            Factor::Dense(jacobian, _) => {
-                for (row, o) in a.chunks_exact(jacobian.cols()).zip(out.iter_mut()) {
+            Factor::Dense(lu) => {
+                for (row, o) in a.chunks_exact(lu.dim()).zip(out.iter_mut()) {
                     *o = ordered_dot(row, 0..row.len(), v);
                 }
             }
@@ -200,7 +213,14 @@ impl Factor {
     }
 }
 
+/// The error of a solve or primed iteration before any factorization.
+fn solved_before_factoring() -> SpiceError {
+    let reason = "jacobian solved before its first factorization";
+    shc_linalg::LinalgError::InvalidInput { reason }.into()
+}
+
 /// `Σ_k a_k·v[col_k]` in order, from `+0.0`, over the nonzero `a_k`.
+#[cfg(test)]
 fn ordered_dot(a: &[f64], cols: impl Iterator<Item = usize>, v: &Vector) -> f64 {
     a.iter().zip(cols).fold(0.0, |acc, (&a, j)| {
         // lint: allow(float-eq, reason = "exact-zero skip: a zero entry adds only ±0 to the sum")
@@ -257,7 +277,7 @@ pub struct NewtonWorkspace {
 impl NewtonWorkspace {
     /// Creates a workspace for systems of dimension `n` (dense solves).
     pub fn new(n: usize) -> Self {
-        NewtonWorkspace::with_factor(n, Factor::Dense(Matrix::zeros(n, n), None))
+        NewtonWorkspace::with_factor(n, Factor::Dense(LuFactor::unfactored(n)))
     }
 
     /// Creates a workspace whose Jacobian and factor follow `layout`.
@@ -310,9 +330,10 @@ impl NewtonWorkspace {
 
     /// Lets the next solve's first iteration take the factor as the
     /// factor of the Jacobian it assembles instead of refactoring, on
-    /// either backend. Sound only when that Jacobian is bitwise the
-    /// factored one: the caller vouches for it. Every later iteration,
-    /// and every retry, factors afresh.
+    /// either backend; its assembly gets an empty Jacobian buffer. Sound
+    /// only when that Jacobian is bitwise the factored one: the caller
+    /// vouches for it. Every later iteration, and every retry, factors
+    /// afresh.
     pub(crate) fn prime(&mut self) {
         self.primed = true;
     }
@@ -320,9 +341,10 @@ impl NewtonWorkspace {
     /// Arms the next solve for chord iterations: after its first, each
     /// iteration keeps the factor in place unless the update norm before
     /// it exceeded `CHORD_CONTRACTION` times the one before that, and then
-    /// refactors at its iterate. Sound for a caller whose assembly skips the Jacobian when
-    /// handed an empty buffer ([`solve_in_place`]). Retries, and every
-    /// unarmed solve, run plain Newton.
+    /// refactors at its iterate. Its assembly gets an empty Jacobian
+    /// buffer on every iteration that keeps the factor
+    /// ([`solve_in_place`]). Retries, and every unarmed solve, run plain
+    /// Newton.
     pub(crate) fn chord(&mut self) {
         self.chord = true;
     }
@@ -340,12 +362,13 @@ impl NewtonWorkspace {
 ///
 /// `assemble` writes the residual `F(x)` and the Jacobian `∂F/∂x` at the
 /// trial point into the provided buffers, every entry of both: they
-/// arrive zeroed only on the first call, and a dense factorization takes
-/// the Jacobian buffer's storage, leaving it the factor's old contents.
+/// arrive zeroed only on the first call, and a dense factorization
+/// factors the Jacobian buffer in place, leaving it the factors.
 /// The Jacobian buffer holds one value per slot of the workspace's
 /// layout: row-major `n×n` on the dense path, the CSR values of the
-/// resolved pattern on the sparse path. A primed first iteration may
-/// leave it unwritten: nothing reads it.
+/// resolved pattern on the sparse path. An iteration that factors
+/// nothing — a primed first one, or a chord one — gets an empty Jacobian
+/// buffer instead, and `assemble` must then skip the Jacobian.
 /// Convergence is declared when the weighted update norm
 /// `max_i |Δx_i| / (reltol·|x_i| + abstol)` drops to `≤ 1`; the converged
 /// state is then in `ws.x()` and the iteration count is returned. Apart
@@ -359,9 +382,7 @@ impl NewtonWorkspace {
 /// iteration `k ≥ 2` solves with the factor in place, and refactors at
 /// its iterate only when the update norm of iteration `k − 1` exceeds
 /// `CHORD_CONTRACTION` (1/2) times that of iteration `k − 2`.
-/// Such a solve hands `assemble` an empty Jacobian buffer on every
-/// iteration that factors nothing, the primed first one included, so it
-/// can skip building the Jacobian. While updates contract by θ ≤ 1/2,
+/// While updates contract by θ ≤ 1/2,
 /// the accepted iterate's remaining error, at most θ/(1−θ)·‖Δx‖ in the
 /// weighted norm, stays inside the tolerance the update test enforces;
 /// results move from plain Newton's only within that tolerance. The DC
@@ -422,10 +443,14 @@ where
         } else {
             !chord || last_norm > CHORD_CONTRACTION * norm_before
         };
-        let jacobian = if factors || !chord {
+        // Every iteration that factors nothing gets an empty buffer: the
+        // dense buffer is the factor's storage, which a write would end.
+        let jacobian = if factors {
             ws.factor.values_mut()
-        } else {
+        } else if ws.factor.ready() {
             &mut []
+        } else {
+            return Err(solved_before_factoring());
         };
         // lint: allow(hot-path-certify, reason = "closure parameter: name resolution cannot see through `F` and blames `Circuit::assemble`; the closure body's real effects are charged to the caller that defines it")
         assemble(&ws.x, &mut ws.residual, jacobian)?;

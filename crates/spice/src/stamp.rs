@@ -88,6 +88,74 @@ impl Layout {
             Layout::Sparse(map) => map.diagonal[i],
         }
     }
+
+    /// Rows (and columns) of the matrices in this layout.
+    fn dim(&self) -> usize {
+        match self {
+            Layout::Dense(n) => *n,
+            Layout::Sparse(map) => map.dim(),
+        }
+    }
+
+    /// The `(row, column)` of slot `k`. Both layouts number their slots
+    /// row by row, in ascending columns.
+    fn position(&self, k: usize) -> (usize, usize) {
+        match self {
+            Layout::Dense(n) => (k / n, k % n),
+            Layout::Sparse(map) => map.entries[k],
+        }
+    }
+}
+
+/// The nonzero slots of one value array in a [`Layout`], row by row in
+/// ascending columns, each with its column: the transient lists its
+/// constant `C` once per run and forms every `C·m` over the list.
+#[derive(Debug, Default)]
+pub(crate) struct NonzeroSlots {
+    /// Row `i`'s entries end at `row_end[i]`, and start where row `i − 1`'s
+    /// end.
+    row_end: Vec<usize>,
+    /// `(slot, column)` of each nonzero value.
+    entries: Vec<(usize, usize)>,
+}
+
+impl NonzeroSlots {
+    /// Lists the nonzero values of `a`, one value per slot of `layout`,
+    /// replacing the last list; allocates only when the list outgrows
+    /// the last one's.
+    pub(crate) fn list(&mut self, layout: &Layout, a: &[f64]) {
+        let nonzero = |v: &&f64| {
+            // lint: allow(float-eq, reason = "exact-zero filter: a zero value adds only ±0 to a product's sum")
+            **v != 0.0
+        };
+        self.row_end.clear();
+        self.entries.clear();
+        self.entries.reserve_exact(a.iter().filter(nonzero).count());
+        self.row_end.reserve_exact(layout.dim());
+        for (k, _) in a.iter().enumerate().filter(|(_, v)| nonzero(v)) {
+            let (i, j) = layout.position(k);
+            while self.row_end.len() < i {
+                self.row_end.push(self.entries.len());
+            }
+            self.entries.push((k, j));
+        }
+        self.row_end.resize(layout.dim(), self.entries.len());
+    }
+
+    /// `out = A·v` for `A` given by its slot values `a`, the array this
+    /// list was made from: per row, ascending columns accumulated from
+    /// `+0.0` over the nonzero values. For finite `v` that is bitwise the
+    /// dense product: a zero value would add only `±0` to a sum that
+    /// starts at `+0.0` and so is never `-0.0`.
+    // lint: hot-fn
+    pub(crate) fn mul_into(&self, a: &[f64], v: &Vector, out: &mut Vector) {
+        let mut start = 0;
+        for (o, &end) in out.iter_mut().zip(&self.row_end) {
+            let row = &self.entries[start..end];
+            *o = row.iter().fold(0.0, |acc, &(k, j)| acc + a[k] * v[j]);
+            start = end;
+        }
+    }
 }
 
 /// Index of the `C` and of the `G` writes in the per-kind arrays below.
@@ -349,6 +417,14 @@ impl<'a> Stamper<'a> {
         Stamper { q, f, c, g, slots }
     }
 
+    /// Whether this stamper keeps `G` writes. A device may skip the
+    /// derivatives it would stamp there when it does not (a chord
+    /// iteration's assembly); a recording stamper keeps them.
+    #[inline]
+    pub fn keeps_g(&self) -> bool {
+        self.g.is_some()
+    }
+
     // The adders below are `#[inline]`: every device's `stamp` calls them
     // once per matrix entry on every Newton iteration, and without the
     // hint whether they inline depends on which codegen unit rustc puts
@@ -545,6 +621,58 @@ mod tests {
         assert!(!map.matches(&trace), "another unknown count");
         retrace(&chain(6, Some(2)), &mut trace);
         assert!(!map.matches(&trace), "one capacitor moved");
+    }
+
+    /// `C·v` over the nonzero-slot list is bitwise the dense product on
+    /// both layouts, with `-0.0` entries in `v` and rows of `C` that hold
+    /// no nonzero (the source's branch row).
+    #[test]
+    fn nonzero_slot_products_are_bitwise_the_dense_product() {
+        use crate::devices::{Capacitor, Resistor, VoltageSource};
+        use crate::waveform::Waveform;
+        use crate::Circuit;
+        let mut c = Circuit::new();
+        let mut prev = c.node("in");
+        c.add(VoltageSource::new(
+            "V1",
+            prev,
+            Circuit::GROUND,
+            Waveform::dc(1.0),
+        ));
+        for s in 0..9 {
+            let node = c.node(&format!("n{s}"));
+            c.add(Resistor::new(&format!("R{s}"), prev, node, 1e3));
+            let (to, cap) = match s % 3 {
+                0 => (Circuit::GROUND, 1e-12),
+                _ => (prev, 3e-13 * s as f64),
+            };
+            c.add(Capacitor::new(&format!("C{s}"), node, to, cap));
+            prev = node;
+        }
+        let params = Params::default();
+        let n = c.unknown_count();
+        let x = Vector::from_slice(&(0..n).map(|i| 0.1 * i as f64).collect::<Vec<_>>());
+        let dense = c.assemble(&x, 1e-9, &params, 1.0);
+        let (c_csr, _) = c.assemble_csr(&x, 1e-9, &params).unwrap();
+        let mut list = NonzeroSlots::default();
+        let mut out = Vector::zeros(n);
+        for v in [
+            (0..n).map(|i| (i as f64).sin()).collect::<Vec<_>>(),
+            (0..n).map(|i| [-0.0, 0.0, 1.5, -2.0][i % 4]).collect(),
+        ] {
+            let v = Vector::from_slice(&v);
+            let want: Vec<u64> = dense.c.mul_vec(&v).iter().map(|x| x.to_bits()).collect();
+            let sparse = Layout::Sparse(c.slot_map(&params));
+            for (layout, a) in [
+                (&Layout::Dense(n), dense.c.as_slice()),
+                (&sparse, c_csr.values()),
+            ] {
+                list.list(layout, a);
+                list.mul_into(a, &v, &mut out);
+                let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{layout:?}");
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::circuit::Circuit;
 use crate::dcop::{self, DcOptions};
 use crate::newton::{self, NewtonOptions};
 use crate::solver::SolverChoice;
-use crate::stamp::{Layout, SlotMap, StateStamps, Trace};
+use crate::stamp::{Layout, NonzeroSlots, SlotMap, StateStamps, Trace};
 use crate::waveform::{Param, Params};
 use crate::{Result, SpiceError};
 
@@ -316,6 +316,8 @@ pub struct TransientResult {
     final_state: Vector,
     final_sensitivities: Vec<(Param, Vector)>,
     stats: TransientStats,
+    /// Where a run that stopped at its crossing crossed.
+    stop_crossing: Option<f64>,
 }
 
 impl TransientResult {
@@ -347,6 +349,16 @@ impl TransientResult {
     /// Work counters.
     pub fn stats(&self) -> &TransientStats {
         &self.stats
+    }
+
+    /// The time of the crossing a run ended at
+    /// ([`TransientAnalysis::stop_at_crossing`]), interpolated between
+    /// the two states around it as [`TransientResult::crossing_time`]
+    /// does: bitwise what that finds on the run's recorded trajectory, in
+    /// any [`RecordMode`]. `None` for a run without a stop crossing or
+    /// that never crossed.
+    pub fn stop_crossing_time(&self) -> Option<f64> {
+        self.stop_crossing
     }
 
     /// The trajectory of one unknown.
@@ -413,13 +425,7 @@ impl TransientResult {
         for i in 1..self.times.len() {
             let (v0, v1) = (traj[i - 1], traj[i]);
             if crossing.hit(self.times[i], v0, v1) {
-                let (t0, t1) = (self.times[i - 1], self.times[i]);
-                let frac = if v1 == v0 {
-                    0.0
-                } else {
-                    (level - v0) / (v1 - v0)
-                };
-                return Some(t0 + frac * (t1 - t0));
+                return Some(crossing.interpolate(self.times[i - 1], self.times[i], v0, v1));
             }
         }
         None
@@ -459,6 +465,17 @@ impl Crossing {
                 CrossingDirection::Falling => falling,
                 CrossingDirection::Any => rising || falling,
             }
+    }
+
+    /// Where the line from `(t0, v0)` to `(t1, v1)` meets the level: the
+    /// crossing time of a step that [`Crossing::hit`]s.
+    fn interpolate(&self, t0: f64, t1: f64, v0: f64, v1: f64) -> f64 {
+        let frac = if v1 == v0 {
+            0.0
+        } else {
+            (self.level - v0) / (v1 - v0)
+        };
+        t0 + frac * (t1 - t0)
     }
 }
 
@@ -851,8 +868,10 @@ impl<'a> TransientAnalysis<'a> {
     /// `unknown` crosses `level` in `direction`: the crossing
     /// [`TransientResult::crossing_time`] finds first, decided by the same
     /// predicate, so measuring it on the shortened run gives the same
-    /// time. Everything up to that step stays bitwise identical to a run
-    /// to `tstop`; a run that never crosses runs to `tstop`.
+    /// time. The run records that time whatever it records else
+    /// ([`TransientResult::stop_crossing_time`]). Everything up to that
+    /// step stays bitwise identical to a run to `tstop`; a run that never
+    /// crosses runs to `tstop`.
     ///
     /// # Panics
     ///
@@ -1188,9 +1207,9 @@ impl<'a> TransientAnalysis<'a> {
             layout,
             newton: nw,
             c,
+            c_nonzero,
             nr: nr_stamps,
             prev: stamps_prev,
-            new: stamps_new,
         } = Assembly::configure(assembly, trace, zero_x, circuit, params, opts.solver)?;
 
         let Start {
@@ -1303,12 +1322,17 @@ impl<'a> TransientAnalysis<'a> {
         let stamper = &mut stamps_prev.stamper(layout, Some(c), true);
         circuit.stamp(stamper, &x_prev, stamped_at, params, 1.0);
         let c = &*c;
+        // The sensitivity recursion forms `C·m` over `C`'s nonzeros alone.
+        if !sens.is_empty() {
+            c_nonzero.list(layout, c);
+        }
         // The step size of the sensitivity Jacobian the Newton workspace
         // factors at the last accepted state, until a Newton solve
         // refactors it. Under fault injection every factorization runs, so
         // LU fault draws fall as they always have.
         let mut factored_dt: Option<f64> = None;
         let reuse_factors = !shc_fault::enabled();
+        let mut stop_crossing = None;
 
         while t_prev < loop_end(opts) {
             let t_new = (t_prev + dt).min(opts.tstop);
@@ -1423,9 +1447,12 @@ impl<'a> TransientAnalysis<'a> {
             if !x_new.is_finite() {
                 return Err(SpiceError::NumericalBlowup { time: t_new });
             }
-            let stop = self
-                .stop
-                .is_some_and(|(i, at)| at.hit(t_new, x_prev[i], x_new[i]));
+            if let Some((i, at)) = self.stop {
+                let (v0, v1) = (x_prev[i], x_new[i]);
+                if at.hit(t_new, v0, v1) {
+                    stop_crossing = Some(at.interpolate(t_prev, t_new, v0, v1));
+                }
+            }
             x_prev.copy_from(x_new);
 
             // A Newton-failure cut must not persist: recover toward the
@@ -1435,10 +1462,11 @@ impl<'a> TransientAnalysis<'a> {
             }
 
             // Accepted: stamp the new state (for its `q` and `G`) at the
-            // next step's time, charged like any Newton assembly.
+            // next step's time, charged like any Newton assembly, into the
+            // iterate's stamps: the solve that used them has returned.
             stamped_at = (t_new + dt).min(opts.tstop);
             lap_iter.end_region(newton::lap::ITER_SELF);
-            let stamper = &mut stamps_new.stamper(layout, None, true);
+            let stamper = &mut nr_stamps.stamper(layout, None, true);
             circuit.stamp(stamper, &x_prev, stamped_at, params, 1.0);
             lap_iter.end_region(newton::lap::DEV);
             lap_iter.bump(newton::lap::DEV, 1, device_work);
@@ -1446,7 +1474,7 @@ impl<'a> TransientAnalysis<'a> {
                 lap_step.end_region(LAP_NEWTON);
             } else {
                 let factor = nw.factor_mut();
-                combine_step_jacobian_into(factor.values_mut(), c, &stamps_new.g, dt_eff);
+                combine_step_jacobian_into(factor.values_mut(), c, &nr_stamps.g, dt_eff);
                 lap_iter.end_region(newton::lap::STAMP);
                 lap_iter.bump(newton::lap::STAMP, 1, n as u64);
                 lap_step.end_region(LAP_NEWTON);
@@ -1454,13 +1482,13 @@ impl<'a> TransientAnalysis<'a> {
                 // One factor of the sensitivity Jacobian per accepted step,
                 // in the Newton workspace's own factor on either backend,
                 // where the next step's first iterate may take it; then
-                // one back-substitution per parameter. A failed dense
-                // factorization has taken the Jacobian's storage, so each
-                // retry rewrites it first.
+                // one back-substitution per parameter. A dense
+                // factorization overwrites the Jacobian with its factors,
+                // so each retry rewrites it first.
                 let mut retry = false;
                 with_lu_fault_retries(|| {
                     if mem::replace(&mut retry, true) {
-                        combine_step_jacobian_into(factor.values_mut(), c, &stamps_new.g, dt_eff);
+                        combine_step_jacobian_into(factor.values_mut(), c, &nr_stamps.g, dt_eff);
                     }
                     factor.factorize()
                 })?;
@@ -1480,7 +1508,7 @@ impl<'a> TransientAnalysis<'a> {
                         continue;
                     }
                     circuit.assemble_dfdp_into(dfdp_tmp, zero_x, t_new, params, *param);
-                    factor.mul_slots_into(c, m, sens_rhs);
+                    c_nonzero.mul_into(c, m, sens_rhs);
                     sens_rhs.axpy(-dt_eff, dfdp_tmp);
                     with_lu_fault_retries(|| factor.solve_into(sens_rhs, sens_tmp))?;
                     m.copy_from(sens_tmp);
@@ -1502,8 +1530,8 @@ impl<'a> TransientAnalysis<'a> {
 
             // Allocation-free: the freshly stamped step becomes the
             // previous one, and the displaced buffers are the next step's
-            // assembly target.
-            mem::swap(stamps_prev, stamps_new);
+            // Newton iterate's.
+            mem::swap(stamps_prev, nr_stamps);
             t_prev = t_new;
 
             if let Some(cap) = capture.as_mut() {
@@ -1518,7 +1546,7 @@ impl<'a> TransientAnalysis<'a> {
                 }
             }
             lap_step.end_region(LAP_STEP_SELF);
-            if stop {
+            if stop_crossing.is_some() {
                 break;
             }
         }
@@ -1534,6 +1562,7 @@ impl<'a> TransientAnalysis<'a> {
             final_state: x_prev,
             final_sensitivities: sens,
             stats: *stats,
+            stop_crossing,
         })
     }
 }
@@ -1571,17 +1600,20 @@ pub struct TransientScratch {
 
 /// One layout's per-run buffers: the Newton workspace, whose Jacobian
 /// buffer and factor (dense or sparse) the sensitivity solves share; the
-/// run's constant `C`; and the stamps of the Newton iterate, the previous
-/// step and the freshly accepted one — all in the layout's slot order.
+/// run's constant `C` and its nonzero slots; and two stamp sets, all in
+/// the layout's slot order. `prev` holds the last accepted state's stamps.
+/// `nr` holds the Newton iterate's during a step's solve and, once it
+/// returns, the accepted state's, which then trade places with `prev`.
 #[derive(Debug)]
 struct Assembly {
     layout: Layout,
     newton: newton::NewtonWorkspace,
     /// The run's constant `C`: per-step assemblies leave it out.
     c: Vec<f64>,
+    /// `C`'s nonzero slots, listed by runs with sensitivities.
+    c_nonzero: NonzeroSlots,
     nr: StateStamps,
     prev: StateStamps,
-    new: StateStamps,
 }
 
 impl Assembly {
@@ -1625,9 +1657,9 @@ impl Assembly {
                 Ok(none.insert(Assembly {
                     newton: newton::NewtonWorkspace::for_layout(&layout)?,
                     c: vec![0.0; layout.len()],
+                    c_nonzero: NonzeroSlots::default(),
                     nr: StateStamps::new(n, &layout),
                     prev: StateStamps::new(n, &layout),
-                    new: StateStamps::new(n, &layout),
                     layout,
                 }))
             }
@@ -1929,6 +1961,51 @@ mod tests {
             3 * analyses,
             "matrix allocations beyond the sparse analyses' own buffers"
         );
+    }
+
+    /// A fresh dense run holds one `n×n` factor buffer — the Newton
+    /// Jacobian, assembled and factored in place, whose factor the
+    /// sensitivity solves share — besides its `C` and two stamp sets. Its
+    /// DC start solves in the same workspace, so the run allocates one
+    /// matrix in all; the destructuring below names every buffer of the
+    /// assembly, so a third stamp set would not compile.
+    #[test]
+    fn fresh_dense_runs_allocate_one_factor_buffer_and_two_stamp_sets() {
+        let c = rc_chain_with_pulse(6);
+        let n = c.unknown_count();
+        let opts = TransientOptions::builder(6e-7)
+            .dt(2e-9)
+            .sensitivities(&Param::ALL)
+            .record(RecordMode::FinalOnly)
+            .solver(crate::SolverChoice::Dense)
+            .build();
+        assert!(matches!(opts.initial, InitialCondition::DcOperatingPoint));
+        let collector = shc_obs::Collector::new();
+        let mut scratch = TransientScratch::new(n);
+        {
+            let _obs = shc_obs::install_scoped(&collector);
+            let res = TransientAnalysis::new(&c, opts)
+                .run_with_scratch(&Params::new(1e-7, 1e-7), &mut scratch)
+                .unwrap();
+            assert!(res.stats().steps > 100, "test wants a real stepping loop");
+        }
+        assert_eq!(collector.counter(shc_obs::Metric::MatrixAllocations), 1);
+        let Some(Assembly {
+            layout,
+            newton,
+            c,
+            c_nonzero: _,
+            nr,
+            prev,
+        }) = &scratch.assembly
+        else {
+            panic!("the run configured no assembly");
+        };
+        assert!(matches!(layout, Layout::Dense(m) if *m == n));
+        assert_eq!(newton.dim(), n);
+        for slots in [c, &nr.g, &prev.g] {
+            assert_eq!(slots.len(), n * n);
+        }
     }
 
     /// The sparse work counters must reconcile with the run shape: one
